@@ -42,20 +42,24 @@ pub const MAX_PAYLOAD: usize = 1 << 24;
 pub const MAX_FRAME_LEN: usize = MAX_PAYLOAD + FRAME_OVERHEAD;
 
 /// Encodes a message into one complete frame.
+///
+/// The frame is built in the payload's own buffer, which
+/// [`Message::encode_payload`] sizes for the header and trailer too: the
+/// payload shifts up by [`HEADER_LEN`] in place, the header fills the gap
+/// and the CRC is appended, with no further allocation.
 #[must_use]
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let payload = msg.encode_payload();
+    let mut frame = msg.encode_payload();
+    let len = frame.len();
     // No legitimate message approaches MAX_PAYLOAD (the largest stream
     // chunk is bounded by the station's chunking policy); this is a
     // caller-bug guard, not a wire condition.
-    assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(PROTOCOL_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.push(crc8(&out));
-    out
+    assert!(len <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
+    let [m0, m1] = MAGIC;
+    let [l0, l1, l2, l3] = (len as u32).to_le_bytes();
+    frame.splice(..0, [m0, m1, PROTOCOL_VERSION, l0, l1, l2, l3]);
+    frame.push(crc8(&frame));
+    frame
 }
 
 /// Decodes exactly one frame occupying the whole buffer. Trailing bytes
@@ -290,6 +294,41 @@ mod tests {
         assert!(buf.len() < MAX_FRAME_LEN);
         let mut cursor = Cursor::new(buf);
         assert_eq!(read_message(&mut cursor).unwrap(), msg);
+    }
+
+    #[test]
+    fn stream_chunk_frames_are_sized_exactly_up_front() {
+        // The payload buffer is allocated at the final frame size, so
+        // framing never grows it.
+        let chunks = [
+            crate::message::StreamPayload::NeuroFrames {
+                first_frame: 8,
+                rows: 4,
+                cols: 3,
+                samples: vec![0.25; 24],
+            },
+            crate::message::StreamPayload::DnaCounts {
+                readings: vec![
+                    crate::message::PixelCount {
+                        row: 1,
+                        col: 2,
+                        count: 3,
+                    };
+                    5
+                ],
+            },
+        ];
+        for payload in chunks {
+            let msg = Message::StreamData {
+                chip: 1,
+                seq: 2,
+                payload,
+            };
+            let frame = encode_frame(&msg);
+            assert_eq!(frame.capacity(), frame.len());
+            assert_eq!(frame.len(), msg.encode_payload().len() + FRAME_OVERHEAD);
+            assert_eq!(decode_frame(&frame).unwrap(), msg);
+        }
     }
 
     #[test]

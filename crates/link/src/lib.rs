@@ -43,6 +43,7 @@ pub mod crc;
 mod error;
 mod frame;
 pub mod message;
+pub mod samples;
 mod wire;
 
 pub use error::ProtocolError;

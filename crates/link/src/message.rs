@@ -31,6 +31,8 @@
 //! | any                  | `ErrorReply` on failure                    |
 
 use crate::error::ProtocolError;
+use crate::frame::FRAME_OVERHEAD;
+use crate::samples::SAMPLE_LEN;
 use crate::wire::{Reader, Writer};
 
 /// Station-assigned handle for an attached chip, scoped to one session.
@@ -698,9 +700,7 @@ impl StreamPayload {
                 w.u16(*rows);
                 w.u16(*cols);
                 w.count(samples.len());
-                for &s in samples {
-                    w.f64(s);
-                }
+                w.f64s(samples);
             }
             Self::DnaCounts { readings } => {
                 w.u8(1);
@@ -718,11 +718,8 @@ impl StreamPayload {
                 let first_frame = r.u32()?;
                 let rows = r.u16()?;
                 let cols = r.u16()?;
-                let n = r.count(8, "NeuroFrames.samples")?;
-                let mut samples = Vec::with_capacity(n);
-                for _ in 0..n {
-                    samples.push(r.f64()?);
-                }
+                let n = r.count(SAMPLE_LEN, "NeuroFrames.samples")?;
+                let samples = r.f64s(n)?;
                 Ok(Self::NeuroFrames {
                     first_frame,
                     rows,
@@ -1035,11 +1032,33 @@ impl RecordingEntry {
 }
 
 impl Message {
+    /// Bytes [`Self::encode_payload`] writes for a stream chunk, the one
+    /// message whose size scales with the data; other messages get a
+    /// small start that grows as needed.
+    fn payload_len_hint(&self) -> usize {
+        // Message tag, chip and seq, then the payload's tag and fields.
+        const CHUNK_HEAD: usize = 1 + 4 + 4 + 1;
+        match self {
+            Self::StreamData {
+                payload: StreamPayload::NeuroFrames { samples, .. },
+                ..
+            } => CHUNK_HEAD + 4 + 2 + 2 + 4 + samples.len() * SAMPLE_LEN,
+            Self::StreamData {
+                payload: StreamPayload::DnaCounts { readings },
+                ..
+            } => CHUNK_HEAD + 4 + readings.len() * (2 + 2 + 8),
+            _ => 64,
+        }
+    }
+
     /// Serialises the message body (tag + fields) without framing.
     /// [`crate::encode_frame`] wraps this in magic/version/length/CRC.
+    ///
+    /// The buffer is allocated once, with room for the frame header and
+    /// CRC trailer as well, so framing adds no second allocation.
     #[must_use]
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.payload_len_hint() + FRAME_OVERHEAD);
         match self {
             Self::Hello { client } => {
                 w.u8(TAG_HELLO);

@@ -2,9 +2,11 @@
 //!
 //! `Reader` never indexes past the buffer: every access goes through
 //! `take`, which returns [`ProtocolError::Truncated`] instead of slicing
-//! out of bounds. `Writer` is a thin `Vec<u8>` builder.
+//! out of bounds. `Writer` is a thin `Vec<u8>` builder. Sample blocks
+//! go through the bulk codec in [`crate::samples`].
 
 use crate::error::ProtocolError;
+use crate::samples::{decode_samples, encode_samples, SAMPLE_LEN};
 
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
@@ -74,6 +76,15 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads `n` samples encoded back to back by [`Writer::f64s`].
+    pub(crate) fn f64s(&mut self, n: usize) -> Result<Vec<f64>, ProtocolError> {
+        // A saturated length cannot fit the buffer, so `take` rejects it.
+        let block = self.take(n.saturating_mul(SAMPLE_LEN))?;
+        let mut samples = Vec::new();
+        decode_samples(block, &mut samples)?;
+        Ok(samples)
+    }
+
     pub(crate) fn bool(&mut self) -> Result<bool, ProtocolError> {
         match self.u8()? {
             0 => Ok(false),
@@ -121,8 +132,11 @@ pub(crate) struct Writer {
 }
 
 impl Writer {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// Empty writer with room for `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
@@ -147,6 +161,11 @@ impl Writer {
 
     pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// Writes every sample of `samples` back to back (no count prefix).
+    pub(crate) fn f64s(&mut self, samples: &[f64]) {
+        encode_samples(samples, &mut self.buf);
     }
 
     pub(crate) fn bool(&mut self, v: bool) {
@@ -175,7 +194,7 @@ mod tests {
 
     #[test]
     fn roundtrip_primitives() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.u8(0xAB);
         w.u16(0x1234);
         w.u32(0xDEAD_BEEF);
@@ -183,6 +202,7 @@ mod tests {
         w.f64(-2.5);
         w.bool(true);
         w.string("ACGT");
+        w.f64s(&[0.5, -0.0]);
         let bytes = w.into_bytes();
 
         let mut r = Reader::new(&bytes);
@@ -193,6 +213,7 @@ mod tests {
         assert_eq!(r.f64().unwrap(), -2.5);
         assert!(r.bool().unwrap());
         assert_eq!(r.string().unwrap(), "ACGT");
+        assert_eq!(r.f64s(2).unwrap(), [0.5, -0.0]);
         assert!(r.finish().is_ok());
     }
 
@@ -200,11 +221,17 @@ mod tests {
     fn truncation_is_an_error_not_a_panic() {
         let mut r = Reader::new(&[0x01, 0x02]);
         assert!(matches!(r.u32(), Err(ProtocolError::Truncated { .. })));
+        let mut r = Reader::new(&[0u8; 15]);
+        assert!(matches!(r.f64s(2), Err(ProtocolError::Truncated { .. })));
+        assert!(matches!(
+            r.f64s(usize::MAX),
+            Err(ProtocolError::Truncated { .. })
+        ));
     }
 
     #[test]
     fn oversized_count_rejected_before_allocation() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.u32(u32::MAX); // claims 4 billion elements in an empty buffer
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);

@@ -1,17 +1,37 @@
 //! Protocol correctness: `decode ∘ encode = id` for every message type
 //! (proptest-generated), and corruption safety — any single flipped byte
 //! in a framed message is rejected with a typed error, never a panic and
-//! never a wrong-but-valid message.
+//! never a wrong-but-valid message. The table-driven CRC-8 is checked
+//! against the bit-serial definition, and stream samples against
+//! `f64::to_bits` identity.
 
 #![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
 
+use bsa_link::crc::{crc8, Crc8, CRC8_POLY};
 use bsa_link::{
-    decode_frame, encode_frame, read_message, ChipKind, CultureSpec, DegradationSummary,
-    DnaChipSpec, ErrorCode, FaultEntrySpec, FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message,
-    NeuroChipSpec, PixelCount, ProtocolError, RecordingEntry, SerialLinkSummary, StatsSnapshot,
-    StreamPayload, TargetSpec, YieldSummary,
+    decode_frame, encode_frame, read_message, write_message, ChipKind, CultureSpec,
+    DegradationSummary, DnaChipSpec, ErrorCode, FaultEntrySpec, FaultKindSpec, FaultPlanSpec,
+    FaultTargetSpec, Message, NeuroChipSpec, PixelCount, ProtocolError, RecordingEntry,
+    SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec, YieldSummary,
 };
 use proptest::prelude::*;
+
+/// The CRC-8 definition, one bit at a time: the oracle for the
+/// table-driven kernel.
+fn bitwise_crc8(bytes: &[u8]) -> u8 {
+    let mut crc = 0u8;
+    for &b in bytes {
+        crc ^= b;
+        for _ in 0..8 {
+            crc = if crc & 0x80 != 0 {
+                (crc << 1) ^ CRC8_POLY
+            } else {
+                crc << 1
+            };
+        }
+    }
+    crc
+}
 
 /// Finite, bit-stable floats: NaN is excluded because `PartialEq` cannot
 /// certify a NaN roundtrip, not because the wire cannot carry it (f64
@@ -431,6 +451,123 @@ proptest! {
         let cut = (cut_seed % frame.len() as u64) as usize;
         prop_assert!(decode_frame(frame.get(..cut).unwrap()).is_err());
     }
+
+    /// The slice-by-8 kernel equals the bit-serial definition one-shot,
+    /// streamed over an arbitrary split, and byte by byte. Lengths up to
+    /// 4 KiB cover every `len % 8` tail on both sides of the split.
+    #[test]
+    fn crc_matches_bitwise_oracle(
+        bytes in prop::collection::vec(any::<u8>(), 0..=4096),
+        split_seed in any::<usize>(),
+    ) {
+        let expected = bitwise_crc8(&bytes);
+        prop_assert_eq!(crc8(&bytes), expected);
+
+        let (head, tail) = bytes.split_at(split_seed % (bytes.len() + 1));
+        let mut streamed = Crc8::new();
+        streamed.update_bytes(head);
+        streamed.update_bytes(tail);
+        prop_assert_eq!(streamed.finish(), expected);
+
+        let mut per_byte = Crc8::new();
+        for &b in &bytes {
+            per_byte.update(b);
+        }
+        prop_assert_eq!(per_byte.finish(), expected);
+    }
+}
+
+/// Samples whose bits `PartialEq` cannot certify: NaNs with distinct
+/// payloads and signs, both zeros, subnormals and the infinities.
+fn awkward_samples() -> Vec<f64> {
+    vec![
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN, payload 1
+        f64::from_bits(0x7FF8_0000_DEAD_BEEF), // quiet NaN with a payload
+        f64::from_bits(0xFFF4_0000_0000_0042), // negative signalling NaN
+        0.0,
+        -0.0,
+        f64::from_bits(1),                      // smallest subnormal
+        -f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest subnormal, negated
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0,
+    ]
+}
+
+fn samples_of(msg: &Message) -> Vec<u64> {
+    match msg {
+        Message::StreamData {
+            payload: StreamPayload::NeuroFrames { samples, .. },
+            ..
+        } => samples.iter().map(|s| s.to_bits()).collect(),
+        other => panic!("expected a NeuroFrames chunk, got {other:?}"),
+    }
+}
+
+/// Stream samples come back `f64::to_bits`-identical through both the
+/// buffer codec and the streaming reader/writer.
+#[test]
+fn neuro_samples_roundtrip_bit_exact() {
+    let samples = awkward_samples();
+    let bits: Vec<u64> = samples.iter().map(|s| s.to_bits()).collect();
+    let msg = Message::StreamData {
+        chip: 5,
+        seq: 9,
+        payload: StreamPayload::NeuroFrames {
+            first_frame: 16,
+            rows: 3,
+            cols: 4,
+            samples,
+        },
+    };
+
+    let via_buffer = decode_frame(&encode_frame(&msg)).unwrap();
+    assert_eq!(samples_of(&via_buffer), bits);
+
+    let mut wire = Vec::new();
+    write_message(&mut wire, &msg).unwrap();
+    let via_stream = read_message(&mut std::io::Cursor::new(wire)).unwrap();
+    assert_eq!(samples_of(&via_stream), bits);
+}
+
+/// A sample block one byte short of its declared count is a typed
+/// error, whether or not the frame around it is otherwise valid.
+#[test]
+fn short_sample_block_is_a_typed_error() {
+    let msg = Message::StreamData {
+        chip: 1,
+        seq: 0,
+        payload: StreamPayload::NeuroFrames {
+            first_frame: 0,
+            rows: 2,
+            cols: 2,
+            samples: vec![0.5, -1.5, 2.5, f64::NAN],
+        },
+    };
+    let mut payload = msg.encode_payload();
+    payload.pop();
+    assert!(matches!(
+        Message::decode_payload(&payload),
+        Err(ProtocolError::InvalidValue { .. })
+    ));
+
+    // Re-framed with a matching length and CRC, the short block still
+    // fails in the payload parse, on both decoders.
+    let mut frame = bsa_link::MAGIC.to_vec();
+    frame.push(bsa_link::PROTOCOL_VERSION);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame.push(bitwise_crc8(&frame));
+    assert!(matches!(
+        decode_frame(&frame),
+        Err(ProtocolError::InvalidValue { .. })
+    ));
+    assert!(matches!(
+        read_message(&mut std::io::Cursor::new(frame)),
+        Err(ProtocolError::InvalidValue { .. })
+    ));
 }
 
 /// Exhaustive (not sampled) single-byte corruption over a representative

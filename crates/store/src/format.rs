@@ -41,6 +41,7 @@
 
 use crate::error::StoreError;
 use bsa_link::crc::Crc8;
+use bsa_link::samples::{decode_samples, encode_samples, SAMPLE_LEN};
 use bsa_link::{ChipKind, PixelCount};
 
 /// First bytes of every segment file.
@@ -88,38 +89,28 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[must_use]
 pub fn frame_payload_len(kind: ChipKind, rows: u16, cols: u16) -> usize {
     match kind {
-        ChipKind::Neuro => usize::from(rows) * usize::from(cols) * 8,
+        ChipKind::Neuro => usize::from(rows) * usize::from(cols) * SAMPLE_LEN,
         ChipKind::Dna => DNA_READING_LEN,
     }
 }
 
 /// Serialises a neuro frame payload: each sample as raw IEEE-754 bits,
-/// little-endian, bit-exact.
+/// little-endian, bit-exact — the wire's sample codec
+/// ([`bsa_link::samples`]), so a stored frame is the byte image of the
+/// samples in a streamed chunk.
 #[must_use]
 pub fn encode_neuro_frame(samples: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(samples.len() * 8);
-    for &s in samples {
-        out.extend_from_slice(&s.to_bits().to_le_bytes());
-    }
+    let mut out = Vec::with_capacity(samples.len() * SAMPLE_LEN);
+    encode_samples(samples, &mut out);
     out
 }
 
 /// Appends the samples stored in a neuro frame payload to `out`,
 /// bit-exact (`f64::from_bits` of the stored words).
 pub fn decode_neuro_frame(payload: &[u8], out: &mut Vec<f64>) -> Result<(), StoreError> {
-    if !payload.len().is_multiple_of(8) {
-        return Err(StoreError::InvalidValue {
-            what: "neuro frame payload length",
-        });
-    }
-    out.reserve(payload.len() / 8);
-    for chunk in payload.chunks_exact(8) {
-        let bits: [u8; 8] = chunk.try_into().map_err(|_| StoreError::InvalidValue {
-            what: "neuro frame payload chunk",
-        })?;
-        out.push(f64::from_bits(u64::from_le_bytes(bits)));
-    }
-    Ok(())
+    decode_samples(payload, out).map_err(|_| StoreError::InvalidValue {
+        what: "neuro frame payload length",
+    })
 }
 
 /// Serialises one DNA count reading payload.

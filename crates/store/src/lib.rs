@@ -20,8 +20,9 @@
 //!   frame is dropped and counted, mirroring the station's
 //!   `StreamEnd { sent, dropped }` contract.
 //! * **Bit-exact payloads.** Neuro samples are persisted as raw IEEE-754
-//!   bits ([`encode_neuro_frame`]/[`decode_neuro_frame`]), so a replayed
-//!   stream is `f64::to_bits`-identical to the live one.
+//!   bits ([`encode_neuro_frame`]/[`decode_neuro_frame`], built on the
+//!   wire's sample codec in `bsa_link::samples`), so a replayed stream is
+//!   `f64::to_bits`-identical to the live one.
 //! * **Panic-free, CRC-guarded reads.** Every malformed or corrupted
 //!   segment maps to a typed [`StoreError`]; every file byte is covered
 //!   by one of three CRC-8 trailers or pinned by a structural equation,
