@@ -14,7 +14,7 @@ use super::pixel::{DnaPixel, DnaPixelConfig, PixelVariation};
 use crate::array::{ArrayGeometry, PixelAddress};
 use crate::error::ChipError;
 use crate::health::{HealthMonitor, PixelHealth, SerialLinkStats, YieldReport};
-use crate::scan::{conversion_stream_seed, resolve_threads, ScanOptions};
+use crate::scan::conversion_stream_seed;
 use bsa_circuit::dac::Dac;
 use bsa_circuit::reference::BandgapReference;
 use bsa_electrochem::assay::{AssayConditions, SpottedSite};
@@ -230,10 +230,8 @@ pub struct DnaChip {
     link_stats: SerialLinkStats,
     /// Counts array-wide conversions; each one seeds a fresh family of
     /// per-pixel noise streams, so repeated measurements draw fresh noise
-    /// yet the whole sequence is reproducible for any thread count.
+    /// yet the whole sequence is reproducible.
     conversion_epoch: u64,
-    /// Worker-thread request for array-wide conversions (`None` = auto).
-    scan_threads: Option<usize>,
 }
 
 impl DnaChip {
@@ -265,16 +263,8 @@ impl DnaChip {
             health: HealthMonitor::all_healthy(config.geometry),
             link_stats: SerialLinkStats::default(),
             conversion_epoch: 0,
-            scan_threads: None,
             config,
         })
-    }
-
-    /// Sets the worker-thread request for array-wide conversions:
-    /// `None` = all available threads, `Some(1)` = serial. Counts are
-    /// identical for every setting (per-pixel noise streams).
-    pub fn set_scan_threads(&mut self, threads: Option<usize>) {
-        self.scan_threads = threads;
     }
 
     /// The chip configuration.
@@ -410,59 +400,24 @@ impl DnaChip {
     /// The shared conversion core: digitizes one current per pixel
     /// through the in-pixel sawtooth converters, each pixel drawing its
     /// counting noise from a deterministic per-pixel stream for this
-    /// conversion epoch, fanning the pixels out over the scan workers.
+    /// conversion epoch.
     fn convert_all(&mut self, currents: &[Ampere], counts: &mut Vec<u64>) {
         debug_assert_eq!(currents.len(), self.pixels.len());
         let frame = self.config.frame_time;
         let seed = self.config.seed;
         let epoch = self.conversion_epoch;
         self.conversion_epoch += 1;
-        let n = self.pixels.len();
         counts.clear();
-        counts.resize(n, 0);
-        let threads = resolve_threads(
-            n,
-            ScanOptions {
-                threads: self.scan_threads,
-                ..ScanOptions::default()
-            },
+        counts.extend(
+            self.pixels
+                .iter_mut()
+                .zip(currents)
+                .enumerate()
+                .map(|(k, (p, &i))| {
+                    let mut rng = SmallRng::seed_from_u64(conversion_stream_seed(seed, epoch, k));
+                    p.convert(i, frame, &mut rng).count
+                }),
         );
-
-        let convert_run =
-            |base: usize, pixels: &mut [DnaPixel], currents: &[Ampere], counts: &mut [u64]| {
-                for (k, ((p, &i), c)) in pixels
-                    .iter_mut()
-                    .zip(currents.iter())
-                    .zip(counts.iter_mut())
-                    .enumerate()
-                {
-                    let mut rng =
-                        SmallRng::seed_from_u64(conversion_stream_seed(seed, epoch, base + k));
-                    *c = p.convert(i, frame, &mut rng).count;
-                }
-            };
-
-        if threads <= 1 {
-            convert_run(0, &mut self.pixels, currents, counts);
-            return;
-        }
-        #[cfg(feature = "parallel")]
-        {
-            let per = n.div_ceil(threads);
-            rayon::scope(|s| {
-                for (g, ((pch, cch), och)) in self
-                    .pixels
-                    .chunks_mut(per)
-                    .zip(currents.chunks(per))
-                    .zip(counts.chunks_mut(per))
-                    .enumerate()
-                {
-                    s.spawn(move |_| convert_run(g * per, pch, cch, och));
-                }
-            });
-        }
-        #[cfg(not(feature = "parallel"))]
-        convert_run(0, &mut self.pixels, currents, counts);
     }
 
     /// Digitizes externally supplied sensor currents (one per site, scan

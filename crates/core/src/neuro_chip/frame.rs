@@ -245,9 +245,6 @@ pub struct NeuroChip {
     health: HealthMonitor,
     /// Precomputed per-channel scan order (rebuilt on fault injection).
     plan: ScanPlan,
-    /// Per-channel frame-noise RNG streams, re-seeded at the start of
-    /// every record call so results depend only on seed and config.
-    stream_rngs: Vec<SmallRng>,
     /// Frame-buffer pool backing allocation-free steady-state recording.
     arena: FrameArena,
     /// Linearized fast-path coefficient tables (SoA), invalidated whenever
@@ -280,9 +277,6 @@ impl NeuroChip {
             &faults,
             &pixels,
         );
-        let stream_rngs = (0..config.channels)
-            .map(|ch| SmallRng::seed_from_u64(channel_stream_seed(config.seed, ch)))
-            .collect();
         Ok(Self {
             timing,
             pixels,
@@ -291,7 +285,6 @@ impl NeuroChip {
             faults,
             health: HealthMonitor::all_healthy(config.geometry),
             plan,
-            stream_rngs,
             arena: FrameArena::new(),
             linear: LinearState::default(),
             config,
@@ -488,7 +481,7 @@ impl NeuroChip {
         frames: usize,
         opts: ScanOptions,
     ) -> Recording {
-        self.scan_recording(culture, t0, frames, opts, true)
+        self.acquire(culture, t0, opts).into_recording(frames)
     }
 
     /// Records without ever calibrating — the baseline the paper's
@@ -512,148 +505,38 @@ impl NeuroChip {
         frames: usize,
         opts: ScanOptions,
     ) -> Recording {
+        self.acquire_uncalibrated(culture, t0, opts)
+            .into_recording(frames)
+    }
+
+    /// Opens an acquisition cursor on a culture starting at `t0`: the
+    /// streaming form of [`record_with`](Self::record_with). Frames drawn
+    /// from the cursor in chunks of any size are `f64::to_bits`-identical
+    /// to one `record_with` call of the same total length.
+    pub fn acquire<'a>(
+        &'a mut self,
+        culture: &'a Culture,
+        t0: Seconds,
+        opts: ScanOptions,
+    ) -> Acquisition<'a> {
+        Acquisition::open(self, culture, t0, opts, true)
+    }
+
+    /// Opens a cursor that never calibrates: the streaming form of
+    /// [`record_uncalibrated_with`](Self::record_uncalibrated_with), which
+    /// discards any prior calibration.
+    pub fn acquire_uncalibrated<'a>(
+        &'a mut self,
+        culture: &'a Culture,
+        t0: Seconds,
+        opts: ScanOptions,
+    ) -> Acquisition<'a> {
         for p in &mut self.pixels {
             p.clear_calibration();
         }
         self.calibrated = false;
         self.linear.invalidate();
-        self.scan_recording(culture, t0, frames, opts, false)
-    }
-
-    /// The shared scan core behind [`record`](Self::record) and
-    /// [`record_uncalibrated`](Self::record_uncalibrated): chunks the
-    /// frame sequence at recalibration points, fans each chunk's channels
-    /// out over the scan workers into a channel-major stripe buffer, then
-    /// gathers the stripes into row-major frames drawn from the arena.
-    fn scan_recording(
-        &mut self,
-        culture: &Culture,
-        t0: Seconds,
-        frames: usize,
-        opts: ScanOptions,
-        recalibrate: bool,
-    ) -> Recording {
-        let geometry = self.config.geometry;
-        let timing = self.timing;
-        let nominal_gain = self.nominal_voltage_gain();
-        let threads = resolve_threads(self.config.channels, opts);
-        let frame_period = timing.frame_period.value();
-        let interval = self.config.recalibration_interval.value();
-        let rows = geometry.rows();
-        let cols = geometry.cols();
-        let cpc = timing.columns_per_channel;
-        let frame_len = rows * cpc;
-
-        // Every record call restarts the per-channel noise streams, so a
-        // recording depends only on (seed, config, culture, t0, frames).
-        for (ch, rng) in self.stream_rngs.iter_mut().enumerate() {
-            *rng = SmallRng::seed_from_u64(channel_stream_seed(self.config.seed, ch));
-        }
-
-        let fast = opts.mode == ScanMode::Linearized;
-        if fast {
-            // Source lists depend only on geometry and culture positions:
-            // compile once per call, reuse for every chunk.
-            self.linear.compile_culture(&self.plan, culture);
-        }
-
-        let mut out = Vec::with_capacity(frames);
-        let mut last_cal = Seconds::new(f64::NEG_INFINITY);
-        let mut frame_starts: Vec<f64> = Vec::with_capacity(MAX_CHUNK_FRAMES);
-
-        let mut f0 = 0usize;
-        while f0 < frames {
-            let chunk_t0 = t0.value() + f0 as f64 * frame_period;
-            if recalibrate && (chunk_t0 - last_cal.value()) >= interval {
-                self.calibrate(Seconds::new(chunk_t0));
-                last_cal = Seconds::new(chunk_t0);
-            }
-            if fast && !self.linear.is_fresh() {
-                // Re-linearize at the chunk start — for a recalibrating
-                // record this is exactly the calibration instant, so the
-                // expansion point matches the fresh operating points.
-                self.linear.rebuild(
-                    &self.plan,
-                    &self.pixels,
-                    &self.channels,
-                    timing.pixel_dwell,
-                    Seconds::new(chunk_t0),
-                );
-            }
-
-            // The chunk runs until the next recalibration would be due (or
-            // the cap), so calibration happens at exactly the same frames
-            // as a per-frame check would produce.
-            frame_starts.clear();
-            frame_starts.push(chunk_t0);
-            while frame_starts.len() < MAX_CHUNK_FRAMES && f0 + frame_starts.len() < frames {
-                let fs = t0.value() + (f0 + frame_starts.len()) as f64 * frame_period;
-                if recalibrate && (fs - last_cal.value()) >= interval {
-                    break;
-                }
-                frame_starts.push(fs);
-            }
-            let chunk = frame_starts.len();
-
-            // Channel-major scratch: [channel][frame][row][slot]. Taken
-            // from the arena so its capacity persists across chunks and
-            // record calls.
-            let mut stripe = std::mem::take(&mut self.arena.stripe);
-            stripe.clear();
-            stripe.resize(self.config.channels * chunk * frame_len, 0.0);
-            if fast {
-                scan_chunk_linear(
-                    &self.plan,
-                    &mut self.linear,
-                    &mut self.stream_rngs,
-                    culture,
-                    &frame_starts,
-                    timing.frame_period,
-                    &mut stripe,
-                    threads,
-                );
-            } else {
-                scan_chunk(
-                    &self.plan,
-                    &self.pixels,
-                    &mut self.channels,
-                    &mut self.stream_rngs,
-                    culture,
-                    timing.pixel_dwell,
-                    &frame_starts,
-                    &mut stripe,
-                    threads,
-                );
-            }
-
-            // Gather: each channel's slots within a row are a contiguous
-            // run of columns (col = ch·cpc + slot), so the stripe unpacks
-            // into row-major frames with one copy per (channel, row).
-            for fi in 0..chunk {
-                let mut samples = self.arena.acquire(geometry.len());
-                for ch in 0..self.config.channels {
-                    let block = &stripe[(ch * chunk + fi) * frame_len..][..frame_len];
-                    for row in 0..rows {
-                        samples[row * cols + ch * cpc..][..cpc]
-                            .copy_from_slice(&block[row * cpc..][..cpc]);
-                    }
-                }
-                out.push(Frame {
-                    rows,
-                    cols,
-                    samples,
-                });
-            }
-            self.arena.stripe = stripe;
-            f0 += chunk;
-        }
-
-        Recording {
-            geometry,
-            timing,
-            frames: out,
-            nominal_voltage_gain: nominal_gain,
-        }
+        Acquisition::open(self, culture, t0, opts, false)
     }
 
     /// Rebuilds the linearized fast-path coefficient tables around the
@@ -671,9 +554,9 @@ impl NeuroChip {
     }
 
     /// Compiles the fast path's per-pixel culture source lists and returns
-    /// the total number of `(neuron, weight)` pairs retained. Recording
-    /// does this automatically once per call; this entry point exists for
-    /// stage timing and diagnostics.
+    /// the total number of `(neuron, weight)` pairs retained. An
+    /// acquisition does this once when it opens; this entry point exists
+    /// for stage timing and diagnostics.
     pub fn compile_culture_sources(&mut self, culture: &Culture) -> usize {
         self.linear.compile_culture(&self.plan, culture)
     }
@@ -767,6 +650,208 @@ impl NeuroChip {
             }
         }
         out
+    }
+}
+
+/// Where an [`Acquisition`] gathers its frames.
+enum Sink<'o> {
+    /// Row-major frames appended back to back to one buffer.
+    Contiguous(&'o mut Vec<f64>),
+    /// One arena buffer per frame.
+    Frames(&'o mut Vec<Frame>),
+}
+
+/// A resumable acquisition cursor over one die, opened by
+/// [`NeuroChip::acquire`]. The chip is a continuous readout, so the cursor
+/// is unbounded: each [`next_chunk`](Self::next_chunk) call scans the next
+/// frames in sequence.
+///
+/// The cursor carries what a recording needs across calls: the
+/// per-channel noise streams (seeded once, when the cursor opens), the
+/// last recalibration instant and the next frame index. Recalibration
+/// and re-linearization happen at the same frames however the frames are
+/// drawn, so any chunking reproduces a one-shot
+/// [`NeuroChip::record_with`] bit for bit.
+#[derive(Debug)]
+pub struct Acquisition<'a> {
+    chip: &'a mut NeuroChip,
+    culture: &'a Culture,
+    t0: f64,
+    threads: usize,
+    fast: bool,
+    recalibrate: bool,
+    rngs: Vec<SmallRng>,
+    last_cal: f64,
+    next_frame: usize,
+    frame_starts: Vec<f64>,
+}
+
+impl<'a> Acquisition<'a> {
+    fn open(
+        chip: &'a mut NeuroChip,
+        culture: &'a Culture,
+        t0: Seconds,
+        opts: ScanOptions,
+        recalibrate: bool,
+    ) -> Self {
+        let fast = opts.mode == ScanMode::Linearized;
+        if fast {
+            // Source lists depend only on geometry and culture positions:
+            // compile once per cursor, reuse for every chunk.
+            chip.linear.compile_culture(&chip.plan, culture);
+        }
+        let seed = chip.config.seed;
+        let rngs = (0..chip.config.channels)
+            .map(|ch| SmallRng::seed_from_u64(channel_stream_seed(seed, ch)))
+            .collect();
+        Self {
+            threads: resolve_threads(chip.config.channels, opts),
+            chip,
+            culture,
+            t0: t0.value(),
+            fast,
+            recalibrate,
+            rngs,
+            last_cal: f64::NEG_INFINITY,
+            next_frame: 0,
+            frame_starts: Vec::with_capacity(MAX_CHUNK_FRAMES),
+        }
+    }
+
+    /// Scans the next `n` frames and appends them to `out`, row-major and
+    /// back to back (`n × rows × cols` samples).
+    pub fn next_chunk(&mut self, out: &mut Vec<f64>, n: usize) {
+        self.fill(Sink::Contiguous(out), n);
+    }
+
+    /// Collects the next `frames` frames into a [`Recording`] whose
+    /// sample buffers come from the chip's arena.
+    fn into_recording(mut self, frames: usize) -> Recording {
+        let nominal_voltage_gain = self.chip.nominal_voltage_gain();
+        let mut out = Vec::with_capacity(frames);
+        self.fill(Sink::Frames(&mut out), frames);
+        Recording {
+            geometry: self.chip.config.geometry,
+            timing: self.chip.timing,
+            frames: out,
+            nominal_voltage_gain,
+        }
+    }
+
+    /// The scan loop: splits the next `n` frames into scan chunks at
+    /// recalibration due-times and at [`MAX_CHUNK_FRAMES`], fans each
+    /// chunk's channels out into a channel-major stripe buffer, then
+    /// gathers the stripes into `sink` as row-major frames.
+    fn fill(&mut self, mut sink: Sink<'_>, n: usize) {
+        let chip = &mut *self.chip;
+        let timing = chip.timing;
+        let frame_period = timing.frame_period.value();
+        let interval = chip.config.recalibration_interval.value();
+        let (rows, cols) = (chip.config.geometry.rows(), chip.config.geometry.cols());
+        let channels = chip.config.channels;
+        let block = rows * timing.columns_per_channel;
+        if let Sink::Contiguous(buf) = &mut sink {
+            buf.reserve(n * rows * cols);
+        }
+
+        let end = self.next_frame + n;
+        while self.next_frame < end {
+            let chunk_t0 = self.t0 + self.next_frame as f64 * frame_period;
+            if self.recalibrate && (chunk_t0 - self.last_cal) >= interval {
+                chip.calibrate(Seconds::new(chunk_t0));
+                self.last_cal = chunk_t0;
+            }
+            if self.fast && !chip.linear.is_fresh() {
+                // Re-linearize at the chunk start — for a recalibrating
+                // cursor this is exactly the calibration instant, so the
+                // expansion point matches the fresh operating points.
+                chip.linear.rebuild(
+                    &chip.plan,
+                    &chip.pixels,
+                    &chip.channels,
+                    timing.pixel_dwell,
+                    Seconds::new(chunk_t0),
+                );
+            }
+
+            // The chunk runs until the next recalibration would be due (or
+            // the cap), so calibration happens at exactly the same frames
+            // as a per-frame check would produce.
+            self.frame_starts.clear();
+            self.frame_starts.push(chunk_t0);
+            while self.frame_starts.len() < MAX_CHUNK_FRAMES
+                && self.next_frame + self.frame_starts.len() < end
+            {
+                let fs =
+                    self.t0 + (self.next_frame + self.frame_starts.len()) as f64 * frame_period;
+                if self.recalibrate && (fs - self.last_cal) >= interval {
+                    break;
+                }
+                self.frame_starts.push(fs);
+            }
+            let chunk = self.frame_starts.len();
+
+            // Channel-major scratch: [channel][frame][row][slot]. Taken
+            // from the arena so its capacity persists across chunks.
+            let mut stripe = std::mem::take(&mut chip.arena.stripe);
+            stripe.clear();
+            stripe.resize(channels * chunk * block, 0.0);
+            if self.fast {
+                scan_chunk_linear(
+                    &chip.plan,
+                    &mut chip.linear,
+                    &mut self.rngs,
+                    self.culture,
+                    &self.frame_starts,
+                    timing.frame_period,
+                    &mut stripe,
+                    self.threads,
+                );
+            } else {
+                scan_chunk(
+                    &chip.plan,
+                    &chip.pixels,
+                    &mut chip.channels,
+                    &mut self.rngs,
+                    self.culture,
+                    timing.pixel_dwell,
+                    &self.frame_starts,
+                    &mut stripe,
+                    self.threads,
+                );
+            }
+
+            // Gather: each channel's slots within a row are a contiguous
+            // run of columns (col = ch·cpc + slot), so a row-major frame is
+            // one copy per (row, channel) in that order.
+            let cpc = timing.columns_per_channel;
+            for fi in 0..chunk {
+                let gather = |dst: &mut Vec<f64>| {
+                    for row in 0..rows {
+                        for ch in 0..channels {
+                            let start = (ch * chunk + fi) * block + row * cpc;
+                            if let Some(segment) = stripe.get(start..start + cpc) {
+                                dst.extend_from_slice(segment);
+                            }
+                        }
+                    }
+                };
+                match &mut sink {
+                    Sink::Contiguous(buf) => gather(buf),
+                    Sink::Frames(frames) => {
+                        let mut samples = chip.arena.acquire(rows * cols);
+                        gather(&mut samples);
+                        frames.push(Frame {
+                            rows,
+                            cols,
+                            samples,
+                        });
+                    }
+                }
+            }
+            chip.arena.stripe = stripe;
+            self.next_frame += chunk;
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 //!   expansion points stays second-order (DESIGN.md §13).
 //! * **Precompiled culture source lists**: each pixel's `(neuron,
 //!   footprint_weight)` pairs are loop-invariant in position, so
-//!   [`Culture::compile_sources`] resolves them once per record call —
+//!   [`Culture::compile_sources`] resolves them once per acquisition —
 //!   and their neuron-major transpose turns the per-sample gather into a
 //!   per-frame *scatter*: each neuron passing a conservative activity
 //!   window accumulates its waveform into a frame voltage buffer, and the
@@ -37,6 +37,7 @@
 use super::chain::{ChainCoeffs, ChannelChain};
 use super::pixel::{NeuroPixel, PixelLinearization};
 use super::scan::{ChannelPlan, ScanPlan};
+use crate::scan::fan_out;
 use bsa_circuit::noise::GaussianSampler;
 use bsa_neuro::culture::{Culture, SourceTable};
 use bsa_units::Seconds;
@@ -145,7 +146,7 @@ impl LinearState {
 
     /// Compiles per-entry culture source lists for every live channel into
     /// the pooled tables, returning the total pair count. Runs once per
-    /// record call (the culture is a per-call input, not die state).
+    /// acquisition (the culture is a per-acquisition input, not die state).
     ///
     /// Alongside the per-entry (CSR) table this builds its transpose —
     /// per neuron, the entries it feeds — which is what the scan actually
@@ -334,8 +335,8 @@ fn scan_channel_linear(
 }
 
 /// Scans a chunk of frames across all channels through the linearized
-/// tables, one scoped task per channel (same fan-out as the reference
-/// `scan_chunk`). `stripe` layout and determinism contract are identical.
+/// tables, with the same channel fan-out as the reference `scan_chunk`.
+/// `stripe` layout and determinism contract are identical.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn scan_chunk_linear(
     plan: &ScanPlan,
@@ -370,46 +371,7 @@ pub(super) fn scan_chunk_linear(
         .zip(stripe.chunks_mut(block))
         .map(|((((cp, lc), cc), rng), out)| (cp, lc, cc, rng, out))
         .collect();
-
-    if threads <= 1 {
-        for (cp, lc, cc, rng, out) in &mut work {
-            scan_channel_linear(
-                cp,
-                lc,
-                *cc,
-                rng,
-                culture,
-                frame_starts,
-                frame_period,
-                rows,
-                cpc,
-                out,
-            );
-        }
-        return;
-    }
-
-    #[cfg(feature = "parallel")]
-    rayon::scope(|s| {
-        for (cp, lc, cc, rng, out) in work {
-            s.spawn(move |_| {
-                scan_channel_linear(
-                    cp,
-                    lc,
-                    cc,
-                    rng,
-                    culture,
-                    frame_starts,
-                    frame_period,
-                    rows,
-                    cpc,
-                    out,
-                );
-            });
-        }
-    });
-    #[cfg(not(feature = "parallel"))]
-    for (cp, lc, cc, rng, out) in &mut work {
+    fan_out(&mut work, threads, |(cp, lc, cc, rng, out)| {
         scan_channel_linear(
             cp,
             lc,
@@ -422,5 +384,5 @@ pub(super) fn scan_chunk_linear(
             cpc,
             out,
         );
-    }
+    });
 }

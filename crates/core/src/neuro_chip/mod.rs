@@ -16,7 +16,7 @@ mod pixel;
 mod scan;
 
 pub use chain::{ChainConfig, ChannelChain, GainStage};
-pub use frame::{Frame, NeuroChip, NeuroChipConfig, Recording, ScanTiming};
+pub use frame::{Acquisition, Frame, NeuroChip, NeuroChipConfig, Recording, ScanTiming};
 pub use pixel::{NeuroPixel, NeuroPixelConfig, PixelLinearization};
 
 pub use crate::scan::{channel_stream_seed, ArenaStats, FrameArena, ScanMode, ScanOptions};

@@ -16,22 +16,27 @@
 //!   channel index, replacing the single shared frame RNG that serialized
 //!   the old scan. Output is therefore identical for any thread count,
 //!   including fully serial execution.
-//! * **Channel fan-out** over the vendored rayon subset (`parallel`
-//!   feature, on by default): one scoped task per channel, work-stolen by
-//!   the pool, so no worker idles while another drags a quantized group.
-//!   A lost multiplexer channel short-circuits to a `fill(0.0)` without
-//!   evaluating a single pixel or culture sample.
+//! * **Channel fan-out** over `std::thread::scope`: the channels split
+//!   into one balanced contiguous group per resolved worker thread (16
+//!   channels over 3 threads run as 6/5/5), the first group on the calling
+//!   thread. A lost multiplexer channel short-circuits to a `fill(0.0)`
+//!   without evaluating a single pixel or culture sample.
 //! * **A reusable frame arena** ([`FrameArena`](crate::scan::FrameArena)):
 //!   frame buffers are acquired from a pool and recycled from finished
 //!   [`Recording`]s, so a steady-state record loop performs zero
 //!   per-frame heap allocations.
 //!
+//! The chunk loop that drives these kernels is the acquisition cursor,
+//! [`Acquisition`].
+//!
 //! [`NeuroChip::record`]: super::NeuroChip::record
 //! [`Recording`]: super::Recording
+//! [`Acquisition`]: super::Acquisition
 
 use super::chain::ChannelChain;
 use super::pixel::NeuroPixel;
 use crate::array::{ArrayGeometry, PixelAddress};
+use crate::scan::fan_out;
 use bsa_faults::CompiledFaults;
 use bsa_neuro::culture::Culture;
 use bsa_units::{Meter, Seconds, Volt};
@@ -197,52 +202,7 @@ pub(super) fn scan_chunk(
         .zip(stripe.chunks_mut(block))
         .map(|(((cp, chain), rng), out)| (cp, chain, rng, out))
         .collect();
-
-    if threads <= 1 {
-        for (cp, chain, rng, out) in &mut work {
-            scan_channel(
-                cp,
-                chain,
-                rng,
-                pixels,
-                culture,
-                dwell,
-                frame_starts,
-                rows,
-                cpc,
-                out,
-            );
-        }
-        return;
-    }
-
-    // One scoped task per channel, work-stolen by the pool. The previous
-    // contiguous grouping (`chunks_mut(channels/threads)`) quantized badly —
-    // 16 channels over 3 workers ran as 6+6+4, capping the speedup at 2.67×
-    // and collapsing to ~1× whenever the pool was smaller than the group
-    // count assumed — whereas per-channel tasks keep every worker busy
-    // until the tail.
-    #[cfg(feature = "parallel")]
-    rayon::scope(|s| {
-        for (cp, chain, rng, out) in work {
-            s.spawn(move |_| {
-                scan_channel(
-                    cp,
-                    chain,
-                    rng,
-                    pixels,
-                    culture,
-                    dwell,
-                    frame_starts,
-                    rows,
-                    cpc,
-                    out,
-                );
-            });
-        }
-    });
-    #[cfg(not(feature = "parallel"))]
-    for (cp, chain, rng, out) in &mut work {
+    fan_out(&mut work, threads, |(cp, chain, rng, out)| {
         scan_channel(
             cp,
             chain,
@@ -255,7 +215,7 @@ pub(super) fn scan_chunk(
             cpc,
             out,
         );
-    }
+    });
 }
 
 #[cfg(test)]

@@ -103,20 +103,38 @@ impl ScanOptions {
     }
 }
 
-/// Resolves the effective worker count for `units` parallel work units.
-/// Without the `parallel` feature this is always 1.
+/// Resolves the effective worker count for `units` parallel work units:
+/// the requested count, or the host's available parallelism, capped at
+/// the unit count.
 pub(crate) fn resolve_threads(units: usize, opts: ScanOptions) -> usize {
-    #[cfg(feature = "parallel")]
-    let auto = rayon::current_num_threads();
-    #[cfg(not(feature = "parallel"))]
-    let auto = 1;
-    let requested = opts.threads.unwrap_or(auto).max(1);
-    #[cfg(not(feature = "parallel"))]
-    let requested = {
-        let _ = requested;
-        1
-    };
-    requested.min(units.max(1))
+    let requested = opts.threads.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
+    requested.clamp(1, units.max(1))
+}
+
+/// Runs `work` on every item, split into `threads` balanced contiguous
+/// groups (16 items over 3 threads run as 6/5/5). The first group runs on
+/// the calling thread and the others on scoped threads, so no more than
+/// `threads` OS threads work at once; one group is a plain serial loop.
+pub(crate) fn fan_out<T: Send>(items: &mut [T], threads: usize, work: impl Fn(&mut T) + Sync) {
+    let groups = threads.clamp(1, items.len().max(1));
+    if groups == 1 {
+        items.iter_mut().for_each(work);
+        return;
+    }
+    let (base, extra) = (items.len() / groups, items.len() % groups);
+    let work = &work;
+    std::thread::scope(|s| {
+        let (first, mut rest) = items.split_at_mut(base + usize::from(extra > 0));
+        for g in 1..groups {
+            let (group, tail) =
+                std::mem::take(&mut rest).split_at_mut(base + usize::from(g < extra));
+            s.spawn(move || group.iter_mut().for_each(work));
+            rest = tail;
+        }
+        first.iter_mut().for_each(work);
+    });
 }
 
 /// Statistics of a [`FrameArena`]'s buffer pool.
@@ -135,7 +153,7 @@ pub struct ArenaStats {
 pub struct FrameArena {
     free: Vec<Vec<f64>>,
     /// Channel-major scratch for in-flight scan chunks, reused across
-    /// chunks and record calls.
+    /// chunks and acquisitions.
     pub(crate) stripe: Vec<f64>,
     stats: ArenaStats,
 }
@@ -146,19 +164,19 @@ impl FrameArena {
         Self::default()
     }
 
-    /// Acquires a zeroed buffer of `len` samples, reusing a pooled buffer
-    /// when one is available.
+    /// Acquires an empty buffer with room for `len` samples, reusing a
+    /// pooled buffer when one is available.
     pub(crate) fn acquire(&mut self, len: usize) -> Vec<f64> {
         match self.free.pop() {
             Some(mut buf) => {
                 self.stats.reuses += 1;
                 buf.clear();
-                buf.resize(len, 0.0);
+                buf.reserve(len);
                 buf
             }
             None => {
                 self.stats.allocations += 1;
-                vec![0.0; len]
+                Vec::with_capacity(len)
             }
         }
     }
@@ -217,14 +235,26 @@ mod tests {
         let b = arena.acquire(64);
         assert_eq!(arena.stats().reuses, 1);
         assert_eq!(arena.stats().allocations, 1);
-        assert!(b.iter().all(|&x| x == 0.0), "reused buffers are zeroed");
+        assert!(b.is_empty(), "reused buffers come back empty");
+        assert!(b.capacity() >= 64, "reused buffers keep their capacity");
+    }
+
+    #[test]
+    fn fan_out_runs_balanced_contiguous_groups() {
+        let mut ids = vec![None; 16];
+        fan_out(&mut ids, 3, |id| *id = Some(std::thread::current().id()));
+        // One group per thread: consecutive runs of one thread id.
+        let groups: Vec<usize> = ids.chunk_by(|a, b| a == b).map(<[_]>::len).collect();
+        assert_eq!(groups, vec![6, 5, 5]);
+        let caller = Some(std::thread::current().id());
+        assert!(ids[..6].iter().all(|&id| id == caller));
+        assert!(ids[6..].iter().all(|&id| id != caller));
     }
 
     #[test]
     fn thread_resolution_clamps_to_work_units() {
         assert_eq!(resolve_threads(16, ScanOptions::serial()), 1);
-        let t = resolve_threads(4, ScanOptions::with_threads(64));
-        assert!((1..=4).contains(&t));
+        assert_eq!(resolve_threads(4, ScanOptions::with_threads(64)), 4);
         let auto = resolve_threads(16, ScanOptions::default());
         assert!((1..=16).contains(&auto));
     }

@@ -1,14 +1,15 @@
 #![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
 //! Determinism contracts for the parallel readout engine: recordings must
-//! be bit-identical across runs and across worker-thread counts, because
-//! every noise draw comes from a per-stream RNG seeded only by (die seed,
-//! stream identity) — never from scheduling order.
+//! be bit-identical across runs, across worker-thread counts and across
+//! acquisition chunkings, because every noise draw comes from a
+//! per-stream RNG seeded only by (die seed, stream identity) — never from
+//! scheduling order or call boundaries.
 
 use bsa_core::array::ArrayGeometry;
 use bsa_core::dna_chip::{DnaChip, DnaChipConfig};
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig, Recording};
 use bsa_core::scan::{channel_stream_seed, conversion_stream_seed};
-use bsa_core::ScanOptions;
+use bsa_core::{ScanMode, ScanOptions};
 use bsa_neuro::culture::{Culture, CultureConfig};
 use bsa_units::{Ampere, Hertz, Meter, Seconds};
 use proptest::prelude::*;
@@ -67,28 +68,6 @@ fn neuro_uncalibrated_recording_is_thread_count_independent() {
 }
 
 #[test]
-fn dna_conversion_is_identical_across_thread_counts() {
-    let currents: Vec<Ampere> = (0..128)
-        .map(|k| Ampere::from_nano(1.0 + 0.05 * k as f64))
-        .collect();
-    let mut counts = Vec::new();
-    let mut reference = Vec::new();
-    for (i, threads) in [Some(1), Some(2), Some(4), None].iter().enumerate() {
-        let mut chip = DnaChip::new(DnaChipConfig::default()).unwrap();
-        chip.set_scan_threads(*threads);
-        chip.measure_currents_into(&currents, &mut counts).unwrap();
-        if i == 0 {
-            reference = counts.clone();
-        } else {
-            assert_eq!(
-                counts, reference,
-                "conversion with threads={threads:?} diverged from serial"
-            );
-        }
-    }
-}
-
-#[test]
 fn dna_repeated_conversions_draw_fresh_noise_but_reproduce() {
     // Same chip, two conversions: different epochs → different noise.
     let currents: Vec<Ampere> = vec![Ampere::from_nano(5.0); 128];
@@ -101,6 +80,90 @@ fn dna_repeated_conversions_draw_fresh_noise_but_reproduce() {
     let mut replay = DnaChip::new(DnaChipConfig::default()).unwrap();
     assert_eq!(replay.measure_currents(&currents).unwrap(), first);
     assert_eq!(replay.measure_currents(&currents).unwrap(), second);
+}
+
+/// Frames of 16×16 over 4 channels, recalibrating every 25 ms (50 frames)
+/// so a 120-frame run crosses recalibrations at frames 50 and 100 and
+/// one-shot scan chunks hit the 32-frame cap in between.
+const CHUNKED_FRAMES: usize = 120;
+
+fn chunked_config() -> NeuroChipConfig {
+    NeuroChipConfig {
+        recalibration_interval: Seconds::from_milli(25.0),
+        ..neuro_config()
+    }
+}
+
+/// Raw bits of every sample of a one-shot recording, frame after frame.
+fn one_shot_bits(culture: &Culture, opts: ScanOptions, calibrated: bool) -> Vec<u64> {
+    let mut chip = NeuroChip::new(chunked_config()).unwrap();
+    let rec = if calibrated {
+        chip.record_with(culture, Seconds::ZERO, CHUNKED_FRAMES, opts)
+    } else {
+        chip.record_uncalibrated_with(culture, Seconds::ZERO, CHUNKED_FRAMES, opts)
+    };
+    rec.frames()
+        .iter()
+        .flat_map(|f| f.samples().iter().map(|s| s.to_bits()))
+        .collect()
+}
+
+/// Raw bits of the same run drained from a cursor in the given chunk
+/// sizes, cycling through them until `CHUNKED_FRAMES` frames are out.
+fn chunked_bits(
+    culture: &Culture,
+    opts: ScanOptions,
+    calibrated: bool,
+    sizes: &[usize],
+) -> Vec<u64> {
+    let mut chip = NeuroChip::new(chunked_config()).unwrap();
+    let mut acq = if calibrated {
+        chip.acquire(culture, Seconds::ZERO, opts)
+    } else {
+        chip.acquire_uncalibrated(culture, Seconds::ZERO, opts)
+    };
+    let mut samples = Vec::new();
+    let mut done = 0;
+    for &size in sizes.iter().cycle() {
+        if done == CHUNKED_FRAMES {
+            break;
+        }
+        let n = size.min(CHUNKED_FRAMES - done);
+        let before = samples.len();
+        acq.next_chunk(&mut samples, n);
+        assert_eq!(
+            samples.len() - before,
+            n * 256,
+            "next_chunk appends exactly n frames"
+        );
+        done += n;
+    }
+    samples.iter().map(|s| s.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Any chunking of a cursor — sizes from 1 frame to past both the
+    /// 32-frame scan cap and the 50-frame recalibration interval — is
+    /// bit-identical to one `record_with`, in both scan modes, serial and
+    /// auto threads, calibrated and uncalibrated.
+    #[test]
+    fn any_chunking_matches_one_shot_record(sizes in prop::collection::vec(1usize..=64, 1..8)) {
+        let culture = test_culture();
+        for mode in [ScanMode::Linearized, ScanMode::Reference] {
+            for threads in [ScanOptions::serial(), ScanOptions::default()] {
+                let opts = threads.with_mode(mode);
+                for calibrated in [true, false] {
+                    prop_assert_eq!(
+                        chunked_bits(&culture, opts, calibrated, &sizes),
+                        one_shot_bits(&culture, opts, calibrated),
+                        "{:?}, calibrated: {}, chunks {:?}", opts, calibrated, sizes
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

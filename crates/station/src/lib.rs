@@ -17,11 +17,12 @@
 //!
 //! Chip execution is deterministic: the same wire spec and seed produce
 //! bit-identical frames, because the station builds chips through the
-//! same configuration path an in-process caller would use and issues a
-//! single `record()` per stream. Wall-clock time exists only *around*
-//! the chips — session read timeouts, socket lifecycle — never inside
-//! them; this is why `bsa-lint`'s `det.*` rules cover the chip crates
-//! but deliberately exclude this one (see DESIGN.md §10).
+//! same configuration path an in-process caller would use and streams
+//! each request from one acquisition cursor, whose chunks reproduce a
+//! single `record()` of the whole request. Wall-clock time exists only
+//! *around* the chips — session read timeouts, socket lifecycle — never
+//! inside them; this is why `bsa-lint`'s `det.*` rules cover the chip
+//! crates but deliberately exclude this one (see DESIGN.md §10).
 //!
 //! # Quickstart
 //!

@@ -21,6 +21,7 @@ use crate::stats::StationStats;
 use bsa_core::dna_chip::{DnaChip, SampleMix};
 use bsa_core::health::PixelHealth;
 use bsa_core::neuro_chip::NeuroChip;
+use bsa_core::ScanOptions;
 use bsa_dsp::masking::PixelMask;
 use bsa_electrochem::sequence::DnaSequence;
 use bsa_link::{
@@ -220,6 +221,15 @@ struct ActiveRecording {
     name: String,
     recorder: Recorder,
     epoch: u32,
+}
+
+impl ActiveRecording {
+    /// Claims the next acquisition epoch.
+    fn claim_epoch(&mut self) -> u32 {
+        let epoch = self.epoch;
+        self.epoch = self.epoch.wrapping_add(1);
+        epoch
+    }
 }
 
 impl Session {
@@ -710,16 +720,6 @@ impl Session {
         })
     }
 
-    /// Claims the next recording epoch for an acquisition on `id`, if
-    /// the chip is being recorded.
-    fn tee_epoch(&mut self, id: ChipId) -> Option<u32> {
-        self.recorders.get_mut(&id).map(|active| {
-            let epoch = active.epoch;
-            active.epoch = active.epoch.wrapping_add(1);
-            epoch
-        })
-    }
-
     fn run_assay(&mut self, id: ChipId, stream_counts: bool) -> Result<(), Gone> {
         let readout = match self.registry.get_mut(id) {
             Some(Chip::Dna { chip, sample }) => chip.run_assay(sample),
@@ -748,11 +748,10 @@ impl Session {
         // reading, whether or not the client streamed). Store
         // backpressure drops-and-counts; I/O failures surface in the
         // `RecordingStopped` accounting, never in the assay reply.
-        if let Some(epoch) = self.tee_epoch(id) {
-            if let Some(active) = self.recorders.get_mut(&id) {
-                for reading in &readings {
-                    let _ = active.recorder.offer(epoch, encode_dna_reading(reading));
-                }
+        if let Some(active) = self.recorders.get_mut(&id) {
+            let epoch = active.claim_epoch();
+            for reading in &readings {
+                let _ = active.recorder.offer(epoch, encode_dna_reading(reading));
             }
         }
         if stream_counts {
@@ -807,9 +806,9 @@ impl Session {
         }
         let t0 = if t0_s.is_finite() { t0_s } else { 0.0 };
         let chunk = if chunk_frames == 0 {
-            DEFAULT_CHUNK_FRAMES as usize
+            DEFAULT_CHUNK_FRAMES
         } else {
-            chunk_frames as usize
+            chunk_frames
         };
         let chip = match self.registry.get_mut(id) {
             Some(Chip::Neuro(chip)) => chip,
@@ -837,47 +836,41 @@ impl Session {
             PixelMask::new(g.rows(), g.cols(), usable)
         });
         let culture = culture_from_spec(culture_spec);
-        // One record() call for the whole stream: the chip re-seeds its
-        // deterministic RNG streams at the start of every record(), so
-        // chunking must happen on the transmit side — N smaller record()
-        // calls would NOT reproduce an in-process record(frames) run.
-        let recording = chip.record(&culture, Seconds::new(t0), frames as usize);
         // Tee epoch for an active recording on this chip: claimed once
         // per stream request, so identical request sequences produce
         // identical segments.
-        let tee_epoch = self.tee_epoch(id);
+        let mut tee = self
+            .recorders
+            .get_mut(&id)
+            .map(|active| (active.claim_epoch(), &mut active.recorder));
+        // One cursor per request: chunks drawn from it are bit-identical
+        // to an in-process record() of the whole request, and the session
+        // holds one chunk at a time.
+        let mut acquisition = chip.acquire(&culture, Seconds::new(t0), ScanOptions::default());
         let mut sent: u32 = 0;
         let mut dropped: u32 = 0;
+        let mut seq: u32 = 0;
         let mut outcome = Ok(());
-        for (seq, chunk_frames) in recording.frames().chunks(chunk).enumerate() {
-            let n = chunk_frames.len() as u32;
-            let mut samples = Vec::with_capacity(chunk_frames.len() * g.len());
-            for frame in chunk_frames {
-                let start = samples.len();
-                samples.extend_from_slice(frame.samples());
+        while sent + dropped < frames {
+            let n = chunk.min(frames - sent - dropped);
+            let mut samples = Vec::new();
+            acquisition.next_chunk(&mut samples, n as usize);
+            for frame in samples.chunks_exact_mut(g.len()) {
                 if let Some(mask) = &mask {
-                    if let Some(copy) = samples.get_mut(start..) {
-                        let _ = mask.interpolate(copy);
-                    }
+                    let _ = mask.interpolate(frame);
                 }
                 // Persist the post-mask frame *before* the outbound
                 // offer: the segment records what the chip produced for
                 // the client, independent of TCP backpressure. The store
                 // queue drops-and-counts on its own; I/O failures
                 // surface at `StopRecording`.
-                if let Some(epoch) = tee_epoch {
-                    if let (Some(active), Some(frame_samples)) =
-                        (self.recorders.get_mut(&id), samples.get(start..))
-                    {
-                        let _ = active
-                            .recorder
-                            .offer(epoch, encode_neuro_frame(frame_samples));
-                    }
+                if let Some((epoch, recorder)) = &mut tee {
+                    let _ = recorder.offer(*epoch, encode_neuro_frame(frame));
                 }
             }
             let msg = Message::StreamData {
                 chip: id,
-                seq: seq as u32,
+                seq,
                 payload: StreamPayload::NeuroFrames {
                     first_frame: sent + dropped,
                     rows,
@@ -889,14 +882,12 @@ impl Session {
                 Ok(Offer::Sent) => sent += n,
                 Ok(Offer::Dropped) => dropped += n,
                 Err(Gone) => {
+                    // The client is gone: stop acquiring.
                     outcome = Err(Gone);
                     break;
                 }
             }
-        }
-        // Return the buffers to the chip's arena whatever happened.
-        if let Some(Chip::Neuro(chip)) = self.registry.get_mut(id) {
-            chip.recycle(recording);
+            seq = seq.wrapping_add(1);
         }
         StationStats::add(&self.stats.frames_served, u64::from(sent));
         StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
