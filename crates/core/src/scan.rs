@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn conversion_streams_differ_across_epochs_and_pixels() {
         let die = 0xD9A_C819;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for epoch in 0..8u64 {
             for pixel in 0..128usize {
                 assert!(

@@ -172,7 +172,7 @@ proptest! {
     /// collides with the raw die seed itself.
     #[test]
     fn channel_streams_do_not_alias(die_seed in any::<u64>()) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for ch in 0..256usize {
             let s = channel_stream_seed(die_seed, ch);
             prop_assert!(seen.insert(s), "channel {ch} aliased another stream");
@@ -185,7 +185,7 @@ proptest! {
     /// pixel's noise stream.
     #[test]
     fn conversion_streams_do_not_alias(die_seed in any::<u64>()) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for epoch in 0..16u64 {
             for pixel in 0..128usize {
                 let s = conversion_stream_seed(die_seed, epoch, pixel);

@@ -1,5 +1,5 @@
 // Tests unwrap idiomatically; the workspace-level `clippy::unwrap_used`
-// only polices non-test code (bsa-lint enforces the same split).
+// only polices non-test code, and CI promotes its warnings to errors.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 //! Fault-injection models for the CMOS biosensor array chips.
 //!

@@ -325,8 +325,11 @@ pub struct RecordingEntry {
 }
 
 /// A protocol message — see the module docs for the request/response map.
+///
+/// Deliberately exhaustive: the station's dispatch and the golden
+/// `abi_lock` test match every variant with no `_` arm, so adding one
+/// fails to compile until it is served and locked.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum Message {
     /// Client greeting; first message on a connection.
     Hello {

@@ -2,7 +2,7 @@
 //! tilde-comment markers name the expected violation on that line.
 
 pub fn config_or_die(raw: &str) -> Config {
-    let parsed = raw.parse().unwrap(); //~ panic.unwrap
+    let parsed = raw.parse().unwrap(); // clippy `unwrap_used`, not a bsa-lint rule
     validate(parsed).expect("config must be valid") //~ panic.expect
 }
 

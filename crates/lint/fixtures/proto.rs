@@ -1,64 +1,18 @@
-//! Seeded wire-protocol drift (semantic lint fixture — lexed and parsed,
-//! never compiled). Mirrors the workspace idiom the pass keys on: the
-//! codec half matches its own variants as `Self::…`, while the station
-//! half at the bottom — an outside consumer — writes `Message::…`.
-
-pub enum Message {
-    Ping,
-    Pong,
-    Halfwire, //~ proto.exhaustive
-    Ghost, //~ proto.exhaustive
-}
-
-pub enum ProtocolError {
-    Io,
-    Silent, //~ proto.exhaustive
-}
+//! Seeded unsent reply code (semantic lint fixture — lexed and parsed,
+//! never compiled). The codec half defines the typed reply vocabulary; the
+//! station half at the bottom — an outside consumer — writes
+//! `ErrorCode::…` for each code it can send.
 
 pub enum ErrorCode {
     Busy,
     Unsent, //~ proto.error-reply
 }
 
-impl Message {
-    pub fn encode_payload(&self) -> u8 {
-        match self {
-            Self::Ping => 1,
-            Self::Pong => 2,
-            Self::Halfwire => 3,
-            Self::Ghost => 4,
-        }
-    }
-
-    /// `Halfwire` is deliberately missing: encoded and handled but not
-    /// decodable — the drift the rule exists to catch.
-    pub fn decode_payload(tag: u8) -> Result<Self, ProtocolError> {
-        match tag {
-            1 => Ok(Self::Ping),
-            2 => Ok(Self::Pong),
-            4 => Ok(Self::Ghost),
-            _ => Err(ProtocolError::Io),
-        }
-    }
-}
-
-impl Display for ProtocolError {
-    fn fmt(&self, f: &mut Formatter) -> Result {
-        match self {
-            Self::Io => write!(f, "io"),
-            // `Self::Silent` has no mapping — seeded violation above.
-        }
-    }
-}
-
-// ---- station half: the consumer side, fully qualified ------------------
-// `Ghost` is deliberately never referenced here (encoded and decoded but
-// unhandled), and `ErrorCode::Unsent` is never constructed.
+// ---- station half: `ErrorCode::Unsent` is never constructed ------------
 
 pub fn handle(msg: Message) -> Message {
     match msg {
         Message::Ping => Message::Pong,
-        Message::Halfwire => refuse(ErrorCode::Busy),
         other => refuse(ErrorCode::Busy),
     }
 }

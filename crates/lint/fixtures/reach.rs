@@ -35,8 +35,7 @@ impl FrameDecoder {
 }
 
 /// A direct panic site is the lexical rules' territory: `reach.panic`
-/// stays silent here (`panic.unwrap` owns this line, but this fixture
-/// runs only the reachability pass).
+/// stays silent here (clippy's `unwrap_used` owns this line).
 pub fn directly_panicking(raw: &str) -> f64 {
     raw.parse().unwrap()
 }

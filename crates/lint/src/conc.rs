@@ -18,7 +18,7 @@
 //!   stalls every other thread contending for that mutex.
 //!
 //! Field identity is by name (`self.sessions_active` and
-//! `stats.sessions_active` are the same counter); see DESIGN.md §11 for
+//! `stats.sessions_active` are the same counter); see DESIGN.md §9.2 for
 //! the approximations this buys and costs.
 
 use crate::parser::ParsedFile;

@@ -1,5 +1,5 @@
 //! Intraprocedural dataflow: unit inference and interval proofs
-//! (DESIGN.md §14).
+//! (DESIGN.md §9.3).
 //!
 //! Two passes over each parsed function body:
 //!

@@ -1,47 +1,46 @@
 // Tests unwrap idiomatically; the workspace-level `clippy::unwrap_used`
-// only polices non-test code (bsa-lint enforces the same split).
+// only polices non-test code, and CI promotes its warnings to errors.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 //! `bsa-lint` — workspace-wide invariant checker.
 //!
-//! Enforces three rule families over the biosensor-array crates, mirroring
-//! the guarantees the chips enforce in circuitry (DESIGN.md §9):
+//! Checks the invariants that clippy, rustc and the golden tests cannot
+//! state, mirroring the guarantees the chips enforce in circuitry
+//! (DESIGN.md §9 maps every invariant to the tool that enforces it).
+//! Determinism bans (wall clock, unseeded RNG, hash-ordered collections)
+//! live in per-crate `clippy.toml` files, `.unwrap()` is clippy's
+//! `unwrap_used`, and wire-protocol coverage is rustc's exhaustive
+//! `match` plus `bsa-link`'s `abi_lock` golden test.
 //!
-//! 1. **Determinism** (`det.*`) — no wall-clock, unseeded RNG, hash-order
-//!    iteration or thread-order float reductions in the scan and DSP
-//!    paths, protecting the bit-identical-across-thread-counts replay
-//!    guarantee.
-//! 2. **Panic-freedom** (`panic.*`) — no `unwrap`/`expect`/panicking
+//! The lexical families run per file ([`rules`]):
+//!
+//! 1. **Panic-freedom** (`panic.*`) — no `expect`/panicking
 //!    macros/direct indexing in non-test library code; justified
 //!    exceptions live in `lint.allow.toml`, whose budgets are exact and
 //!    can only shrink.
-//! 3. **Unit-safety** (`units.raw-f64`) — public functions take
+//! 2. **Unit-safety** (`units.raw-f64`) — public functions take
 //!    `bsa-units` newtypes (`Hertz`, `Volt`, `Ampere`, `Seconds`) rather
 //!    than raw `f64` for dimensioned scalars, so a pA-vs-nA or Hz-vs-rad
 //!    mixup fails to compile instead of silently corrupting a readout.
 //!
-//! On top of the lexical passes sit the *semantic* families that need
-//! the whole workspace at once (DESIGN.md §11): a lightweight parser
-//! ([`parser`]) extracts fns, impls, enums and call sites; a cross-crate
-//! call graph then powers `reach.panic` (transitive panic reachability
-//! behind public APIs, [`reach`]), `proto.*` (wire-protocol
-//! encode/decode/handler exhaustiveness, [`proto`]) and `conc.*`
-//! (atomic read-modify-write and lock discipline in the station,
-//! [`conc`]).
+//! On top of them sit the *semantic* families that need the whole
+//! workspace at once: a lightweight parser ([`parser`]) extracts fns,
+//! impls, enums and call sites; a cross-crate call graph then powers
+//! `reach.panic` (transitive panic reachability behind public APIs,
+//! [`reach`]), `proto.error-reply` (every typed reply code is sendable,
+//! [`proto`]) and `conc.*` (atomic read-modify-write and lock discipline
+//! in the serving crates, [`conc`]).
 //!
-//! The third layer is *dataflow* (DESIGN.md §14): an intraprocedural
-//! interval prover and unit inferencer ([`flow`]) that discharge proven
-//! `panic.indexing` sites and flag definite range/dimension bugs
-//! (`flow.range`, `flow.unit`); a global lock/channel acquisition-order
-//! cycle detector over the serving crates ([`locks`],
-//! `conc.lock-order`); and a golden wire-ABI lock ([`abi`],
-//! `proto.abi`) that fingerprints every canonical `Message` encoding
-//! into the committed `link.abi.lock`.
+//! The *dataflow* layer is an intraprocedural interval prover and unit
+//! inferencer ([`flow`]) that discharge proven `panic.indexing` sites
+//! and flag definite range/dimension bugs (`flow.range`, `flow.unit`),
+//! plus a global lock/channel acquisition-order cycle detector over the
+//! serving crates ([`locks`], `conc.lock-order`).
 //!
-//! The fourth layer is *interprocedural* (DESIGN.md §16): bottom-up
-//! function summaries ([`summary`]) lift the interval prover across call
-//! boundaries (`flow.summary`, plus contracts the prover consumes), and
-//! a taint analysis over the wire trust boundary ([`taint`]) proves that
-//! no peer- or segment-controlled value reaches an allocation, index or
+//! The *interprocedural* layer is bottom-up function summaries
+//! ([`summary`]) that lift the interval prover across call boundaries
+//! (`flow.summary`, plus contracts the prover consumes), and a taint
+//! analysis over the wire trust boundary ([`taint`]) that proves no
+//! peer- or segment-controlled value reaches an allocation, index or
 //! loop bound without a recognized validation idiom (`taint.wire-alloc`,
 //! `taint.wire-index`, `taint.wire-arith`).
 //!
@@ -50,7 +49,6 @@
 //! itself ([`lexer`]) instead of pulling in `syn`, so it keeps working in
 //! a bare offline checkout.
 
-pub mod abi;
 pub mod allow;
 pub mod conc;
 pub mod flow;
@@ -65,10 +63,6 @@ pub mod summary;
 pub mod taint;
 pub mod workspace;
 
-pub use abi::{
-    abi_pass, canonical_entries, parse_lock, render_lock, AbiEntry, AbiSummary, LockState,
-    LOCK_FILE,
-};
 pub use allow::{reconcile, AllowEntry, Allowlist, Reconciliation};
 pub use conc::{conc_pass, STATION_PREFIX};
 pub use flow::{flow_pass, FileProofs};
@@ -81,6 +75,6 @@ pub use rules::{rule_description, run_rules, RuleSet, Violation, RULE_IDS};
 pub use summary::{compute_summaries, summary_pass, RetContract, Summaries};
 pub use taint::taint_pass;
 pub use workspace::{
-    check_file, check_sources, check_sources_full, check_workspace, collect_files, load_lock_state,
-    load_sources, rules_for, workspace_root, CheckOutcome, PassTimings, SourceFile,
+    check_sources, check_workspace, collect_files, load_sources, rules_for, workspace_root,
+    CheckOutcome, PassTimings, SourceFile,
 };

@@ -1,5 +1,5 @@
 //! `conc.lock-order` — global lock/channel acquisition-order graph
-//! (DESIGN.md §14).
+//! (DESIGN.md §9.3).
 //!
 //! Every mutex guard and blocking channel endpoint in the serving layer
 //! (`crates/station` + `crates/control`) becomes a node; an edge `A → B`

@@ -11,15 +11,11 @@
 //!                                    # this against the baseline)
 //! cargo run -p bsa-lint -- tighten  # rewrite lint.allow.toml budgets
 //!                                    # down to the actual counts
-//! cargo run -p bsa-lint -- abi regen  # refingerprint the wire ABI into
-//!                                      # link.abi.lock (review the diff!)
-//! cargo run -p bsa-lint -- abi show   # print the lock HEAD would produce
 //! ```
 
 use bsa_lint::{
-    allow, canonical_entries, check_workspace, load_lock_state, load_sources, render_json,
-    render_lock, render_sarif, rule_description, workspace_root, AbiSummary, Allowlist,
-    PassTimings, ProtoSummary, Report, LOCK_FILE, RULE_IDS,
+    allow, check_sources, check_workspace, load_sources, render_json, render_sarif,
+    rule_description, workspace_root, Allowlist, PassTimings, ProtoSummary, Report, RULE_IDS,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -41,7 +37,6 @@ fn main() -> ExitCode {
         Some("list") => cmd_list(),
         Some("budget") => cmd_budget(),
         Some("tighten") => cmd_tighten(),
-        Some("abi") => cmd_abi(args.get(1).map(String::as_str)),
         Some("rules") => {
             for id in RULE_IDS {
                 println!("{id:<22} {}", rule_description(id));
@@ -52,7 +47,7 @@ fn main() -> ExitCode {
             let name = other.unwrap_or("<none>");
             eprintln!("bsa-lint: unknown command `{name}`");
             eprintln!(
-                "usage: cargo run -p bsa-lint -- <check|list|budget|tighten|rules|abi> \
+                "usage: cargo run -p bsa-lint -- <check|list|budget|tighten|rules> \
                  [--format json|sarif]"
             );
             ExitCode::from(2)
@@ -102,54 +97,30 @@ fn load_allowlist(root: &Path) -> Result<Allowlist, String> {
     Allowlist::parse(&text).map_err(|e| e.to_string())
 }
 
-/// One-line protocol coverage summary for the human-readable output.
+/// One-line reply-code coverage summary for the human-readable output.
 fn proto_line(p: &ProtoSummary) -> String {
-    if !p.message_found {
-        return "proto: Message enum not found".to_string();
+    if !p.reply_found {
+        return "proto: ErrorCode enum not found".to_string();
     }
     format!(
-        "proto: Message {}/{n} encoded, {}/{n} decoded, {}/{n} handled; \
-         ProtocolError {}/{} mapped; ErrorCode {}/{} constructed",
-        p.encoded,
-        p.decoded,
-        p.handled,
-        p.error_mapped,
-        p.error_variants,
-        p.reply_constructed,
-        p.reply_variants,
-        n = p.message_variants,
+        "proto: ErrorCode {}/{} constructed",
+        p.reply_constructed, p.reply_variants
     )
-}
-
-/// One-line ABI summary for the human-readable output.
-fn abi_line(abi: Option<&AbiSummary>) -> String {
-    match abi {
-        Some(a) if a.lock_present => {
-            format!(
-                "abi: {}/{} encodings match {LOCK_FILE}",
-                a.matched, a.variants
-            )
-        }
-        Some(_) => format!("abi: {LOCK_FILE} missing — run `abi regen`"),
-        None => "abi: pass skipped".to_string(),
-    }
 }
 
 /// One-line pass-timing summary for the human-readable output.
 fn timings_line(t: &PassTimings) -> String {
     format!(
         "timings: lexical {}ms, parse {}ms, summary {}ms, flow {}ms, taint {}ms, \
-         reach {}ms, proto {}ms, conc {}ms, lock-order {}ms, abi {}ms — total {}ms",
+         reach {}ms, conc {}ms, lock-order {}ms — total {}ms",
         t.lexical_us / 1000,
         t.parse_us / 1000,
         t.summary_us / 1000,
         t.flow_us / 1000,
         t.taint_us / 1000,
         t.reach_us / 1000,
-        t.proto_us / 1000,
         t.conc_us / 1000,
         t.lock_order_us / 1000,
-        t.abi_us / 1000,
         t.total_us / 1000,
     )
 }
@@ -170,8 +141,7 @@ fn cmd_check(format: Format) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let lock = load_lock_state(&root);
-    let outcome = bsa_lint::check_sources_full(&sources, &allowlist, Some(&lock));
+    let outcome = check_sources(&sources, &allowlist);
     let (violations, proto) = (&outcome.violations, &outcome.proto);
     let rec = allow::reconcile(violations, &allowlist);
 
@@ -185,7 +155,6 @@ fn cmd_check(format: Format) -> ExitCode {
                     rec: &rec,
                     allow: &allowlist,
                     proto,
-                    abi: outcome.abi.as_ref(),
                     timings: &outcome.timings,
                 })
             ),
@@ -210,7 +179,6 @@ fn cmd_check(format: Format) -> ExitCode {
     }
 
     println!("{}", proto_line(proto));
-    println!("{}", abi_line(outcome.abi.as_ref()));
     println!("{}", timings_line(&outcome.timings));
     let allowed = violations.len() - rec.unallowed.len();
     if rec.clean() {
@@ -255,7 +223,6 @@ fn cmd_list() -> ExitCode {
                 println!("--   {rule}: {n}");
             }
             println!("-- {}", proto_line(&outcome.proto));
-            println!("-- {}", abi_line(outcome.abi.as_ref()));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -275,38 +242,6 @@ fn cmd_budget() -> ExitCode {
         Err(e) => {
             eprintln!("bsa-lint: {e}");
             ExitCode::FAILURE
-        }
-    }
-}
-
-/// `abi regen` rewrites `link.abi.lock` from HEAD's encodings; `abi show`
-/// prints the same text without touching the file (for review/diffing).
-fn cmd_abi(sub: Option<&str>) -> ExitCode {
-    let rendered = render_lock(&canonical_entries());
-    match sub {
-        Some("regen") => {
-            let path = workspace_root().join(LOCK_FILE);
-            if let Err(e) = fs::write(&path, &rendered) {
-                eprintln!("bsa-lint: {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "bsa-lint: wrote {LOCK_FILE} ({} encodings); review the diff like any \
-                 other wire-format change",
-                canonical_entries().len()
-            );
-            ExitCode::SUCCESS
-        }
-        Some("show") => {
-            print!("{rendered}");
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!(
-                "bsa-lint: unknown abi subcommand `{}`; usage: abi <regen|show>",
-                other.unwrap_or("<none>")
-            );
-            ExitCode::from(2)
         }
     }
 }

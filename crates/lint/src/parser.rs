@@ -5,7 +5,7 @@
 //! sites inside those bodies, and enum definitions with their variants.
 //! It is *not* a Rust parser — expressions are never built, and a handful
 //! of exotic shapes (turbofish calls, tuple-type impls, const-generic
-//! braces) are knowingly approximated; DESIGN.md §11 lists them. In
+//! braces) are knowingly approximated; DESIGN.md §9.2 lists them. In
 //! exchange the whole analyzer stays dependency-free.
 //!
 //! Like the rule passes, this module practises what bsa-lint preaches:

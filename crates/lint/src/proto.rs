@@ -1,39 +1,33 @@
-//! `proto.*` — wire-protocol drift detection.
+//! `proto.error-reply` — every typed reply code is sendable.
 //!
-//! The `bsa-link` codec and the `bsa-station` session loop must agree on
-//! the full `Message` vocabulary: every variant needs an encode arm, a
-//! decode arm, *and* a station handler, or message 25 becomes a runtime
-//! hang instead of a CI failure. Likewise every `ProtocolError` variant
-//! needs a `Display` mapping in the codec crate, and every `ErrorCode`
-//! (the typed reply vocabulary) must actually be constructed somewhere in
-//! the station — a reply code nothing can ever send is dead protocol
-//! surface.
+//! Every `ErrorCode` (the typed reply vocabulary `bsa-link` defines) must
+//! actually be constructed somewhere in the station: a reply code nothing
+//! can ever send is dead protocol surface. rustc's exhaustive `match`
+//! cannot see this, because constructing a value is not matching on it.
 //!
-//! Detection leans on a deliberate idiom split in this workspace: the
-//! codec matches its own variants as `Self::Variant` inside
-//! `Message::encode_payload`/`decode_payload`, while the station — an
-//! outside consumer — always writes `Message::Variant`. Coverage is
-//! therefore: variant ident present in the encode/decode fn body
-//! (codec side), and the qualified pair `Message::Variant` present
-//! anywhere in station source (handler side).
+//! The rest of the protocol's coverage needs no lint: `Message` is
+//! exhaustive, so the codec's `encode_payload`, the station's dispatch and
+//! the `bsa-link` golden test (`tests/abi_lock.rs`) all fail to compile
+//! when a variant lacks an arm, and that test roundtrips every variant
+//! through `decode_payload`.
+//!
+//! Detection: the station — an outside consumer of the codec — always
+//! writes the qualified pair `ErrorCode::Variant`, so a variant counts as
+//! constructed when that pair appears anywhere in station source.
 
 use crate::parser::ParsedFile;
 use crate::rules::{violation, Violation};
 use crate::workspace::SourceFile;
 use std::collections::BTreeSet;
 
-/// Which enums and file prefixes the pass checks. Parameterized so the
+/// Which enum and file prefixes the pass checks. Parameterized so the
 /// fixtures can exercise the pass on synthetic files.
 #[derive(Debug, Clone)]
 pub struct ProtoConfig {
-    /// Wire message enum name (`Message`).
-    pub message_enum: &'static str,
-    /// Files containing the codec (enum defs + encode/decode).
+    /// Files defining the reply enum (the codec crate).
     pub codec_prefix: &'static str,
-    /// Files containing the consumer/handler side.
+    /// Files that must construct every reply code (the station).
     pub handler_prefix: &'static str,
-    /// Decode error enum name (`ProtocolError`).
-    pub error_enum: &'static str,
     /// Typed reply code enum name (`ErrorCode`).
     pub reply_enum: &'static str,
 }
@@ -41,34 +35,16 @@ pub struct ProtoConfig {
 impl ProtoConfig {
     /// The real workspace wiring.
     pub const WORKSPACE: Self = Self {
-        message_enum: "Message",
         codec_prefix: "crates/link/src/",
         handler_prefix: "crates/station/src/",
-        error_enum: "ProtocolError",
         reply_enum: "ErrorCode",
     };
 }
 
 /// Counts reported by the pass, surfaced in `check` output and the JSON
-/// report so "24/24 handled" is a visible assertion, not a silent pass.
+/// report so "7/7 constructed" is a visible assertion, not a silent pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProtoSummary {
-    /// `Message` enum located in the codec crate.
-    pub message_found: bool,
-    /// Total `Message` variants.
-    pub message_variants: usize,
-    /// Variants with an encode arm.
-    pub encoded: usize,
-    /// Variants with a decode arm.
-    pub decoded: usize,
-    /// Variants referenced by the station.
-    pub handled: usize,
-    /// `ProtocolError` enum located.
-    pub error_found: bool,
-    /// Total `ProtocolError` variants.
-    pub error_variants: usize,
-    /// Variants with a `Display`/reply mapping in the codec crate.
-    pub error_mapped: usize,
     /// `ErrorCode` enum located.
     pub reply_found: bool,
     /// Total `ErrorCode` variants.
@@ -77,8 +53,7 @@ pub struct ProtoSummary {
     pub reply_constructed: usize,
 }
 
-/// Runs the protocol-exhaustiveness checks. `sources` and `parsed` must be
-/// index-aligned.
+/// Runs the reply-code check. `sources` and `parsed` must be index-aligned.
 pub fn proto_pass(
     sources: &[SourceFile],
     parsed: &[ParsedFile],
@@ -86,147 +61,28 @@ pub fn proto_pass(
     out: &mut Vec<Violation>,
 ) -> ProtoSummary {
     let mut summary = ProtoSummary::default();
-
-    // Qualified `A::B` ident pairs, per side.
-    let codec_pairs = qualified_pairs(sources, cfg.codec_prefix);
+    let Some((file, e)) = find_enum(parsed, cfg.codec_prefix, cfg.reply_enum) else {
+        return summary;
+    };
     let handler_pairs = qualified_pairs(sources, cfg.handler_prefix);
-
-    // --- Message: encode + decode + handler coverage ---------------------
-    if let Some((file, e)) = find_enum(parsed, cfg.codec_prefix, cfg.message_enum) {
-        summary.message_found = true;
-        summary.message_variants = e.variants.len();
-        let encode = fn_body_idents(
-            sources,
-            parsed,
-            cfg.codec_prefix,
-            cfg.message_enum,
-            "encode_payload",
-        );
-        let decode = fn_body_idents(
-            sources,
-            parsed,
-            cfg.codec_prefix,
-            cfg.message_enum,
-            "decode_payload",
-        );
-        if encode.is_none() {
+    summary.reply_found = true;
+    summary.reply_variants = e.variants.len();
+    for v in &e.variants {
+        if handler_pairs.contains(&(cfg.reply_enum.to_string(), v.name.clone())) {
+            summary.reply_constructed += 1;
+        } else {
             out.push(violation(
                 file,
-                e.line,
-                "proto.exhaustive",
+                v.line,
+                "proto.error-reply",
                 format!(
-                    "no `{}::encode_payload` fn found in the codec",
-                    cfg.message_enum
+                    "`{}::{}` is never constructed under {} — the station can \
+                     never send this reply code",
+                    cfg.reply_enum, v.name, cfg.handler_prefix
                 ),
             ));
         }
-        if decode.is_none() {
-            out.push(violation(
-                file,
-                e.line,
-                "proto.exhaustive",
-                format!(
-                    "no `{}::decode_payload` fn found in the codec",
-                    cfg.message_enum
-                ),
-            ));
-        }
-        for v in &e.variants {
-            let enc = encode.as_ref().is_some_and(|s| s.contains(&v.name));
-            let dec = decode.as_ref().is_some_and(|s| s.contains(&v.name));
-            let handled = handler_pairs.contains(&(cfg.message_enum.to_string(), v.name.clone()));
-            if enc {
-                summary.encoded += 1;
-            } else if encode.is_some() {
-                out.push(violation(
-                    file,
-                    v.line,
-                    "proto.exhaustive",
-                    format!(
-                        "`{}::{}` has no encode arm in `encode_payload`",
-                        cfg.message_enum, v.name
-                    ),
-                ));
-            }
-            if dec {
-                summary.decoded += 1;
-            } else if decode.is_some() {
-                out.push(violation(
-                    file,
-                    v.line,
-                    "proto.exhaustive",
-                    format!(
-                        "`{}::{}` has no decode arm in `decode_payload`",
-                        cfg.message_enum, v.name
-                    ),
-                ));
-            }
-            if handled {
-                summary.handled += 1;
-            } else {
-                out.push(violation(
-                    file,
-                    v.line,
-                    "proto.exhaustive",
-                    format!(
-                        "`{}::{}` is never referenced under {} — no session handler \
-                         or response constructor",
-                        cfg.message_enum, v.name, cfg.handler_prefix
-                    ),
-                ));
-            }
-        }
     }
-
-    // --- ProtocolError: every variant needs a mapping in the codec -------
-    if let Some((file, e)) = find_enum(parsed, cfg.codec_prefix, cfg.error_enum) {
-        summary.error_found = true;
-        summary.error_variants = e.variants.len();
-        for v in &e.variants {
-            // `Display`/`From` impls in the codec write `Self::Variant` or
-            // `ProtocolError::Variant`; the enum definition itself emits no
-            // qualified pair, so presence means a real mapping exists.
-            let mapped = codec_pairs.contains(&(cfg.error_enum.to_string(), v.name.clone()))
-                || codec_pairs.contains(&("Self".to_string(), v.name.clone()));
-            if mapped {
-                summary.error_mapped += 1;
-            } else {
-                out.push(violation(
-                    file,
-                    v.line,
-                    "proto.exhaustive",
-                    format!(
-                        "`{}::{}` has no reply/Display mapping in the codec",
-                        cfg.error_enum, v.name
-                    ),
-                ));
-            }
-        }
-    }
-
-    // --- ErrorCode: the station must be able to send every reply code ----
-    if let Some((file, e)) = find_enum(parsed, cfg.codec_prefix, cfg.reply_enum) {
-        summary.reply_found = true;
-        summary.reply_variants = e.variants.len();
-        for v in &e.variants {
-            let constructed = handler_pairs.contains(&(cfg.reply_enum.to_string(), v.name.clone()));
-            if constructed {
-                summary.reply_constructed += 1;
-            } else {
-                out.push(violation(
-                    file,
-                    v.line,
-                    "proto.error-reply",
-                    format!(
-                        "`{}::{}` is never constructed under {} — the station can \
-                         never send this reply code",
-                        cfg.reply_enum, v.name, cfg.handler_prefix
-                    ),
-                ));
-            }
-        }
-    }
-
     summary
 }
 
@@ -246,36 +102,6 @@ fn find_enum<'a>(
                 .find(|e| e.name == name)
                 .map(|e| (pf.path.as_str(), e))
         })
-}
-
-/// The set of identifiers appearing in the body of `{qualified_on}::{name}`
-/// under `prefix`, or `None` if no such fn exists.
-fn fn_body_idents(
-    sources: &[SourceFile],
-    parsed: &[ParsedFile],
-    prefix: &str,
-    qualified_on: &str,
-    name: &str,
-) -> Option<BTreeSet<String>> {
-    let want = format!("{qualified_on}::{name}");
-    for (fi, pf) in parsed.iter().enumerate() {
-        if !pf.path.starts_with(prefix) {
-            continue;
-        }
-        if let Some(f) = pf.fns.iter().find(|f| f.qualified == want) {
-            let body = sources
-                .get(fi)
-                .and_then(|s| s.tokens.get(f.body.clone()))
-                .unwrap_or(&[]);
-            return Some(
-                body.iter()
-                    .filter_map(|t| t.ident())
-                    .map(str::to_string)
-                    .collect(),
-            );
-        }
-    }
-    None
 }
 
 /// Collects every qualified `A::B` ident pair in token streams under
@@ -304,14 +130,6 @@ mod tests {
     use crate::lexer::{lex, strip_test_code};
     use crate::parser::parse_file;
 
-    const CFG: ProtoConfig = ProtoConfig {
-        message_enum: "Message",
-        codec_prefix: "crates/link/src/",
-        handler_prefix: "crates/station/src/",
-        error_enum: "ProtocolError",
-        reply_enum: "ErrorCode",
-    };
-
     fn run(files: &[(&str, &str)]) -> (Vec<Violation>, ProtoSummary) {
         let sources: Vec<SourceFile> = files
             .iter()
@@ -325,84 +143,29 @@ mod tests {
             .map(|s| parse_file(&s.path, &s.tokens))
             .collect();
         let mut out = Vec::new();
-        let summary = proto_pass(&sources, &parsed, &CFG, &mut out);
+        let summary = proto_pass(&sources, &parsed, &ProtoConfig::WORKSPACE, &mut out);
         (out, summary)
     }
 
-    const CODEC: &str = r#"
-        pub enum Message { Ping, Pong, Orphan }
-        pub enum ProtocolError { Io, BadMagic }
-        pub enum ErrorCode { BadRequest, Internal }
-        impl Message {
-            pub fn encode_payload(&self) -> u8 {
-                match self { Self::Ping => 1, Self::Pong => 2, Self::Orphan => 3 }
-            }
-            pub fn decode_payload(tag: u8) -> Result<Self, ProtocolError> {
-                match tag { 1 => Ok(Self::Ping), 2 => Ok(Self::Pong), 3 => Ok(Self::Orphan),
-                            _ => Err(ProtocolError::BadMagic) }
-            }
-        }
-        impl Display for ProtocolError {
-            fn fmt(&self) -> u8 { match self { Self::Io => 0, Self::BadMagic => 1 } }
-        }
-    "#;
-
-    const STATION: &str = r#"
-        pub fn handle(msg: Message) -> Message {
-            match msg {
-                Message::Ping => Message::Pong,
-                other => reply(ErrorCode::BadRequest),
-            }
-        }
-        pub fn internal() -> ErrorCode { ErrorCode::Internal }
-    "#;
-
     #[test]
-    fn fully_wired_variants_are_counted_not_flagged() {
-        let (v, s) = run(&[
-            ("crates/link/src/message.rs", CODEC),
-            ("crates/station/src/session.rs", STATION),
-        ]);
-        assert!(s.message_found && s.error_found && s.reply_found);
-        assert_eq!(s.message_variants, 3);
-        assert_eq!((s.encoded, s.decoded), (3, 3));
-        // Ping and Pong are referenced by the station; Orphan is not.
-        assert_eq!(s.handled, 2);
-        assert_eq!((s.error_variants, s.error_mapped), (2, 2));
-        assert_eq!((s.reply_variants, s.reply_constructed), (2, 2));
-        assert_eq!(v.len(), 1, "{v:#?}");
-        let f = v.first().expect("one");
-        assert_eq!(f.rule, "proto.exhaustive");
-        assert!(f.message.contains("Orphan"), "{}", f.message);
-    }
-
-    #[test]
-    fn missing_decode_arm_and_unmapped_error_are_flagged() {
-        let codec = r#"
-            pub enum Message { Ping, Late }
-            pub enum ProtocolError { Io, Silent }
-            impl Message {
-                pub fn encode_payload(&self) -> u8 {
-                    match self { Self::Ping => 1, Self::Late => 2 }
-                }
-                pub fn decode_payload(tag: u8) -> Result<Self, ProtocolError> {
-                    match tag { 1 => Ok(Self::Ping), _ => Err(ProtocolError::Io) }
+    fn constructed_reply_codes_are_counted_not_flagged() {
+        let codec = "pub enum ErrorCode { BadRequest, Internal }";
+        let station = r#"
+            pub fn handle(msg: Message) -> Message {
+                match msg {
+                    Message::Ping => Message::Pong,
+                    other => reply(ErrorCode::BadRequest),
                 }
             }
+            pub fn internal() -> ErrorCode { ErrorCode::Internal }
         "#;
-        let station = "pub fn h() { let a = Message::Ping; let b = Message::Late; }";
         let (v, s) = run(&[
             ("crates/link/src/message.rs", codec),
             ("crates/station/src/session.rs", station),
         ]);
-        assert_eq!(s.decoded, 1);
-        assert_eq!(s.error_mapped, 1);
-        let rules: Vec<_> = v.iter().map(|v| (v.rule, v.message.clone())).collect();
-        assert_eq!(v.len(), 2, "{rules:?}");
-        assert!(v
-            .iter()
-            .any(|f| f.message.contains("Late") && f.message.contains("decode")));
-        assert!(v.iter().any(|f| f.message.contains("Silent")));
+        assert!(s.reply_found);
+        assert_eq!((s.reply_variants, s.reply_constructed), (2, 2));
+        assert!(v.is_empty(), "{v:#?}");
     }
 
     #[test]
@@ -410,9 +173,12 @@ mod tests {
         let codec = r#"
             pub enum ErrorCode { BadRequest, NeverBuilt }
         "#;
+        // A codec-side mention does not count: only the station sends.
+        let codec_use = "fn f() -> ErrorCode { ErrorCode::NeverBuilt }";
         let station = "pub fn h() -> ErrorCode { ErrorCode::BadRequest }";
         let (v, s) = run(&[
             ("crates/link/src/message.rs", codec),
+            ("crates/link/src/wire.rs", codec_use),
             ("crates/station/src/session.rs", station),
         ]);
         assert_eq!((s.reply_variants, s.reply_constructed), (2, 1));
@@ -423,23 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_codec_fns_are_reported_once_each() {
-        let codec = "pub enum Message { Ping }";
-        let station = "pub fn h() { let a = Message::Ping; }";
-        let (v, s) = run(&[
-            ("crates/link/src/message.rs", codec),
-            ("crates/station/src/session.rs", station),
-        ]);
-        assert_eq!((s.encoded, s.decoded, s.handled), (0, 0, 1));
-        // Two fn-missing violations; no per-variant arm violations piled on.
-        assert_eq!(v.len(), 2, "{v:#?}");
-        assert!(v.iter().all(|f| f.rule == "proto.exhaustive"));
-    }
-
-    #[test]
-    fn absent_enums_leave_summary_unfound_without_violations() {
+    fn absent_enum_leaves_summary_unfound_without_violations() {
         let (v, s) = run(&[("crates/core/src/lib.rs", "pub fn f() {}")]);
-        assert!(!s.message_found && !s.error_found && !s.reply_found);
+        assert!(!s.reply_found);
         assert!(v.is_empty(), "{v:#?}");
     }
 }

@@ -2,8 +2,9 @@
 //! graph.
 //!
 //! The lexical `panic.*` rules flag panic sites *where they are written*;
-//! this pass flags public API functions in the deterministic crates
-//! (`bsa-core`, `bsa-dsp`, `bsa-link`) from which a panic site is
+//! this pass flags public API functions in the crates whose API the
+//! station and analysis pipelines call into (`bsa-core`, `bsa-dsp`,
+//! `bsa-link`, `bsa-control`, `bsa-store`) from which a panic site is
 //! reachable *through calls*, possibly across crates. A pub fn that
 //! panics directly is lexical territory and is not re-reported here.
 //!
@@ -11,19 +12,20 @@
 //! bounds proof — indexing sinks in such files do **not** propagate — and
 //! so is a machine-checked `flow.range` proof (the `proven` map carries
 //! the lines whose every index site interval analysis discharged). An
-//! allowlisted `.expect()`/`.unwrap()`/panicking macro is a *caller
-//! contract* (e.g. a documented panicking constructor), so those sinks
-//! always propagate: every public entry point that can reach one must
-//! either be fixed or hold its own justification.
+//! allowlisted `.expect()`/panicking macro is a *caller contract* (e.g. a
+//! documented panicking constructor), so those sinks always propagate:
+//! every public entry point that can reach one must either be fixed or
+//! hold its own justification. `.unwrap()` propagates too; where it is
+//! written, clippy's `unwrap_used` reports it instead of a `panic.*` rule.
 //!
-//! Call resolution (DESIGN.md §11): `Type::name(…)` and `Self::name(…)`
+//! Call resolution (DESIGN.md §9.2): `Type::name(…)` and `Self::name(…)`
 //! resolve exactly against impl-qualified definitions; bare `name(…)` and
 //! `.name(…)` method calls resolve only when `name` is unique among every
 //! fn the workspace defines (ambiguous or std names produce no edge).
 
 use crate::allow::Allowlist;
 use crate::parser::{CallSite, ParsedFile};
-use crate::rules::{panic_pass, violation, Violation};
+use crate::rules::{panic_sites, violation, PanicSite, Violation};
 use crate::workspace::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -176,39 +178,24 @@ fn resolve(
     }
 }
 
-/// Runs the lexical panic pass over one fn body and returns the first
-/// non-suppressed sink, formatted for the report. Indexing sinks are
-/// suppressed either by a file-level allowlist budget (human-reviewed
-/// bounds justification) or by a `flow.range` proof for that exact line.
+/// Returns the first non-suppressed panic site in one fn body, formatted
+/// for the report. Indexing sinks are suppressed either by a file-level
+/// allowlist budget (human-reviewed bounds justification) or by a
+/// `flow.range` proof for that exact line.
 fn direct_sink(
     file: &str,
     body: &[crate::lexer::Token],
     allow: &Allowlist,
     proven: &ProvenLines,
 ) -> Option<String> {
-    let mut vs = Vec::new();
-    panic_pass(file, body, &mut vs);
-    vs.iter()
-        .find(|v| {
-            if v.rule != "panic.indexing" {
-                return true;
-            }
-            let budgeted = allow.budget_for(file, "panic.indexing").is_some();
-            let flow_proven = proven
-                .get(file)
-                .is_some_and(|lines| lines.contains(&v.line));
-            !(budgeted || flow_proven)
+    let budgeted = allow.budget_for(file, "panic.indexing").is_some();
+    panic_sites(body)
+        .into_iter()
+        .find(|(line, site)| {
+            let flow_proven = proven.get(file).is_some_and(|lines| lines.contains(line));
+            *site != PanicSite::Indexing || !(budgeted || flow_proven)
         })
-        .map(|v| format!("{} at {file}:{}", sink_label(v.rule), v.line))
-}
-
-fn sink_label(rule: &str) -> &'static str {
-    match rule {
-        "panic.unwrap" => "`.unwrap()`",
-        "panic.expect" => "`.expect()`",
-        "panic.macro" => "panicking macro",
-        _ => "unchecked indexing",
-    }
+        .map(|(line, site)| format!("{} at {file}:{line}", site.label()))
 }
 
 #[derive(Clone, PartialEq)]

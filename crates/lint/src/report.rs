@@ -7,7 +7,6 @@
 //! code-scanning UIs ingest (driver rules + per-result physical
 //! locations).
 
-use crate::abi::AbiSummary;
 use crate::allow::{Allowlist, Reconciliation};
 use crate::proto::ProtoSummary;
 use crate::rules::{rule_description, Violation, RULE_IDS};
@@ -24,10 +23,8 @@ pub struct Report<'a> {
     pub rec: &'a Reconciliation,
     /// The allowlist in force.
     pub allow: &'a Allowlist,
-    /// Protocol coverage counts.
+    /// Reply-code coverage counts.
     pub proto: &'a ProtoSummary,
-    /// Wire-ABI lock comparison, when the pass ran.
-    pub abi: Option<&'a AbiSummary>,
     /// Per-pass elapsed wall-clock.
     pub timings: &'a PassTimings,
 }
@@ -89,27 +86,7 @@ pub fn render_json(r: &Report<'_>) -> String {
     s.push_str("  },\n");
 
     s.push_str("  \"proto\": {\n");
-    s.push_str("    \"message\": ");
-    push_coverage(
-        &mut s,
-        r.proto.message_found,
-        &[
-            ("variants", r.proto.message_variants),
-            ("encoded", r.proto.encoded),
-            ("decoded", r.proto.decoded),
-            ("handled", r.proto.handled),
-        ],
-    );
-    s.push_str(",\n    \"protocol_error\": ");
-    push_coverage(
-        &mut s,
-        r.proto.error_found,
-        &[
-            ("variants", r.proto.error_variants),
-            ("mapped", r.proto.error_mapped),
-        ],
-    );
-    s.push_str(",\n    \"error_code\": ");
+    s.push_str("    \"error_code\": ");
     push_coverage(
         &mut s,
         r.proto.reply_found,
@@ -120,21 +97,6 @@ pub fn render_json(r: &Report<'_>) -> String {
     );
     s.push_str("\n  },\n");
 
-    s.push_str("  \"abi\": ");
-    match r.abi {
-        Some(abi) => {
-            s.push_str("{\"lock_present\": ");
-            s.push_str(if abi.lock_present { "true" } else { "false" });
-            s.push_str(", \"variants\": ");
-            s.push_str(&abi.variants.to_string());
-            s.push_str(", \"matched\": ");
-            s.push_str(&abi.matched.to_string());
-            s.push('}');
-        }
-        None => s.push_str("null"),
-    }
-    s.push_str(",\n");
-
     s.push_str("  \"timings_us\": {\n");
     let t = r.timings;
     for (key, us, comma) in [
@@ -144,10 +106,8 @@ pub fn render_json(r: &Report<'_>) -> String {
         ("flow", t.flow_us, true),
         ("taint", t.taint_us, true),
         ("reach", t.reach_us, true),
-        ("proto", t.proto_us, true),
         ("conc", t.conc_us, true),
         ("lock_order", t.lock_order_us, true),
-        ("abi", t.abi_us, true),
         ("total", t.total_us, false),
     ] {
         push_indent(&mut s, 2);
@@ -319,17 +279,9 @@ mod tests {
             }],
         };
         let proto = ProtoSummary {
-            message_found: true,
-            message_variants: 24,
-            encoded: 24,
-            decoded: 24,
-            handled: 24,
-            ..ProtoSummary::default()
-        };
-        let abi = AbiSummary {
-            variants: 27,
-            matched: 27,
-            lock_present: true,
+            reply_found: true,
+            reply_variants: 7,
+            reply_constructed: 7,
         };
         let timings = PassTimings {
             lexical_us: 1200,
@@ -342,16 +294,14 @@ mod tests {
             rec: &rec,
             allow: &allow,
             proto: &proto,
-            abi: Some(&abi),
             timings: &timings,
         });
         assert!(json.contains("\"status\": \"clean\""), "{json}");
-        assert!(json.contains("\"handled\": 24"), "{json}");
-        assert!(json.contains("\"total\": 3"), "{json}");
         assert!(
-            json.contains("\"abi\": {\"lock_present\": true, \"variants\": 27, \"matched\": 27}"),
+            json.contains("\"error_code\": {\"found\": true, \"variants\": 7, \"constructed\": 7}"),
             "{json}"
         );
+        assert!(json.contains("\"total\": 3"), "{json}");
         assert!(json.contains("\"lexical\": 1200"), "{json}");
         assert!(json.contains("\"total\": 9000"), "{json}");
         // Brackets and braces balance.
@@ -366,7 +316,7 @@ mod tests {
             Violation {
                 file: "crates/dsp/src/x.rs".to_string(),
                 line: 7,
-                rule: "panic.unwrap",
+                rule: "panic.expect",
                 message: "budgeted".to_string(),
             },
             Violation {
@@ -379,7 +329,7 @@ mod tests {
         let allow = Allowlist {
             entries: vec![AllowEntry {
                 file: "crates/dsp/src/x.rs".to_string(),
-                rule: "panic.unwrap".to_string(),
+                rule: "panic.expect".to_string(),
                 max: 1,
                 reason: "test".to_string(),
             }],
@@ -393,7 +343,7 @@ mod tests {
         }
         // The budgeted violation is a note, the wire finding an error.
         assert!(
-            sarif.contains("\"ruleId\": \"panic.unwrap\", \"level\": \"note\""),
+            sarif.contains("\"ruleId\": \"panic.expect\", \"level\": \"note\""),
             "{sarif}"
         );
         assert!(
@@ -413,7 +363,7 @@ mod tests {
         let violations = vec![Violation {
             file: "crates/dsp/src/x.rs".to_string(),
             line: 7,
-            rule: "panic.unwrap",
+            rule: "panic.expect",
             message: "a \"quoted\"\nmessage".to_string(),
         }];
         let allow = Allowlist::default();
@@ -424,11 +374,9 @@ mod tests {
             rec: &rec,
             allow: &allow,
             proto: &ProtoSummary::default(),
-            abi: None,
             timings: &PassTimings::default(),
         });
         assert!(json.contains("\"status\": \"failed\""), "{json}");
-        assert!(json.contains("\"abi\": null"), "{json}");
         assert!(json.contains("\\\"quoted\\\"\\nmessage"), "{json}");
         assert!(json.contains("\"line\": 7"), "{json}");
     }

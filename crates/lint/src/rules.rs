@@ -1,4 +1,4 @@
-//! The three rule families: determinism, panic-freedom, unit-safety.
+//! The two lexical rule families: panic-freedom and unit-safety.
 //!
 //! Each pass walks the (test-stripped) token stream of one file and emits
 //! [`Violation`]s. The passes are deliberately syntactic — they trade a
@@ -15,7 +15,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based source line.
     pub line: usize,
-    /// Stable rule identifier, e.g. `panic.unwrap`.
+    /// Stable rule identifier, e.g. `panic.expect`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -34,9 +34,7 @@ impl fmt::Display for Violation {
 /// Which rule families apply to a given file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleSet {
-    /// `det.*`: wall-clock, RNG, hash-iteration and unordered reductions.
-    pub determinism: bool,
-    /// `panic.*`: unwrap/expect/panicking macros/direct indexing.
+    /// `panic.*`: expect/panicking macros/direct indexing.
     pub panic_freedom: bool,
     /// `units.raw-f64`: raw `f64` in public signatures where a
     /// `bsa-units` newtype exists.
@@ -46,30 +44,23 @@ pub struct RuleSet {
 impl RuleSet {
     /// No rules — the file is out of scope.
     pub const NONE: Self = Self {
-        determinism: false,
         panic_freedom: false,
         unit_safety: false,
     };
 
     /// `true` if at least one family applies.
     pub fn any(&self) -> bool {
-        self.determinism || self.panic_freedom || self.unit_safety
+        self.panic_freedom || self.unit_safety
     }
 }
 
 /// All stable rule identifiers, for `--help` and the allowlist validator.
 pub const RULE_IDS: &[&str] = &[
-    "det.time",
-    "det.rng",
-    "det.hash-collection",
-    "det.unordered-reduce",
-    "panic.unwrap",
     "panic.expect",
     "panic.macro",
     "panic.indexing",
     "units.raw-f64",
     "reach.panic",
-    "proto.exhaustive",
     "proto.error-reply",
     "conc.atomic-rmw",
     "conc.ordering",
@@ -77,7 +68,6 @@ pub const RULE_IDS: &[&str] = &[
     "flow.unit",
     "flow.range",
     "conc.lock-order",
-    "proto.abi",
     "flow.summary",
     "taint.wire-alloc",
     "taint.wire-index",
@@ -87,19 +77,11 @@ pub const RULE_IDS: &[&str] = &[
 /// One-line description per rule id, for `rules` output.
 pub fn rule_description(id: &str) -> &'static str {
     match id {
-        "det.time" => "wall-clock reads (Instant/SystemTime) in deterministic paths",
-        "det.rng" => "unseeded RNG (thread_rng/rand::random) in deterministic paths",
-        "det.hash-collection" => "HashMap/HashSet iteration-order nondeterminism",
-        "det.unordered-reduce" => "parallel float reduction in thread-dependent order",
-        "panic.unwrap" => ".unwrap() in non-test library code",
         "panic.expect" => ".expect() in non-test library code",
         "panic.macro" => "panic!/unreachable!/todo!/unimplemented! in library code",
         "panic.indexing" => "direct slice indexing that can panic",
         "units.raw-f64" => "raw f64 where a bsa-units newtype exists",
         "reach.panic" => "panic reachable through the call graph from a pub API fn",
-        "proto.exhaustive" => {
-            "Message/ProtocolError variant missing encode/decode/handler coverage"
-        }
         "proto.error-reply" => "typed reply code never constructed by the station",
         "conc.atomic-rmw" => "non-atomic read-modify-write on an atomic counter",
         "conc.ordering" => "inconsistent memory Ordering across uses of one atomic",
@@ -107,7 +89,6 @@ pub fn rule_description(id: &str) -> &'static str {
         "flow.unit" => "dimension-mixing assignment or sum found by unit dataflow",
         "flow.range" => "interval analysis proves an index/divisor can panic",
         "conc.lock-order" => "lock/channel acquisition-order cycle (potential deadlock)",
-        "proto.abi" => "wire encoding drifted from the committed link.abi.lock",
         "flow.summary" => "function-summary contract proves a cross-function index panics",
         "taint.wire-alloc" => "wire-derived count reaches an allocation or loop bound unvalidated",
         "taint.wire-index" => "wire-derived value used as a slice index unvalidated",
@@ -119,9 +100,6 @@ pub fn rule_description(id: &str) -> &'static str {
 /// Runs every enabled rule family over a test-stripped token stream.
 pub fn run_rules(file: &str, tokens: &[Token], rules: RuleSet) -> Vec<Violation> {
     let mut out = Vec::new();
-    if rules.determinism {
-        determinism_pass(file, tokens, &mut out);
-    }
     if rules.panic_freedom {
         panic_pass(file, tokens, &mut out);
     }
@@ -147,143 +125,7 @@ pub(crate) fn violation(
 }
 
 // ---------------------------------------------------------------------------
-// Family 1: determinism
-// ---------------------------------------------------------------------------
-
-/// Reduction adapters that are order-sensitive over floats: following one of
-/// the rayon fan-out adapters with these makes the result depend on the
-/// runtime split, breaking bit-identical-across-thread-counts replay.
-const UNORDERED_REDUCERS: &[&str] = &["sum", "reduce", "fold_with", "product"];
-
-/// Rayon adapters that fan a computation out across threads.
-const PAR_ADAPTERS: &[&str] = &[
-    "par_iter",
-    "par_iter_mut",
-    "into_par_iter",
-    "par_chunks",
-    "par_chunks_exact",
-    "par_bridge",
-];
-
-fn determinism_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        match name {
-            "Instant" | "SystemTime" => {
-                // `Instant::now()` / any SystemTime use: wall-clock reads
-                // make scan output depend on scheduling.
-                out.push(violation(
-                    file,
-                    t.line,
-                    "det.time",
-                    format!("`{name}` in a deterministic path (wall-clock dependence)"),
-                ));
-            }
-            "thread_rng" | "ThreadRng" if is_method_or_path_call(tokens, i) => {
-                out.push(violation(
-                    file,
-                    t.line,
-                    "det.rng",
-                    format!("`{name}` in a deterministic path (unseeded RNG); use a seeded StdRng"),
-                ));
-            }
-            // `rand::random` free function (a method `rng.random()` on a
-            // seeded generator is deterministic and fine).
-            "random"
-                if i >= 1
-                    && tokens[i - 1].is_punct(':')
-                    && matches!(tokens.get(i + 1), Some(t) if t.is_punct('(')) =>
-            {
-                out.push(violation(
-                    file,
-                    t.line,
-                    "det.rng",
-                    "`rand::random` in a deterministic path (unseeded RNG); use a seeded StdRng",
-                ));
-            }
-            "HashMap" | "HashSet" => {
-                out.push(violation(
-                    file,
-                    t.line,
-                    "det.hash-collection",
-                    format!(
-                        "`{name}` in a deterministic path (iteration order varies per process); \
-                         use BTreeMap/BTreeSet or a Vec"
-                    ),
-                ));
-            }
-            _ if PAR_ADAPTERS.contains(&name) => {
-                // Look ahead within the same statement for an
-                // order-sensitive reduction.
-                if let Some((j, red)) = find_reducer_in_statement(tokens, i) {
-                    out.push(violation(
-                        file,
-                        tokens[j].line,
-                        "det.unordered-reduce",
-                        format!(
-                            "`{name}()…{red}()` reduces floats in a thread-dependent order; \
-                             reduce per-chunk then combine sequentially"
-                        ),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// `true` if the identifier at `i` is used as a call or path segment
-/// (`thread_rng()`, `rand::thread_rng`, `rng.random()`), not a mere
-/// variable named e.g. `random`.
-fn is_method_or_path_call(tokens: &[Token], i: usize) -> bool {
-    matches!(tokens.get(i + 1), Some(t) if t.is_punct('('))
-        || matches!(tokens.get(i + 1), Some(t) if t.is_punct(':'))
-}
-
-/// Scans forward from a parallel adapter to the end of the statement,
-/// returning the first order-sensitive reducer called *on the chain
-/// itself* (paren depth 0). A reducer nested inside a `.map(|chunk| …)`
-/// argument runs per-item/per-chunk and stays deterministic — that is
-/// exactly the recommended rewrite, so it must not be flagged.
-fn find_reducer_in_statement(tokens: &[Token], start: usize) -> Option<(usize, &'static str)> {
-    let mut j = start + 1;
-    let mut brace_depth = 0usize;
-    let mut paren_depth = 0usize;
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.is_punct('{') {
-            brace_depth += 1;
-        } else if t.is_punct('}') {
-            if brace_depth == 0 {
-                return None;
-            }
-            brace_depth -= 1;
-        } else if t.is_punct('(') || t.is_punct('[') {
-            paren_depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            paren_depth = paren_depth.saturating_sub(1);
-        } else if t.is_punct(';') && brace_depth == 0 && paren_depth == 0 {
-            return None;
-        } else if brace_depth == 0 && paren_depth == 0 {
-            if let Some(name) = t.ident() {
-                if let Some(red) = UNORDERED_REDUCERS.iter().find(|r| **r == name) {
-                    // Must be a method call: `.sum(` / `.reduce(`.
-                    let dotted = j >= 1 && tokens[j - 1].is_punct('.');
-                    let called =
-                        matches!(tokens.get(j + 1), Some(t) if t.is_punct('(') || t.is_punct(':'));
-                    if dotted && called {
-                        return Some((j, red));
-                    }
-                }
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// Family 2: panic-freedom
+// Family 1: panic-freedom
 // ---------------------------------------------------------------------------
 
 /// Keywords that, before `[`, mean the bracket is not an index expression
@@ -299,35 +141,49 @@ const NON_INDEX_PREFIX_KEYWORDS: &[&str] = &[
 /// the rule targets implicit panics, not explicit contracts.
 const FLAGGED_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-pub(crate) fn panic_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
+/// One direct panic site, as [`panic_sites`] finds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PanicSite {
+    /// `.unwrap()`. No `panic.*` rule reports it (clippy's `unwrap_used`
+    /// does), but it is still a `reach.panic` sink.
+    Unwrap,
+    /// `.expect(…)`: `panic.expect`.
+    Expect,
+    /// One of [`FLAGGED_MACROS`]: `panic.macro`.
+    Macro(&'static str),
+    /// A direct index expression: `panic.indexing`.
+    Indexing,
+}
+
+impl PanicSite {
+    /// How a `reach.panic` trace names this sink.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Self::Unwrap => "`.unwrap()`",
+            Self::Expect => "`.expect()`",
+            Self::Macro(_) => "panicking macro",
+            Self::Indexing => "unchecked indexing",
+        }
+    }
+}
+
+/// Every direct panic site in `tokens`, with its line, in token order.
+pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<(usize, PanicSite)> {
+    let mut sites = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        // `.unwrap()` / `.expect(` at method position.
+        // `.unwrap()` / `.expect(` at method position, or a flagged macro.
         if let Some(name) = t.ident() {
             let dotted = i >= 1 && tokens[i - 1].is_punct('.');
             let called = matches!(tokens.get(i + 1), Some(t) if t.is_punct('('));
+            let banged = matches!(tokens.get(i + 1), Some(t) if t.is_punct('!'));
             if dotted && called && name == "unwrap" {
-                out.push(violation(
-                    file,
-                    t.line,
-                    "panic.unwrap",
-                    "`.unwrap()` in non-test library code; return a typed error or use a total method",
-                ));
+                sites.push((t.line, PanicSite::Unwrap));
             } else if dotted && called && name == "expect" {
-                out.push(violation(
-                    file,
-                    t.line,
-                    "panic.expect",
-                    "`.expect()` in non-test library code; return a typed error or allowlist with justification",
-                ));
-            } else if matches!(tokens.get(i + 1), Some(t) if t.is_punct('!'))
-                && FLAGGED_MACROS.contains(&name)
-            {
-                out.push(violation(
-                    file,
-                    t.line,
-                    "panic.macro",
-                    format!("`{name}!` in non-test library code; return a typed error instead"),
-                ));
+                sites.push((t.line, PanicSite::Expect));
+            } else if banged {
+                if let Some(m) = FLAGGED_MACROS.iter().find(|m| **m == name) {
+                    sites.push((t.line, PanicSite::Macro(m)));
+                }
             }
         }
 
@@ -335,14 +191,33 @@ pub(crate) fn panic_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>)
         // identifier, `]` or `)`. `[..]` (full range) cannot panic and is
         // exempt; everything else (including partial ranges) can.
         if index_site(tokens, i) {
-            out.push(violation(
-                file,
-                t.line,
+            sites.push((t.line, PanicSite::Indexing));
+        }
+    }
+    sites
+}
+
+fn panic_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
+    for (line, site) in panic_sites(tokens) {
+        let (rule, message) = match site {
+            PanicSite::Unwrap => continue,
+            PanicSite::Expect => (
+                "panic.expect",
+                "`.expect()` in non-test library code; return a typed error or allowlist with justification"
+                    .to_string(),
+            ),
+            PanicSite::Macro(name) => (
+                "panic.macro",
+                format!("`{name}!` in non-test library code; return a typed error instead"),
+            ),
+            PanicSite::Indexing => (
                 "panic.indexing",
                 "direct slice indexing can panic; use get()/get_mut() or iterate, \
-                 or allowlist with a bounds justification",
-            ));
-        }
+                 or allowlist with a bounds justification"
+                    .to_string(),
+            ),
+        };
+        out.push(violation(file, line, rule, message));
     }
 }
 
@@ -366,7 +241,7 @@ pub(crate) fn index_site(tokens: &[Token], i: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Family 3: unit-safety
+// Family 2: unit-safety
 // ---------------------------------------------------------------------------
 
 /// Maps a parameter name to the `bsa-units` newtype it should use, if the
@@ -550,7 +425,6 @@ mod tests {
     use crate::lexer::{lex, strip_test_code};
 
     const ALL: RuleSet = RuleSet {
-        determinism: true,
         panic_freedom: true,
         unit_safety: true,
     };
@@ -564,62 +438,24 @@ mod tests {
     }
 
     #[test]
-    fn flags_instant_now() {
-        assert_eq!(
-            rules_found("fn f() { let t = Instant::now(); }"),
-            vec!["det.time"]
-        );
-    }
-
-    #[test]
-    fn flags_thread_rng_but_not_variables_named_random() {
-        assert_eq!(
-            rules_found("fn f() { let mut rng = rand::thread_rng(); }"),
-            vec!["det.rng"]
-        );
-        assert!(rules_found("fn f(random: u64) { let x = random + 1; }").is_empty());
-    }
-
-    #[test]
-    fn flags_hash_collections() {
-        assert_eq!(
-            rules_found("use std::collections::HashMap; "),
-            vec!["det.hash-collection"]
-        );
-    }
-
-    #[test]
-    fn flags_unordered_parallel_sum() {
-        let src = "fn f(x: &[f64]) -> f64 { x.par_iter().map(|v| v * v).sum() }";
-        // `}` terminates the statement scan only at depth 0; the closure
-        // braces are `|v| v * v` (no braces), so the reducer is found.
-        assert_eq!(rules_found(src), vec!["det.unordered-reduce"]);
-    }
-
-    #[test]
-    fn per_chunk_sum_then_sequential_combine_is_fine() {
-        let src = "fn f(x: &[f64]) -> f64 { \
-                   let p: Vec<f64> = x.par_chunks(1024).map(|c| c.iter().sum::<f64>()).collect(); \
-                   p.iter().sum() }";
-        assert!(rules_found(src).is_empty());
-    }
-
-    #[test]
-    fn allows_ordered_parallel_collect() {
-        let src = "fn f(x: &[f64]) -> Vec<f64> { x.par_iter().map(|v| v * v).collect() }";
-        assert!(rules_found(src).is_empty());
-    }
-
-    #[test]
-    fn flags_unwrap_and_expect_only_as_method_calls() {
-        assert_eq!(rules_found("fn f() { x.unwrap(); }"), vec!["panic.unwrap"]);
+    fn flags_expect_only_as_method_calls() {
         assert_eq!(
             rules_found("fn f() { x.expect(\"msg\"); }"),
             vec!["panic.expect"]
         );
+        assert!(rules_found("fn f(expect: u8) { let y = expect + 1; }").is_empty());
+    }
+
+    #[test]
+    fn unwrap_is_a_site_but_not_a_finding() {
+        // clippy's `unwrap_used` reports it; `reach.panic` still needs the
+        // site, so `panic_sites` keeps it.
+        assert!(rules_found("fn f() { x.unwrap(); }").is_empty());
+        let tokens = lex("fn f() { x.unwrap(); }");
+        assert_eq!(panic_sites(&tokens), vec![(1, PanicSite::Unwrap)]);
         // unwrap_or and friends are total.
-        assert!(rules_found("fn f() { x.unwrap_or(0.0); }").is_empty());
-        assert!(rules_found("fn f() { x.unwrap_or_else(|| 0.0); }").is_empty());
+        assert!(panic_sites(&lex("fn f() { x.unwrap_or(0.0); }")).is_empty());
+        assert!(panic_sites(&lex("fn f() { x.unwrap_or_else(|| 0.0); }")).is_empty());
     }
 
     #[test]
@@ -726,7 +562,7 @@ mod tests {
 
     #[test]
     fn violations_are_sorted_by_line() {
-        let src = "fn f() {\n x.unwrap();\n let t = Instant::now();\n}";
+        let src = "fn f(x: &[u8]) {\n x.expect(\"y\");\n let t = x[0];\n}";
         let v = check(src);
         assert_eq!(v.len(), 2);
         assert!(v[0].line < v[1].line);

@@ -1,4 +1,4 @@
-//! Function summaries: interprocedural interval contracts (DESIGN.md §16).
+//! Function summaries: interprocedural interval contracts (DESIGN.md §9.4).
 //!
 //! PR 8's interval prover is intraprocedural — a bound established inside
 //! one function is invisible to its callers. This module lifts it one

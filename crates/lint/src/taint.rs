@@ -1,5 +1,5 @@
 //! Interprocedural taint tracking over the wire trust boundary
-//! (DESIGN.md §16).
+//! (DESIGN.md §9.4).
 //!
 //! Everything a peer or a stored segment can influence is *tainted*:
 //! values produced by the little-endian decode helpers (`Reader`/`Cursor`

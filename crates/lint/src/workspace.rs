@@ -2,25 +2,17 @@
 //!
 //! Scope policy (see DESIGN.md §9):
 //!
-//! * **determinism** (`det.*`) — `crates/core/src`, `crates/dsp/src`,
-//!   `crates/link/src` and `crates/control/src`: the scan/readout and
-//!   signal-processing paths whose bit-identical replay PR 2
-//!   guarantees, the wire codec (a codec that consulted clocks or
-//!   random state could not be a pure function of its bytes), and the
-//!   recovery controller, whose action traces must replay
-//!   bit-identically from a scenario seed (DESIGN.md §12).
-//!   `crates/station` is deliberately *not* in `det.*` scope: it is
-//!   the serving layer, where wall-clock time is legitimate (session
-//!   read timeouts, socket lifecycle) — the determinism boundary sits
-//!   at the chip API it calls into (see DESIGN.md §10).
 //! * **panic-freedom** (`panic.*`) — every library crate's `src/`,
 //!   including this one. `crates/bench` is excluded: it is a binary
 //!   harness where `unwrap` on startup is idiomatic.
 //! * **unit-safety** (`units.raw-f64`) — every library crate except
 //!   `crates/units` (which defines the newtypes in terms of raw `f64`)
 //!   and this crate (which has no physical API surface).
+//!
+//! Determinism (no wall clock, unseeded RNG or hash-ordered collections
+//! in `bsa-core`, `bsa-dsp`, `bsa-link` and `bsa-control`) is not scoped
+//! here: each of those crates carries a `clippy.toml` that bans them.
 
-use crate::abi::{abi_pass, canonical_entries, AbiSummary, LockState, LOCK_FILE};
 use crate::allow::Allowlist;
 use crate::conc::{conc_pass, CONTROL_PREFIX, STATION_PREFIX, STORE_PREFIX};
 use crate::flow::flow_pass;
@@ -62,10 +54,6 @@ pub fn rules_for(rel_path: &str) -> RuleSet {
         return RuleSet::NONE;
     }
     RuleSet {
-        determinism: in_crate_src("core")
-            || in_crate_src("dsp")
-            || in_crate_src("link")
-            || in_crate_src("control"),
         panic_freedom: true,
         unit_safety: !in_crate_src("units") && !in_crate_src("lint"),
     }
@@ -115,14 +103,6 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lexes, test-strips and rule-checks a single file (lexical rules only —
-/// the semantic passes need the whole workspace; see [`check_sources`]).
-pub fn check_file(root: &Path, rel_path: &str) -> io::Result<Vec<Violation>> {
-    let source = fs::read_to_string(root.join(rel_path))?;
-    let tokens = strip_test_code(&lex(&source));
-    Ok(run_rules(rel_path, &tokens, rules_for(rel_path)))
-}
-
 /// One in-scope file, lexed and test-stripped — the unit the semantic
 /// passes consume.
 #[derive(Debug, Clone)]
@@ -158,8 +138,10 @@ const UNIT_FLOW_PREFIXES: &[&str] = &[
 ];
 
 /// Wall-clock cost of each analysis stage, in microseconds. The lint
-/// crate is outside `det.*` scope, so reading the monotonic clock here is
-/// legal — these numbers are diagnostics, never analysis inputs.
+/// crate carries no `clippy.toml` clock ban, so reading the monotonic
+/// clock here is legal — these numbers are diagnostics, never analysis
+/// inputs. The `proto.error-reply` check is too small to time on its own
+/// and counts only towards the total.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PassTimings {
     pub lexical_us: u128,
@@ -168,10 +150,8 @@ pub struct PassTimings {
     pub summary_us: u128,
     pub taint_us: u128,
     pub reach_us: u128,
-    pub proto_us: u128,
     pub conc_us: u128,
     pub lock_order_us: u128,
-    pub abi_us: u128,
     pub total_us: u128,
 }
 
@@ -180,32 +160,24 @@ pub struct PassTimings {
 pub struct CheckOutcome {
     /// Every violation, sorted by (file, line, rule).
     pub violations: Vec<Violation>,
-    /// Protocol coverage counts.
+    /// Reply-code coverage counts.
     pub proto: ProtoSummary,
-    /// Wire-ABI lock comparison, when a lock state was supplied.
-    pub abi: Option<AbiSummary>,
     /// Per-pass elapsed wall-clock.
     pub timings: PassTimings,
 }
 
 /// Runs every pass — per-file lexical rules, intraprocedural dataflow
 /// (`flow.*`), then the workspace-level semantic passes (panic
-/// reachability, protocol exhaustiveness, concurrency discipline,
-/// lock-order acyclicity, wire-ABI lock) — over pre-loaded sources.
+/// reachability, reply-code coverage, concurrency discipline,
+/// lock-order acyclicity) — over pre-loaded sources.
 ///
 /// The allowlist is input (not just output reconciliation) because
 /// `reach.panic` treats allowlisted indexing budgets as local bounds
 /// proofs. `flow.range` proofs *discharge* `panic.indexing` findings
 /// before they are returned: a line whose every index site the interval
 /// analysis proved in bounds needs no allowlist budget, and its sinks do
-/// not propagate through `reach.panic` either. Pass `None` for `lock` to
-/// skip the ABI comparison (unit tests); the real entry point
-/// [`check_workspace`] always supplies the on-disk lock state.
-pub fn check_sources_full(
-    sources: &[SourceFile],
-    allow: &Allowlist,
-    lock: Option<&LockState>,
-) -> CheckOutcome {
+/// not propagate through `reach.panic` either.
+pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome {
     let started = Instant::now();
     let mut timings = PassTimings::default();
     let mut all = Vec::new();
@@ -261,9 +233,7 @@ pub fn check_sources_full(
     reach_pass(sources, &parsed, allow, &proven, &mut all);
     timings.reach_us = t.elapsed().as_micros();
 
-    let t = Instant::now();
     let summary = proto_pass(sources, &parsed, &ProtoConfig::WORKSPACE, &mut all);
-    timings.proto_us = t.elapsed().as_micros();
 
     let t = Instant::now();
     conc_pass(sources, &parsed, STATION_PREFIX, &mut all);
@@ -280,43 +250,18 @@ pub fn check_sources_full(
     );
     timings.lock_order_us = t.elapsed().as_micros();
 
-    let t = Instant::now();
-    let abi = lock.map(|state| abi_pass(&canonical_entries(), state, &mut all));
-    timings.abi_us = t.elapsed().as_micros();
-
     all.sort_by(|a, b| (a.file.clone(), a.line, a.rule).cmp(&(b.file.clone(), b.line, b.rule)));
     timings.total_us = started.elapsed().as_micros();
     CheckOutcome {
         violations: all,
         proto: summary,
-        abi,
         timings,
     }
 }
 
-/// Compatibility shim over [`check_sources_full`]: no ABI lock, discard
-/// timings. Kept because the fixture tests and older callers only need
-/// the violation list and protocol summary.
-pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> (Vec<Violation>, ProtoSummary) {
-    let outcome = check_sources_full(sources, allow, None);
-    (outcome.violations, outcome.proto)
-}
-
-/// Reads the committed wire-ABI lock from the workspace root. A missing
-/// file is a reportable state (the `abi` pass flags it), not an error.
-pub fn load_lock_state(root: &Path) -> LockState {
-    match fs::read_to_string(root.join(LOCK_FILE)) {
-        Ok(text) => LockState::Present(text),
-        Err(_) => LockState::Missing,
-    }
-}
-
-/// Runs the full analysis over every in-scope workspace file, including
-/// the ABI comparison against the committed `link.abi.lock`.
+/// Runs the full analysis over every in-scope workspace file.
 pub fn check_workspace(root: &Path, allow: &Allowlist) -> io::Result<CheckOutcome> {
-    let sources = load_sources(root)?;
-    let lock = load_lock_state(root);
-    Ok(check_sources_full(&sources, allow, Some(&lock)))
+    Ok(check_sources(&load_sources(root)?, allow))
 }
 
 #[cfg(test)]
@@ -325,39 +270,24 @@ mod tests {
 
     #[test]
     fn scope_policy() {
-        let core = rules_for("crates/core/src/scan.rs");
-        assert!(core.determinism && core.panic_freedom && core.unit_safety);
-
-        let dsp = rules_for("crates/dsp/src/filter.rs");
-        assert!(dsp.determinism && dsp.panic_freedom && dsp.unit_safety);
-
-        let circuit = rules_for("crates/circuit/src/mosfet.rs");
-        assert!(!circuit.determinism && circuit.panic_freedom && circuit.unit_safety);
+        for lib in [
+            "crates/core/src/scan.rs",
+            "crates/dsp/src/filter.rs",
+            "crates/circuit/src/mosfet.rs",
+            "crates/link/src/message.rs",
+            "crates/station/src/server.rs",
+            "crates/control/src/policy.rs",
+            "crates/store/src/reader.rs",
+        ] {
+            let rules = rules_for(lib);
+            assert!(rules.panic_freedom && rules.unit_safety, "{lib}");
+        }
 
         let units = rules_for("crates/units/src/lib.rs");
         assert!(units.panic_freedom && !units.unit_safety);
 
         let lint = rules_for("crates/lint/src/rules.rs");
-        assert!(lint.panic_freedom && !lint.unit_safety && !lint.determinism);
-
-        // The wire codec must be a pure function of its bytes: full scope.
-        let link = rules_for("crates/link/src/message.rs");
-        assert!(link.determinism && link.panic_freedom && link.unit_safety);
-
-        // The serving layer may touch wall-clock (timeouts, sockets) but
-        // still must not panic and must keep units typed.
-        let station = rules_for("crates/station/src/server.rs");
-        assert!(!station.determinism && station.panic_freedom && station.unit_safety);
-
-        // The recovery controller replays bit-identically from a seed:
-        // full determinism scope on top of panic freedom and units.
-        let control = rules_for("crates/control/src/policy.rs");
-        assert!(control.determinism && control.panic_freedom && control.unit_safety);
-
-        // The frame store touches the filesystem (wall-clock-legal like
-        // the station) but must stay panic-free with typed units.
-        let store = rules_for("crates/store/src/reader.rs");
-        assert!(!store.determinism && store.panic_freedom && store.unit_safety);
+        assert!(lint.panic_freedom && !lint.unit_safety);
 
         assert!(!rules_for("crates/bench/src/bin/exp_f2.rs").any());
         assert!(!rules_for("crates/core/tests/integration.rs").any());

@@ -6,16 +6,15 @@
 use bsa_lint::lexer::{lex, strip_test_code};
 use bsa_lint::rules::{run_rules, RuleSet};
 use bsa_lint::{
-    abi_pass, compute_summaries, conc_pass, flow_pass, lock_order_pass, parse_file, proto_pass,
-    reach_pass, summary_pass, taint_pass, AbiEntry, Allowlist, LockState, ParsedFile, ProtoConfig,
-    SourceFile, Violation, STATION_PREFIX,
+    compute_summaries, conc_pass, flow_pass, lock_order_pass, parse_file, proto_pass, reach_pass,
+    summary_pass, taint_pass, Allowlist, ParsedFile, ProtoConfig, SourceFile, Violation,
+    STATION_PREFIX,
 };
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 const ALL: RuleSet = RuleSet {
-    determinism: true,
     panic_freedom: true,
     unit_safety: true,
 };
@@ -98,20 +97,13 @@ fn assert_markers(
 }
 
 /// Fixture-local proto wiring: the single fixture file plays both the
-/// codec and the station (the idiom split — `Self::…` vs `Message::…` —
-/// keeps the two halves distinguishable, exactly as in the workspace).
+/// codec (the enum definition) and the station (the `ErrorCode::…`
+/// constructions).
 const FIXTURE_PROTO: ProtoConfig = ProtoConfig {
-    message_enum: "Message",
     codec_prefix: "crates/lint/fixtures/",
     handler_prefix: "crates/lint/fixtures/",
-    error_enum: "ProtocolError",
     reply_enum: "ErrorCode",
 };
-
-#[test]
-fn determinism_fixture_is_fully_flagged() {
-    check_fixture("determinism.rs", ALL);
-}
 
 #[test]
 fn panics_fixture_is_fully_flagged() {
@@ -244,36 +236,6 @@ fn locks_fixture_is_fully_flagged() {
 }
 
 #[test]
-fn abi_fixture_is_fully_flagged() {
-    // The fixture is faux lock text, not Rust: strip the markers off each
-    // line (keeping line numbers intact), present the rest as the lock,
-    // and diff it against a synthetic three-variant HEAD.
-    let source = fixture("abi.rs");
-    let expected = expected_markers(&source);
-    let lock_text: String = source
-        .lines()
-        .map(|l| l.split("//~").next().unwrap_or(l))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let current = [
-        ("Hello", 0x01u8, 2usize, 0x11u64),
-        ("Ping", 0x02, 3, 0xaa),
-        ("Pong", 0x03, 9, 0xdead),
-    ]
-    .map(|(variant, tag, len, hash)| AbiEntry {
-        variant: variant.to_string(),
-        tag,
-        len,
-        hash,
-    });
-    let mut violations = Vec::new();
-    let summary = abi_pass(&current, &LockState::Present(lock_text), &mut violations);
-    assert!(summary.lock_present);
-    assert_eq!(summary.matched, 1, "only Ping matches: {violations:#?}");
-    assert_markers("abi.rs", &expected, &violations);
-}
-
-#[test]
 fn clean_fixture_has_zero_violations() {
     let source = fixture("clean.rs");
     assert!(
@@ -288,7 +250,6 @@ fn clean_fixture_has_zero_violations() {
 fn every_rule_id_is_exercised_by_some_fixture() {
     let mut seen: Vec<String> = Vec::new();
     for name in [
-        "determinism.rs",
         "panics.rs",
         "units.rs",
         "reach.rs",
@@ -296,7 +257,6 @@ fn every_rule_id_is_exercised_by_some_fixture() {
         "conc.rs",
         "flow.rs",
         "locks.rs",
-        "abi.rs",
         "summary.rs",
         "taint.rs",
     ] {

@@ -36,10 +36,8 @@ fn full_workspace_check_stays_under_wall_clock_ceiling() {
         + t.flow_us
         + t.taint_us
         + t.reach_us
-        + t.proto_us
         + t.conc_us
-        + t.lock_order_us
-        + t.abi_us;
+        + t.lock_order_us;
     assert!(parts <= t.total_us, "pass timings exceed the total: {t:?}");
 
     assert!(

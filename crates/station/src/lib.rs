@@ -1,5 +1,5 @@
 // Tests unwrap idiomatically; the workspace-level `clippy::unwrap_used`
-// only polices non-test code (bsa-lint enforces the same split).
+// only polices non-test code, and CI promotes its warnings to errors.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 //! `bsa-station` — a multi-chip acquisition server for the simulated
 //! biosensor arrays of Thewes et al. (DATE 2005).
@@ -21,7 +21,7 @@
 //! each request from one acquisition cursor, whose chunks reproduce a
 //! single `record()` of the whole request. Wall-clock time exists only
 //! *around* the chips — session read timeouts, socket lifecycle — never
-//! inside them; this is why `bsa-lint`'s `det.*` rules cover the chip
+//! inside them; this is why the `clippy.toml` clock bans cover the chip
 //! crates but deliberately exclude this one (see DESIGN.md §10).
 //!
 //! # Quickstart

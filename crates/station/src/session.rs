@@ -315,7 +315,24 @@ impl Session {
             Message::Replay { name, chunk_frames } => self.replay(&name, chunk_frames),
             // Server-to-client messages arriving at the server are a
             // client bug, not a transport failure: answer and carry on.
-            other => self.out.send_control(error_reply(
+            // Named one by one (no `_`), so a new variant does not compile
+            // until it is either served above or listed here.
+            other @ (Message::HelloAck { .. }
+            | Message::Pong { .. }
+            | Message::Attached { .. }
+            | Message::Detached { .. }
+            | Message::CalibrationDone { .. }
+            | Message::HealthReport { .. }
+            | Message::Masked { .. }
+            | Message::AssayResult { .. }
+            | Message::StreamData { .. }
+            | Message::StreamEnd { .. }
+            | Message::StatsReport(_)
+            | Message::Ack
+            | Message::ErrorReply { .. }
+            | Message::RecordingStarted { .. }
+            | Message::RecordingStopped { .. }
+            | Message::RecordingList { .. }) => self.out.send_control(error_reply(
                 ErrorCode::BadRequest,
                 format!("unexpected message at server: {other:?}"),
             )),

@@ -11,8 +11,8 @@
 
 use bsa_core::neuro_chip::NeuroChip;
 use bsa_link::{
-    read_message, write_message, CultureSpec, DnaChipSpec, FaultEntrySpec, FaultKindSpec,
-    FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, TargetSpec,
+    read_message, write_message, CultureSpec, DnaChipSpec, ErrorCode, FaultEntrySpec,
+    FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, TargetSpec,
 };
 use bsa_station::{
     culture_from_spec, neuro_config_from_spec, Station, StationClient, StationConfig,
@@ -302,6 +302,32 @@ fn server_replies_with_typed_errors() {
     client.detach(attached.chip).unwrap();
     let err = client.calibrate(attached.chip).unwrap_err();
     assert!(matches!(err, bsa_station::ClientError::Server { .. }));
+}
+
+/// A server-to-client message sent *to* the station is a client bug: it
+/// is answered with `BadRequest` and the session keeps serving.
+#[test]
+fn server_bound_reply_is_refused_and_session_survives() {
+    let station = start_station();
+    let mut client = TcpStream::connect(station.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    write_message(&mut client, &Message::Pong { token: 3 }).unwrap();
+    match read_message(&mut client).unwrap() {
+        Message::ErrorReply { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("Pong"), "{message}");
+        }
+        other => panic!("expected ErrorReply, got {other:?}"),
+    }
+
+    write_message(&mut client, &Message::Ping { token: 4 }).unwrap();
+    assert_eq!(
+        read_message(&mut client).unwrap(),
+        Message::Pong { token: 4 }
+    );
 }
 
 /// Station shutdown mid-stream is graceful: the in-flight stream is

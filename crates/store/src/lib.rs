@@ -1,5 +1,5 @@
 // Tests unwrap idiomatically; the workspace-level `clippy::unwrap_used`
-// only polices non-test code (bsa-lint enforces the same split).
+// only polices non-test code, and CI promotes its warnings to errors.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 //! `bsa-store` — persistent append-only frame store for biosensor-array
 //! acquisitions.
@@ -28,7 +28,7 @@
 //!   by one of three CRC-8 trailers or pinned by a structural equation,
 //!   so single-byte corruption is always detected, never served.
 //! * **Wall-clock-legal, but deterministic anyway.** The store sits with
-//!   the station outside the `det.*` boundary, yet takes no timestamps:
+//!   the station outside the determinism bans, yet takes no timestamps:
 //!   the `epoch` field is the acquisition's stream-request ordinal, so
 //!   identical acquisitions produce identical segments.
 
