@@ -1,7 +1,7 @@
 // Tests unwrap idiomatically; the workspace-level `clippy::unwrap_used`
 // only polices non-test code, and CI promotes its warnings to errors.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-//! Experiment harness for the paper-reproduction binaries and benches.
+//! Experiment harness for the paper-reproduction binaries.
 //!
 //! Each figure of Thewes et al. (DATE 2005) has a binary in `src/bin/`
 //! (`exp_f1` … `exp_t1`) that regenerates the corresponding data; this

@@ -5,7 +5,6 @@
 
 use crate::error::{require_in_range, CircuitError};
 use bsa_units::{Seconds, Volt};
-use serde::{Deserialize, Serialize};
 
 /// Continuous-time comparator.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// hysteresis. Transitions propagate to the output after a fixed delay,
 /// which in the sawtooth converter adds a current-independent term to the
 /// conversion period and compresses the transfer curve at high currents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparator {
     threshold: Volt,
     offset: Volt,
@@ -137,7 +136,7 @@ pub struct ComparatorOutput {
 /// Monostable delay stage: converts a trigger edge into a reset pulse of
 /// fixed width, after a fixed delay (paper Fig. 3 timing: τ_delay sets when
 /// the reset transistor M_res closes, τ₂−τ₁ its on-time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayStage {
     delay: Seconds,
     pulse_width: Seconds,

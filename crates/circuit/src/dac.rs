@@ -10,14 +10,13 @@ use crate::error::{require_in_range, require_positive, CircuitError};
 use crate::noise::GaussianSampler;
 use bsa_units::Volt;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Binary-weighted voltage DAC with per-element mismatch.
 ///
 /// Output for code `d`: `v_lo + (v_hi − v_lo) · Σ w_k·b_k / Σ w_k` where the
 /// weights `w_k = 2^k·(1 + ε_k)` carry static element errors, giving the
 /// converter realistic INL/DNL.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dac {
     bits: u8,
     v_lo: Volt,

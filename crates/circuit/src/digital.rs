@@ -2,15 +2,13 @@
 //! registers behind the serial readout ("the number of reset pulses is
 //! counted with a digital counter within a given time frame", paper §2).
 
-use serde::{Deserialize, Serialize};
-
 /// Saturating event counter of configurable width.
 ///
 /// The DNA pixel counts comparator reset pulses; the count within the
 /// measurement frame is the digitized sensor current. Hardware counters
 /// have finite width, so the model saturates (and reports it) rather than
 /// wrapping, matching the chip's overflow flag.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventCounter {
     bits: u8,
     count: u64,
@@ -75,7 +73,7 @@ impl EventCounter {
 }
 
 /// Parallel-in/serial-out shift register used by the array readout.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShiftRegister {
     bits: Vec<bool>,
 }

@@ -19,10 +19,9 @@ use crate::mosfet::{Mosfet, MosfetParams};
 use crate::noise::GaussianSampler;
 use bsa_units::Volt;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Pelgrom mismatch coefficients for a CMOS process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PelgromModel {
     /// Threshold-matching coefficient A_VT in mV·µm.
     pub a_vt_mv_um: f64,
@@ -92,7 +91,7 @@ impl PelgromModel {
 }
 
 /// Global process corner: shifts that affect all devices on a die together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessCorner {
     /// Typical-typical.
     Tt,

@@ -18,10 +18,9 @@
 use crate::error::{require_positive, CircuitError};
 use bsa_units::consts::thermal_voltage;
 use bsa_units::{Ampere, Kelvin, Siemens, Volt};
-use serde::{Deserialize, Serialize};
 
 /// Device polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Polarity {
     /// N-channel device.
     Nmos,
@@ -34,7 +33,7 @@ pub enum Polarity {
 /// All voltages are referred to the source-bulk-shorted configuration; the
 /// model handles polarity internally so that a PMOS device can be driven
 /// with the same positive-down conventions used in the chip netlists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MosfetParams {
     /// Device polarity.
     pub polarity: Polarity,
@@ -137,7 +136,7 @@ impl MosfetParams {
 /// Construct nominal devices with [`Mosfet::new`]; per-device threshold and
 /// gain mismatch is applied by [`Mosfet::with_mismatch`] (typically sampled
 /// from [`crate::mismatch::PelgromModel`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mosfet {
     params: MosfetParams,
     delta_vth: Volt,

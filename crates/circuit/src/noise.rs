@@ -22,7 +22,7 @@ use rand::Rng;
 /// one `ln`/`sqrt` pair per two samples — and no trigonometry at all,
 /// which matters in the readout inner loop where this sampler runs once
 /// per pixel sample.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GaussianSampler {
     spare: Option<f64>,
 }

@@ -6,12 +6,11 @@
 
 use crate::error::{require_positive, CircuitError};
 use bsa_units::{Hertz, Seconds, Volt};
-use serde::{Deserialize, Serialize};
 
 /// Behavioural op-amp: finite DC gain, single-pole dynamics set by the
 /// gain–bandwidth product, slew-rate limiting, output clamping and input
 /// offset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpAmp {
     dc_gain: f64,
     gbw: Hertz,
@@ -23,7 +22,7 @@ pub struct OpAmp {
 }
 
 /// Builder-style configuration for [`OpAmp`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpAmpSpec {
     /// Open-loop DC gain (V/V).
     pub dc_gain: f64,

@@ -3,7 +3,6 @@
 
 use crate::error::{require_positive, CircuitError};
 use bsa_units::{Ampere, Coulomb, Farad, Ohm, Seconds, Volt};
-use serde::{Deserialize, Serialize};
 
 /// A capacitor holding a voltage state.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// and the calibration storage capacitor on the neural pixel's sensor gate
 /// (paper Fig. 6). Supports charging by a current over a time step, direct
 /// charge injection, leakage-driven droop, and hard reset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Capacitor {
     capacitance: Farad,
     voltage: Volt,
@@ -76,7 +75,7 @@ impl Capacitor {
 /// Q_ch = W·L·C_ox·(V_GS − V_T) spills onto the sampling node, plus overlap
 /// coupling of the gate swing. On the neural pixel this is one of the two
 /// residual errors the calibration cannot remove (the other is droop).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MosSwitch {
     on_resistance: Ohm,
     injected_charge: Coulomb,
@@ -145,7 +144,7 @@ impl MosSwitch {
 }
 
 /// Resistor (e.g. cleft seal resistance, electrode spreading resistance).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resistor {
     resistance: Ohm,
 }
@@ -181,7 +180,7 @@ impl Resistor {
 ///
 /// Models the calibration current source M2 of the neural pixel and the
 /// reference currents distributed across the DNA chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurrentSource {
     nominal: Ampere,
     output_resistance: Ohm,

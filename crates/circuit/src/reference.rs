@@ -6,13 +6,12 @@ use crate::error::{require_positive, CircuitError};
 use crate::mismatch::PelgromModel;
 use bsa_units::{Ampere, Kelvin, Volt};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Bandgap voltage reference with second-order temperature curvature and
 /// finite line regulation.
 ///
 /// V_ref(T, V_DD) = V_BG + a·(T − T₀)² + k_line·(V_DD − V_DD0)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandgapReference {
     nominal: Volt,
     curvature_v_per_k2: f64,
@@ -84,7 +83,7 @@ impl BandgapReference {
 /// Models the distribution of the calibration/reference currents across
 /// array rows and the M5…M11 mirror stages of the neural readout chain
 /// (paper Fig. 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurrentMirror {
     nominal_ratio: f64,
     ratio_error: f64,
@@ -135,7 +134,7 @@ impl CurrentMirror {
 /// Trimmed master current reference fanned out to `n` branch outputs with
 /// per-branch mirror mismatch — the "current references" block of the DNA
 /// chip periphery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurrentReferenceTree {
     master: Ampere,
     branches: Vec<CurrentMirror>,

@@ -12,10 +12,9 @@ use crate::error::CircuitError;
 use crate::mosfet::{Mosfet, MosfetParams};
 use crate::opamp::{OpAmp, OpAmpSpec};
 use bsa_units::{Ampere, Farad, Seconds, Volt};
-use serde::{Deserialize, Serialize};
 
 /// Closed-loop electrode-potential regulator: op-amp + source follower.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegulationLoop {
     amp: OpAmp,
     follower: Mosfet,

@@ -2,14 +2,13 @@
 
 use crate::error::{require_positive, CircuitError};
 use bsa_units::{Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A uniformly sampled real-valued waveform.
 ///
 /// Used for analog node voltages in transient runs (e.g. the sawtooth at
 /// the DNA pixel's integration node, paper Fig. 3 timing diagram) and for
 /// the per-pixel time series of the neural array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     dt: Seconds,
     samples: Vec<f64>,
@@ -156,7 +155,7 @@ impl Waveform {
 ///
 /// Iterates simulation time deterministically: `for t in clock.iter() { … }`
 /// visits `steps` instants spaced by `dt` starting at 0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientClock {
     dt: Seconds,
     steps: usize,

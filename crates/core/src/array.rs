@@ -2,10 +2,9 @@
 
 use crate::error::ChipError;
 use bsa_units::Meter;
-use serde::{Deserialize, Serialize};
 
 /// Address of one pixel in a sensor array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PixelAddress {
     /// Row index (0-based).
     pub row: usize,
@@ -27,7 +26,7 @@ impl std::fmt::Display for PixelAddress {
 }
 
 /// Rectangular array geometry: dimensions and pixel pitch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayGeometry {
     rows: usize,
     cols: usize,

@@ -11,10 +11,9 @@
 use super::pixel::DnaPixel;
 use bsa_units::{Ampere, Seconds};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-pixel gain-calibration engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GainCalibration {
     /// Reference current injected during calibration.
     pub i_ref: Ampere,
@@ -38,7 +37,7 @@ impl Default for GainCalibration {
 }
 
 /// Outcome of calibrating a full array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationReport {
     /// Gain-correction factors applied, one per pixel.
     pub corrections: Vec<f64>,

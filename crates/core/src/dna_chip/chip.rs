@@ -24,10 +24,9 @@ use bsa_faults::{CompiledFaults, SerialCorruptor};
 use bsa_units::{Ampere, Molar, Seconds, Volt};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a DNA chip instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnaChipConfig {
     /// Array geometry (default: the paper's 16×8).
     pub geometry: ArrayGeometry,
@@ -60,7 +59,7 @@ impl Default for DnaChipConfig {
 }
 
 /// An analyte sample: target species and their concentrations.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SampleMix {
     targets: Vec<(DnaSequence, Molar)>,
 }
@@ -85,7 +84,7 @@ impl SampleMix {
 }
 
 /// Complete readout of one assay run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssayReadout {
     geometry: ArrayGeometry,
     /// Final surface coverage θ per site (ground truth).
@@ -126,7 +125,7 @@ impl AssayReadout {
 }
 
 /// Time-resolved readout of the hybridization phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KineticReadout {
     /// Times into the hybridization phase.
     pub times: Vec<Seconds>,

@@ -16,7 +16,6 @@
 use crate::array::PixelAddress;
 use bsa_circuit::digital::{Deserializer, ShiftRegister};
 use bsa_link::crc::Crc8;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -30,7 +29,7 @@ const SYNC: u8 = 0xA5;
 pub const WORD_BITS: u8 = 56;
 
 /// One pixel reading as transmitted over the serial link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PixelReading {
     /// Pixel address.
     pub address: PixelAddress,

@@ -25,10 +25,9 @@ use bsa_faults::PixelFaults;
 use bsa_units::consts::ELEMENTARY_CHARGE;
 use bsa_units::{Ampere, Farad, Hertz, Seconds, Volt};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Nominal design values of the converter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnaPixelConfig {
     /// Integration capacitor C_int.
     pub c_int: Farad,
@@ -61,7 +60,7 @@ impl Default for DnaPixelConfig {
 }
 
 /// Per-pixel static variations of the converter (device mismatch).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PixelVariation {
     /// Relative C_int error (Δ C/C).
     pub c_int_rel_err: f64,
@@ -87,7 +86,7 @@ impl PixelVariation {
 }
 
 /// Result of one conversion frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConversionResult {
     /// Number of reset pulses counted in the frame.
     pub count: u64,
@@ -96,7 +95,7 @@ pub struct ConversionResult {
 }
 
 /// One DNA-chip pixel: regulation loop + sawtooth converter + counter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnaPixel {
     config: DnaPixelConfig,
     variation: PixelVariation,

@@ -11,12 +11,11 @@
 use crate::array::{ArrayGeometry, PixelAddress};
 use crate::error::ChipError;
 use bsa_faults::FaultClass;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Health classification of one pixel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PixelHealth {
     /// Calibrated within family limits; fully trusted.
     #[default]
@@ -47,7 +46,7 @@ impl fmt::Display for PixelHealth {
 }
 
 /// Per-pixel health states for one die, produced by calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthMonitor {
     geometry: ArrayGeometry,
     states: Vec<PixelHealth>,
@@ -138,7 +137,7 @@ impl HealthMonitor {
 }
 
 /// How degraded the die is, as the application should treat it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationMode {
     /// Every pixel healthy, every channel up, serial link clean.
     FullPerformance,
@@ -160,7 +159,7 @@ impl fmt::Display for DegradationMode {
 }
 
 /// Serial-link statistics gathered during a fault-tolerant readout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SerialLinkStats {
     /// Words that decoded cleanly on the first pass.
     pub clean_words: usize,
@@ -173,7 +172,7 @@ pub struct SerialLinkStats {
 }
 
 /// One die's fault/yield summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YieldReport {
     /// Total pixels on the die.
     pub total_pixels: usize,

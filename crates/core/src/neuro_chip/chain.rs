@@ -9,10 +9,9 @@
 use bsa_circuit::noise::GaussianSampler;
 use bsa_units::{Ampere, Hertz, Ohm, Seconds, Volt};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One current-gain stage with mismatch and optional gain calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GainStage {
     nominal_gain: f64,
     gain_error: f64,
@@ -76,7 +75,7 @@ impl GainStage {
 }
 
 /// Configuration of the full per-channel chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainConfig {
     /// Readout-amplifier current gain (paper: ×100).
     pub readout_gain: f64,
@@ -116,16 +115,15 @@ impl Default for ChainConfig {
 }
 
 /// One channel's complete chain (the array has 16 of these).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelChain {
     readout: GainStage,
     second: GainStage,
     config: ChainConfig,
     /// Last multiplexed output current, for settling crosstalk.
     last_output: Ampere,
-    /// Persistent Box–Muller sampler: keeps the spare variate across
+    /// Persistent Marsaglia-polar sampler: keeps the spare variate across
     /// samples so noise costs one transcendental pair per two samples.
-    #[serde(default)]
     noise: GaussianSampler,
 }
 

@@ -21,7 +21,6 @@ use bsa_neuro::culture::Culture;
 use bsa_units::{Hertz, Seconds, Siemens, Volt};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Upper bound on the number of frames scanned per fan-out chunk: large
 /// enough to amortize worker spawn-up, small enough to keep the stripe
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 const MAX_CHUNK_FRAMES: usize = 32;
 
 /// Scan-timing bookkeeping derived from the frame rate and geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanTiming {
     /// Full-frame rate.
     pub frame_rate: Hertz,
@@ -99,7 +98,7 @@ impl ScanTiming {
 }
 
 /// Configuration of a neural-recording chip instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeuroChipConfig {
     /// Array geometry (default: the paper's 128×128 at 7.8 µm).
     pub geometry: ArrayGeometry,
@@ -133,7 +132,7 @@ impl Default for NeuroChipConfig {
 }
 
 /// One recorded frame: output-referred voltages in row-major order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     rows: usize,
     cols: usize,
@@ -168,7 +167,7 @@ impl Frame {
 }
 
 /// A multi-frame recording.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recording {
     geometry: ArrayGeometry,
     timing: ScanTiming,

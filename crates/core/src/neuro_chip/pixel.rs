@@ -16,10 +16,9 @@ use bsa_circuit::CircuitError;
 use bsa_faults::PixelFaults;
 use bsa_units::{Ampere, Farad, Seconds, Siemens, Volt};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Design values of the neural pixel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeuroPixelConfig {
     /// Sensor transistor geometry/process (M1).
     pub sensor_fet: MosfetParams,
@@ -67,7 +66,7 @@ impl Default for NeuroPixelConfig {
 }
 
 /// One neural-recording pixel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeuroPixel {
     config: NeuroPixelConfig,
     /// M1 with its sampled mismatch.

@@ -8,10 +8,9 @@
 //! background-derived threshold.
 
 use crate::stats::{mad_sigma, median};
-use serde::{Deserialize, Serialize};
 
 /// A per-site call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Call {
     /// Double-stranded DNA present (hybridized).
     Match,
@@ -20,7 +19,7 @@ pub enum Call {
 }
 
 /// Match-calling configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatchCaller {
     /// Threshold above the background median, in robust σ of the
     /// log₁₀-current background distribution.
@@ -45,7 +44,7 @@ impl Default for MatchCaller {
 }
 
 /// Result of calling an array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallingResult {
     /// Per-site calls in the input order.
     pub calls: Vec<Call>,
@@ -144,7 +143,7 @@ impl MatchCaller {
 }
 
 /// Confusion counts of calls against ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallAccuracy {
     /// Matches called matches.
     pub true_positives: usize,

@@ -6,11 +6,10 @@
 //! transposed direct form II, designed with the bilinear transform.
 
 use bsa_units::Hertz;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// A biquad (second-order IIR) filter section.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Biquad {
     b0: f64,
     b1: f64,
@@ -138,7 +137,7 @@ fn complex_add(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
 }
 
 /// Band-pass as a high-pass/low-pass cascade.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandPass {
     hp: Biquad,
     lp: Biquad,

@@ -7,10 +7,9 @@
 //! the surface.
 
 use crate::stats::median;
-use serde::{Deserialize, Serialize};
 
 /// A stack of equally sized frames.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameStack {
     rows: usize,
     cols: usize,

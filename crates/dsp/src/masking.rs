@@ -10,10 +10,9 @@
 
 use crate::frames::FrameStack;
 use crate::stats::median;
-use serde::{Deserialize, Serialize};
 
 /// Row-major per-pixel usability mask over a sensor array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PixelMask {
     rows: usize,
     cols: usize,
@@ -21,7 +20,7 @@ pub struct PixelMask {
 }
 
 /// How a masked pixel was repaired by [`PixelMask::interpolate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Repair {
     /// The pixel was usable; its sample is untouched.
     Untouched,
@@ -33,7 +32,7 @@ pub enum Repair {
 }
 
 /// Per-frame repair summary from [`PixelMask::interpolate`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairReport {
     /// One entry per pixel, row-major.
     pub repairs: Vec<Repair>,

@@ -5,10 +5,8 @@
 //! each unit gets its own spike train. Snippets are reduced to simple
 //! shape features and clustered with deterministic k-means.
 
-use serde::{Deserialize, Serialize};
-
 /// A detected spike snippet cut from a series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snippet {
     /// Sample index of the detection in the source series.
     pub index: usize,
@@ -40,7 +38,7 @@ pub fn extract_snippets(
 }
 
 /// Shape features of one snippet: peak, trough, peak-to-trough distance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpikeFeatures {
     /// Maximum sample value.
     pub peak: f64,
@@ -83,7 +81,7 @@ impl SpikeFeatures {
 }
 
 /// Result of sorting: cluster label per snippet plus the cluster means.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortResult {
     /// Cluster label (0-based) per input snippet.
     pub labels: Vec<usize>,

@@ -6,11 +6,10 @@
 //! dependency.
 
 use bsa_units::Hertz;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// One-sided power spectral density estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Periodogram {
     /// Frequency of each bin in Hz.
     pub frequencies: Vec<f64>,

@@ -7,10 +7,9 @@
 //! (NEO), with a refractory period to avoid double counting.
 
 use crate::stats::{mad_sigma_with, median_with};
-use serde::{Deserialize, Serialize};
 
 /// Spike-detection method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectionMethod {
     /// Absolute amplitude threshold at `k`·σ of the noise.
     AmplitudeThreshold,
@@ -20,7 +19,7 @@ pub enum DetectionMethod {
 }
 
 /// Spike detector configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpikeDetector {
     /// Detection method.
     pub method: DetectionMethod,
@@ -134,7 +133,7 @@ impl SpikeDetector {
 }
 
 /// Scoring of detections against ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionScore {
     /// Ground-truth events matched by a detection.
     pub true_positives: usize,

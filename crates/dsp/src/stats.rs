@@ -1,10 +1,9 @@
 //! Robust statistics used throughout the readout pipeline.
 
 use crate::error::DspError;
-use serde::{Deserialize, Serialize};
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
@@ -169,7 +168,7 @@ pub fn percentile(values: &[f64], p: f64) -> Result<f64, DspError> {
 
 /// Fixed-width histogram over `[lo, hi)`; under/overflow are clamped into
 /// the end bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -9,10 +9,9 @@
 use crate::hybridization::HybridizationModel;
 use crate::sequence::DnaSequence;
 use bsa_units::{Kelvin, Molar, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Protocol parameters common to a whole chip run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssayConditions {
     /// Hybridization model (thermodynamics + kinetics).
     pub model: HybridizationModel,
@@ -47,7 +46,7 @@ impl Default for AssayConditions {
 }
 
 /// A single spotted sensor site carrying one probe species.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpottedSite {
     probe: DnaSequence,
 }
@@ -98,7 +97,7 @@ impl SpottedSite {
 }
 
 /// Per-site outcome of an assay run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssayResult {
     /// Mismatch count between probe and target at the best alignment.
     pub mismatches: usize,

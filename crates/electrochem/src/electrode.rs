@@ -7,7 +7,6 @@
 //! refs [4–6, 12, 13]).
 
 use bsa_units::{Farad, Meter, SquareMeter};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -26,7 +25,7 @@ impl fmt::Display for InvalidGeometryError {
 impl Error for InvalidGeometryError {}
 
 /// Interdigitated electrode (IDE) pair of a single sensor site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterdigitatedElectrode {
     fingers: u32,
     finger_width: Meter,

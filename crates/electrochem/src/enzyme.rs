@@ -9,10 +9,9 @@
 //! quantity the hybridization step encodes.
 
 use bsa_units::{Molar, Seconds, SquareMeter};
-use serde::{Deserialize, Serialize};
 
 /// Michaelis–Menten enzyme-label kinetics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnzymeLabel {
     /// Catalytic turnover number k_cat in 1/s.
     pub k_cat: f64,

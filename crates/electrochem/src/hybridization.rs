@@ -16,10 +16,9 @@
 use crate::sequence::DnaSequence;
 use bsa_units::consts::GAS_CONSTANT;
 use bsa_units::{Kelvin, Molar, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Thermodynamic/kinetic parameters of the hybridization model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HybridizationModel {
     /// Association rate constant k_on in 1/(M·s). Diffusion-limited
     /// surface hybridization: ~1e4 … 1e6.

@@ -12,10 +12,9 @@
 //! ```
 
 use bsa_units::{Farad, Hertz, Ohm};
-use serde::{Deserialize, Serialize};
 
 /// Randles-style interfacial impedance sensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpedanceSensor {
     /// Series solution resistance.
     pub r_solution: Ohm,
@@ -48,7 +47,7 @@ impl Default for ImpedanceSensor {
 }
 
 /// Complex impedance as magnitude and phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpedancePoint {
     /// Frequency of the measurement.
     pub frequency: Hertz,

@@ -10,13 +10,12 @@
 //! ```
 
 use bsa_units::{Hertz, SquareMeter};
-use serde::{Deserialize, Serialize};
 
 /// Average molar mass of one DNA base in kg/mol.
 const BASE_MASS_KG_PER_MOL: f64 = 0.330;
 
 /// Film-bulk-acoustic-resonator mass sensor under one array site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FbarSensor {
     /// Unloaded resonance frequency (ZnO/AlN FBARs: ~2 GHz).
     pub f0: Hertz,

@@ -11,12 +11,11 @@
 use crate::hybridization::HybridizationModel;
 use crate::sequence::DnaSequence;
 use bsa_units::Kelvin;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Panel-design parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PanelDesign {
     /// Probe length in bases (the paper: typically 15–40).
     pub probe_length: usize,
@@ -45,7 +44,7 @@ impl Default for PanelDesign {
 }
 
 /// One designed probe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignedProbe {
     /// Index of the target this probe detects.
     pub target_index: usize,

@@ -13,10 +13,9 @@ use crate::enzyme::EnzymeLabel;
 use bsa_units::consts::FARADAY;
 use bsa_units::{Ampere, Meter, Molar, Seconds};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the redox-cycling current model for one sensor site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedoxCyclingModel {
     /// Electrode geometry of the site.
     pub electrode: InterdigitatedElectrode,

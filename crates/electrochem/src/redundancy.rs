@@ -10,17 +10,15 @@
 //! screen. With three replicates and ≤ 10 % random site faults, a
 //! genotyping panel still calls correctly.
 
-use serde::{Deserialize, Serialize};
-
 /// Replicated-spot placement of a probe panel on a sensor array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedundantLayout {
     targets: usize,
     replicates: usize,
 }
 
 /// One target's majority-voted call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VotedCall {
     /// Usable replicates voting "match".
     pub votes_match: usize,

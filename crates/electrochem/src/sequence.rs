@@ -6,13 +6,12 @@
 //! the hybridization model is built on.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
 /// A single DNA base.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Base {
     /// Adenine.
     A,
@@ -93,7 +92,7 @@ impl fmt::Display for ParseSequenceError {
 impl Error for ParseSequenceError {}
 
 /// An immutable DNA sequence (5'→3').
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DnaSequence {
     bases: Vec<Base>,
 }

@@ -1,7 +1,6 @@
 //! Defect taxonomy and the per-pixel aggregate fault state.
 
 use bsa_units::{Ampere, Volt};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One injectable defect.
@@ -20,7 +19,7 @@ use std::fmt;
 ///   readout channels (paper: 16 parallel channels on the neural chip).
 /// * [`SerialBitErrors`](Self::SerialBitErrors) corrupts the 6-pin serial
 ///   interface of the DNA chip at a given bit-error rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum FaultKind {
     /// Pixel produces no output at all (open electrode, dead in-pixel
@@ -110,7 +109,7 @@ impl FaultKind {
 }
 
 /// Parameter-free fault classification used for counting and reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum FaultClass {
     /// See [`FaultKind::DeadPixel`].
@@ -173,7 +172,7 @@ impl fmt::Display for FaultClass {
 ///
 /// Multiple injected faults compose: leakages add, drifts add, and the
 /// most severe stuck condition wins. A default value means "no fault".
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PixelFaults {
     /// Pixel produces no output ([`FaultKind::DeadPixel`] or comparator
     /// stuck in either state).

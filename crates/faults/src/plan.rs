@@ -3,11 +3,10 @@
 use crate::kinds::{FaultClass, FaultKind, PixelFaults};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Where a planned fault lands.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Target {
     /// A single pixel by (row, column).
     Pixel { row: usize, col: usize },
@@ -44,7 +43,7 @@ pub enum PlanTarget {
 /// for a concrete geometry. Plans are plain data: cloning, inspecting and
 /// serializing them is cheap, and compiling the same plan twice yields
 /// identical fault maps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InjectionPlan {
     seed: u64,
     entries: Vec<(Target, FaultKind)>,
@@ -208,7 +207,7 @@ fn choose_distinct(n: usize, k: usize, rng: &mut SmallRng) -> Vec<usize> {
 
 /// A plan compiled for one concrete array geometry: the per-pixel fault
 /// map plus the non-pixel fault state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFaults {
     rows: usize,
     cols: usize,

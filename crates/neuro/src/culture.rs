@@ -11,7 +11,6 @@ use crate::firing::FiringPattern;
 use crate::junction::{ApTemplate, CleftJunction};
 use bsa_units::{Meter, Seconds, Volt};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Footprint weights below this threshold are treated as exactly zero:
 /// [`CulturedNeuron::cleft_voltage_at`] early-returns `Volt::ZERO` under it,
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 pub const MIN_FOOTPRINT: f64 = 1e-6;
 
 /// A cultured neuron adhering to the chip surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CulturedNeuron {
     /// Soma center x position.
     pub x: Meter,
@@ -161,7 +160,7 @@ impl CulturedNeuron {
 }
 
 /// A population of neurons over a rectangular chip surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Culture {
     width: Meter,
     height: Meter,
@@ -169,7 +168,7 @@ pub struct Culture {
 }
 
 /// Configuration for random culture generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CultureConfig {
     /// Surface width (the paper's array: 1 mm).
     pub width: Meter,

@@ -8,10 +8,9 @@
 
 use bsa_units::Seconds;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A spike-train pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FiringPattern {
     /// Homogeneous Poisson process at the given mean rate (Hz).
     Poisson {

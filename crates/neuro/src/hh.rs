@@ -8,10 +8,9 @@
 //! drive the cell–chip junction.
 
 use bsa_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Hodgkin–Huxley parameters (standard 1952 values, 6.3 °C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HhParams {
     /// Membrane capacitance in µF/cm².
     pub c_m: f64,
@@ -44,7 +43,7 @@ impl Default for HhParams {
 }
 
 /// Hodgkin–Huxley state, integrated with fourth-order Runge–Kutta.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HodgkinHuxley {
     params: HhParams,
     /// Membrane potential in mV.
@@ -58,7 +57,7 @@ pub struct HodgkinHuxley {
 }
 
 /// Per-step outputs of the HH integration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HhStep {
     /// Membrane potential in mV.
     pub v_mv: f64,

@@ -6,10 +6,9 @@
 //! bursting typical of dissociated cultures.
 
 use bsa_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Izhikevich model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IzhikevichParams {
     /// Recovery time scale.
     pub a: f64,
@@ -64,7 +63,7 @@ impl IzhikevichParams {
 }
 
 /// Izhikevich neuron state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Izhikevich {
     params: IzhikevichParams,
     v: f64,

@@ -11,7 +11,6 @@
 
 use crate::hh::HodgkinHuxley;
 use bsa_units::{Meter, Ohm, Seconds, SquareMeter, Volt};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -37,7 +36,7 @@ impl Error for InvalidJunctionError {}
 /// ion-channel density than the free membrane. `channel_density_ratio` is
 /// that ratio µ (junction/free); the net current driven through the seal
 /// resistance is (µ − 1)·j_ionic per unit area.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CleftJunction {
     cleft_height: Meter,
     contact_radius: Meter,
@@ -141,7 +140,7 @@ impl CleftJunction {
 /// Running a full Hodgkin–Huxley model per neuron per pixel per frame is
 /// wasteful; cultures instead stamp this template (one HH run through the
 /// junction model) at each spike time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApTemplate {
     dt: Seconds,
     /// Cleft-voltage samples, starting `pre` seconds before the upstroke.

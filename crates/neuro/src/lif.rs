@@ -6,10 +6,9 @@
 //! supplied by the junction model.
 
 use bsa_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Leaky integrate-and-fire parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifParams {
     /// Membrane time constant.
     pub tau_m: Seconds,
@@ -39,7 +38,7 @@ impl Default for LifParams {
 }
 
 /// Leaky integrate-and-fire state machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lif {
     params: LifParams,
     v: f64,

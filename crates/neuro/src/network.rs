@@ -10,10 +10,9 @@
 use crate::izhikevich::{Izhikevich, IzhikevichParams};
 use bsa_units::Seconds;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Network configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Number of neurons.
     pub neuron_count: usize,
@@ -60,7 +59,7 @@ pub struct SynapticNetwork {
 }
 
 /// Result of a network run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkActivity {
     /// Spike times per neuron.
     pub spike_trains: Vec<Vec<Seconds>>,

@@ -2,10 +2,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One compound in the library, with its (latent) ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Compound {
     /// Stable identifier.
     pub id: u64,
@@ -18,7 +17,7 @@ pub struct Compound {
 }
 
 /// A synthetic compound library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompoundLibrary {
     compounds: Vec<Compound>,
 }

@@ -4,16 +4,15 @@ use crate::compound::{Compound, CompoundLibrary};
 use crate::stage::Stage;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// An ordered sequence of screening stages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pipeline {
     stages: Vec<Stage>,
 }
 
 /// Per-stage outcome of a pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// The stage that ran.
     pub stage: Stage,
@@ -30,7 +29,7 @@ pub struct StageReport {
 }
 
 /// Complete pipeline run outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Per-stage reports in order.
     pub stages: Vec<StageReport>,

@@ -7,10 +7,9 @@
 
 use crate::compound::Compound;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Kind of screening stage (the four boxes of Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {
     /// Molecular-based assay (DNA-microarray-class).
     Molecular,
@@ -35,7 +34,7 @@ impl StageKind {
 }
 
 /// A parameterized screening stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// Stage kind.
     pub kind: StageKind,
