@@ -2,7 +2,10 @@
 //! (semantic lint fixture — lexed and parsed, never compiled).
 //!
 //! The unmarked functions at the bottom are the prover's positive space:
-//! index sites it discharges, so they must produce zero violations.
+//! index sites it discharges, so they must produce zero violations. The
+//! fixture harness also reports every `panic.indexing` site the prover
+//! leaves undischarged, so the definite out-of-bounds lines carry that
+//! marker too.
 
 // ---------------------------------------------------------------------------
 // flow.unit — intraprocedural unit inference
@@ -40,13 +43,13 @@ fn consistent_sum(fs: Hertz, f0: Hertz) -> Hertz {
 
 /// The last element is at `len() - 1`; `xs[xs.len()]` always panics.
 fn off_the_end(xs: &[f64]) -> f64 {
-    xs[xs.len()] //~ flow.range
+    xs[xs.len()] //~ flow.range //~ panic.indexing
 }
 
 /// An exact length refutes constant indices at or above it.
 fn past_exact_len() -> f64 {
     let buf = [0.0; 4];
-    buf[7] //~ flow.range
+    buf[7] //~ flow.range //~ panic.indexing
 }
 
 /// Divisor is the literal zero.
@@ -58,6 +61,31 @@ fn div_by_literal_zero(n: u64) -> u64 {
 fn mod_by_zero_binding(n: u64) -> u64 {
     let z = 0;
     n % z //~ flow.range
+}
+
+// ---------------------------------------------------------------------------
+// flow.range — a reassignment cuts the guard short: not discharged
+// ---------------------------------------------------------------------------
+
+/// An assignment at the tail of a block, with no `;`, still rebinds `i`.
+fn block_tail_reassigned(xs: &[f64], mut i: usize, big: bool) -> f64 {
+    if i < xs.len() {
+        if big { i = 1000 }
+        return xs[i]; //~ panic.indexing
+    }
+    0.0
+}
+
+/// So does an assignment that is a match arm's whole body.
+fn match_arm_reassigned(xs: &[f64], mut i: usize, far: Reach) -> f64 {
+    if i < xs.len() {
+        match far {
+            Reach::Far => i = 99,
+            Reach::Near => {}
+        }
+        return xs[i]; //~ panic.indexing
+    }
+    0.0
 }
 
 // ---------------------------------------------------------------------------

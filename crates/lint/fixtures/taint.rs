@@ -83,6 +83,17 @@ fn arith_via_binding(b: [u8; 8]) -> Vec<u8> {
     Vec::with_capacity(total) //~ taint.wire-alloc
 }
 
+/// A `while` header that bounds the count only from below sanitizes
+/// nothing inside the loop.
+fn lower_bounded_while(b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    let mut buf = Vec::new();
+    while n > 0 {
+        buf = Vec::with_capacity(n); //~ taint.wire-alloc
+    }
+    buf
+}
+
 // ---------------------------------------------------------------------------
 // Sanitizers — recognized validation idioms: must stay silent
 // ---------------------------------------------------------------------------
@@ -109,6 +120,17 @@ fn exact_len_checked(b: [u8; 4], want: usize) -> Vec<u8> {
         return Vec::new();
     }
     Vec::with_capacity(n)
+}
+
+/// A `while` header that upper-bounds the count clears it inside the
+/// loop body, like a non-exit `if`.
+fn bounded_while(b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    let mut buf = Vec::new();
+    while n < MAX_COUNT {
+        buf = Vec::with_capacity(n);
+    }
+    buf
 }
 
 /// `Reader::count` validates counts against the remaining payload; its

@@ -149,7 +149,8 @@ impl Allowlist {
              # interval prover, 133 after the interprocedural function-summary\n\
              # prover and wire-taint pass, 127 after the acquisition cursor replaced\n\
              # the whole-request scan loop, 124 after the determinism rules moved\n\
-             # to clippy.toml and the wire-ABI lock to a bsa-link golden test.\n",
+             # to clippy.toml and the wire-ABI lock to a bsa-link golden test, 117\n\
+             # after bsa-lint's provers moved onto one statement model.\n",
         );
         for e in &self.entries {
             out.push_str(&format!(

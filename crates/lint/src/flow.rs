@@ -1,7 +1,7 @@
 //! Intraprocedural dataflow: unit inference and interval proofs
 //! (DESIGN.md §9.3).
 //!
-//! Two passes over each parsed function body:
+//! Two folds over each fn's lowered statements ([`crate::syntax`]):
 //!
 //! * **`flow.unit`** — tracks the physical dimension of local bindings
 //!   through let-bindings, assignments and additive arithmetic. Facts are
@@ -19,19 +19,25 @@
 //!   by a constant zero are reported as violations.
 //!
 //! Both passes are intraprocedural and flow-insensitive within a fact's
-//! scope: facts carry a token range and are killed early by reassignment
-//! or shrinking mutation of the sequence they constrain (see
-//! [`kill_scan`]). Everything unproven is simply left to the existing
-//! allowlist machinery — the prover only ever *removes* pressure, so a
-//! missed pattern is conservative, never unsound.
+//! scope: facts live in the shared scoped store and are cut short where
+//! the lowering records a rebinding of their variable or a rebinding or
+//! shrinking mutation of their sequence ([`Store::cut`]). Everything
+//! unproven is simply left to the existing allowlist machinery — the
+//! prover only ever *removes* pressure, so a missed pattern is
+//! conservative, never unsound.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use crate::lexer::Token;
+use crate::lexer::{Token, TokenKind};
 use crate::parser::{FnItem, ParsedFile};
 use crate::rules::{index_site, suggested_unit_type, violation, Violation};
 use crate::summary::{RetContract, Summaries};
+use crate::syntax::{
+    call_arg_path, const_expr, depth0, exact_path, final_call, find_cmp, last_depth0, last_segment,
+    len_minus_expr, matching, path_ending_at, path_starting_at, repeat_count, split, tok_ident,
+    tok_int, tok_punct, var_plus_const, Cmp, Effect, Scoped, StmtKind, Store,
+};
 
 /// The `bsa-units` newtypes recognised as dimension constructors.
 const UNIT_TYPES: &[&str] = &[
@@ -70,7 +76,7 @@ impl FileProofs {
             .collect()
     }
 
-    /// Total discharged sites (for the JSON report).
+    /// Total discharged sites (the JSON report's `proven_sites`).
     pub fn proven_sites(&self) -> usize {
         self.lines.values().map(|(_, proven)| *proven).sum()
     }
@@ -151,293 +157,163 @@ pub(crate) enum Fact {
     ZeroConst { var: String },
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct ScopedFact {
-    pub(crate) fact: Fact,
-    /// Token-index range (absolute within the file) where the fact holds.
-    pub(crate) scope: Range<usize>,
-    /// When `Some(k)`, the fact came from a `seq.len() - k` subtraction
-    /// and is only valid if `seq.len() >= k` where it was formed — in a
-    /// release build the subtraction would otherwise wrap rather than
-    /// panic, and the wrapped value reaches the index. Such facts are
-    /// dropped after collection unless an unconditional length fact
-    /// covers them (see [`collect_facts`]).
-    needs_len: Option<u64>,
-}
+/// The interval facts of one fn body.
+pub(crate) type Facts = Store<Fact>;
 
-/// Sequence methods that can shrink a `Vec`/`String`, invalidating any
-/// captured length bound. Growth (`push`, `extend`, …) preserves every
-/// fact we track and is deliberately not listed.
-const SHRINK_METHODS: &[&str] = &[
-    "clear",
-    "truncate",
-    "pop",
-    "remove",
-    "retain",
-    "drain",
-    "resize",
-    "swap_remove",
-    "split_off",
-    "dedup",
-];
+/// Facts under collection. `Some(k)` marks a fact formed by a
+/// `seq.len() - k` subtraction: it is only valid if `seq.len() >= k`
+/// where it was formed — in a release build the subtraction would
+/// otherwise wrap rather than panic, and the wrapped value reaches the
+/// index — so [`collect_facts`] drops it unless an unconditional length
+/// fact covers it.
+type Pending = Store<(Fact, Option<u64>)>;
 
-pub(crate) fn tok_ident(tokens: &[Token], i: usize) -> Option<&str> {
-    tokens.get(i).and_then(|t| t.ident())
-}
-
-pub(crate) fn tok_punct(tokens: &[Token], i: usize, c: char) -> bool {
-    tokens.get(i).is_some_and(|t| t.is_punct(c))
-}
-
-pub(crate) fn tok_int(tokens: &[Token], i: usize) -> Option<u64> {
-    tokens.get(i).and_then(|t| t.int_value())
-}
-
-/// Finds the matching close bracket for the open bracket at `open`
-/// (`(`, `[` or `{`), counting nesting of that pair only.
-pub(crate) fn matching(tokens: &[Token], open: usize) -> Option<usize> {
-    let (o, c) = match tokens.get(open) {
-        Some(t) if t.is_punct('(') => ('(', ')'),
-        Some(t) if t.is_punct('[') => ('[', ']'),
-        Some(t) if t.is_punct('{') => ('{', '}'),
-        _ => return None,
-    };
-    let mut depth = 0usize;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct(o) {
-            depth += 1;
-        } else if t.is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
+/// `fact` proves `seq.len() > k`.
+fn len_exceeds(fact: &Fact, seq: &str, k: u64) -> bool {
+    match fact {
+        Fact::MinLen { seq: s, min_len } => s == seq && *min_len >= k,
+        Fact::ExactLen { seq: s, len } => s == seq && *len > k,
+        _ => false,
     }
-    None
 }
 
-/// End of the innermost block enclosing position `from` (exclusive): the
-/// first `}` whose matching `{` opened before `from`. Scanning forward,
-/// that is the first point where brace depth goes negative.
-pub(crate) fn enclosing_block_end(tokens: &[Token], from: usize, limit: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = from;
-    while j < limit {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('{') => depth += 1,
-            Some(t) if t.is_punct('}') => {
-                depth -= 1;
-                if depth < 0 {
-                    return j;
+/// The variable a fact dies with when rebound, and the sequences (last
+/// path segments) it dies with when rebound or shrunk. A symbolic count
+/// is cut like a sequence.
+fn fact_names(fact: &Fact) -> (Option<&str>, Vec<&str>) {
+    match fact {
+        Fact::VarBound { var, seq, .. } | Fact::UpToLen { var, seq } => {
+            (Some(var), vec![last_segment(seq)])
+        }
+        Fact::MinLen { seq, .. } | Fact::ExactLen { seq, .. } => (None, vec![last_segment(seq)]),
+        Fact::EqLenPath { seq, path } => (None, vec![last_segment(seq), last_segment(path)]),
+        Fact::VarLtPath { var, path } => (Some(var), vec![last_segment(path)]),
+        Fact::VarLeConst { var, .. } | Fact::ZeroConst { var } => (Some(var), Vec::new()),
+    }
+}
+
+/// Folds one fn's lowered statements into scoped interval facts.
+/// `summaries` supplies cross-function return-bound contracts consumed
+/// at call-site bindings and for-loop iterators (see `crate::summary`).
+pub(crate) fn collect_facts(tokens: &[Token], f: &FnItem, summaries: &Summaries) -> Facts {
+    let mut raw = Pending::default();
+    for s in &f.stmts {
+        match &s.kind {
+            StmtKind::For { pat, iter, body } => {
+                for_facts(tokens, pat, iter, body, summaries, &mut raw);
+            }
+            // Facts from a true condition hold inside the body whether
+            // or not it falls through (for `while`, the scope cut keeps
+            // only uses the loop-head check dominates); after an `if`
+            // body that always exits, the negated condition holds for the
+            // rest of the enclosing block.
+            StmtKind::Guard {
+                parts,
+                joined_by,
+                exits,
+                body,
+                after,
+            } => {
+                let mut add = |scope: &Range<usize>, negated: bool| {
+                    for p in parts {
+                        let fact = if negated {
+                            negated_fact(tokens, p)
+                        } else {
+                            positive_fact(tokens, p)
+                        };
+                        if let Some(fact) = fact {
+                            raw.push(scope.start, scope.clone(), (fact, None));
+                        }
+                    }
+                };
+                if *joined_by != Some('|') {
+                    add(body, false);
+                }
+                if *exits && *joined_by != Some('&') {
+                    add(after, true);
                 }
             }
+            StmtKind::Assert { eq, args, scope } => {
+                let facts: Vec<Fact> = if *eq {
+                    assert_eq_fact(tokens, args).into_iter().collect()
+                } else if split(tokens, args, &['|', '|']).len() == 1 {
+                    let conjuncts = split(tokens, args, &['&', '&']);
+                    conjuncts
+                        .iter()
+                        .filter_map(|c| positive_fact(tokens, c))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                for fact in facts {
+                    raw.push(scope.start, scope.clone(), (fact, None));
+                }
+            }
+            StmtKind::Let {
+                var, rhs, scope, ..
+            } => {
+                if let Some(fact) = let_fact(tokens, var, rhs, summaries) {
+                    raw.push(scope.start, scope.clone(), fact);
+                }
+            }
+            StmtKind::Call {
+                effect: Effect::Window,
+                args,
+                ..
+            } => window_closure_fact(tokens, args, &mut raw),
             _ => {}
         }
-        j += 1;
     }
-    limit
-}
-
-/// Parses a dotted/`::` path *ending* at token `end` (inclusive), walking
-/// backwards. Returns the normalized path string (`self.rows`,
-/// `Base::ALL`). `None` if `end` is not an identifier.
-pub(crate) fn path_ending_at(tokens: &[Token], end: usize) -> Option<String> {
-    tok_ident(tokens, end)?;
-    let mut parts: Vec<String> = Vec::new();
-    let mut i = end;
-    loop {
-        let seg = tok_ident(tokens, i)?;
-        parts.push(seg.to_string());
-        if i >= 2 && tok_punct(tokens, i - 1, '.') && tok_ident(tokens, i - 2).is_some() {
-            parts.push(".".to_string());
-            i -= 2;
-        } else if i >= 3
-            && tok_punct(tokens, i - 1, ':')
-            && tok_punct(tokens, i - 2, ':')
-            && tok_ident(tokens, i - 3).is_some()
-        {
-            parts.push("::".to_string());
-            i -= 3;
-        } else {
-            break;
-        }
-    }
-    parts.reverse();
-    Some(parts.concat())
-}
-
-/// Parses a dotted/`::` path *starting* at token `start`. Returns the
-/// normalized string and the index one past its last token.
-pub(crate) fn path_starting_at(tokens: &[Token], start: usize) -> Option<(String, usize)> {
-    tok_ident(tokens, start)?;
-    let mut end = start;
-    loop {
-        if tok_punct(tokens, end + 1, '.') && tok_ident(tokens, end + 2).is_some() {
-            end += 2;
-        } else if tok_punct(tokens, end + 1, ':')
-            && tok_punct(tokens, end + 2, ':')
-            && tok_ident(tokens, end + 3).is_some()
-        {
-            end += 3;
-        } else {
-            break;
-        }
-    }
-    path_ending_at(tokens, end).map(|p| (p, end + 1))
-}
-
-/// Matches `PATH . len ( )` starting at `start`; returns the path and the
-/// index one past the closing paren.
-pub(crate) fn len_call_at(tokens: &[Token], start: usize) -> Option<(String, usize)> {
-    let (path, after) = path_starting_at(tokens, start)?;
-    // The path parser swallowed `.len` as its final segment.
-    let stripped = path.strip_suffix(".len")?;
-    if tok_punct(tokens, after, '(') && tok_punct(tokens, after + 1, ')') {
-        Some((stripped.to_string(), after + 2))
-    } else {
-        None
-    }
-}
-
-/// Matches `PATH . len ( ) [- k]` filling `range`; `k = 0` when there is
-/// no subtraction. Returns `(path, k)` only if the tokens span exactly
-/// `range` (no trailing residue).
-pub(crate) fn len_minus_expr(tokens: &[Token], range: &Range<usize>) -> Option<(String, u64)> {
-    let (path, after) = len_call_at(tokens, range.start)?;
-    if after == range.end {
-        return Some((path, 0));
-    }
-    if tok_punct(tokens, after, '-') {
-        let k = tok_int(tokens, after + 1)?;
-        if after + 2 == range.end {
-            return Some((path, k));
-        }
-    }
-    None
-}
-
-/// Last segment of a normalized path (`self.rows` → `rows`).
-pub(crate) fn last_segment(path: &str) -> &str {
-    path.rsplit(['.', ':']).next().unwrap_or(path)
-}
-
-/// Harvests scoped interval facts from one function body. `summaries`
-/// supplies cross-function return-bound contracts consumed at call-site
-/// bindings and for-loop iterators (see `crate::summary`).
-pub(crate) fn collect_facts(
-    tokens: &[Token],
-    f: &FnItem,
-    summaries: &Summaries,
-) -> Vec<ScopedFact> {
-    let body = f.body.clone();
-    let mut facts: Vec<ScopedFact> = Vec::new();
-    let mut i = body.start;
-    while i < body.end {
-        if let Some(name) = tok_ident(tokens, i) {
-            match name {
-                "for" => for_loop_facts(tokens, i, &body, summaries, &mut facts),
-                "while" => while_facts(tokens, i, &body, &mut facts),
-                "if" => if_facts(tokens, i, &body, &mut facts),
-                "assert" | "assert_eq" => assert_facts(tokens, i, &body, &mut facts),
-                "let" => let_facts(tokens, i, &body, summaries, &mut facts),
-                "windows" | "chunks_exact" => {
-                    closure_window_facts(tokens, i, &body, &mut facts);
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    for sf in &mut facts {
-        kill_scan(tokens, sf);
-    }
-    // Length-dependent facts (formed by a `len() - k` subtraction) stand
-    // only where the subtraction cannot wrap: keep each one only if an
-    // unconditional fact proves `seq.len() >= k` at its origin.
-    let keep: Vec<bool> = facts
+    raw.cut(&f.rebinds, |(fact, _)| fact_names(fact));
+    // Length-dependent facts stand only where the subtraction cannot
+    // wrap: keep each one only if an unconditional fact proves
+    // `seq.len() >= k` at its origin.
+    let entries = raw
+        .entries
         .iter()
-        .map(|sf| {
-            let Some(need) = sf.needs_len else {
-                return true;
-            };
-            let seq = match &sf.fact {
-                Fact::VarBound { seq, .. } | Fact::UpToLen { seq, .. } => seq,
-                _ => return true,
-            };
-            let at = sf.scope.start;
-            facts.iter().any(|g| {
-                g.needs_len.is_none()
-                    && g.scope.contains(&at)
-                    && match &g.fact {
-                        Fact::MinLen { seq: s, min_len } => s == seq && min_len + 1 >= need,
-                        Fact::ExactLen { seq: s, len } => s == seq && *len >= need,
-                        _ => false,
-                    }
-            })
+        .filter(|e| match &e.value {
+            (Fact::VarBound { seq, .. } | Fact::UpToLen { seq, .. }, Some(need)) => {
+                raw.entries.iter().any(|g| {
+                    g.value.1.is_none()
+                        && g.scope.contains(&e.scope.start)
+                        && len_exceeds(&g.value.0, seq, need - 1)
+                })
+            }
+            _ => true,
+        })
+        .map(|e| Scoped {
+            start: e.start,
+            scope: e.scope.clone(),
+            value: e.value.0.clone(),
         })
         .collect();
-    let mut idx = 0;
-    facts.retain(|_| {
-        let k = keep.get(idx).copied().unwrap_or(false);
-        idx += 1;
-        k
-    });
-    facts
+    Store { entries }
 }
 
 /// `for PAT in ITER { .. }` — bounds from the iterator shapes we
 /// recognise: `0..len`-style ranges, `.iter().enumerate()`,
 /// `windows(k)` / `chunks_exact(k)`, and calls to functions whose
 /// summary promises every yielded element is below a parameter.
-fn for_loop_facts(
+fn for_facts(
     tokens: &[Token],
-    at: usize,
+    pat: &Range<usize>,
+    iter: &Range<usize>,
     body: &Range<usize>,
     summaries: &Summaries,
-    facts: &mut Vec<ScopedFact>,
+    raw: &mut Pending,
 ) {
-    // Pattern: single ident, or a tuple whose first ident is the index.
-    let (var, mut j) = if let Some(v) = tok_ident(tokens, at + 1) {
-        (v.to_string(), at + 2)
-    } else if tok_punct(tokens, at + 1, '(') {
-        let close = match matching(tokens, at + 1) {
-            Some(c) => c,
-            None => return,
-        };
-        let first = match tok_ident(tokens, at + 2) {
-            Some(v) => v.to_string(),
-            None => return,
-        };
-        (first, close + 1)
-    } else {
+    // Pattern: a single ident, or a tuple whose first ident is the index.
+    let tuple =
+        tok_punct(tokens, pat.start, '(') && matching(tokens, pat.start) == Some(pat.end - 1);
+    let var = match (pat.len(), tuple) {
+        (1, _) => tok_ident(tokens, pat.start),
+        (_, true) => tok_ident(tokens, pat.start + 1),
+        _ => None,
+    };
+    let Some(var) = var.map(str::to_string) else {
         return;
     };
-    if tok_ident(tokens, j) != Some("in") {
-        return;
-    }
-    j += 1;
-    // Iterator expression runs to the first `{` at zero bracket depth.
-    let mut depth = 0i64;
-    let mut open = None;
-    let mut k = j;
-    while k < body.end {
-        match tokens.get(k) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t) if t.is_punct('{') && depth == 0 => {
-                open = Some(k);
-                break;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    let Some(open) = open else { return };
-    let Some(close) = matching(tokens, open) else {
-        return;
-    };
-    let iter = j..open;
-    let scope = open..close + 1;
+    let mut push = |fact, needs_len| raw.push(body.start, body.clone(), (fact, needs_len));
 
     // `0..PATH.len() [- k]` and the inclusive `0..=…` variants.
     if tok_int(tokens, iter.start) == Some(0)
@@ -445,303 +321,107 @@ fn for_loop_facts(
         && tok_punct(tokens, iter.start + 2, '.')
     {
         let inclusive = tok_punct(tokens, iter.start + 3, '=');
-        let expr_start = if inclusive {
-            iter.start + 4
-        } else {
-            iter.start + 3
-        };
-        if let Some((seq, k)) = len_minus_expr(tokens, &(expr_start..iter.end)) {
-            let fact = if inclusive {
-                if k >= 1 {
-                    Fact::VarBound {
-                        var: var.clone(),
-                        seq,
-                        max_off: k - 1,
-                    }
-                } else {
-                    Fact::UpToLen {
-                        var: var.clone(),
-                        seq,
-                    }
-                }
-            } else {
-                Fact::VarBound {
-                    var: var.clone(),
+        let expr = iter.start + 3 + usize::from(inclusive)..iter.end;
+        if let Some((seq, k)) = len_minus_expr(tokens, &expr) {
+            let fact = match (inclusive, k) {
+                (true, 0) => Fact::UpToLen { var, seq },
+                (true, k) => Fact::VarBound {
+                    var,
+                    seq,
+                    max_off: k - 1,
+                },
+                (false, k) => Fact::VarBound {
+                    var,
                     seq,
                     max_off: k,
-                }
+                },
             };
-            facts.push(ScopedFact {
-                fact,
-                scope,
-                // `0..len - k` wraps in release when `len < k`, and the
-                // loop then runs with wild indices.
-                needs_len: (k >= 1).then_some(k),
-            });
-            return;
+            // `0..len - k` wraps in release when `len < k`, and the loop
+            // then runs with wild indices.
+            return push(fact, (k >= 1).then_some(k));
         }
     }
-
+    let Some((path, after)) = path_starting_at(tokens, iter.start) else {
+        return;
+    };
+    let args = matching(tokens, after)
+        .filter(|c| tok_punct(tokens, after, '(') && c + 1 == iter.end)
+        .map(|c| after + 1..c);
     // `PATH.iter().enumerate()` / `PATH.iter_mut().enumerate()`.
-    if let Some((path, after)) = path_starting_at(tokens, iter.start) {
-        for stripped in [".iter", ".iter_mut"] {
-            if let Some(seq) = path.strip_suffix(stripped) {
-                if tok_punct(tokens, after, '(')
-                    && tok_punct(tokens, after + 1, ')')
-                    && tok_punct(tokens, after + 2, '.')
-                    && tok_ident(tokens, after + 3) == Some("enumerate")
-                    && tok_punct(tokens, after + 4, '(')
-                    && tok_punct(tokens, after + 5, ')')
-                    && after + 6 == iter.end
-                {
-                    facts.push(ScopedFact {
-                        needs_len: None,
-                        fact: Fact::VarBound {
-                            var: var.clone(),
-                            seq: seq.to_string(),
-                            max_off: 0,
-                        },
-                        scope,
-                    });
-                    return;
-                }
-            }
+    let seq = path
+        .strip_suffix(".iter")
+        .or(path.strip_suffix(".iter_mut"));
+    if let Some(seq) = seq {
+        if tok_punct(tokens, after, '(')
+            && tok_punct(tokens, after + 1, ')')
+            && tok_punct(tokens, after + 2, '.')
+            && tok_ident(tokens, after + 3) == Some("enumerate")
+            && tok_punct(tokens, after + 4, '(')
+            && tok_punct(tokens, after + 5, ')')
+            && after + 6 == iter.end
+        {
+            let seq = seq.to_string();
+            push(
+                Fact::VarBound {
+                    var,
+                    seq,
+                    max_off: 0,
+                },
+                None,
+            );
         }
-        // `PATH.windows(k)` / `PATH.chunks_exact(k)`: the loop variable is
-        // itself a slice of exactly `k` elements.
-        for stripped in [".windows", ".chunks_exact"] {
-            if path.strip_suffix(stripped).is_some()
-                && tok_punct(tokens, after, '(')
-                && tok_punct(tokens, after + 2, ')')
-                && after + 3 == iter.end
-            {
-                if let Some(k) = tok_int(tokens, after + 1) {
-                    if k >= 1 {
-                        facts.push(ScopedFact {
-                            needs_len: None,
-                            fact: Fact::ExactLen { seq: var, len: k },
-                            scope,
-                        });
-                    }
-                }
-                return;
-            }
+        return;
+    }
+    // `PATH.windows(k)` / `PATH.chunks_exact(k)`: the loop variable is
+    // itself a slice of exactly `k` elements.
+    if path.ends_with(".windows") || path.ends_with(".chunks_exact") {
+        if let Some(len) = args
+            .and_then(|a| const_expr(tokens, &a))
+            .filter(|k| *k >= 1)
+        {
+            push(Fact::ExactLen { seq: var, len }, None);
         }
-        // `for v in f(a, b, ..) {}` where `f`'s summary promises every
-        // yielded element is `< param k` — bind `v < arg_k` in the body.
-        if let Some(k) = summaries.elems_lt_param(&path) {
-            if tok_punct(tokens, after, '(')
-                && matching(tokens, after).map(|c| c + 1) == Some(iter.end)
-            {
-                if let Some(close) = matching(tokens, after) {
-                    if let Some(arg) = call_arg_path(tokens, after + 1, close, k) {
-                        facts.push(ScopedFact {
-                            needs_len: None,
-                            fact: Fact::VarLtPath { var, path: arg },
-                            scope,
-                        });
-                    }
-                }
-            }
+        return;
+    }
+    // `for v in f(a, b, ..) {}` where `f`'s summary promises every
+    // yielded element is `< param k` — bind `v < arg_k` in the body.
+    if let (Some(k), Some(args)) = (summaries.elems_lt_param(&path), args) {
+        if let Some(path) = call_arg_path(tokens, &args, k) {
+            push(Fact::VarLtPath { var, path }, None);
         }
     }
-}
-
-/// Splits the argument list in `(open+1..close)` on depth-0 commas and
-/// returns argument `k` as a normalized path (a leading `&`/`&mut` is
-/// stripped); `None` when the argument is not a bare path.
-pub(crate) fn call_arg_path(
-    tokens: &[Token],
-    args_start: usize,
-    close: usize,
-    k: usize,
-) -> Option<String> {
-    let range = call_arg_range(tokens, args_start, close, k)?;
-    let mut start = range.start;
-    if tok_punct(tokens, start, '&') {
-        start += 1;
-        if tok_ident(tokens, start) == Some("mut") {
-            start += 1;
-        }
-    }
-    let (path, after) = path_starting_at(tokens, start)?;
-    (after == range.end).then_some(path)
-}
-
-/// Token range of argument `k` in the argument list `(args_start..close)`.
-pub(crate) fn call_arg_range(
-    tokens: &[Token],
-    args_start: usize,
-    close: usize,
-    k: usize,
-) -> Option<Range<usize>> {
-    let mut depth = 0i64;
-    let mut idx = 0usize;
-    let mut start = args_start;
-    let mut j = args_start;
-    while j < close {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => depth -= 1,
-            Some(t) if t.is_punct(',') && depth == 0 => {
-                if idx == k {
-                    return Some(start..j);
-                }
-                idx += 1;
-                start = j + 1;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    (idx == k && start < close).then_some(start..close)
 }
 
 /// `.windows(k)` / `.chunks_exact(k)` followed by a closure-taking
 /// adapter (`.filter(|w| ..)`, `.map(|w| ..)`): the closure parameter is a
 /// slice of exactly `k` elements inside the closure body.
-fn closure_window_facts(
-    tokens: &[Token],
-    at: usize,
-    _body: &Range<usize>,
-    facts: &mut Vec<ScopedFact>,
-) {
-    // `at` is the `windows` / `chunks_exact` ident; require method position.
-    if at == 0 || !tok_punct(tokens, at - 1, '.') || !tok_punct(tokens, at + 1, '(') {
-        return;
-    }
-    let Some(k) = tok_int(tokens, at + 2) else {
+fn window_closure_fact(tokens: &[Token], args: &Range<usize>, raw: &mut Pending) {
+    let Some(len) = const_expr(tokens, args).filter(|k| *k >= 1) else {
         return;
     };
-    if k == 0 || !tok_punct(tokens, at + 3, ')') {
-        return;
-    }
     // Walk the adapter chain; bind the first closure parameter we find.
-    let mut j = at + 4;
+    let mut j = args.end + 1;
     while tok_punct(tokens, j, '.') && tok_ident(tokens, j + 1).is_some() {
-        if !tok_punct(tokens, j + 2, '(') {
-            break;
-        }
-        let Some(close) = matching(tokens, j + 2) else {
+        let Some(close) = matching(tokens, j + 2).filter(|_| tok_punct(tokens, j + 2, '(')) else {
             return;
         };
-        if tok_punct(tokens, j + 3, '|') {
-            if let Some(param) = tok_ident(tokens, j + 4) {
-                if tok_punct(tokens, j + 5, '|') {
-                    facts.push(ScopedFact {
-                        needs_len: None,
-                        fact: Fact::ExactLen {
-                            seq: param.to_string(),
-                            len: k,
-                        },
-                        scope: j + 6..close,
-                    });
-                    return;
-                }
-            }
+        let param = tok_ident(tokens, j + 4)
+            .filter(|_| tok_punct(tokens, j + 3, '|') && tok_punct(tokens, j + 5, '|'));
+        if let Some(param) = param {
+            let seq = param.to_string();
+            raw.push(j + 6, j + 6..close, (Fact::ExactLen { seq, len }, None));
+            return;
         }
         j = close + 1;
     }
 }
 
-/// Splits a condition range on a depth-0 two-token punct pair (`&&` as
-/// `('&','&')`, `||` as `('|','|')`). Returns `None` if the *other* pair
-/// appears at depth 0 (mixed conjunction/disjunction — give up).
-pub(crate) fn split_condition(
-    tokens: &[Token],
-    cond: &Range<usize>,
-    pair: char,
-    reject: char,
-) -> Option<Vec<Range<usize>>> {
-    let mut parts = Vec::new();
-    let mut depth = 0i64;
-    let mut start = cond.start;
-    let mut j = cond.start;
-    while j < cond.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t) if depth == 0 && t.is_punct(pair) && tok_punct(tokens, j + 1, pair) => {
-                parts.push(start..j);
-                j += 1;
-                start = j + 1;
-            }
-            Some(t) if depth == 0 && t.is_punct(reject) && tok_punct(tokens, j + 1, reject) => {
-                return None;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    parts.push(start..cond.end);
-    Some(parts)
-}
-
-/// A comparison operator split out of the token stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cmp {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-}
-
-/// Finds the first depth-0 comparison in `range`; returns
-/// (lhs, op, rhs-start).
-pub(crate) fn find_cmp(
-    tokens: &[Token],
-    range: &Range<usize>,
-) -> Option<(Range<usize>, Cmp, usize)> {
-    let mut depth = 0i64;
-    let mut j = range.start;
-    while j < range.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t) if depth == 0 => {
-                let two_eq = tok_punct(tokens, j + 1, '=');
-                let op = if t.is_punct('<') {
-                    Some(if two_eq { (Cmp::Le, 2) } else { (Cmp::Lt, 1) })
-                } else if t.is_punct('>') {
-                    Some(if two_eq { (Cmp::Ge, 2) } else { (Cmp::Gt, 1) })
-                } else if t.is_punct('=') && two_eq {
-                    Some((Cmp::Eq, 2))
-                } else if t.is_punct('!') && two_eq {
-                    Some((Cmp::Ne, 2))
-                } else {
-                    None
-                };
-                if let Some((op, width)) = op {
-                    return Some((range.start..j, op, j + width));
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Matches `[*]var [+ c]` spanning exactly `range`; returns (var, c).
-/// A leading `*` (deref of a copied index) binds the same variable.
-pub(crate) fn var_plus_const(tokens: &[Token], range: &Range<usize>) -> Option<(String, u64)> {
-    let mut start = range.start;
-    if tok_punct(tokens, start, '*') && tok_ident(tokens, start + 1).is_some() {
-        start += 1;
-    }
-    let var = tok_ident(tokens, start)?;
-    // Reject dotted paths as the variable — bounds on fields are killed
-    // too coarsely to be worth tracking.
-    if start + 1 == range.end {
-        return Some((var.to_string(), 0));
-    }
-    if tok_punct(tokens, start + 1, '+') && start + 3 == range.end {
-        let c = tok_int(tokens, start + 2)?;
-        return Some((var.to_string(), c));
-    }
-    None
+/// `PATH.is_empty()` spanning exactly `range`; returns `PATH`.
+fn is_empty_call(tokens: &[Token], range: &Range<usize>) -> Option<String> {
+    let (path, after) = path_starting_at(tokens, range.start)?;
+    let seq = path.strip_suffix(".is_empty")?;
+    (tok_punct(tokens, after, '(') && tok_punct(tokens, after + 1, ')') && after + 2 == range.end)
+        .then(|| seq.to_string())
 }
 
 /// Facts a *true* conjunct establishes (used for `if COND {}` bodies and
@@ -749,29 +429,14 @@ pub(crate) fn var_plus_const(tokens: &[Token], range: &Range<usize>) -> Option<(
 fn positive_fact(tokens: &[Token], conjunct: &Range<usize>) -> Option<Fact> {
     // `!PATH.is_empty()`
     if tok_punct(tokens, conjunct.start, '!') {
-        if let Some((path, after)) = path_starting_at(tokens, conjunct.start + 1) {
-            if let Some(seq) = path.strip_suffix(".is_empty") {
-                if tok_punct(tokens, after, '(')
-                    && tok_punct(tokens, after + 1, ')')
-                    && after + 2 == conjunct.end
-                {
-                    return Some(Fact::MinLen {
-                        seq: seq.to_string(),
-                        min_len: 0,
-                    });
-                }
-            }
-        }
-        return None;
+        let seq = is_empty_call(tokens, &(conjunct.start + 1..conjunct.end))?;
+        return Some(Fact::MinLen { seq, min_len: 0 });
     }
     let (lhs, op, rhs_start) = find_cmp(tokens, conjunct)?;
     let rhs = rhs_start..conjunct.end;
     // `PATH.len() CMP k`
     if let Some((seq, 0)) = len_minus_expr(tokens, &lhs) {
-        let k = tok_int(tokens, rhs.start)?;
-        if rhs.start + 1 != rhs.end {
-            return None;
-        }
+        let k = const_expr(tokens, &rhs)?;
         return match op {
             Cmp::Gt => Some(Fact::MinLen { seq, min_len: k }),
             Cmp::Ge | Cmp::Eq if k >= 1 => Some(Fact::MinLen {
@@ -782,20 +447,18 @@ fn positive_fact(tokens: &[Token], conjunct: &Range<usize>) -> Option<Fact> {
         };
     }
     // `k CMP PATH.len()`
-    if let Some(k) = tok_int(tokens, lhs.start) {
-        if lhs.start + 1 == lhs.end {
-            let (seq, 0) = len_minus_expr(tokens, &rhs)? else {
-                return None;
-            };
-            return match op {
-                Cmp::Lt => Some(Fact::MinLen { seq, min_len: k }),
-                Cmp::Le | Cmp::Eq if k >= 1 => Some(Fact::MinLen {
-                    seq,
-                    min_len: k - 1,
-                }),
-                _ => None,
-            };
-        }
+    if let Some(k) = const_expr(tokens, &lhs) {
+        let (seq, 0) = len_minus_expr(tokens, &rhs)? else {
+            return None;
+        };
+        return match op {
+            Cmp::Lt => Some(Fact::MinLen { seq, min_len: k }),
+            Cmp::Le | Cmp::Eq if k >= 1 => Some(Fact::MinLen {
+                seq,
+                min_len: k - 1,
+            }),
+            _ => None,
+        };
     }
     // `var [+ c] CMP PATH.len() [- s]`
     let (var, c) = var_plus_const(tokens, &lhs)?;
@@ -816,40 +479,21 @@ fn positive_fact(tokens: &[Token], conjunct: &Range<usize>) -> Option<Fact> {
         };
     }
     // `[*]var < PATH` against a symbolic count (not a `.len()` call).
-    if c == 0 && op == Cmp::Lt {
-        if let Some((path, after)) = path_starting_at(tokens, rhs.start) {
-            if after == rhs.end {
-                return Some(Fact::VarLtPath { var, path });
-            }
-        }
-    }
-    None
+    let path = exact_path(tokens, &rhs).filter(|_| c == 0 && op == Cmp::Lt)?;
+    Some(Fact::VarLtPath { var, path })
 }
 
 /// Facts the *negation* of a disjunct establishes (early-exit guards).
 fn negated_fact(tokens: &[Token], disjunct: &Range<usize>) -> Option<Fact> {
     // `PATH.is_empty()` → ¬ → len ≥ 1.
-    if let Some((path, after)) = path_starting_at(tokens, disjunct.start) {
-        if let Some(seq) = path.strip_suffix(".is_empty") {
-            if tok_punct(tokens, after, '(')
-                && tok_punct(tokens, after + 1, ')')
-                && after + 2 == disjunct.end
-            {
-                return Some(Fact::MinLen {
-                    seq: seq.to_string(),
-                    min_len: 0,
-                });
-            }
-        }
+    if let Some(seq) = is_empty_call(tokens, disjunct) {
+        return Some(Fact::MinLen { seq, min_len: 0 });
     }
     let (lhs, op, rhs_start) = find_cmp(tokens, disjunct)?;
     let rhs = rhs_start..disjunct.end;
     // `PATH.len() < k` → ¬ → len ≥ k; `PATH.len() == 0` → ¬ → len ≥ 1.
     if let Some((seq, 0)) = len_minus_expr(tokens, &lhs) {
-        let k = tok_int(tokens, rhs.start)?;
-        if rhs.start + 1 != rhs.end {
-            return None;
-        }
+        let k = const_expr(tokens, &rhs)?;
         return match op {
             Cmp::Lt if k >= 1 => Some(Fact::MinLen {
                 seq,
@@ -864,10 +508,8 @@ fn negated_fact(tokens: &[Token], disjunct: &Range<usize>) -> Option<Fact> {
     // `var [+ c] > PATH.len()` → ¬ → var + c ≤ len.
     let (var, c) = var_plus_const(tokens, &lhs)?;
     if let Some((seq, s)) = len_minus_expr(tokens, &rhs) {
-        if s != 0 {
-            return None;
-        }
         return match op {
+            _ if s != 0 => None,
             Cmp::Ge => Some(Fact::VarBound {
                 var,
                 seq,
@@ -883,544 +525,140 @@ fn negated_fact(tokens: &[Token], disjunct: &Range<usize>) -> Option<Fact> {
         };
     }
     // `[*]var >= PATH` → ¬ → var < PATH (symbolic count).
-    if c == 0 && op == Cmp::Ge {
-        if let Some((path, after)) = path_starting_at(tokens, rhs.start) {
-            if after == rhs.end {
-                return Some(Fact::VarLtPath { var, path });
-            }
+    let path = exact_path(tokens, &rhs).filter(|_| c == 0 && op == Cmp::Ge)?;
+    Some(Fact::VarLtPath { var, path })
+}
+
+/// `assert_eq!(PATH.len(), k[, msg..])` (either operand order, a
+/// trailing format message tolerated): `k` a literal gives an exact
+/// length, `k` a path gives a symbolic length equation.
+fn assert_eq_fact(tokens: &[Token], args: &Range<usize>) -> Option<Fact> {
+    let parts = split(tokens, args, &[',']);
+    let (a, b) = (parts.first()?, parts.get(1)?);
+    for (len_side, k_side) in [(a, b), (b, a)] {
+        let Some((seq, 0)) = len_minus_expr(tokens, len_side) else {
+            continue;
+        };
+        if let Some(len) = const_expr(tokens, k_side).filter(|k| *k >= 1) {
+            return Some(Fact::ExactLen { seq, len });
+        }
+        if let Some(path) = exact_path(tokens, k_side) {
+            return Some(Fact::EqLenPath { seq, path });
         }
     }
     None
 }
 
-/// `if COND { .. }`: either a plain guard (facts hold inside the block) or
-/// an early exit (`{ return/break/continue .. }` — the negated condition
-/// holds for the rest of the enclosing block).
-fn if_facts(tokens: &[Token], at: usize, body: &Range<usize>, facts: &mut Vec<ScopedFact>) {
-    // `else if` chains and `if let` are out of scope for the prover.
-    if tok_ident(tokens, at + 1) == Some("let") {
-        return;
-    }
-    let mut depth = 0i64;
-    let mut open = None;
-    let mut j = at + 1;
-    while j < body.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t) if t.is_punct('{') && depth == 0 => {
-                open = Some(j);
-                break;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    let Some(open) = open else { return };
-    let Some(close) = matching(tokens, open) else {
-        return;
-    };
-    let cond = at + 1..open;
-
-    // Facts from the condition being true hold inside the block whether
-    // or not the block falls through.
-    if let Some(conjuncts) = split_condition(tokens, &cond, '&', '|') {
-        for c in conjuncts {
-            if let Some(fact) = positive_fact(tokens, &c) {
-                facts.push(ScopedFact {
-                    needs_len: None,
-                    fact,
-                    scope: open..close + 1,
-                });
-            }
-        }
-    }
-    // If the block unconditionally exits, the *negated* condition holds
-    // for the rest of the enclosing block.
-    let exits = matches!(
-        tok_ident(tokens, open + 1),
-        Some("return") | Some("break") | Some("continue")
-    );
-    if exits {
-        if let Some(disjuncts) = split_condition(tokens, &cond, '|', '&') {
-            let scope = close + 1..enclosing_block_end(tokens, close + 1, body.end);
-            for d in disjuncts {
-                if let Some(fact) = negated_fact(tokens, &d) {
-                    facts.push(ScopedFact {
-                        needs_len: None,
-                        fact,
-                        scope: scope.clone(),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// `while COND { .. }`: facts from the condition hold inside the body.
-/// This is sound with the shared [`kill_scan`]: the condition re-holds at
-/// the top of every iteration, and the scan truncates each fact at the
-/// first in-body mutation of anything it mentions, so only uses dominated
-/// by the loop-head check remain covered.
-fn while_facts(tokens: &[Token], at: usize, body: &Range<usize>, facts: &mut Vec<ScopedFact>) {
-    if tok_ident(tokens, at + 1) == Some("let") {
-        return;
-    }
-    let mut depth = 0i64;
-    let mut open = None;
-    let mut j = at + 1;
-    while j < body.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t) if t.is_punct('{') && depth == 0 => {
-                open = Some(j);
-                break;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    let Some(open) = open else { return };
-    let Some(close) = matching(tokens, open) else {
-        return;
-    };
-    let cond = at + 1..open;
-    if let Some(conjuncts) = split_condition(tokens, &cond, '&', '|') {
-        for c in conjuncts {
-            if let Some(fact) = positive_fact(tokens, &c) {
-                facts.push(ScopedFact {
-                    needs_len: None,
-                    fact,
-                    scope: open..close + 1,
-                });
-            }
-        }
-    }
-}
-
-/// `assert!(COND)` / `assert_eq!(PATH.len(), k)` hold for the rest of the
-/// enclosing block. `debug_assert!` is deliberately ignored — it vanishes
-/// in release builds, so it proves nothing.
-fn assert_facts(tokens: &[Token], at: usize, body: &Range<usize>, facts: &mut Vec<ScopedFact>) {
-    if !tok_punct(tokens, at + 1, '!') || !tok_punct(tokens, at + 2, '(') {
-        return;
-    }
-    let Some(close) = matching(tokens, at + 2) else {
-        return;
-    };
-    let scope = close + 1..enclosing_block_end(tokens, close + 1, body.end);
-    let inner = at + 3..close;
-    if tok_ident(tokens, at) == Some("assert_eq") {
-        // `assert_eq!(PATH.len(), k[, msg..])` (either operand order, a
-        // trailing format message tolerated): `k` a literal gives an
-        // exact length, `k` a path gives a symbolic length equation.
-        let mut depth = 0i64;
-        let mut commas = Vec::new();
-        let mut j = inner.start;
-        while j < inner.end {
-            match tokens.get(j) {
-                Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-                Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-                Some(t) if t.is_punct(',') && depth == 0 => commas.push(j),
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(first) = commas.first().copied() else {
-            return;
-        };
-        let second = commas.get(1).copied().unwrap_or(inner.end);
-        let (a, b) = (inner.start..first, first + 1..second);
-        for (len_side, k_side) in [(&a, &b), (&b, &a)] {
-            if let Some((seq, 0)) = len_minus_expr(tokens, len_side) {
-                if let Some(k) = tok_int(tokens, k_side.start) {
-                    if k_side.start + 1 == k_side.end && k >= 1 {
-                        facts.push(ScopedFact {
-                            needs_len: None,
-                            fact: Fact::ExactLen { seq, len: k },
-                            scope,
-                        });
-                        return;
-                    }
-                }
-                if let Some((path, after)) = path_starting_at(tokens, k_side.start) {
-                    if after == k_side.end {
-                        facts.push(ScopedFact {
-                            needs_len: None,
-                            fact: Fact::EqLenPath { seq, path },
-                            scope,
-                        });
-                        return;
-                    }
-                }
-            }
-        }
-        return;
-    }
-    // Trailing message arguments would confuse the conjunct parser; only
-    // bare `assert!(COND)` is recognised.
-    if let Some(conjuncts) = split_condition(tokens, &inner, '&', '|') {
-        for c in conjuncts {
-            if let Some(fact) = positive_fact(tokens, &c) {
-                facts.push(ScopedFact {
-                    needs_len: None,
-                    fact,
-                    scope: scope.clone(),
-                });
-            }
-        }
-    }
-}
-
-/// Bindings that create facts: clamps (`.min(PATH.len() - k)`),
-/// `partition_point`, constant zero, `[e; N]` arrays, `vec![e; n]`
-/// lengths, and calls to functions with a return-bound summary.
-fn let_facts(
+/// Bindings that create facts: constant zero, `[e; N]` arrays,
+/// `vec![e; n]` lengths, calls to functions with a return-bound summary,
+/// `partition_point` and clamps (`.min(PATH.len() - k)`).
+fn let_fact(
     tokens: &[Token],
-    at: usize,
-    body: &Range<usize>,
+    var: &str,
+    rhs: &Range<usize>,
     summaries: &Summaries,
-    facts: &mut Vec<ScopedFact>,
-) {
-    let mut j = at + 1;
-    if tok_ident(tokens, j) == Some("mut") {
-        j += 1;
-    }
-    let Some(var) = tok_ident(tokens, j) else {
-        return;
-    };
+) -> Option<(Fact, Option<u64>)> {
     let var = var.to_string();
-    // Skip an optional `: Type` annotation up to the `=`.
-    let mut eq = j + 1;
-    let mut depth = 0i64;
-    while eq < body.end {
-        match tokens.get(eq) {
-            Some(t) if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t) if t.is_punct('=') && depth == 0 => break,
-            Some(t) if t.is_punct(';') && depth == 0 => return,
-            _ => {}
-        }
-        eq += 1;
-    }
-    // Statement end: `;` at depth 0 after the `=`.
-    let mut end = eq + 1;
-    let mut depth = 0i64;
-    while end < body.end {
-        match tokens.get(end) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => depth -= 1,
-            Some(t) if t.is_punct(';') && depth == 0 => break,
-            _ => {}
-        }
-        end += 1;
-    }
-    if end >= body.end {
-        return;
-    }
-    let rhs = eq + 1..end;
-    let scope = end + 1..enclosing_block_end(tokens, end + 1, body.end);
-
     // `let v = 0;`
-    if tok_int(tokens, rhs.start) == Some(0) && rhs.start + 1 == rhs.end {
-        facts.push(ScopedFact {
-            needs_len: None,
-            fact: Fact::ZeroConst { var },
-            scope,
-        });
-        return;
+    if const_expr(tokens, rhs) == Some(0) {
+        return Some((Fact::ZeroConst { var }, None));
     }
-    // `let v = [e; N];`
-    if tok_punct(tokens, rhs.start, '[') {
-        if let Some(close) = matching(tokens, rhs.start) {
-            if close + 1 == rhs.end {
-                let mut depth = 0i64;
-                let mut k = rhs.start + 1;
-                while k < close {
-                    match tokens.get(k) {
-                        Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-                        Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-                        Some(t) if t.is_punct(';') && depth == 0 => {
-                            if let Some(n) = tok_int(tokens, k + 1) {
-                                if k + 2 == close && n >= 1 {
-                                    facts.push(ScopedFact {
-                                        needs_len: None,
-                                        fact: Fact::ExactLen { seq: var, len: n },
-                                        scope,
-                                    });
-                                }
-                            }
-                            return;
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
-        }
-        return;
-    }
-    // `let v = vec![e; COUNT];` — a literal count gives an exact length,
-    // a path count gives the symbolic equation `v.len() == COUNT`.
-    if tok_ident(tokens, rhs.start) == Some("vec")
+    // `let v = [e; N];` / `let v = vec![e; COUNT];` — a literal count
+    // gives an exact length, a path count (`vec!` only) the symbolic
+    // equation `v.len() == COUNT`.
+    let is_vec = tok_ident(tokens, rhs.start) == Some("vec")
         && tok_punct(tokens, rhs.start + 1, '!')
-        && tok_punct(tokens, rhs.start + 2, '[')
-    {
-        if let Some(close) = matching(tokens, rhs.start + 2) {
-            if close + 1 == rhs.end {
-                let mut depth = 0i64;
-                let mut semi = None;
-                for k in rhs.start + 3..close {
-                    match tokens.get(k) {
-                        Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => {
-                            depth += 1;
-                        }
-                        Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => {
-                            depth -= 1;
-                        }
-                        Some(t) if t.is_punct(';') && depth == 0 => semi = Some(k),
-                        _ => {}
-                    }
-                }
-                if let Some(semi) = semi {
-                    let count = semi + 1..close;
-                    if let Some(n) = const_expr(tokens, &count) {
-                        if n >= 1 {
-                            facts.push(ScopedFact {
-                                needs_len: None,
-                                fact: Fact::ExactLen { seq: var, len: n },
-                                scope,
-                            });
-                        }
-                    } else if let Some((path, after)) = path_starting_at(tokens, count.start) {
-                        if after == count.end {
-                            facts.push(ScopedFact {
-                                needs_len: None,
-                                fact: Fact::EqLenPath { seq: var, path },
-                                scope,
-                            });
-                        }
-                    }
-                }
-            }
+        && tok_punct(tokens, rhs.start + 2, '[');
+    if is_vec || tok_punct(tokens, rhs.start, '[') {
+        let open = rhs.start + if is_vec { 2 } else { 0 };
+        let count = repeat_count(tokens, open).filter(|c| c.end + 1 == rhs.end)?;
+        if let Some(len) = const_expr(tokens, &count) {
+            return (len >= 1).then_some((Fact::ExactLen { seq: var, len }, None));
         }
-        return;
+        let path = exact_path(tokens, &count).filter(|_| is_vec)?;
+        return Some((Fact::EqLenPath { seq: var, path }, None));
     }
-    // `let v = f(a, b, ..)[?];` with a return-bound summary for `f`:
-    // the contract, instantiated with the call's arguments, bounds `v`.
-    if let Some((path, after)) = path_starting_at(tokens, rhs.start) {
-        if tok_punct(tokens, after, '(') {
-            if let Some(close) = matching(tokens, after) {
-                let tail_ok = close + 1 == rhs.end
-                    || (tok_punct(tokens, close + 1, '?') && close + 2 == rhs.end);
-                if tail_ok {
-                    if let Some(contract) = summaries.ret_contract(&path) {
-                        let fact = match contract {
-                            RetContract::LtParam(k) => call_arg_path(tokens, after + 1, close, *k)
-                                .map(|arg| Fact::VarLtPath {
-                                    var: var.clone(),
-                                    path: arg,
-                                }),
-                            RetContract::LtLenOfParam(k) => {
-                                call_arg_path(tokens, after + 1, close, *k).map(|arg| {
-                                    Fact::VarBound {
-                                        var: var.clone(),
-                                        seq: arg,
-                                        max_off: 0,
-                                    }
-                                })
-                            }
-                            RetContract::LeConst(c) => Some(Fact::VarLeConst {
-                                var: var.clone(),
-                                max: *c,
-                            }),
-                            RetContract::ElemsLtParam(_) => None,
-                        };
-                        if let Some(fact) = fact {
-                            facts.push(ScopedFact {
-                                needs_len: None,
-                                fact,
-                                scope,
-                            });
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    // `let v = f(a, b, ..)[?];` with a return-bound summary for `f`: the
+    // contract, instantiated with the call's arguments, bounds `v`.
     // `let v = PATH.partition_point(..);` — result ≤ PATH.len().
     if let Some((path, after)) = path_starting_at(tokens, rhs.start) {
-        if let Some(seq) = path.strip_suffix(".partition_point") {
-            if tok_punct(tokens, after, '(') {
-                if let Some(close) = matching(tokens, after) {
-                    if close + 1 == rhs.end {
-                        facts.push(ScopedFact {
-                            needs_len: None,
-                            fact: Fact::UpToLen {
-                                var,
-                                seq: seq.to_string(),
-                            },
-                            scope,
-                        });
-                        return;
-                    }
+        let close = matching(tokens, after).filter(|_| tok_punct(tokens, after, '('));
+        if let Some(close) = close {
+            let args = after + 1..close;
+            let whole = close + 1 == rhs.end;
+            let tried = tok_punct(tokens, close + 1, '?') && close + 2 == rhs.end;
+            let contract = summaries.ret_contract(&path).filter(|_| whole || tried);
+            let fact = contract.and_then(|contract| match contract {
+                RetContract::LtParam(k) => {
+                    call_arg_path(tokens, &args, *k).map(|path| Fact::VarLtPath {
+                        var: var.clone(),
+                        path,
+                    })
                 }
+                RetContract::LtLenOfParam(k) => {
+                    call_arg_path(tokens, &args, *k).map(|seq| Fact::VarBound {
+                        var: var.clone(),
+                        seq,
+                        max_off: 0,
+                    })
+                }
+                RetContract::LeConst(c) => Some(Fact::VarLeConst {
+                    var: var.clone(),
+                    max: *c,
+                }),
+                RetContract::ElemsLtParam(_) => None,
+            });
+            if let Some(fact) = fact {
+                return Some((fact, None));
+            }
+            if let Some(seq) = path.strip_suffix(".partition_point").filter(|_| whole) {
+                let seq = seq.to_string();
+                return Some((Fact::UpToLen { var, seq }, None));
             }
         }
     }
     // `let v = EXPR.min(PATH.len() - k);` — the clamp must be the RHS's
-    // final call so nothing widens the value afterwards.
-    let mut k = rhs.start;
-    while k + 1 < rhs.end {
-        if tok_punct(tokens, k, '.') && tok_ident(tokens, k + 1) == Some("min") {
-            if let Some(close) = matching(tokens, k + 2) {
-                if close + 1 == rhs.end {
-                    if let Some((seq, s)) = len_minus_expr(tokens, &(k + 3..close)) {
-                        let fact = if s >= 1 {
-                            Fact::VarBound {
-                                var,
-                                seq,
-                                max_off: s - 1,
-                            }
-                        } else {
-                            Fact::UpToLen { var, seq }
-                        };
-                        facts.push(ScopedFact {
-                            fact,
-                            scope,
-                            // `.min(len() - s)` wraps in release when
-                            // `len < s`, clamping to nothing at all.
-                            needs_len: (s >= 1).then_some(s),
-                        });
-                        return;
-                    }
-                }
-            }
+    // final call so nothing widens the value afterwards. `.min(len() -
+    // s)` wraps in release when `len < s`, clamping to nothing at all.
+    let (seq, s) = len_minus_expr(tokens, &final_call(tokens, rhs, &["min"])?)?;
+    let fact = if s >= 1 {
+        Fact::VarBound {
+            var,
+            seq,
+            max_off: s - 1,
         }
-        k += 1;
-    }
-}
-
-/// Shrinks a fact's scope to end at the first event that could invalidate
-/// it: reassignment of the bound variable, or reassignment / shrinking
-/// mutation of the sequence. Matches on last path segments, which kills
-/// more than strictly necessary — the safe direction for a prover.
-fn kill_scan(tokens: &[Token], sf: &mut ScopedFact) {
-    let (var, mut seqs): (Option<String>, Vec<String>) = match &sf.fact {
-        Fact::VarBound { var, seq, .. } | Fact::UpToLen { var, seq } => {
-            (Some(var.clone()), vec![last_segment(seq).to_string()])
-        }
-        Fact::MinLen { seq, .. } | Fact::ExactLen { seq, .. } => {
-            (None, vec![last_segment(seq).to_string()])
-        }
-        // The symbolic count is killed like a sequence: a reassignment of
-        // its last segment invalidates the equation / bound.
-        Fact::EqLenPath { seq, path } => (
-            None,
-            vec![
-                last_segment(seq).to_string(),
-                last_segment(path).to_string(),
-            ],
-        ),
-        Fact::VarLtPath { var, path } => (Some(var.clone()), vec![last_segment(path).to_string()]),
-        Fact::VarLeConst { var, .. } | Fact::ZeroConst { var } => (Some(var.clone()), Vec::new()),
+    } else {
+        Fact::UpToLen { var, seq }
     };
-    seqs.dedup();
-    let mut j = sf.scope.start;
-    while j < sf.scope.end {
-        if let Some(name) = tok_ident(tokens, j) {
-            let hits_var = var.as_deref() == Some(name);
-            let hits_seq = seqs.iter().any(|s| s == name);
-            if hits_var || hits_seq {
-                if reassigned_at(tokens, j) {
-                    sf.scope.end = j;
-                    return;
-                }
-                if hits_seq && shrunk_at(tokens, j) {
-                    sf.scope.end = j;
-                    return;
-                }
-            }
-        }
-        j += 1;
-    }
-}
-
-/// `true` if the identifier at `i` is (re)bound here: `x = ..` (not
-/// `==`/`<=`/..), compound `x += ..`, or a fresh `let x`.
-fn reassigned_at(tokens: &[Token], i: usize) -> bool {
-    if i >= 1
-        && matches!(
-            tok_ident(tokens, i - 1),
-            Some("let") | Some("mut") | Some("ref")
-        )
-    {
-        return true;
-    }
-    // Simple assignment: `x =` where the `=` is not part of `==`, `<=`,
-    // `>=`, `!=`, `=>` — and `x` is not a field of something (`.x =`).
-    if i >= 1 && tok_punct(tokens, i - 1, '.') {
-        return false;
-    }
-    if tok_punct(tokens, i + 1, '=') {
-        return !tok_punct(tokens, i + 2, '=') && !tok_punct(tokens, i + 2, '>');
-    }
-    // Compound assignment: `x OP=`.
-    if let Some(t) = tokens.get(i + 1) {
-        for op in ['+', '-', '*', '/', '%', '&', '|', '^'] {
-            if t.is_punct(op) && tok_punct(tokens, i + 2, '=') {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// `true` if the identifier at `i` is a sequence receiving a shrinking
-/// method call: `xs.truncate(..)`, `xs.pop()`, ….
-fn shrunk_at(tokens: &[Token], i: usize) -> bool {
-    tok_punct(tokens, i + 1, '.')
-        && matches!(tok_ident(tokens, i + 2), Some(m) if SHRINK_METHODS.contains(&m))
-        && tok_punct(tokens, i + 3, '(')
+    Some((fact, (s >= 1).then_some(s)))
 }
 
 // ---------------------------------------------------------------------------
 // Site proving
 // ---------------------------------------------------------------------------
 
-fn fact_active(facts: &[ScopedFact], at: usize, pred: impl Fn(&Fact) -> bool) -> bool {
-    facts
-        .iter()
-        .any(|sf| sf.scope.contains(&at) && pred(&sf.fact))
-}
-
 /// Checks every `panic.indexing` site in `f`'s body against the facts;
 /// proven sites land in `proven`, definite out-of-bounds accesses in
-/// `out`.
+/// `out`. Index sites nested inside a checked index are not visited.
 fn prove_sites(
     file: &str,
     tokens: &[Token],
     f: &FnItem,
-    facts: &[ScopedFact],
+    facts: &Facts,
     proven: &mut BTreeSet<usize>,
     out: &mut Vec<Violation>,
 ) {
     let mut i = f.body.start;
     while i < f.body.end {
-        if index_site(tokens, i) && !proven.contains(&i) {
-            let Some(close) = matching(tokens, i) else {
-                i += 1;
-                continue;
-            };
+        let site = index_site(tokens, i) && !proven.contains(&i);
+        if let Some(close) = matching(tokens, i).filter(|_| site) {
             if let Some(seq) = path_ending_at(tokens, i - 1) {
                 match prove_index(tokens, &(i + 1..close), &seq, facts, i) {
                     Proof::InBounds => {
                         proven.insert(i);
                     }
                     Proof::OutOfBounds(msg) => {
-                        let line = tokens.get(i).map(|t| t.line).unwrap_or(f.line);
+                        let line = tokens.get(i).map_or(f.line, |t| t.line);
                         out.push(violation(file, line, "flow.range", msg));
                     }
                     Proof::Unknown => {}
@@ -1438,20 +676,32 @@ pub(crate) enum Proof {
     Unknown,
 }
 
+impl From<bool> for Proof {
+    fn from(proven: bool) -> Self {
+        if proven {
+            Proof::InBounds
+        } else {
+            Proof::Unknown
+        }
+    }
+}
+
 /// Decides one index expression `seq[expr]` at token position `at`.
 pub(crate) fn prove_index(
     tokens: &[Token],
     expr: &Range<usize>,
     seq: &str,
-    facts: &[ScopedFact],
+    facts: &Facts,
     at: usize,
 ) -> Proof {
-    // Range forms first: `[lo..]`, `[..hi]`, `[lo..hi]`.
-    if let Some(dots) = depth0_dotdot(tokens, expr) {
+    let holds = |pred: &dyn Fn(&Fact) -> bool| facts.at(at).any(pred);
+    // Range forms first: `[lo..]`, `[..hi]`, `[lo..hi]` (`..=` is not
+    // proven).
+    let dots = depth0(tokens, expr.clone())
+        .find(|&j| j + 1 < expr.end && tok_punct(tokens, j, '.') && tok_punct(tokens, j + 1, '.'));
+    if let Some(dots) = dots.filter(|&d| !tok_punct(tokens, d + 2, '=')) {
         let lo = expr.start..dots;
         let hi = dots + 2..expr.end;
-        let lo_ok = range_pos_ok(tokens, &lo, seq, facts, at, true);
-        let hi_ok = range_pos_ok(tokens, &hi, seq, facts, at, false);
         // `lo..hi` with both present also needs lo ≤ hi, which we only
         // prove when lo is empty, zero, or lo and hi are both constants.
         let ordered = lo.is_empty()
@@ -1460,202 +710,92 @@ pub(crate) fn prove_index(
                 (Some(a), Some(b)) => a <= b,
                 _ => hi.is_empty(),
             };
-        return if lo_ok && hi_ok && ordered {
-            Proof::InBounds
-        } else {
-            Proof::Unknown
-        };
+        let ok = |side| range_pos_ok(tokens, side, seq, facts, at);
+        return (ok(&lo) && ok(&hi) && ordered).into();
     }
     // `seq[E % COUNT]`: the remainder is `< COUNT`, so the index is in
     // bounds whenever `COUNT` equals `seq`'s length — either literally
     // (`E % seq.len()`) or via an `EqLenPath` equation. (An empty `seq`
     // makes the `%` itself panic before the index executes, so the index
     // site still cannot go out of bounds.)
-    if let Some(m) = last_depth0_percent(tokens, expr) {
+    if let Some(m) = last_depth0(tokens, expr, '%') {
         let rhs = m + 1..expr.end;
-        if let Some((p, 0)) = len_minus_expr(tokens, &rhs) {
-            if p == seq {
-                return Proof::InBounds;
-            }
-        }
-        if let Some((p, after)) = path_starting_at(tokens, rhs.start) {
-            if after == rhs.end
-                && fact_active(
-                    facts,
-                    at,
-                    |f| matches!(f, Fact::EqLenPath { seq: s, path } if s == seq && *path == p),
-                )
-            {
-                return Proof::InBounds;
-            }
-        }
-        return Proof::Unknown;
+        let by_len = len_minus_expr(tokens, &rhs).is_some_and(|(p, k)| k == 0 && p == seq);
+        let by_eq = exact_path(tokens, &rhs).is_some_and(|p| {
+            holds(&|f| matches!(f, Fact::EqLenPath { seq: s, path } if s == seq && *path == p))
+        });
+        return (by_len || by_eq).into();
     }
     // `seq[seq.len()]` / `seq[seq.len() - k]`. The subtraction wraps in a
     // release build when `len < k` and the wrapped index reaches the
     // slice, so `len() - k` is only proof once the length is known ≥ k.
     if let Some((path, k)) = len_minus_expr(tokens, expr) {
-        if path == seq {
-            if k == 0 {
-                return Proof::OutOfBounds(format!(
-                    "`{seq}[{seq}.len()]` is always out of bounds — the last element is at `len() - 1`"
-                ));
-            }
-            let long_enough = fact_active(facts, at, |f| {
-                matches!(f, Fact::MinLen { seq: s, min_len } if s == seq && min_len + 1 >= k)
-                    || matches!(f, Fact::ExactLen { seq: s, len } if s == seq && *len >= k)
-            });
-            return if long_enough {
-                Proof::InBounds
-            } else {
-                Proof::Unknown
-            };
-        }
-        return Proof::Unknown;
+        return match k {
+            _ if path != seq => Proof::Unknown,
+            0 => Proof::OutOfBounds(format!(
+                "`{seq}[{seq}.len()]` is always out of bounds — the last element is at `len() - 1`"
+            )),
+            k => holds(&|f| len_exceeds(f, seq, k - 1)).into(),
+        };
     }
-    // Constant index.
+    // Constant index; an exact length *refutes* those at or above it.
     if let Some(c) = const_expr(tokens, expr) {
-        if fact_active(facts, at, |f| {
-            matches!(f, Fact::MinLen { seq: s, min_len } if s == seq && *min_len >= c)
-                || matches!(f, Fact::ExactLen { seq: s, len } if s == seq && *len > c)
-        }) {
+        if holds(&|f| len_exceeds(f, seq, c)) {
             return Proof::InBounds;
         }
-        // An exact length *refutes* constant indices at or above it.
-        let oob = facts.iter().find(|sf| {
-            sf.scope.contains(&at)
-                && matches!(&sf.fact, Fact::ExactLen { seq: s, len } if s == seq && *len <= c)
+        let exact = facts.at(at).find_map(|f| match f {
+            Fact::ExactLen { seq: s, len } if s == seq && *len <= c => Some(*len),
+            _ => None,
         });
-        if let Some(sf) = oob {
-            if let Fact::ExactLen { len, .. } = &sf.fact {
-                return Proof::OutOfBounds(format!(
-                    "index {c} is out of bounds for `{seq}`, which has exactly {len} element(s)"
-                ));
-            }
-        }
-        return Proof::Unknown;
+        return match exact {
+            Some(len) => Proof::OutOfBounds(format!(
+                "index {c} is out of bounds for `{seq}`, which has exactly {len} element(s)"
+            )),
+            None => Proof::Unknown,
+        };
     }
     // `seq[var]` / `seq[var + c]` / `seq[c + var]`.
-    if let Some((var, c)) = var_plus_const(tokens, expr).or_else(|| {
-        // `c + var` commuted form.
+    let commuted = || {
         let c = tok_int(tokens, expr.start)?;
-        if tok_punct(tokens, expr.start + 1, '+') && expr.start + 3 == expr.end {
-            let v = tok_ident(tokens, expr.start + 2)?;
-            Some((v.to_string(), c))
-        } else {
-            None
-        }
-    }) {
-        if fact_active(facts, at, |f| {
-            matches!(f, Fact::VarBound { var: v, seq: s, max_off }
-                if *v == var && s == seq && *max_off >= c)
-        }) {
-            return Proof::InBounds;
-        }
+        let v = tok_ident(tokens, expr.start + 2)?;
+        (tok_punct(tokens, expr.start + 1, '+') && expr.start + 3 == expr.end)
+            .then(|| (v.to_string(), c))
+    };
+    if let Some((var, c)) = var_plus_const(tokens, expr).or_else(commuted) {
+        let bound = holds(
+            &|f| matches!(f, Fact::VarBound { var: v, seq: s, max_off } if *v == var && s == seq && *max_off >= c),
+        );
         // `var < count` joined with `seq.len() == count` (c must be 0 —
         // nothing relates `var + c` to the count).
-        if c == 0 {
-            let join = facts.iter().any(|a| {
-                a.scope.contains(&at)
-                    && match &a.fact {
-                        Fact::VarLtPath { var: v, path } if *v == var => facts.iter().any(|b| {
-                            b.scope.contains(&at)
-                                && matches!(&b.fact, Fact::EqLenPath { seq: s, path: p }
-                                        if s == seq && p == path)
-                        }),
-                        _ => false,
-                    }
+        let joined = c == 0
+            && holds(&|a| match a {
+                Fact::VarLtPath { var: v, path } if *v == var => holds(
+                    &|b| matches!(b, Fact::EqLenPath { seq: s, path: p } if s == seq && p == path),
+                ),
+                _ => false,
             });
-            if join {
-                return Proof::InBounds;
-            }
-        }
         // `var <= m` (a `.min(m)`-shaped summary) joined with a length
         // fact proving `seq.len() > m + c`.
-        let le_join = facts.iter().any(|a| {
-            a.scope.contains(&at)
-                && match &a.fact {
-                    Fact::VarLeConst { var: v, max } if *v == var => {
-                        let need = max + c;
-                        fact_active(facts, at, |f| {
-                            matches!(f, Fact::MinLen { seq: s, min_len } if s == seq && *min_len >= need)
-                                || matches!(f, Fact::ExactLen { seq: s, len } if s == seq && *len > need)
-                        })
-                    }
-                    _ => false,
-                }
+        let clamped = holds(&|a| match a {
+            Fact::VarLeConst { var: v, max } if *v == var => {
+                holds(&|f| len_exceeds(f, seq, max + c))
+            }
+            _ => false,
         });
-        if le_join {
-            return Proof::InBounds;
-        }
-        return Proof::Unknown;
+        return (bound || joined || clamped).into();
     }
     // `seq[rng.gen_range(0..seq.len())]` — the sampled index is < len by
-    // construction (an empty range panics in `gen_range`, not here, and
-    // only where `seq` could be empty — which the rule's other facts
-    // would have to establish; we accept the pattern as the RNG contract).
-    if let Some((path, after)) = path_starting_at(tokens, expr.start) {
-        if path.ends_with(".gen_range")
-            && tok_punct(tokens, after, '(')
-            && tok_int(tokens, after + 1) == Some(0)
-            && tok_punct(tokens, after + 2, '.')
-            && tok_punct(tokens, after + 3, '.')
-        {
-            if let Some((inner, 0)) = len_minus_expr(tokens, &(after + 4..expr.end - 1)) {
-                if inner == seq && matching(tokens, after).map(|c| c + 1) == Some(expr.end) {
-                    return Proof::InBounds;
-                }
-            }
-        }
-    }
-    Proof::Unknown
-}
-
-/// Last depth-0 binary `%` in `expr`, if any (a remainder, never the
-/// start of the expression).
-fn last_depth0_percent(tokens: &[Token], expr: &Range<usize>) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut found = None;
-    for j in expr.start..expr.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t) if depth == 0 && t.is_punct('%') && j > expr.start => found = Some(j),
-            _ => {}
-        }
-    }
-    found
-}
-
-/// First depth-0 `..` in `expr`, if any.
-fn depth0_dotdot(tokens: &[Token], expr: &Range<usize>) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut j = expr.start;
-    while j + 1 < expr.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t) if depth == 0 && t.is_punct('.') && tok_punct(tokens, j + 1, '.') => {
-                // Only plain `..`; `..=` ranges are not proven.
-                if tok_punct(tokens, j + 2, '=') {
-                    return None;
-                }
-                return Some(j);
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    None
-}
-
-/// A bare integer literal spanning exactly `range`.
-pub(crate) fn const_expr(tokens: &[Token], range: &Range<usize>) -> Option<u64> {
-    if range.start + 1 == range.end {
-        tok_int(tokens, range.start)
-    } else {
-        None
-    }
+    // construction (an empty range panics in `gen_range`, not here).
+    let Some((path, after)) = path_starting_at(tokens, expr.start) else {
+        return Proof::Unknown;
+    };
+    let sampled = path.ends_with(".gen_range")
+        && tok_int(tokens, after + 1) == Some(0)
+        && tok_punct(tokens, after + 2, '.')
+        && tok_punct(tokens, after + 3, '.')
+        && matching(tokens, after).map(|c| c + 1) == Some(expr.end)
+        && len_minus_expr(tokens, &(after + 4..expr.end - 1)) == Some((seq.to_string(), 0));
+    sampled.into()
 }
 
 /// Is one side of a range position (`seq[pos..]` / `seq[..pos]`) proven
@@ -1664,42 +804,34 @@ fn range_pos_ok(
     tokens: &[Token],
     side: &Range<usize>,
     seq: &str,
-    facts: &[ScopedFact],
+    facts: &Facts,
     at: usize,
-    _is_lo: bool,
 ) -> bool {
+    let holds = |pred: &dyn Fn(&Fact) -> bool| facts.at(at).any(pred);
     if side.is_empty() {
         return true;
     }
-    if let Some(c) = const_expr(tokens, side) {
-        if c == 0 {
-            return true;
-        }
-        return fact_active(facts, at, |f| {
-            matches!(f, Fact::MinLen { seq: s, min_len } if s == seq && *min_len >= c - 1)
-                || matches!(f, Fact::ExactLen { seq: s, len } if s == seq && *len >= c)
-        });
+    // `seq[..c]` and `seq[..seq.len() - k]`: for `k >= 1` the subtraction
+    // wraps in a release build when `len < k`, and the wrapped position
+    // reaches the slice — require the length to be known ≥ k first.
+    let need = match (const_expr(tokens, side), len_minus_expr(tokens, side)) {
+        (Some(c), _) => Some(c),
+        (None, Some((path, k))) if path == seq => Some(k),
+        (None, Some(_)) => return false,
+        (None, None) => None,
+    };
+    if let Some(k) = need {
+        return k == 0 || holds(&|f| len_exceeds(f, seq, k - 1));
     }
-    if let Some((path, k)) = len_minus_expr(tokens, side) {
-        // `seq[..seq.len() - k]`: for `k >= 1` the subtraction wraps in a
-        // release build when `len < k`, and the wrapped position reaches
-        // the slice — require the length to be known ≥ k first.
-        return path == seq
-            && (k == 0
-                || fact_active(facts, at, |f| {
-                    matches!(f, Fact::MinLen { seq: s, min_len } if s == seq && min_len + 1 >= k)
-                        || matches!(f, Fact::ExactLen { seq: s, len } if s == seq && *len >= k)
-                }));
-    }
-    if let Some(var) = tok_ident(tokens, side.start) {
-        if side.start + 1 == side.end {
-            return fact_active(facts, at, |f| {
-                matches!(f, Fact::VarBound { var: v, seq: s, .. } if v == var && s == seq)
-                    || matches!(f, Fact::UpToLen { var: v, seq: s } if v == var && s == seq)
-            });
-        }
-    }
-    false
+    let var = tok_ident(tokens, side.start).filter(|_| side.start + 1 == side.end);
+    var.is_some_and(|var| {
+        holds(&|f| match f {
+            Fact::VarBound { var: v, seq: s, .. } | Fact::UpToLen { var: v, seq: s } => {
+                v == var && s == seq
+            }
+            _ => false,
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1712,15 +844,14 @@ fn division_check(
     file: &str,
     tokens: &[Token],
     f: &FnItem,
-    facts: &[ScopedFact],
+    facts: &Facts,
     out: &mut Vec<Violation>,
 ) {
     let mut i = f.body.start;
     while i < f.body.end {
-        let is_div = tok_punct(tokens, i, '/');
-        let is_rem = tok_punct(tokens, i, '%');
-        if is_div || is_rem {
-            let op = if is_div { "/" } else { "%" };
+        let op = ['/', '%'].into_iter().find(|c| tok_punct(tokens, i, *c));
+        if let Some(op) = op {
+            let line = tokens.get(i).map_or(f.line, |t| t.line);
             // `x /= d` puts the divisor one token later than `x / d`;
             // `//` cannot appear (comments are stripped by the lexer).
             let d = if tok_punct(tokens, i + 1, '=') {
@@ -1728,12 +859,9 @@ fn division_check(
             } else {
                 i + 1
             };
-            if tok_int(tokens, d) == Some(0)
-                // The lexer folds float literals into one token, so a `.`
-                // after the `0` here means a method call on it.
-                && !tok_punct(tokens, d + 1, '.')
-            {
-                let line = tokens.get(i).map(|t| t.line).unwrap_or(f.line);
+            // The lexer folds float literals into one token, so a `.`
+            // after the `0` here means a method call on it.
+            if tok_int(tokens, d) == Some(0) && !tok_punct(tokens, d + 1, '.') {
                 out.push(violation(
                     file,
                     line,
@@ -1744,14 +872,10 @@ fn division_check(
                 ));
             } else if let Some(var) = tok_ident(tokens, d) {
                 let bare = !tok_punct(tokens, d + 1, '.') && !tok_punct(tokens, d + 1, '(');
-                if bare
-                    && fact_active(
-                        facts,
-                        i,
-                        |fa| matches!(fa, Fact::ZeroConst { var: v } if v == var),
-                    )
-                {
-                    let line = tokens.get(i).map(|t| t.line).unwrap_or(f.line);
+                let zero = facts
+                    .at(i)
+                    .any(|fa| matches!(fa, Fact::ZeroConst { var: v } if v == var));
+                if bare && zero {
                     out.push(violation(
                         file,
                         line,
@@ -1773,37 +897,50 @@ fn division_check(
 // ---------------------------------------------------------------------------
 
 /// Infers the dimension of each local binding and flags cross-dimension
-/// sums and assignments.
+/// sums and assignments. Parameters seed the environment: `name: Hertz`
+/// takes the declared dimension, `name: f64` the dimension the *name*
+/// implies (precisely the case `units.raw-f64` tolerates in private
+/// fns). `let` bindings and `=`/`+=`/`-=` assignments then propagate it;
+/// `*=` and friends change dimension and are not judged.
 fn unit_pass(file: &str, tokens: &[Token], f: &FnItem, out: &mut Vec<Violation>) {
-    let mut env: BTreeMap<String, &'static str> = BTreeMap::new();
-    seed_params(tokens, f, &mut env);
-
-    let mut i = f.body.start;
-    while i < f.body.end {
-        // `let [mut] name [: Type] = RHS ;` or `path [op]= RHS ;`.
-        if let Some((name, explicit, rhs)) = assignment_at(tokens, i, &f.body) {
-            let target = explicit
-                .or_else(|| env.get(&name).copied())
-                .or_else(|| known_unit(suggested_unit_type(&name)));
-            let line = tokens.get(rhs.start).map(|t| t.line).unwrap_or(f.line);
-            let rhs_unit = infer_terms(file, tokens, &rhs, &env, line, out);
-            if let (Some(t), Some(r)) = (target, rhs_unit) {
-                if t != r {
-                    out.push(violation(
-                        file,
-                        line,
-                        "flow.unit",
-                        format!("assigning a {r}-valued expression to `{name}`, which carries {t}"),
-                    ));
-                }
+    let mut env: BTreeMap<String, &'static str> = f
+        .params
+        .iter()
+        .filter(|p| !p.name.is_empty())
+        .filter_map(|p| Some((p.name.clone(), type_unit(tokens, &p.ty, &p.name)?)))
+        .collect();
+    for s in &f.stmts {
+        let (name, explicit, rhs) = match &s.kind {
+            StmtKind::Let { var, ty, rhs, .. } => {
+                let explicit = ty.as_ref().and_then(|ty| type_unit(tokens, ty, var));
+                (var.as_str(), explicit, rhs)
             }
-            if let Some(u) = rhs_unit.or(target) {
-                env.insert(name, u);
+            StmtKind::Assign {
+                target,
+                op: None | Some('+' | '-'),
+                rhs,
+                ..
+            } => (last_segment(target), None, rhs),
+            _ => continue,
+        };
+        let target = explicit
+            .or_else(|| env.get(name).copied())
+            .or_else(|| known_unit(suggested_unit_type(name)));
+        let line = tokens.get(rhs.start).map_or(f.line, |t| t.line);
+        let rhs_unit = infer_terms(file, tokens, rhs, &env, line, out);
+        if let (Some(t), Some(r)) = (target, rhs_unit) {
+            if t != r {
+                out.push(violation(
+                    file,
+                    line,
+                    "flow.unit",
+                    format!("assigning a {r}-valued expression to `{name}`, which carries {t}"),
+                ));
             }
-            i = rhs.end;
-            continue;
         }
-        i += 1;
+        if let Some(u) = rhs_unit.or(target) {
+            env.insert(name.to_string(), u);
+        }
     }
 }
 
@@ -1814,146 +951,18 @@ fn known_unit(suggested: Option<&'static str>) -> Option<&'static str> {
     suggested.filter(|u| UNIT_TYPES.contains(u))
 }
 
-/// Seeds the environment from the parameter list: `name: Hertz` takes the
-/// declared dimension; `name: f64` takes the dimension the *name* implies
-/// (that is precisely the case `units.raw-f64` tolerates in private fns).
-fn seed_params(tokens: &[Token], f: &FnItem, env: &mut BTreeMap<String, &'static str>) {
-    let mut open = None;
-    for j in f.sig.clone() {
-        if tok_punct(tokens, j, '(') {
-            open = Some(j);
-            break;
-        }
+/// The dimension a declared type gives the binding `name`: a `bsa-units`
+/// newtype's own, or for `f64` the one the name implies. References,
+/// lifetimes and `mut` are looked through.
+fn type_unit(tokens: &[Token], ty: &Range<usize>, name: &str) -> Option<&'static str> {
+    let first = ty.clone().find(|&j| {
+        let lifetime = matches!(tokens.get(j).map(|t| &t.kind), Some(TokenKind::Lifetime(_)));
+        !(tok_punct(tokens, j, '&') || tok_ident(tokens, j) == Some("mut") || lifetime)
+    })?;
+    match tok_ident(tokens, first)? {
+        "f64" => known_unit(suggested_unit_type(name)),
+        ty => UNIT_TYPES.iter().find(|u| **u == ty).copied(),
     }
-    let Some(open) = open else { return };
-    let Some(close) = matching(tokens, open) else {
-        return;
-    };
-    let mut j = open + 1;
-    while j < close {
-        if let Some(name) = tok_ident(tokens, j) {
-            if tok_punct(tokens, j + 1, ':')
-                && !tok_punct(tokens, j + 2, ':')
-                && !tok_punct(tokens, j - 1, ':')
-            {
-                // First type token, past `&`, lifetimes and `mut`.
-                let mut t = j + 2;
-                loop {
-                    match tokens.get(t) {
-                        Some(tk) if tk.is_punct('&') => t += 1,
-                        Some(tk) if matches!(&tk.kind, crate::lexer::TokenKind::Lifetime(_)) => {
-                            t += 1;
-                        }
-                        Some(tk) if tk.is_ident("mut") => t += 1,
-                        _ => break,
-                    }
-                }
-                if let Some(ty) = tok_ident(tokens, t) {
-                    let unit = if UNIT_TYPES.contains(&ty) {
-                        Some(ty_to_static(ty))
-                    } else if ty == "f64" {
-                        known_unit(suggested_unit_type(name))
-                    } else {
-                        None
-                    };
-                    if let Some(u) = unit {
-                        env.insert(name.to_string(), u);
-                    }
-                }
-            }
-        }
-        j += 1;
-    }
-}
-
-fn ty_to_static(ty: &str) -> &'static str {
-    UNIT_TYPES
-        .iter()
-        .find(|u| **u == ty)
-        .copied()
-        .unwrap_or("f64")
-}
-
-/// Recognises an assignment statement at `i`. Returns the target's last
-/// segment, an explicitly annotated unit (let bindings only) and the RHS
-/// token range (exclusive of the terminating `;`).
-fn assignment_at(
-    tokens: &[Token],
-    i: usize,
-    body: &Range<usize>,
-) -> Option<(String, Option<&'static str>, Range<usize>)> {
-    // `let [mut] name [: Type] =`
-    if tok_ident(tokens, i) == Some("let") {
-        let mut j = i + 1;
-        if tok_ident(tokens, j) == Some("mut") {
-            j += 1;
-        }
-        let name = tok_ident(tokens, j)?.to_string();
-        let mut explicit = None;
-        let mut k = j + 1;
-        if tok_punct(tokens, k, ':') && !tok_punct(tokens, k + 1, ':') {
-            if let Some(ty) = tok_ident(tokens, k + 1) {
-                if UNIT_TYPES.contains(&ty) {
-                    explicit = Some(ty_to_static(ty));
-                } else if ty == "f64" {
-                    explicit = known_unit(suggested_unit_type(&name));
-                }
-            }
-            // Skip the annotation to the `=` at depth 0.
-            let mut depth = 0i64;
-            while k < body.end {
-                match tokens.get(k) {
-                    Some(t) if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') => depth += 1,
-                    Some(t) if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') => depth -= 1,
-                    Some(t) if t.is_punct('=') && depth == 0 => break,
-                    Some(t) if t.is_punct(';') && depth == 0 => return None,
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-        if !tok_punct(tokens, k, '=') || tok_punct(tokens, k + 1, '=') {
-            return None;
-        }
-        let end = statement_end(tokens, k + 1, body)?;
-        return Some((name, explicit, k + 1..end));
-    }
-    // `path = RHS ;` / `path += RHS ;` — only when the statement starts
-    // here (previous token ends a statement or block).
-    let starts = i == body.start + 1
-        || matches!(tokens.get(i.wrapping_sub(1)), Some(t) if t.is_punct(';') || t.is_punct('{') || t.is_punct('}'));
-    if !starts {
-        return None;
-    }
-    let (path, after) = path_starting_at(tokens, i)?;
-    let name = last_segment(&path).to_string();
-    let eq = if tok_punct(tokens, after, '=') && !tok_punct(tokens, after + 1, '=') {
-        after
-    } else if (tok_punct(tokens, after, '+') || tok_punct(tokens, after, '-'))
-        && tok_punct(tokens, after + 1, '=')
-    {
-        after + 1
-    } else {
-        return None;
-    };
-    let end = statement_end(tokens, eq + 1, body)?;
-    Some((name, None, eq + 1..end))
-}
-
-/// First `;` at depth 0 from `from`.
-pub(crate) fn statement_end(tokens: &[Token], from: usize, body: &Range<usize>) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut j = from;
-    while j < body.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => depth -= 1,
-            Some(t) if t.is_punct(';') && depth == 0 => return Some(j),
-            _ => {}
-        }
-        j += 1;
-    }
-    None
 }
 
 /// Splits `rhs` into its depth-0 additive terms, infers each term's
@@ -1968,40 +977,31 @@ fn infer_terms(
     out: &mut Vec<Violation>,
 ) -> Option<&'static str> {
     let mut terms: Vec<Range<usize>> = Vec::new();
-    let mut depth = 0i64;
     let mut start = rhs.start;
-    let mut j = rhs.start;
-    while j < rhs.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => depth -= 1,
-            Some(t) if depth == 0 && (t.is_punct('+') || t.is_punct('-')) => {
-                // Binary only: a `+`/`-` after an operand. Unary signs and
-                // `->`/`..`-adjacent dashes don't split terms.
-                let binary = j > rhs.start
-                    && matches!(tokens.get(j - 1), Some(p) if p.ident().is_some()
-                        || matches!(&p.kind, crate::lexer::TokenKind::Literal(_))
-                        || p.is_punct(')') || p.is_punct(']'));
-                let arrow = tok_punct(tokens, j + 1, '>');
-                if binary && !arrow {
-                    terms.push(start..j);
-                    start = j + 1;
-                }
-            }
-            _ => {}
+    for j in depth0(tokens, rhs.clone()) {
+        // Binary only: a `+`/`-` after an operand. Unary signs and
+        // `->`/`..`-adjacent dashes don't split terms.
+        let operand = j > rhs.start
+            && tokens.get(j - 1).is_some_and(|p| {
+                p.ident().is_some()
+                    || matches!(&p.kind, TokenKind::Literal(_))
+                    || p.is_punct(')')
+                    || p.is_punct(']')
+            });
+        let sign = tok_punct(tokens, j, '+') || tok_punct(tokens, j, '-');
+        if sign && operand && !tok_punct(tokens, j + 1, '>') {
+            terms.push(start..j);
+            start = j + 1;
         }
-        j += 1;
     }
     terms.push(start..rhs.end);
 
+    let units: Vec<Option<&'static str>> =
+        terms.iter().map(|t| term_unit(tokens, t, env)).collect();
     let mut inferred: Vec<&'static str> = Vec::new();
-    let mut known = 0usize;
-    for term in &terms {
-        if let Some(u) = term_unit(tokens, term, env) {
-            known += 1;
-            if !inferred.contains(&u) {
-                inferred.push(u);
-            }
+    for u in units.iter().flatten() {
+        if !inferred.contains(u) {
+            inferred.push(u);
         }
     }
     if inferred.len() > 1 {
@@ -2018,11 +1018,10 @@ fn infer_terms(
     }
     // Propagate only when every term's dimension is known — a sum with an
     // opaque term could be anything.
-    if known == terms.len() {
-        inferred.first().copied()
-    } else {
-        None
-    }
+    inferred
+        .first()
+        .copied()
+        .filter(|_| units.iter().all(Option::is_some))
 }
 
 /// The dimension of one additive term, if statically known. Terms with
@@ -2034,98 +1033,62 @@ fn term_unit(
     env: &BTreeMap<String, &'static str>,
 ) -> Option<&'static str> {
     // Trim a leading unary minus.
-    let mut start = term.start;
-    if tok_punct(tokens, start, '-') {
-        start += 1;
-    }
+    let start = term.start + usize::from(tok_punct(tokens, term.start, '-'));
     if start >= term.end {
         return None;
     }
-    // Parenthesised term: recurse when the parens span the whole term.
+    // Parenthesised term: only a *single* additive group keeps its
+    // dimension.
     if tok_punct(tokens, start, '(') {
-        if let Some(close) = matching(tokens, start) {
-            if close + 1 == term.end {
-                let inner = start + 1..close;
-                // Only a *single* additive group keeps its dimension.
-                let mut inferred = None;
-                let mut depth = 0i64;
-                let mut j = inner.start;
-                let mut seg = inner.start;
-                while j <= inner.end {
-                    let split = j == inner.end
-                        || (depth == 0
-                            && matches!(tokens.get(j), Some(t) if t.is_punct('+') || t.is_punct('-'))
-                            && j > seg);
-                    if split {
-                        let u = term_unit(tokens, &(seg..j), env)?;
-                        match inferred {
-                            None => inferred = Some(u),
-                            Some(prev) if prev == u => {}
-                            _ => return None,
-                        }
-                        seg = j + 1;
-                    } else if let Some(t) = tokens.get(j) {
-                        if t.is_punct('(') || t.is_punct('[') {
-                            depth += 1;
-                        } else if t.is_punct(')') || t.is_punct(']') {
-                            depth -= 1;
-                        }
-                    }
-                    j += 1;
-                }
-                return inferred;
+        let close = matching(tokens, start).filter(|c| c + 1 == term.end)?;
+        let inner = start + 1..close;
+        let mut inferred = None;
+        let mut seg = inner.start;
+        let signs = depth0(tokens, inner.clone())
+            .filter(|&j| tok_punct(tokens, j, '+') || tok_punct(tokens, j, '-'));
+        for j in signs.chain([inner.end]) {
+            if j <= seg && j != inner.end {
+                continue;
             }
-        }
-        return None;
-    }
-    // Any depth-0 `*`, `/`, `%`, `as` inside the term → unknown dimension.
-    let mut depth = 0i64;
-    for j in start..term.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') => depth -= 1,
-            Some(t)
-                if depth == 0
-                    && (t.is_punct('*')
-                        || t.is_punct('/')
-                        || t.is_punct('%')
-                        || t.is_ident("as")) =>
-            {
+            let u = term_unit(tokens, &(seg..j), env)?;
+            if inferred.is_some_and(|prev| prev != u) {
                 return None;
             }
-            _ => {}
+            inferred = Some(u);
+            seg = j + 1;
         }
+        return inferred;
     }
-    // `Unit::new(..)` / `Unit::from_*(..)` constructor.
+    // Any depth-0 `*`, `/`, `%`, `as` inside the term → unknown dimension.
+    let product = depth0(tokens, start..term.end).any(|j| {
+        ['*', '/', '%'].iter().any(|c| tok_punct(tokens, j, *c))
+            || tok_ident(tokens, j) == Some("as")
+    });
+    if product {
+        return None;
+    }
     let (path, after) = path_starting_at(tokens, start)?;
-    let segments: Vec<&str> = path.split("::").collect();
-    if let [ty, _ctor] = segments.as_slice() {
-        if UNIT_TYPES.contains(ty) && tok_punct(tokens, after, '(') {
-            if matching(tokens, after).map(|c| c + 1) == Some(term.end) {
-                return Some(ty_to_static(ty));
-            }
-            return None;
+    if let [ty, member] = path.split("::").collect::<Vec<_>>().as_slice() {
+        let unit = UNIT_TYPES.iter().find(|u| *u == ty).copied();
+        // `Unit::new(..)` / `Unit::from_*(..)` constructor.
+        if unit.is_some() && tok_punct(tokens, after, '(') {
+            return unit.filter(|_| matching(tokens, after).map(|c| c + 1) == Some(term.end));
         }
-    }
-    // `Unit::ZERO`-style associated consts.
-    if let [ty, konst] = segments.as_slice() {
-        if UNIT_TYPES.contains(ty)
-            && konst.chars().all(|c| c.is_ascii_uppercase() || c == '_')
-            && after == term.end
-        {
-            return Some(ty_to_static(ty));
+        // `Unit::ZERO`-style associated consts.
+        let konst = member.chars().all(|c| c.is_ascii_uppercase() || c == '_');
+        if unit.is_some() && konst && after == term.end {
+            return unit;
         }
     }
     // A plain path (possibly dotted): a call result is unknown; a bare
     // value takes its dimension from the environment, else its name.
-    if after != term.end || tok_punct(tokens, after, '(') {
+    if after != term.end {
         return None;
     }
     let last = last_segment(&path);
-    if let Some(u) = env.get(last) {
-        return Some(u);
-    }
-    known_unit(suggested_unit_type(last))
+    env.get(last)
+        .copied()
+        .or_else(|| known_unit(suggested_unit_type(last)))
 }
 
 // ---------------------------------------------------------------------------

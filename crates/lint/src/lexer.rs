@@ -5,6 +5,8 @@
 //! strings and char/lifetime ambiguity resolved — full expression parsing
 //! is deliberately out of scope.
 
+use crate::syntax::{depth0, matching};
+
 /// One lexical token with its source line (1-based).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
@@ -369,12 +371,12 @@ fn parse_int(text: &str) -> Option<u64> {
 pub fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0;
-    while i < tokens.len() {
+    while let Some(t) = tokens.get(i) {
         if let Some(end) = test_attribute_end(tokens, i) {
             // Skip the attribute itself, then the annotated item.
             i = skip_item(tokens, end);
         } else {
-            out.push(tokens[i].clone());
+            out.push(t.clone());
             i += 1;
         }
     }
@@ -384,35 +386,15 @@ pub fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
 /// If `tokens[i..]` starts a `#[cfg(test)]`-like or `#[test]` attribute,
 /// returns the index one past its closing `]`.
 fn test_attribute_end(tokens: &[Token], i: usize) -> Option<usize> {
-    if !tokens.get(i)?.is_punct('#') || !tokens.get(i + 1)?.is_punct('[') {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut saw_test = false;
-    let mut saw_cfg_or_bare = false;
-    let mut j = i + 1;
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                let is_test = saw_test && saw_cfg_or_bare;
-                return if is_test { Some(j + 1) } else { None };
-            }
-        } else if t.is_ident("test") {
-            saw_test = true;
-            // `#[test]` exactly: the attribute body is the single ident.
-            if j == i + 2 && tokens.get(i + 3).map(|t| t.is_punct(']')) == Some(true) {
-                saw_cfg_or_bare = true;
-            }
-        } else if t.is_ident("cfg") || t.is_ident("cfg_attr") {
-            saw_cfg_or_bare = true;
-        }
-        j += 1;
-    }
-    None
+    let end = attribute_end(tokens, i)?;
+    let inner = tokens.get(i + 2..end - 1)?;
+    let test = inner.iter().any(|t| t.is_ident("test"));
+    // `#[test]` exactly, or a `cfg`/`cfg_attr` that mentions `test`.
+    let cfg = inner.len() == 1
+        || inner
+            .iter()
+            .any(|t| t.is_ident("cfg") || t.is_ident("cfg_attr"));
+    (test && cfg).then_some(end)
 }
 
 /// Skips one item starting at `i`: through the matching `}` of its first
@@ -423,46 +405,26 @@ fn skip_item(tokens: &[Token], mut i: usize) -> usize {
     while let Some(end) = attribute_end(tokens, i) {
         i = end;
     }
-    let mut depth = 0usize;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return i + 1;
-            }
-        } else if t.is_punct(';') && depth == 0 {
-            return i + 1;
+    let stop = depth0(tokens, i..tokens.len()).find(|&j| {
+        tokens
+            .get(j)
+            .is_some_and(|t| t.is_punct('{') || t.is_punct(';') || t.is_punct('}'))
+    });
+    match stop {
+        Some(j) if tokens.get(j).is_some_and(|t| t.is_punct('{')) => {
+            matching(tokens, j).map_or(tokens.len(), |c| c + 1)
         }
-        i += 1;
+        Some(j) => j + 1,
+        None => tokens.len(),
     }
-    i
 }
 
 /// If `tokens[i..]` starts any attribute, returns the index past its `]`.
 fn attribute_end(tokens: &[Token], i: usize) -> Option<usize> {
-    if !tokens.get(i)?.is_punct('#') {
+    if !tokens.get(i)?.is_punct('#') || !tokens.get(i + 1)?.is_punct('[') {
         return None;
     }
-    let mut j = i + 1;
-    if !tokens.get(j)?.is_punct('[') {
-        return None;
-    }
-    let mut depth = 0usize;
-    while j < tokens.len() {
-        if tokens[j].is_punct('[') {
-            depth += 1;
-        } else if tokens[j].is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j + 1);
-            }
-        }
-        j += 1;
-    }
-    None
+    matching(tokens, i + 1).map(|close| close + 1)
 }
 
 #[cfg(test)]

@@ -30,6 +30,13 @@
 //! [`proto`]) and `conc.*` (atomic read-modify-write and lock discipline
 //! in the serving crates, [`conc`]).
 //!
+//! The dataflow passes share one statement model: [`syntax`] lowers each
+//! parsed fn once into typed parameters, statements (`let`, assignment,
+//! `if`/`while` guard, `for`, assert, grow/fill/window method calls,
+//! enum match arms) and the points where names are rebound, and every
+//! pass below is a fold over that output with its own lattice, sharing
+//! one scoped store.
+//!
 //! The *dataflow* layer is an intraprocedural interval prover and unit
 //! inferencer ([`flow`]) that discharge proven `panic.indexing` sites
 //! and flag definite range/dimension bugs (`flow.range`, `flow.unit`),
@@ -60,6 +67,7 @@ pub mod reach;
 pub mod report;
 pub mod rules;
 pub mod summary;
+pub mod syntax;
 pub mod taint;
 pub mod workspace;
 
@@ -70,7 +78,7 @@ pub use locks::lock_order_pass;
 pub use parser::{parse_file, ParsedFile};
 pub use proto::{proto_pass, ProtoConfig, ProtoSummary};
 pub use reach::{reach_pass, ProvenLines};
-pub use report::{render_json, render_sarif, Report};
+pub use report::{render_json, Report};
 pub use rules::{rule_description, run_rules, RuleSet, Violation, RULE_IDS};
 pub use summary::{compute_summaries, summary_pass, RetContract, Summaries};
 pub use taint::taint_pass;

@@ -5,7 +5,6 @@
 //!                                    # non-allowlisted violation or any
 //!                                    # stale allowlist budget
 //! cargo run -p bsa-lint -- check --format json   # machine-readable report
-//! cargo run -p bsa-lint -- check --format sarif  # SARIF 2.1.0 for code scanning
 //! cargo run -p bsa-lint -- list     # every raw violation, pre-allowlist
 //! cargo run -p bsa-lint -- budget   # total allowlist budget (CI compares
 //!                                    # this against the baseline)
@@ -14,8 +13,8 @@
 //! ```
 
 use bsa_lint::{
-    allow, check_sources, check_workspace, load_sources, render_json, render_sarif,
-    rule_description, workspace_root, Allowlist, PassTimings, ProtoSummary, Report, RULE_IDS,
+    allow, check_sources, check_workspace, load_sources, render_json, rule_description,
+    workspace_root, Allowlist, PassTimings, ProtoSummary, Report, RULE_IDS,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -28,7 +27,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => match parse_format(&args) {
-            Ok(format) => cmd_check(format),
+            Ok(json) => cmd_check(json),
             Err(e) => {
                 eprintln!("bsa-lint: {e}");
                 ExitCode::from(2)
@@ -48,23 +47,16 @@ fn main() -> ExitCode {
             eprintln!("bsa-lint: unknown command `{name}`");
             eprintln!(
                 "usage: cargo run -p bsa-lint -- <check|list|budget|tighten|rules> \
-                 [--format json|sarif]"
+                 [--format json]"
             );
             ExitCode::from(2)
         }
     }
 }
 
-/// Output shape for `check`.
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
-/// `--format json|sarif` or `--format=…` anywhere after the command.
-fn parse_format(args: &[String]) -> Result<Format, String> {
+/// `--format json` or `--format=json` anywhere after the command:
+/// `true` for the JSON report, `false` for human-readable output.
+fn parse_format(args: &[String]) -> Result<bool, String> {
     let mut prev_was_format = false;
     for a in args {
         let value = if let Some(v) = a.strip_prefix("--format=") {
@@ -76,16 +68,15 @@ fn parse_format(args: &[String]) -> Result<Format, String> {
         };
         prev_was_format = a == "--format";
         match value {
-            Some("json") => return Ok(Format::Json),
-            Some("sarif") => return Ok(Format::Sarif),
-            Some(other) => return Err(format!("unknown format `{other}` (json|sarif)")),
+            Some("json") => return Ok(true),
+            Some(other) => return Err(format!("unknown format `{other}` (json)")),
             None => {}
         }
     }
     if prev_was_format {
-        return Err("missing value after --format (json|sarif)".to_string());
+        return Err("missing value after --format (json)".to_string());
     }
-    Ok(Format::Human)
+    Ok(false)
 }
 
 fn load_allowlist(root: &Path) -> Result<Allowlist, String> {
@@ -125,7 +116,7 @@ fn timings_line(t: &PassTimings) -> String {
     )
 }
 
-fn cmd_check(format: Format) -> ExitCode {
+fn cmd_check(json: bool) -> ExitCode {
     let root = workspace_root();
     let allowlist = match load_allowlist(&root) {
         Ok(a) => a,
@@ -145,21 +136,19 @@ fn cmd_check(format: Format) -> ExitCode {
     let (violations, proto) = (&outcome.violations, &outcome.proto);
     let rec = allow::reconcile(violations, &allowlist);
 
-    if format != Format::Human {
-        match format {
-            Format::Json => print!(
-                "{}",
-                render_json(&Report {
-                    files_checked: sources.len(),
-                    violations_total: violations.len(),
-                    rec: &rec,
-                    allow: &allowlist,
-                    proto,
-                    timings: &outcome.timings,
-                })
-            ),
-            _ => print!("{}", render_sarif(violations, &rec)),
-        }
+    if json {
+        print!(
+            "{}",
+            render_json(&Report {
+                files_checked: sources.len(),
+                violations_total: violations.len(),
+                proven_sites: outcome.proven_sites,
+                rec: &rec,
+                allow: &allowlist,
+                proto,
+                timings: &outcome.timings,
+            })
+        );
         return if rec.clean() {
             ExitCode::SUCCESS
         } else {

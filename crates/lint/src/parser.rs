@@ -1,7 +1,8 @@
 //! A lightweight item parser over the lexer's token stream.
 //!
 //! Extracts just enough structure for the semantic passes: function items
-//! (with their `impl` qualification, visibility and body extent), call
+//! (with their `impl` qualification, visibility, typed parameters, body
+//! extent and lowered body statements — see [`crate::syntax`]), call
 //! sites inside those bodies, and enum definitions with their variants.
 //! It is *not* a Rust parser — expressions are never built, and a handful
 //! of exotic shapes (turbofish calls, tuple-type impls, const-generic
@@ -13,6 +14,9 @@
 //! stream can produce a wrong parse but never a panic.
 
 use crate::lexer::{Token, TokenKind};
+use crate::syntax::{
+    depth0, lower, lower_params, matching, skip_angles, tok_punct, Param, Rebind, Stmt,
+};
 use std::ops::Range;
 
 /// Parsed structure of one source file.
@@ -44,6 +48,15 @@ pub struct FnItem {
     pub sig: Range<usize>,
     /// Token-index range of the body, including both braces.
     pub body: Range<usize>,
+    /// Argument-position parameters (a `self` receiver is not one).
+    pub params: Vec<Param>,
+    /// Takes a `self` receiver.
+    pub has_self: bool,
+    /// The body's lowered statements, in token order (nested fns'
+    /// statements included).
+    pub stmts: Vec<Stmt>,
+    /// Where the body rebinds a name or shrinks a sequence, in token order.
+    pub rebinds: Vec<Rebind>,
     /// Call sites inside the body (attributed to the innermost fn).
     pub calls: Vec<CallSite>,
 }
@@ -136,11 +149,11 @@ fn parse_impl_header(tokens: &[Token], start: usize) -> Option<(ImplRegion, usiz
     while let Some(t) = tokens.get(j) {
         if t.is_punct('<') {
             angle += 1;
-        } else if t.is_punct('>') && !is_arrow(tokens, j) {
+        } else if t.is_punct('>') && !tok_punct(tokens, j.wrapping_sub(1), '-') {
             angle = angle.saturating_sub(1);
         } else if angle == 0 {
             if t.is_punct('{') {
-                let close = matching_brace(tokens, j)?;
+                let close = matching(tokens, j)?;
                 return Some((
                     ImplRegion {
                         body: j..close + 1,
@@ -199,56 +212,69 @@ fn fn_items(tokens: &[Token], impls: &[ImplRegion]) -> Vec<FnItem> {
     fns
 }
 
+/// A fn signature up to the end of its parameter list.
+pub(crate) struct Signature {
+    pub name: String,
+    /// 1-based line of the name.
+    pub line: usize,
+    pub params: Vec<Param>,
+    pub has_self: bool,
+    /// One past the parameter list's `)`.
+    pub end: usize,
+}
+
+/// Parses `fn name<…>(…)` starting at the `fn` keyword.
+pub(crate) fn signature(tokens: &[Token], fn_idx: usize) -> Option<Signature> {
+    let name_tok = tokens.get(fn_idx + 1)?;
+    let mut open = fn_idx + 2;
+    if tok_punct(tokens, open, '<') {
+        open = skip_angles(tokens, open)?;
+    }
+    let close = matching(tokens, open).filter(|_| tok_punct(tokens, open, '('))?;
+    let (params, has_self) = lower_params(tokens, open, close);
+    Some(Signature {
+        name: name_tok.ident()?.to_string(),
+        line: name_tok.line,
+        params,
+        has_self,
+        end: close + 1,
+    })
+}
+
 /// Parses one `fn name…(…) … { … }` starting at the `fn` keyword.
 /// Returns `None` for bodyless declarations (trait methods, `extern`).
 fn parse_fn(tokens: &[Token], fn_idx: usize, impls: &[ImplRegion]) -> Option<FnItem> {
-    let name_tok = tokens.get(fn_idx + 1)?;
-    let name = name_tok.ident()?.to_string();
-    let line = name_tok.line;
-    let mut j = fn_idx + 2;
-    if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-        j = skip_angles(tokens, j)?;
-    }
-    if !tokens.get(j).is_some_and(|t| t.is_punct('(')) {
-        return None;
-    }
-    j = skip_balanced(tokens, j)?;
-    // Return type and where clause: scan to the body `{` (or `;` for a
+    let sig = signature(tokens, fn_idx)?;
+    // Return type and where clause: the body `{` (or `;` for a
     // declaration) at bracket depth 0. Braces cannot appear before the
     // body in the shapes this workspace uses.
-    let mut depth = 0usize;
-    let body_open = loop {
-        let t = tokens.get(j)?;
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 && t.is_punct('{') {
-            break j;
-        } else if depth == 0 && t.is_punct(';') {
-            return None;
-        }
-        j += 1;
-    };
-    let body_close = matching_brace(tokens, body_open)?;
+    let body_open = depth0(tokens, sig.end..tokens.len())
+        .find(|&j| tok_punct(tokens, j, '{') || tok_punct(tokens, j, ';'))
+        .filter(|&j| tok_punct(tokens, j, '{'))?;
+    let body = body_open..matching(tokens, body_open)? + 1;
     let qualified = match enclosing_impl(impls, fn_idx) {
-        Some(ty) => format!("{ty}::{name}"),
-        None => name.clone(),
+        Some(ty) => format!("{ty}::{}", sig.name),
+        None => sig.name.clone(),
     };
+    let (stmts, rebinds) = lower(tokens, &body);
     Some(FnItem {
-        name,
+        name: sig.name,
         qualified,
         is_pub: pub_before(tokens, fn_idx),
-        line,
+        line: sig.line,
         sig: fn_idx..body_open,
-        body: body_open..body_close + 1,
+        body,
+        params: sig.params,
+        has_self: sig.has_self,
+        stmts,
+        rebinds,
         calls: Vec::new(),
     })
 }
 
 /// `true` if the item keyword at `item_idx` is preceded by `pub` (with any
 /// visibility restriction and any fn qualifiers in between).
-fn pub_before(tokens: &[Token], item_idx: usize) -> bool {
+pub(crate) fn pub_before(tokens: &[Token], item_idx: usize) -> bool {
     let mut j = item_idx;
     loop {
         let Some(prev) = j.checked_sub(1) else {
@@ -415,36 +441,22 @@ fn parse_enum(tokens: &[Token], enum_idx: usize) -> Option<(EnumItem, usize)> {
     if !tokens.get(j).is_some_and(|t| t.is_punct('{')) {
         return None;
     }
-    let close = matching_brace(tokens, j)?;
+    let close = matching(tokens, j)?;
+    // Variant names are the first ident after each depth-0 comma;
+    // attributes, payloads and discriminants sit deeper or are not idents.
     let mut variants = Vec::new();
-    let mut depth = 0usize;
     let mut expecting = true;
-    let mut k = j + 1;
-    while k < close {
+    for k in depth0(tokens, j + 1..close) {
         let Some(t) = tokens.get(k) else { break };
-        // Attribute on a variant (`#[…]`): skip it whole.
-        if depth == 0 && t.is_punct('#') && tokens.get(k + 1).is_some_and(|n| n.is_punct('[')) {
-            if let Some(end) = skip_balanced(tokens, k + 1) {
-                k = end;
-                continue;
-            }
-        }
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 && t.is_punct(',') {
+        if t.is_punct(',') {
             expecting = true;
-        } else if depth == 0 && expecting {
-            if let Some(vname) = t.ident() {
-                variants.push(Variant {
-                    name: vname.to_string(),
-                    line: t.line,
-                });
-                expecting = false;
-            }
+        } else if let Some(name) = t.ident().filter(|_| expecting) {
+            variants.push(Variant {
+                name: name.to_string(),
+                line: t.line,
+            });
+            expecting = false;
         }
-        k += 1;
     }
     Some((
         EnumItem {
@@ -455,72 +467,6 @@ fn parse_enum(tokens: &[Token], enum_idx: usize) -> Option<(EnumItem, usize)> {
         },
         close + 1,
     ))
-}
-
-// ---------------------------------------------------------------------------
-// token-walk helpers (all bounds-checked)
-// ---------------------------------------------------------------------------
-
-/// `true` when the `>` at `idx` is the second half of a `->` arrow.
-fn is_arrow(tokens: &[Token], idx: usize) -> bool {
-    idx.checked_sub(1)
-        .and_then(|p| tokens.get(p))
-        .is_some_and(|t| t.is_punct('-'))
-}
-
-/// From an opening `<`, returns the index one past its matching `>`.
-fn skip_angles(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut j = open;
-    while let Some(t) = tokens.get(j) {
-        if t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct('>') && !is_arrow(tokens, j) {
-            depth = depth.checked_sub(1)?;
-            if depth == 0 {
-                return Some(j + 1);
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// From an opening `(`/`[`/`{`, returns the index one past the matching
-/// closer, treating all three bracket kinds as one nesting family.
-fn skip_balanced(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut j = open;
-    while let Some(t) = tokens.get(j) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth = depth.checked_sub(1)?;
-            if depth == 0 {
-                return Some(j + 1);
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// From an opening `{`, returns the index of its matching `}`.
-fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut j = open;
-    while let Some(t) = tokens.get(j) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth = depth.checked_sub(1)?;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        j += 1;
-    }
-    None
 }
 
 #[cfg(test)]

@@ -1,15 +1,11 @@
-//! `--format json` / `--format sarif`: machine-readable reports for the
-//! CI artifacts.
+//! `--format json`: the machine-readable report CI uploads.
 //!
-//! Rendered by hand (the workspace vendors no serde); the JSON schema is
-//! flat and stable so the CI job can diff `lint-report.json` across
-//! commits, and the SARIF document is the minimal 2.1.0 subset
-//! code-scanning UIs ingest (driver rules + per-result physical
-//! locations).
+//! Rendered by hand (the workspace vendors no serde); the schema is flat
+//! and stable so the CI job can diff `lint-report.json` across commits.
 
 use crate::allow::{Allowlist, Reconciliation};
 use crate::proto::ProtoSummary;
-use crate::rules::{rule_description, Violation, RULE_IDS};
+use crate::rules::RULE_IDS;
 use crate::workspace::PassTimings;
 
 /// Everything one `check` run produces.
@@ -19,6 +15,8 @@ pub struct Report<'a> {
     pub files_checked: usize,
     /// Raw violation count before reconciliation.
     pub violations_total: usize,
+    /// `panic.indexing` sites the interval prover discharged.
+    pub proven_sites: usize,
     /// Outcome of budget reconciliation.
     pub rec: &'a Reconciliation,
     /// The allowlist in force.
@@ -36,6 +34,7 @@ pub fn render_json(r: &Report<'_>) -> String {
     let status = if r.rec.clean() { "clean" } else { "failed" };
     push_kv_str(&mut s, 1, "status", status, true);
     push_kv_num(&mut s, 1, "files_checked", r.files_checked, true);
+    push_kv_num(&mut s, 1, "proven_sites", r.proven_sites, true);
 
     s.push_str("  \"violations\": {\n");
     push_kv_num(&mut s, 2, "total", r.violations_total, true);
@@ -135,67 +134,6 @@ pub fn render_json(r: &Report<'_>) -> String {
     s
 }
 
-/// Renders the run as a SARIF 2.1.0 log (trailing newline included).
-///
-/// Non-allowlisted violations surface as `error`-level results;
-/// violations covered by an allowlist budget report as `note`, so a
-/// code-scanning UI shows exactly the gate CI enforces.
-pub fn render_sarif(violations: &[Violation], rec: &Reconciliation) -> String {
-    let mut s = String::with_capacity(4096);
-    s.push_str("{\n");
-    s.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    s.push_str("  \"version\": \"2.1.0\",\n");
-    s.push_str("  \"runs\": [\n    {\n");
-    s.push_str("      \"tool\": {\n        \"driver\": {\n");
-    s.push_str("          \"name\": \"bsa-lint\",\n");
-    s.push_str("          \"rules\": [\n");
-    for (i, id) in RULE_IDS.iter().enumerate() {
-        s.push_str("            {\"id\": \"");
-        s.push_str(id);
-        s.push_str("\", \"shortDescription\": {\"text\": \"");
-        s.push_str(&json_escape(rule_description(id)));
-        s.push_str("\"}}");
-        if i + 1 < RULE_IDS.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("          ]\n        }\n      },\n");
-    s.push_str("      \"results\": [\n");
-    // Consume one unallowed entry per matching violation so duplicate
-    // findings on one line keep their levels balanced.
-    let mut unallowed: Vec<&Violation> = rec.unallowed.iter().collect();
-    for (i, v) in violations.iter().enumerate() {
-        let level = match unallowed.iter().position(|u| {
-            u.file == v.file && u.line == v.line && u.rule == v.rule && u.message == v.message
-        }) {
-            Some(pos) => {
-                unallowed.swap_remove(pos);
-                "error"
-            }
-            None => "note",
-        };
-        s.push_str("        {\"ruleId\": \"");
-        s.push_str(&json_escape(v.rule));
-        s.push_str("\", \"level\": \"");
-        s.push_str(level);
-        s.push_str("\", \"message\": {\"text\": \"");
-        s.push_str(&json_escape(&v.message));
-        s.push_str("\"}, \"locations\": [{\"physicalLocation\": ");
-        s.push_str("{\"artifactLocation\": {\"uri\": \"");
-        s.push_str(&json_escape(&v.file));
-        s.push_str("\"}, \"region\": {\"startLine\": ");
-        s.push_str(&v.line.max(1).to_string());
-        s.push_str("}}}]}");
-        if i + 1 < violations.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("      ]\n    }\n  ]\n}\n");
-    s
-}
-
 fn push_kv_str(s: &mut String, indent: usize, key: &str, value: &str, comma: bool) {
     push_indent(s, indent);
     s.push('"');
@@ -291,12 +229,14 @@ mod tests {
         let json = render_json(&Report {
             files_checked: 42,
             violations_total: 3,
+            proven_sites: 20,
             rec: &rec,
             allow: &allow,
             proto: &proto,
             timings: &timings,
         });
         assert!(json.contains("\"status\": \"clean\""), "{json}");
+        assert!(json.contains("\n  \"proven_sites\": 20,\n"), "{json}");
         assert!(
             json.contains("\"error_code\": {\"found\": true, \"variants\": 7, \"constructed\": 7}"),
             "{json}"
@@ -308,54 +248,6 @@ mod tests {
         let opens = json.matches(['{', '[']).count();
         let closes = json.matches(['}', ']']).count();
         assert_eq!(opens, closes, "{json}");
-    }
-
-    #[test]
-    fn sarif_levels_follow_the_allowlist() {
-        let violations = vec![
-            Violation {
-                file: "crates/dsp/src/x.rs".to_string(),
-                line: 7,
-                rule: "panic.expect",
-                message: "budgeted".to_string(),
-            },
-            Violation {
-                file: "crates/link/src/y.rs".to_string(),
-                line: 0,
-                rule: "taint.wire-alloc",
-                message: "a \"quoted\" size".to_string(),
-            },
-        ];
-        let allow = Allowlist {
-            entries: vec![AllowEntry {
-                file: "crates/dsp/src/x.rs".to_string(),
-                rule: "panic.expect".to_string(),
-                max: 1,
-                reason: "test".to_string(),
-            }],
-        };
-        let rec = reconcile(&violations, &allow);
-        let sarif = render_sarif(&violations, &rec);
-        assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-        // Every rule id ships a driver entry.
-        for id in RULE_IDS {
-            assert!(sarif.contains(&format!("{{\"id\": \"{id}\"")), "{sarif}");
-        }
-        // The budgeted violation is a note, the wire finding an error.
-        assert!(
-            sarif.contains("\"ruleId\": \"panic.expect\", \"level\": \"note\""),
-            "{sarif}"
-        );
-        assert!(
-            sarif.contains("\"ruleId\": \"taint.wire-alloc\", \"level\": \"error\""),
-            "{sarif}"
-        );
-        assert!(sarif.contains("\\\"quoted\\\" size"), "{sarif}");
-        // Line 0 is clamped to SARIF's 1-based region.
-        assert!(sarif.contains("\"startLine\": 1"), "{sarif}");
-        let opens = sarif.matches(['{', '[']).count();
-        let closes = sarif.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "{sarif}");
     }
 
     #[test]
@@ -371,6 +263,7 @@ mod tests {
         let json = render_json(&Report {
             files_checked: 1,
             violations_total: 1,
+            proven_sites: 0,
             rec: &rec,
             allow: &allow,
             proto: &ProtoSummary::default(),

@@ -6,6 +6,7 @@
 //! allowlist (`lint.allow.toml`) absorbs the handful of justified cases.
 
 use crate::lexer::Token;
+use crate::parser::{pub_before, signature};
 use std::fmt;
 
 /// One rule violation at a specific source line.
@@ -276,143 +277,33 @@ pub fn suggested_unit_type(name: &str) -> Option<&'static str> {
     None
 }
 
+/// Flags raw-`f64` parameters of `pub` fns whose names suggest a
+/// dimensioned quantity.
 fn unit_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_ident("pub") {
-            if let Some((name_idx, params_start)) = public_fn_params(tokens, i) {
-                check_fn_params(file, tokens, name_idx, params_start, out);
-            }
+    for (i, t) in tokens.iter().enumerate() {
+        if !t.is_ident("fn") || !pub_before(tokens, i) {
+            continue;
         }
-        i += 1;
-    }
-}
-
-/// If `tokens[i]` starts `pub … fn name …(`, returns the indices of the
-/// function-name token and of the opening `(` of its parameter list.
-fn public_fn_params(tokens: &[Token], i: usize) -> Option<(usize, usize)> {
-    let mut j = i + 1;
-    // Visibility qualifier `pub(crate)` / `pub(in …)`.
-    if tokens.get(j)?.is_punct('(') {
-        let mut depth = 1usize;
-        j += 1;
-        while depth > 0 {
-            let t = tokens.get(j)?;
-            if t.is_punct('(') {
-                depth += 1;
-            } else if t.is_punct(')') {
-                depth -= 1;
-            }
-            j += 1;
-        }
-    }
-    // Optional qualifiers before `fn`.
-    while matches!(
-        tokens.get(j)?.ident(),
-        Some("const" | "unsafe" | "async" | "extern")
-    ) {
-        j += 1;
-        // `extern "C"` carries a literal.
-        if matches!(tokens.get(j)?.kind, crate::lexer::TokenKind::Literal(_)) {
-            j += 1;
-        }
-    }
-    if !tokens.get(j)?.is_ident("fn") {
-        return None;
-    }
-    j += 1;
-    let name_idx = j;
-    tokens.get(j)?.ident()?;
-    j += 1;
-    // Generic parameter list `<…>` (angle-bracket depth; `>>` lexes as two).
-    if tokens.get(j)?.is_punct('<') {
-        let mut depth = 1usize;
-        j += 1;
-        while depth > 0 {
-            let t = tokens.get(j)?;
-            if t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct('>') {
-                depth -= 1;
-            }
-            j += 1;
-        }
-    }
-    if tokens.get(j)?.is_punct('(') {
-        Some((name_idx, j))
-    } else {
-        None
-    }
-}
-
-/// Splits the parameter list at `params_start` (an opening paren) into
-/// top-level comma segments and flags raw-`f64` parameters whose names
-/// suggest a dimensioned quantity.
-fn check_fn_params(
-    file: &str,
-    tokens: &[Token],
-    name_idx: usize,
-    params_start: usize,
-    out: &mut Vec<Violation>,
-) {
-    let fn_name = tokens[name_idx].ident().unwrap_or("?");
-    let mut depth = 1usize;
-    let mut angle = 0usize;
-    let mut j = params_start + 1;
-    let mut seg_start = j;
-    let mut segments: Vec<(usize, usize)> = Vec::new();
-    while j < tokens.len() && depth > 0 {
-        let t = &tokens[j];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                if j > seg_start {
-                    segments.push((seg_start, j));
-                }
-                break;
-            }
-        } else if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle = angle.saturating_sub(1);
-        } else if t.is_punct(',') && depth == 1 && angle == 0 {
-            segments.push((seg_start, j));
-            seg_start = j + 1;
-        }
-        j += 1;
-    }
-
-    for (a, b) in segments {
-        let seg = &tokens[a..b];
-        // First top-level `:` splits pattern from type (`self` has none).
-        let Some(colon) = seg.iter().position(|t| t.is_punct(':')) else {
+        let Some(sig) = signature(tokens, i) else {
             continue;
         };
-        // `::` path in a pattern would confuse this; params here are plain.
-        if seg.get(colon + 1).map(|t| t.is_punct(':')) == Some(true) {
-            continue;
-        }
-        let ty = &seg[colon + 1..];
-        // Raw f64: the type tokens are exactly `f64` (no reference, no
-        // generics — `&[f64]` sample buffers are fine, single scalars are
-        // where the unit mixup hides).
-        let is_raw_f64 = ty.len() == 1 && ty[0].is_ident("f64");
-        if !is_raw_f64 {
-            continue;
-        }
-        let Some(param_name) = seg[..colon].iter().rev().find_map(|t| t.ident()) else {
-            continue;
-        };
-        if let Some(unit) = suggested_unit_type(param_name) {
+        for p in &sig.params {
+            // Raw f64: the type tokens are exactly `f64` (no reference, no
+            // generics — `&[f64]` sample buffers are fine, single scalars
+            // are where the unit mixup hides).
+            let raw_f64 =
+                p.ty.len() == 1 && tokens.get(p.ty.start).is_some_and(|t| t.is_ident("f64"));
+            let Some(unit) = suggested_unit_type(&p.name).filter(|_| raw_f64) else {
+                continue;
+            };
             out.push(violation(
                 file,
-                seg[0].line,
+                tokens.get(p.at).map_or(sig.line, |t| t.line),
                 "units.raw-f64",
                 format!(
-                    "`pub fn {fn_name}` takes `{param_name}: f64`; use `bsa_units::{unit}` \
-                     so unit mixups fail to compile"
+                    "`pub fn {}` takes `{}: f64`; use `bsa_units::{unit}` so unit mixups fail \
+                     to compile",
+                    sig.name, p.name
                 ),
             ));
         }

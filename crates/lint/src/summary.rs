@@ -10,7 +10,7 @@
 //!
 //! Consumption happens in two places:
 //!
-//! * `flow::collect_facts` instantiates a callee's return contract with
+//! * the interval fold (`flow::collect_facts`) instantiates a callee's return contract with
 //!   the call's arguments (`let k = clamp(i, n);` with `clamp: ret < n`
 //!   yields `k < n` for the caller) — pure proof pressure relief, never a
 //!   new finding.
@@ -27,14 +27,15 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use crate::flow::{
-    call_arg_range, collect_facts, const_expr, last_segment, len_minus_expr, matching,
-    path_ending_at, path_starting_at, prove_index, statement_end, tok_ident, tok_int, tok_punct,
-    Fact, Proof,
-};
+use crate::flow::{collect_facts, prove_index, Fact, Facts, Proof};
 use crate::lexer::Token;
 use crate::parser::{FnItem, ParsedFile};
 use crate::rules::{index_site, violation, Violation};
+use crate::syntax::{
+    call_arg_path, call_arg_range, const_expr, depth0, final_call, last_depth0, last_segment,
+    len_minus_expr, matching, path_ending_at, path_starting_at, skip_angles, tok_ident, tok_int,
+    tok_punct, Param, StmtKind,
+};
 use crate::workspace::SourceFile;
 
 /// How a function's return value relates to its arguments. Parameter
@@ -148,7 +149,33 @@ const MAX_DEPTH: usize = 32;
 /// Derives summaries for every uniquely-named function in the workspace,
 /// bottom-up over tail calls.
 pub fn compute_summaries(sources: &[SourceFile], parsed: &[ParsedFile]) -> Summaries {
-    // Index every function by bare name; ambiguous names are dropped.
+    let unique = unique_fns(parsed);
+    let mut out = Summaries::default();
+    for (name, &(fi, gi)) in &unique {
+        let (Some(sf), Some(f)) = (
+            sources.get(fi),
+            parsed.get(fi).and_then(|pf| pf.fns.get(gi)),
+        ) else {
+            continue;
+        };
+        let contract = derive_contract(sources, parsed, &unique, fi, gi, 0);
+        let requires = derive_requirement(&sf.tokens, f);
+        if contract.is_some() || requires.is_some() {
+            out.by_name.insert(
+                name.clone(),
+                FnSummary {
+                    contract,
+                    requires,
+                    has_self: f.has_self,
+                },
+            );
+        }
+    }
+    out
+}
+
+/// Every fn whose bare name is unique across `parsed`: name → (file, fn).
+pub(crate) fn unique_fns(parsed: &[ParsedFile]) -> BTreeMap<String, (usize, usize)> {
     let mut by_name: BTreeMap<String, Option<(usize, usize)>> = BTreeMap::new();
     for (fi, pf) in parsed.iter().enumerate() {
         for (gi, f) in pf.fns.iter().enumerate() {
@@ -158,112 +185,17 @@ pub fn compute_summaries(sources: &[SourceFile], parsed: &[ParsedFile]) -> Summa
                 .or_insert(Some((fi, gi)));
         }
     }
-    let unique: BTreeMap<String, (usize, usize)> = by_name
+    by_name
         .into_iter()
         .filter_map(|(k, v)| v.map(|v| (k, v)))
-        .collect();
-
-    let mut out = Summaries::default();
-    for (name, (fi, gi)) in &unique {
-        let (Some(sf), Some(pf)) = (sources.get(*fi), parsed.get(*fi)) else {
-            continue;
-        };
-        let Some(f) = pf.fns.get(*gi) else { continue };
-        let tokens = &sf.tokens;
-        let (params, has_self) = param_names(tokens, f);
-        let contract = derive_contract(sources, parsed, &unique, *fi, *gi, 0);
-        let requires = derive_requirement(tokens, f, &params);
-        if contract.is_some() || requires.is_some() {
-            out.by_name.insert(
-                name.clone(),
-                FnSummary {
-                    contract,
-                    requires,
-                    has_self,
-                },
-            );
-        }
-    }
-    out
-}
-
-/// Argument-position parameter names (a `self` receiver is dropped but
-/// remembered). Unnameable patterns keep their position as `""`.
-pub(crate) fn param_names(tokens: &[Token], f: &FnItem) -> (Vec<String>, bool) {
-    let mut names = Vec::new();
-    let mut has_self = false;
-    // First `(` at angle-bracket depth 0 inside the signature.
-    let mut angle = 0i64;
-    let mut open = None;
-    for j in f.sig.clone() {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('<') => angle += 1,
-            Some(t) if t.is_punct('>') => angle -= 1,
-            Some(t) if t.is_punct('(') && angle == 0 => {
-                open = Some(j);
-                break;
-            }
-            _ => {}
-        }
-    }
-    let Some(open) = open else {
-        return (names, false);
-    };
-    let Some(close) = matching(tokens, open) else {
-        return (names, false);
-    };
-    let mut start = open + 1;
-    let mut depth = 0i64;
-    let mut j = open + 1;
-    while j <= close {
-        let split = j == close
-            || match tokens.get(j) {
-                Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') => {
-                    depth += 1;
-                    false
-                }
-                Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') => {
-                    depth -= 1;
-                    false
-                }
-                Some(t) => t.is_punct(',') && depth == 0,
-                None => false,
-            };
-        if split {
-            let part = start..j;
-            if !part.is_empty() {
-                let mut p = part.start;
-                while tok_punct(tokens, p, '&')
-                    || tok_ident(tokens, p) == Some("mut")
-                    || matches!(
-                        tokens.get(p).map(|t| &t.kind),
-                        Some(crate::lexer::TokenKind::Lifetime(_))
-                    )
-                {
-                    p += 1;
-                }
-                if tok_ident(tokens, p) == Some("self") {
-                    has_self = true;
-                } else if let Some(name) = tok_ident(tokens, p) {
-                    if tok_punct(tokens, p + 1, ':') {
-                        names.push(name.to_string());
-                    } else {
-                        names.push(String::new());
-                    }
-                } else {
-                    names.push(String::new());
-                }
-            }
-            start = j + 1;
-        }
-        j += 1;
-    }
-    (names, has_self)
+        .collect()
 }
 
 /// Position of a bare parameter name in the argument-position list.
-fn param_index(params: &[String], name: &str) -> Option<usize> {
-    params.iter().position(|p| !p.is_empty() && p == name)
+fn param_index(params: &[Param], name: &str) -> Option<usize> {
+    params
+        .iter()
+        .position(|p| !p.name.is_empty() && p.name == name)
 }
 
 /// Derives the return contract for one function (memo-free DFS with a
@@ -279,93 +211,62 @@ fn derive_contract(
     if depth > MAX_DEPTH {
         return None;
     }
-    let (sf, pf) = (sources.get(fi)?, parsed.get(fi)?);
-    let f = pf.fns.get(gi)?;
-    let tokens = &sf.tokens;
-    let (params, _) = param_names(tokens, f);
+    let f = parsed.get(fi)?.fns.get(gi)?;
+    let tokens = &sources.get(fi)?.tokens;
+    let params = &f.params;
     let inner = f.body.start + 1..f.body.end.saturating_sub(1);
-    if inner.is_empty() {
+    // Any explicit `return` makes the tail expression non-exhaustive.
+    if inner.is_empty()
+        || inner
+            .clone()
+            .any(|j| tok_ident(tokens, j) == Some("return"))
+    {
         return None;
     }
-    // Any explicit `return` makes the tail expression non-exhaustive.
-    for j in inner.clone() {
-        if tok_ident(tokens, j) == Some("return") {
-            return None;
-        }
-    }
     // `(0..P).collect()` vector construction, only permuted afterwards.
-    if let Some(k) = elems_contract(tokens, &inner, &params) {
+    if let Some(k) = elems_contract(tokens, f, &inner) {
         return Some(RetContract::ElemsLtParam(k));
     }
     // Tail expression: after the last depth-0 `;`.
-    let mut d = 0i64;
-    let mut last_semi = None;
-    for j in inner.clone() {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => d += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => d -= 1,
-            Some(t) if t.is_punct(';') && d == 0 => last_semi = Some(j),
-            _ => {}
-        }
-    }
-    let tail = match last_semi {
-        Some(s) => s + 1..inner.end,
-        None => inner.clone(),
-    };
+    let last_semi = depth0(tokens, inner.clone())
+        .filter(|&j| tok_punct(tokens, j, ';'))
+        .last();
+    let tail = last_semi.map_or(inner.start, |s| s + 1)..inner.end;
     if tail.is_empty() {
         return None;
     }
-
     // `E % P` / `E % P.len()` — the remainder is strictly below the
     // divisor (or panics at the `%`, before any return).
-    if let Some(m) = last_percent(tokens, &tail) {
+    if let Some(m) = last_depth0(tokens, &tail, '%') {
         let rhs = m + 1..tail.end;
-        if let Some(name) = tok_ident(tokens, rhs.start) {
-            if rhs.start + 1 == rhs.end {
-                if let Some(k) = param_index(&params, name) {
-                    return Some(RetContract::LtParam(k));
-                }
-            }
+        let name = tok_ident(tokens, rhs.start).filter(|_| rhs.start + 1 == rhs.end);
+        if let Some(k) = name.and_then(|n| param_index(params, n)) {
+            return Some(RetContract::LtParam(k));
         }
-        if let Some((p, 0)) = len_minus_expr(tokens, &rhs) {
-            if let Some(k) = param_index(&params, &p) {
-                return Some(RetContract::LtLenOfParam(k));
-            }
-        }
-        return None;
+        let (p, 0) = len_minus_expr(tokens, &rhs)? else {
+            return None;
+        };
+        return param_index(params, &p).map(RetContract::LtLenOfParam);
     }
     // Trailing `.min(c)` constant clamp.
-    if tok_punct(tokens, tail.end.wrapping_sub(1), ')') {
-        let mut k = tail.start;
-        while k + 3 < tail.end {
-            if tok_punct(tokens, k, '.') && tok_ident(tokens, k + 1) == Some("min") {
-                if let Some(close) = matching(tokens, k + 2) {
-                    if close + 1 == tail.end {
-                        if let Some(c) = const_expr(tokens, &(k + 3..close)) {
-                            return Some(RetContract::LeConst(c));
-                        }
-                    }
-                }
-            }
-            k += 1;
-        }
+    if let Some(c) = final_call(tokens, &tail, &["min"]).and_then(|a| const_expr(tokens, &a)) {
+        return Some(RetContract::LeConst(c));
     }
     // Tail call `g(args)` — substitute `g`'s contract through the
-    // argument mapping.
+    // argument mapping. Method tail calls are skipped: receiver/argument
+    // alignment is unknown.
     let (path, after) = path_starting_at(tokens, tail.start)?;
-    if !tok_punct(tokens, after, '(') || matching(tokens, after).map(|c| c + 1) != Some(tail.end) {
+    let close =
+        matching(tokens, after).filter(|c| tok_punct(tokens, after, '(') && c + 1 == tail.end)?;
+    if path.contains('.') {
         return None;
     }
-    if path.contains('.') {
-        return None; // method tail calls: receiver/arg alignment unknown
-    }
     let (cfi, cgi) = *unique.get(last_segment(&path))?;
-    let close = matching(tokens, after)?;
     let sub = derive_contract(sources, parsed, unique, cfi, cgi, depth + 1)?;
     let map_arg = |j: usize| -> Option<usize> {
-        let r = call_arg_range(tokens, after + 1, close, j)?;
-        let name = tok_ident(tokens, r.start)?;
-        (r.start + 1 == r.end).then(|| param_index(&params, name))?
+        let r = call_arg_range(tokens, &(after + 1..close), j)?;
+        let name = tok_ident(tokens, r.start).filter(|_| r.start + 1 == r.end)?;
+        param_index(params, name)
     };
     match sub {
         RetContract::LtParam(j) => map_arg(j).map(RetContract::LtParam),
@@ -378,75 +279,38 @@ fn derive_contract(
 /// Matches a body of the shape `let [mut] X .. = (0..P).collect..(); ..`
 /// where every later use of `X` is an element-preserving method call and
 /// the tail expression is `X` itself. Returns `P`'s parameter position.
-fn elems_contract(tokens: &[Token], inner: &Range<usize>, params: &[String]) -> Option<usize> {
-    let mut at = inner.start;
-    let (x, k, stmt_end) = loop {
-        if at >= inner.end {
-            return None;
+fn elems_contract(tokens: &[Token], f: &FnItem, inner: &Range<usize>) -> Option<usize> {
+    let (x, k, end) = f.stmts.iter().find_map(|s| match &s.kind {
+        StmtKind::Let { var, rhs, .. } => {
+            let k = collect_of_range(tokens, rhs.start, &f.params)?;
+            (collect_call_end(tokens, rhs.start)? == rhs.end).then_some((var, k, rhs.end))
         }
-        if tok_ident(tokens, at) == Some("let") {
-            let mut j = at + 1;
-            if tok_ident(tokens, j) == Some("mut") {
-                j += 1;
-            }
-            if let Some(x) = tok_ident(tokens, j) {
-                // Skip an optional `: Type` annotation to the `=`.
-                let mut eq = j + 1;
-                let mut d = 0i64;
-                let mut found = false;
-                while eq < inner.end {
-                    match tokens.get(eq) {
-                        Some(t) if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') => d += 1,
-                        Some(t) if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') => d -= 1,
-                        Some(t) if t.is_punct('=') && d == 0 => {
-                            found = true;
-                            break;
-                        }
-                        Some(t) if t.is_punct(';') && d == 0 => break,
-                        _ => {}
-                    }
-                    eq += 1;
-                }
-                if found {
-                    let r = eq + 1;
-                    if let Some(k) = collect_of_range(tokens, r, params) {
-                        let end = statement_end(tokens, r, inner)?;
-                        if collect_call_end(tokens, r) == Some(end) {
-                            break (x.to_string(), k, end);
-                        }
-                    }
-                }
-            }
-        }
-        at += 1;
-    };
+        _ => None,
+    })?;
     // Validate every later use of `x`.
     let mut saw_tail = false;
-    let mut j = stmt_end + 1;
-    while j < inner.end {
-        if tok_ident(tokens, j) == Some(x.as_str())
+    for j in end + 1..inner.end {
+        let is_use = tok_ident(tokens, j) == Some(x.as_str())
             && !tok_punct(tokens, j.wrapping_sub(1), '.')
-            && !tok_punct(tokens, j.wrapping_sub(1), ':')
-        {
-            if tok_punct(tokens, j + 1, '.')
-                && matches!(tok_ident(tokens, j + 2), Some(m) if ELEM_PRESERVING.contains(&m))
-                && tok_punct(tokens, j + 3, '(')
-            {
-                // fine: permutation/shrink only
-            } else if j + 1 == inner.end {
-                saw_tail = true;
-            } else {
-                return None;
-            }
+            && !tok_punct(tokens, j.wrapping_sub(1), ':');
+        if !is_use {
+            continue;
         }
-        j += 1;
+        let preserving = tok_punct(tokens, j + 1, '.')
+            && tok_ident(tokens, j + 2).is_some_and(|m| ELEM_PRESERVING.contains(&m))
+            && tok_punct(tokens, j + 3, '(');
+        if j + 1 == inner.end {
+            saw_tail = true;
+        } else if !preserving {
+            return None;
+        }
     }
     saw_tail.then_some(k)
 }
 
 /// Matches `( 0 . . P )` at `r` where `P` is a bare parameter; returns
 /// the parameter position.
-fn collect_of_range(tokens: &[Token], r: usize, params: &[String]) -> Option<usize> {
+fn collect_of_range(tokens: &[Token], r: usize, params: &[Param]) -> Option<usize> {
     if !tok_punct(tokens, r, '(')
         || tok_int(tokens, r + 1) != Some(0)
         || !tok_punct(tokens, r + 2, '.')
@@ -466,72 +330,45 @@ fn collect_call_end(tokens: &[Token], r: usize) -> Option<usize> {
         return None;
     }
     k += 2;
-    if tok_punct(tokens, k, ':') && tok_punct(tokens, k + 1, ':') && tok_punct(tokens, k + 2, '<') {
-        let mut d = 0i64;
-        let mut j = k + 2;
-        loop {
-            match tokens.get(j) {
-                Some(t) if t.is_punct('<') => d += 1,
-                Some(t) if t.is_punct('>') => {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
-                None => return None,
-                _ => {}
-            }
-            j += 1;
-        }
-        k = j + 1;
+    if tok_punct(tokens, k, ':') && tok_punct(tokens, k + 1, ':') {
+        k = skip_angles(tokens, k + 2)?;
     }
     (tok_punct(tokens, k, '(') && tok_punct(tokens, k + 1, ')')).then_some(k + 2)
 }
 
 /// An unguarded `param_s[param_i]` site anywhere in the body — the
 /// requirement callers must discharge.
-fn derive_requirement(tokens: &[Token], f: &FnItem, params: &[String]) -> Option<IndexRequirement> {
+fn derive_requirement(tokens: &[Token], f: &FnItem) -> Option<IndexRequirement> {
     let facts = collect_facts(tokens, f, &Summaries::default());
+    let params = &f.params;
     let mut i = f.body.start;
     while i < f.body.end {
-        if index_site(tokens, i) {
-            if let (Some(close), Some(seq)) = (matching(tokens, i), path_ending_at(tokens, i - 1)) {
-                let expr = i + 1..close;
-                if let (Some(sp), Some(ix)) = (
-                    param_index(params, &seq),
-                    tok_ident(tokens, expr.start)
-                        .filter(|_| expr.start + 1 == expr.end)
-                        .and_then(|n| param_index(params, n)),
-                ) {
-                    if matches!(prove_index(tokens, &expr, &seq, &facts, i), Proof::Unknown) {
-                        return Some(IndexRequirement {
-                            index_param: ix,
-                            slice_param: sp,
-                            index_name: params.get(ix).cloned().unwrap_or_default(),
-                            slice_name: params.get(sp).cloned().unwrap_or_default(),
-                        });
-                    }
+        let site = if index_site(tokens, i) {
+            matching(tokens, i).zip(path_ending_at(tokens, i - 1))
+        } else {
+            None
+        };
+        if let Some((close, seq)) = site {
+            let expr = i + 1..close;
+            let ix = tok_ident(tokens, expr.start)
+                .filter(|_| expr.start + 1 == expr.end)
+                .and_then(|n| param_index(params, n));
+            if let (Some(sp), Some(ix)) = (param_index(params, &seq), ix) {
+                if matches!(prove_index(tokens, &expr, &seq, &facts, i), Proof::Unknown) {
+                    let name = |k: usize| params.get(k).map(|p| p.name.clone()).unwrap_or_default();
+                    return Some(IndexRequirement {
+                        index_param: ix,
+                        slice_param: sp,
+                        index_name: name(ix),
+                        slice_name: name(sp),
+                    });
                 }
-                i = close;
             }
+            i = close;
         }
         i += 1;
     }
     None
-}
-
-fn last_percent(tokens: &[Token], range: &Range<usize>) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut found = None;
-    for j in range.start..range.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => depth += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => depth -= 1,
-            Some(t) if depth == 0 && t.is_punct('%') && j > range.start => found = Some(j),
-            _ => {}
-        }
-    }
-    found
 }
 
 /// Flags `flow.summary`: a call passing a constant index into a function
@@ -547,27 +384,26 @@ pub fn summary_pass(
     for (sf, pf) in sources.iter().zip(parsed) {
         for f in &pf.fns {
             let mut facts = None;
-            let mut i = f.body.start;
-            while i < f.body.end {
-                if tok_punct(&sf.tokens, i, '(') {
-                    if let Some(path) = path_ending_at(&sf.tokens, i.wrapping_sub(1)) {
-                        if let Some(req) = summaries.requirement(&path) {
-                            check_call(sf, f, summaries, &mut facts, i, &path, req, out);
-                        }
+            for i in f.body.clone() {
+                if !tok_punct(&sf.tokens, i, '(') {
+                    continue;
+                }
+                if let Some(path) = path_ending_at(&sf.tokens, i.wrapping_sub(1)) {
+                    if let Some(req) = summaries.requirement(&path) {
+                        let facts =
+                            facts.get_or_insert_with(|| collect_facts(&sf.tokens, f, summaries));
+                        check_call(sf, f, facts, i, &path, req, out);
                     }
                 }
-                i += 1;
             }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn check_call(
     sf: &SourceFile,
     f: &FnItem,
-    summaries: &Summaries,
-    facts: &mut Option<Vec<crate::flow::ScopedFact>>,
+    facts: &Facts,
     open: usize,
     path: &str,
     req: &IndexRequirement,
@@ -577,40 +413,20 @@ fn check_call(
     let Some(close) = matching(tokens, open) else {
         return;
     };
-    let Some(ix_range) = call_arg_range(tokens, open + 1, close, req.index_param) else {
+    let args = open + 1..close;
+    let ix = call_arg_range(tokens, &args, req.index_param);
+    let Some(c) = ix.and_then(|r| const_expr(tokens, &r)) else {
         return;
     };
-    let Some(c) = const_expr(tokens, &ix_range) else {
+    let Some(slice_path) = call_arg_path(tokens, &args, req.slice_param) else {
         return;
     };
-    let Some(sl_range) = call_arg_range(tokens, open + 1, close, req.slice_param) else {
-        return;
-    };
-    let mut s = sl_range.start;
-    if tok_punct(tokens, s, '&') {
-        s += 1;
-        if tok_ident(tokens, s) == Some("mut") {
-            s += 1;
-        }
-    }
-    let Some((slice_path, after)) = path_starting_at(tokens, s) else {
-        return;
-    };
-    if after != sl_range.end {
-        return;
-    }
-    let facts = facts.get_or_insert_with(|| collect_facts(tokens, f, summaries));
-    let too_short = facts.iter().find_map(|a| {
-        if !a.scope.contains(&open) {
-            return None;
-        }
-        match &a.fact {
-            Fact::ExactLen { seq, len } if *seq == slice_path && *len <= c => Some(*len),
-            _ => None,
-        }
+    let too_short = facts.at(open).find_map(|a| match a {
+        Fact::ExactLen { seq, len } if *seq == slice_path && *len <= c => Some(*len),
+        _ => None,
     });
     if let Some(len) = too_short {
-        let line = tokens.get(open).map(|t| t.line).unwrap_or(f.line);
+        let line = tokens.get(open).map_or(f.line, |t| t.line);
         out.push(violation(
             &sf.path,
             line,

@@ -12,7 +12,8 @@
 //!
 //! * an early-exit guard that upper-bounds it against an untainted value
 //!   (`if n > MAX_X { return Err(..) }`, `if n != expected { .. }`),
-//! * a non-exit guard whose body the bound dominates (`if n <= cap { .. }`),
+//! * a non-exit guard whose body the bound dominates (`if n <= cap { .. }`,
+//!   `while i < len { .. }`),
 //! * a `.min(untainted)` / `.clamp(..)` binding,
 //! * rebinding/reassignment from untainted operands, or
 //! * the `Reader::count()` idiom, which validates the declared element
@@ -20,6 +21,10 @@
 //!
 //! Direction matters: `if n < MIN { return }` establishes only a *lower*
 //! bound and clears nothing.
+//!
+//! Sources and sanitizers are a fold over each fn's lowered statements
+//! ([`crate::syntax`]) into per-variable taint states in the shared
+//! scoped store; at a query point the latest state in scope wins.
 //!
 //! The analysis is interprocedural: each function gets a bottom-up
 //! summary of which parameters reach which sink kind, so passing a
@@ -36,14 +41,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use crate::flow::{
-    call_arg_range, enclosing_block_end, find_cmp, last_segment, matching, path_starting_at,
-    statement_end, tok_ident, tok_punct, Cmp,
-};
 use crate::lexer::Token;
 use crate::parser::{FnItem, ParsedFile};
 use crate::rules::{index_site, violation, Violation};
-use crate::summary::param_names;
+use crate::summary::unique_fns;
+use crate::syntax::{
+    call_arg_range, depth0, final_call, find_cmp, last_segment, matching, path_ending_at,
+    path_starting_at, repeat_count, tok_ident, tok_punct, Cmp, Effect, StmtKind, Store,
+};
 use crate::workspace::SourceFile;
 
 /// Path fragments selecting the wire-facing crates.
@@ -85,18 +90,6 @@ const PROPAGATE_RECV: &[&str] = &[
     "copied",
     "cloned",
     "to_owned",
-];
-
-/// Methods that write their arguments into the receiver collection —
-/// argument taint spreads to the receiver variable.
-const GROW_METHODS: &[&str] = &[
-    "push",
-    "extend",
-    "extend_from_slice",
-    "insert",
-    "append",
-    "push_str",
-    "copy_from_slice",
 ];
 
 /// Allocation-size sink methods.
@@ -148,33 +141,22 @@ impl TaintSet {
     }
 }
 
-/// One scoped taint state change for a variable. `taint: None` is a
-/// cleanse (a recognized validation idiom). At a query point the event
-/// with the latest `start` whose scope contains the point wins.
-#[derive(Debug, Clone)]
-struct Event {
-    var: String,
-    start: usize,
-    scope: Range<usize>,
-    taint: Option<TaintSet>,
-}
+/// Per-variable taint states of one fn body. `None` is a cleanse (a
+/// recognized validation idiom); at a query point the binding made last
+/// among those whose scope contains the point wins.
+type Events = Store<(String, Option<TaintSet>)>;
 
-fn query(events: &[Event], var: &str, at: usize) -> TaintSet {
-    let mut best: Option<(usize, usize)> = None; // (start, event index)
-    for (i, e) in events.iter().enumerate() {
-        if e.var == var && e.scope.contains(&at) && best.is_none_or(|b| (e.start, i) >= b) {
-            best = Some((e.start, i));
-        }
-    }
-    best.and_then(|(_, i)| events.get(i))
-        .and_then(|e| e.taint)
+fn query(events: &Events, var: &str, at: usize) -> TaintSet {
+    events
+        .latest(at, |(v, _)| v == var)
+        .and_then(|(_, taint)| *taint)
         .unwrap_or(TaintSet::EMPTY)
 }
 
 /// Taint of an expression: the union over every value path read in it.
 /// Method-call receivers contribute nothing unless the method preserves
 /// magnitude; `SOURCE_CALLS` results add wire taint directly.
-fn expr_taint(tokens: &[Token], range: &Range<usize>, events: &[Event]) -> TaintSet {
+fn expr_taint(tokens: &[Token], range: &Range<usize>, events: &Events) -> TaintSet {
     let mut set = TaintSet::EMPTY;
     let mut j = range.start;
     while j < range.end {
@@ -183,272 +165,145 @@ fn expr_taint(tokens: &[Token], range: &Range<usize>, events: &[Event]) -> Taint
         let member = (tok_punct(tokens, j.wrapping_sub(1), '.')
             && !tok_punct(tokens, j.wrapping_sub(2), '.'))
             || tok_punct(tokens, j.wrapping_sub(1), ':');
-        if tok_ident(tokens, j).is_some() && !member {
-            if let Some((path, after)) = path_starting_at(tokens, j) {
-                let root = path.split(['.', ':']).next().unwrap_or("");
-                if tok_punct(tokens, after, '(') {
-                    let m = last_segment(&path);
-                    let qualified = path.contains('.') || path.contains(':');
-                    if qualified && SOURCE_CALLS.contains(&m) {
-                        set = set.or(TaintSet::WIRE);
-                    }
-                    if path.contains('.') && PROPAGATE_RECV.contains(&m) {
-                        set = set.or(query(events, root, j));
-                    }
-                    // Other calls: result treated as clean; their
-                    // arguments are still scanned as the walk continues.
-                } else {
-                    // Plain value path: taints from its root variable
-                    // (field reads like `meta.rows` inherit `meta`'s).
-                    set = set.or(query(events, root, j));
-                }
-                j = after;
-                continue;
+        let path = path_starting_at(tokens, j).filter(|_| !member);
+        let Some((path, after)) = path else {
+            j += 1;
+            continue;
+        };
+        let root = path.split(['.', ':']).next().unwrap_or("");
+        if tok_punct(tokens, after, '(') {
+            let m = last_segment(&path);
+            if path.contains(['.', ':']) && SOURCE_CALLS.contains(&m) {
+                set = set.or(TaintSet::WIRE);
             }
+            if path.contains('.') && PROPAGATE_RECV.contains(&m) {
+                set = set.or(query(events, root, j));
+            }
+            // Other calls: result treated as clean; their arguments are
+            // still scanned as the walk continues.
+        } else {
+            // Plain value path: taints from its root variable (field
+            // reads like `meta.rows` inherit `meta`'s).
+            set = set.or(query(events, root, j));
         }
-        j += 1;
+        j = after;
     }
     set
 }
 
-/// `RHS` ending in `.min(args)` / `.clamp(args)` where the clamp
-/// arguments are untainted — the whole binding is bounded.
-fn clamped_rhs(tokens: &[Token], rhs: &Range<usize>, events: &[Event]) -> bool {
-    if rhs.len() < 4 || !tok_punct(tokens, rhs.end - 1, ')') {
-        return false;
-    }
-    let mut k = rhs.start;
-    while k + 3 < rhs.end {
-        if tok_punct(tokens, k, '.')
-            && matches!(tok_ident(tokens, k + 1), Some("min" | "clamp"))
-            && tok_punct(tokens, k + 2, '(')
-            && matching(tokens, k + 2) == Some(rhs.end - 1)
-        {
-            return expr_taint(tokens, &(k + 3..rhs.end - 1), events).is_empty();
-        }
-        k += 1;
-    }
-    false
-}
-
-/// Harvests the scoped taint events of one function body.
-fn collect_events(tokens: &[Token], f: &FnItem, params: &[String]) -> Vec<Event> {
-    let body = f.body.clone();
-    let mut ev: Vec<Event> = Vec::new();
-    for (k, p) in params.iter().enumerate() {
-        if !p.is_empty() {
-            ev.push(Event {
-                var: p.clone(),
-                start: body.start,
-                scope: body.clone(),
-                taint: Some(TaintSet::param(k)),
-            });
+/// Folds one fn's lowered statements into scoped taint events.
+/// Parameters start out tainted by themselves (for summaries).
+fn collect_events(tokens: &[Token], f: &FnItem) -> Events {
+    let mut ev = Events::default();
+    for (k, p) in f.params.iter().enumerate() {
+        if !p.name.is_empty() {
+            let taint = Some(TaintSet::param(k));
+            ev.push(f.body.start, f.body.clone(), (p.name.clone(), taint));
         }
     }
-    let mut i = body.start;
-    while i < body.end {
-        if let Some(name) = tok_ident(tokens, i) {
-            match name {
-                "let" => let_event(tokens, i, &body, &mut ev),
-                "if" => guard_events(tokens, i, &body, &mut ev),
-                _ if WIRE_ENUMS.contains(&name) => match_arm_events(tokens, i, &body, &mut ev),
-                "read_exact" if tok_punct(tokens, i.wrapping_sub(1), '.') => {
-                    read_exact_event(tokens, i, &body, &mut ev);
-                }
-                m if GROW_METHODS.contains(&m) && tok_punct(tokens, i.wrapping_sub(1), '.') => {
-                    grow_event(tokens, i, &body, &mut ev);
-                }
-                _ => reassign_event(tokens, i, &body, &mut ev),
+    for s in &f.stmts {
+        match &s.kind {
+            // `let X [: T] = RHS;` — X takes the RHS taint (possibly
+            // empty, which shadows any earlier taint on the name). An RHS
+            // ending in `.min(..)`/`.clamp(..)` with untainted arguments
+            // is bounded.
+            StmtKind::Let {
+                var, rhs, scope, ..
+            } => {
+                let clamp = final_call(tokens, rhs, &["min", "clamp"]);
+                let set = match clamp {
+                    Some(args) if expr_taint(tokens, &args, &ev).is_empty() => TaintSet::EMPTY,
+                    _ => expr_taint(tokens, rhs, &ev),
+                };
+                ev.push(rhs.end, scope.clone(), (var.clone(), Some(set)));
             }
+            // `X = RHS;` / `X op= RHS;` — rebinding from untainted
+            // operands clears. Fields are not tracked.
+            StmtKind::Assign {
+                target,
+                op,
+                rhs,
+                scope,
+            } if !target.contains(['.', ':']) => {
+                let mut set = expr_taint(tokens, rhs, &ev);
+                if op.is_some() {
+                    set = set.or(query(&ev, target, s.at));
+                }
+                ev.push(rhs.end, scope.clone(), (target.clone(), Some(set)));
+            }
+            // The validation-idiom sanitizer. An exiting body clears any
+            // variable the *negated* condition upper-bounds against an
+            // untainted value, for the rest of the enclosing block
+            // (¬(d1 ∨ d2 ∨ …) ⇒ every ¬dk); a non-exiting body clears
+            // variables the condition itself upper-bounds (c1 ∧ c2 ∧ …),
+            // inside the body only. The other connective bounds nothing
+            // per variable.
+            StmtKind::Guard {
+                parts,
+                joined_by,
+                exits,
+                body,
+                after,
+            } => {
+                let (other, start, scope) = if *exits {
+                    ('&', body.end - 1, after)
+                } else {
+                    ('|', body.start, body)
+                };
+                if *joined_by == Some(other) {
+                    continue;
+                }
+                for part in parts {
+                    if let Some(var) = bounded_var(tokens, part, &ev, *exits) {
+                        ev.push(start, scope.clone(), (var, None));
+                    }
+                }
+            }
+            // `Message::Variant { a, b, .. } => ..` / tuple form — the
+            // bindings are wire-decoded fields, tainted for the arm body.
+            StmtKind::Arm {
+                bindings,
+                arrow,
+                body,
+            } if tok_ident(tokens, s.at).is_some_and(|e| WIRE_ENUMS.contains(&e)) => {
+                for b in bindings {
+                    ev.push(*arrow, body.clone(), (b.clone(), Some(TaintSet::WIRE)));
+                }
+            }
+            // `recv.read_exact(&mut BUF)?` — BUF now holds wire bytes;
+            // dotted/complex targets are untracked.
+            StmtKind::Call {
+                effect: Effect::Fill,
+                args,
+                after,
+                ..
+            } => {
+                let mut j = args.start + usize::from(tok_punct(tokens, args.start, '&'));
+                j += usize::from(tok_ident(tokens, j) == Some("mut"));
+                if let Some(var) = tok_ident(tokens, j).filter(|_| j + 1 == args.end) {
+                    let taint = Some(TaintSet::WIRE);
+                    ev.push(after.start, after.clone(), (var.to_string(), taint));
+                }
+            }
+            // `recv.push(X)` and friends — argument taint spreads to a
+            // bare receiver variable.
+            StmtKind::Call {
+                effect: Effect::Grow,
+                recv: Some(root),
+                bare: true,
+                args,
+                after,
+            } => {
+                let set = expr_taint(tokens, args, &ev);
+                if !set.is_empty() {
+                    let set = Some(set.or(query(&ev, root, s.at)));
+                    ev.push(after.start, after.clone(), (root.clone(), set));
+                }
+            }
+            _ => {}
         }
-        i += 1;
     }
     ev
-}
-
-/// `let [mut] X [: T] = RHS;` — X takes the RHS taint (possibly empty,
-/// which shadows/clears any earlier taint on the name).
-fn let_event(tokens: &[Token], i: usize, body: &Range<usize>, ev: &mut Vec<Event>) {
-    let mut j = i + 1;
-    if tok_ident(tokens, j) == Some("mut") {
-        j += 1;
-    }
-    let Some(var) = tok_ident(tokens, j) else {
-        return; // tuple/struct patterns: untracked (conservatively clean)
-    };
-    // Depth-0 `=` before the statement's `;` (skipping a `: Type`).
-    let mut eq = j + 1;
-    let mut d = 0i64;
-    loop {
-        match tokens.get(eq) {
-            Some(t) if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') => d += 1,
-            Some(t) if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') => d -= 1,
-            Some(t) if t.is_punct('=') && d == 0 => break,
-            Some(t) if t.is_punct(';') && d == 0 => return,
-            None => return,
-            _ => {}
-        }
-        if eq >= body.end {
-            return;
-        }
-        eq += 1;
-    }
-    if tok_punct(tokens, eq + 1, '=') {
-        return; // `==` in a `let` guard position
-    }
-    let Some(end) = statement_end(tokens, eq + 1, body) else {
-        return;
-    };
-    let rhs = eq + 1..end;
-    let set = if clamped_rhs(tokens, &rhs, ev) {
-        TaintSet::EMPTY
-    } else {
-        expr_taint(tokens, &rhs, ev)
-    };
-    ev.push(Event {
-        var: var.to_string(),
-        start: end,
-        scope: end..enclosing_block_end(tokens, end, body.end),
-        taint: Some(set),
-    });
-}
-
-/// `X = RHS;` / `X op= RHS;` — rebinding from untainted operands clears.
-fn reassign_event(tokens: &[Token], i: usize, body: &Range<usize>, ev: &mut Vec<Event>) {
-    if tok_punct(tokens, i.wrapping_sub(1), '.') || tok_punct(tokens, i.wrapping_sub(1), ':') {
-        return;
-    }
-    if matches!(
-        tok_ident(tokens, i.wrapping_sub(1)),
-        Some("let" | "mut" | "const" | "static" | "fn")
-    ) {
-        return;
-    }
-    let Some(var) = tok_ident(tokens, i) else {
-        return;
-    };
-    let (rhs_start, carry) = if tok_punct(tokens, i + 1, '=')
-        && !tok_punct(tokens, i + 2, '=')
-        && !tok_punct(tokens, i + 2, '>')
-    {
-        (i + 2, false)
-    } else if "+-*/%&|^".chars().any(|c| tok_punct(tokens, i + 1, c))
-        && tok_punct(tokens, i + 2, '=')
-    {
-        (i + 3, true)
-    } else {
-        return;
-    };
-    let Some(end) = statement_end(tokens, rhs_start, body) else {
-        return;
-    };
-    let mut set = expr_taint(tokens, &(rhs_start..end), ev);
-    if carry {
-        set = set.or(query(ev, var, i));
-    }
-    ev.push(Event {
-        var: var.to_string(),
-        start: end,
-        scope: end..enclosing_block_end(tokens, end, body.end),
-        taint: Some(set),
-    });
-}
-
-/// The body-open brace of an `if`/`for`/guard header starting after `at`.
-fn header_open(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<usize> {
-    let mut d = 0i64;
-    let mut j = at;
-    while j < body.end {
-        let t = tokens.get(j)?;
-        if t.is_punct('(') || t.is_punct('[') {
-            d += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            d -= 1;
-        } else if t.is_punct('{') {
-            if d == 0 {
-                return Some(j);
-            }
-            d += 1;
-        } else if t.is_punct('}') {
-            d -= 1;
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Splits a condition on a doubled punct (`&&` / `||`) at depth 0.
-fn split_on(tokens: &[Token], range: &Range<usize>, c: char) -> Vec<Range<usize>> {
-    let mut parts = Vec::new();
-    let mut d = 0i64;
-    let mut start = range.start;
-    let mut j = range.start;
-    while j < range.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => d += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => d -= 1,
-            Some(t) if d == 0 && t.is_punct(c) && tok_punct(tokens, j + 1, c) => {
-                parts.push(start..j);
-                j += 1;
-                start = j + 1;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    parts.push(start..range.end);
-    parts
-}
-
-fn has_depth0_double(tokens: &[Token], range: &Range<usize>, c: char) -> bool {
-    split_on(tokens, range, c).len() > 1
-}
-
-/// `if COND { .. }` — the validation-idiom sanitizer. An exiting body
-/// (`return`/`break`/`continue` first) clears any variable the *negated*
-/// condition upper-bounds against an untainted value, for the rest of
-/// the enclosing block; a non-exiting body clears variables the
-/// condition itself upper-bounds, inside the body only.
-fn guard_events(tokens: &[Token], i: usize, body: &Range<usize>, ev: &mut Vec<Event>) {
-    if tok_ident(tokens, i + 1) == Some("let") {
-        return;
-    }
-    let Some(open) = header_open(tokens, i + 1, body) else {
-        return;
-    };
-    let Some(close) = matching(tokens, open) else {
-        return;
-    };
-    let cond = i + 1..open;
-    let exits = matches!(
-        tok_ident(tokens, open + 1),
-        Some("return" | "break" | "continue")
-    );
-    let (parts, scope, start) = if exits {
-        // ¬(d1 ∨ d2 ∨ …) ⇒ every ¬dk holds afterwards; a mixed `&&`
-        // yields no per-variable bound.
-        if has_depth0_double(tokens, &cond, '&') {
-            return;
-        }
-        let scope = close + 1..enclosing_block_end(tokens, close + 1, body.end);
-        (split_on(tokens, &cond, '|'), scope, close)
-    } else {
-        // c1 ∧ c2 ∧ … all hold inside the body.
-        if has_depth0_double(tokens, &cond, '|') {
-            return;
-        }
-        (split_on(tokens, &cond, '&'), open + 1..close, open)
-    };
-    for part in parts {
-        if let Some(var) = bounded_var(tokens, &part, ev, exits) {
-            ev.push(Event {
-                var,
-                start,
-                scope: scope.clone(),
-                taint: None,
-            });
-        }
-    }
 }
 
 /// The variable a comparison upper-bounds (post-negation when `negated`)
@@ -457,7 +312,7 @@ fn guard_events(tokens: &[Token], i: usize, body: &Range<usize>, ev: &mut Vec<Ev
 fn bounded_var(
     tokens: &[Token],
     part: &Range<usize>,
-    ev: &[Event],
+    ev: &Events,
     negated: bool,
 ) -> Option<String> {
     let (lhs, op, rhs_start) = find_cmp(tokens, part)?;
@@ -517,148 +372,6 @@ fn simple_var(tokens: &[Token], range: &Range<usize>) -> Option<String> {
     Some(var.to_string())
 }
 
-/// `Message::Variant { a, b, .. } => ..` / tuple form — the bindings are
-/// wire-decoded fields, tainted for the arm body.
-fn match_arm_events(tokens: &[Token], i: usize, body: &Range<usize>, ev: &mut Vec<Event>) {
-    if !(tok_punct(tokens, i + 1, ':') && tok_punct(tokens, i + 2, ':')) {
-        return;
-    }
-    if tok_ident(tokens, i + 3).is_none() {
-        return;
-    }
-    let pat_open = i + 4;
-    let (inner, pat_close) = if tok_punct(tokens, pat_open, '{') || tok_punct(tokens, pat_open, '(')
-    {
-        let Some(c) = matching(tokens, pat_open) else {
-            return;
-        };
-        (pat_open + 1..c, c)
-    } else {
-        return; // unit variant: nothing bound
-    };
-    // Pattern, not construction: an arm arrow must follow at depth 0.
-    let mut j = pat_close + 1;
-    let mut d = 0i64;
-    let arrow = loop {
-        if j + 1 >= body.end || d < 0 {
-            return;
-        }
-        let Some(t) = tokens.get(j) else { return };
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            d += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            d -= 1;
-        } else if d == 0 && t.is_punct('=') && tok_punct(tokens, j + 1, '>') {
-            break j;
-        } else if d == 0 && (t.is_punct(',') || t.is_punct(';')) {
-            return;
-        }
-        j += 1;
-    };
-    // Arm body: a brace block, or everything up to the arm's `,` / the
-    // match's closing `}`.
-    let bstart = arrow + 2;
-    let bend = if tok_punct(tokens, bstart, '{') {
-        match matching(tokens, bstart) {
-            Some(c) => c + 1,
-            None => return,
-        }
-    } else {
-        let mut j = bstart;
-        let mut d = 0i64;
-        loop {
-            if j >= body.end {
-                break j;
-            }
-            let Some(t) = tokens.get(j) else { break j };
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                d += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                if d == 0 {
-                    break j;
-                }
-                d -= 1;
-            } else if d == 0 && t.is_punct(',') {
-                break j;
-            }
-            j += 1;
-        }
-    };
-    // Bindings: idents not introducing a field name (`field: pat`) and
-    // not pattern keywords. A stray nested-enum segment binds a name no
-    // expression reads — harmless.
-    for k in inner.clone() {
-        if let Some(name) = tok_ident(tokens, k) {
-            if matches!(name, "mut" | "ref" | "_") || tok_punct(tokens, k + 1, ':') {
-                continue;
-            }
-            ev.push(Event {
-                var: name.to_string(),
-                start: arrow,
-                scope: bstart..bend,
-                taint: Some(TaintSet::WIRE),
-            });
-        }
-    }
-}
-
-/// `recv.read_exact(&mut BUF)?` — BUF now holds wire bytes.
-fn read_exact_event(tokens: &[Token], i: usize, body: &Range<usize>, ev: &mut Vec<Event>) {
-    if !tok_punct(tokens, i + 1, '(') {
-        return;
-    }
-    let Some(close) = matching(tokens, i + 1) else {
-        return;
-    };
-    let mut j = i + 2;
-    if tok_punct(tokens, j, '&') {
-        j += 1;
-    }
-    if tok_ident(tokens, j) == Some("mut") {
-        j += 1;
-    }
-    let Some(var) = tok_ident(tokens, j) else {
-        return;
-    };
-    if j + 1 != close {
-        return; // dotted/complex target: untracked
-    }
-    ev.push(Event {
-        var: var.to_string(),
-        start: close,
-        scope: close..enclosing_block_end(tokens, close, body.end),
-        taint: Some(TaintSet::WIRE),
-    });
-}
-
-/// `recv.push(X)` and friends — argument taint spreads to the receiver
-/// collection's root variable.
-fn grow_event(tokens: &[Token], i: usize, body: &Range<usize>, ev: &mut Vec<Event>) {
-    if !tok_punct(tokens, i + 1, '(') || i < 2 {
-        return;
-    }
-    let Some(close) = matching(tokens, i + 1) else {
-        return;
-    };
-    let Some(root) = tok_ident(tokens, i - 2) else {
-        return;
-    };
-    if tok_ident(tokens, i.wrapping_sub(3)).is_some() || tok_punct(tokens, i.wrapping_sub(3), '.') {
-        return; // deeper receiver path (`self.x.push`): untracked
-    }
-    let args = expr_taint(tokens, &(i + 2..close), ev);
-    if args.is_empty() {
-        return;
-    }
-    let set = args.or(query(ev, root, i));
-    ev.push(Event {
-        var: root.to_string(),
-        start: close,
-        scope: close..enclosing_block_end(tokens, close, body.end),
-        taint: Some(set),
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Sinks and interprocedural summaries
 // ---------------------------------------------------------------------------
@@ -687,16 +400,7 @@ impl SinkKind {
 
 /// A binary `+` or `*` at depth 0 (overflow candidates feeding a sink).
 fn depth0_arith(tokens: &[Token], range: &Range<usize>) -> bool {
-    let mut d = 0i64;
-    for j in range.start..range.end {
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => d += 1,
-            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => d -= 1,
-            Some(_) if d == 0 && binary_arith_at(tokens, range, j) => return true,
-            _ => {}
-        }
-    }
-    false
+    depth0(tokens, range.clone()).any(|j| binary_arith_at(tokens, range, j))
 }
 
 /// A binary `+` or `*` anywhere in the range, parenthesized or not —
@@ -748,6 +452,52 @@ fn summarize(
     flows
 }
 
+/// The sink findings and parameter flows of one function under scan.
+struct Sinks<'a> {
+    path: &'a str,
+    tokens: &'a [Token],
+    ev: &'a Events,
+    params: usize,
+    flows: Flows,
+    out: Vec<Violation>,
+    /// Sink arguments that carried wire taint.
+    wire_args: Vec<Range<usize>>,
+}
+
+impl Sinks<'_> {
+    /// A sink argument: wire taint is a finding, parameter taint a
+    /// summary flow.
+    fn sink(&mut self, range: Range<usize>, kind: SinkKind, line: usize, what: &str) {
+        let set = expr_taint(self.tokens, &range, self.ev);
+        if set.wire {
+            self.out.push(violation(
+                self.path,
+                line,
+                kind.rule(),
+                format!("wire-derived value reaches {what} without a recognized bounds check"),
+            ));
+            if depth0_arith(self.tokens, &range) {
+                self.out.push(violation(
+                    self.path,
+                    line,
+                    "taint.wire-arith",
+                    format!("overflowable arithmetic on wire-derived operands feeds {what}"),
+                ));
+            }
+            self.wire_args.push(range);
+        }
+        self.flow(set, kind);
+    }
+
+    fn flow(&mut self, set: TaintSet, kind: SinkKind) {
+        for k in 0..self.params.min(64) {
+            if set.params & (1u64 << k) != 0 {
+                self.flows.push((k, kind));
+            }
+        }
+    }
+}
+
 /// Full sink scan of one function: wire-tainted sink reaches become
 /// violations, parameter-tainted ones become summary flows.
 fn analyze_fn(
@@ -764,226 +514,126 @@ fn analyze_fn(
         return (Vec::new(), Vec::new());
     };
     let tokens = &sf.tokens;
-    let (params, _) = param_names(tokens, f);
-    let ev = collect_events(tokens, f, &params);
-    let mut flows: Flows = Vec::new();
-    let mut out: Vec<Violation> = Vec::new();
-    let mut wire_args: Vec<Range<usize>> = Vec::new();
-
-    let sink = |range: Range<usize>,
-                kind: SinkKind,
-                line: usize,
-                what: &str,
-                out: &mut Vec<Violation>,
-                flows: &mut Flows,
-                wire_args: &mut Vec<Range<usize>>| {
-        let set = expr_taint(tokens, &range, &ev);
-        if set.wire {
-            out.push(violation(
-                &sf.path,
-                line,
-                kind.rule(),
-                format!("wire-derived value reaches {what} without a recognized bounds check"),
-            ));
-            if depth0_arith(tokens, &range) {
-                out.push(violation(
-                    &sf.path,
-                    line,
-                    "taint.wire-arith",
-                    format!("overflowable arithmetic on wire-derived operands feeds {what}"),
-                ));
-            }
-            wire_args.push(range.clone());
-        }
-        for k in 0..params.len().min(64) {
-            if set.params & (1u64 << k) != 0 {
-                flows.push((k, kind));
-            }
-        }
+    let ev = collect_events(tokens, f);
+    let mut s = Sinks {
+        path: &sf.path,
+        tokens,
+        ev: &ev,
+        params: f.params.len(),
+        flows: Vec::new(),
+        out: Vec::new(),
+        wire_args: Vec::new(),
     };
+    let line_of = |i: usize| tokens.get(i).map_or(f.line, |t| t.line);
 
-    // `let` bindings computing tainted arithmetic; flagged wire-arith if
-    // the bound variable later appears in a wire-flagged sink argument.
-    let mut arith_lets: Vec<(String, usize)> = Vec::new();
-
-    let mut i = f.body.start;
-    while i < f.body.end {
+    for i in f.body.clone() {
         if let Some(name) = tok_ident(tokens, i) {
             let method_like = tok_punct(tokens, i.wrapping_sub(1), '.')
                 || tok_punct(tokens, i.wrapping_sub(1), ':');
             if method_like && ALLOC_METHODS.contains(&name) && tok_punct(tokens, i + 1, '(') {
                 if let Some(close) = matching(tokens, i + 1) {
-                    let line = tokens.get(i).map(|t| t.line).unwrap_or(f.line);
-                    sink(
+                    s.sink(
                         i + 2..close,
                         SinkKind::Alloc,
-                        line,
+                        line_of(i),
                         &format!("`{name}`"),
-                        &mut out,
-                        &mut flows,
-                        &mut wire_args,
                     );
                 }
-            } else if name == "vec"
-                && tok_punct(tokens, i + 1, '!')
-                && tok_punct(tokens, i + 2, '[')
-            {
-                if let Some(close) = matching(tokens, i + 2) {
-                    // `vec![elem; count]`: the count is the last depth-0 `;`.
-                    let mut d = 0i64;
-                    let mut semi = None;
-                    for j in i + 3..close {
-                        match tokens.get(j) {
-                            Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => {
-                                d += 1;
-                            }
-                            Some(t) if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => {
-                                d -= 1;
-                            }
-                            Some(t) if t.is_punct(';') && d == 0 => semi = Some(j),
-                            _ => {}
-                        }
-                    }
-                    if let Some(s) = semi {
-                        let line = tokens.get(i).map(|t| t.line).unwrap_or(f.line);
-                        sink(
-                            s + 1..close,
-                            SinkKind::Alloc,
-                            line,
-                            "a `vec![elem; n]` length",
-                            &mut out,
-                            &mut flows,
-                            &mut wire_args,
-                        );
-                    }
+            } else if name == "vec" && tok_punct(tokens, i + 1, '!') {
+                // `vec![elem; count]`.
+                if let Some(count) =
+                    repeat_count(tokens, i + 2).filter(|_| tok_punct(tokens, i + 2, '['))
+                {
+                    s.sink(
+                        count,
+                        SinkKind::Alloc,
+                        line_of(i),
+                        "a `vec![elem; n]` length",
+                    );
                 }
             } else if name == "for" {
                 // `for P in A..B {` — an unvalidated count as iteration bound.
-                if let Some(open) = header_open(tokens, i + 1, &f.body) {
-                    let mut d = 0i64;
-                    let mut in_at = None;
-                    for j in i + 1..open {
-                        match tokens.get(j) {
-                            Some(t) if t.is_punct('(') || t.is_punct('[') => d += 1,
-                            Some(t) if t.is_punct(')') || t.is_punct(']') => d -= 1,
-                            Some(t) if d == 0 && t.ident() == Some("in") => {
-                                in_at = Some(j);
-                                break;
-                            }
-                            _ => {}
-                        }
-                    }
-                    if let Some(at) = in_at {
-                        let iter = at + 1..open;
-                        let dotdot = (iter.start..iter.end.saturating_sub(1))
-                            .any(|j| tok_punct(tokens, j, '.') && tok_punct(tokens, j + 1, '.'));
-                        if dotdot {
-                            let line = tokens.get(i).map(|t| t.line).unwrap_or(f.line);
-                            sink(
-                                iter,
-                                SinkKind::Alloc,
-                                line,
-                                "a loop bound",
-                                &mut out,
-                                &mut flows,
-                                &mut wire_args,
-                            );
-                        }
-                    }
-                }
-            } else if name == "let" {
-                let mut j = i + 1;
-                if tok_ident(tokens, j) == Some("mut") {
-                    j += 1;
-                }
-                if let Some(var) = tok_ident(tokens, j) {
-                    if let Some(end) = statement_end(tokens, j + 1, &f.body) {
-                        let rhs = j + 1..end;
-                        if any_arith(tokens, &rhs) && expr_taint(tokens, &rhs, &ev).wire {
-                            arith_lets.push((
-                                var.to_string(),
-                                tokens.get(i).map(|t| t.line).unwrap_or(f.line),
-                            ));
-                        }
+                let stmt = f.stmts.binary_search_by_key(&i, |st| st.at).ok();
+                if let Some(StmtKind::For { iter, .. }) =
+                    stmt.and_then(|k| f.stmts.get(k)).map(|st| &st.kind)
+                {
+                    let dotdot = (iter.start..iter.end.saturating_sub(1))
+                        .any(|j| tok_punct(tokens, j, '.') && tok_punct(tokens, j + 1, '.'));
+                    if dotdot {
+                        s.sink(iter.clone(), SinkKind::Alloc, line_of(i), "a loop bound");
                     }
                 }
             }
-        } else if tok_punct(tokens, i, '[') && index_site(tokens, i) {
+        } else if index_site(tokens, i) {
             if let Some(close) = matching(tokens, i) {
-                let line = tokens.get(i).map(|t| t.line).unwrap_or(f.line);
-                sink(
-                    i + 1..close,
-                    SinkKind::Index,
-                    line,
-                    "a slice index",
-                    &mut out,
-                    &mut flows,
-                    &mut wire_args,
-                );
+                s.sink(i + 1..close, SinkKind::Index, line_of(i), "a slice index");
             }
         } else if tok_punct(tokens, i, '(') {
             // Interprocedural: a call whose callee's summary says this
             // argument position reaches a sink.
-            if let Some(path) = crate::flow::path_ending_at(tokens, i.wrapping_sub(1)) {
-                if let Some(&(cfi, cgi, has_self)) = ctx.unique.get(last_segment(&path)) {
-                    if has_self == path.contains('.') && (cfi, cgi) != key {
-                        let callee_flows = summarize(ctx, (cfi, cgi), memo, viols, visiting);
-                        if !callee_flows.is_empty() {
-                            if let Some(close) = matching(tokens, i) {
-                                for &(k, kind) in &callee_flows {
-                                    let Some(arg) = call_arg_range(tokens, i + 1, close, k) else {
-                                        continue;
-                                    };
-                                    let set = expr_taint(tokens, &arg, &ev);
-                                    if set.wire {
-                                        let line = tokens.get(i).map(|t| t.line).unwrap_or(f.line);
-                                        out.push(violation(
-                                            &sf.path,
-                                            line,
-                                            kind.rule(),
-                                            format!(
-                                                "wire-derived argument flows into `{callee}`, \
-                                                 where it reaches a {noun} unvalidated",
-                                                callee = last_segment(&path),
-                                                noun = kind.noun(),
-                                            ),
-                                        ));
-                                        wire_args.push(arg.clone());
-                                    }
-                                    for p in 0..params.len().min(64) {
-                                        if set.params & (1u64 << p) != 0 {
-                                            flows.push((p, kind));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+            let Some(path) = path_ending_at(tokens, i.wrapping_sub(1)) else {
+                continue;
+            };
+            let Some(&(cfi, cgi, has_self)) = ctx.unique.get(last_segment(&path)) else {
+                continue;
+            };
+            if has_self != path.contains('.') || (cfi, cgi) == key {
+                continue;
+            }
+            let callee_flows = summarize(ctx, (cfi, cgi), memo, viols, visiting);
+            let Some(close) = matching(tokens, i).filter(|_| !callee_flows.is_empty()) else {
+                continue;
+            };
+            for &(k, kind) in &callee_flows {
+                let Some(arg) = call_arg_range(tokens, &(i + 1..close), k) else {
+                    continue;
+                };
+                let set = expr_taint(tokens, &arg, &ev);
+                if set.wire {
+                    s.out.push(violation(
+                        &sf.path,
+                        line_of(i),
+                        kind.rule(),
+                        format!(
+                            "wire-derived argument flows into `{callee}`, \
+                             where it reaches a {noun} unvalidated",
+                            callee = last_segment(&path),
+                            noun = kind.noun(),
+                        ),
+                    ));
+                    s.wire_args.push(arg);
                 }
+                s.flow(set, kind);
             }
         }
-        i += 1;
     }
 
     // One-hop arith feeding a sink: `let t = a * b; .. with_capacity(t)`.
-    for (var, line) in arith_lets {
-        let feeds = wire_args.iter().any(|r| {
-            (r.start..r.end).any(|j| {
+    for st in &f.stmts {
+        let StmtKind::Let { var, rhs, .. } = &st.kind else {
+            continue;
+        };
+        if !any_arith(tokens, rhs) || !expr_taint(tokens, rhs, &ev).wire {
+            continue;
+        }
+        let feeds = s.wire_args.iter().any(|r| {
+            r.clone().any(|j| {
                 tok_ident(tokens, j) == Some(var.as_str())
                     && !tok_punct(tokens, j.wrapping_sub(1), '.')
                     && !tok_punct(tokens, j.wrapping_sub(1), ':')
             })
         });
         if feeds {
-            out.push(violation(
+            s.out.push(violation(
                 &sf.path,
-                line,
+                line_of(st.at),
                 "taint.wire-arith",
                 format!("overflowable arithmetic on wire-derived operands binds `{var}`, which feeds a sink"),
             ));
         }
     }
 
+    let (mut flows, out) = (s.flows, s.out);
     flows.sort_unstable_by_key(|&(k, kind)| (k, kind.rule()));
     flows.dedup();
     (flows, out)
@@ -999,28 +649,14 @@ pub fn taint_pass(sources: &[SourceFile], parsed: &[ParsedFile], out: &mut Vec<V
 
     // Bare-name-unique functions (ambiguity judged workspace-wide so a
     // wire-crate call cannot bind a same-named foreign function).
-    let mut by_name: BTreeMap<String, Option<(usize, usize)>> = BTreeMap::new();
-    for (fi, pf) in parsed.iter().enumerate() {
-        for (gi, f) in pf.fns.iter().enumerate() {
-            by_name
-                .entry(last_segment(&f.name).to_string())
-                .and_modify(|e| *e = None)
-                .or_insert(Some((fi, gi)));
-        }
-    }
-    let mut unique = BTreeMap::new();
-    for (name, slot) in by_name {
-        if let Some((fi, gi)) = slot {
-            let wire = in_scope.get(fi) == Some(&true);
-            let item = sources
-                .get(fi)
-                .zip(parsed.get(fi).and_then(|pf| pf.fns.get(gi)));
-            if let (true, Some((sf, f))) = (wire, item) {
-                let (_, has_self) = param_names(&sf.tokens, f);
-                unique.insert(name, (fi, gi, has_self));
-            }
-        }
-    }
+    let unique = unique_fns(parsed)
+        .into_iter()
+        .filter(|(_, (fi, _))| in_scope.get(*fi) == Some(&true))
+        .filter_map(|(name, (fi, gi))| {
+            let f = parsed.get(fi)?.fns.get(gi)?;
+            Some((name, (fi, gi, f.has_self)))
+        })
+        .collect();
     let ctx = Ctx {
         sources,
         parsed,
@@ -1030,15 +666,12 @@ pub fn taint_pass(sources: &[SourceFile], parsed: &[ParsedFile], out: &mut Vec<V
     let mut memo: BTreeMap<Key, Flows> = BTreeMap::new();
     let mut viols: BTreeMap<Key, Vec<Violation>> = BTreeMap::new();
     let mut visiting: BTreeSet<Key> = BTreeSet::new();
-    let mut keys: Vec<Key> = Vec::new();
-    for (fi, pf) in parsed.iter().enumerate() {
-        if in_scope.get(fi) != Some(&true) {
-            continue;
-        }
-        for gi in 0..pf.fns.len() {
-            keys.push((fi, gi));
-        }
-    }
+    let keys: Vec<Key> = parsed
+        .iter()
+        .enumerate()
+        .filter(|(fi, _)| in_scope.get(*fi) == Some(&true))
+        .flat_map(|(fi, pf)| (0..pf.fns.len()).map(move |gi| (fi, gi)))
+        .collect();
     for &key in &keys {
         summarize(&ctx, key, &mut memo, &mut viols, &mut visiting);
     }

@@ -162,6 +162,8 @@ pub struct CheckOutcome {
     pub violations: Vec<Violation>,
     /// Reply-code coverage counts.
     pub proto: ProtoSummary,
+    /// `panic.indexing` sites the interval prover discharged.
+    pub proven_sites: usize,
     /// Per-pass elapsed wall-clock.
     pub timings: PassTimings,
 }
@@ -206,9 +208,11 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
     // analysis everywhere the panic rules look.
     let t = Instant::now();
     let mut proven = ProvenLines::new();
+    let mut proven_sites = 0;
     for (s, p) in sources.iter().zip(&parsed) {
         let check_units = UNIT_FLOW_PREFIXES.iter().any(|pre| s.path.starts_with(pre));
         let proofs = flow_pass(&s.path, &s.tokens, p, check_units, &summaries, &mut all);
+        proven_sites += proofs.proven_sites();
         let lines = proofs.fully_proven();
         if !lines.is_empty() {
             proven.insert(s.path.clone(), lines);
@@ -255,6 +259,7 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
     CheckOutcome {
         violations: all,
         proto: summary,
+        proven_sites,
         timings,
     }
 }
