@@ -1,15 +1,33 @@
 //! The closed control loop: observe → classify → decide → act, with
-//! deadline-bounded, retried link calls.
+//! deadline-bounded, retried station calls.
+//!
+//! The [`StationClient`] is the loop's only I/O edge: socket deadlines
+//! and backoff pauses happen there, and everything in front of it
+//! (classifier, policy, trace) is pure.
 
 use crate::backoff::Backoff;
 use crate::classifier::{ChipAssessment, ChipCondition, StateClassifier};
 use crate::error::ControlError;
-use crate::link::ControlLink;
 use crate::policy::{Action, PolicyEngine};
 use crate::trace::{permille, RecoveryTrace, TraceEvent};
 use bsa_link::{ChipId, CultureSpec, DnaChipSpec, NeuroChipSpec, TargetSpec};
-use bsa_station::ClientError;
+use bsa_station::{ClientError, StationClient};
+use bsa_units::Seconds;
 use std::collections::BTreeSet;
+use std::thread;
+use std::time::Duration;
+
+/// Attempts per station request, the first try included; timeouts
+/// between them wait out [`Backoff::default`].
+const MAX_ATTEMPTS: u32 = 3;
+
+/// The recovery target, as a fraction of the pre-fault baseline yield.
+const RECOVERY_FRACTION: f64 = 0.9;
+
+/// Start time of every observation window. The chip model re-seeds per
+/// recording, so a fixed start replays the same window bit-exactly and
+/// recovery is measured against a stable reference.
+const T0: Seconds = Seconds::new(0.0);
 
 /// What the controller supervises.
 #[derive(Debug, Clone)]
@@ -34,24 +52,6 @@ pub enum ChipTarget {
     },
 }
 
-/// Retry bounds for deadline-bounded link requests.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Attempts per request (first try included).
-    pub max_attempts: u32,
-    /// Backoff schedule between attempts.
-    pub backoff: Backoff,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff: Backoff::default(),
-        }
-    }
-}
-
 /// Result of a [`Controller::run`] loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOutcome {
@@ -65,58 +65,47 @@ pub struct RunOutcome {
 
 /// Drives one chip through observe/classify/decide/act cycles.
 #[derive(Debug)]
-pub struct Controller<L: ControlLink> {
-    link: L,
+pub struct Controller {
+    client: StationClient,
     target: ChipTarget,
     chip: ChipId,
     rows: u16,
     cols: u16,
     classifier: StateClassifier,
     policy: PolicyEngine,
-    retry: RetryPolicy,
     masked: BTreeSet<u32>,
     trace: RecoveryTrace,
     baseline_yield: f64,
-    recovery_fraction: f64,
 }
 
-impl<L: ControlLink> Controller<L> {
+impl Controller {
     /// Attaches the target chip, calibrates it, and captures the
     /// pre-fault baseline the recovery target is measured against.
     ///
     /// # Errors
     ///
-    /// Propagates link failures (after retries for timeouts).
+    /// Propagates station failures (after retries for timeouts).
     pub fn start(
-        link: L,
+        client: StationClient,
         target: ChipTarget,
         classifier: StateClassifier,
         policy: PolicyEngine,
-        retry: RetryPolicy,
         scenario: impl Into<String>,
     ) -> Result<Self, ControlError> {
         let mut controller = Self {
-            link,
+            client,
             target,
             chip: 0,
             rows: 0,
             cols: 0,
             classifier,
             policy,
-            retry,
             masked: BTreeSet::new(),
             trace: RecoveryTrace::new(scenario),
             baseline_yield: 1.0,
-            recovery_fraction: 0.9,
         };
         controller.attach_and_baseline()?;
         Ok(controller)
-    }
-
-    /// Sets the recovery target as a fraction of the pre-fault
-    /// baseline yield (default 0.9).
-    pub fn set_recovery_fraction(&mut self, fraction: f64) {
-        self.recovery_fraction = fraction.clamp(0.0, 1.0);
     }
 
     /// The current chip handle (changes after a reattach).
@@ -143,19 +132,19 @@ impl<L: ControlLink> Controller<L> {
         self.trace
     }
 
-    /// The underlying link, e.g. to inject scenario faults between
+    /// The station client, e.g. to inject scenario faults between
     /// baseline capture and the recovery run.
-    pub fn link_mut(&mut self) -> &mut L {
-        &mut self.link
+    pub fn client_mut(&mut self) -> &mut StationClient {
+        &mut self.client
     }
 
     /// Runs the loop for at most `max_ticks` observation windows.
-    /// Returns early once effective yield is back above
-    /// `recovery_fraction * baseline_yield`.
+    /// Returns early once effective yield is back above 90% of the
+    /// baseline yield.
     ///
     /// # Errors
     ///
-    /// Propagates link failures (after retries for timeouts).
+    /// Propagates station failures (after retries for timeouts).
     pub fn run(&mut self, max_ticks: u32) -> Result<RunOutcome, ControlError> {
         let mut last_permille = 0;
         for tick in 0..max_ticks {
@@ -168,7 +157,7 @@ impl<L: ControlLink> Controller<L> {
                 yield_permille,
             });
             let healthy_enough =
-                assessment.effective_yield >= self.recovery_fraction * self.baseline_yield;
+                assessment.effective_yield >= RECOVERY_FRACTION * self.baseline_yield;
             if healthy_enough {
                 self.trace.push(TraceEvent::Recovered {
                     tick,
@@ -212,16 +201,16 @@ impl<L: ControlLink> Controller<L> {
                 culture,
                 frames_per_tick,
             } => {
-                let attached = self.with_retry(0, |link| link.attach_neuro(&spec))?;
+                let attached = self.with_retry(0, |client| client.attach_neuro(&spec))?;
                 self.chip = attached.chip;
                 self.rows = attached.rows;
                 self.cols = attached.cols;
-                self.with_retry(0, |link| link.calibrate(attached.chip))?;
+                self.with_retry(0, |client| client.calibrate(attached.chip))?;
                 let chip = self.chip;
-                let stream = self.with_retry(0, |link| {
-                    link.stream_frames(chip, frames_per_tick, &culture)
+                let stream = self.with_retry(0, |client| {
+                    client.stream_neuro(chip, frames_per_tick, 0, T0, &culture)
                 })?;
-                let summary = self.with_retry(0, |link| link.health(chip))?;
+                let summary = self.with_retry(0, |client| client.health(chip))?;
                 let assessment = self.classifier.observe_neuro(
                     &summary,
                     self.rows,
@@ -236,16 +225,16 @@ impl<L: ControlLink> Controller<L> {
                 probes,
                 targets,
             } => {
-                let attached = self.with_retry(0, |link| link.attach_dna(&spec))?;
+                let attached = self.with_retry(0, |client| client.attach_dna(&spec))?;
                 self.chip = attached.chip;
                 self.rows = attached.rows;
                 self.cols = attached.cols;
                 let chip = self.chip;
-                self.with_retry(0, |link| {
-                    link.configure_assay(chip, probes.clone(), targets.clone())
+                self.with_retry(0, |client| {
+                    client.configure_assay(chip, probes.clone(), targets.clone())
                 })?;
-                self.with_retry(0, |link| link.calibrate(chip))?;
-                let outcome = self.with_retry(0, |link| link.run_assay(chip))?;
+                self.with_retry(0, |client| client.calibrate(chip))?;
+                let outcome = self.with_retry(0, |client| client.run_assay(chip, false))?;
                 self.classifier
                     .set_dna_baseline(outcome.estimated_currents_a);
                 self.baseline_yield = 1.0;
@@ -262,10 +251,10 @@ impl<L: ControlLink> Controller<L> {
                 frames_per_tick,
                 ..
             } => {
-                let stream = self.with_retry(tick, |link| {
-                    link.stream_frames(chip, frames_per_tick, &culture)
+                let stream = self.with_retry(tick, |client| {
+                    client.stream_neuro(chip, frames_per_tick, 0, T0, &culture)
                 })?;
-                let summary = self.with_retry(tick, |link| link.health(chip))?;
+                let summary = self.with_retry(tick, |client| client.health(chip))?;
                 Ok(self.classifier.observe_neuro(
                     &summary,
                     self.rows,
@@ -275,8 +264,8 @@ impl<L: ControlLink> Controller<L> {
                 ))
             }
             ChipTarget::Dna { .. } => {
-                let outcome = self.with_retry(tick, |link| link.run_assay(chip))?;
-                let summary = self.with_retry(tick, |link| link.health(chip))?;
+                let outcome = self.with_retry(tick, |client| client.run_assay(chip, false))?;
+                let summary = self.with_retry(tick, |client| client.health(chip))?;
                 Ok(self
                     .classifier
                     .observe_dna(&summary, &outcome.estimated_currents_a))
@@ -288,17 +277,17 @@ impl<L: ControlLink> Controller<L> {
         let chip = self.chip;
         match action {
             Action::Recalibrate => {
-                self.with_retry(tick, |link| link.calibrate(chip))?;
+                self.with_retry(tick, |client| client.calibrate(chip))?;
             }
             Action::MaskPixels(pixels) => {
-                self.with_retry(tick, |link| link.mask_pixels(chip, &pixels))?;
+                self.with_retry(tick, |client| client.mask_pixels(chip, &pixels))?;
                 self.masked.extend(pixels.iter().copied());
             }
             Action::ReRunAssay => {
-                self.with_retry(tick, |link| link.run_assay(chip))?;
+                self.with_retry(tick, |client| client.run_assay(chip, false))?;
             }
             Action::Reattach { seed } => {
-                self.with_retry(tick, |link| link.detach(chip))?;
+                self.with_retry(tick, |client| client.detach(chip))?;
                 self.masked.clear();
                 self.policy.reset_escalation();
                 self.reseed_target(seed);
@@ -317,32 +306,33 @@ impl<L: ControlLink> Controller<L> {
         }
     }
 
-    /// Runs a link call, retrying timeouts with deterministic backoff.
-    /// Non-timeout failures surface immediately.
+    /// Runs a station call, retrying timeouts with deterministic
+    /// backoff. Non-timeout failures surface immediately.
     fn with_retry<T>(
         &mut self,
         tick: u32,
-        mut call: impl FnMut(&mut L) -> Result<T, ClientError>,
+        mut call: impl FnMut(&mut StationClient) -> Result<T, ClientError>,
     ) -> Result<T, ControlError> {
-        let attempts = self.retry.max_attempts.max(1);
-        for attempt in 0..attempts {
-            match call(&mut self.link) {
+        for attempt in 0..MAX_ATTEMPTS {
+            match call(&mut self.client) {
                 Ok(value) => return Ok(value),
                 Err(ClientError::Timeout) => {
-                    if attempt + 1 < attempts {
-                        let delay_ms = self.retry.backoff.delay_ms(attempt);
+                    if attempt + 1 < MAX_ATTEMPTS {
+                        let delay_ms = Backoff::default().delay_ms(attempt);
                         self.trace.push(TraceEvent::Retried {
                             tick,
                             attempt,
                             delay_ms,
                         });
-                        self.link.pause_ms(delay_ms);
+                        thread::sleep(Duration::from_millis(delay_ms));
                     }
                 }
                 Err(other) => return Err(ControlError::Client(other)),
             }
         }
-        Err(ControlError::Exhausted { attempts })
+        Err(ControlError::Exhausted {
+            attempts: MAX_ATTEMPTS,
+        })
     }
 }
 

@@ -16,18 +16,19 @@
 //! * [`PolicyEngine`] is a deterministic function of the classified
 //!   state plus a seeded RNG stream, emitting typed [`Action`]s
 //!   (recalibrate, mask pixels, re-run assay, detach/reattach).
-//! * [`Controller`] executes actions through any [`ControlLink`]
-//!   (usually [`StationLink`] over a `StationClient`) with per-request
-//!   deadlines, bounded retries, and deterministic exponential
-//!   [`Backoff`] — so the loop survives chip faults *and* transport
-//!   faults.
+//! * [`Controller`] executes actions through the
+//!   [`StationClient`](bsa_station::StationClient) it owns, with
+//!   per-request deadlines, three attempts per request and
+//!   deterministic exponential [`Backoff`] — so the loop survives chip
+//!   faults *and* transport faults. It counts a chip as recovered at
+//!   90% of its pre-fault baseline yield.
 //!
 //! # Determinism boundary
 //!
 //! Everything inside the loop is deterministic: classification is pure,
 //! the policy RNG is seeded, and recovery traces ([`RecoveryTrace`])
 //! replay bit-identically for the same seeded scenario. Wall-clock time
-//! enters only at the link edge — socket deadlines and backoff pauses —
+//! enters only at the client edge — socket deadlines and backoff pauses —
 //! exactly as the station's own determinism boundary draws it
 //! (DESIGN.md §12).
 
@@ -38,7 +39,6 @@ pub mod backoff;
 pub mod classifier;
 pub mod controller;
 pub mod error;
-pub mod link;
 pub mod policy;
 pub mod scenario;
 pub mod trace;
@@ -47,9 +47,8 @@ pub use backoff::Backoff;
 pub use classifier::{
     ChipAssessment, ChipCondition, ClassifierConfig, PixelState, StateClassifier,
 };
-pub use controller::{ChipTarget, Controller, RetryPolicy, RunOutcome};
+pub use controller::{ChipTarget, Controller, RunOutcome};
 pub use error::ControlError;
-pub use link::{ControlLink, StationLink};
 pub use policy::{Action, PolicyConfig, PolicyEngine};
-pub use scenario::{plan_to_spec, ScenarioReport};
+pub use scenario::ScenarioReport;
 pub use trace::{RecoveryTrace, TraceEvent};

@@ -9,65 +9,16 @@
 //! same scenario produce bit-identical [`RecoveryTrace`]s.
 
 use crate::classifier::{ClassifierConfig, StateClassifier};
-use crate::controller::{ChipTarget, Controller, RetryPolicy};
+use crate::controller::{ChipTarget, Controller};
 use crate::error::ControlError;
-use crate::link::{ControlLink, StationLink};
 use crate::policy::{PolicyConfig, PolicyEngine};
 use crate::trace::RecoveryTrace;
-use bsa_faults::{FaultKind, InjectionPlan, PlanTarget};
-use bsa_link::{
-    CultureSpec, DnaChipSpec, FaultEntrySpec, FaultKindSpec, FaultPlanSpec, FaultTargetSpec,
-    NeuroChipSpec,
-};
-use bsa_station::{ClientConfig, StationClient};
+use bsa_faults::{FaultKind, InjectionPlan};
+use bsa_link::{CultureSpec, DnaChipSpec, NeuroChipSpec};
+use bsa_station::{plan_to_spec, ClientConfig, StationClient};
 use bsa_units::Volt;
 use std::net::SocketAddr;
 use std::time::Duration;
-
-/// Converts an [`InjectionPlan`] into its wire form for
-/// `InjectFaults`. Fault kinds the wire protocol does not model are
-/// skipped (none exist today; the arm guards against future kinds).
-#[must_use]
-pub fn plan_to_spec(plan: &InjectionPlan) -> FaultPlanSpec {
-    let entries = plan
-        .entries()
-        .filter_map(|(target, kind)| {
-            let target = match target {
-                PlanTarget::Pixel { row, col } => FaultTargetSpec::Pixel {
-                    row: row as u16,
-                    col: col as u16,
-                },
-                PlanTarget::ArrayWide { density } => FaultTargetSpec::ArrayWide { density },
-                PlanTarget::Global => FaultTargetSpec::Global,
-            };
-            let kind = match kind {
-                FaultKind::DeadPixel => FaultKindSpec::DeadPixel,
-                FaultKind::StuckCount { count } => FaultKindSpec::StuckCount { count },
-                FaultKind::LeakyElectrode { leakage } => FaultKindSpec::LeakyElectrode {
-                    leakage_a: leakage.value(),
-                },
-                FaultKind::ComparatorDrift { offset } => FaultKindSpec::ComparatorDrift {
-                    offset_v: offset.value(),
-                },
-                FaultKind::ComparatorStuck { high } => FaultKindSpec::ComparatorStuck { high },
-                FaultKind::DacSaturation { limit } => FaultKindSpec::DacSaturation { limit },
-                FaultKind::GainClipping { limit } => FaultKindSpec::GainClipping {
-                    limit_v: limit.value(),
-                },
-                FaultKind::ChannelLoss { channel } => FaultKindSpec::ChannelLoss {
-                    channel: channel as u32,
-                },
-                FaultKind::SerialBitErrors { rate } => FaultKindSpec::SerialBitErrors { rate },
-                _ => return None,
-            };
-            Some(FaultEntrySpec { target, kind })
-        })
-        .collect();
-    FaultPlanSpec {
-        seed: plan.seed(),
-        entries,
-    }
-}
 
 /// Outcome of one scenario run, with its replayable trace.
 #[derive(Debug, Clone)]
@@ -132,18 +83,17 @@ fn dna_target(seed: u64) -> ChipTarget {
     }
 }
 
-fn connect(addr: SocketAddr, identity: &str) -> Result<StationLink, ControlError> {
+fn connect(addr: SocketAddr, identity: &str) -> Result<StationClient, ControlError> {
     let config = ClientConfig {
         connect_timeout: Some(Duration::from_secs(5)),
         io_timeout: Some(Duration::from_secs(30)),
     };
-    let client = StationClient::connect_with(addr, identity, &config)?;
-    Ok(StationLink::new(client))
+    Ok(StationClient::connect_with(addr, identity, &config)?)
 }
 
 fn run_scenario(
     name: &str,
-    link: StationLink,
+    client: StationClient,
     target: ChipTarget,
     seed: u64,
     plan: &InjectionPlan,
@@ -159,18 +109,11 @@ fn run_scenario(
             max_recalibrations: 2,
         },
     );
-    let mut controller = Controller::start(
-        link,
-        target,
-        classifier,
-        policy,
-        RetryPolicy::default(),
-        name,
-    )?;
+    let mut controller = Controller::start(client, target, classifier, policy, name)?;
     let pre_yield = crate::trace::permille(controller.baseline_yield());
     let chip = controller.chip();
     let spec = plan_to_spec(plan);
-    controller.link_mut().inject_faults(chip, spec)?;
+    controller.client_mut().inject_faults(chip, spec)?;
     let outcome = controller.run(MAX_TICKS)?;
     Ok(ScenarioReport {
         name: name.to_string(),
@@ -189,9 +132,9 @@ fn run_scenario(
 ///
 /// Connection or control-loop failures.
 pub fn dead_pixels(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, ControlError> {
-    let link = connect(addr, "control/dead-pixels")?;
+    let client = connect(addr, "control/dead-pixels")?;
     let plan = InjectionPlan::new(seed).array_wide(0.15, FaultKind::DeadPixel);
-    run_scenario("dead-pixels", link, neuro_target(seed), seed, &plan)
+    run_scenario("dead-pixels", client, neuro_target(seed), seed, &plan)
 }
 
 /// Scenario: two lost readout channels on a neuro chip, recovered by
@@ -201,9 +144,9 @@ pub fn dead_pixels(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, Contro
 ///
 /// Connection or control-loop failures.
 pub fn channel_loss(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, ControlError> {
-    let link = connect(addr, "control/channel-loss")?;
+    let client = connect(addr, "control/channel-loss")?;
     let plan = InjectionPlan::new(seed).lose_channel(2).lose_channel(5);
-    run_scenario("channel-loss", link, neuro_target(seed), seed, &plan)
+    run_scenario("channel-loss", client, neuro_target(seed), seed, &plan)
 }
 
 /// Scenario: comparator drift across a DNA array, recovered by
@@ -213,45 +156,12 @@ pub fn channel_loss(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, Contr
 ///
 /// Connection or control-loop failures.
 pub fn baseline_drift(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, ControlError> {
-    let link = connect(addr, "control/baseline-drift")?;
+    let client = connect(addr, "control/baseline-drift")?;
     let plan = InjectionPlan::new(seed).array_wide(
         0.15,
         FaultKind::ComparatorDrift {
             offset: Volt::from_milli(400.0),
         },
     );
-    run_scenario("baseline-drift", link, dna_target(seed), seed, &plan)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plan_round_trips_to_wire_spec() {
-        let plan = InjectionPlan::new(9)
-            .at(1, 2, FaultKind::DeadPixel)
-            .array_wide(
-                0.25,
-                FaultKind::ComparatorDrift {
-                    offset: Volt::from_milli(400.0),
-                },
-            )
-            .lose_channel(3)
-            .serial_bit_errors(1e-4);
-        let spec = plan_to_spec(&plan);
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.entries.len(), 4);
-        assert_eq!(
-            spec.entries.first().map(|e| e.kind.clone()),
-            Some(FaultKindSpec::DeadPixel)
-        );
-        assert!(matches!(
-            spec.entries.get(2),
-            Some(FaultEntrySpec {
-                target: FaultTargetSpec::Global,
-                kind: FaultKindSpec::ChannelLoss { channel: 3 },
-            })
-        ));
-    }
+    run_scenario("baseline-drift", client, dna_target(seed), seed, &plan)
 }

@@ -24,13 +24,13 @@ pub enum TraceEvent {
         /// Stable label of the chosen action.
         action: String,
     },
-    /// The controller executed an action through the link.
+    /// The controller executed an action through the station client.
     Executed {
         /// Logical tick number.
         tick: u32,
         /// Stable label of the executed action.
         action: String,
-        /// Whether the link call succeeded.
+        /// Whether the station call succeeded.
         ok: bool,
     },
     /// A deadline-bounded request timed out and was retried.

@@ -8,7 +8,14 @@
 
 use bsa_control::scenario::{baseline_drift, channel_loss, dead_pixels, ScenarioReport};
 use bsa_control::trace::TraceEvent;
-use bsa_station::{Station, StationConfig, StationHandle};
+use bsa_control::{
+    ChipTarget, ClassifierConfig, ControlError, Controller, PolicyConfig, PolicyEngine,
+    StateClassifier,
+};
+use bsa_link::{read_message, write_message, CultureSpec, Message, NeuroChipSpec};
+use bsa_station::{ClientConfig, Station, StationClient, StationConfig, StationHandle};
+use std::net::TcpListener;
+use std::time::Duration;
 
 fn start_station() -> StationHandle {
     Station::bind(StationConfig::default()).expect("bind loopback station")
@@ -149,4 +156,61 @@ fn recovery_holds_across_seeds() {
         assert_recovered(&report);
         station.shutdown();
     }
+}
+
+/// A peer that completes the handshake and then never answers: every
+/// request times out, the controller retries with backoff, and after
+/// the third attempt gives up with `Exhausted`.
+#[test]
+fn silent_station_exhausts_the_retries() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        assert!(matches!(
+            read_message(&mut socket).unwrap(),
+            Message::Hello { .. }
+        ));
+        let ack = Message::HelloAck {
+            server: "silent".into(),
+            version: bsa_link::PROTOCOL_VERSION,
+        };
+        write_message(&mut socket, &ack).unwrap();
+        // Swallow requests unanswered until the client hangs up.
+        while read_message(&mut socket).is_ok() {}
+    });
+
+    let config = ClientConfig {
+        io_timeout: Some(Duration::from_millis(100)),
+        ..ClientConfig::default()
+    };
+    let client = StationClient::connect_with(addr, "silent-test", &config).unwrap();
+    let target = ChipTarget::Neuro {
+        spec: NeuroChipSpec {
+            rows: 16,
+            cols: 16,
+            channels: 16,
+            seed: SEED,
+            frame_rate_hz: 0.0,
+        },
+        culture: CultureSpec {
+            seed: 77,
+            neuron_count: 4,
+            spike_duration_s: 0.01,
+        },
+        frames_per_tick: 4,
+    };
+    let result = Controller::start(
+        client,
+        target,
+        StateClassifier::new(ClassifierConfig::default()),
+        PolicyEngine::new(SEED, PolicyConfig::default()),
+        "silent",
+    );
+    assert!(
+        matches!(result, Err(ControlError::Exhausted { attempts: 3 })),
+        "expected Exhausted after 3 attempts, got {:?}",
+        result.err()
+    );
+    peer.join().unwrap();
 }

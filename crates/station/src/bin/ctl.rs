@@ -19,7 +19,7 @@
 //! stops it — exercising the full start/tee/stop path in one command.
 
 use bsa_link::{CultureSpec, DnaChipSpec, NeuroChipSpec, TargetSpec};
-use bsa_station::{Station, StationClient, StationConfig, StationHandle};
+use bsa_station::{AttachedChip, Station, StationClient, StationConfig, StationHandle, Streamed};
 use bsa_units::Seconds;
 use std::process::ExitCode;
 
@@ -175,37 +175,18 @@ fn run(opts: &Options) -> Result<(), String> {
             println!(
                 "assay done: {} pixels, {} streamed readings, max count {}",
                 outcome.counts.len(),
-                outcome.streamed.len(),
+                outcome.stream.map_or(0, |s| s.readings.len()),
                 max
             );
         }
         "stream" => {
-            let attached = client
-                .attach_neuro(&NeuroChipSpec {
-                    rows: opts.rows,
-                    cols: opts.cols,
-                    channels: opts.channels,
-                    seed: opts.seed,
-                    frame_rate_hz: 0.0,
-                })
-                .map_err(|e| e.to_string())?;
-            println!(
-                "attached neuro chip {} ({}x{})",
-                attached.chip, attached.rows, attached.cols
-            );
-            let stream = client
-                .stream_neuro(
-                    attached.chip,
-                    opts.frames,
-                    0,
-                    Seconds::new(0.0),
-                    &CultureSpec {
-                        seed: opts.seed,
-                        neuron_count: 0,
-                        spike_duration_s: opts.frames as f64 / 2000.0,
-                    },
-                )
-                .map_err(|e| e.to_string())?;
+            let (_, stream) = attach_and_stream(&mut client, opts, |_, attached| {
+                println!(
+                    "attached neuro chip {} ({}x{})",
+                    attached.chip, attached.rows, attached.cols
+                );
+                Ok(())
+            })?;
             println!(
                 "streamed {} frames in {} chunks ({} sent, {} dropped by backpressure)",
                 stream.frames.len(),
@@ -215,35 +196,16 @@ fn run(opts: &Options) -> Result<(), String> {
             );
         }
         "record" => {
-            let attached = client
-                .attach_neuro(&NeuroChipSpec {
-                    rows: opts.rows,
-                    cols: opts.cols,
-                    channels: opts.channels,
-                    seed: opts.seed,
-                    frame_rate_hz: 0.0,
-                })
-                .map_err(|e| e.to_string())?;
-            client
-                .start_recording(attached.chip, &opts.name)
-                .map_err(|e| e.to_string())?;
-            println!(
-                "recording {:?} started on neuro chip {} ({}x{})",
-                opts.name, attached.chip, attached.rows, attached.cols
-            );
-            let stream = client
-                .stream_neuro(
-                    attached.chip,
-                    opts.frames,
-                    0,
-                    Seconds::new(0.0),
-                    &CultureSpec {
-                        seed: opts.seed,
-                        neuron_count: 0,
-                        spike_duration_s: opts.frames as f64 / 2000.0,
-                    },
-                )
-                .map_err(|e| e.to_string())?;
+            let (attached, stream) = attach_and_stream(&mut client, opts, |client, attached| {
+                client
+                    .start_recording(attached.chip, &opts.name)
+                    .map_err(|e| e.to_string())?;
+                println!(
+                    "recording {:?} started on neuro chip {} ({}x{})",
+                    opts.name, attached.chip, attached.rows, attached.cols
+                );
+                Ok(())
+            })?;
             let summary = client
                 .stop_recording(attached.chip)
                 .map_err(|e| e.to_string())?;
@@ -285,6 +247,39 @@ fn run(opts: &Options) -> Result<(), String> {
         other => return Err(format!("unknown command {other}")),
     }
     Ok(())
+}
+
+/// Attaches a neuro chip from the options, runs `prepare` on it, then
+/// streams `--frames` frames from it.
+fn attach_and_stream(
+    client: &mut StationClient,
+    opts: &Options,
+    prepare: impl FnOnce(&mut StationClient, &AttachedChip) -> Result<(), String>,
+) -> Result<(AttachedChip, Streamed), String> {
+    let attached = client
+        .attach_neuro(&NeuroChipSpec {
+            rows: opts.rows,
+            cols: opts.cols,
+            channels: opts.channels,
+            seed: opts.seed,
+            frame_rate_hz: 0.0,
+        })
+        .map_err(|e| e.to_string())?;
+    prepare(client, &attached)?;
+    let stream = client
+        .stream_neuro(
+            attached.chip,
+            opts.frames,
+            0,
+            Seconds::new(0.0),
+            &CultureSpec {
+                seed: opts.seed,
+                neuron_count: 0,
+                spike_duration_s: opts.frames as f64 / 2000.0,
+            },
+        )
+        .map_err(|e| e.to_string())?;
+    Ok((attached, stream))
 }
 
 fn main() -> ExitCode {

@@ -122,26 +122,29 @@ pub struct AssayOutcome {
     pub counts: Vec<u64>,
     /// Estimated sensor currents in amperes, scan order.
     pub estimated_currents_a: Vec<f64>,
-    /// Count readings received over the stream (empty unless streaming
-    /// was requested).
-    pub streamed: Vec<PixelCount>,
-    /// Readings delivered / dropped by backpressure, when streamed.
-    pub stream_accounting: Option<(u32, u32)>,
+    /// The streamed count readings, when streaming was requested.
+    pub stream: Option<Streamed>,
 }
 
-/// Result of a remote neuro stream.
+/// One collected `StreamData`* `StreamEnd` stream: a live neuro stream,
+/// a streamed assay readout or a replayed recording. Frames arrive in
+/// `frames`, DNA count readings in `readings`, according to `kind`.
 #[derive(Debug, Clone)]
-pub struct NeuroStream {
-    /// Frame height in pixels.
+pub struct Streamed {
+    /// Which array kind the chunks came from.
+    pub kind: ChipKind,
+    /// Frame height in pixels (neuro streams).
     pub rows: u16,
-    /// Frame width in pixels.
+    /// Frame width in pixels (neuro streams).
     pub cols: u16,
     /// Received frames, each `rows * cols` row-major samples, bit-exact
-    /// as recorded. Dropped frames are absent (see `frames_dropped`).
+    /// as acquired. Dropped frames are absent (see `frames_dropped`).
     pub frames: Vec<Vec<f64>>,
-    /// Frames the station delivered into the session queue.
+    /// Received DNA count readings.
+    pub readings: Vec<PixelCount>,
+    /// Frames (or readings) the station delivered into the session queue.
     pub frames_sent: u32,
-    /// Frames dropped by backpressure.
+    /// Frames (or readings) dropped by backpressure.
     pub frames_dropped: u32,
     /// Stream chunks received.
     pub chunks: u32,
@@ -159,28 +162,6 @@ pub struct RecordingSummary {
     pub frames_dropped: u64,
     /// Segment file size in bytes, index footer included.
     pub bytes_written: u64,
-}
-
-/// A replayed recording, collected by [`StationClient::replay`]. Exactly
-/// one of `frames` / `readings` is populated, according to `kind`.
-#[derive(Debug, Clone)]
-pub struct Replayed {
-    /// Which array kind the recording came from.
-    pub kind: ChipKind,
-    /// Frame height in pixels (neuro recordings).
-    pub rows: u16,
-    /// Frame width in pixels (neuro recordings).
-    pub cols: u16,
-    /// Replayed neuro frames, bit-exact as recorded.
-    pub frames: Vec<Vec<f64>>,
-    /// Replayed DNA count readings.
-    pub readings: Vec<PixelCount>,
-    /// Frames delivered into the session queue.
-    pub frames_sent: u32,
-    /// Frames dropped by backpressure during replay.
-    pub frames_dropped: u32,
-    /// Stream chunks received.
-    pub chunks: u32,
 }
 
 /// Calibration counts returned by [`StationClient::calibrate`].
@@ -270,20 +251,7 @@ impl StationClient {
     ///
     /// Station-side validation failures surface as [`ClientError::Server`].
     pub fn attach_dna(&mut self, spec: &DnaChipSpec) -> Result<AttachedChip, ClientError> {
-        match self.roundtrip(&Message::AttachDna(spec.clone()))? {
-            Message::Attached {
-                chip,
-                kind,
-                rows,
-                cols,
-            } => Ok(AttachedChip {
-                chip,
-                kind,
-                rows,
-                cols,
-            }),
-            other => Err(unexpected("Attached", &other)),
-        }
+        attached(self.roundtrip(&Message::AttachDna(spec.clone()))?)
     }
 
     /// Attaches a simulated neural-recording chip.
@@ -292,20 +260,7 @@ impl StationClient {
     ///
     /// Station-side validation failures surface as [`ClientError::Server`].
     pub fn attach_neuro(&mut self, spec: &NeuroChipSpec) -> Result<AttachedChip, ClientError> {
-        match self.roundtrip(&Message::AttachNeuro(spec.clone()))? {
-            Message::Attached {
-                chip,
-                kind,
-                rows,
-                cols,
-            } => Ok(AttachedChip {
-                chip,
-                kind,
-                rows,
-                cols,
-            }),
-            other => Err(unexpected("Attached", &other)),
-        }
+        attached(self.roundtrip(&Message::AttachNeuro(spec.clone()))?)
     }
 
     /// Detaches a chip.
@@ -424,35 +379,22 @@ impl StationClient {
                 stream_counts,
             },
         )?;
-        let mut streamed = Vec::new();
-        let mut stream_accounting = None;
-        loop {
-            match self.read_reply()? {
-                Message::StreamData {
-                    payload: StreamPayload::DnaCounts { readings },
-                    ..
-                } => streamed.extend(readings),
-                Message::StreamEnd {
-                    frames_sent,
-                    frames_dropped,
-                    ..
-                } => {
-                    stream_accounting = Some((frames_sent, frames_dropped));
-                }
-                Message::AssayResult {
-                    counts,
-                    estimated_currents_a,
-                    ..
-                } => {
-                    return Ok(AssayOutcome {
-                        counts,
-                        estimated_currents_a,
-                        streamed,
-                        stream_accounting,
-                    });
-                }
-                other => return Err(unexpected("AssayResult", &other)),
-            }
+        let stream = if stream_counts {
+            Some(self.collect_stream(ChipKind::Dna)?)
+        } else {
+            None
+        };
+        match self.read_reply()? {
+            Message::AssayResult {
+                counts,
+                estimated_currents_a,
+                ..
+            } => Ok(AssayOutcome {
+                counts,
+                estimated_currents_a,
+                stream,
+            }),
+            other => Err(unexpected("AssayResult", &other)),
         }
     }
 
@@ -472,7 +414,7 @@ impl StationClient {
         chunk_frames: u32,
         t0: Seconds,
         culture: &CultureSpec,
-    ) -> Result<NeuroStream, ClientError> {
+    ) -> Result<Streamed, ClientError> {
         write_message(
             &mut self.stream,
             &Message::StartNeuroStream {
@@ -483,52 +425,7 @@ impl StationClient {
                 culture: culture.clone(),
             },
         )?;
-        let mut result = NeuroStream {
-            rows: 0,
-            cols: 0,
-            frames: Vec::new(),
-            frames_sent: 0,
-            frames_dropped: 0,
-            chunks: 0,
-        };
-        loop {
-            match self.read_reply()? {
-                Message::StreamData {
-                    payload:
-                        StreamPayload::NeuroFrames {
-                            rows,
-                            cols,
-                            samples,
-                            ..
-                        },
-                    ..
-                } => {
-                    let frame_len = usize::from(rows) * usize::from(cols);
-                    if frame_len == 0 || samples.len() % frame_len != 0 {
-                        return Err(ClientError::Unexpected {
-                            expected: "chunk of whole frames",
-                            got: format!("{} samples for {rows}x{cols}", samples.len()),
-                        });
-                    }
-                    result.rows = rows;
-                    result.cols = cols;
-                    result.chunks += 1;
-                    for frame in samples.chunks(frame_len) {
-                        result.frames.push(frame.to_vec());
-                    }
-                }
-                Message::StreamEnd {
-                    frames_sent,
-                    frames_dropped,
-                    ..
-                } => {
-                    result.frames_sent = frames_sent;
-                    result.frames_dropped = frames_dropped;
-                    return Ok(result);
-                }
-                other => return Err(unexpected("StreamData/StreamEnd", &other)),
-            }
-        }
+        self.collect_stream(ChipKind::Neuro)
     }
 
     /// Starts persisting a chip's streams into the station's store under
@@ -596,7 +493,7 @@ impl StationClient {
     /// Unknown or corrupted recordings surface as
     /// [`ClientError::Server`]; malformed chunks as
     /// [`ClientError::Unexpected`].
-    pub fn replay(&mut self, name: &str, chunk_frames: u32) -> Result<Replayed, ClientError> {
+    pub fn replay(&mut self, name: &str, chunk_frames: u32) -> Result<Streamed, ClientError> {
         write_message(
             &mut self.stream,
             &Message::Replay {
@@ -604,8 +501,15 @@ impl StationClient {
                 chunk_frames,
             },
         )?;
-        let mut result = Replayed {
-            kind: ChipKind::Neuro,
+        // Until the first chunk names it, a recording counts as neuro.
+        self.collect_stream(ChipKind::Neuro)
+    }
+
+    /// Reads one `StreamData`* `StreamEnd` stream. `kind` stands until a
+    /// chunk says otherwise; a neuro chunk must hold whole frames.
+    fn collect_stream(&mut self, kind: ChipKind) -> Result<Streamed, ClientError> {
+        let mut result = Streamed {
+            kind,
             rows: 0,
             cols: 0,
             frames: Vec::new(),
@@ -615,15 +519,25 @@ impl StationClient {
             chunks: 0,
         };
         loop {
-            match self.read_reply()? {
-                Message::StreamData {
-                    payload:
-                        StreamPayload::NeuroFrames {
-                            rows,
-                            cols,
-                            samples,
-                            ..
-                        },
+            let payload = match self.read_reply()? {
+                Message::StreamData { payload, .. } => payload,
+                Message::StreamEnd {
+                    frames_sent,
+                    frames_dropped,
+                    ..
+                } => {
+                    result.frames_sent = frames_sent;
+                    result.frames_dropped = frames_dropped;
+                    return Ok(result);
+                }
+                other => return Err(unexpected("StreamData/StreamEnd", &other)),
+            };
+            result.chunks += 1;
+            match payload {
+                StreamPayload::NeuroFrames {
+                    rows,
+                    cols,
+                    samples,
                     ..
                 } => {
                     let frame_len = usize::from(rows) * usize::from(cols);
@@ -636,29 +550,14 @@ impl StationClient {
                     result.kind = ChipKind::Neuro;
                     result.rows = rows;
                     result.cols = cols;
-                    result.chunks += 1;
-                    for frame in samples.chunks(frame_len) {
-                        result.frames.push(frame.to_vec());
-                    }
+                    result
+                        .frames
+                        .extend(samples.chunks(frame_len).map(<[f64]>::to_vec));
                 }
-                Message::StreamData {
-                    payload: StreamPayload::DnaCounts { readings },
-                    ..
-                } => {
+                StreamPayload::DnaCounts { readings } => {
                     result.kind = ChipKind::Dna;
-                    result.chunks += 1;
                     result.readings.extend(readings);
                 }
-                Message::StreamEnd {
-                    frames_sent,
-                    frames_dropped,
-                    ..
-                } => {
-                    result.frames_sent = frames_sent;
-                    result.frames_dropped = frames_dropped;
-                    return Ok(result);
-                }
-                other => return Err(unexpected("StreamData/StreamEnd", &other)),
             }
         }
     }
@@ -673,6 +572,24 @@ impl StationClient {
             Message::StatsReport(stats) => Ok(stats),
             other => Err(unexpected("StatsReport", &other)),
         }
+    }
+}
+
+/// Maps an attach reply to the attached chip's metadata.
+fn attached(reply: Message) -> Result<AttachedChip, ClientError> {
+    match reply {
+        Message::Attached {
+            chip,
+            kind,
+            rows,
+            cols,
+        } => Ok(AttachedChip {
+            chip,
+            kind,
+            rows,
+            cols,
+        }),
+        other => Err(unexpected("Attached", &other)),
     }
 }
 

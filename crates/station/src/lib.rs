@@ -45,11 +45,11 @@ mod session;
 mod stats;
 
 pub use client::{
-    AssayOutcome, AttachedChip, CalibrationCounts, ClientConfig, ClientError, NeuroStream,
-    RecordingSummary, Replayed, StationClient,
+    AssayOutcome, AttachedChip, CalibrationCounts, ClientConfig, ClientError, RecordingSummary,
+    StationClient, Streamed,
 };
 pub use registry::{
     culture_from_spec, dna_config_from_spec, injection_plan_from_spec, neuro_config_from_spec,
-    yield_summary, MAX_PIXELS,
+    plan_to_spec, yield_summary, MAX_PIXELS,
 };
 pub use server::{Station, StationConfig, StationHandle};

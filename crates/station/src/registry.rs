@@ -11,10 +11,10 @@ use bsa_core::array::ArrayGeometry;
 use bsa_core::dna_chip::{DnaChip, DnaChipConfig, SampleMix};
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig};
 use bsa_core::{ChipError, YieldReport};
-use bsa_faults::{FaultKind, InjectionPlan};
+use bsa_faults::{FaultKind, InjectionPlan, PlanTarget};
 use bsa_link::{
-    ChipId, CultureSpec, DnaChipSpec, FaultKindSpec, FaultPlanSpec, FaultTargetSpec, NeuroChipSpec,
-    SerialLinkSummary, YieldSummary,
+    ChipId, CultureSpec, DnaChipSpec, FaultEntrySpec, FaultKindSpec, FaultPlanSpec,
+    FaultTargetSpec, NeuroChipSpec, SerialLinkSummary, YieldSummary,
 };
 use bsa_neuro::culture::{Culture, CultureConfig};
 use bsa_units::{Ampere, Hertz, Seconds, Volt};
@@ -125,6 +125,51 @@ pub fn injection_plan_from_spec(spec: &FaultPlanSpec) -> InjectionPlan {
     plan
 }
 
+/// Converts an [`InjectionPlan`] into its wire form for
+/// `InjectFaults`. Fault kinds the wire protocol does not model are
+/// skipped (none exist today; the arm guards against future kinds).
+#[must_use]
+pub fn plan_to_spec(plan: &InjectionPlan) -> FaultPlanSpec {
+    let entries = plan
+        .entries()
+        .filter_map(|(target, kind)| {
+            let target = match target {
+                PlanTarget::Pixel { row, col } => FaultTargetSpec::Pixel {
+                    row: row as u16,
+                    col: col as u16,
+                },
+                PlanTarget::ArrayWide { density } => FaultTargetSpec::ArrayWide { density },
+                PlanTarget::Global => FaultTargetSpec::Global,
+            };
+            let kind = match kind {
+                FaultKind::DeadPixel => FaultKindSpec::DeadPixel,
+                FaultKind::StuckCount { count } => FaultKindSpec::StuckCount { count },
+                FaultKind::LeakyElectrode { leakage } => FaultKindSpec::LeakyElectrode {
+                    leakage_a: leakage.value(),
+                },
+                FaultKind::ComparatorDrift { offset } => FaultKindSpec::ComparatorDrift {
+                    offset_v: offset.value(),
+                },
+                FaultKind::ComparatorStuck { high } => FaultKindSpec::ComparatorStuck { high },
+                FaultKind::DacSaturation { limit } => FaultKindSpec::DacSaturation { limit },
+                FaultKind::GainClipping { limit } => FaultKindSpec::GainClipping {
+                    limit_v: limit.value(),
+                },
+                FaultKind::ChannelLoss { channel } => FaultKindSpec::ChannelLoss {
+                    channel: channel as u32,
+                },
+                FaultKind::SerialBitErrors { rate } => FaultKindSpec::SerialBitErrors { rate },
+                _ => return None,
+            };
+            Some(FaultEntrySpec { target, kind })
+        })
+        .collect();
+    FaultPlanSpec {
+        seed: plan.seed(),
+        entries,
+    }
+}
+
 fn as_u32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
@@ -199,7 +244,6 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsa_link::FaultEntrySpec;
 
     #[test]
     fn default_specs_select_paper_geometry() {
@@ -263,6 +307,69 @@ mod tests {
         assert_eq!(compiled.lost_channels(), reference.lost_channels());
         assert!(compiled.at(1, 2).dead);
         assert_eq!(compiled.at(1, 2).dead, reference.at(1, 2).dead);
+    }
+
+    #[test]
+    fn plan_round_trips_to_wire_spec() {
+        let plan = InjectionPlan::new(9)
+            .at(1, 2, FaultKind::DeadPixel)
+            .array_wide(
+                0.25,
+                FaultKind::ComparatorDrift {
+                    offset: Volt::from_milli(400.0),
+                },
+            )
+            .lose_channel(3)
+            .serial_bit_errors(1e-4);
+        let spec = plan_to_spec(&plan);
+        assert_eq!(spec.seed, 9);
+        assert_eq!(spec.entries.len(), 4);
+        assert_eq!(
+            spec.entries.first().map(|e| e.kind.clone()),
+            Some(FaultKindSpec::DeadPixel)
+        );
+        assert!(matches!(
+            spec.entries.get(2),
+            Some(FaultEntrySpec {
+                target: FaultTargetSpec::Global,
+                kind: FaultKindSpec::ChannelLoss { channel: 3 },
+            })
+        ));
+    }
+
+    /// Every fault kind survives plan → wire spec → plan: the rebuilt
+    /// plan compiles to the same fault map as the original.
+    #[test]
+    fn every_fault_kind_round_trips_through_the_wire_spec() {
+        let plan = InjectionPlan::new(0x5EED)
+            .at(0, 0, FaultKind::DeadPixel)
+            .at(1, 2, FaultKind::StuckCount { count: 17 })
+            .at(
+                2,
+                3,
+                FaultKind::LeakyElectrode {
+                    leakage: Ampere::new(3e-12),
+                },
+            )
+            .array_wide(
+                0.25,
+                FaultKind::ComparatorDrift {
+                    offset: Volt::from_milli(400.0),
+                },
+            )
+            .at(3, 1, FaultKind::ComparatorStuck { high: true })
+            .array_wide(0.1, FaultKind::DacSaturation { limit: 1.2 })
+            .at(
+                4,
+                4,
+                FaultKind::GainClipping {
+                    limit: Volt::from_milli(5.0),
+                },
+            )
+            .lose_channel(3)
+            .serial_bit_errors(1e-4);
+        let rebuilt = injection_plan_from_spec(&plan_to_spec(&plan));
+        assert_eq!(rebuilt.compile(8, 8), plan.compile(8, 8));
     }
 
     #[test]

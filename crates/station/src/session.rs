@@ -49,7 +49,7 @@ pub(crate) const MAX_STREAM_FRAMES: u32 = 4096;
 pub(crate) const DEFAULT_CHUNK_FRAMES: u32 = 8;
 
 /// DNA count readings per streamed chunk.
-const DNA_CHUNK_READINGS: usize = 64;
+const DNA_CHUNK_READINGS: u32 = 64;
 
 /// Upper bound on a recorded frame's rows/cols accepted for replay. The
 /// geometry comes from a stored segment header — attacker/corruption
@@ -107,6 +107,50 @@ impl Outbound {
                 Err(Gone)
             }
         }
+    }
+
+    /// Serves one `StreamData`* `StreamEnd` stream of `total` frames (or
+    /// DNA readings) in chunks of at most `chunk` (≥ 1). `produce(first, n)`
+    /// builds each chunk's payload just before it is offered, so the
+    /// session holds one chunk at a time. The emitter owns the chunk
+    /// sequence, the sent/dropped tally and the closing `StreamEnd`, and
+    /// adds the tally to `frames_served`/`frames_dropped` however the
+    /// stream ends. A producer `Err(reply)` ends the stream with that
+    /// reply in place of `StreamEnd`; a vanished client stops it at once.
+    fn emit_stream(
+        &self,
+        chip: ChipId,
+        total: u32,
+        chunk: u32,
+        mut produce: impl FnMut(u32, u32) -> Result<StreamPayload, Message>,
+    ) -> Result<(), Gone> {
+        let mut sent: u32 = 0;
+        let mut dropped: u32 = 0;
+        let mut seq: u32 = 0;
+        let end = loop {
+            let first = sent + dropped;
+            if first >= total {
+                break Ok(Message::StreamEnd {
+                    chip,
+                    frames_sent: sent,
+                    frames_dropped: dropped,
+                });
+            }
+            let n = chunk.min(total - first);
+            let payload = match produce(first, n) {
+                Ok(payload) => payload,
+                Err(reply) => break Ok(reply),
+            };
+            match self.offer_stream(Message::StreamData { chip, seq, payload }) {
+                Ok(Offer::Sent) => sent += n,
+                Ok(Offer::Dropped) => dropped += n,
+                Err(Gone) => break Err(Gone),
+            }
+            seq = seq.wrapping_add(1);
+        };
+        StationStats::add(&self.stats.frames_served, u64::from(sent));
+        StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
+        self.send_control(end?)
     }
 }
 
@@ -654,86 +698,50 @@ impl Session {
             }
         };
         let meta = reader.meta().clone();
-        let id = meta.chip;
-        let frame_count = reader.frames();
+        let rows = usize::from(meta.rows);
+        let cols = usize::from(meta.cols);
+        if rows > MAX_REPLAY_DIM || cols > MAX_REPLAY_DIM {
+            return self.out.send_control(error_reply(
+                ErrorCode::StoreError,
+                format!("recorded geometry {rows}x{cols} exceeds the replay limit"),
+            ));
+        }
+        let total = u32::try_from(reader.frames()).unwrap_or(u32::MAX);
         let chunk = match (meta.kind, chunk_frames) {
-            (ChipKind::Neuro, 0) => u64::from(DEFAULT_CHUNK_FRAMES),
-            (ChipKind::Dna, 0) => DNA_CHUNK_READINGS as u64,
-            (_, n) => u64::from(n),
+            (ChipKind::Neuro, 0) => DEFAULT_CHUNK_FRAMES,
+            (ChipKind::Dna, 0) => DNA_CHUNK_READINGS,
+            (_, n) => n,
         };
-        let mut sent: u32 = 0;
-        let mut dropped: u32 = 0;
-        let mut index = 0u64;
-        let mut seq: u32 = 0;
-        while index < frame_count {
-            let n = chunk.min(frame_count - index);
-            // Assemble one chunk from n consecutive records. A corrupted
-            // record aborts the replay with a typed error reply; the
-            // client's stream loop surfaces it as a server error.
+        // Each chunk is assembled from n consecutive records. A corrupted
+        // record ends the replay with a typed error reply; the client's
+        // stream loop surfaces it as a server error.
+        self.out.emit_stream(meta.chip, total, chunk, |first, n| {
+            let mut records = u64::from(first)..u64::from(first) + u64::from(n);
             let payload = match meta.kind {
                 ChipKind::Neuro => {
-                    let rows = usize::from(meta.rows);
-                    let cols = usize::from(meta.cols);
-                    if rows > MAX_REPLAY_DIM || cols > MAX_REPLAY_DIM {
-                        return self.out.send_control(error_reply(
-                            ErrorCode::StoreError,
-                            format!("recorded geometry {rows}x{cols} exceeds the replay limit"),
-                        ));
-                    }
                     let mut samples = Vec::with_capacity((n as usize) * rows * cols);
-                    for i in index..index + n {
-                        let decoded = reader
-                            .frame(i)
-                            .and_then(|frame| decode_neuro_frame(frame.payload, &mut samples));
-                        if let Err(err) = decoded {
-                            return self
-                                .out
-                                .send_control(error_reply(ErrorCode::StoreError, err.to_string()));
-                        }
-                    }
-                    StreamPayload::NeuroFrames {
-                        first_frame: sent.saturating_add(dropped),
-                        rows: meta.rows,
-                        cols: meta.cols,
-                        samples,
-                    }
+                    records
+                        .try_for_each(|i| {
+                            let frame = reader.frame(i)?;
+                            decode_neuro_frame(frame.payload, &mut samples)
+                        })
+                        .map(|()| StreamPayload::NeuroFrames {
+                            first_frame: first,
+                            rows: meta.rows,
+                            cols: meta.cols,
+                            samples,
+                        })
                 }
-                ChipKind::Dna => {
-                    let mut readings = Vec::with_capacity(n as usize);
-                    for i in index..index + n {
-                        let decoded = reader
+                ChipKind::Dna => records
+                    .map(|i| {
+                        reader
                             .frame(i)
-                            .and_then(|frame| decode_dna_reading(frame.payload));
-                        match decoded {
-                            Ok(reading) => readings.push(reading),
-                            Err(err) => {
-                                return self.out.send_control(error_reply(
-                                    ErrorCode::StoreError,
-                                    err.to_string(),
-                                ))
-                            }
-                        }
-                    }
-                    StreamPayload::DnaCounts { readings }
-                }
+                            .and_then(|frame| decode_dna_reading(frame.payload))
+                    })
+                    .collect::<Result<_, _>>()
+                    .map(|readings| StreamPayload::DnaCounts { readings }),
             };
-            match self.out.offer_stream(Message::StreamData {
-                chip: id,
-                seq,
-                payload,
-            })? {
-                Offer::Sent => sent = sent.saturating_add(n as u32),
-                Offer::Dropped => dropped = dropped.saturating_add(n as u32),
-            }
-            seq = seq.wrapping_add(1);
-            index += n;
-        }
-        StationStats::add(&self.stats.frames_served, u64::from(sent));
-        StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
-        self.out.send_control(Message::StreamEnd {
-            chip: id,
-            frames_sent: sent,
-            frames_dropped: dropped,
+            payload.map_err(|err| error_reply(ErrorCode::StoreError, err.to_string()))
         })
     }
 
@@ -772,29 +780,18 @@ impl Session {
             }
         }
         if stream_counts {
-            let mut sent: u32 = 0;
-            let mut dropped: u32 = 0;
-            for (seq, chunk) in readings.chunks(DNA_CHUNK_READINGS).enumerate() {
-                let n = chunk.len() as u32;
-                let msg = Message::StreamData {
-                    chip: id,
-                    seq: seq as u32,
-                    payload: StreamPayload::DnaCounts {
-                        readings: chunk.to_vec(),
-                    },
-                };
-                match self.out.offer_stream(msg)? {
-                    Offer::Sent => sent += n,
-                    Offer::Dropped => dropped += n,
-                }
-            }
-            StationStats::add(&self.stats.frames_served, u64::from(sent));
-            StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
-            self.out.send_control(Message::StreamEnd {
-                chip: id,
-                frames_sent: sent,
-                frames_dropped: dropped,
-            })?;
+            let total = readings.len() as u32;
+            self.out
+                .emit_stream(id, total, DNA_CHUNK_READINGS, |first, n| {
+                    Ok(StreamPayload::DnaCounts {
+                        readings: readings
+                            .iter()
+                            .skip(first as usize)
+                            .take(n as usize)
+                            .copied()
+                            .collect(),
+                    })
+                })?;
         }
         self.out.send_control(Message::AssayResult {
             chip: id,
@@ -864,12 +861,7 @@ impl Session {
         // to an in-process record() of the whole request, and the session
         // holds one chunk at a time.
         let mut acquisition = chip.acquire(&culture, Seconds::new(t0), ScanOptions::default());
-        let mut sent: u32 = 0;
-        let mut dropped: u32 = 0;
-        let mut seq: u32 = 0;
-        let mut outcome = Ok(());
-        while sent + dropped < frames {
-            let n = chunk.min(frames - sent - dropped);
+        self.out.emit_stream(id, frames, chunk, |first, n| {
             let mut samples = Vec::new();
             acquisition.next_chunk(&mut samples, n as usize);
             for frame in samples.chunks_exact_mut(g.len()) {
@@ -885,34 +877,12 @@ impl Session {
                     let _ = recorder.offer(*epoch, encode_neuro_frame(frame));
                 }
             }
-            let msg = Message::StreamData {
-                chip: id,
-                seq,
-                payload: StreamPayload::NeuroFrames {
-                    first_frame: sent + dropped,
-                    rows,
-                    cols,
-                    samples,
-                },
-            };
-            match self.out.offer_stream(msg) {
-                Ok(Offer::Sent) => sent += n,
-                Ok(Offer::Dropped) => dropped += n,
-                Err(Gone) => {
-                    // The client is gone: stop acquiring.
-                    outcome = Err(Gone);
-                    break;
-                }
-            }
-            seq = seq.wrapping_add(1);
-        }
-        StationStats::add(&self.stats.frames_served, u64::from(sent));
-        StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
-        outcome?;
-        self.out.send_control(Message::StreamEnd {
-            chip: id,
-            frames_sent: sent,
-            frames_dropped: dropped,
+            Ok(StreamPayload::NeuroFrames {
+                first_frame: first,
+                rows,
+                cols,
+                samples,
+            })
         })
     }
 }

@@ -15,7 +15,7 @@ use bsa_link::{
     FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, TargetSpec,
 };
 use bsa_station::{
-    culture_from_spec, neuro_config_from_spec, Station, StationClient, StationConfig,
+    culture_from_spec, neuro_config_from_spec, ClientError, Station, StationClient, StationConfig,
 };
 use bsa_units::Seconds;
 use std::net::TcpStream;
@@ -158,10 +158,13 @@ fn two_concurrent_clients_dna_and_neuro() {
         assert_eq!(outcome.counts.len(), 8 * 16);
         assert_eq!(outcome.estimated_currents_a.len(), 8 * 16);
         // Streamed per-pixel counts must agree with the final result.
-        let (sent, dropped) = outcome.stream_accounting.unwrap();
-        assert_eq!(usize::try_from(sent).unwrap(), outcome.streamed.len());
-        assert_eq!(dropped, 0);
-        for reading in &outcome.streamed {
+        let stream = outcome.stream.unwrap();
+        assert_eq!(
+            usize::try_from(stream.frames_sent).unwrap(),
+            stream.readings.len()
+        );
+        assert_eq!(stream.frames_dropped, 0);
+        for reading in &stream.readings {
             let idx = usize::from(reading.row) * 16 + usize::from(reading.col);
             assert_eq!(outcome.counts.get(idx).copied(), Some(reading.count));
         }
@@ -270,38 +273,75 @@ fn fault_injection_over_the_wire() {
     assert!(health.injected >= 1);
 }
 
+/// The `ErrorCode` of a failed request; panics on any other outcome.
+fn error_code<T: std::fmt::Debug>(result: Result<T, ClientError>) -> ErrorCode {
+    match result {
+        Err(ClientError::Server { code, .. }) => code,
+        other => panic!("expected a typed server error, got {other:?}"),
+    }
+}
+
 /// Wire-level errors come back as typed `ErrorReply`s, not dropped
-/// connections: unknown chip ids and malformed assay configs.
+/// connections, each with the code of its failure class: unknown chips,
+/// bad requests, the wrong chip kind, chip construction failures and a
+/// station without a store.
 #[test]
 fn server_replies_with_typed_errors() {
     let station = start_station();
     let mut client = StationClient::connect(station.addr(), "errors").unwrap();
 
-    let err = client.calibrate(99).unwrap_err();
-    assert!(
-        matches!(err, bsa_station::ClientError::Server { .. }),
-        "unknown chip must yield a server error, got {err:?}"
-    );
+    assert_eq!(error_code(client.calibrate(99)), ErrorCode::UnknownChip);
 
     // The session survives the error.
     client.ping(5).unwrap();
 
     let attached = client.attach_neuro(&neuro_spec(16, 16)).unwrap();
-    let err = client
-        .stream_neuro(
-            attached.chip,
-            0, // zero frames is invalid
-            1,
-            Seconds::new(0.0),
-            &culture_spec(1),
-        )
-        .unwrap_err();
-    assert!(matches!(err, bsa_station::ClientError::Server { .. }));
+    let zero_frames = client.stream_neuro(
+        attached.chip,
+        0, // zero frames is invalid
+        1,
+        Seconds::new(0.0),
+        &culture_spec(1),
+    );
+    assert_eq!(error_code(zero_frames), ErrorCode::BadRequest);
+
+    // Streams run on neuro chips, assays on DNA chips.
+    let dna = client
+        .attach_dna(&DnaChipSpec {
+            rows: 0,
+            cols: 0,
+            seed: 42,
+            frame_time_s: 0.0,
+        })
+        .unwrap();
+    let dna_stream = client.stream_neuro(dna.chip, 8, 0, Seconds::new(0.0), &culture_spec(8));
+    assert_eq!(error_code(dna_stream), ErrorCode::WrongChipKind);
+    assert_eq!(
+        error_code(client.run_assay(attached.chip, true)),
+        ErrorCode::WrongChipKind
+    );
+
+    // A 16-column array cannot share its columns evenly among 7 channels.
+    let uneven = client.attach_neuro(&NeuroChipSpec {
+        cols: 16,
+        channels: 7,
+        ..neuro_spec(16, 16)
+    });
+    assert_eq!(error_code(uneven), ErrorCode::ChipError);
+
+    // The default station has no store root.
+    assert_eq!(
+        error_code(client.start_recording(attached.chip, "take")),
+        ErrorCode::StoreError
+    );
+    assert_eq!(error_code(client.replay("take", 0)), ErrorCode::StoreError);
 
     // Detach then use-after-detach.
     client.detach(attached.chip).unwrap();
-    let err = client.calibrate(attached.chip).unwrap_err();
-    assert!(matches!(err, bsa_station::ClientError::Server { .. }));
+    assert_eq!(
+        error_code(client.calibrate(attached.chip)),
+        ErrorCode::UnknownChip
+    );
 }
 
 /// A server-to-client message sent *to* the station is a client bug: it
