@@ -242,6 +242,11 @@ pub struct NeuroChip {
     calibrated: bool,
     faults: CompiledFaults,
     health: HealthMonitor,
+    /// The full-scale output the standing self-test classified against;
+    /// `None` once faults or an uncalibrated acquisition have changed the
+    /// die since (or before the first calibration). While it matches, a
+    /// recalibration would reproduce `health` exactly.
+    self_tested: Option<f64>,
     /// Precomputed per-channel scan order (rebuilt on fault injection).
     plan: ScanPlan,
     /// Frame-buffer pool backing allocation-free steady-state recording.
@@ -283,6 +288,7 @@ impl NeuroChip {
             calibrated: false,
             faults,
             health: HealthMonitor::all_healthy(config.geometry),
+            self_tested: None,
             plan,
             arena: FrameArena::new(),
             linear: LinearState::default(),
@@ -346,6 +352,7 @@ impl NeuroChip {
             &self.faults,
             &self.pixels,
         );
+        self.self_tested = None;
         self.linear.invalidate();
         Ok(())
     }
@@ -373,6 +380,13 @@ impl NeuroChip {
     /// is dead; one whose calibration residual is grossly out of family,
     /// or whose output would clip inside the ±5 mV signal window, is
     /// flagged out-of-family.
+    ///
+    /// Recalibration restores each pixel's stored gate to the same
+    /// operating point, so when nothing has changed since the last
+    /// self-test (no fault injection, no uncalibrated acquisition) the
+    /// self-test is skipped: read at its calibration instant, every pixel
+    /// returns exactly what it returned then. The linearized tables keep
+    /// their expansion and only shift to the new instant.
     pub fn calibrate(&mut self, now: Seconds) {
         for p in &mut self.pixels {
             p.calibrate(now);
@@ -380,14 +394,28 @@ impl NeuroChip {
         for c in &mut self.channels {
             c.calibrate();
         }
-        self.self_test(now);
+        // The clip threshold depends on the calibration instant only
+        // through droop before t = 0, so compare it rather than assume it.
+        let full_scale = self.full_scale_out();
+        if self.self_tested == Some(full_scale) {
+            self.linear.recalibrated();
+        } else {
+            self.self_test(now, full_scale);
+            self.self_tested = Some(full_scale);
+            // Operating points moved: the fast path must re-linearize.
+            self.linear.invalidate();
+        }
         self.calibrated = true;
-        // Operating points moved: the fast path must re-linearize.
-        self.linear.invalidate();
+    }
+
+    /// Output swing a full-scale 5 mV signal produces at this channel
+    /// gain — a clip limit inside it truncates real spikes.
+    fn full_scale_out(&self) -> f64 {
+        5.0 * 1e-3 * self.nominal_voltage_gain()
     }
 
     /// Classifies every pixel from a two-point capacitive self-test.
-    fn self_test(&mut self, now: Seconds) {
+    fn self_test(&mut self, now: Seconds, full_scale_out: f64) {
         let test = Volt::from_milli(1.0);
         let mut residuals = Vec::with_capacity(self.pixels.len());
         let mut responses = Vec::with_capacity(self.pixels.len());
@@ -403,9 +431,6 @@ impl NeuroChip {
         // nA); a µA-class residual means something besides mismatch leaks
         // into the pixel.
         let residual_limit = 500e-9;
-        // Output swing a full-scale 5 mV signal produces at this channel
-        // gain — a clip limit inside it truncates real spikes.
-        let full_scale_out = 5.0 * 1e-3 * self.nominal_voltage_gain();
 
         let cols_per_ch = self.timing.columns_per_channel;
         let cols = self.config.geometry.cols();
@@ -534,6 +559,7 @@ impl NeuroChip {
             p.clear_calibration();
         }
         self.calibrated = false;
+        self.self_tested = None;
         self.linear.invalidate();
         Acquisition::open(self, culture, t0, opts, false)
     }
@@ -541,7 +567,9 @@ impl NeuroChip {
     /// Rebuilds the linearized fast-path coefficient tables around the
     /// operating point at `now`. Recording does this automatically at
     /// every recalibration boundary; this entry point exists so stage
-    /// timings can be measured in isolation (and tables pre-warmed).
+    /// timings can be measured in isolation (and tables pre-warmed). It
+    /// always linearizes every pixel, and a later recalibration does not
+    /// reuse the tables it builds.
     pub fn relinearize(&mut self, now: Seconds) {
         self.linear.rebuild(
             &self.plan,
@@ -549,6 +577,7 @@ impl NeuroChip {
             &self.channels,
             self.timing.pixel_dwell,
             now,
+            false,
         );
     }
 
@@ -763,13 +792,15 @@ impl<'a> Acquisition<'a> {
             if self.fast && !chip.linear.is_fresh() {
                 // Re-linearize at the chunk start — for a recalibrating
                 // cursor this is exactly the calibration instant, so the
-                // expansion point matches the fresh operating points.
+                // expansion point matches the fresh operating points (and a
+                // recalibration that moved none of them only shifts `off`).
                 chip.linear.rebuild(
                     &chip.plan,
                     &chip.pixels,
                     &chip.channels,
                     timing.pixel_dwell,
                     Seconds::new(chunk_t0),
+                    self.last_cal == chunk_t0,
                 );
             }
 
@@ -1158,6 +1189,154 @@ mod tests {
         assert_eq!(report.degradation, DegradationMode::FullPerformance);
         assert_eq!(report.total_channels, 4);
         assert!(report.is_clean());
+    }
+
+    fn spiking_culture(seed: u64) -> Culture {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cfg = CultureConfig {
+            neuron_count: 6,
+            ..CultureConfig::default()
+        };
+        let mut culture = Culture::random(&cfg, &mut rng);
+        culture.generate_spikes(Seconds::from_milli(200.0), &mut rng);
+        culture
+    }
+
+    fn bits(samples: &[f64]) -> Vec<u64> {
+        samples.iter().map(|s| s.to_bits()).collect()
+    }
+
+    fn recording_bits(rec: &Recording) -> Vec<u64> {
+        rec.frames()
+            .iter()
+            .flat_map(|f| bits(f.samples()))
+            .collect()
+    }
+
+    fn assert_same_die(a: &NeuroChip, b: &NeuroChip) {
+        for addr in a.config().geometry.iter() {
+            assert_eq!(a.pixel(addr).unwrap(), b.pixel(addr).unwrap(), "{addr:?}");
+        }
+        assert_eq!(a.health(), b.health());
+        assert_eq!(a.yield_report(), b.yield_report());
+    }
+
+    #[test]
+    fn recalibration_matches_a_single_calibration_at_the_same_instant() {
+        use bsa_faults::{FaultKind, InjectionPlan};
+        let pristine = NeuroChip::new(small_config()).unwrap();
+        // Before t = 0, droop moves the conversion gain that the
+        // self-test's clip threshold is taken at. A clip limit between the
+        // thresholds of two such instants must be judged at the later one.
+        let full_scale_at = |t: f64| {
+            let mut die = pristine.clone();
+            die.calibrate(Seconds::new(t));
+            die.full_scale_out()
+        };
+        let (early, late) = (full_scale_at(-1.0), full_scale_at(-2.0));
+        assert_ne!(early, late);
+        let limit = Volt::new(0.5 * (early + late));
+        let mut clipped = pristine.clone();
+        let clip = InjectionPlan::new(26)
+            .at(2, 2, FaultKind::GainClipping { limit })
+            .compile(16, 16);
+        clipped.inject_faults(&clip).unwrap();
+        for (die, straddles) in [(&pristine, false), (&clipped, true)] {
+            for (t0, t1) in [(0.0, 0.37), (0.2, 0.05), (-1.0, -2.0)] {
+                let mut twice = die.clone();
+                twice.calibrate(Seconds::new(t0));
+                let first = twice.health().clone();
+                twice.calibrate(Seconds::new(t1));
+                let mut once = die.clone();
+                once.calibrate(Seconds::new(t1));
+                assert_same_die(&twice, &once);
+                if straddles && t0 < 0.0 {
+                    assert_ne!(&first, twice.health(), "the clip limit must straddle");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shifted_tables_record_what_a_full_rebuild_records() {
+        let culture = spiking_culture(31);
+        let t0 = Seconds::from_milli(3.0);
+        let frames = 350; // four calibrations, 50 ms apart
+        let mut shifted = NeuroChip::new(small_config()).unwrap();
+        shifted.calibrate(Seconds::ZERO);
+        let mut rebuilt = shifted.clone();
+        let expected = recording_bits(&shifted.record(&culture, t0, frames));
+
+        // Forgetting the standing self-test before every frame sends each
+        // calibration down the full path: self-test, then every pixel
+        // linearized again.
+        let mut acq = rebuilt.acquire(&culture, t0, ScanOptions::default());
+        let mut samples = Vec::new();
+        for _ in 0..frames {
+            acq.chip.self_tested = None;
+            acq.next_chunk(&mut samples, 1);
+        }
+        drop(acq);
+        assert!(
+            bits(&samples) == expected,
+            "shifted tables changed a sample"
+        );
+        assert_same_die(&shifted, &rebuilt);
+    }
+
+    #[test]
+    fn faults_or_uncalibrated_scans_force_a_full_recalibration() {
+        use crate::health::PixelHealth;
+        use bsa_faults::{FaultKind, InjectionPlan};
+        let culture = spiking_culture(32);
+        let faults = InjectionPlan::new(25)
+            .at(3, 4, FaultKind::DeadPixel)
+            .at(
+                5,
+                5,
+                FaultKind::LeakyElectrode {
+                    leakage: Ampere::from_micro(2.0),
+                },
+            )
+            .lose_channel(2)
+            .compile(16, 16);
+        let pristine = NeuroChip::new(small_config()).unwrap();
+
+        let mut faulted = pristine.clone();
+        faulted.calibrate(Seconds::ZERO);
+        assert!(faulted.yield_report().is_clean());
+        faulted.inject_faults(&faults).unwrap();
+        faulted.calibrate(Seconds::new(0.4));
+        let mut reference = pristine.clone();
+        reference.inject_faults(&faults).unwrap();
+        reference.calibrate(Seconds::new(0.4));
+        assert_same_die(&faulted, &reference);
+        let h = faulted.health();
+        assert_eq!(
+            h.state_at(PixelAddress::new(3, 4)).unwrap(),
+            PixelHealth::Dead
+        );
+        assert_eq!(
+            h.state_at(PixelAddress::new(5, 5)).unwrap(),
+            PixelHealth::OutOfFamily
+        );
+        assert_eq!(faulted.yield_report().lost_channels, vec![2]);
+
+        let mut uncal = pristine.clone();
+        uncal.inject_faults(&faults).unwrap();
+        uncal.calibrate(Seconds::ZERO);
+        uncal.record_uncalibrated(&culture, Seconds::ZERO, 3);
+        assert!(!uncal.is_calibrated());
+        uncal.calibrate(Seconds::new(0.4));
+        assert_same_die(&uncal, &reference);
+
+        let expected = recording_bits(&reference.record(&culture, Seconds::new(0.4), 120));
+        for die in [&mut faulted, &mut uncal] {
+            let got = recording_bits(&die.record(&culture, Seconds::new(0.4), 120));
+            assert!(got == expected, "a recalibrated die recorded other samples");
+        }
     }
 
     #[test]

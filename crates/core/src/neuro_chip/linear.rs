@@ -48,6 +48,8 @@ use rand::rngs::SmallRng;
 /// per-frame scatter scratch. All buffers are reused across rebuilds.
 #[derive(Debug, Clone, Default)]
 pub(super) struct LinearChannel {
+    /// Residual current at the expansion point, in amperes.
+    offset: Vec<f64>,
     /// Residual current folded to the frame-start reference:
     /// `offset + slope·(dt_k − t_lin)`, in amperes.
     off: Vec<f64>,
@@ -73,33 +75,70 @@ pub(super) struct LinearChannel {
     vbuf: Vec<f64>,
 }
 
+/// How the coefficient tables stand against the die.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum Freshness {
+    /// The tables match the die; `at_calibration` if they were expanded
+    /// at the instant of its last calibration.
+    Fresh { at_calibration: bool },
+    /// The die was recalibrated, and nothing else changed, since the
+    /// tables were expanded at an earlier calibration instant. Every
+    /// pixel sits at the same operating point again, so `offset`,
+    /// `slope` and `gm` still hold; only `off` must move to the new
+    /// instant.
+    Recalibrated,
+    /// Calibration or fault state changed: every table must be rebuilt.
+    #[default]
+    Stale,
+}
+
 /// The fast path's complete per-die state: per-channel coefficient SoA,
-/// per-channel chain constants, and the staleness flag that drives
+/// per-channel chain constants, and the freshness that drives
 /// re-linearization at recalibration boundaries.
 #[derive(Debug, Clone, Default)]
 pub(super) struct LinearState {
     channels: Vec<LinearChannel>,
     chain: Vec<ChainCoeffs>,
-    fresh: bool,
+    freshness: Freshness,
 }
 
 impl LinearState {
     /// Whether the coefficient tables match the die's current calibration
     /// and fault state.
     pub fn is_fresh(&self) -> bool {
-        self.fresh
+        matches!(self.freshness, Freshness::Fresh { .. })
     }
 
     /// Marks the tables stale. Called whenever calibration state or
     /// injected faults change.
     pub fn invalidate(&mut self) {
-        self.fresh = false;
+        self.freshness = Freshness::Stale;
     }
 
-    /// Rebuilds every coefficient table by linearizing each pixel around
-    /// the operating point at `t_lin` (the calibration instant during a
-    /// recalibrating record). Lost channels are skipped entirely — the
-    /// scan never reads their tables. Warm rebuilds allocate nothing.
+    /// Records a recalibration that left every operating point where the
+    /// previous one put it. Tables expanded at that previous calibration
+    /// instant then only need their `off` shifted; any others stay stale.
+    pub fn recalibrated(&mut self) {
+        self.freshness = match self.freshness {
+            Freshness::Fresh {
+                at_calibration: true,
+            }
+            | Freshness::Recalibrated => Freshness::Recalibrated,
+            Freshness::Fresh {
+                at_calibration: false,
+            }
+            | Freshness::Stale => Freshness::Stale,
+        };
+    }
+
+    /// Brings the tables up to date around the operating point at `t_lin`,
+    /// which is the die's last calibration instant when `at_calibration`
+    /// holds (as during a recalibrating record). After a
+    /// [`recalibrated`](Self::recalibrated) die that is only
+    /// `off = offset + slope·(dt − t_lin)` per entry, bit-identical to a
+    /// full rebuild; otherwise every pixel is linearized again. Lost
+    /// channels are skipped entirely — the scan never reads their tables.
+    /// Warm rebuilds allocate nothing.
     pub fn rebuild(
         &mut self,
         plan: &ScanPlan,
@@ -107,14 +146,33 @@ impl LinearState {
         chains: &[ChannelChain],
         dwell: Seconds,
         t_lin: Seconds,
+        at_calibration: bool,
     ) {
         self.chain.clear();
         self.chain
             .extend(chains.iter().map(|c| c.linear_coeffs(dwell)));
+        let t0 = t_lin.value();
+        if at_calibration && self.freshness == Freshness::Recalibrated {
+            for lc in &mut self.channels {
+                for (((off, &offset), &slope), &dt) in
+                    lc.off.iter_mut().zip(&lc.offset).zip(&lc.slope).zip(&lc.dt)
+                {
+                    *off = offset + slope * (dt - t0);
+                }
+            }
+        } else {
+            self.expand(plan, pixels, t_lin);
+        }
+        self.freshness = Freshness::Fresh { at_calibration };
+    }
+
+    /// Linearizes every pixel of every live channel around `t_lin`.
+    fn expand(&mut self, plan: &ScanPlan, pixels: &[NeuroPixel], t_lin: Seconds) {
         self.channels
             .resize_with(plan.channels.len(), LinearChannel::default);
         let t0 = t_lin.value();
         for (cp, lc) in plan.channels.iter().zip(self.channels.iter_mut()) {
+            lc.offset.clear();
             lc.off.clear();
             lc.slope.clear();
             lc.gm.clear();
@@ -128,8 +186,9 @@ impl LinearState {
                 let lin = pixels
                     .get(e.idx)
                     .map_or(PixelLinearization::DEAD, |p| p.linearize(t_lin));
-                lc.off
-                    .push(lin.offset.value() + lin.slope_a_per_s * (e.dt - t0));
+                let offset = lin.offset.value();
+                lc.offset.push(offset);
+                lc.off.push(offset + lin.slope_a_per_s * (e.dt - t0));
                 lc.slope.push(lin.slope_a_per_s);
                 lc.gm.push(lin.gm.value());
                 let (lo, hi) = match e.clip {
@@ -141,7 +200,6 @@ impl LinearState {
                 lc.dt.push(e.dt);
             }
         }
-        self.fresh = true;
     }
 
     /// Compiles per-entry culture source lists for every live channel into

@@ -81,6 +81,11 @@ pub struct NeuroPixel {
     stored_gate: Option<Volt>,
     /// Time of the last calibration.
     cal_time: Seconds,
+    /// The gate voltage at which M1 conducts exactly this pixel's M2
+    /// current, solved once at construction (`None` if no such voltage
+    /// exists). Mismatch and M2 current never change after sampling, so
+    /// each recalibration only stores this value again.
+    cal_gate: Option<Volt>,
     /// The array-wide nominal gate bias used while uncalibrated, solved
     /// once at construction (bisecting the device equation per read would
     /// dominate the uncalibrated scan).
@@ -96,17 +101,25 @@ pub struct NeuroPixel {
 /// conduct has no such bias — that is a configuration error (reachable
 /// from an `AttachNeuro` wire request), not a panic.
 fn global_gate_bias(nominal: &Mosfet, config: &NeuroPixelConfig) -> Result<Volt, CircuitError> {
-    nominal
-        .gate_voltage_for_current(
-            config.cal_current,
-            config.v_source,
-            config.v_drain,
-            Volt::ZERO,
-            Volt::new(5.0),
-        )
-        .ok_or(CircuitError::NoOperatingPoint {
-            name: "nominal gate bias",
-        })
+    calibration_gate(nominal, config.cal_current, config).ok_or(CircuitError::NoOperatingPoint {
+        name: "nominal gate bias",
+    })
+}
+
+/// The gate voltage at which `sensor` conducts `cal_current`: the
+/// operating point every S1/M2 calibration of the pixel drives M1 to.
+fn calibration_gate(
+    sensor: &Mosfet,
+    cal_current: Ampere,
+    config: &NeuroPixelConfig,
+) -> Option<Volt> {
+    sensor.gate_voltage_for_current(
+        cal_current,
+        config.v_source,
+        config.v_drain,
+        Volt::ZERO,
+        Volt::new(5.0),
+    )
 }
 
 impl NeuroPixel {
@@ -124,8 +137,10 @@ impl NeuroPixel {
         let cal_err = config.cal_current_rel_sigma * g.sample(rng);
         let injection_offset = config.injection_sigma * g.sample(rng);
         let droop_rate = config.droop_rate_v_per_s * g.sample(rng);
+        let cal_current_actual = config.cal_current * (1.0 + cal_err);
         Ok(Self {
-            cal_current_actual: config.cal_current * (1.0 + cal_err),
+            cal_gate: calibration_gate(&sensor, cal_current_actual, &config),
+            cal_current_actual,
             injection_offset,
             droop_rate,
             stored_gate: None,
@@ -147,6 +162,7 @@ impl NeuroPixel {
         let sensor = Mosfet::try_new(config.sensor_fet.clone())?;
         let global_gate = global_gate_bias(&sensor, &config)?;
         Ok(Self {
+            cal_gate: Some(global_gate),
             sensor,
             cal_current_actual: config.cal_current,
             injection_offset: Volt::ZERO,
@@ -195,13 +211,7 @@ impl NeuroPixel {
     /// device's conduction range cannot converge; it stays uncalibrated
     /// (falling back to the global bias) rather than aborting the scan.
     pub fn calibrate(&mut self, now: Seconds) {
-        match self.sensor.gate_voltage_for_current(
-            self.cal_current_actual,
-            self.config.v_source,
-            self.config.v_drain,
-            Volt::ZERO,
-            Volt::new(5.0),
-        ) {
+        match self.cal_gate {
             Some(vg) => {
                 self.stored_gate = Some(vg + self.injection_offset);
                 self.cal_time = now;

@@ -161,12 +161,18 @@ fn accept_loop(
         let session_stats = Arc::clone(stats);
         let session_sessions = Arc::clone(sessions);
         let session_limits = limits.clone();
+        let session_shutdown = Arc::clone(shutdown);
         // Detached: the session ends when its client disconnects or its
         // read timeout reaps it; exit frees both the admission slot and
         // the socket-table entry. Shutdown closes the registered read
         // halves, so live sessions wind down too.
         thread::spawn(move || {
-            run_session(stream, Arc::clone(&session_stats), &session_limits);
+            run_session(
+                stream,
+                Arc::clone(&session_stats),
+                &session_limits,
+                &session_shutdown,
+            );
             session_sessions.remove(session_id);
             StationStats::sub(&session_stats.sessions_active, 1);
         });

@@ -4,7 +4,9 @@
 //!
 //! # Backpressure policy
 //!
-//! The outbound queue is a `sync_channel` with a fixed capacity. Control
+//! The outbound queue is a `sync_channel` with a fixed capacity that
+//! carries encoded wire frames: the session encodes each message before
+//! it is queued, and the writer thread only writes bytes. Control
 //! responses (acks, results, stream-end markers) use a *blocking* send —
 //! they are few and must not be lost; if the writer died because the
 //! socket broke, the send fails and the session ends. Stream data chunks
@@ -25,8 +27,8 @@ use bsa_core::ScanOptions;
 use bsa_dsp::masking::PixelMask;
 use bsa_electrochem::sequence::DnaSequence;
 use bsa_link::{
-    read_message, write_message, ChipId, ChipKind, ErrorCode, Message, PixelCount, ProtocolError,
-    RecordingEntry, StreamPayload, PROTOCOL_VERSION,
+    encode_frame, read_message, write_message, ChipId, ChipKind, ErrorCode, Message, PixelCount,
+    ProtocolError, RecordingEntry, StreamPayload, PROTOCOL_VERSION,
 };
 use bsa_store::{
     decode_dna_reading, decode_neuro_frame, encode_dna_reading, encode_neuro_frame, fnv1a64,
@@ -34,8 +36,10 @@ use bsa_store::{
 };
 use bsa_units::{Molar, Seconds};
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
@@ -68,9 +72,9 @@ enum Offer {
     Dropped,
 }
 
-/// The session's handle on its outbound queue.
+/// The session's handle on its outbound queue of encoded frames.
 struct Outbound {
-    tx: SyncSender<Message>,
+    tx: SyncSender<Vec<u8>>,
     stats: Arc<StationStats>,
 }
 
@@ -78,8 +82,9 @@ impl Outbound {
     /// Blocking send for control responses. Fails only when the writer
     /// thread has exited (socket gone).
     fn send_control(&self, msg: Message) -> Result<(), Gone> {
+        let frame = encode_frame(&msg);
         self.stats.queue_enter();
-        match self.tx.send(msg) {
+        match self.tx.send(frame) {
             Ok(()) => Ok(()),
             Err(_) => {
                 self.stats.queue_exit();
@@ -91,9 +96,10 @@ impl Outbound {
     /// Non-blocking send for stream data. A full queue drops the chunk
     /// (the caller accounts for it); a disconnected queue ends the
     /// session.
-    fn offer_stream(&self, msg: Message) -> Result<Offer, Gone> {
+    fn offer_stream(&self, msg: &Message) -> Result<Offer, Gone> {
+        let frame = encode_frame(msg);
         self.stats.queue_enter();
-        match self.tx.try_send(msg) {
+        match self.tx.try_send(frame) {
             Ok(()) => {
                 StationStats::add(&self.stats.chunks_sent, 1);
                 Ok(Offer::Sent)
@@ -110,9 +116,11 @@ impl Outbound {
     }
 
     /// Serves one `StreamData`* `StreamEnd` stream of `total` frames (or
-    /// DNA readings) in chunks of at most `chunk` (≥ 1). `produce(first, n)`
-    /// builds each chunk's payload just before it is offered, so the
-    /// session holds one chunk at a time. The emitter owns the chunk
+    /// DNA readings) in chunks of at most `chunk` (≥ 1).
+    /// `produce(first, n, spare)` builds each chunk's payload just before
+    /// it is offered, so the session holds one chunk at a time; `spare` is
+    /// the previous chunk's payload, handed back once it is encoded so
+    /// the producer can reuse its buffers. The emitter owns the chunk
     /// sequence, the sent/dropped tally and the closing `StreamEnd`, and
     /// adds the tally to `frames_served`/`frames_dropped` however the
     /// stream ends. A producer `Err(reply)` ends the stream with that
@@ -122,11 +130,12 @@ impl Outbound {
         chip: ChipId,
         total: u32,
         chunk: u32,
-        mut produce: impl FnMut(u32, u32) -> Result<StreamPayload, Message>,
+        mut produce: impl FnMut(u32, u32, Option<StreamPayload>) -> Result<StreamPayload, Message>,
     ) -> Result<(), Gone> {
         let mut sent: u32 = 0;
         let mut dropped: u32 = 0;
         let mut seq: u32 = 0;
+        let mut spare = None;
         let end = loop {
             let first = sent + dropped;
             if first >= total {
@@ -137,14 +146,18 @@ impl Outbound {
                 });
             }
             let n = chunk.min(total - first);
-            let payload = match produce(first, n) {
+            let payload = match produce(first, n, spare.take()) {
                 Ok(payload) => payload,
                 Err(reply) => break Ok(reply),
             };
-            match self.offer_stream(Message::StreamData { chip, seq, payload }) {
+            let msg = Message::StreamData { chip, seq, payload };
+            match self.offer_stream(&msg) {
                 Ok(Offer::Sent) => sent += n,
                 Ok(Offer::Dropped) => dropped += n,
                 Err(Gone) => break Err(Gone),
+            }
+            if let Message::StreamData { payload, .. } = msg {
+                spare = Some(payload);
             }
             seq = seq.wrapping_add(1);
         };
@@ -163,8 +176,14 @@ pub(crate) struct SessionLimits {
 }
 
 /// Runs one session to completion on the current thread. Spawns the
-/// writer thread internally and joins it before returning.
-pub(crate) fn run_session(stream: TcpStream, stats: Arc<StationStats>, limits: &SessionLimits) {
+/// writer thread internally and joins it before returning. Once
+/// `shutdown` is set the session serves no further request.
+pub(crate) fn run_session(
+    stream: TcpStream,
+    stats: Arc<StationStats>,
+    limits: &SessionLimits,
+    shutdown: &AtomicBool,
+) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(limits.read_timeout);
     let writer_stream = match stream.try_clone() {
@@ -185,14 +204,14 @@ pub(crate) fn run_session(stream: TcpStream, stats: Arc<StationStats>, limits: &
             return;
         }
     };
-    let (tx, rx) = sync_channel::<Message>(limits.queue_depth.max(1));
+    let (tx, rx) = sync_channel::<Vec<u8>>(limits.queue_depth.max(1));
     let writer_stats = Arc::clone(&stats);
     let writer = thread::spawn(move || {
         let mut stream = writer_stream;
-        for msg in rx {
+        for frame in rx {
             writer_stats.queue_exit();
-            match write_message(&mut stream, &msg) {
-                Ok(n) => StationStats::add(&writer_stats.bytes_sent, n as u64),
+            match stream.write_all(&frame) {
+                Ok(()) => StationStats::add(&writer_stats.bytes_sent, frame.len() as u64),
                 Err(_) => break,
             }
         }
@@ -217,6 +236,10 @@ pub(crate) fn run_session(stream: TcpStream, stats: Arc<StationStats>, limits: &
     let mut reader = stream;
     loop {
         match read_message(&mut reader) {
+            // The station closes the read half at shutdown, but Linux
+            // still hands over bytes that arrive after that: a request
+            // read once shutdown has begun is not served.
+            Ok(_) if shutdown.load(Ordering::SeqCst) => break,
             Ok(msg) => {
                 StationStats::add(&stats.requests, 1);
                 if session.handle(msg).is_err() {
@@ -715,34 +738,36 @@ impl Session {
         // Each chunk is assembled from n consecutive records. A corrupted
         // record ends the replay with a typed error reply; the client's
         // stream loop surfaces it as a server error.
-        self.out.emit_stream(meta.chip, total, chunk, |first, n| {
-            let mut records = u64::from(first)..u64::from(first) + u64::from(n);
-            let payload = match meta.kind {
-                ChipKind::Neuro => {
-                    let mut samples = Vec::with_capacity((n as usize) * rows * cols);
-                    records
-                        .try_for_each(|i| {
-                            let frame = reader.frame(i)?;
-                            decode_neuro_frame(frame.payload, &mut samples)
+        self.out
+            .emit_stream(meta.chip, total, chunk, |first, n, spare| {
+                let mut records = u64::from(first)..u64::from(first) + u64::from(n);
+                let payload = match meta.kind {
+                    ChipKind::Neuro => {
+                        let mut samples = spare_samples(spare);
+                        samples.reserve((n as usize) * rows * cols);
+                        records
+                            .try_for_each(|i| {
+                                let frame = reader.frame(i)?;
+                                decode_neuro_frame(frame.payload, &mut samples)
+                            })
+                            .map(|()| StreamPayload::NeuroFrames {
+                                first_frame: first,
+                                rows: meta.rows,
+                                cols: meta.cols,
+                                samples,
+                            })
+                    }
+                    ChipKind::Dna => records
+                        .map(|i| {
+                            reader
+                                .frame(i)
+                                .and_then(|frame| decode_dna_reading(frame.payload))
                         })
-                        .map(|()| StreamPayload::NeuroFrames {
-                            first_frame: first,
-                            rows: meta.rows,
-                            cols: meta.cols,
-                            samples,
-                        })
-                }
-                ChipKind::Dna => records
-                    .map(|i| {
-                        reader
-                            .frame(i)
-                            .and_then(|frame| decode_dna_reading(frame.payload))
-                    })
-                    .collect::<Result<_, _>>()
-                    .map(|readings| StreamPayload::DnaCounts { readings }),
-            };
-            payload.map_err(|err| error_reply(ErrorCode::StoreError, err.to_string()))
-        })
+                        .collect::<Result<_, _>>()
+                        .map(|readings| StreamPayload::DnaCounts { readings }),
+                };
+                payload.map_err(|err| error_reply(ErrorCode::StoreError, err.to_string()))
+            })
     }
 
     fn run_assay(&mut self, id: ChipId, stream_counts: bool) -> Result<(), Gone> {
@@ -782,7 +807,7 @@ impl Session {
         if stream_counts {
             let total = readings.len() as u32;
             self.out
-                .emit_stream(id, total, DNA_CHUNK_READINGS, |first, n| {
+                .emit_stream(id, total, DNA_CHUNK_READINGS, |first, n, _| {
                     Ok(StreamPayload::DnaCounts {
                         readings: readings
                             .iter()
@@ -859,10 +884,10 @@ impl Session {
             .map(|active| (active.claim_epoch(), &mut active.recorder));
         // One cursor per request: chunks drawn from it are bit-identical
         // to an in-process record() of the whole request, and the session
-        // holds one chunk at a time.
+        // holds one chunk at a time, drawn into one reused sample buffer.
         let mut acquisition = chip.acquire(&culture, Seconds::new(t0), ScanOptions::default());
-        self.out.emit_stream(id, frames, chunk, |first, n| {
-            let mut samples = Vec::new();
+        self.out.emit_stream(id, frames, chunk, |first, n, spare| {
+            let mut samples = spare_samples(spare);
             acquisition.next_chunk(&mut samples, n as usize);
             for frame in samples.chunks_exact_mut(g.len()) {
                 if let Some(mask) = &mask {
@@ -887,6 +912,18 @@ impl Session {
     }
 }
 
+/// The sample buffer of a spent neuro chunk, emptied for the next one
+/// (a fresh buffer for the first chunk).
+fn spare_samples(spare: Option<StreamPayload>) -> Vec<f64> {
+    match spare {
+        Some(StreamPayload::NeuroFrames { mut samples, .. }) => {
+            samples.clear();
+            samples
+        }
+        _ => Vec::new(),
+    }
+}
+
 fn error_reply(code: ErrorCode, message: String) -> Message {
     Message::ErrorReply { code, message }
 }
@@ -903,7 +940,7 @@ mod tests {
     #[test]
     fn full_queue_drops_are_counted_not_buffered() {
         let stats = Arc::new(StationStats::default());
-        let (tx, _rx) = sync_channel::<Message>(2);
+        let (tx, _rx) = sync_channel::<Vec<u8>>(2);
         let out = Outbound {
             tx,
             stats: Arc::clone(&stats),
@@ -911,7 +948,7 @@ mod tests {
         let mut sent = 0;
         let mut dropped = 0;
         for _ in 0..10 {
-            match out.offer_stream(Message::Ack).unwrap() {
+            match out.offer_stream(&Message::Ack).unwrap() {
                 Offer::Sent => sent += 1,
                 Offer::Dropped => dropped += 1,
             }
@@ -928,14 +965,14 @@ mod tests {
     #[test]
     fn disconnected_queue_reports_gone() {
         let stats = Arc::new(StationStats::default());
-        let (tx, rx) = sync_channel::<Message>(1);
+        let (tx, rx) = sync_channel::<Vec<u8>>(1);
         drop(rx);
         let out = Outbound {
             tx,
             stats: Arc::clone(&stats),
         };
         assert!(out.send_control(Message::Ack).is_err());
-        assert!(out.offer_stream(Message::Ack).is_err());
+        assert!(out.offer_stream(&Message::Ack).is_err());
         assert_eq!(stats.queue_depth.load(Ordering::Relaxed), 0);
     }
 }

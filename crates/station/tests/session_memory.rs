@@ -146,9 +146,10 @@ fn session_memory_is_bounded_by_queue_depth_not_frame_count() {
     let short = stream_peak_bytes(&mut socket, chip, 2 * QUEUE_DEPTH as u32);
     let long = stream_peak_bytes(&mut socket, chip, 16 * QUEUE_DEPTH as u32);
 
-    // Either request may fill the queue (each queued chunk is one frame's
-    // samples, and the writer thread holds one encoded frame of them);
-    // a further 64 KiB covers scan threads and other per-chunk transients.
+    // Either request may fill the queue (each queued chunk is one encoded
+    // frame, the writer thread holds one more, and the session keeps one
+    // frame's sample buffer to draw the next chunk into); a further
+    // 64 KiB covers scan threads and other per-chunk transients.
     // Holding the long request's 224 extra frames would add 1.8 MB.
     let slack = 2 * QUEUE_DEPTH as u64 * FRAME_BYTES + 64 * 1024;
     assert!(
