@@ -114,7 +114,7 @@ impl SortResult {
 
 /// Sorts snippets into `k` units with deterministic k-means on the shape
 /// features (features are z-scored per dimension; initial centroids are
-/// the snippets at evenly spaced quantiles of the peak amplitude).
+/// the means of `k` equal groups of snippets ordered by peak amplitude).
 ///
 /// # Panics
 ///
@@ -160,17 +160,25 @@ pub fn sort_spikes(snippets: &[Snippet], k: usize) -> SortResult {
         })
         .collect();
 
-    // Deterministic init: order snippets by peak and seed the centroids at
-    // the extremes and evenly spaced quantiles between them.
+    // Deterministic init: order snippets by peak and seed each centroid at
+    // the mean of one of k equal groups along that order. A group mean,
+    // unlike any single snippet, does not carry one snippet's feature noise
+    // into the first assignment.
     let mut order: Vec<usize> = (0..normed.len()).collect();
     order.sort_by(|&a, &b| normed[a][0].total_cmp(&normed[b][0]));
-    let mut centroids: Vec<[f64; 3]> = if k == 1 {
-        vec![normed[order[normed.len() / 2]]]
-    } else {
-        (0..k)
-            .map(|j| normed[order[j * (normed.len() - 1) / (k - 1)]])
-            .collect()
-    };
+    let n = normed.len();
+    let mut centroids: Vec<[f64; 3]> = (0..k)
+        .map(|j| {
+            let group = order.get(j * n / k..(j + 1) * n / k).unwrap_or(&[]);
+            let mut c = [0.0f64; 3];
+            for f in group.iter().filter_map(|&i| normed.get(i)) {
+                for (cd, fd) in c.iter_mut().zip(f) {
+                    *cd += fd;
+                }
+            }
+            c.map(|sum| sum / group.len().max(1) as f64)
+        })
+        .collect();
 
     let dist2 = |a: &[f64; 3], b: &[f64; 3]| -> f64 { (0..3).map(|d| (a[d] - b[d]).powi(2)).sum() };
 
@@ -293,6 +301,33 @@ mod tests {
         for &i in &unit_b {
             assert_eq!(label_of(i), b_label, "unit B spike at {i}");
         }
+    }
+
+    #[test]
+    fn one_snippet_with_an_odd_width_does_not_split_a_unit() {
+        // Two units of one shape at two amplitudes. The smallest snippet
+        // has its trough three samples early, so its width alone sits
+        // far out in z-score.
+        let snippet = |index: usize, amp: f64, trough_at: usize| {
+            let mut samples = vec![0.0, 0.4 * amp, amp, -0.5 * amp, -0.5 * amp, -0.5 * amp];
+            samples.push(-0.6 * amp);
+            if let Some(x) = samples.get_mut(trough_at) {
+                *x = -0.7 * amp;
+            }
+            Snippet { index, samples }
+        };
+        let mut snips: Vec<Snippet> = (0..6)
+            .map(|u| snippet(u, 1.0 + 0.01 * u as f64, 6))
+            .collect();
+        snips.extend((0..6).map(|u| snippet(10 + u, 0.4 + 0.01 * u as f64, 6)));
+        if let Some(smallest) = snips.get_mut(6) {
+            *smallest = snippet(10, 0.4, 3);
+        }
+        let result = sort_spikes(&snips, 2);
+        let (big, small) = result.labels.split_at(6);
+        assert!(big.iter().all(|l| Some(l) == big.first()), "{big:?}");
+        assert!(small.iter().all(|l| Some(l) == small.first()), "{small:?}");
+        assert_ne!(big.first(), small.first());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! transients of 100 µV – 5 mV riding on per-pixel offsets and slow droop.
 //! Detection: remove the baseline, estimate the noise floor robustly
 //! (MAD), then threshold either the signal itself or its nonlinear energy
-//! (NEO), with a refractory period to avoid double counting.
+//! (NEO). After a detection the detector waits out a refractory period
+//! and re-arms only once the feature is back under threshold, so one
+//! action potential is one detection.
 
 use crate::stats::{mad_sigma_with, median_with};
 
@@ -25,7 +27,8 @@ pub struct SpikeDetector {
     pub method: DetectionMethod,
     /// Threshold in units of the robust noise σ.
     pub threshold_sigmas: f64,
-    /// Refractory period in samples after a detection.
+    /// Refractory period in samples after a detection (at least one); the
+    /// detector then re-arms once the feature is back under threshold.
     pub refractory_samples: usize,
 }
 
@@ -107,13 +110,13 @@ impl SpikeDetector {
         let feature = &scratch.feature;
 
         let threshold = self.threshold_sigmas * sigma;
-        let mut skip_until = 0usize;
+        let refractory = self.refractory_samples.max(1);
         let mut i = 0;
         while i < feature.len() {
             let here = feature.get(i).copied().unwrap_or(0.0);
-            if i >= skip_until && here > threshold {
+            if here > threshold {
                 // Align to the local maximum within the refractory window.
-                let end = (i + self.refractory_samples.max(1)).min(feature.len());
+                let end = (i + refractory).min(feature.len());
                 let mut peak = i;
                 let mut peak_value = here;
                 for (j, &v) in feature.iter().enumerate().take(end).skip(i + 1) {
@@ -123,8 +126,14 @@ impl SpikeDetector {
                     }
                 }
                 out.push(peak);
-                skip_until = peak + self.refractory_samples.max(1);
-                i = skip_until;
+                // The event lasts the refractory period and then until the
+                // feature is back under threshold: an action potential
+                // whose after-lobe outlasts the refractory window still
+                // counts once.
+                i = peak + refractory;
+                while feature.get(i).is_some_and(|&v| v > threshold) {
+                    i += 1;
+                }
             } else {
                 i += 1;
             }
@@ -255,6 +264,21 @@ mod tests {
         series[101] += 0.8; // same event, adjacent sample
         let det = SpikeDetector::default().detect(&series);
         assert_eq!(det.len(), 1, "detections = {det:?}");
+    }
+
+    #[test]
+    fn long_after_lobe_is_one_detection() {
+        // An extracellular AP: a sharp peak, then an after-lobe that stays
+        // over threshold for twice the refractory period.
+        let truth = [100, 220];
+        let mut series = synth(&truth, 1.0, 300, 0.02);
+        for &t in &truth {
+            for x in series.iter_mut().skip(t + 1).take(8) {
+                *x -= 0.5;
+            }
+        }
+        let det = SpikeDetector::default().detect(&series);
+        assert_eq!(det, truth, "one detection per action potential");
     }
 
     #[test]
