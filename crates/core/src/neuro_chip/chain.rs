@@ -6,7 +6,7 @@
 //! subsequent current gain stages also undergo a calibration procedure
 //! before used for signal amplification."
 
-use bsa_circuit::noise::GaussianSampler;
+use bsa_circuit::noise::{GaussianSampler, Ziggurat};
 use bsa_units::{Ampere, Hertz, Ohm, Seconds, Volt};
 use rand::Rng;
 
@@ -122,9 +122,6 @@ pub struct ChannelChain {
     config: ChainConfig,
     /// Last multiplexed output current, for settling crosstalk.
     last_output: Ampere,
-    /// Persistent Marsaglia-polar sampler: keeps the spare variate across
-    /// samples so noise costs one transcendental pair per two samples.
-    noise: GaussianSampler,
 }
 
 /// Precomputed per-channel constants of the chain's sample recursion, used
@@ -175,7 +172,6 @@ impl ChannelChain {
             second,
             config,
             last_output: Ampere::ZERO,
-            noise: GaussianSampler::new(),
         }
     }
 
@@ -216,9 +212,10 @@ impl ChannelChain {
     /// Processes one multiplexed sample: amplifies the pixel difference
     /// current, applies finite-bandwidth settling toward the new value
     /// within the dwell time (leaving crosstalk from the previous pixel),
-    /// adds input-referred noise, and converts to the output voltage.
+    /// adds input-referred noise (one [`Ziggurat`] draw from `rng`), and
+    /// converts to the output voltage.
     pub fn process_sample<R: Rng>(&mut self, i_diff: Ampere, dwell: Seconds, rng: &mut R) -> Volt {
-        let noisy_in = i_diff + self.config.input_noise * self.noise.sample(rng);
+        let noisy_in = i_diff + self.config.input_noise * Ziggurat::new().sample(rng);
         let target = noisy_in * self.current_gain();
 
         // Two cascaded single-pole settles: readout amp then driver.
@@ -235,13 +232,13 @@ impl ChannelChain {
         out * self.config.conversion_resistance
     }
 
-    /// Resets the settling state (e.g. at a row boundary), discarding any
-    /// cached noise variate so the draw sequence restarts on a pair
-    /// boundary — this is what makes recordings a pure function of the
-    /// per-channel RNG stream regardless of prior chain use.
+    /// Resets the settling state (e.g. at a row boundary). This is the
+    /// chain's only memory: each noise draw is a pure function of the RNG
+    /// stream, so after a reset the chain's output depends on nothing but
+    /// its inputs and the per-channel stream, whatever ran through it
+    /// before.
     pub fn reset_settling(&mut self) {
         self.last_output = Ampere::ZERO;
-        self.noise = GaussianSampler::new();
     }
 
     /// Precomputes the sample-recursion constants for the given dwell time.

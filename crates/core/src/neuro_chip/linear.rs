@@ -2,9 +2,8 @@
 //! [`ScanMode::Linearized`](crate::scan::ScanMode) readout.
 //!
 //! The reference scan spends its per-sample budget on a full EKV
-//! `drain_current` solve (two `ln1pexp` transcendentals), an O(all
-//! neurons) culture sum and a fresh Box–Muller state per sample. None of
-//! that is necessary in steady state:
+//! `drain_current` solve (two `ln1pexp` transcendentals) and an O(all
+//! neurons) culture sum. Neither is necessary in steady state:
 //!
 //! * **Per-pixel transfer coefficients**: around the calibrated operating
 //!   point, `ΔI(v_cleft, t) = off + slope·t_frame + gm·v_cleft` to first
@@ -26,19 +25,20 @@
 //!   transimpedance and noise scale are per-channel constants
 //!   ([`ChannelChain::linear_coeffs`]); the inner loop is a branch-free
 //!   multiply-add over contiguous `f64` slices sharing the reference
-//!   path's exact arithmetic and its deterministic per-channel RNG
-//!   streams. The only divergence from the reference output is the
-//!   pixel-current linearization itself.
+//!   path's exact arithmetic, its deterministic per-channel RNG streams
+//!   and its [`Ziggurat`] noise draws. The only divergence from the
+//!   reference output is the pixel-current linearization itself.
 //!
 //! [`NeuroPixel::linearize`]: super::pixel::NeuroPixel::linearize
 //! [`ChannelChain::linear_coeffs`]: super::chain::ChannelChain
 //! [`Culture::compile_sources`]: bsa_neuro::culture::Culture::compile_sources
+//! [`Ziggurat`]: bsa_circuit::noise::Ziggurat
 
 use super::chain::{ChainCoeffs, ChannelChain};
 use super::pixel::{NeuroPixel, PixelLinearization};
 use super::scan::{ChannelPlan, ScanPlan};
 use crate::scan::fan_out;
-use bsa_circuit::noise::GaussianSampler;
+use bsa_circuit::noise::Ziggurat;
 use bsa_neuro::culture::{Culture, SourceTable};
 use bsa_units::Seconds;
 use rand::rngs::SmallRng;
@@ -299,6 +299,7 @@ fn scan_channel_linear(
     }
     let frame_len = rows * cols_per_channel;
     let neurons = culture.neurons();
+    let noise = Ziggurat::new();
     lc.vbuf.clear();
     lc.vbuf.resize(frame_len, 0.0);
     // Channels whose stripe contains no clipped pixel skip the clamp
@@ -357,10 +358,9 @@ fn scan_channel_linear(
                 .zip(lc.clip_lo.chunks_exact(cols_per_channel))
                 .zip(lc.clip_hi.chunks_exact(cols_per_channel));
             for (((row_out, ib), lo), hi) in row_iter {
-                // Row boundary: settling and noise-pair state restart,
-                // exactly as the reference chain's `reset_settling`.
+                // Row boundary: settling restarts, exactly as the
+                // reference chain's `reset_settling`.
                 let mut last = 0.0f64;
-                let mut noise = GaussianSampler::new();
                 for (((y, &i), &lo_k), &hi_k) in row_out.iter_mut().zip(ib).zip(lo).zip(hi) {
                     let z = noise.sample(rng);
                     let noisy = i + cc.sigma * z;
@@ -377,7 +377,6 @@ fn scan_channel_linear(
                 .zip(lc.vbuf.chunks_exact(cols_per_channel));
             for (row_out, ib) in row_iter {
                 let mut last = 0.0f64;
-                let mut noise = GaussianSampler::new();
                 for (y, &i) in row_out.iter_mut().zip(ib) {
                     let z = noise.sample(rng);
                     let noisy = i + cc.sigma * z;
