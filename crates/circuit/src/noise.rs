@@ -112,7 +112,7 @@ fn ziggurat_tables() -> &'static ZigguratTables {
 /// Ziggurat sampler for `N(0, 1)` variates (Marsaglia & Tsang 2000, 256
 /// layers, exact tail).
 ///
-/// Almost every draw (about 99 %) costs one `u64` and one multiply: its
+/// Almost every draw (98.5 %) costs one `u64` and one multiply: its
 /// low 8 bits pick a layer, its top 52 bits a signed position inside the
 /// layer's rectangle. Only draws that land in a layer's wedge or in the
 /// tail take a second uniform and an `exp` or `ln`. The sampler holds no
