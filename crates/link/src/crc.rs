@@ -10,74 +10,65 @@
 //! which is the property the corruption tests in `crates/link/tests/`
 //! exercise exhaustively.
 //!
-//! # Slice-by-8
+//! # Folding on the generator's period
 //!
-//! The checksum is linear over GF(2), so folding eight bytes `b0..b7` into
-//! the state `c` splits into eight independent lookups:
+//! The checksum of a message `M` is `M(x)·x⁸ mod P`, with
+//! `P = x⁸+x²+x+1 = (x+1)(x⁷+x⁶+x⁵+x⁴+x³+x²+1)`. The degree-7 factor is
+//! primitive, so the order of `x` modulo `P` is 127 and `x^(8·127) ≡ 1`:
+//! moving a byte 127 positions earlier or later leaves the residue
+//! unchanged. With init 0 and no final XOR, the CRC of `M` therefore
+//! equals the CRC of the 127 bytes obtained by cutting `M` into 127-byte
+//! blocks aligned to its *end* and XOR-ing them together. An input longer
+//! than 127 bytes costs one plain XOR pass, which the compiler
+//! vectorizes, plus 127 lookups in the one-byte table `T[x]` (the CRC of
+//! byte `x`); shorter inputs use `T` a byte at a time. The running state
+//! enters the fold at the byte the input's first byte lands on, exactly
+//! as the byte loop XORs it into the next byte. Every checksum equals the
+//! bit-serial definition, which the link test suite keeps as its oracle.
 //!
-//! ```text
-//! c' = T[7][c ^ b0] ^ T[6][b1] ^ T[5][b2] ^ … ^ T[1][b6] ^ T[0][b7]
-//! ```
-//!
-//! where `T[k][x]` is the CRC of byte `x` followed by `k` zero bytes.
-//! `T[0]` is the classic one-byte table; `T[k]` is `T[0]` applied to
-//! `T[k-1]`. The eight tables (2 KiB) are built at compile time. Only the
-//! `T[7]` lookup depends on the previous state, so each 8-byte step costs
-//! one dependent load instead of eight; a 1–7 byte tail folds through
-//! `T[0]` a byte at a time. Every checksum equals the bit-serial
-//! definition, which the link test suite keeps as its oracle.
+//! The same identity means two identical flips 127 bytes apart cancel.
+//! That is a property of this generator at any speed — every CRC with
+//! this polynomial misses them — not something the fold introduces.
 
 /// Generator polynomial x⁸ + x² + x + 1.
 pub const CRC8_POLY: u8 = 0x07;
 
-/// `TABLES[k][x]`: CRC of byte `x` followed by `k` zero bytes.
-const TABLES: [[u8; 256]; 8] = build_tables();
+/// Order of x modulo the generator, in bytes: shifting a byte by this
+/// many positions leaves the checksum unchanged.
+const PERIOD: usize = 127;
 
-/// CRC of the single byte `byte`, MSB first (the bit-serial definition).
-const fn crc_of_byte(byte: u8) -> u8 {
-    let mut crc = byte;
-    let mut bit = 0;
-    while bit < 8 {
-        crc = if crc & 0x80 != 0 {
-            (crc << 1) ^ CRC8_POLY
-        } else {
-            crc << 1
-        };
-        bit += 1;
-    }
-    crc
-}
+/// `TABLE[x]`: CRC of the single byte `x`, MSB first (the bit-serial
+/// definition), built at compile time.
+const TABLE: [u8; 256] = build_table();
 
-/// Feeding a zero byte from state `s` gives `crc_of_byte(s)`, so
-/// `T[k][x]` is `crc_of_byte` applied `k + 1` times to `x`.
-const fn build_tables() -> [[u8; 256]; 8] {
-    let mut tables = [[0u8; 256]; 8];
-    let mut rows: &mut [[u8; 256]] = &mut tables;
-    let mut zeros = 0;
-    while let [row, rest @ ..] = rows {
-        let mut slots: &mut [u8] = row;
-        let mut x: u8 = 0;
-        while let [slot, tail @ ..] = slots {
-            let mut crc = crc_of_byte(x);
-            let mut k = 0;
-            while k < zeros {
-                crc = crc_of_byte(crc);
-                k += 1;
-            }
-            *slot = crc;
-            x = x.wrapping_add(1);
-            slots = tail;
+const fn build_table() -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut slots: &mut [u8] = &mut table;
+    let mut x: u8 = 0;
+    while let [slot, tail @ ..] = slots {
+        let mut crc = x;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x80 != 0 {
+                (crc << 1) ^ CRC8_POLY
+            } else {
+                crc << 1
+            };
+            bit += 1;
         }
-        zeros += 1;
-        rows = rest;
+        *slot = crc;
+        x = x.wrapping_add(1);
+        slots = tail;
     }
-    tables
+    table
 }
 
-/// Table lookup without a panic path (`u8` always indexes a 256-table).
-#[inline(always)]
-fn lut(table: &[u8; 256], index: u8) -> u8 {
-    table.get(usize::from(index)).copied().unwrap_or(0)
+/// Folds `bytes` into `crc` one table lookup per byte.
+fn fold_bytes(crc: u8, bytes: &[u8]) -> u8 {
+    bytes.iter().fold(crc, |crc, &b| {
+        // A `u8` always indexes the 256-entry table.
+        TABLE.get(usize::from(crc ^ b)).copied().unwrap_or(0)
+    })
 }
 
 /// Streaming CRC-8 state, for callers that feed bytes incrementally
@@ -97,32 +88,36 @@ impl Crc8 {
 
     /// Folds one byte into the state, MSB first.
     pub fn update(&mut self, byte: u8) {
-        let [t0, ..] = &TABLES;
-        self.state = lut(t0, self.state ^ byte);
+        self.state = fold_bytes(self.state, &[byte]);
     }
 
-    /// Folds a byte slice into the state, eight bytes per step.
+    /// Folds a byte slice into the state: a byte at a time up to 127
+    /// bytes, by XOR-folding on the generator's period beyond.
     pub fn update_bytes(&mut self, bytes: &[u8]) {
-        let [t0, t1, t2, t3, t4, t5, t6, t7] = &TABLES;
-        let mut crc = self.state;
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let Ok([b0, b1, b2, b3, b4, b5, b6, b7]) = <[u8; 8]>::try_from(chunk) else {
-                continue;
-            };
-            crc = lut(t7, crc ^ b0)
-                ^ lut(t6, b1)
-                ^ lut(t5, b2)
-                ^ lut(t4, b3)
-                ^ lut(t3, b4)
-                ^ lut(t2, b5)
-                ^ lut(t1, b6)
-                ^ lut(t0, b7);
+        if bytes.len() <= PERIOD {
+            self.state = fold_bytes(self.state, bytes);
+            return;
         }
-        for &b in chunks.remainder() {
-            crc = lut(t0, crc ^ b);
+        // Blocks align to the input's end, so the partial head block
+        // lands right-aligned: its first byte, the input's first, sits at
+        // `start`, and the running state enters there as the byte loop
+        // would XOR it in.
+        let (head, blocks) = bytes.split_at(bytes.len() % PERIOD);
+        let start = (PERIOD - head.len()) % PERIOD;
+        let mut acc = [0u8; PERIOD];
+        let (_, tail) = acc.split_at_mut(start);
+        if let Some(first) = tail.first_mut() {
+            *first = self.state;
         }
-        self.state = crc;
+        for (a, b) in tail.iter_mut().zip(head) {
+            *a ^= b;
+        }
+        for block in blocks.chunks_exact(PERIOD) {
+            for (a, b) in acc.iter_mut().zip(block) {
+                *a ^= b;
+            }
+        }
+        self.state = fold_bytes(0, &acc);
     }
 
     /// Returns the checksum of everything fed so far.
@@ -166,7 +161,9 @@ mod tests {
 
     #[test]
     fn detects_every_single_byte_flip() {
-        let data: Vec<u8> = (0u8..64).collect();
+        // 300 bytes span two fold periods and a partial head, so flips
+        // land in the head, in both full blocks and on every boundary.
+        let data: Vec<u8> = (0..300u16).map(|i| (i * 37 % 251) as u8).collect();
         let clean = crc8(&data);
         for i in 0..data.len() {
             for mask in [0x01u8, 0x80, 0xFF] {
@@ -176,6 +173,22 @@ mod tests {
                 }
                 assert_ne!(crc8(&corrupt), clean, "flip at {i} mask {mask:#x}");
             }
+        }
+    }
+
+    #[test]
+    fn appending_127_zero_bytes_leaves_the_crc_unchanged() {
+        let long: Vec<u8> = (0..=200u8).collect();
+        for data in [&b"123456789"[..], &[0x01], &long] {
+            let mut padded = data.to_vec();
+            padded.resize(data.len() + PERIOD, 0);
+            assert_eq!(crc8(&padded), crc8(data), "{} bytes", data.len());
+        }
+        // 127 is the shortest such shift: x has order 127 modulo P.
+        for zeros in 1..PERIOD {
+            let mut padded = vec![0x01];
+            padded.resize(1 + zeros, 0);
+            assert_ne!(crc8(&padded), crc8(&[0x01]), "{zeros} zero bytes");
         }
     }
 }

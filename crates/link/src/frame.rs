@@ -43,21 +43,22 @@ pub const MAX_FRAME_LEN: usize = MAX_PAYLOAD + FRAME_OVERHEAD;
 
 /// Encodes a message into one complete frame.
 ///
-/// The frame is built in the payload's own buffer, which
-/// [`Message::encode_payload`] sizes for the header and trailer too: the
-/// payload shifts up by [`HEADER_LEN`] in place, the header fills the gap
-/// and the CRC is appended, with no further allocation.
+/// The frame is built in one buffer: [`Message`] serialises its body
+/// behind [`HEADER_LEN`] reserved bytes, the header fills them in and
+/// the CRC is appended, with no further allocation or copy.
 #[must_use]
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let mut frame = msg.encode_payload();
-    let len = frame.len();
+    let mut frame = msg.encode_after(HEADER_LEN);
+    let len = frame.len().saturating_sub(HEADER_LEN);
     // No legitimate message approaches MAX_PAYLOAD (the largest stream
     // chunk is bounded by the station's chunking policy); this is a
     // caller-bug guard, not a wire condition.
     assert!(len <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
     let [m0, m1] = MAGIC;
     let [l0, l1, l2, l3] = (len as u32).to_le_bytes();
-    frame.splice(..0, [m0, m1, PROTOCOL_VERSION, l0, l1, l2, l3]);
+    if let Some(header) = frame.first_chunk_mut() {
+        *header = [m0, m1, PROTOCOL_VERSION, l0, l1, l2, l3];
+    }
     frame.push(crc8(&frame));
     frame
 }

@@ -31,7 +31,6 @@
 //! | any                  | `ErrorReply` on failure                    |
 
 use crate::error::ProtocolError;
-use crate::frame::FRAME_OVERHEAD;
 use crate::samples::SAMPLE_LEN;
 use crate::wire::{Reader, Writer};
 
@@ -1056,12 +1055,18 @@ impl Message {
 
     /// Serialises the message body (tag + fields) without framing.
     /// [`crate::encode_frame`] wraps this in magic/version/length/CRC.
-    ///
-    /// The buffer is allocated once, with room for the frame header and
-    /// CRC trailer as well, so framing adds no second allocation.
     #[must_use]
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.payload_len_hint() + FRAME_OVERHEAD);
+        self.encode_after(0)
+    }
+
+    /// Serialises the message body behind `head` zero bytes, in one
+    /// buffer with room for a one-byte trailer as well, so that
+    /// [`crate::encode_frame`] fills in the header and appends the CRC
+    /// without moving the body or allocating again.
+    pub(crate) fn encode_after(&self, head: usize) -> Vec<u8> {
+        let mut w = Writer::with_capacity(head + self.payload_len_hint() + 1);
+        w.zeros(head);
         match self {
             Self::Hello { client } => {
                 w.u8(TAG_HELLO);

@@ -143,6 +143,11 @@ impl Writer {
         self.buf
     }
 
+    /// Appends `n` zero bytes.
+    pub(crate) fn zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
     pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }

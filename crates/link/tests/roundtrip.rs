@@ -1,7 +1,7 @@
 //! Protocol correctness: `decode ∘ encode = id` for every message type
 //! (proptest-generated), and corruption safety — any single flipped byte
 //! in a framed message is rejected with a typed error, never a panic and
-//! never a wrong-but-valid message. The table-driven CRC-8 is checked
+//! never a wrong-but-valid message. The folding CRC-8 is checked
 //! against the bit-serial definition, and stream samples against
 //! `f64::to_bits` identity.
 
@@ -452,18 +452,27 @@ proptest! {
         prop_assert!(decode_frame(frame.get(..cut).unwrap()).is_err());
     }
 
-    /// The slice-by-8 kernel equals the bit-serial definition one-shot,
-    /// streamed over an arbitrary split, and byte by byte. Lengths up to
-    /// 4 KiB cover every `len % 8` tail on both sides of the split.
+    /// The folding kernel equals the bit-serial definition one-shot,
+    /// streamed over a split, and byte by byte. Lengths up to 8 KiB reach
+    /// 64 fold periods; the split lands anywhere, or within 260 bytes of
+    /// either end, so each half takes the byte loop (127 bytes or fewer)
+    /// as well as the fold.
     #[test]
     fn crc_matches_bitwise_oracle(
-        bytes in prop::collection::vec(any::<u8>(), 0..=4096),
+        bytes in prop::collection::vec(any::<u8>(), 0..=8192),
         split_seed in any::<usize>(),
+        split_near in 0u8..3,
     ) {
+        let len = bytes.len();
+        let at = match split_near {
+            0 => split_seed % (len + 1),
+            1 => (split_seed % 260).min(len),
+            _ => len.saturating_sub(split_seed % 260),
+        };
         let expected = bitwise_crc8(&bytes);
         prop_assert_eq!(crc8(&bytes), expected);
 
-        let (head, tail) = bytes.split_at(split_seed % (bytes.len() + 1));
+        let (head, tail) = bytes.split_at(at);
         let mut streamed = Crc8::new();
         streamed.update_bytes(head);
         streamed.update_bytes(tail);
@@ -474,6 +483,70 @@ proptest! {
             per_byte.update(b);
         }
         prop_assert_eq!(per_byte.finish(), expected);
+    }
+}
+
+/// `len` pseudo-random bytes (xorshift), so long buffers have no
+/// structure the fold could accidentally cancel.
+fn noise_bytes(len: usize) -> Vec<u8> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 56) as u8
+        })
+        .collect()
+}
+
+/// Every length up to three fold periods, split at every point: the
+/// state carried into a fold lands on the right accumulator byte for
+/// each head length.
+#[test]
+fn crc_streams_across_every_fold_split() {
+    let bytes = noise_bytes(3 * 127 + 2);
+    let stride = if cfg!(miri) { 29 } else { 1 };
+    for len in (0..=bytes.len()).step_by(stride) {
+        let data = bytes.get(..len).unwrap();
+        let expected = bitwise_crc8(data);
+        assert_eq!(crc8(data), expected, "{len} bytes");
+        for at in (0..=len).step_by(stride) {
+            let (head, tail) = data.split_at(at);
+            let mut streamed = Crc8::new();
+            streamed.update_bytes(head);
+            streamed.update_bytes(tail);
+            assert_eq!(streamed.finish(), expected, "{len} bytes split at {at}");
+        }
+    }
+}
+
+/// Wire-sized inputs: a one-frame 128×128 stream chunk as `encode_frame`
+/// emits it, a 131 075-byte buffer and a 1 MiB + 7 buffer, one-shot and
+/// streamed from an odd split.
+#[test]
+#[cfg_attr(miri, ignore = "megabyte inputs through the bit-serial oracle")]
+fn crc_matches_bitwise_oracle_on_wire_sized_buffers() {
+    let chunk = encode_frame(&Message::StreamData {
+        chip: 1,
+        seq: 2,
+        payload: StreamPayload::NeuroFrames {
+            first_frame: 3,
+            rows: 128,
+            cols: 128,
+            samples: (0..128 * 128).map(|i| f64::from(i) * 1e-6 - 0.5).collect(),
+        },
+    });
+    let (body, trailer) = chunk.split_at(chunk.len() - 1);
+    assert_eq!(trailer, [bitwise_crc8(body)]);
+    for data in [chunk, noise_bytes(131_075), noise_bytes((1 << 20) + 7)] {
+        let expected = bitwise_crc8(&data);
+        assert_eq!(crc8(&data), expected, "{} bytes", data.len());
+        let (head, tail) = data.split_at(1000);
+        let mut streamed = Crc8::new();
+        streamed.update_bytes(head);
+        streamed.update_bytes(tail);
+        assert_eq!(streamed.finish(), expected, "{} bytes streamed", data.len());
     }
 }
 

@@ -492,6 +492,33 @@ fn idle_sessions_are_reaped_and_slots_freed() {
     );
 }
 
+/// A station at `max_sessions` refuses the next connection with one
+/// typed `Overloaded` reply before closing it. The refused client reads
+/// before it sends anything: a Hello still unread when the station
+/// closes the socket would reset it, and the reply could be lost.
+#[test]
+fn over_capacity_connection_reads_an_overloaded_reply() {
+    let station = Station::bind(StationConfig {
+        max_sessions: 1,
+        ..StationConfig::default()
+    })
+    .unwrap();
+    let mut live = StationClient::connect(station.addr(), "live").unwrap();
+    live.ping(1).unwrap();
+
+    let mut refused = TcpStream::connect(station.addr()).unwrap();
+    refused
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match read_message(&mut refused).unwrap() {
+        Message::ErrorReply { code, .. } => assert_eq!(code, ErrorCode::Overloaded),
+        other => panic!("expected ErrorReply, got {other:?}"),
+    }
+
+    // The refusal costs the live session nothing.
+    live.ping(2).unwrap();
+}
+
 /// The store acceptance test: record a live 128x128 neuro stream and a
 /// DNA assay to disk, then replay both through a *fresh* station session
 /// and require the replayed data to be indistinguishable from the live
