@@ -94,3 +94,142 @@ impl Station {
         drop((g, d));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Call resolution — the one rule every call-graph pass shares
+// (DESIGN.md §9.2). Each pair below takes two locks in opposite orders,
+// one of them through a call; a cycle is reported only where that call
+// binds.
+// ---------------------------------------------------------------------------
+
+pub struct Hub {
+    rho: Mutex<u32>,
+    sigma: Mutex<u32>,
+    tau: Mutex<u32>,
+    upsilon: Mutex<u32>,
+    phi: Mutex<u32>,
+    chi: Mutex<u32>,
+    psi: Mutex<u32>,
+    omega: Mutex<u32>,
+    kappa: Mutex<u32>,
+    lambda: Mutex<u32>,
+}
+
+pub struct Relay;
+pub struct Spare;
+
+impl Hub {
+    // -- `Type::name` binds exactly, although the bare `take_sigma` is
+    // defined twice: cycle [lock:rho, lock:sigma].
+
+    pub fn rho_then_sigma(&self) {
+        let r = self.rho.lock();
+        Relay::take_sigma(self); //~ conc.lock-order
+        drop(r);
+    }
+
+    pub fn sigma_then_rho(&self) {
+        let s = self.sigma.lock();
+        let r = self.rho.lock();
+        drop((s, r));
+    }
+
+    // -- `Self::name` binds to this impl's fn: cycle [lock:tau,
+    // lock:upsilon].
+
+    pub fn tau_then_upsilon(&self) {
+        let t = self.tau.lock();
+        Self::take_upsilon(self); //~ conc.lock-order
+        drop(t);
+    }
+
+    fn take_upsilon(hub: &Hub) {
+        let u = hub.upsilon.lock();
+        drop(u);
+    }
+
+    pub fn upsilon_then_tau(&self) {
+        let u = self.upsilon.lock();
+        let t = self.tau.lock();
+        drop((u, t));
+    }
+
+    // -- An ambiguous bare name binds nothing: no cycle.
+
+    pub fn chi_then_phi(&self) {
+        let c = self.chi.lock();
+        take_phi(self);
+        drop(c);
+    }
+
+    pub fn phi_then_chi(&self) {
+        let p = self.phi.lock();
+        let c = self.chi.lock();
+        drop((p, c));
+    }
+
+    // -- Method syntax cannot call a free fn: no cycle.
+
+    pub fn psi_then_omega(&self) {
+        let p = self.psi.lock();
+        self.take_omega();
+        drop(p);
+    }
+
+    pub fn omega_then_psi(&self) {
+        let o = self.omega.lock();
+        let p = self.psi.lock();
+        drop((o, p));
+    }
+
+    // -- A bare call cannot call a fn that takes `self`: no cycle.
+
+    pub fn kappa_then_lambda(&self) {
+        let k = self.kappa.lock();
+        take_lambda(self);
+        drop(k);
+    }
+
+    fn take_lambda(&self) {
+        let l = self.lambda.lock();
+        drop(l);
+    }
+
+    pub fn lambda_then_kappa(&self) {
+        let l = self.lambda.lock();
+        let k = self.kappa.lock();
+        drop((l, k));
+    }
+}
+
+impl Relay {
+    fn take_sigma(hub: &Hub) {
+        let s = hub.sigma.lock();
+        drop(s);
+    }
+}
+
+impl Spare {
+    fn take_sigma(hub: &Hub) {
+        drop(hub);
+    }
+}
+
+mod left {
+    fn take_phi(hub: &Hub) {
+        let p = hub.phi.lock();
+        drop(p);
+    }
+}
+
+mod right {
+    fn take_phi(hub: &Hub) {
+        let p = hub.phi.lock();
+        drop(p);
+    }
+}
+
+fn take_omega(hub: &Hub) {
+    let o = hub.omega.lock();
+    drop(o);
+}

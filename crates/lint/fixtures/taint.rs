@@ -177,3 +177,72 @@ fn construction_is_clean(token: u64) -> Message {
     let _ = Vec::<u8>::with_capacity(token as usize);
     reply
 }
+
+// ---------------------------------------------------------------------------
+// Call resolution — the one rule every call-graph pass shares
+// (DESIGN.md §9.2)
+// ---------------------------------------------------------------------------
+
+pub struct Pool;
+pub struct Arena;
+
+impl Pool {
+    /// Allocates from its parameter unconditionally.
+    fn reserve_for(n: usize) -> Vec<u8> {
+        Vec::with_capacity(n)
+    }
+
+    fn grow_self(&self, n: usize) -> Vec<u8> {
+        Vec::with_capacity(n)
+    }
+
+    /// `Self::name` binds to this impl's fn.
+    fn self_qualified(b: [u8; 4]) -> Vec<u8> {
+        let n = u32::from_le_bytes(b) as usize;
+        Self::reserve_for(n) //~ taint.wire-alloc
+    }
+}
+
+impl Arena {
+    /// Same name, but validates its parameter first.
+    fn reserve_for(n: usize) -> Vec<u8> {
+        if n > MAX_N {
+            return Vec::new();
+        }
+        Vec::with_capacity(n)
+    }
+}
+
+/// `Type::name` binds exactly, although the bare `reserve_for` is
+/// defined twice.
+fn type_qualified(b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    Pool::reserve_for(n) //~ taint.wire-alloc
+}
+
+fn type_qualified_guarded(b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    Arena::reserve_for(n)
+}
+
+/// An ambiguous bare name binds nothing.
+fn ambiguous_bare(b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    reserve_for(n)
+}
+
+fn grow_free(n: usize) -> Vec<u8> {
+    Vec::with_capacity(n)
+}
+
+/// Method syntax cannot call a free fn.
+fn method_form_call(pool: &Pool, b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    pool.grow_free(n)
+}
+
+/// A bare call cannot call a fn that takes `self`.
+fn bare_form_call(b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    grow_self(n)
+}
