@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use crate::lexer::{Token, TokenKind};
-use crate::parser::{FnItem, ParsedFile};
+use crate::parser::{CallSite, FnItem, ParsedFile};
 use crate::rules::{index_site, suggested_unit_type, violation, Violation};
 use crate::summary::{RetContract, Summaries};
 use crate::syntax::{
@@ -194,13 +194,14 @@ fn fact_names(fact: &Fact) -> (Option<&str>, Vec<&str>) {
 
 /// Folds one fn's lowered statements into scoped interval facts.
 /// `summaries` supplies cross-function return-bound contracts consumed
-/// at call-site bindings and for-loop iterators (see `crate::summary`).
+/// at call-site bindings and for-loop iterators (see `crate::summary`),
+/// looked up through `f`'s call sites.
 pub(crate) fn collect_facts(tokens: &[Token], f: &FnItem, summaries: &Summaries) -> Facts {
     let mut raw = Pending::default();
     for s in &f.stmts {
         match &s.kind {
             StmtKind::For { pat, iter, body } => {
-                for_facts(tokens, pat, iter, body, summaries, &mut raw);
+                for_facts(tokens, pat, iter, body, (summaries, &f.calls), &mut raw);
             }
             // Facts from a true condition hold inside the body whether
             // or not it falls through (for `while`, the scope cut keeps
@@ -252,7 +253,7 @@ pub(crate) fn collect_facts(tokens: &[Token], f: &FnItem, summaries: &Summaries)
             StmtKind::Let {
                 var, rhs, scope, ..
             } => {
-                if let Some(fact) = let_fact(tokens, var, rhs, summaries) {
+                if let Some(fact) = let_fact(tokens, var, rhs, (summaries, &f.calls)) {
                     raw.push(scope.start, scope.clone(), fact);
                 }
             }
@@ -299,7 +300,7 @@ fn for_facts(
     pat: &Range<usize>,
     iter: &Range<usize>,
     body: &Range<usize>,
-    summaries: &Summaries,
+    (summaries, calls): (&Summaries, &[CallSite]),
     raw: &mut Pending,
 ) {
     // Pattern: a single ident, or a tuple whose first ident is the index.
@@ -385,7 +386,8 @@ fn for_facts(
     }
     // `for v in f(a, b, ..) {}` where `f`'s summary promises every
     // yielded element is `< param k` — bind `v < arg_k` in the body.
-    if let (Some(k), Some(args)) = (summaries.elems_lt_param(&path), args) {
+    let elems = summaries.elems_lt_param(calls, after - 1);
+    if let (Some(k), Some(args)) = (elems, args) {
         if let Some(path) = call_arg_path(tokens, &args, k) {
             push(Fact::VarLtPath { var, path }, None);
         }
@@ -556,7 +558,7 @@ fn let_fact(
     tokens: &[Token],
     var: &str,
     rhs: &Range<usize>,
-    summaries: &Summaries,
+    (summaries, calls): (&Summaries, &[CallSite]),
 ) -> Option<(Fact, Option<u64>)> {
     let var = var.to_string();
     // `let v = 0;`
@@ -587,7 +589,9 @@ fn let_fact(
             let args = after + 1..close;
             let whole = close + 1 == rhs.end;
             let tried = tok_punct(tokens, close + 1, '?') && close + 2 == rhs.end;
-            let contract = summaries.ret_contract(&path).filter(|_| whole || tried);
+            let contract = summaries
+                .ret_contract(calls, after - 1)
+                .filter(|_| whole || tried);
             let fact = contract.and_then(|contract| match contract {
                 RetContract::LtParam(k) => {
                     call_arg_path(tokens, &args, *k).map(|path| Fact::VarLtPath {
@@ -1097,24 +1101,23 @@ fn term_unit(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser::parse_file;
+    use crate::parser::parse_workspace;
 
     fn run(src: &str, check_units: bool) -> (Vec<Violation>, FileProofs) {
         let tokens = lex(src);
-        let parsed = parse_file("test.rs", &tokens);
         // Summaries computed from the same snippet, so cross-function
         // contract tests exercise the real pipeline shape.
         let sources = vec![crate::workspace::SourceFile {
             path: "test.rs".to_string(),
             tokens: tokens.clone(),
         }];
-        let parsed_files = vec![parse_file("test.rs", &tokens)];
+        let parsed_files = parse_workspace(&sources);
         let summaries = crate::summary::compute_summaries(&sources, &parsed_files);
         let mut out = Vec::new();
         let proofs = flow_pass(
             "test.rs",
             &tokens,
-            &parsed,
+            &parsed_files[0],
             check_units,
             &summaries,
             &mut out,

@@ -23,12 +23,16 @@
 //!    mixup fails to compile instead of silently corrupting a readout.
 //!
 //! On top of them sit the *semantic* families that need the whole
-//! workspace at once: a lightweight parser ([`parser`]) extracts fns,
-//! impls, enums and call sites; a cross-crate call graph then powers
+//! workspace at once. A lightweight parser ([`parser`]) extracts fns,
+//! impls, enums and call sites, and resolves every call site to the fn it
+//! binds to, once for the whole workspace, under one rule (DESIGN.md
+//! §9.2). Every call-graph pass reads that call table:
 //! `reach.panic` (transitive panic reachability behind public APIs,
-//! [`reach`]), `proto.error-reply` (every typed reply code is sendable,
-//! [`proto`]) and `conc.*` (atomic read-modify-write and lock discipline
-//! in the serving crates, [`conc`]).
+//! [`reach`]), the function summaries, the taint analysis, and `conc.*`
+//! (atomic read-modify-write, lock discipline and the global
+//! lock/channel acquisition-order cycle detector `conc.lock-order` in the
+//! serving crates, [`conc`]). `proto.error-reply` (every typed reply code
+//! is sendable, [`proto`]) reads the enums.
 //!
 //! The dataflow passes share one statement model: [`syntax`] lowers each
 //! parsed fn once into typed parameters, statements (`let`, assignment,
@@ -39,9 +43,7 @@
 //!
 //! The *dataflow* layer is an intraprocedural interval prover and unit
 //! inferencer ([`flow`]) that discharge proven `panic.indexing` sites
-//! and flag definite range/dimension bugs (`flow.range`, `flow.unit`),
-//! plus a global lock/channel acquisition-order cycle detector over the
-//! serving crates ([`locks`], `conc.lock-order`).
+//! and flag definite range/dimension bugs (`flow.range`, `flow.unit`).
 //!
 //! The *interprocedural* layer is bottom-up function summaries
 //! ([`summary`]) that lift the interval prover across call boundaries
@@ -60,7 +62,6 @@ pub mod allow;
 pub mod conc;
 pub mod flow;
 pub mod lexer;
-pub mod locks;
 pub mod parser;
 pub mod proto;
 pub mod reach;
@@ -72,10 +73,9 @@ pub mod taint;
 pub mod workspace;
 
 pub use allow::{reconcile, AllowEntry, Allowlist, Reconciliation};
-pub use conc::{conc_pass, STATION_PREFIX};
+pub use conc::{conc_pass, lock_order_pass};
 pub use flow::{flow_pass, FileProofs};
-pub use locks::lock_order_pass;
-pub use parser::{parse_file, ParsedFile};
+pub use parser::{parse_workspace, ParsedFile};
 pub use proto::{proto_pass, ProtoConfig, ProtoSummary};
 pub use reach::{reach_pass, ProvenLines};
 pub use report::{render_json, Report};

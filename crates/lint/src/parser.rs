@@ -9,15 +9,25 @@
 //! braces) are knowingly approximated; DESIGN.md §9.2 lists them. In
 //! exchange the whole analyzer stays dependency-free.
 //!
+//! [`parse_workspace`] also resolves every call site to the fn it binds
+//! to, once for the whole workspace: [`CallSite::target`] is the call
+//! table that `reach`, `summary`, `flow`, `taint` and `conc` read.
+//!
 //! Like the rule passes, this module practises what bsa-lint preaches:
 //! every token access is bounds-checked (`get`), so a degenerate token
 //! stream can produce a wrong parse but never a panic.
 
 use crate::lexer::{Token, TokenKind};
 use crate::syntax::{
-    depth0, lower, lower_params, matching, skip_angles, tok_punct, Param, Rebind, Stmt,
+    depth0, last_segment, lower, lower_params, matching, path_ending_at, skip_angles, tok_ident,
+    tok_punct, Param, Rebind, Stmt,
 };
+use crate::workspace::SourceFile;
+use std::collections::BTreeMap;
 use std::ops::Range;
+
+/// A fn by position: (index into the parsed files, index into its `fns`).
+pub type FnRef = (usize, usize);
 
 /// Parsed structure of one source file.
 #[derive(Debug, Clone)]
@@ -61,18 +71,33 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
 }
 
-/// One call site inside a function body.
+/// One call site inside a function body: the single record of a call.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// The called name (last path segment).
-    pub callee: String,
-    /// The path segment before `::`, with `Self` resolved to the
-    /// enclosing impl type. `None` for bare and method calls.
-    pub qualifier: Option<String>,
+    /// Token index of the callee ident.
+    pub at: usize,
+    /// The call path as written, ending at the callee (`helper`,
+    /// `plan::helper`, `self.helper`), with a `Self` qualifier replaced by
+    /// the enclosing impl type.
+    pub path: String,
     /// `true` for `receiver.callee(…)` method syntax.
     pub is_method: bool,
+    /// The ident just before a method call's `.` (`self.inner.lock()` →
+    /// `inner`).
+    pub receiver: Option<String>,
+    /// Token range between the call's parentheses.
+    pub args: Range<usize>,
     /// 1-based line of the callee token.
     pub line: usize,
+    /// The workspace fn the call binds to (see [`parse_workspace`]).
+    pub target: Option<FnRef>,
+}
+
+impl CallSite {
+    /// The called name (last path segment).
+    pub fn callee(&self) -> &str {
+        last_segment(&self.path)
+    }
 }
 
 /// One enum definition.
@@ -97,8 +122,20 @@ pub struct Variant {
     pub line: usize,
 }
 
-/// Parses a (test-stripped) token stream into items.
-pub fn parse_file(path: &str, tokens: &[Token]) -> ParsedFile {
+/// Parses every source and resolves its call sites across all of them.
+/// `sources` and the result are index-aligned.
+pub fn parse_workspace(sources: &[SourceFile]) -> Vec<ParsedFile> {
+    let mut parsed: Vec<ParsedFile> = sources
+        .iter()
+        .map(|s| parse_file(&s.path, &s.tokens))
+        .collect();
+    resolve_calls(&mut parsed);
+    parsed
+}
+
+/// Parses one (test-stripped) token stream into items; its call sites
+/// stay unresolved.
+pub(crate) fn parse_file(path: &str, tokens: &[Token]) -> ParsedFile {
     let impls = impl_regions(tokens);
     let mut fns = fn_items(tokens, &impls);
     attribute_calls(tokens, &impls, &mut fns);
@@ -107,6 +144,39 @@ pub fn parse_file(path: &str, tokens: &[Token]) -> ParsedFile {
         path: path.to_string(),
         fns,
         enums,
+    }
+}
+
+/// The one call-binding rule (DESIGN.md §9.2). `Type::name(…)` and
+/// `Self::name(…)` bind to the fn that `impl Type` defines. Any other call
+/// binds by its bare name when exactly one fn in the workspace has that
+/// name and takes `self` exactly when the call uses method syntax. Std
+/// calls and ambiguous names bind nothing.
+fn resolve_calls(parsed: &mut [ParsedFile]) {
+    let mut qualified: BTreeMap<String, Vec<FnRef>> = BTreeMap::new();
+    let mut bare: BTreeMap<String, Vec<(FnRef, bool)>> = BTreeMap::new();
+    for (fi, pf) in parsed.iter().enumerate() {
+        for (gi, f) in pf.fns.iter().enumerate() {
+            qualified
+                .entry(f.qualified.clone())
+                .or_default()
+                .push((fi, gi));
+            let entry = bare.entry(f.name.clone()).or_default();
+            entry.push(((fi, gi), f.has_self));
+        }
+    }
+    let calls = parsed.iter_mut().flat_map(|pf| &mut pf.fns);
+    for c in calls.flat_map(|f| &mut f.calls) {
+        c.target = match c.path.rsplit_once("::") {
+            Some((ty, name)) => match qualified.get(&format!("{}::{name}", last_segment(ty))) {
+                Some(ids) if ids.len() == 1 => ids.first().copied(),
+                _ => None,
+            },
+            None => match bare.get(c.callee()).map(Vec::as_slice) {
+                Some(&[(id, has_self)]) if has_self == c.is_method => Some(id),
+                _ => None,
+            },
+        };
     }
 }
 
@@ -344,60 +414,46 @@ const CALL_KEYWORDS: &[&str] = &[
 fn attribute_calls(tokens: &[Token], impls: &[ImplRegion], fns: &mut [FnItem]) {
     for (k, t) in tokens.iter().enumerate() {
         let Some(name) = t.ident() else { continue };
-        if !tokens.get(k + 1).is_some_and(|n| n.is_punct('(')) {
+        let Some(close) = matching(tokens, k + 1).filter(|_| tok_punct(tokens, k + 1, '(')) else {
             continue;
-        }
-        if CALL_KEYWORDS.contains(&name) {
-            continue;
-        }
-        let prev = k.checked_sub(1).and_then(|p| tokens.get(p));
+        };
         // `fn name(` is the definition, not a call.
-        if prev.is_some_and(|p| p.is_ident("fn")) {
+        if CALL_KEYWORDS.contains(&name) || tok_ident(tokens, k.wrapping_sub(1)) == Some("fn") {
             continue;
         }
-        let is_method = prev.is_some_and(|p| p.is_punct('.'));
-        let mut qualifier = None;
-        if !is_method {
-            let qualified = prev.is_some_and(|p| p.is_punct(':'))
-                && k.checked_sub(2)
-                    .and_then(|p| tokens.get(p))
-                    .is_some_and(|p| p.is_punct(':'));
-            if qualified {
-                qualifier = k
-                    .checked_sub(3)
-                    .and_then(|p| tokens.get(p))
-                    .and_then(Token::ident)
-                    .map(str::to_string);
-                if qualifier.as_deref() == Some("Self") {
-                    qualifier = enclosing_impl(impls, k);
-                }
-                // `Self::` outside an impl (or `::foo()`): unresolvable —
-                // recording it as a bare call would mis-resolve.
-                if qualifier.is_none() {
-                    continue;
-                }
+        let Some(mut path) = path_ending_at(tokens, k) else {
+            continue;
+        };
+        // `<T as Trait>::name(…)` and `::name(…)`: unresolvable —
+        // recording them as bare calls would mis-resolve.
+        let colons =
+            tok_punct(tokens, k.wrapping_sub(1), ':') && tok_punct(tokens, k.wrapping_sub(2), ':');
+        if colons && !path.contains("::") {
+            continue;
+        }
+        if let Some(rest) = path.strip_prefix("Self::") {
+            if let Some(ty) = enclosing_impl(impls, k) {
+                path = format!("{ty}::{rest}");
             }
         }
+        let is_method = tok_punct(tokens, k.wrapping_sub(1), '.');
         let call = CallSite {
-            callee: name.to_string(),
-            qualifier,
+            at: k,
+            path,
             is_method,
+            receiver: tok_ident(tokens, k.wrapping_sub(2))
+                .filter(|_| is_method)
+                .map(str::to_string),
+            args: k + 2..close,
             line: t.line,
+            target: None,
         };
         // Attribute to the innermost fn whose body contains the call.
-        let mut best: Option<usize> = None;
-        for (fi, f) in fns.iter().enumerate() {
-            if f.body.contains(&k) {
-                let better = match best.and_then(|b| fns.get(b)) {
-                    Some(bf) => f.body.start > bf.body.start,
-                    None => true,
-                };
-                if better {
-                    best = Some(fi);
-                }
-            }
-        }
-        if let Some(f) = best.and_then(|fi| fns.get_mut(fi)) {
+        let innermost = fns
+            .iter_mut()
+            .filter(|f| f.body.contains(&k))
+            .max_by_key(|f| f.body.start);
+        if let Some(f) = innermost {
             f.calls.push(call);
         }
     }
@@ -560,19 +616,65 @@ mod tests {
         "#;
         let p = parse(src);
         let run = p.fns.first().expect("run");
-        let calls: Vec<(String, Option<String>, bool)> = run
+        let calls: Vec<(&str, &str, bool, Option<&str>)> = run
             .calls
             .iter()
-            .map(|c| (c.callee.clone(), c.qualifier.clone(), c.is_method))
+            .map(|c| {
+                let receiver = c.receiver.as_deref();
+                (c.callee(), c.path.as_str(), c.is_method, receiver)
+            })
             .collect();
         assert_eq!(
             calls,
             vec![
-                ("step".into(), None, true),
-                ("halt".into(), Some("Engine".into()), false),
-                ("halt".into(), Some("Engine".into()), false),
-                ("spin".into(), None, false),
-                ("lift".into(), None, false),
+                ("step", "self.step", true, Some("self")),
+                ("halt", "Engine::halt", false, None),
+                ("halt", "Engine::halt", false, None),
+                ("spin", "spin", false, None),
+                ("lift", "lift", false, None),
+            ]
+        );
+    }
+
+    #[test]
+    fn calls_bind_under_one_rule() {
+        let src = r#"
+            impl A {
+                fn get() {}
+                fn method(&self) {}
+                fn run(&self) {
+                    Self::get(); B::get(); get(); self.free(); method(); self.method();
+                }
+            }
+            impl B { fn get() {} }
+            fn free() {}
+        "#;
+        let sources = [SourceFile {
+            path: "test.rs".to_string(),
+            tokens: lex(src),
+        }];
+        let parsed = parse_workspace(&sources);
+        let fns = &parsed[0].fns;
+        let run = fns.iter().find(|f| f.name == "run").unwrap();
+        let bound: Vec<(&str, Option<&str>)> = run
+            .calls
+            .iter()
+            .map(|c| {
+                (
+                    c.path.as_str(),
+                    c.target.map(|t| fns[t.1].qualified.as_str()),
+                )
+            })
+            .collect();
+        assert_eq!(
+            bound,
+            vec![
+                ("A::get", Some("A::get")),
+                ("B::get", Some("B::get")),
+                ("get", None),
+                ("self.free", None),
+                ("method", None),
+                ("self.method", Some("A::method")),
             ]
         );
     }
@@ -589,11 +691,8 @@ mod tests {
         let outer = p.fns.iter().find(|f| f.name == "outer").expect("outer");
         let inner = p.fns.iter().find(|f| f.name == "inner").expect("inner");
         assert_eq!(outer.calls.len(), 1);
-        assert_eq!(
-            outer.calls.first().map(|c| c.callee.as_str()),
-            Some("shallow")
-        );
-        assert_eq!(inner.calls.first().map(|c| c.callee.as_str()), Some("deep"));
+        assert_eq!(outer.calls.first().map(CallSite::callee), Some("shallow"));
+        assert_eq!(inner.calls.first().map(CallSite::callee), Some("deep"));
     }
 
     #[test]

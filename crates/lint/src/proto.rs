@@ -128,7 +128,7 @@ fn qualified_pairs(sources: &[SourceFile], prefix: &str) -> BTreeSet<(String, St
 mod tests {
     use super::*;
     use crate::lexer::{lex, strip_test_code};
-    use crate::parser::parse_file;
+    use crate::parser::parse_workspace;
 
     fn run(files: &[(&str, &str)]) -> (Vec<Violation>, ProtoSummary) {
         let sources: Vec<SourceFile> = files
@@ -138,10 +138,7 @@ mod tests {
                 tokens: strip_test_code(&lex(src)),
             })
             .collect();
-        let parsed: Vec<ParsedFile> = sources
-            .iter()
-            .map(|s| parse_file(&s.path, &s.tokens))
-            .collect();
+        let parsed = parse_workspace(&sources);
         let mut out = Vec::new();
         let summary = proto_pass(&sources, &parsed, &ProtoConfig::WORKSPACE, &mut out);
         (out, summary)

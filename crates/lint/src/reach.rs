@@ -18,13 +18,11 @@
 //! hold its own justification. `.unwrap()` propagates too; where it is
 //! written, clippy's `unwrap_used` reports it instead of a `panic.*` rule.
 //!
-//! Call resolution (DESIGN.md §9.2): `Type::name(…)` and `Self::name(…)`
-//! resolve exactly against impl-qualified definitions; bare `name(…)` and
-//! `.name(…)` method calls resolve only when `name` is unique among every
-//! fn the workspace defines (ambiguous or std names produce no edge).
+//! Edges come from the parser's call table ([`crate::parser::CallSite`]),
+//! under the one resolution rule of DESIGN.md §9.2.
 
 use crate::allow::Allowlist;
-use crate::parser::{CallSite, ParsedFile};
+use crate::parser::{FnRef, ParsedFile};
 use crate::rules::{panic_sites, violation, PanicSite, Violation};
 use crate::workspace::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,129 +50,38 @@ pub fn reach_pass(
     proven: &ProvenLines,
     out: &mut Vec<Violation>,
 ) {
-    let graph = Graph::build(sources, parsed, allow, proven);
-    let mut memo: Vec<State> = vec![State::Unvisited; graph.fns.len()];
-    for id in 0..graph.fns.len() {
-        let Some(node) = graph.fns.get(id) else {
-            continue;
-        };
-        if !node.is_pub || node.name == "main" {
-            continue;
-        }
-        if !REPORT_PREFIXES.iter().any(|p| node.file.starts_with(p)) {
-            continue;
-        }
-        // Direct panic sites are the lexical rules' job.
-        if node.sink.is_some() {
-            continue;
-        }
-        if let Some(trace) = search(id, &graph, &mut memo) {
-            out.push(violation(
-                &node.file,
-                node.line,
-                "reach.panic",
-                format!(
-                    "pub fn `{}` can panic transitively: `{}` → {trace}",
-                    node.qualified, node.qualified
-                ),
-            ));
-        }
-    }
-}
-
-/// One node of the call graph.
-struct Node {
-    file: String,
-    qualified: String,
-    name: String,
-    is_pub: bool,
-    line: usize,
-    /// Description of the first non-suppressed direct panic site, if any.
-    sink: Option<String>,
-    /// Resolved outgoing edges (indices into `Graph::fns`).
-    edges: Vec<usize>,
-}
-
-struct Graph {
-    fns: Vec<Node>,
-}
-
-impl Graph {
-    fn build(
-        sources: &[SourceFile],
-        parsed: &[ParsedFile],
-        allow: &Allowlist,
-        proven: &ProvenLines,
-    ) -> Self {
-        // Flatten every fn in the workspace into one node list.
-        let mut fns: Vec<Node> = Vec::new();
-        let mut raw_calls: Vec<Vec<CallSite>> = Vec::new();
-        for (fi, pf) in parsed.iter().enumerate() {
-            for f in &pf.fns {
-                let body = sources
-                    .get(fi)
-                    .and_then(|s| s.tokens.get(f.body.clone()))
-                    .unwrap_or(&[]);
-                fns.push(Node {
-                    file: pf.path.clone(),
-                    qualified: f.qualified.clone(),
-                    name: f.name.clone(),
-                    is_pub: f.is_pub,
-                    line: f.line,
-                    sink: direct_sink(&pf.path, body, allow, proven),
-                    edges: Vec::new(),
-                });
-                raw_calls.push(f.calls.clone());
+    // The first non-suppressed direct panic site of every fn that has one.
+    let mut sinks: BTreeMap<FnRef, String> = BTreeMap::new();
+    for (fi, (sf, pf)) in sources.iter().zip(parsed).enumerate() {
+        for (gi, f) in pf.fns.iter().enumerate() {
+            let body = sf.tokens.get(f.body.clone()).unwrap_or(&[]);
+            if let Some(sink) = direct_sink(&pf.path, body, allow, proven) {
+                sinks.insert((fi, gi), sink);
             }
         }
-
-        // Name indexes for resolution.
-        let mut by_qualified: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (id, node) in fns.iter().enumerate() {
-            by_qualified
-                .entry(node.qualified.as_str())
-                .or_default()
-                .push(id);
-            by_name.entry(node.name.as_str()).or_default().push(id);
+    }
+    let mut memo: Memo = BTreeMap::new();
+    for (fi, pf) in parsed.iter().enumerate() {
+        if !REPORT_PREFIXES.iter().any(|p| pf.path.starts_with(p)) {
+            continue;
         }
-
-        let mut edges: Vec<Vec<usize>> = Vec::with_capacity(fns.len());
-        for calls in &raw_calls {
-            let mut resolved = Vec::new();
-            for call in calls {
-                if let Some(target) = resolve(call, &by_qualified, &by_name) {
-                    if !resolved.contains(&target) {
-                        resolved.push(target);
-                    }
-                }
+        for (gi, f) in pf.fns.iter().enumerate() {
+            // Direct panic sites are the lexical rules' job.
+            if !f.is_pub || f.name == "main" || sinks.contains_key(&(fi, gi)) {
+                continue;
             }
-            edges.push(resolved);
+            if let Some(trace) = search((fi, gi), parsed, &sinks, &mut memo) {
+                out.push(violation(
+                    &pf.path,
+                    f.line,
+                    "reach.panic",
+                    format!(
+                        "pub fn `{}` can panic transitively: `{}` → {trace}",
+                        f.qualified, f.qualified
+                    ),
+                ));
+            }
         }
-        for (node, e) in fns.iter_mut().zip(edges) {
-            node.edges = e;
-        }
-        Self { fns }
-    }
-}
-
-/// Resolves one call site to a workspace fn, or `None` (std call, macro
-/// already filtered, or ambiguous name).
-fn resolve(
-    call: &CallSite,
-    by_qualified: &BTreeMap<&str, Vec<usize>>,
-    by_name: &BTreeMap<&str, Vec<usize>>,
-) -> Option<usize> {
-    if let Some(q) = &call.qualifier {
-        let key = format!("{q}::{}", call.callee);
-        return match by_qualified.get(key.as_str()) {
-            Some(ids) if ids.len() == 1 => ids.first().copied(),
-            _ => None,
-        };
-    }
-    match by_name.get(call.callee.as_str()) {
-        Some(ids) if ids.len() == 1 => ids.first().copied(),
-        _ => None,
     }
 }
 
@@ -198,48 +105,34 @@ fn direct_sink(
         .map(|(line, site)| format!("{} at {file}:{line}", site.label()))
 }
 
-#[derive(Clone, PartialEq)]
-enum State {
-    Unvisited,
-    InProgress,
-    Done(Option<String>),
-}
+/// Search results: `None` while a fn is being explored, then its trace.
+type Memo = BTreeMap<FnRef, Option<Option<String>>>;
 
 /// Depth-first search for a path from `id` to any sink, memoized. Cycles
 /// are cut by treating in-progress nodes as sink-free (an approximation:
 /// a cycle member can be cached as clean even when a later-explored path
 /// would reach a sink — acceptable for a linter that errs quiet).
-fn search(id: usize, graph: &Graph, memo: &mut Vec<State>) -> Option<String> {
-    match memo.get(id) {
-        Some(State::Done(r)) => return r.clone(),
-        Some(State::InProgress) => return None,
-        _ => {}
+fn search(
+    id: FnRef,
+    parsed: &[ParsedFile],
+    sinks: &BTreeMap<FnRef, String>,
+    memo: &mut Memo,
+) -> Option<String> {
+    if let Some(done) = memo.get(&id) {
+        return done.clone().flatten();
     }
-    if let Some(slot) = memo.get_mut(id) {
-        *slot = State::InProgress;
-    }
-    let edges: Vec<usize> = graph
-        .fns
-        .get(id)
-        .map(|n| n.edges.clone())
-        .unwrap_or_default();
-    let mut result: Option<String> = None;
-    for target in edges {
-        let Some(node) = graph.fns.get(target) else {
-            continue;
-        };
-        if let Some(sink) = &node.sink {
-            result = Some(format!("`{}` → {sink}", node.qualified));
-            break;
-        }
-        if let Some(sub) = search(target, graph, memo) {
-            result = Some(format!("`{}` → {sub}", node.qualified));
-            break;
-        }
-    }
-    if let Some(slot) = memo.get_mut(id) {
-        *slot = State::Done(result.clone());
-    }
+    memo.insert(id, None);
+    let f = parsed.get(id.0).and_then(|pf| pf.fns.get(id.1));
+    let calls = f.map_or(&[][..], |f| &f.calls);
+    let result = calls.iter().filter_map(|c| c.target).find_map(|t| {
+        let callee = parsed.get(t.0).and_then(|pf| pf.fns.get(t.1))?;
+        let rest = sinks
+            .get(&t)
+            .cloned()
+            .or_else(|| search(t, parsed, sinks, memo))?;
+        Some(format!("`{}` → {rest}", callee.qualified))
+    });
+    memo.insert(id, Some(result.clone()));
     result
 }
 
@@ -247,7 +140,7 @@ fn search(id: usize, graph: &Graph, memo: &mut Vec<State>) -> Option<String> {
 mod tests {
     use super::*;
     use crate::lexer::{lex, strip_test_code};
-    use crate::parser::parse_file;
+    use crate::parser::parse_workspace;
 
     fn run(files: &[(&str, &str)], allow: &Allowlist) -> Vec<Violation> {
         run_proven(files, allow, &ProvenLines::new())
@@ -265,10 +158,7 @@ mod tests {
                 tokens: strip_test_code(&lex(src)),
             })
             .collect();
-        let parsed: Vec<ParsedFile> = sources
-            .iter()
-            .map(|s| parse_file(&s.path, &s.tokens))
-            .collect();
+        let parsed = parse_workspace(&sources);
         let mut out = Vec::new();
         reach_pass(&sources, &parsed, allow, proven, &mut out);
         out

@@ -19,7 +19,9 @@
 //!   its parameters with it, and the caller's facts prove the indexed
 //!   sequence is too short — a definite cross-function out-of-bounds.
 //!
-//! Everything unresolvable (ambiguous bare names, `self`-form mismatch,
+//! Summaries are keyed by fn and looked up through the parser's call
+//! table, so a call sees a summary exactly when it binds the fn under the
+//! one resolution rule (DESIGN.md §9.2). Everything else (unbound calls,
 //! any `return` inside a body, patterns the derivation does not model)
 //! drops the contract — the summary layer only ever strengthens proofs,
 //! so a missed contract is conservative, never unsound.
@@ -29,12 +31,12 @@ use std::ops::Range;
 
 use crate::flow::{collect_facts, prove_index, Fact, Facts, Proof};
 use crate::lexer::Token;
-use crate::parser::{FnItem, ParsedFile};
+use crate::parser::{CallSite, FnItem, FnRef, ParsedFile};
 use crate::rules::{index_site, violation, Violation};
 use crate::syntax::{
-    call_arg_path, call_arg_range, const_expr, depth0, final_call, last_depth0, last_segment,
-    len_minus_expr, matching, path_ending_at, path_starting_at, skip_angles, tok_ident, tok_int,
-    tok_punct, Param, StmtKind,
+    call_arg_path, call_arg_range, const_expr, depth0, final_call, last_depth0, len_minus_expr,
+    matching, path_ending_at, path_starting_at, skip_angles, tok_ident, tok_int, tok_punct, Param,
+    StmtKind,
 };
 use crate::workspace::SourceFile;
 
@@ -67,59 +69,38 @@ pub struct IndexRequirement {
     pub slice_name: String,
 }
 
-/// One function's derived summary plus the call-form it resolves under.
+/// One function's derived summary.
 #[derive(Debug, Clone, Default)]
 struct FnSummary {
     contract: Option<RetContract>,
     requires: Option<IndexRequirement>,
-    /// Derived from a method (`self` receiver): call sites must use the
-    /// `recv.name(..)` form for argument positions to line up.
-    has_self: bool,
 }
 
-/// Workspace-wide function summaries, keyed by bare function name.
-/// Only functions whose bare name is unique across the workspace are
-/// published — an ambiguous name could bind the wrong contract.
+/// Workspace-wide function summaries, keyed by fn.
 #[derive(Debug, Clone, Default)]
 pub struct Summaries {
-    by_name: BTreeMap<String, FnSummary>,
+    by_fn: BTreeMap<FnRef, FnSummary>,
 }
 
 impl Summaries {
-    /// Resolves a call path (`helper`, `plan::helper`, `self.helper`) to
-    /// a published summary, enforcing the `self`-form rule: method
-    /// summaries only bind to `recv.name(..)` call syntax (where the
-    /// receiver is not an argument), free/associated functions only to
-    /// non-method syntax.
-    fn resolve(&self, call_path: &str) -> Option<&FnSummary> {
-        let s = self.by_name.get(last_segment(call_path))?;
-        let method_form = call_path.contains('.');
-        (s.has_self == method_form).then_some(s)
+    /// The summary of the fn that the call whose callee ident is token
+    /// `at` binds to; `calls` are the calling fn's call sites.
+    fn at(&self, calls: &[CallSite], at: usize) -> Option<&FnSummary> {
+        let target = calls.iter().find(|c| c.at == at)?.target?;
+        self.by_fn.get(&target)
     }
 
-    /// Return contract for a call path, if published.
-    pub fn ret_contract(&self, call_path: &str) -> Option<&RetContract> {
-        self.resolve(call_path)?.contract.as_ref()
+    /// Return contract of the call at callee token `at`, if published.
+    pub fn ret_contract(&self, calls: &[CallSite], at: usize) -> Option<&RetContract> {
+        self.at(calls, at)?.contract.as_ref()
     }
 
     /// `Some(k)` when the callee promises every yielded element `< args[k]`.
-    pub(crate) fn elems_lt_param(&self, call_path: &str) -> Option<usize> {
-        match self.ret_contract(call_path)? {
+    pub(crate) fn elems_lt_param(&self, calls: &[CallSite], at: usize) -> Option<usize> {
+        match self.ret_contract(calls, at)? {
             RetContract::ElemsLtParam(k) => Some(*k),
             _ => None,
         }
-    }
-
-    fn requirement(&self, call_path: &str) -> Option<&IndexRequirement> {
-        self.resolve(call_path)?.requires.as_ref()
-    }
-
-    /// Number of published summaries carrying a contract (report metric).
-    pub fn contract_count(&self) -> usize {
-        self.by_name
-            .values()
-            .filter(|s| s.contract.is_some())
-            .count()
     }
 }
 
@@ -146,49 +127,20 @@ const ELEM_PRESERVING: &[&str] = &[
 /// Maximum tail-call substitution depth before a chain is cut.
 const MAX_DEPTH: usize = 32;
 
-/// Derives summaries for every uniquely-named function in the workspace,
-/// bottom-up over tail calls.
+/// Derives summaries for every fn in the workspace, bottom-up over tail
+/// calls.
 pub fn compute_summaries(sources: &[SourceFile], parsed: &[ParsedFile]) -> Summaries {
-    let unique = unique_fns(parsed);
     let mut out = Summaries::default();
-    for (name, &(fi, gi)) in &unique {
-        let (Some(sf), Some(f)) = (
-            sources.get(fi),
-            parsed.get(fi).and_then(|pf| pf.fns.get(gi)),
-        ) else {
-            continue;
-        };
-        let contract = derive_contract(sources, parsed, &unique, fi, gi, 0);
-        let requires = derive_requirement(&sf.tokens, f);
-        if contract.is_some() || requires.is_some() {
-            out.by_name.insert(
-                name.clone(),
-                FnSummary {
-                    contract,
-                    requires,
-                    has_self: f.has_self,
-                },
-            );
+    for (fi, (sf, pf)) in sources.iter().zip(parsed).enumerate() {
+        for (gi, f) in pf.fns.iter().enumerate() {
+            let contract = derive_contract(sources, parsed, fi, gi, 0);
+            let requires = derive_requirement(&sf.tokens, f);
+            if contract.is_some() || requires.is_some() {
+                out.by_fn.insert((fi, gi), FnSummary { contract, requires });
+            }
         }
     }
     out
-}
-
-/// Every fn whose bare name is unique across `parsed`: name → (file, fn).
-pub(crate) fn unique_fns(parsed: &[ParsedFile]) -> BTreeMap<String, (usize, usize)> {
-    let mut by_name: BTreeMap<String, Option<(usize, usize)>> = BTreeMap::new();
-    for (fi, pf) in parsed.iter().enumerate() {
-        for (gi, f) in pf.fns.iter().enumerate() {
-            by_name
-                .entry(last_segment(&f.name).to_string())
-                .and_modify(|e| *e = None)
-                .or_insert(Some((fi, gi)));
-        }
-    }
-    by_name
-        .into_iter()
-        .filter_map(|(k, v)| v.map(|v| (k, v)))
-        .collect()
 }
 
 /// Position of a bare parameter name in the argument-position list.
@@ -203,7 +155,6 @@ fn param_index(params: &[Param], name: &str) -> Option<usize> {
 fn derive_contract(
     sources: &[SourceFile],
     parsed: &[ParsedFile],
-    unique: &BTreeMap<String, (usize, usize)>,
     fi: usize,
     gi: usize,
     depth: usize,
@@ -253,18 +204,17 @@ fn derive_contract(
         return Some(RetContract::LeConst(c));
     }
     // Tail call `g(args)` — substitute `g`'s contract through the
-    // argument mapping. Method tail calls are skipped: receiver/argument
-    // alignment is unknown.
-    let (path, after) = path_starting_at(tokens, tail.start)?;
-    let close =
-        matching(tokens, after).filter(|c| tok_punct(tokens, after, '(') && c + 1 == tail.end)?;
-    if path.contains('.') {
-        return None;
-    }
-    let (cfi, cgi) = *unique.get(last_segment(&path))?;
-    let sub = derive_contract(sources, parsed, unique, cfi, cgi, depth + 1)?;
+    // argument mapping (a method's receiver is neither an argument nor a
+    // parameter, so positions line up).
+    let (_, after) = path_starting_at(tokens, tail.start)?;
+    let call = f
+        .calls
+        .iter()
+        .find(|c| c.at + 1 == after && c.args.end + 1 == tail.end)?;
+    let (cfi, cgi) = call.target?;
+    let sub = derive_contract(sources, parsed, cfi, cgi, depth + 1)?;
     let map_arg = |j: usize| -> Option<usize> {
-        let r = call_arg_range(tokens, &(after + 1..close), j)?;
+        let r = call_arg_range(tokens, &call.args, j)?;
         let name = tok_ident(tokens, r.start).filter(|_| r.start + 1 == r.end)?;
         param_index(params, name)
     };
@@ -384,16 +334,12 @@ pub fn summary_pass(
     for (sf, pf) in sources.iter().zip(parsed) {
         for f in &pf.fns {
             let mut facts = None;
-            for i in f.body.clone() {
-                if !tok_punct(&sf.tokens, i, '(') {
-                    continue;
-                }
-                if let Some(path) = path_ending_at(&sf.tokens, i.wrapping_sub(1)) {
-                    if let Some(req) = summaries.requirement(&path) {
-                        let facts =
-                            facts.get_or_insert_with(|| collect_facts(&sf.tokens, f, summaries));
-                        check_call(sf, f, facts, i, &path, req, out);
-                    }
+            for call in &f.calls {
+                let summary = call.target.and_then(|t| summaries.by_fn.get(&t));
+                if let Some(req) = summary.and_then(|s| s.requires.as_ref()) {
+                    let facts =
+                        facts.get_or_insert_with(|| collect_facts(&sf.tokens, f, summaries));
+                    check_call(sf, f, facts, call, req, out);
                 }
             }
         }
@@ -404,23 +350,20 @@ fn check_call(
     sf: &SourceFile,
     f: &FnItem,
     facts: &Facts,
-    open: usize,
-    path: &str,
+    call: &CallSite,
     req: &IndexRequirement,
     out: &mut Vec<Violation>,
 ) {
     let tokens = &sf.tokens;
-    let Some(close) = matching(tokens, open) else {
-        return;
-    };
-    let args = open + 1..close;
-    let ix = call_arg_range(tokens, &args, req.index_param);
+    let args = &call.args;
+    let ix = call_arg_range(tokens, args, req.index_param);
     let Some(c) = ix.and_then(|r| const_expr(tokens, &r)) else {
         return;
     };
-    let Some(slice_path) = call_arg_path(tokens, &args, req.slice_param) else {
+    let Some(slice_path) = call_arg_path(tokens, args, req.slice_param) else {
         return;
     };
+    let open = args.start - 1;
     let too_short = facts.at(open).find_map(|a| match a {
         Fact::ExactLen { seq, len } if *seq == slice_path && *len <= c => Some(*len),
         _ => None,
@@ -434,7 +377,7 @@ fn check_call(
             format!(
                 "call passes index {c} to `{callee}`, whose `{ix}` parameter unconditionally \
                  indexes `{sl}` — but `{slice_path}` has exactly {len} element(s)",
-                callee = last_segment(path),
+                callee = call.callee(),
                 ix = req.index_name,
                 sl = req.slice_name,
             ),
@@ -446,90 +389,126 @@ fn check_call(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser::parse_file;
+    use crate::parser::parse_workspace;
 
     fn setup(src: &str) -> (Vec<SourceFile>, Vec<ParsedFile>, Summaries) {
-        let sf = SourceFile {
+        let sources = vec![SourceFile {
             path: "test.rs".to_string(),
             tokens: lex(src),
-        };
-        let pf = parse_file("test.rs", &sf.tokens);
-        let sources = vec![sf];
-        let parsed = vec![pf];
+        }];
+        let parsed = parse_workspace(&sources);
         let summaries = compute_summaries(&sources, &parsed);
         (sources, parsed, summaries)
     }
 
+    /// Return contract of the (first) fn named `name`.
+    fn contract<'a>(
+        parsed: &[ParsedFile],
+        s: &'a Summaries,
+        name: &str,
+    ) -> Option<&'a RetContract> {
+        let fns = &parsed.first()?.fns;
+        let gi = fns.iter().position(|f| f.name == name)?;
+        s.by_fn.get(&(0, gi))?.contract.as_ref()
+    }
+
     #[test]
     fn modulo_param_gives_lt_param() {
-        let (_, _, s) = setup("fn wrap(i: usize, n: usize) -> usize { i % n }");
-        assert_eq!(s.ret_contract("wrap"), Some(&RetContract::LtParam(1)));
+        let (_, p, s) = setup("fn wrap(i: usize, n: usize) -> usize { i % n }");
+        assert_eq!(contract(&p, &s, "wrap"), Some(&RetContract::LtParam(1)));
     }
 
     #[test]
     fn modulo_len_gives_lt_len_of_param() {
-        let (_, _, s) = setup("fn wrap(i: usize, xs: &[u8]) -> usize { i % xs.len() }");
-        assert_eq!(s.ret_contract("wrap"), Some(&RetContract::LtLenOfParam(1)));
+        let (_, p, s) = setup("fn wrap(i: usize, xs: &[u8]) -> usize { i % xs.len() }");
+        assert_eq!(
+            contract(&p, &s, "wrap"),
+            Some(&RetContract::LtLenOfParam(1))
+        );
     }
 
     #[test]
     fn min_const_clamp_gives_le_const() {
-        let (_, _, s) = setup("fn cap(i: usize) -> usize { (i * 2).min(64) }");
-        assert_eq!(s.ret_contract("cap"), Some(&RetContract::LeConst(64)));
+        let (_, p, s) = setup("fn cap(i: usize) -> usize { (i * 2).min(64) }");
+        assert_eq!(contract(&p, &s, "cap"), Some(&RetContract::LeConst(64)));
     }
 
     #[test]
     fn tail_call_substitutes_through() {
-        let (_, _, s) = setup(
+        let (_, p, s) = setup(
             "fn wrap(i: usize, n: usize) -> usize { i % n }\n\
              fn outer(a: usize, b: usize) -> usize { wrap(a, b) }",
         );
-        assert_eq!(s.ret_contract("outer"), Some(&RetContract::LtParam(1)));
+        assert_eq!(contract(&p, &s, "outer"), Some(&RetContract::LtParam(1)));
     }
 
     #[test]
     fn explicit_return_defeats_contract() {
-        let (_, _, s) =
+        let (_, p, s) =
             setup("fn wrap(i: usize, n: usize) -> usize { if n == 0 { return 0; } i % n }");
-        assert_eq!(s.ret_contract("wrap"), None);
+        assert_eq!(contract(&p, &s, "wrap"), None);
     }
 
     #[test]
     fn recursion_is_cut() {
-        let (_, _, s) = setup("fn spin(i: usize, n: usize) -> usize { spin(i, n) }");
-        assert_eq!(s.ret_contract("spin"), None);
+        let (_, p, s) = setup("fn spin(i: usize, n: usize) -> usize { spin(i, n) }");
+        assert_eq!(contract(&p, &s, "spin"), None);
     }
 
     #[test]
     fn ambiguous_bare_name_is_dropped() {
-        let (_, _, s) = setup(
+        let (_, p, s) = setup(
             "fn wrap(i: usize, n: usize) -> usize { i % n }\n\
-             mod other { fn wrap(i: usize, n: usize) -> usize { i % n } }",
+             mod other { fn wrap(i: usize, n: usize) -> usize { i % n } }\n\
+             fn outer(a: usize, b: usize) -> usize { wrap(a, b) }",
         );
-        assert_eq!(s.ret_contract("wrap"), None);
+        assert_eq!(contract(&p, &s, "outer"), None);
+    }
+
+    #[test]
+    fn method_tail_call_aligns_arguments() {
+        let (_, p, s) = setup(
+            "struct S;\n\
+             impl S {\n\
+               fn wrap(&self, i: usize, n: usize) -> usize { i % n }\n\
+               fn outer(&self, a: usize, b: usize) -> usize { self.wrap(a, b) }\n\
+             }",
+        );
+        assert_eq!(contract(&p, &s, "outer"), Some(&RetContract::LtParam(1)));
+    }
+
+    #[test]
+    fn qualified_tail_call_binds_exactly() {
+        let (_, p, s) = setup(
+            "struct A; struct B;\n\
+             impl A { fn wrap(i: usize, n: usize) -> usize { i % n } }\n\
+             impl B { fn wrap(i: usize, n: usize) -> usize { i } }\n\
+             fn outer(a: usize, b: usize) -> usize { A::wrap(a, b) }",
+        );
+        assert_eq!(contract(&p, &s, "outer"), Some(&RetContract::LtParam(1)));
     }
 
     #[test]
     fn collect_permute_gives_elems_contract() {
-        let (_, _, s) = setup(
+        let (_, p, s) = setup(
             "fn choose(n: usize, k: usize) -> Vec<usize> { \
                let mut idx: Vec<usize> = (0..n).collect(); \
                idx.swap(0, 1); idx.truncate(k); idx }",
         );
         assert_eq!(
-            s.ret_contract("choose"),
+            contract(&p, &s, "choose"),
             Some(&RetContract::ElemsLtParam(0))
         );
     }
 
     #[test]
     fn push_defeats_elems_contract() {
-        let (_, _, s) = setup(
+        let (_, p, s) = setup(
             "fn choose(n: usize) -> Vec<usize> { \
                let mut idx: Vec<usize> = (0..n).collect(); \
                idx.push(n + 7); idx }",
         );
-        assert_eq!(s.ret_contract("choose"), None);
+        assert_eq!(contract(&p, &s, "choose"), None);
     }
 
     #[test]

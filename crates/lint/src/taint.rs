@@ -29,10 +29,11 @@
 //! The analysis is interprocedural: each function gets a bottom-up
 //! summary of which parameters reach which sink kind, so passing a
 //! tainted value into `fn grow(n: usize) { v.reserve(n) }` is flagged at
-//! the call site. Cycles in the call graph are cut conservatively (the
+//! the call site. Calls bind through the parser's call table (DESIGN.md
+//! §9.2). Cycles in the call graph are cut conservatively (the
 //! back edge contributes no flows). Scope is limited to the three
-//! wire-facing crates (`bsa-link`, `bsa-station`, `bsa-store`) — taint
-//! does not originate anywhere else.
+//! wire-facing crates (`bsa-link`, `bsa-station`, `bsa-store`), for both
+//! callers and callees — taint does not originate anywhere else.
 //!
 //! Rules: `taint.wire-alloc` (allocation/loop-bound sinks),
 //! `taint.wire-index` (slice indexing), `taint.wire-arith` (overflowable
@@ -42,12 +43,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use crate::lexer::Token;
-use crate::parser::{FnItem, ParsedFile};
+use crate::parser::{FnItem, FnRef, ParsedFile};
 use crate::rules::{index_site, violation, Violation};
-use crate::summary::unique_fns;
 use crate::syntax::{
-    call_arg_range, depth0, final_call, find_cmp, last_segment, matching, path_ending_at,
-    path_starting_at, repeat_count, tok_ident, tok_punct, Cmp, Effect, StmtKind, Store,
+    call_arg_range, depth0, final_call, find_cmp, last_segment, matching, path_starting_at,
+    repeat_count, tok_ident, tok_punct, Cmp, Effect, StmtKind, Store,
 };
 use crate::workspace::SourceFile;
 
@@ -423,11 +423,11 @@ fn binary_arith_at(tokens: &[Token], range: &Range<usize>, j: usize) -> bool {
 struct Ctx<'a> {
     sources: &'a [SourceFile],
     parsed: &'a [ParsedFile],
-    /// Uniquely-named wire-crate functions: bare name → (file, fn, has_self).
-    unique: BTreeMap<String, (usize, usize, bool)>,
+    /// Per file: inside the wire-facing crates.
+    in_scope: Vec<bool>,
 }
 
-type Key = (usize, usize);
+type Key = FnRef;
 type Flows = Vec<(usize, SinkKind)>;
 
 /// Bottom-up param→sink summary with conservative cycle cut: a back
@@ -528,18 +528,7 @@ fn analyze_fn(
 
     for i in f.body.clone() {
         if let Some(name) = tok_ident(tokens, i) {
-            let method_like = tok_punct(tokens, i.wrapping_sub(1), '.')
-                || tok_punct(tokens, i.wrapping_sub(1), ':');
-            if method_like && ALLOC_METHODS.contains(&name) && tok_punct(tokens, i + 1, '(') {
-                if let Some(close) = matching(tokens, i + 1) {
-                    s.sink(
-                        i + 2..close,
-                        SinkKind::Alloc,
-                        line_of(i),
-                        &format!("`{name}`"),
-                    );
-                }
-            } else if name == "vec" && tok_punct(tokens, i + 1, '!') {
+            if name == "vec" && tok_punct(tokens, i + 1, '!') {
                 // `vec![elem; count]`.
                 if let Some(count) =
                     repeat_count(tokens, i + 2).filter(|_| tok_punct(tokens, i + 2, '['))
@@ -568,43 +557,42 @@ fn analyze_fn(
             if let Some(close) = matching(tokens, i) {
                 s.sink(i + 1..close, SinkKind::Index, line_of(i), "a slice index");
             }
-        } else if tok_punct(tokens, i, '(') {
-            // Interprocedural: a call whose callee's summary says this
-            // argument position reaches a sink.
-            let Some(path) = path_ending_at(tokens, i.wrapping_sub(1)) else {
+        }
+    }
+
+    // Allocation methods are sinks; any other call is one where the
+    // callee's summary says an argument position reaches a sink.
+    for call in &f.calls {
+        let name = call.callee();
+        if ALLOC_METHODS.contains(&name) && (call.is_method || call.path.contains(':')) {
+            let what = format!("`{name}`");
+            s.sink(call.args.clone(), SinkKind::Alloc, call.line, &what);
+            continue;
+        }
+        let target = call
+            .target
+            .filter(|t| *t != key && ctx.in_scope.get(t.0) == Some(&true));
+        let Some(target) = target else { continue };
+        for (k, kind) in summarize(ctx, target, memo, viols, visiting) {
+            let Some(arg) = call_arg_range(tokens, &call.args, k) else {
                 continue;
             };
-            let Some(&(cfi, cgi, has_self)) = ctx.unique.get(last_segment(&path)) else {
-                continue;
-            };
-            if has_self != path.contains('.') || (cfi, cgi) == key {
-                continue;
+            let set = expr_taint(tokens, &arg, &ev);
+            if set.wire {
+                s.out.push(violation(
+                    &sf.path,
+                    call.line,
+                    kind.rule(),
+                    format!(
+                        "wire-derived argument flows into `{callee}`, \
+                         where it reaches a {noun} unvalidated",
+                        callee = call.callee(),
+                        noun = kind.noun(),
+                    ),
+                ));
+                s.wire_args.push(arg);
             }
-            let callee_flows = summarize(ctx, (cfi, cgi), memo, viols, visiting);
-            let Some(close) = matching(tokens, i).filter(|_| !callee_flows.is_empty()) else {
-                continue;
-            };
-            for &(k, kind) in &callee_flows {
-                let Some(arg) = call_arg_range(tokens, &(i + 1..close), k) else {
-                    continue;
-                };
-                let set = expr_taint(tokens, &arg, &ev);
-                if set.wire {
-                    s.out.push(violation(
-                        &sf.path,
-                        line_of(i),
-                        kind.rule(),
-                        format!(
-                            "wire-derived argument flows into `{callee}`, \
-                             where it reaches a {noun} unvalidated",
-                            callee = last_segment(&path),
-                            noun = kind.noun(),
-                        ),
-                    ));
-                    s.wire_args.push(arg);
-                }
-                s.flow(set, kind);
-            }
+            s.flow(set, kind);
         }
     }
 
@@ -647,20 +635,10 @@ pub fn taint_pass(sources: &[SourceFile], parsed: &[ParsedFile], out: &mut Vec<V
         .map(|s| WIRE_SCOPES.iter().any(|w| s.path.contains(w)))
         .collect();
 
-    // Bare-name-unique functions (ambiguity judged workspace-wide so a
-    // wire-crate call cannot bind a same-named foreign function).
-    let unique = unique_fns(parsed)
-        .into_iter()
-        .filter(|(_, (fi, _))| in_scope.get(*fi) == Some(&true))
-        .filter_map(|(name, (fi, gi))| {
-            let f = parsed.get(fi)?.fns.get(gi)?;
-            Some((name, (fi, gi, f.has_self)))
-        })
-        .collect();
     let ctx = Ctx {
         sources,
         parsed,
-        unique,
+        in_scope,
     };
 
     let mut memo: BTreeMap<Key, Flows> = BTreeMap::new();
@@ -669,7 +647,7 @@ pub fn taint_pass(sources: &[SourceFile], parsed: &[ParsedFile], out: &mut Vec<V
     let keys: Vec<Key> = parsed
         .iter()
         .enumerate()
-        .filter(|(fi, _)| in_scope.get(*fi) == Some(&true))
+        .filter(|(fi, _)| ctx.in_scope.get(*fi) == Some(&true))
         .flat_map(|(fi, pf)| (0..pf.fns.len()).map(move |gi| (fi, gi)))
         .collect();
     for &key in &keys {
@@ -689,7 +667,7 @@ pub fn taint_pass(sources: &[SourceFile], parsed: &[ParsedFile], out: &mut Vec<V
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser::parse_file;
+    use crate::parser::parse_workspace;
 
     fn run(src: &str) -> Vec<Violation> {
         run_at("crates/link/src/test.rs", src)
@@ -700,9 +678,9 @@ mod tests {
             path: path.to_string(),
             tokens: lex(src),
         };
-        let pf = parse_file(path, &sf.tokens);
+        let sources = [sf];
         let mut out = Vec::new();
-        taint_pass(&[sf], &[pf], &mut out);
+        taint_pass(&sources, &parse_workspace(&sources), &mut out);
         out
     }
 

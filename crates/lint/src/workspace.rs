@@ -14,11 +14,10 @@
 //! here: each of those crates carries a `clippy.toml` that bans them.
 
 use crate::allow::Allowlist;
-use crate::conc::{conc_pass, CONTROL_PREFIX, STATION_PREFIX, STORE_PREFIX};
+use crate::conc::{conc_pass, lock_order_pass};
 use crate::flow::flow_pass;
 use crate::lexer::{lex, strip_test_code, Token};
-use crate::locks::lock_order_pass;
-use crate::parser::{parse_file, ParsedFile};
+use crate::parser::parse_workspace;
 use crate::proto::{proto_pass, ProtoConfig, ProtoSummary};
 use crate::reach::{reach_pass, ProvenLines};
 use crate::rules::{run_rules, RuleSet, Violation};
@@ -191,10 +190,7 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
     timings.lexical_us = t.elapsed().as_micros();
 
     let t = Instant::now();
-    let parsed: Vec<ParsedFile> = sources
-        .iter()
-        .map(|s| parse_file(&s.path, &s.tokens))
-        .collect();
+    let parsed = parse_workspace(sources);
     timings.parse_us = t.elapsed().as_micros();
 
     // Function summaries first: the interval prover consumes return-bound
@@ -240,18 +236,11 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
     let summary = proto_pass(sources, &parsed, &ProtoConfig::WORKSPACE, &mut all);
 
     let t = Instant::now();
-    conc_pass(sources, &parsed, STATION_PREFIX, &mut all);
-    conc_pass(sources, &parsed, CONTROL_PREFIX, &mut all);
-    conc_pass(sources, &parsed, STORE_PREFIX, &mut all);
+    conc_pass(sources, &parsed, &mut all);
     timings.conc_us = t.elapsed().as_micros();
 
     let t = Instant::now();
-    lock_order_pass(
-        sources,
-        &parsed,
-        &[STATION_PREFIX, CONTROL_PREFIX, STORE_PREFIX],
-        &mut all,
-    );
+    lock_order_pass(&parsed, &mut all);
     timings.lock_order_us = t.elapsed().as_micros();
 
     all.sort_by(|a, b| (a.file.clone(), a.line, a.rule).cmp(&(b.file.clone(), b.line, b.rule)));

@@ -6,9 +6,9 @@
 use bsa_lint::lexer::{lex, strip_test_code};
 use bsa_lint::rules::{run_rules, RuleSet};
 use bsa_lint::{
-    compute_summaries, conc_pass, flow_pass, lock_order_pass, parse_file, proto_pass, reach_pass,
-    summary_pass, taint_pass, Allowlist, ParsedFile, ProtoConfig, SourceFile, Violation,
-    STATION_PREFIX,
+    compute_summaries, conc_pass, flow_pass, lock_order_pass, parse_workspace, proto_pass,
+    reach_pass, summary_pass, taint_pass, Allowlist, ParsedFile, ProtoConfig, SourceFile,
+    Violation,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -63,9 +63,9 @@ fn check_semantic_fixture(name: &str, synthetic_path: &str, pass: SemanticPass<'
         path: synthetic_path.to_string(),
         tokens: strip_test_code(&lex(&source)),
     };
-    let pf = parse_file(&sf.path, &sf.tokens);
+    let sources = [sf];
     let mut violations = Vec::new();
-    pass(&[sf], &[pf], &mut violations);
+    pass(&sources, &parse_workspace(&sources), &mut violations);
     assert_markers(name, &expected, &violations);
 }
 
@@ -142,7 +142,7 @@ fn conc_fixture_is_fully_flagged() {
         "conc.rs",
         "crates/station/src/conc_fixture.rs",
         &|s, p, out| {
-            conc_pass(s, p, STATION_PREFIX, out);
+            conc_pass(s, p, out);
         },
     );
 }
@@ -222,10 +222,7 @@ fn link_codec_has_zero_taint_findings() {
             tokens: strip_test_code(&lex(&text)),
         });
     }
-    let parsed: Vec<ParsedFile> = sources
-        .iter()
-        .map(|sf| parse_file(&sf.path, &sf.tokens))
-        .collect();
+    let parsed = parse_workspace(&sources);
     let mut violations = Vec::new();
     taint_pass(&sources, &parsed, &mut violations);
     assert!(
@@ -239,8 +236,8 @@ fn locks_fixture_is_fully_flagged() {
     check_semantic_fixture(
         "locks.rs",
         "crates/station/src/locks_fixture.rs",
-        &|s, p, out| {
-            lock_order_pass(s, p, &[STATION_PREFIX], out);
+        &|_, p, out| {
+            lock_order_pass(p, out);
         },
     );
 }
