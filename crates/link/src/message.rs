@@ -460,6 +460,10 @@ pub enum Message {
         /// Total frames to record.
         frames: u32,
         /// Frames per `StreamData` chunk (0 selects the server default).
+        /// The station clamps it so that one chunk fits [`MAX_PAYLOAD`]
+        /// (127 frames at 128×128).
+        ///
+        /// [`MAX_PAYLOAD`]: crate::MAX_PAYLOAD
         chunk_frames: u32,
         /// Recording start time on the chip's deterministic clock, seconds.
         t0_s: f64,
@@ -545,6 +549,10 @@ pub enum Message {
         /// Recording name from the catalog.
         name: String,
         /// Frames (or readings) per chunk (0 selects the server default).
+        /// The station clamps it so that one chunk fits [`MAX_PAYLOAD`]
+        /// (127 frames at 128×128).
+        ///
+        /// [`MAX_PAYLOAD`]: crate::MAX_PAYLOAD
         chunk_frames: u32,
     },
 }

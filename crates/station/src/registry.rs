@@ -14,7 +14,7 @@ use bsa_core::{ChipError, YieldReport};
 use bsa_faults::{FaultKind, InjectionPlan, PlanTarget};
 use bsa_link::{
     ChipId, CultureSpec, DnaChipSpec, FaultEntrySpec, FaultKindSpec, FaultPlanSpec,
-    FaultTargetSpec, NeuroChipSpec, SerialLinkSummary, YieldSummary,
+    FaultTargetSpec, NeuroChipSpec, SerialLinkSummary, YieldSummary, MAX_PAYLOAD,
 };
 use bsa_neuro::culture::{Culture, CultureConfig};
 use bsa_units::{Ampere, Hertz, Seconds, Volt};
@@ -24,6 +24,34 @@ use rand::SeedableRng;
 /// Largest array the station will simulate (a 2048×2048 die), so a
 /// hostile spec cannot demand an absurd allocation.
 pub const MAX_PIXELS: usize = 1 << 22;
+
+// Every station reply must fit one wire frame of at most `MAX_PAYLOAD`
+// bytes. Three replies grow with the array, and their encodings set the
+// limits below:
+// * a `StreamData` chunk of neuro frames: 22 bytes of head (message tag,
+//   chip, seq, payload tag, first frame, rows, cols, sample count), then
+//   8 bytes per sample;
+// * a `StreamData` chunk of DNA readings: 14 bytes of head, then 12 bytes
+//   per reading (row, col, count);
+// * an `AssayResult`: 13 bytes of head, then a count and an estimated
+//   current, 16 bytes per pixel.
+
+/// The most pixels whose single neuro frame fits one `StreamData` chunk.
+/// Larger neuro arrays are refused at attach and at replay.
+pub(crate) const MAX_FRAME_PIXELS: usize = (MAX_PAYLOAD - 22) / 8;
+
+/// The most DNA readings one `StreamData` chunk carries.
+pub(crate) const MAX_CHUNK_READINGS: u32 = ((MAX_PAYLOAD - 14) / 12) as u32;
+
+/// The most pixels whose `AssayResult` fits one frame. Larger DNA arrays
+/// are refused at attach.
+pub(crate) const MAX_ASSAY_PIXELS: usize = (MAX_PAYLOAD - 13) / 16;
+
+/// The most neuro frames of `pixels` samples one `StreamData` chunk
+/// carries: 127 at 128×128. Requested chunk sizes are clamped to it.
+pub(crate) fn max_chunk_frames(pixels: usize) -> u32 {
+    u32::try_from(MAX_FRAME_PIXELS / pixels.max(1)).unwrap_or(u32::MAX)
+}
 
 /// Builds a neuro-chip configuration from its wire spec. Zero /
 /// non-finite fields select the paper defaults (128×128, 16 channels,
@@ -244,6 +272,62 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsa_link::{encode_frame, Message, PixelCount, StreamPayload};
+
+    /// Payload bytes of `msg`; `encode_frame` asserts the same bound.
+    fn fits(msg: &Message) -> bool {
+        msg.encode_payload().len() <= MAX_PAYLOAD
+    }
+
+    fn neuro_chunk(frames: usize, pixels: usize) -> Message {
+        Message::StreamData {
+            chip: 1,
+            seq: 0,
+            payload: StreamPayload::NeuroFrames {
+                first_frame: 0,
+                rows: 1,
+                cols: 1,
+                samples: vec![0.5; frames * pixels],
+            },
+        }
+    }
+
+    /// The largest reply the station can build at each limit encodes
+    /// within `MAX_PAYLOAD` (so `encode_frame`'s assert cannot fire from
+    /// the station), and one more frame, reading or pixel would not.
+    #[test]
+    fn largest_admitted_replies_fit_one_frame() {
+        assert_eq!(max_chunk_frames(128 * 128), 127);
+        let cap = max_chunk_frames(128 * 128) as usize;
+        assert!(!encode_frame(&neuro_chunk(cap, 128 * 128)).is_empty());
+        assert!(!fits(&neuro_chunk(cap + 1, 128 * 128)));
+        assert_eq!(max_chunk_frames(MAX_FRAME_PIXELS), 1);
+        assert!(!encode_frame(&neuro_chunk(1, MAX_FRAME_PIXELS)).is_empty());
+        assert!(!fits(&neuro_chunk(1, MAX_FRAME_PIXELS + 1)));
+
+        let reading = PixelCount {
+            row: 1,
+            col: 2,
+            count: 3,
+        };
+        let readings = |n: u32| Message::StreamData {
+            chip: 1,
+            seq: 0,
+            payload: StreamPayload::DnaCounts {
+                readings: vec![reading; n as usize],
+            },
+        };
+        assert!(!encode_frame(&readings(MAX_CHUNK_READINGS)).is_empty());
+        assert!(!fits(&readings(MAX_CHUNK_READINGS + 1)));
+
+        let assay = |pixels: usize| Message::AssayResult {
+            chip: 1,
+            counts: vec![7; pixels],
+            estimated_currents_a: vec![1e-9; pixels],
+        };
+        assert!(!encode_frame(&assay(MAX_ASSAY_PIXELS)).is_empty());
+        assert!(!fits(&assay(MAX_ASSAY_PIXELS + 1)));
+    }
 
     #[test]
     fn default_specs_select_paper_geometry() {

@@ -99,9 +99,9 @@ impl Station {
 
 /// Read halves of every live session socket, keyed by a monotonically
 /// increasing id. The accept loop registers a clone before spawning the
-/// session thread; the session thread deregisters on exit (reaping the
-/// entry alongside its `sessions_active` slot), and shutdown drains the
-/// table to unblock in-flight readers.
+/// session thread; the session's [`Admission`] deregisters it on exit
+/// (alongside its `sessions_active` slot), and shutdown drains the table
+/// to unblock in-flight readers.
 #[derive(Debug, Default)]
 struct SessionTable {
     inner: Mutex<Vec<(u64, TcpStream)>>,
@@ -129,6 +129,60 @@ impl SessionTable {
     }
 }
 
+/// A session's claim on the station: its `sessions_active` slot and its
+/// socket-table entry. Dropping it frees both, however the session
+/// thread ends — a panicking session included.
+#[derive(Debug)]
+struct Admission {
+    stats: Arc<StationStats>,
+    sessions: Arc<SessionTable>,
+    id: u64,
+}
+
+impl Drop for Admission {
+    fn drop(&mut self) {
+        self.sessions.remove(self.id);
+        StationStats::sub(&self.stats.sessions_active, 1);
+    }
+}
+
+/// Atomically claims a session slot for session `id`: increments
+/// `sessions_active` only if it is currently below `max`. Returns `None`
+/// (and leaves the gauge untouched) when the station is full. A single
+/// CAS loop — not load-then-add — so concurrent accepts can never
+/// over-admit past the limit.
+fn try_open_session(
+    stats: &Arc<StationStats>,
+    sessions: &Arc<SessionTable>,
+    max: u64,
+    id: u64,
+) -> Option<Admission> {
+    let mut cur = stats.sessions_active.load(Ordering::Relaxed);
+    loop {
+        if cur >= max {
+            return None;
+        }
+        let next = cur + 1;
+        match stats.sessions_active.compare_exchange_weak(
+            cur,
+            next,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => {
+                StationStats::add(&stats.sessions_opened, 1);
+                let (stats, sessions) = (Arc::clone(stats), Arc::clone(sessions));
+                return Some(Admission {
+                    stats,
+                    sessions,
+                    id,
+                });
+            }
+            Err(seen) => cur = seen,
+        }
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     stats: &Arc<StationStats>,
@@ -149,32 +203,25 @@ fn accept_loop(
         // Claim the slot atomically (CAS inside): a load-then-add here
         // would let two concurrent accepts both pass the check and admit
         // max_sessions + 1.
-        if !stats.try_open_session(max_sessions) {
+        let session_id = next_session;
+        let Some(admission) = try_open_session(stats, sessions, max_sessions, session_id) else {
             refuse(stream);
             continue;
-        }
-        let session_id = next_session;
+        };
         next_session = next_session.wrapping_add(1);
         if let Ok(clone) = stream.try_clone() {
             sessions.insert(session_id, clone);
         }
         let session_stats = Arc::clone(stats);
-        let session_sessions = Arc::clone(sessions);
         let session_limits = limits.clone();
         let session_shutdown = Arc::clone(shutdown);
         // Detached: the session ends when its client disconnects or its
-        // read timeout reaps it; exit frees both the admission slot and
-        // the socket-table entry. Shutdown closes the registered read
-        // halves, so live sessions wind down too.
+        // read timeout reaps it; dropping the admission frees both the
+        // slot and the socket-table entry. Shutdown closes the registered
+        // read halves, so live sessions wind down too.
         thread::spawn(move || {
-            run_session(
-                stream,
-                Arc::clone(&session_stats),
-                &session_limits,
-                &session_shutdown,
-            );
-            session_sessions.remove(session_id);
-            StationStats::sub(&session_stats.sessions_active, 1);
+            let _admission = admission;
+            run_session(stream, session_stats, &session_limits, &session_shutdown);
         });
     }
 }
@@ -254,5 +301,74 @@ impl StationHandle {
 impl Drop for StationHandle {
     fn drop(&mut self) {
         self.stop_accepting();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    #[test]
+    fn try_open_session_respects_the_limit_sequentially() {
+        let stats = Arc::new(StationStats::default());
+        let sessions = Arc::new(SessionTable::default());
+        let first = try_open_session(&stats, &sessions, 2, 0);
+        let second = try_open_session(&stats, &sessions, 2, 1);
+        assert!(first.is_some() && second.is_some());
+        assert!(try_open_session(&stats, &sessions, 2, 2).is_none());
+        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.sessions_opened.load(Ordering::Relaxed), 2);
+        drop(first);
+        let third = try_open_session(&stats, &sessions, 2, 3);
+        assert!(third.is_some());
+        assert!(try_open_session(&stats, &sessions, 2, 4).is_none());
+    }
+
+    #[test]
+    fn try_open_session_never_over_admits_under_contention() {
+        const MAX: u64 = 8;
+        const THREADS: usize = 16;
+        let stats = Arc::new(StationStats::default());
+        let sessions = Arc::new(SessionTable::default());
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS as u64)
+            .map(|id| {
+                let (stats, sessions) = (Arc::clone(&stats), Arc::clone(&sessions));
+                let barrier = Arc::clone(&barrier);
+                thread::spawn(move || {
+                    barrier.wait();
+                    try_open_session(&stats, &sessions, MAX, id)
+                })
+            })
+            .collect();
+        // Keep every admission alive until the gauge is read.
+        let admitted: Vec<Admission> = handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("worker thread panicked"))
+            .collect();
+        assert_eq!(admitted.len() as u64, MAX);
+        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), MAX);
+        assert_eq!(stats.sessions_opened.load(Ordering::Relaxed), MAX);
+    }
+
+    #[test]
+    fn a_panicking_session_releases_its_admission() {
+        let stats = Arc::new(StationStats::default());
+        let sessions = Arc::new(SessionTable::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let admission = try_open_session(&stats, &sessions, 1, 7).unwrap();
+        sessions.insert(7, stream);
+        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), 1);
+        let joined = thread::spawn(move || {
+            let _admission = admission;
+            panic!("session thread fails mid-request");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), 0);
+        assert!(sessions.take_all().is_empty());
+        assert!(try_open_session(&stats, &sessions, 1, 8).is_some());
     }
 }

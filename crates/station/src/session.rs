@@ -16,8 +16,9 @@
 //! `StreamEnd { frames_dropped, .. }`.
 
 use crate::registry::{
-    culture_from_spec, dna_config_from_spec, injection_plan_from_spec, neuro_config_from_spec,
-    yield_summary, Chip, Registry, MAX_PIXELS,
+    culture_from_spec, dna_config_from_spec, injection_plan_from_spec, max_chunk_frames,
+    neuro_config_from_spec, yield_summary, Chip, Registry, MAX_ASSAY_PIXELS, MAX_CHUNK_READINGS,
+    MAX_FRAME_PIXELS, MAX_PIXELS,
 };
 use crate::stats::StationStats;
 use bsa_core::dna_chip::{DnaChip, SampleMix};
@@ -49,17 +50,12 @@ use std::time::Duration;
 /// at 128×128), so one request cannot pin the server indefinitely.
 pub(crate) const MAX_STREAM_FRAMES: u32 = 4096;
 
-/// Default frames per `StreamData` chunk when the client passes 0.
+/// Default frames per `StreamData` chunk when the client passes 0. Like
+/// a requested size, it is clamped so that one chunk fits a wire frame.
 pub(crate) const DEFAULT_CHUNK_FRAMES: u32 = 8;
 
 /// DNA count readings per streamed chunk.
 const DNA_CHUNK_READINGS: u32 = 64;
-
-/// Upper bound on a recorded frame's rows/cols accepted for replay. The
-/// geometry comes from a stored segment header — attacker/corruption
-/// territory — and sizes the chunk sample buffer, so it must be bounded
-/// before it feeds an allocation. Far above any real CMOS array axis.
-const MAX_REPLAY_DIM: usize = 4096;
 
 /// The receiving side of the session is gone (socket closed or writer
 /// dead); the session should wind down.
@@ -411,7 +407,9 @@ impl Session {
             Ok(c) => c,
             Err(err) => return error_reply(ErrorCode::BadRequest, err.to_string()),
         };
-        if config.geometry.len() > MAX_PIXELS {
+        // The simulation bound, and the assay reply must fit one frame.
+        let pixels = config.geometry.len();
+        if pixels > MAX_PIXELS || pixels > MAX_ASSAY_PIXELS {
             return error_reply(ErrorCode::BadRequest, "array too large".into());
         }
         let rows = config.geometry.rows();
@@ -439,7 +437,9 @@ impl Session {
             Ok(c) => c,
             Err(err) => return error_reply(ErrorCode::BadRequest, err.to_string()),
         };
-        if config.geometry.len() > MAX_PIXELS {
+        // The simulation bound, and one frame must fit a stream chunk.
+        let pixels = config.geometry.len();
+        if pixels > MAX_PIXELS || pixels > MAX_FRAME_PIXELS {
             return error_reply(ErrorCode::BadRequest, "array too large".into());
         }
         let rows = config.geometry.rows();
@@ -720,21 +720,29 @@ impl Session {
                     .send_control(error_reply(ErrorCode::StoreError, err.to_string()))
             }
         };
+        // The geometry comes from a stored segment header — attacker or
+        // corruption territory — and sizes the chunk sample buffer: one
+        // recorded frame must fit a stream chunk.
         let meta = reader.meta().clone();
         let rows = usize::from(meta.rows);
         let cols = usize::from(meta.cols);
-        if rows > MAX_REPLAY_DIM || cols > MAX_REPLAY_DIM {
+        let pixels = rows * cols;
+        if pixels > MAX_FRAME_PIXELS {
             return self.out.send_control(error_reply(
                 ErrorCode::StoreError,
                 format!("recorded geometry {rows}x{cols} exceeds the replay limit"),
             ));
         }
         let total = u32::try_from(reader.frames()).unwrap_or(u32::MAX);
-        let chunk = match (meta.kind, chunk_frames) {
-            (ChipKind::Neuro, 0) => DEFAULT_CHUNK_FRAMES,
-            (ChipKind::Dna, 0) => DNA_CHUNK_READINGS,
-            (_, n) => n,
+        let (default, cap) = match meta.kind {
+            ChipKind::Neuro => (DEFAULT_CHUNK_FRAMES, max_chunk_frames(pixels)),
+            ChipKind::Dna => (DNA_CHUNK_READINGS, MAX_CHUNK_READINGS),
         };
+        let chunk = match chunk_frames {
+            0 => default,
+            n => n,
+        }
+        .min(cap);
         // Each chunk is assembled from n consecutive records. A corrupted
         // record ends the replay with a typed error reply; the client's
         // stream loop surfaces it as a server error.
@@ -744,7 +752,7 @@ impl Session {
                 let payload = match meta.kind {
                     ChipKind::Neuro => {
                         let mut samples = spare_samples(spare);
-                        samples.reserve((n as usize) * rows * cols);
+                        samples.reserve((n as usize) * pixels);
                         records
                             .try_for_each(|i| {
                                 let frame = reader.frame(i)?;
@@ -844,11 +852,6 @@ impl Session {
             ));
         }
         let t0 = if t0_s.is_finite() { t0_s } else { 0.0 };
-        let chunk = if chunk_frames == 0 {
-            DEFAULT_CHUNK_FRAMES
-        } else {
-            chunk_frames
-        };
         let chip = match self.registry.get_mut(id) {
             Some(Chip::Neuro(chip)) => chip,
             Some(Chip::Dna { .. }) => {
@@ -865,6 +868,11 @@ impl Session {
         };
         let g = chip.config().geometry;
         let (rows, cols) = (g.rows() as u16, g.cols() as u16);
+        let chunk = match chunk_frames {
+            0 => DEFAULT_CHUNK_FRAMES,
+            n => n,
+        }
+        .min(max_chunk_frames(g.len()));
         let mask = self.masks.get(&id).filter(|m| !m.is_empty()).map(|m| {
             let mut usable = vec![true; g.len()];
             for &p in m {

@@ -37,32 +37,6 @@ impl StationStats {
         }
     }
 
-    /// Atomically claims a session slot: increments `sessions_active`
-    /// only if it is currently below `max`. Returns `false` (and leaves
-    /// the gauge untouched) when the station is full. A single CAS loop
-    /// — not load-then-add — so concurrent accepts can never over-admit
-    /// past the limit.
-    pub(crate) fn try_open_session(&self, max: u64) -> bool {
-        let mut cur = self.sessions_active.load(Ordering::Relaxed);
-        loop {
-            if cur >= max {
-                return false;
-            }
-            match self.sessions_active.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Raises the outbound-queue depth gauge and folds it into the peak.
     pub(crate) fn queue_enter(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
@@ -91,47 +65,6 @@ impl StationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn try_open_session_respects_the_limit_sequentially() {
-        let stats = StationStats::default();
-        assert!(stats.try_open_session(2));
-        assert!(stats.try_open_session(2));
-        assert!(!stats.try_open_session(2));
-        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.sessions_opened.load(Ordering::Relaxed), 2);
-        StationStats::sub(&stats.sessions_active, 1);
-        assert!(stats.try_open_session(2));
-        assert!(!stats.try_open_session(2));
-    }
-
-    #[test]
-    fn try_open_session_never_over_admits_under_contention() {
-        use std::sync::Barrier;
-
-        const MAX: u64 = 8;
-        const THREADS: usize = 16;
-        let stats = std::sync::Arc::new(StationStats::default());
-        let barrier = std::sync::Arc::new(Barrier::new(THREADS));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let stats = std::sync::Arc::clone(&stats);
-                let barrier = std::sync::Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    stats.try_open_session(MAX)
-                })
-            })
-            .collect();
-        let admitted = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .filter(|&opened| opened)
-            .count();
-        assert_eq!(admitted as u64, MAX);
-        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), MAX);
-        assert_eq!(stats.sessions_opened.load(Ordering::Relaxed), MAX);
-    }
 
     #[test]
     fn queue_gauge_tracks_peak() {

@@ -732,3 +732,71 @@ fn masked_stream_matches_in_process_repair() {
         assert_eq!(served_bits, reference_bits);
     }
 }
+
+/// A client-chosen chunk larger than one wire frame can carry is clamped
+/// rather than fatal. At 128×128 one `StreamData` chunk holds at most 127
+/// frames: 128 frames are 16 MiB of samples, past `MAX_PAYLOAD` once the
+/// chunk head is added. A 256-frame stream and a replay of a 128-frame
+/// recording, both asking for 1 024-frame chunks, arrive whole and
+/// bit-identical to an in-process `record()`, and both sessions' slots
+/// are freed afterwards.
+#[test]
+fn oversized_chunks_are_clamped_to_one_wire_frame() {
+    const CAP: u32 = 127;
+    let store_root =
+        std::env::temp_dir().join(format!("bsa-station-chunks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+    let station = Station::bind(StationConfig {
+        store_root: Some(store_root.clone()),
+        ..StationConfig::default()
+    })
+    .unwrap();
+    let before = station.stats().sessions_active;
+    let spec = neuro_spec(128, 128);
+    let culture = culture_spec(256);
+    let reference = reference_frames(&spec, &culture, 256);
+    let assert_bit_identical = |got: &[Vec<f64>], want: &[Vec<f64>]| {
+        assert_eq!(got.len(), want.len());
+        for (i, (got, want)) in got.iter().zip(want).enumerate() {
+            assert_eq!(got.len(), want.len(), "frame {i} sample count");
+            for (j, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "frame {i} sample {j}: {g} != {w}");
+            }
+        }
+    };
+
+    {
+        let mut client = StationClient::connect(station.addr(), "big-chunks").unwrap();
+        let live = client.attach_neuro(&spec).unwrap();
+        let stream = client
+            .stream_neuro(live.chip, 256, 1024, Seconds::new(0.0), &culture)
+            .unwrap();
+        assert_eq!(stream.frames_dropped, 0, "loopback client fell behind");
+        // Chunks are equal-sized but for the last, so three chunks for
+        // 256 frames means none carries more than 127.
+        assert_eq!(stream.chunks, 256u32.div_ceil(CAP));
+        assert_bit_identical(&stream.frames, &reference);
+
+        let take = client.attach_neuro(&spec).unwrap();
+        client.start_recording(take.chip, "big-take").unwrap();
+        client
+            .stream_neuro(take.chip, 128, 8, Seconds::new(0.0), &culture)
+            .unwrap();
+        let summary = client.stop_recording(take.chip).unwrap();
+        assert_eq!(summary.frames_written, 128, "store writer fell behind");
+        let replayed = client.replay("big-take", 1024).unwrap();
+        assert_eq!(replayed.frames_dropped, 0, "loopback replay fell behind");
+        assert_eq!(replayed.chunks, 128u32.div_ceil(CAP));
+        assert_bit_identical(&replayed.frames, &reference[..128]);
+    }
+
+    // The client is gone; its session winds down and frees its slot.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while station.stats().sessions_active != before && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(station.stats().sessions_active, before);
+
+    drop(station);
+    let _ = std::fs::remove_dir_all(&store_root);
+}
