@@ -113,10 +113,9 @@ const BLOCKING_CALLS: &[&str] = &[
 /// `try_recv` never block and are deliberately absent.
 const CHANNEL_METHODS: &[&str] = &["send", "recv", "recv_timeout"];
 
-/// Per file: inside the serving crates.
-fn serving(parsed: &[ParsedFile]) -> Vec<bool> {
-    let in_scope = |pf: &ParsedFile| SERVING.iter().any(|p| pf.path.starts_with(p));
-    parsed.iter().map(in_scope).collect()
+/// Whether a file belongs to the serving crates.
+fn serving(pf: &ParsedFile) -> bool {
+    SERVING.iter().any(|p| pf.path.starts_with(p))
 }
 
 /// One atomic operation: a method call carrying `Ordering` arguments.
@@ -131,13 +130,7 @@ struct AtomicOp<'a> {
 pub fn conc_pass(sources: &[SourceFile], parsed: &[ParsedFile], out: &mut Vec<Violation>) {
     // (field -> orderings seen, with first site for the report).
     let mut orderings: BTreeMap<String, (BTreeSet<String>, String, usize)> = BTreeMap::new();
-    let in_scope = serving(parsed);
-    for ((sf, pf), _) in sources
-        .iter()
-        .zip(parsed)
-        .zip(&in_scope)
-        .filter(|(_, s)| **s)
-    {
+    for (sf, pf) in sources.iter().zip(parsed).filter(|(_, pf)| serving(pf)) {
         for f in &pf.fns {
             let ops = atomic_ops(&sf.tokens, f);
             for op in &ops {
@@ -289,50 +282,43 @@ type Edges = BTreeMap<String, BTreeMap<String, Prov>>;
 /// Builds the acquisition-order graph over the serving crates and reports
 /// each distinct cycle once.
 pub fn lock_order_pass(parsed: &[ParsedFile], out: &mut Vec<Violation>) {
-    let in_scope = serving(parsed);
+    let in_scope: Vec<bool> = parsed.iter().map(serving).collect();
     let mut memo: BTreeMap<FnRef, BTreeSet<String>> = BTreeMap::new();
     let mut visiting: BTreeSet<FnRef> = BTreeSet::new();
-    let fns: Vec<(FnRef, &str, &FnItem)> = parsed
-        .iter()
-        .enumerate()
-        .filter(|(fi, _)| in_scope.get(*fi) == Some(&true))
-        .flat_map(|(fi, pf)| {
-            pf.fns
-                .iter()
-                .enumerate()
-                .map(move |(gi, f)| ((fi, gi), pf.path.as_str(), f))
-        })
-        .collect();
     // Transitive acquisition sets first, walked in source order: where a
     // recursion is cut depends on the fn the walk starts from.
-    for (id, _, _) in &fns {
-        transitive_acqs(*id, parsed, &in_scope, &mut memo, &mut visiting);
+    for (fi, pf) in parsed.iter().enumerate().filter(|(_, pf)| serving(pf)) {
+        for gi in 0..pf.fns.len() {
+            transitive_acqs((fi, gi), parsed, &in_scope, &mut memo, &mut visiting);
+        }
     }
 
     // Edges: held node → later-acquired node, with provenance.
     let mut edges = Edges::new();
-    for (_, file, f) in fns {
+    for pf in parsed.iter().filter(|pf| serving(pf)) {
         let prov = |line: usize, via: String| Prov {
-            file: file.to_string(),
+            file: pf.path.clone(),
             line,
             via,
         };
-        let acqs: Vec<(&CallSite, String)> = f
-            .calls
-            .iter()
-            .filter_map(|c| Some((c, acquisition(c)?)))
-            .collect();
-        for (ai, (a, held)) in acqs.iter().enumerate() {
-            for (b, node) in acqs.iter().skip(ai + 1) {
-                add_edge(&mut edges, held, node, || prov(b.line, f.qualified.clone()));
-            }
-            for c in f.calls.iter().filter(|c| c.at > a.at) {
-                let Some(acquired) = c.target.and_then(|t| memo.get(&t)) else {
-                    continue;
-                };
-                for node in acquired {
-                    let via = || prov(c.line, format!("{} → {}", f.qualified, c.callee()));
-                    add_edge(&mut edges, held, node, via);
+        for f in &pf.fns {
+            let acqs: Vec<(&CallSite, String)> = f
+                .calls
+                .iter()
+                .filter_map(|c| Some((c, acquisition(c)?)))
+                .collect();
+            for (ai, (a, held)) in acqs.iter().enumerate() {
+                for (b, node) in acqs.iter().skip(ai + 1) {
+                    add_edge(&mut edges, held, node, || prov(b.line, f.qualified.clone()));
+                }
+                for c in f.calls.iter().filter(|c| c.at > a.at) {
+                    let Some(acquired) = c.target.and_then(|t| memo.get(&t)) else {
+                        continue;
+                    };
+                    for node in acquired {
+                        let via = || prov(c.line, format!("{} → {}", f.qualified, c.callee()));
+                        add_edge(&mut edges, held, node, via);
+                    }
                 }
             }
         }

@@ -83,16 +83,11 @@ pub struct Summaries {
 }
 
 impl Summaries {
-    /// The summary of the fn that the call whose callee ident is token
-    /// `at` binds to; `calls` are the calling fn's call sites.
-    fn at(&self, calls: &[CallSite], at: usize) -> Option<&FnSummary> {
+    /// Return contract of the fn that the call whose callee ident is
+    /// token `at` binds to; `calls` are the calling fn's call sites.
+    pub(crate) fn ret_contract(&self, calls: &[CallSite], at: usize) -> Option<&RetContract> {
         let target = calls.iter().find(|c| c.at == at)?.target?;
-        self.by_fn.get(&target)
-    }
-
-    /// Return contract of the call at callee token `at`, if published.
-    pub fn ret_contract(&self, calls: &[CallSite], at: usize) -> Option<&RetContract> {
-        self.at(calls, at)?.contract.as_ref()
+        self.by_fn.get(&target)?.contract.as_ref()
     }
 
     /// `Some(k)` when the callee promises every yielded element `< args[k]`.

@@ -586,7 +586,7 @@ fn analyze_fn(
                     format!(
                         "wire-derived argument flows into `{callee}`, \
                          where it reaches a {noun} unvalidated",
-                        callee = call.callee(),
+                        callee = name,
                         noun = kind.noun(),
                     ),
                 ));

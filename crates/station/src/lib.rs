@@ -50,6 +50,6 @@ pub use client::{
 };
 pub use registry::{
     culture_from_spec, dna_config_from_spec, injection_plan_from_spec, neuro_config_from_spec,
-    plan_to_spec, yield_summary, MAX_PIXELS,
+    plan_to_spec, yield_summary,
 };
 pub use server::{Station, StationConfig, StationHandle};

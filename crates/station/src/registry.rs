@@ -21,13 +21,10 @@ use bsa_units::{Ampere, Hertz, Seconds, Volt};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Largest array the station will simulate (a 2048×2048 die), so a
-/// hostile spec cannot demand an absurd allocation.
-pub const MAX_PIXELS: usize = 1 << 22;
-
 // Every station reply must fit one wire frame of at most `MAX_PAYLOAD`
-// bytes. Three replies grow with the array, and their encodings set the
-// limits below:
+// bytes, which also keeps a hostile spec from demanding an absurd
+// allocation. Three replies grow with the array, and their encodings set
+// the limits below:
 // * a `StreamData` chunk of neuro frames: 22 bytes of head (message tag,
 //   chip, seq, payload tag, first frame, rows, cols, sample count), then
 //   8 bytes per sample;

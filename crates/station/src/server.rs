@@ -162,19 +162,17 @@ fn try_open_session(
         if cur >= max {
             return None;
         }
-        let next = cur + 1;
         match stats.sessions_active.compare_exchange_weak(
             cur,
-            next,
+            cur + 1,
             Ordering::Relaxed,
             Ordering::Relaxed,
         ) {
             Ok(_) => {
                 StationStats::add(&stats.sessions_opened, 1);
-                let (stats, sessions) = (Arc::clone(stats), Arc::clone(sessions));
                 return Some(Admission {
-                    stats,
-                    sessions,
+                    stats: Arc::clone(stats),
+                    sessions: Arc::clone(sessions),
                     id,
                 });
             }

@@ -18,7 +18,7 @@
 use crate::registry::{
     culture_from_spec, dna_config_from_spec, injection_plan_from_spec, max_chunk_frames,
     neuro_config_from_spec, yield_summary, Chip, Registry, MAX_ASSAY_PIXELS, MAX_CHUNK_READINGS,
-    MAX_FRAME_PIXELS, MAX_PIXELS,
+    MAX_FRAME_PIXELS,
 };
 use crate::stats::StationStats;
 use bsa_core::dna_chip::{DnaChip, SampleMix};
@@ -407,9 +407,8 @@ impl Session {
             Ok(c) => c,
             Err(err) => return error_reply(ErrorCode::BadRequest, err.to_string()),
         };
-        // The simulation bound, and the assay reply must fit one frame.
-        let pixels = config.geometry.len();
-        if pixels > MAX_PIXELS || pixels > MAX_ASSAY_PIXELS {
+        // The assay reply must fit one wire frame.
+        if config.geometry.len() > MAX_ASSAY_PIXELS {
             return error_reply(ErrorCode::BadRequest, "array too large".into());
         }
         let rows = config.geometry.rows();
@@ -437,9 +436,8 @@ impl Session {
             Ok(c) => c,
             Err(err) => return error_reply(ErrorCode::BadRequest, err.to_string()),
         };
-        // The simulation bound, and one frame must fit a stream chunk.
-        let pixels = config.geometry.len();
-        if pixels > MAX_PIXELS || pixels > MAX_FRAME_PIXELS {
+        // One frame must fit a stream chunk.
+        if config.geometry.len() > MAX_FRAME_PIXELS {
             return error_reply(ErrorCode::BadRequest, "array too large".into());
         }
         let rows = config.geometry.rows();
