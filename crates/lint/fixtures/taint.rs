@@ -246,3 +246,17 @@ fn bare_form_call(b: [u8; 4]) -> Vec<u8> {
     let n = u32::from_le_bytes(b) as usize;
     grow_self(n)
 }
+
+
+impl Pool {
+    fn grow_second(&self, _hint: usize, cap: usize) -> Vec<u8> {
+        Vec::with_capacity(cap)
+    }
+}
+
+/// `Type::method(&x, …)` passes `self` as its first argument, so argument
+/// k is not parameter k: the call carries no argument flow.
+fn receiver_as_argument(pool: &Pool, b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    Pool::grow_second(pool, n, 64)
+}

@@ -342,24 +342,23 @@ fn for_facts(
             return push(fact, (k >= 1).then_some(k));
         }
     }
-    let Some((path, after)) = path_starting_at(tokens, iter.start) else {
+    let Some(call) = calls.iter().find(|c| c.start == iter.start) else {
         return;
     };
-    let args = matching(tokens, after)
-        .filter(|c| tok_punct(tokens, after, '(') && c + 1 == iter.end)
-        .map(|c| after + 1..c);
+    let (path, args) = (&call.path, &call.args);
+    let whole = args.end + 1 == iter.end;
     // `PATH.iter().enumerate()` / `PATH.iter_mut().enumerate()`.
     let seq = path
         .strip_suffix(".iter")
         .or(path.strip_suffix(".iter_mut"));
     if let Some(seq) = seq {
-        if tok_punct(tokens, after, '(')
-            && tok_punct(tokens, after + 1, ')')
-            && tok_punct(tokens, after + 2, '.')
-            && tok_ident(tokens, after + 3) == Some("enumerate")
-            && tok_punct(tokens, after + 4, '(')
-            && tok_punct(tokens, after + 5, ')')
-            && after + 6 == iter.end
+        let after = args.end + 1;
+        if args.is_empty()
+            && tok_punct(tokens, after, '.')
+            && tok_ident(tokens, after + 1) == Some("enumerate")
+            && tok_punct(tokens, after + 2, '(')
+            && tok_punct(tokens, after + 3, ')')
+            && after + 4 == iter.end
         {
             let seq = seq.to_string();
             push(
@@ -376,19 +375,16 @@ fn for_facts(
     // `PATH.windows(k)` / `PATH.chunks_exact(k)`: the loop variable is
     // itself a slice of exactly `k` elements.
     if path.ends_with(".windows") || path.ends_with(".chunks_exact") {
-        if let Some(len) = args
-            .and_then(|a| const_expr(tokens, &a))
-            .filter(|k| *k >= 1)
-        {
+        if let Some(len) = const_expr(tokens, args).filter(|k| whole && *k >= 1) {
             push(Fact::ExactLen { seq: var, len }, None);
         }
         return;
     }
     // `for v in f(a, b, ..) {}` where `f`'s summary promises every
     // yielded element is `< param k` — bind `v < arg_k` in the body.
-    let elems = summaries.elems_lt_param(calls, after - 1);
-    if let (Some(k), Some(args)) = (elems, args) {
-        if let Some(path) = call_arg_path(tokens, &args, k) {
+    let elems = summaries.elems_lt_param(call).filter(|_| whole);
+    if let Some(k) = elems {
+        if let Some(path) = call_arg_path(tokens, args, k) {
             push(Fact::VarLtPath { var, path }, None);
         }
     }
@@ -583,42 +579,37 @@ fn let_fact(
     // `let v = f(a, b, ..)[?];` with a return-bound summary for `f`: the
     // contract, instantiated with the call's arguments, bounds `v`.
     // `let v = PATH.partition_point(..);` — result ≤ PATH.len().
-    if let Some((path, after)) = path_starting_at(tokens, rhs.start) {
-        let close = matching(tokens, after).filter(|_| tok_punct(tokens, after, '('));
-        if let Some(close) = close {
-            let args = after + 1..close;
-            let whole = close + 1 == rhs.end;
-            let tried = tok_punct(tokens, close + 1, '?') && close + 2 == rhs.end;
-            let contract = summaries
-                .ret_contract(calls, after - 1)
-                .filter(|_| whole || tried);
-            let fact = contract.and_then(|contract| match contract {
-                RetContract::LtParam(k) => {
-                    call_arg_path(tokens, &args, *k).map(|path| Fact::VarLtPath {
-                        var: var.clone(),
-                        path,
-                    })
-                }
-                RetContract::LtLenOfParam(k) => {
-                    call_arg_path(tokens, &args, *k).map(|seq| Fact::VarBound {
-                        var: var.clone(),
-                        seq,
-                        max_off: 0,
-                    })
-                }
-                RetContract::LeConst(c) => Some(Fact::VarLeConst {
+    if let Some(call) = calls.iter().find(|c| c.start == rhs.start) {
+        let args = &call.args;
+        let whole = args.end + 1 == rhs.end;
+        let tried = tok_punct(tokens, args.end + 1, '?') && args.end + 2 == rhs.end;
+        let contract = summaries.ret_contract(call).filter(|_| whole || tried);
+        let fact = contract.and_then(|contract| match contract {
+            RetContract::LtParam(k) => {
+                call_arg_path(tokens, args, *k).map(|path| Fact::VarLtPath {
                     var: var.clone(),
-                    max: *c,
-                }),
-                RetContract::ElemsLtParam(_) => None,
-            });
-            if let Some(fact) = fact {
-                return Some((fact, None));
+                    path,
+                })
             }
-            if let Some(seq) = path.strip_suffix(".partition_point").filter(|_| whole) {
-                let seq = seq.to_string();
-                return Some((Fact::UpToLen { var, seq }, None));
+            RetContract::LtLenOfParam(k) => {
+                call_arg_path(tokens, args, *k).map(|seq| Fact::VarBound {
+                    var: var.clone(),
+                    seq,
+                    max_off: 0,
+                })
             }
+            RetContract::LeConst(c) => Some(Fact::VarLeConst {
+                var: var.clone(),
+                max: *c,
+            }),
+            RetContract::ElemsLtParam(_) => None,
+        });
+        if let Some(fact) = fact {
+            return Some((fact, None));
+        }
+        if let Some(seq) = call.path.strip_suffix(".partition_point").filter(|_| whole) {
+            let seq = seq.to_string();
+            return Some((Fact::UpToLen { var, seq }, None));
         }
     }
     // `let v = EXPR.min(PATH.len() - k);` — the clamp must be the RHS's
@@ -1523,6 +1514,19 @@ mod tests {
         );
         assert!(out.is_empty());
         assert_eq!(proofs.proven_sites(), 1);
+    }
+
+    #[test]
+    fn receiver_passed_as_argument_binds_no_contract() {
+        // Shifted by the receiver, the contract would read `k < i` and
+        // prove `v[k]` although `k < n` is all `wrap` promises.
+        let (_, proofs) = run(
+            "struct S;\n\
+             impl S { fn wrap(&self, i: usize, n: usize) -> usize { i % n } }\n\
+             fn f(s: &S, i: usize, n: usize) -> u8 { let v = vec![0u8; i]; let k = S::wrap(s, i, n); v[k] }",
+            false,
+        );
+        assert_eq!(proofs.proven_sites(), 0);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::syntax::{
-    depth0, last_segment, lower, lower_params, matching, path_ending_at, skip_angles, tok_ident,
-    tok_punct, Param, Rebind, Stmt,
+    depth0, last_segment, lower, lower_params, matching, path_span_ending_at, skip_angles,
+    tok_ident, tok_punct, Param, Rebind, Stmt,
 };
 use crate::workspace::SourceFile;
 use std::collections::BTreeMap;
@@ -74,6 +74,8 @@ pub struct FnItem {
 /// One call site inside a function body: the single record of a call.
 #[derive(Debug, Clone)]
 pub struct CallSite {
+    /// Token index where the call path starts.
+    pub start: usize,
     /// Token index of the callee ident.
     pub at: usize,
     /// The call path as written, ending at the callee (`helper`,
@@ -91,12 +93,21 @@ pub struct CallSite {
     pub line: usize,
     /// The workspace fn the call binds to (see [`parse_workspace`]).
     pub target: Option<FnRef>,
+    /// `Type::method(&x, …)`: the first argument is the callee's `self`.
+    pub self_arg: bool,
 }
 
 impl CallSite {
     /// The called name (last path segment).
     pub fn callee(&self) -> &str {
         last_segment(&self.path)
+    }
+
+    /// The target when argument k of the call is parameter k of the
+    /// callee, which is not so when the call passes `self` as its first
+    /// argument. Passes that map arguments to parameters bind through this.
+    pub fn arg_target(&self) -> Option<FnRef> {
+        self.target.filter(|_| !self.self_arg)
     }
 }
 
@@ -148,33 +159,35 @@ pub(crate) fn parse_file(path: &str, tokens: &[Token]) -> ParsedFile {
 }
 
 /// The one call-binding rule (DESIGN.md §9.2). `Type::name(…)` and
-/// `Self::name(…)` bind to the fn that `impl Type` defines. Any other call
-/// binds by its bare name when exactly one fn in the workspace has that
-/// name and takes `self` exactly when the call uses method syntax. Std
-/// calls and ambiguous names bind nothing.
+/// `Self::name(…)` bind to the fn that `impl Type` defines; when that fn
+/// takes `self`, the call's first argument is the receiver (`self_arg`).
+/// Any other call binds by its bare name when exactly one fn in the
+/// workspace has that name and takes `self` exactly when the call uses
+/// method syntax. Std calls and ambiguous names bind nothing.
 fn resolve_calls(parsed: &mut [ParsedFile]) {
-    let mut qualified: BTreeMap<String, Vec<FnRef>> = BTreeMap::new();
+    let mut qualified: BTreeMap<String, Vec<(FnRef, bool)>> = BTreeMap::new();
     let mut bare: BTreeMap<String, Vec<(FnRef, bool)>> = BTreeMap::new();
     for (fi, pf) in parsed.iter().enumerate() {
         for (gi, f) in pf.fns.iter().enumerate() {
-            qualified
-                .entry(f.qualified.clone())
-                .or_default()
-                .push((fi, gi));
+            let entry = qualified.entry(f.qualified.clone()).or_default();
+            entry.push(((fi, gi), f.has_self));
             let entry = bare.entry(f.name.clone()).or_default();
             entry.push(((fi, gi), f.has_self));
         }
     }
     let calls = parsed.iter_mut().flat_map(|pf| &mut pf.fns);
     for c in calls.flat_map(|f| &mut f.calls) {
-        c.target = match c.path.rsplit_once("::") {
-            Some((ty, name)) => match qualified.get(&format!("{}::{name}", last_segment(ty))) {
-                Some(ids) if ids.len() == 1 => ids.first().copied(),
-                _ => None,
-            },
+        (c.target, c.self_arg) = match c.path.rsplit_once("::") {
+            Some((ty, name)) => {
+                let key = format!("{}::{name}", last_segment(ty));
+                match qualified.get(&key).map(Vec::as_slice) {
+                    Some(&[(id, has_self)]) => (Some(id), has_self),
+                    _ => (None, false),
+                }
+            }
             None => match bare.get(c.callee()).map(Vec::as_slice) {
-                Some(&[(id, has_self)]) if has_self == c.is_method => Some(id),
-                _ => None,
+                Some(&[(id, has_self)]) if has_self == c.is_method => (Some(id), false),
+                _ => (None, false),
             },
         };
     }
@@ -421,7 +434,7 @@ fn attribute_calls(tokens: &[Token], impls: &[ImplRegion], fns: &mut [FnItem]) {
         if CALL_KEYWORDS.contains(&name) || tok_ident(tokens, k.wrapping_sub(1)) == Some("fn") {
             continue;
         }
-        let Some(mut path) = path_ending_at(tokens, k) else {
+        let Some((mut path, start)) = path_span_ending_at(tokens, k) else {
             continue;
         };
         // `<T as Trait>::name(…)` and `::name(…)`: unresolvable —
@@ -438,6 +451,7 @@ fn attribute_calls(tokens: &[Token], impls: &[ImplRegion], fns: &mut [FnItem]) {
         }
         let is_method = tok_punct(tokens, k.wrapping_sub(1), '.');
         let call = CallSite {
+            start,
             at: k,
             path,
             is_method,
@@ -447,6 +461,7 @@ fn attribute_calls(tokens: &[Token], impls: &[ImplRegion], fns: &mut [FnItem]) {
             args: k + 2..close,
             line: t.line,
             target: None,
+            self_arg: false,
         };
         // Attribute to the innermost fn whose body contains the call.
         let innermost = fns

@@ -35,8 +35,7 @@ use crate::parser::{CallSite, FnItem, FnRef, ParsedFile};
 use crate::rules::{index_site, violation, Violation};
 use crate::syntax::{
     call_arg_path, call_arg_range, const_expr, depth0, final_call, last_depth0, len_minus_expr,
-    matching, path_ending_at, path_starting_at, skip_angles, tok_ident, tok_int, tok_punct, Param,
-    StmtKind,
+    matching, path_ending_at, skip_angles, tok_ident, tok_int, tok_punct, Param, StmtKind,
 };
 use crate::workspace::SourceFile;
 
@@ -83,16 +82,14 @@ pub struct Summaries {
 }
 
 impl Summaries {
-    /// Return contract of the fn that the call whose callee ident is
-    /// token `at` binds to; `calls` are the calling fn's call sites.
-    pub(crate) fn ret_contract(&self, calls: &[CallSite], at: usize) -> Option<&RetContract> {
-        let target = calls.iter().find(|c| c.at == at)?.target?;
-        self.by_fn.get(&target)?.contract.as_ref()
+    /// Return contract of the fn that `call` binds to.
+    pub(crate) fn ret_contract(&self, call: &CallSite) -> Option<&RetContract> {
+        self.by_fn.get(&call.arg_target()?)?.contract.as_ref()
     }
 
     /// `Some(k)` when the callee promises every yielded element `< args[k]`.
-    pub(crate) fn elems_lt_param(&self, calls: &[CallSite], at: usize) -> Option<usize> {
-        match self.ret_contract(calls, at)? {
+    pub(crate) fn elems_lt_param(&self, call: &CallSite) -> Option<usize> {
+        match self.ret_contract(call)? {
             RetContract::ElemsLtParam(k) => Some(*k),
             _ => None,
         }
@@ -199,14 +196,12 @@ fn derive_contract(
         return Some(RetContract::LeConst(c));
     }
     // Tail call `g(args)` — substitute `g`'s contract through the
-    // argument mapping (a method's receiver is neither an argument nor a
-    // parameter, so positions line up).
-    let (_, after) = path_starting_at(tokens, tail.start)?;
+    // argument mapping (`arg_target`: positions line up).
     let call = f
         .calls
         .iter()
-        .find(|c| c.at + 1 == after && c.args.end + 1 == tail.end)?;
-    let (cfi, cgi) = call.target?;
+        .find(|c| c.start == tail.start && c.args.end + 1 == tail.end)?;
+    let (cfi, cgi) = call.arg_target()?;
     let sub = derive_contract(sources, parsed, cfi, cgi, depth + 1)?;
     let map_arg = |j: usize| -> Option<usize> {
         let r = call_arg_range(tokens, &call.args, j)?;
@@ -330,7 +325,7 @@ pub fn summary_pass(
         for f in &pf.fns {
             let mut facts = None;
             for call in &f.calls {
-                let summary = call.target.and_then(|t| summaries.by_fn.get(&t));
+                let summary = call.arg_target().and_then(|t| summaries.by_fn.get(&t));
                 if let Some(req) = summary.and_then(|s| s.requires.as_ref()) {
                     let facts =
                         facts.get_or_insert_with(|| collect_facts(&sf.tokens, f, summaries));
@@ -481,6 +476,17 @@ mod tests {
              fn outer(a: usize, b: usize) -> usize { A::wrap(a, b) }",
         );
         assert_eq!(contract(&p, &s, "outer"), Some(&RetContract::LtParam(1)));
+    }
+
+    #[test]
+    fn receiver_passed_as_argument_gets_no_contract() {
+        // `S::wrap(s, a, b)`: argument 1 is `a`, but parameter 1 is `n`.
+        let (_, p, s) = setup(
+            "struct S;\n\
+             impl S { fn wrap(&self, i: usize, n: usize) -> usize { i % n } }\n\
+             fn outer(s: &S, a: usize, b: usize) -> usize { S::wrap(s, a, b) }",
+        );
+        assert_eq!(contract(&p, &s, "outer"), None);
     }
 
     #[test]

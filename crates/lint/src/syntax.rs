@@ -147,6 +147,11 @@ pub(crate) fn split(tokens: &[Token], range: &Range<usize>, sep: &[char]) -> Vec
 /// backwards. Returns the normalized path string (`self.rows`,
 /// `Base::ALL`). `None` if `end` is not an identifier.
 pub(crate) fn path_ending_at(tokens: &[Token], end: usize) -> Option<String> {
+    path_span_ending_at(tokens, end).map(|(path, _)| path)
+}
+
+/// [`path_ending_at`], also returning the token index the path starts at.
+pub(crate) fn path_span_ending_at(tokens: &[Token], end: usize) -> Option<(String, usize)> {
     tok_ident(tokens, end)?;
     let mut parts: Vec<String> = Vec::new();
     let mut i = end;
@@ -168,7 +173,7 @@ pub(crate) fn path_ending_at(tokens: &[Token], end: usize) -> Option<String> {
         }
     }
     parts.reverse();
-    Some(parts.concat())
+    Some((parts.concat(), i))
 }
 
 /// One past the last token of the dotted/`::` path starting at `start`.

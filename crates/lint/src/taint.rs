@@ -570,7 +570,7 @@ fn analyze_fn(
             continue;
         }
         let target = call
-            .target
+            .arg_target()
             .filter(|t| *t != key && ctx.in_scope.get(t.0) == Some(&true));
         let Some(target) = target else { continue };
         for (k, kind) in summarize(ctx, target, memo, viols, visiting) {

@@ -50,6 +50,16 @@ pub(crate) fn max_chunk_frames(pixels: usize) -> u32 {
     u32::try_from(MAX_FRAME_PIXELS / pixels.max(1)).unwrap_or(u32::MAX)
 }
 
+/// The chunk size a stream request gets: `default` when it asks for 0,
+/// else what it asks for, clamped to `cap` so that one chunk fits a frame.
+pub(crate) fn chunk_size(requested: u32, default: u32, cap: u32) -> u32 {
+    match requested {
+        0 => default,
+        n => n,
+    }
+    .min(cap)
+}
+
 /// Builds a neuro-chip configuration from its wire spec. Zero /
 /// non-finite fields select the paper defaults (128×128, 16 channels,
 /// 2 kHz).

@@ -16,9 +16,9 @@
 //! `StreamEnd { frames_dropped, .. }`.
 
 use crate::registry::{
-    culture_from_spec, dna_config_from_spec, injection_plan_from_spec, max_chunk_frames,
-    neuro_config_from_spec, yield_summary, Chip, Registry, MAX_ASSAY_PIXELS, MAX_CHUNK_READINGS,
-    MAX_FRAME_PIXELS,
+    chunk_size, culture_from_spec, dna_config_from_spec, injection_plan_from_spec,
+    max_chunk_frames, neuro_config_from_spec, yield_summary, Chip, Registry, MAX_ASSAY_PIXELS,
+    MAX_CHUNK_READINGS, MAX_FRAME_PIXELS,
 };
 use crate::stats::StationStats;
 use bsa_core::dna_chip::{DnaChip, SampleMix};
@@ -736,11 +736,7 @@ impl Session {
             ChipKind::Neuro => (DEFAULT_CHUNK_FRAMES, max_chunk_frames(pixels)),
             ChipKind::Dna => (DNA_CHUNK_READINGS, MAX_CHUNK_READINGS),
         };
-        let chunk = match chunk_frames {
-            0 => default,
-            n => n,
-        }
-        .min(cap);
+        let chunk = chunk_size(chunk_frames, default, cap);
         // Each chunk is assembled from n consecutive records. A corrupted
         // record ends the replay with a typed error reply; the client's
         // stream loop surfaces it as a server error.
@@ -866,11 +862,11 @@ impl Session {
         };
         let g = chip.config().geometry;
         let (rows, cols) = (g.rows() as u16, g.cols() as u16);
-        let chunk = match chunk_frames {
-            0 => DEFAULT_CHUNK_FRAMES,
-            n => n,
-        }
-        .min(max_chunk_frames(g.len()));
+        let chunk = chunk_size(
+            chunk_frames,
+            DEFAULT_CHUNK_FRAMES,
+            max_chunk_frames(g.len()),
+        );
         let mask = self.masks.get(&id).filter(|m| !m.is_empty()).map(|m| {
             let mut usable = vec![true; g.len()];
             for &p in m {
