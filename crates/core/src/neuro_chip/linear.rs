@@ -285,7 +285,7 @@ fn scan_channel_linear(
     plan: &ChannelPlan,
     lc: &mut LinearChannel,
     cc: ChainCoeffs,
-    rng: &mut SmallRng,
+    stream: &mut SmallRng,
     culture: &Culture,
     frame_starts: &[f64],
     frame_period: Seconds,
@@ -300,6 +300,11 @@ fn scan_channel_linear(
     let frame_len = rows * cols_per_channel;
     let neurons = culture.neurons();
     let noise = Ziggurat::new();
+    // Draw from a local copy of the stream and store it back once: the
+    // per-channel states sit side by side in one `Vec`, so writing them
+    // in place on every draw would bounce a shared cache line between
+    // the threads scanning neighbouring channels.
+    let mut rng = stream.clone();
     lc.vbuf.clear();
     lc.vbuf.resize(frame_len, 0.0);
     // Channels whose stripe contains no clipped pixel skip the clamp
@@ -362,7 +367,7 @@ fn scan_channel_linear(
                 // reference chain's `reset_settling`.
                 let mut last = 0.0f64;
                 for (((y, &i), &lo_k), &hi_k) in row_out.iter_mut().zip(ib).zip(lo).zip(hi) {
-                    let z = noise.sample(rng);
+                    let z = noise.sample(&mut rng);
                     let noisy = i + cc.sigma * z;
                     let target = noisy * cc.gain;
                     let after_a = target + (last - target) * cc.alpha_a;
@@ -378,7 +383,7 @@ fn scan_channel_linear(
             for (row_out, ib) in row_iter {
                 let mut last = 0.0f64;
                 for (y, &i) in row_out.iter_mut().zip(ib) {
-                    let z = noise.sample(rng);
+                    let z = noise.sample(&mut rng);
                     let noisy = i + cc.sigma * z;
                     let target = noisy * cc.gain;
                     let after_a = target + (last - target) * cc.alpha_a;
@@ -389,10 +394,12 @@ fn scan_channel_linear(
             }
         }
     }
+    *stream = rng;
 }
 
 /// Scans a chunk of frames across all channels through the linearized
-/// tables, with the same channel fan-out as the reference `scan_chunk`.
+/// tables, with the reference `scan_chunk`'s claim-as-you-go channel
+/// fan-out and its one write-back of each channel's RNG stream.
 /// `stripe` layout and determinism contract are identical.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn scan_chunk_linear(

@@ -16,11 +16,14 @@
 //!   channel index, replacing the single shared frame RNG that serialized
 //!   the old scan. Output is therefore identical for any thread count,
 //!   including fully serial execution.
-//! * **Channel fan-out** over `std::thread::scope`: the channels split
-//!   into one balanced contiguous group per resolved worker thread (16
-//!   channels over 3 threads run as 6/5/5), the first group on the calling
-//!   thread. A lost multiplexer channel short-circuits to a `fill(0.0)`
-//!   without evaluating a single pixel or culture sample.
+//! * **Channel fan-out** over `std::thread::scope`: each resolved worker
+//!   thread, the caller included, claims the next unscanned channel until
+//!   none is left, so a thread that gets less of a core scans fewer
+//!   channels instead of delaying the chunk. A channel kernel draws from
+//!   a local copy of its RNG stream and stores it back once: neighbouring
+//!   channels' states share cache lines and may be scanned on different
+//!   threads at once. A lost multiplexer channel short-circuits to a
+//!   `fill(0.0)` without evaluating a single pixel or culture sample.
 //! * **A reusable frame arena** ([`FrameArena`](crate::scan::FrameArena)):
 //!   frame buffers are acquired from a pool and recycled from finished
 //!   [`Recording`]s, so a steady-state record loop performs zero
@@ -141,7 +144,7 @@ impl ScanPlan {
 fn scan_channel(
     plan: &ChannelPlan,
     chain: &mut ChannelChain,
-    rng: &mut SmallRng,
+    stream: &mut SmallRng,
     pixels: &[NeuroPixel],
     culture: &Culture,
     dwell: Seconds,
@@ -155,6 +158,9 @@ fn scan_channel(
         return;
     }
     let frame_len = rows * cols_per_channel;
+    // A local copy of the stream, stored back once: see the fast path's
+    // `scan_channel_linear` for why no draw writes the shared `Vec`.
+    let mut rng = stream.clone();
     for (fi, &fs) in frame_starts.iter().enumerate() {
         let frame_out = &mut out[fi * frame_len..(fi + 1) * frame_len];
         let mut k = 0usize;
@@ -165,12 +171,13 @@ fn scan_channel(
                 let t = Seconds::new(fs + e.dt);
                 let v_cleft = culture.cleft_voltage_at(e.x, e.y, t);
                 let i_diff = pixels[e.idx].read(v_cleft, t);
-                let v = chain.process_sample(i_diff, dwell, rng);
+                let v = chain.process_sample(i_diff, dwell, &mut rng);
                 frame_out[k] = clipped(e.clip, v);
                 k += 1;
             }
         }
     }
+    *stream = rng;
 }
 
 /// Scans a chunk of frames across all channels, fanning the channels out

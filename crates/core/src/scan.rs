@@ -4,9 +4,9 @@
 //!
 //! Determinism contract: every noise draw in a scan comes from a stream
 //! whose seed is a pure function of (die seed, stream identity). Workers
-//! never share an RNG, so fanning the work out over any number of threads
-//! cannot change a single sample — parallel and serial runs are
-//! bit-identical.
+//! never share an RNG, so fanning the work out over any number of threads,
+//! in whatever order they claim the work units, cannot change a single
+//! sample — parallel and serial runs are bit-identical.
 
 /// Salt folded into the die seed for the neuro chip's frame-noise stream
 /// family, chosen so channel streams cannot collide with the other
@@ -113,27 +113,38 @@ pub(crate) fn resolve_threads(units: usize, opts: ScanOptions) -> usize {
     requested.clamp(1, units.max(1))
 }
 
-/// Runs `work` on every item, split into `threads` balanced contiguous
-/// groups (16 items over 3 threads run as 6/5/5). The first group runs on
-/// the calling thread and the others on scoped threads, so no more than
-/// `threads` OS threads work at once; one group is a plain serial loop.
+/// Runs `work` on every item, each thread claiming the next unclaimed
+/// item until none is left. The calling thread claims too and the others
+/// are scoped threads, so no more than `threads` OS threads work at once;
+/// one thread is a plain serial loop.
+///
+/// Claiming balances the load when the threads do not get equal shares of
+/// the cores: a thread that starts late or is descheduled simply claims
+/// fewer items, instead of holding back a fixed group the others wait on.
+/// Items adjacent in `items` may therefore run on different threads at the
+/// same time, so `work` should keep an item's hot mutable state (an RNG,
+/// say) in a local and write it back once, not store to `items`' memory
+/// per step: neighbouring items' state can share a cache line.
 pub(crate) fn fan_out<T: Send>(items: &mut [T], threads: usize, work: impl Fn(&mut T) + Sync) {
-    let groups = threads.clamp(1, items.len().max(1));
-    if groups == 1 {
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
         items.iter_mut().for_each(work);
         return;
     }
-    let (base, extra) = (items.len() / groups, items.len() % groups);
-    let work = &work;
-    std::thread::scope(|s| {
-        let (first, mut rest) = items.split_at_mut(base + usize::from(extra > 0));
-        for g in 1..groups {
-            let (group, tail) =
-                std::mem::take(&mut rest).split_at_mut(base + usize::from(g < extra));
-            s.spawn(move || group.iter_mut().for_each(work));
-            rest = tail;
+    let queue = std::sync::Mutex::new(items.iter_mut());
+    // A poisoned lock means another worker panicked; the scope re-raises
+    // that panic, so this worker just stops claiming.
+    let claim = || queue.lock().ok()?.next();
+    let run = || {
+        while let Some(item) = claim() {
+            work(item);
         }
-        first.iter_mut().for_each(work);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(run);
+        }
+        run();
     });
 }
 
@@ -240,15 +251,75 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_runs_balanced_contiguous_groups() {
-        let mut ids = vec![None; 16];
-        fan_out(&mut ids, 3, |id| *id = Some(std::thread::current().id()));
-        // One group per thread: consecutive runs of one thread id.
-        let groups: Vec<usize> = ids.chunk_by(|a, b| a == b).map(<[_]>::len).collect();
-        assert_eq!(groups, vec![6, 5, 5]);
-        let caller = Some(std::thread::current().id());
-        assert!(ids[..6].iter().all(|&id| id == caller));
-        assert!(ids[6..].iter().all(|&id| id != caller));
+    fn fan_out_runs_every_item_exactly_once() {
+        for len in 0..=17 {
+            for threads in 1..=5 {
+                let mut runs = vec![0u32; len];
+                fan_out(&mut runs, threads, |n| *n += 1);
+                assert!(
+                    runs.iter().all(|&n| n == 1),
+                    "{len} items over {threads} threads ran {runs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_uses_at_most_threads_workers_including_the_caller() {
+        for threads in 1..=5 {
+            let mut ids = vec![None; 16];
+            fan_out(&mut ids, threads, |id| {
+                // Hold each item briefly so every worker gets to claim.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                *id = Some(std::thread::current().id());
+            });
+            let mut distinct = Vec::new();
+            for id in ids.iter().flatten() {
+                if !distinct.contains(id) {
+                    distinct.push(*id);
+                }
+            }
+            assert!(
+                distinct.len() <= threads,
+                "{} workers for {threads} threads",
+                distinct.len()
+            );
+            assert!(
+                distinct.contains(&std::thread::current().id()),
+                "the caller claims items too ({threads} threads)"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_free_thread_takes_up_the_slack() {
+        // Item 0 holds its thread until every other item is done. Under a
+        // fixed split, items 1-7 would sit behind it on the same thread
+        // and the wait would time out; with claiming, the free thread
+        // runs all fifteen.
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let done = AtomicUsize::new(0);
+        let timed_out = AtomicBool::new(true);
+        let mut items: Vec<usize> = (0..16).collect();
+        fan_out(&mut items, 2, |&mut i| {
+            if i > 0 {
+                done.fetch_add(1, Ordering::Release);
+                return;
+            }
+            // A deadline of about five seconds, counted in sleeps: this
+            // crate reads no clock.
+            for _ in 0..5_000 {
+                if done.load(Ordering::Acquire) == 15 {
+                    timed_out.store(false, Ordering::Relaxed);
+                    return;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        assert!(
+            !timed_out.load(Ordering::Relaxed),
+            "items 1-15 did not finish while item 0 waited"
+        );
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! per-stream RNG seeded only by (die seed, stream identity) — never from
 //! scheduling order or call boundaries.
 
-use bsa_core::array::ArrayGeometry;
+use bsa_core::array::{ArrayGeometry, PixelAddress};
 use bsa_core::dna_chip::{DnaChip, DnaChipConfig};
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig, Recording};
 use bsa_core::scan::{channel_stream_seed, conversion_stream_seed};
 use bsa_core::{ScanMode, ScanOptions};
+use bsa_faults::{FaultKind, InjectionPlan};
 use bsa_neuro::culture::{Culture, CultureConfig};
-use bsa_units::{Ampere, Hertz, Meter, Seconds};
+use bsa_units::{Ampere, Hertz, Meter, Seconds, Volt};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -80,6 +81,97 @@ fn dna_repeated_conversions_draw_fresh_noise_but_reproduce() {
     let mut replay = DnaChip::new(DnaChipConfig::default()).unwrap();
     assert_eq!(replay.measure_currents(&currents).unwrap(), first);
     assert_eq!(replay.measure_currents(&currents).unwrap(), second);
+}
+
+/// A 16×32 die read out over the paper's 16 channels (two columns each),
+/// with channel 5 lost and pixel (4, 20) clipping at ±1 µV: more channels
+/// than threads, so workers claim channels in an order that changes from
+/// run to run, and neither fault path may shift another channel's stream.
+fn sixteen_channel_chip() -> NeuroChip {
+    let mut chip = NeuroChip::new(NeuroChipConfig {
+        geometry: ArrayGeometry::new(16, 32, Meter::from_micro(7.8)).unwrap(),
+        frame_rate: Hertz::from_kilo(2.0),
+        channels: 16,
+        ..NeuroChipConfig::default()
+    })
+    .unwrap();
+    let faults = InjectionPlan::new(7)
+        .lose_channel(5)
+        .at(
+            4,
+            20,
+            FaultKind::GainClipping {
+                limit: Volt::from_micro(1.0),
+            },
+        )
+        .compile(16, 32);
+    chip.inject_faults(&faults).unwrap();
+    chip
+}
+
+const SIXTEEN_CHANNEL_FRAMES: usize = 20;
+
+fn sixteen_channel_bits(opts: ScanOptions) -> Vec<u64> {
+    let rec = sixteen_channel_chip().record_with(
+        &test_culture(),
+        Seconds::ZERO,
+        SIXTEEN_CHANNEL_FRAMES,
+        opts,
+    );
+    // The faults are live: the lost channel's columns read zero and the
+    // clipped pixel stays within its limit, touching it at least once.
+    let clipped: Vec<f64> = rec
+        .frames()
+        .iter()
+        .map(|f| f.at(PixelAddress::new(4, 20)))
+        .collect();
+    assert!(clipped.iter().all(|v| v.abs() <= 1e-6), "{clipped:?}");
+    assert!(clipped.iter().any(|v| v.abs() == 1e-6), "{clipped:?}");
+    for f in rec.frames() {
+        for row in 0..16 {
+            assert_eq!(f.at(PixelAddress::new(row, 10)), 0.0);
+            assert_eq!(f.at(PixelAddress::new(row, 11)), 0.0);
+        }
+    }
+    rec.frames()
+        .iter()
+        .flat_map(|f| f.samples().iter().map(|s| s.to_bits()))
+        .collect()
+}
+
+/// The same run drained from a cursor in `size`-frame chunks.
+fn sixteen_channel_chunked_bits(opts: ScanOptions, size: usize) -> Vec<u64> {
+    let culture = test_culture();
+    let mut chip = sixteen_channel_chip();
+    let mut acq = chip.acquire(&culture, Seconds::ZERO, opts);
+    let mut samples = Vec::new();
+    let mut done = 0;
+    while done < SIXTEEN_CHANNEL_FRAMES {
+        let n = size.min(SIXTEEN_CHANNEL_FRAMES - done);
+        acq.next_chunk(&mut samples, n);
+        done += n;
+    }
+    samples.iter().map(|s| s.to_bits()).collect()
+}
+
+#[test]
+fn sixteen_channels_are_identical_for_any_thread_count_and_chunking() {
+    for mode in [ScanMode::Linearized, ScanMode::Reference] {
+        let serial = sixteen_channel_bits(ScanOptions::serial().with_mode(mode));
+        for threads in [2, 3, 16, 17] {
+            assert!(
+                sixteen_channel_bits(ScanOptions::with_threads(threads).with_mode(mode)) == serial,
+                "{mode:?} with {threads} threads diverged from serial"
+            );
+        }
+        for size in [3, 8] {
+            assert!(
+                sixteen_channel_chunked_bits(ScanOptions::with_threads(2).with_mode(mode), size)
+                    == serial,
+                "{mode:?} drained in {size}-frame chunks diverged from serial"
+            );
+        }
+    }
 }
 
 /// Frames of 16×16 over 4 channels, recalibrating every 25 ms (50 frames)
