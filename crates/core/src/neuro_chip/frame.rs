@@ -581,12 +581,14 @@ impl NeuroChip {
         );
     }
 
-    /// Compiles the fast path's per-pixel culture source lists and returns
-    /// the total number of `(neuron, weight)` pairs retained. An
-    /// acquisition does this once when it opens; this entry point exists
-    /// for stage timing and diagnostics.
+    /// Compiles the fast path's culture scatter tables, over the thread
+    /// count a default acquisition resolves, and returns the total number
+    /// of `(neuron, weight)` pairs retained. An acquisition does this in
+    /// its first scan chunk; this entry point exists for stage timing and
+    /// diagnostics.
     pub fn compile_culture_sources(&mut self, culture: &Culture) -> usize {
-        self.linear.compile_culture(&self.plan, culture)
+        let threads = resolve_threads(self.config.channels, ScanOptions::default());
+        self.linear.compile_culture(&self.plan, culture, threads)
     }
 
     /// The worker-thread count `opts` resolves to on this die (the value
@@ -707,6 +709,10 @@ pub struct Acquisition<'a> {
     t0: f64,
     threads: usize,
     fast: bool,
+    /// Whether the fast path's scatter tables hold `culture` yet. They
+    /// depend only on geometry and the culture, so the first chunk
+    /// compiles them and every later chunk reuses them.
+    compiled: bool,
     recalibrate: bool,
     rngs: Vec<SmallRng>,
     last_cal: f64,
@@ -723,11 +729,6 @@ impl<'a> Acquisition<'a> {
         recalibrate: bool,
     ) -> Self {
         let fast = opts.mode == ScanMode::Linearized;
-        if fast {
-            // Source lists depend only on geometry and culture positions:
-            // compile once per cursor, reuse for every chunk.
-            chip.linear.compile_culture(&chip.plan, culture);
-        }
         let seed = chip.config.seed;
         let rngs = (0..chip.config.channels)
             .map(|ch| SmallRng::seed_from_u64(channel_stream_seed(seed, ch)))
@@ -738,6 +739,7 @@ impl<'a> Acquisition<'a> {
             culture,
             t0: t0.value(),
             fast,
+            compiled: false,
             recalibrate,
             rngs,
             last_cal: f64::NEG_INFINITY,
@@ -836,7 +838,9 @@ impl<'a> Acquisition<'a> {
                     timing.frame_period,
                     &mut stripe,
                     self.threads,
+                    !self.compiled,
                 );
+                self.compiled = true;
             } else {
                 scan_chunk(
                     &chip.plan,
@@ -974,7 +978,7 @@ mod tests {
     #[test]
     fn spiking_neuron_appears_at_its_pixel() {
         use bsa_neuro::firing::FiringPattern;
-        use bsa_neuro::junction::{ApTemplate, CleftJunction};
+        use bsa_neuro::junction::ApTemplate;
 
         let mut chip = NeuroChip::new(small_config()).unwrap();
         let geometry = chip.config().geometry;
@@ -982,8 +986,7 @@ mod tests {
         let (x, y) = geometry.position_of(PixelAddress::new(8, 8));
         // A well-coupled neuron (tight cleft): 3× the nominal template,
         // still inside the paper's 100 µV – 5 mV window.
-        let template =
-            ApTemplate::from_hh(&CleftJunction::nominal(), Seconds::new(10e-6)).scaled(3.0);
+        let template = ApTemplate::nominal().clone().scaled(3.0);
         let mut culture = Culture::empty(Meter::from_milli(1.0), Meter::from_milli(1.0));
         // Pixel (8, 8) of the 16×16 test array samples at 250 µs within
         // each 500 µs frame (row 8 of 16); place the spike so that sample

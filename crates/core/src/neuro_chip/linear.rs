@@ -11,16 +11,22 @@
 //!   in structure-of-arrays buffers parallel to the scan plan entries.
 //!   Tables are rebuilt at every recalibration boundary, so droop between
 //!   expansion points stays second-order (DESIGN.md §13).
-//! * **Precompiled culture source lists**: each pixel's `(neuron,
-//!   footprint_weight)` pairs are loop-invariant in position, so
-//!   [`Culture::compile_sources`] resolves them once per acquisition —
-//!   and their neuron-major transpose turns the per-sample gather into a
-//!   per-frame *scatter*: each neuron passing a conservative activity
-//!   window accumulates its waveform into a frame voltage buffer, and the
-//!   inner loop just reads one voltage per sample. Both prunings are
-//!   *bit-identical* to the reference full sum, because every skipped
-//!   contribution is exactly `+0.0` there and buckets scatter in the
-//!   reference's ascending-neuron order.
+//! * **A neuron-major culture scatter table**: each pixel's `(neuron,
+//!   footprint_weight)` pairs are loop-invariant in position, so once per
+//!   acquisition [`Culture::compile_scatter`] lists, per neuron, the
+//!   channel's entries it reaches, with their weights. That turns the
+//!   per-sample gather over every neuron into a per-frame *scatter*: each
+//!   neuron passing a conservative activity window accumulates its
+//!   waveform into a frame voltage buffer, and the inner loop just reads
+//!   one voltage per sample. The compile builds each channel's buckets in
+//!   one pass, neurons ascending and entries ascending within a bucket,
+//!   and skips whole the neurons that never spike or whose cull disc
+//!   misses the channel's stripe. Each channel compiles on the thread that
+//!   scans it in the acquisition's first chunk, so the compile shares that
+//!   chunk's channel fan-out.
+//!   Every prune is *bit-identical* to the reference full sum, because
+//!   each skipped contribution is exactly `+0.0` there and buckets scatter
+//!   in the reference's ascending-neuron order.
 //! * **The chain recursion in registers**: gain, settling factors,
 //!   transimpedance and noise scale are per-channel constants
 //!   ([`ChannelChain::linear_coeffs`]); the inner loop is a branch-free
@@ -31,7 +37,7 @@
 //!
 //! [`NeuroPixel::linearize`]: super::pixel::NeuroPixel::linearize
 //! [`ChannelChain::linear_coeffs`]: super::chain::ChannelChain
-//! [`Culture::compile_sources`]: bsa_neuro::culture::Culture::compile_sources
+//! [`Culture::compile_scatter`]: bsa_neuro::culture::Culture::compile_scatter
 //! [`Ziggurat`]: bsa_circuit::noise::Ziggurat
 
 use super::chain::{ChainCoeffs, ChannelChain};
@@ -39,12 +45,12 @@ use super::pixel::{NeuroPixel, PixelLinearization};
 use super::scan::{ChannelPlan, ScanPlan};
 use crate::scan::fan_out;
 use bsa_circuit::noise::Ziggurat;
-use bsa_neuro::culture::{Culture, SourceTable};
+use bsa_neuro::culture::{Culture, ScatterTable};
 use bsa_units::Seconds;
 use rand::rngs::SmallRng;
 
 /// One channel's structure-of-arrays coefficient tables, parallel to its
-/// [`ChannelPlan`] entries, plus its compiled culture source lists and
+/// [`ChannelPlan`] entries, plus its compiled culture scatter table and
 /// per-frame scatter scratch. All buffers are reused across rebuilds.
 #[derive(Debug, Clone, Default)]
 pub(super) struct LinearChannel {
@@ -63,13 +69,8 @@ pub(super) struct LinearChannel {
     clip_hi: Vec<f64>,
     /// Within-frame sample-time offsets, copied from the plan entries.
     dt: Vec<f64>,
-    /// Per-entry `(neuron, weight)` source lists for the culture sum.
-    sources: SourceTable,
-    /// CSR transpose of `sources`: per neuron, the `(entry, weight)`
-    /// pairs it feeds. `neuron_off.len()` is the neuron count plus one.
-    neuron_off: Vec<u32>,
-    /// Pair pool of the transpose, bucketed by neuron.
-    neuron_pairs: Vec<(u32, f64)>,
+    /// Per neuron, the `(entry, weight)` pairs it feeds.
+    scatter: ScatterTable,
     /// Per-frame cleft-voltage accumulator, one slot per plan entry
     /// (scratch, rewritten every frame).
     vbuf: Vec<f64>,
@@ -202,75 +203,30 @@ impl LinearState {
         }
     }
 
-    /// Compiles per-entry culture source lists for every live channel into
-    /// the pooled tables, returning the total pair count. Runs once per
-    /// acquisition (the culture is a per-acquisition input, not die state).
-    ///
-    /// Alongside the per-entry (CSR) table this builds its transpose —
-    /// per neuron, the entries it feeds — which is what the scan actually
-    /// consumes: each frame scatters only the *active* neurons' waveforms
-    /// into a voltage buffer, so quiet neurons cost nothing per sample.
-    pub fn compile_culture(&mut self, plan: &ScanPlan, culture: &Culture) -> usize {
+    /// Compiles every channel's culture scatter table, fanning the
+    /// channels out over `threads` workers, and returns the total pair
+    /// count. An acquisition instead compiles each channel inside its first
+    /// scan chunk ([`scan_chunk_linear`]); a warm serial compile allocates
+    /// nothing either way.
+    pub fn compile_culture(&mut self, plan: &ScanPlan, culture: &Culture, threads: usize) -> usize {
         self.channels
             .resize_with(plan.channels.len(), LinearChannel::default);
-        let neuron_count = culture.neurons().len();
-        let mut pairs = 0usize;
-        for (cp, lc) in plan.channels.iter().zip(self.channels.iter_mut()) {
-            if cp.lost {
-                culture.compile_sources(std::iter::empty(), &mut lc.sources);
-            } else {
-                culture.compile_sources(cp.entries.iter().map(|e| (e.x, e.y)), &mut lc.sources);
-            }
-            pairs += lc.sources.pair_count();
-            transpose_sources(
-                &lc.sources,
-                neuron_count,
-                &mut lc.neuron_off,
-                &mut lc.neuron_pairs,
-            );
-        }
-        pairs
+        let work = plan.channels.iter().zip(self.channels.iter_mut());
+        fan_out(work, threads, |(cp, lc)| lc.compile_culture(cp, culture));
+        self.channels.iter().map(|lc| lc.scatter.pair_count()).sum()
     }
 }
 
-/// Builds the neuron-major transpose of a per-entry source table: bucket
-/// counts, prefix sum, then a fill pass with per-neuron cursors. Entry
-/// order within each bucket is ascending, matching the ascending-neuron
-/// order inside each entry's source list, so scattering buckets in neuron
-/// order reproduces the reference per-sample sum bit for bit.
-fn transpose_sources(
-    sources: &SourceTable,
-    neuron_count: usize,
-    neuron_off: &mut Vec<u32>,
-    neuron_pairs: &mut Vec<(u32, f64)>,
-) {
-    neuron_off.clear();
-    neuron_off.resize(neuron_count + 1, 0);
-    for point in 0..sources.points() {
-        for pair in sources.sources(point) {
-            if let Some(count) = neuron_off.get_mut(pair.neuron as usize + 1) {
-                *count += 1;
-            }
-        }
-    }
-    let mut running = 0u32;
-    for off in neuron_off.iter_mut() {
-        running += *off;
-        *off = running;
-    }
-    neuron_pairs.clear();
-    neuron_pairs.resize(running as usize, (0, 0.0));
-    let mut cursor: Vec<u32> = neuron_off.clone();
-    for point in 0..sources.points() {
-        for pair in sources.sources(point) {
-            let Some(c) = cursor.get_mut(pair.neuron as usize) else {
-                continue;
-            };
-            if let Some(slot) = neuron_pairs.get_mut(*c as usize) {
-                *slot = (point as u32, pair.weight);
-                *c += 1;
-            }
-        }
+impl LinearChannel {
+    /// Compiles this channel's culture scatter table into its reused
+    /// buffers. A lost channel's table is empty: the scan never reads it.
+    fn compile_culture(&mut self, plan: &ChannelPlan, culture: &Culture) {
+        let entries = if plan.lost {
+            &[][..]
+        } else {
+            &plan.entries[..]
+        };
+        culture.compile_scatter(entries.iter().map(|e| (e.x, e.y)), &mut self.scatter);
     }
 }
 
@@ -330,9 +286,7 @@ fn scan_channel_linear(
             if !n.active_in(f_from - pad, f_to + pad) {
                 continue;
             }
-            let b_lo = lc.neuron_off.get(ni).map_or(0, |&o| o as usize);
-            let b_hi = lc.neuron_off.get(ni + 1).map_or(b_lo, |&o| o as usize);
-            for &(e, w) in lc.neuron_pairs.get(b_lo..b_hi).unwrap_or(&[]) {
+            for &(e, w) in lc.scatter.bucket(ni) {
                 let (Some(slot), Some(&dt_e)) =
                     (lc.vbuf.get_mut(e as usize), lc.dt.get(e as usize))
                 else {
@@ -400,7 +354,10 @@ fn scan_channel_linear(
 /// Scans a chunk of frames across all channels through the linearized
 /// tables, with the reference `scan_chunk`'s claim-as-you-go channel
 /// fan-out and its one write-back of each channel's RNG stream.
-/// `stripe` layout and determinism contract are identical.
+/// `stripe` layout and determinism contract are identical. With
+/// `compile`, each channel first compiles its scatter table for `culture`,
+/// on the thread that then scans it: an acquisition's first chunk does
+/// this, so the compile costs no fan-out of its own.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn scan_chunk_linear(
     plan: &ScanPlan,
@@ -411,6 +368,7 @@ pub(super) fn scan_chunk_linear(
     frame_period: Seconds,
     stripe: &mut [f64],
     threads: usize,
+    compile: bool,
 ) {
     let rows = plan.rows;
     let cpc = plan.cols_per_channel;
@@ -420,26 +378,21 @@ pub(super) fn scan_chunk_linear(
     } = state;
     debug_assert_eq!(stripe.len(), channels.len() * block);
 
-    let mut work: Vec<(
-        &ChannelPlan,
-        &mut LinearChannel,
-        ChainCoeffs,
-        &mut SmallRng,
-        &mut [f64],
-    )> = plan
+    let work = plan
         .channels
         .iter()
         .zip(channels.iter_mut())
         .zip(chain.iter().copied())
         .zip(rngs.iter_mut())
-        .zip(stripe.chunks_mut(block))
-        .map(|((((cp, lc), cc), rng), out)| (cp, lc, cc, rng, out))
-        .collect();
-    fan_out(&mut work, threads, |(cp, lc, cc, rng, out)| {
+        .zip(stripe.chunks_mut(block));
+    fan_out(work, threads, |((((cp, lc), cc), rng), out)| {
+        if compile {
+            lc.compile_culture(cp, culture);
+        }
         scan_channel_linear(
             cp,
             lc,
-            *cc,
+            cc,
             rng,
             culture,
             frame_starts,

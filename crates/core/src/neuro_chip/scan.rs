@@ -201,15 +201,13 @@ pub(super) fn scan_chunk(
     let block = frame_starts.len() * rows * cpc;
     debug_assert_eq!(stripe.len(), channels.len() * block);
 
-    let mut work: Vec<(&ChannelPlan, &mut ChannelChain, &mut SmallRng, &mut [f64])> = plan
+    let work = plan
         .channels
         .iter()
         .zip(channels.iter_mut())
         .zip(rngs.iter_mut())
-        .zip(stripe.chunks_mut(block))
-        .map(|(((cp, chain), rng), out)| (cp, chain, rng, out))
-        .collect();
-    fan_out(&mut work, threads, |(cp, chain, rng, out)| {
+        .zip(stripe.chunks_mut(block));
+    fan_out(work, threads, |(((cp, chain), rng), out)| {
         scan_channel(
             cp,
             chain,

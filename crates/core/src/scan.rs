@@ -50,8 +50,8 @@ pub fn conversion_stream_seed(die_seed: u64, epoch: u64, pixel: usize) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
     /// Calibrated linearized fast path: per-pixel small-signal transfer
-    /// coefficients and precompiled culture source lists, re-linearized at
-    /// every recalibration boundary. The default.
+    /// coefficients and a precompiled culture scatter table, re-linearized
+    /// at every recalibration boundary. The default.
     #[default]
     Linearized,
     /// Full per-sample EKV circuit solve — the bit-exact reference path.
@@ -105,18 +105,23 @@ impl ScanOptions {
 
 /// Resolves the effective worker count for `units` parallel work units:
 /// the requested count, or the host's available parallelism, capped at
-/// the unit count.
+/// the unit count. A single unit resolves to one thread without asking
+/// the host, whose answer takes a few heap allocations to read.
 pub(crate) fn resolve_threads(units: usize, opts: ScanOptions) -> usize {
+    if units <= 1 {
+        return 1;
+    }
     let requested = opts.threads.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
     requested.clamp(1, units.max(1))
 }
 
-/// Runs `work` on every item, each thread claiming the next unclaimed
-/// item until none is left. The calling thread claims too and the others
-/// are scoped threads, so no more than `threads` OS threads work at once;
-/// one thread is a plain serial loop.
+/// Runs `work` on every item `items` yields, each thread claiming the
+/// next unclaimed item until none is left. The calling thread claims too
+/// and the others are scoped threads, so no more than `threads` OS
+/// threads work at once; one thread is a plain serial loop, which
+/// allocates nothing.
 ///
 /// Claiming balances the load when the threads do not get equal shares of
 /// the cores: a thread that starts late or is descheduled simply claims
@@ -125,13 +130,17 @@ pub(crate) fn resolve_threads(units: usize, opts: ScanOptions) -> usize {
 /// same time, so `work` should keep an item's hot mutable state (an RNG,
 /// say) in a local and write it back once, not store to `items`' memory
 /// per step: neighbouring items' state can share a cache line.
-pub(crate) fn fan_out<T: Send>(items: &mut [T], threads: usize, work: impl Fn(&mut T) + Sync) {
+pub(crate) fn fan_out<I>(items: I, threads: usize, work: impl Fn(I::Item) + Sync)
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+{
     let threads = threads.clamp(1, items.len().max(1));
     if threads == 1 {
-        items.iter_mut().for_each(work);
+        items.for_each(work);
         return;
     }
-    let queue = std::sync::Mutex::new(items.iter_mut());
+    let queue = std::sync::Mutex::new(items);
     // A poisoned lock means another worker panicked; the scope re-raises
     // that panic, so this worker just stops claiming.
     let claim = || queue.lock().ok()?.next();
@@ -255,7 +264,7 @@ mod tests {
         for len in 0..=17 {
             for threads in 1..=5 {
                 let mut runs = vec![0u32; len];
-                fan_out(&mut runs, threads, |n| *n += 1);
+                fan_out(runs.iter_mut(), threads, |n| *n += 1);
                 assert!(
                     runs.iter().all(|&n| n == 1),
                     "{len} items over {threads} threads ran {runs:?}"
@@ -267,8 +276,8 @@ mod tests {
     #[test]
     fn fan_out_uses_at_most_threads_workers_including_the_caller() {
         for threads in 1..=5 {
-            let mut ids = vec![None; 16];
-            fan_out(&mut ids, threads, |id| {
+            let mut ids = [None; 16];
+            fan_out(ids.iter_mut(), threads, |id| {
                 // Hold each item briefly so every worker gets to claim.
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 *id = Some(std::thread::current().id());
@@ -300,8 +309,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let done = AtomicUsize::new(0);
         let timed_out = AtomicBool::new(true);
-        let mut items: Vec<usize> = (0..16).collect();
-        fan_out(&mut items, 2, |&mut i| {
+        fan_out(0..16usize, 2, |i| {
             if i > 0 {
                 done.fetch_add(1, Ordering::Release);
                 return;

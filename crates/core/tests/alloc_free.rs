@@ -2,9 +2,10 @@
 //! Steady-state memory contract for the readout engine: once the frame
 //! arena is warm (buffers recycled from a previous recording), the
 //! heap-allocation count of a record call must not scale with the frame
-//! count — the per-frame sample buffers all come from the pool — and an
-//! acquisition cursor drained through one reused chunk buffer holds the
-//! same peak memory however many frames it delivers.
+//! count — the per-frame sample buffers all come from the pool — a second
+//! compile of the same culture allocates nothing, and an acquisition
+//! cursor drained through one reused chunk buffer holds the same peak
+//! memory however many frames it delivers.
 //!
 //! A counting global allocator measures real allocator traffic and the
 //! live-bytes high-water mark; the whole contract lives in one `#[test]`
@@ -16,8 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bsa_core::array::ArrayGeometry;
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig};
 use bsa_core::ScanOptions;
-use bsa_neuro::culture::Culture;
+use bsa_neuro::culture::{Culture, CultureConfig};
 use bsa_units::{Hertz, Meter, Seconds};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 struct CountingAllocator;
 
@@ -100,8 +103,40 @@ fn warm_record_allocs(chip: &mut NeuroChip, culture: &Culture, frames: usize) ->
     delta
 }
 
+/// Allocations of a second compile of the same culture on a warm
+/// single-channel chip, whose compile always runs serially, so no
+/// thread-spawn bookkeeping is counted.
+fn warm_compile_allocs() -> u64 {
+    let config = NeuroChipConfig {
+        geometry: ArrayGeometry::new(16, 16, Meter::from_micro(7.8)).unwrap(),
+        frame_rate: Hertz::from_kilo(2.0),
+        channels: 1,
+        ..NeuroChipConfig::default()
+    };
+    let side = Meter::from_micro(7.8 * 16.0);
+    let cfg = CultureConfig {
+        width: side,
+        height: side,
+        ..CultureConfig::default()
+    };
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut culture = Culture::random(&cfg, &mut rng);
+    culture.generate_spikes(Seconds::new(1.0), &mut rng);
+    let mut chip = NeuroChip::new(config).unwrap();
+    let pairs = chip.compile_culture_sources(&culture);
+    assert!(pairs > 0, "the culture must reach the die");
+    let before = allocs();
+    let again = chip.compile_culture_sources(&culture);
+    let delta = allocs() - before;
+    assert_eq!(again, pairs);
+    delta
+}
+
 #[test]
 fn steady_state_scan_is_allocation_free_per_frame() {
+    // A warm culture compile reuses every buffer of its scatter tables.
+    assert_eq!(warm_compile_allocs(), 0, "a warm culture compile allocated");
+
     let config = NeuroChipConfig {
         geometry: ArrayGeometry::new(16, 16, Meter::from_micro(7.8)).unwrap(),
         frame_rate: Hertz::from_kilo(2.0),

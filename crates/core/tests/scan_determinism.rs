@@ -11,7 +11,9 @@ use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig, Recording};
 use bsa_core::scan::{channel_stream_seed, conversion_stream_seed};
 use bsa_core::{ScanMode, ScanOptions};
 use bsa_faults::{FaultKind, InjectionPlan};
-use bsa_neuro::culture::{Culture, CultureConfig};
+use bsa_neuro::culture::{Culture, CultureConfig, CulturedNeuron};
+use bsa_neuro::firing::FiringPattern;
+use bsa_neuro::junction::ApTemplate;
 use bsa_units::{Ampere, Hertz, Meter, Seconds, Volt};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -170,6 +172,91 @@ fn sixteen_channels_are_identical_for_any_thread_count_and_chunking() {
                     == serial,
                 "{mode:?} drained in {size}-frame chunks diverged from serial"
             );
+        }
+    }
+}
+
+/// A culture over the 16×32 die of [`sixteen_channel_chip`] that meets
+/// every prune of the fast path's scatter compile: a silent neuron over
+/// the middle of the die, a 10 µm neuron whose cull disc reaches only the
+/// stripes next to channel 12's, a neuron centred on the edge between
+/// channels 1 and 2, and a neuron over lost channel 5.
+fn pruning_culture() -> Culture {
+    let pitch = 7.8;
+    let neuron = |col: f64, row: f64, diameter: f64, spikes_ms: &[f64]| CulturedNeuron {
+        x: Meter::from_micro(pitch * col),
+        y: Meter::from_micro(pitch * row),
+        diameter: Meter::from_micro(diameter),
+        pattern: FiringPattern::Silent,
+        template: ApTemplate::nominal().clone().scaled(3.0),
+        spikes: spikes_ms.iter().map(|&t| Seconds::from_milli(t)).collect(),
+    };
+    let mut culture = Culture::empty(
+        Meter::from_micro(pitch * 32.0),
+        Meter::from_micro(pitch * 16.0),
+    );
+    culture.push(neuron(16.0, 8.0, 80.0, &[]));
+    culture.push(neuron(25.0, 6.0, 10.0, &[0.4, 3.1, 7.3]));
+    culture.push(neuron(4.0, 9.0, 40.0, &[1.2, 5.5]));
+    culture.push(neuron(11.0, 3.0, 30.0, &[0.8, 4.0]));
+    culture
+}
+
+/// Raw bits of every sample of a recording, frame after frame.
+fn recording_bits(rec: &Recording) -> Vec<u64> {
+    rec.frames()
+        .iter()
+        .flat_map(|f| f.samples().iter().map(|s| s.to_bits()))
+        .collect()
+}
+
+#[test]
+fn pruned_scatter_compile_matches_one_serial_record() {
+    let culture = pruning_culture();
+    let frames = SIXTEEN_CHANNEL_FRAMES;
+    for mode in [ScanMode::Linearized, ScanMode::Reference] {
+        let record = |culture: &Culture, opts: ScanOptions| {
+            sixteen_channel_chip().record_with(culture, Seconds::ZERO, frames, opts.with_mode(mode))
+        };
+        let serial = record(&culture, ScanOptions::serial());
+        // The neurons that do spike show on both sides of the stripe edge,
+        // so the case is not vacuous.
+        let quiet = record(
+            &Culture::empty(culture.width(), culture.height()),
+            ScanOptions::serial(),
+        );
+        for col in [3, 4, 25] {
+            assert!(
+                serial.frames().iter().zip(quiet.frames()).any(|(a, b)| {
+                    a.at(PixelAddress::new(9, col)) != b.at(PixelAddress::new(9, col))
+                        || a.at(PixelAddress::new(6, col)) != b.at(PixelAddress::new(6, col))
+                }),
+                "{mode:?}: the culture never reaches column {col}"
+            );
+        }
+        let serial = recording_bits(&serial);
+        for threads in [1, 2, 3, 16] {
+            let opts = ScanOptions::with_threads(threads).with_mode(mode);
+            assert!(
+                recording_bits(&record(&culture, opts)) == serial,
+                "{mode:?} with {threads} threads diverged from one serial record"
+            );
+            for size in [3, 8] {
+                let mut chip = sixteen_channel_chip();
+                let mut acq = chip.acquire(&culture, Seconds::ZERO, opts);
+                let mut samples = Vec::new();
+                let mut done = 0;
+                while done < frames {
+                    let n = size.min(frames - done);
+                    acq.next_chunk(&mut samples, n);
+                    done += n;
+                }
+                let bits: Vec<u64> = samples.iter().map(|s| s.to_bits()).collect();
+                assert!(
+                    bits == serial,
+                    "{mode:?} with {threads} threads in {size}-frame chunks diverged"
+                );
+            }
         }
     }
 }

@@ -8,13 +8,13 @@
 //! time — the input the sensor array samples.
 
 use crate::firing::FiringPattern;
-use crate::junction::{ApTemplate, CleftJunction};
+use crate::junction::ApTemplate;
 use bsa_units::{Meter, Seconds, Volt};
 use rand::Rng;
 
 /// Footprint weights below this threshold are treated as exactly zero:
 /// [`CulturedNeuron::cleft_voltage_at`] early-returns `Volt::ZERO` under it,
-/// and [`Culture::compile_sources`] prunes such `(neuron, weight)` pairs.
+/// and [`Culture::compile_scatter`] prunes such `(neuron, weight)` pairs.
 /// Sharing one constant is what makes the pruned sum bit-identical to the
 /// full sum — every pruned contribution is exactly `+0.0`.
 pub const MIN_FOOTPRINT: f64 = 1e-6;
@@ -104,47 +104,36 @@ impl CulturedNeuron {
     }
 }
 
-/// One `(neuron, footprint_weight)` entry of a compiled source list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SourcePair {
-    /// Index into [`Culture::neurons`].
-    pub neuron: u32,
-    /// Footprint weight at the compiled sample point (≥ [`MIN_FOOTPRINT`]).
-    pub weight: f64,
-}
-
-/// Per-point culture source lists in compressed sparse-row layout.
+/// Neuron-major culture scatter table over a list of sample points.
 ///
 /// The `(neuron, weight)` pairs of [`CulturedNeuron::cleft_voltage_at`] are
-/// loop-invariant in position — only `t` varies during a scan — so a readout
-/// engine compiles them once per recording and collapses the per-sample
-/// culture sum from O(all neurons) to O(nearby neurons). Buffers are reused
-/// across [`Culture::compile_sources`] calls, so a warm table allocates
-/// nothing.
+/// loop-invariant in position — only `t` varies during a scan — so a
+/// readout engine compiles them once per recording with
+/// [`Culture::compile_scatter`]. Each neuron's bucket lists the points it
+/// reaches, so a frame scatters only the neurons that fire near it instead
+/// of gathering over every neuron at every point. Buffers are reused
+/// across compiles, so a warm table allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct SourceTable {
-    /// CSR offsets: `offsets.len() == points + 1`, pairs of point `p` live
-    /// at `pairs[offsets[p]..offsets[p+1]]`.
+pub struct ScatterTable {
+    /// Bucket offsets: `offsets.len()` is the neuron count plus one, and
+    /// neuron `n`'s pairs live at `pairs[offsets[n]..offsets[n+1]]`.
     offsets: Vec<u32>,
-    pairs: Vec<SourcePair>,
+    /// `(point, weight)` pairs, bucketed by ascending neuron, points
+    /// ascending within each bucket.
+    pairs: Vec<(u32, f64)>,
 }
 
-impl SourceTable {
-    /// Number of compiled sample points.
-    pub fn points(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Total number of `(neuron, weight)` pairs across all points.
+impl ScatterTable {
+    /// Total number of `(point, weight)` pairs across all neurons.
     pub fn pair_count(&self) -> usize {
         self.pairs.len()
     }
 
-    /// The source list of sample point `point` (empty if out of range),
-    /// ordered by ascending neuron index.
-    pub fn sources(&self, point: usize) -> &[SourcePair] {
-        let lo = self.offsets.get(point).map_or(0, |&o| o as usize);
-        let hi = self.offsets.get(point + 1).map_or(lo, |&o| o as usize);
+    /// The `(point, weight)` pairs neuron `neuron` feeds, points ascending
+    /// (empty if out of range).
+    pub fn bucket(&self, neuron: usize) -> &[(u32, f64)] {
+        let lo = self.offsets.get(neuron).map_or(0, |&o| o as usize);
+        let hi = self.offsets.get(neuron + 1).map_or(lo, |&o| o as usize);
         self.pairs.get(lo..hi).unwrap_or(&[])
     }
 }
@@ -220,9 +209,10 @@ impl Culture {
     }
 
     /// Places neurons at random per `config`, with junction templates from
-    /// the nominal 60 nm cleft scaled by per-neuron coupling variation.
+    /// the nominal 60 nm cleft ([`ApTemplate::nominal`]) scaled by
+    /// per-neuron coupling variation.
     pub fn random<R: Rng>(config: &CultureConfig, rng: &mut R) -> Self {
-        let base_template = ApTemplate::from_hh(&CleftJunction::nominal(), Seconds::new(10e-6));
+        let base_template = ApTemplate::nominal();
         let mut neurons = Vec::with_capacity(config.neuron_count);
         for _ in 0..config.neuron_count {
             let x = Meter::new(rng.gen::<f64>() * config.width.value());
@@ -299,77 +289,73 @@ impl Culture {
         self.neurons.iter().map(|n| n.spikes.len()).sum()
     }
 
-    /// Compiles per-point source lists for the given sample points into
-    /// `table`, reusing its buffers (a warm table allocates nothing).
+    /// Compiles the neuron-major scatter table of the given sample points
+    /// into `table`, reusing its buffers (a warm table allocates nothing).
     ///
-    /// Each point's list holds every neuron whose footprint weight at that
-    /// point is at least [`MIN_FOOTPRINT`], in ascending neuron order, with
-    /// the weight already resolved. Evaluating a point's list with
-    /// [`Culture::cleft_voltage_from_sources`] is bit-identical to
-    /// [`Culture::cleft_voltage_at`]: the pruned neurons are exactly those
-    /// the full sum adds `+0.0` for, and IEEE-754 addition of `+0.0`
-    /// preserves every accumulator bit (the accumulator starts at `+0.0`
-    /// and can never become `-0.0`).
-    pub fn compile_sources<I>(&self, points: I, table: &mut SourceTable)
+    /// Neuron `n`'s bucket holds every point at which its footprint weight
+    /// is at least [`MIN_FOOTPRINT`], in ascending point order, with the
+    /// weight already resolved. Scattering the buckets in ascending neuron
+    /// order into per-point accumulators that start at `+0.0` is
+    /// bit-identical to [`Culture::cleft_voltage_at`] at every point: each
+    /// accumulator receives the same terms in the same order as the full
+    /// sum, less terms that are exactly `+0.0` there, and IEEE-754
+    /// addition of `+0.0` preserves every accumulator bit (an accumulator
+    /// that starts at `+0.0` can never become `-0.0`).
+    ///
+    /// Two whole-neuron prunes keep the compile cheap, each dropping only
+    /// `+0.0` terms: a neuron without spikes has a zero waveform at every
+    /// instant, and a neuron whose cull disc misses the points' bounding
+    /// box reaches none of them.
+    pub fn compile_scatter<I>(&self, points: I, table: &mut ScatterTable)
     where
         I: IntoIterator<Item = (Meter, Meter)>,
+        I::IntoIter: Clone,
     {
+        let points = points.into_iter();
+        let (mut x_lo, mut x_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut y_lo, mut y_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (x, y) in points.clone() {
+            x_lo = x_lo.min(x.value());
+            x_hi = x_hi.max(x.value());
+            y_lo = y_lo.min(y.value());
+            y_hi = y_hi.max(y.value());
+        }
         table.offsets.clear();
         table.pairs.clear();
         table.offsets.push(0);
-        // Conservative per-neuron cull radius: the footprint is monotone
-        // decreasing outside the soma, so beyond radius + σ·√(−2·ln MIN)
-        // it is strictly below MIN_FOOTPRINT and the exact test below
-        // could only reject. A squared-distance compare (with a relative
-        // safety margin against rounding) skips the sqrt/exp for the
-        // overwhelming majority of (point, neuron) pairs without changing
-        // a single emitted weight.
-        let cull: Vec<(f64, f64, f64)> = self
-            .neurons
-            .iter()
-            .map(|n| {
-                let radius = n.radius().value();
-                let cut =
-                    (radius + radius * 0.5 * (-2.0 * MIN_FOOTPRINT.ln()).sqrt()) * (1.0 + 1e-9);
-                (n.x.value(), n.y.value(), cut * cut)
-            })
-            .collect();
-        for (x, y) in points {
-            for ((idx, n), &(nx, ny, cut_sq)) in self.neurons.iter().enumerate().zip(&cull) {
-                let dx = x.value() - nx;
-                let dy = y.value() - ny;
-                if dx * dx + dy * dy > cut_sq {
-                    continue;
-                }
-                let w = n.footprint_at(x, y);
-                if w >= MIN_FOOTPRINT {
-                    table.pairs.push(SourcePair {
-                        neuron: idx as u32,
-                        weight: w,
-                    });
+        for n in &self.neurons {
+            let (nx, ny) = (n.x.value(), n.y.value());
+            // Conservative cull radius: the footprint is monotone
+            // decreasing outside the soma, so beyond radius + σ·√(−2·ln MIN)
+            // it is strictly below MIN_FOOTPRINT and the exact test below
+            // could only reject. A squared-distance compare (with a
+            // relative safety margin against rounding) skips the sqrt/exp
+            // for most (point, neuron) pairs without changing a single
+            // emitted weight.
+            let radius = n.radius().value();
+            let cut = (radius + radius * 0.5 * (-2.0 * MIN_FOOTPRINT.ln()).sqrt()) * (1.0 + 1e-9);
+            let cut_sq = cut * cut;
+            // Rounding is monotone, so the box's squared distance never
+            // exceeds a box point's: a box the disc misses holds no point
+            // the per-point compare below would keep. An empty point list
+            // leaves an inverted box at infinite distance.
+            let bx = (x_lo - nx).max(nx - x_hi).max(0.0);
+            let by = (y_lo - ny).max(ny - y_hi).max(0.0);
+            if !n.spikes.is_empty() && bx * bx + by * by <= cut_sq {
+                for (p, (x, y)) in points.clone().enumerate() {
+                    let dx = x.value() - nx;
+                    let dy = y.value() - ny;
+                    if dx * dx + dy * dy > cut_sq {
+                        continue;
+                    }
+                    let w = n.footprint_at(x, y);
+                    if w >= MIN_FOOTPRINT {
+                        table.pairs.push((p as u32, w));
+                    }
                 }
             }
             table.offsets.push(table.pairs.len() as u32);
         }
-    }
-
-    /// Total cleft voltage at compiled sample point `point` and time `t`,
-    /// evaluated from the precompiled source lists. Bit-identical to
-    /// [`Culture::cleft_voltage_at`] at the position the point was compiled
-    /// from — see [`Culture::compile_sources`].
-    pub fn cleft_voltage_from_sources(
-        &self,
-        table: &SourceTable,
-        point: usize,
-        t: Seconds,
-    ) -> Volt {
-        let mut v = Volt::ZERO;
-        for pair in table.sources(point) {
-            if let Some(n) = self.neurons.get(pair.neuron as usize) {
-                v += n.temporal_at(t) * pair.weight;
-            }
-        }
-        v
     }
 }
 
@@ -380,7 +366,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn one_neuron_culture() -> Culture {
-        let template = ApTemplate::from_hh(&CleftJunction::nominal(), Seconds::new(10e-6));
+        let template = ApTemplate::nominal().clone();
         let mut c = Culture::empty(Meter::from_milli(1.0), Meter::from_milli(1.0));
         c.push(CulturedNeuron {
             x: Meter::from_micro(500.0),
@@ -477,6 +463,15 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(77);
         let mut c = Culture::random(&CultureConfig::default(), &mut rng);
         c.generate_spikes(Seconds::new(0.2), &mut rng);
+        // A silent neuron right on the grid: the compile prunes it whole.
+        c.push(CulturedNeuron {
+            x: Meter::from_micro(7.8 * 16.0),
+            y: Meter::from_micro(7.8 * 16.0),
+            diameter: Meter::from_micro(60.0),
+            pattern: FiringPattern::Silent,
+            template: ApTemplate::nominal().clone(),
+            spikes: Vec::new(),
+        });
         let points: Vec<(Meter, Meter)> = (0..64)
             .map(|k| {
                 (
@@ -485,21 +480,39 @@ mod tests {
                 )
             })
             .collect();
-        let mut table = SourceTable::default();
-        c.compile_sources(points.iter().copied(), &mut table);
-        assert_eq!(table.points(), points.len());
-        for (p, &(x, y)) in points.iter().enumerate() {
-            for step in 0..20 {
-                let t = Seconds::from_milli(step as f64 * 10.0);
+        let mut table = ScatterTable::default();
+        c.compile_scatter(points.iter().copied(), &mut table);
+        assert!(table.pair_count() > 0);
+        assert!(table.bucket(c.neurons().len() - 1).is_empty());
+        let mut v = vec![0.0f64; points.len()];
+        for step in 0..20 {
+            let t = Seconds::from_milli(step as f64 * 10.0);
+            v.fill(0.0);
+            for (ni, n) in c.neurons().iter().enumerate() {
+                for &(p, w) in table.bucket(ni) {
+                    v[p as usize] += (n.temporal_at(t) * w).value();
+                }
+            }
+            for (p, &(x, y)) in points.iter().enumerate() {
                 let full = c.cleft_voltage_at(x, y, t);
-                let fast = c.cleft_voltage_from_sources(&table, p, t);
                 assert_eq!(
                     full.value().to_bits(),
-                    fast.value().to_bits(),
+                    v[p].to_bits(),
                     "divergence at point {p}, t {t}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn scatter_compile_of_no_points_is_empty() {
+        let mut rng = SmallRng::seed_from_u64(78);
+        let mut c = Culture::random(&CultureConfig::default(), &mut rng);
+        c.generate_spikes(Seconds::new(0.2), &mut rng);
+        let mut table = ScatterTable::default();
+        c.compile_scatter(std::iter::empty(), &mut table);
+        assert_eq!(table.pair_count(), 0);
+        assert!((0..c.neurons().len()).all(|n| table.bucket(n).is_empty()));
     }
 
     #[test]
@@ -528,7 +541,7 @@ mod tests {
 
     #[test]
     fn overlapping_neurons_superpose() {
-        let template = ApTemplate::from_hh(&CleftJunction::nominal(), Seconds::new(10e-6));
+        let template = ApTemplate::nominal().clone();
         let mut c = Culture::empty(Meter::from_milli(1.0), Meter::from_milli(1.0));
         for _ in 0..2 {
             c.push(CulturedNeuron {

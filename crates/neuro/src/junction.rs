@@ -13,6 +13,7 @@ use crate::hh::HodgkinHuxley;
 use bsa_units::{Meter, Ohm, Seconds, SquareMeter, Volt};
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Error constructing a junction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,6 +193,15 @@ impl ApTemplate {
         }
     }
 
+    /// The template of [`CleftJunction::nominal`] sampled at 10 µs: the
+    /// waveform every [`Culture::random`](crate::culture::Culture::random)
+    /// neuron scales. Its inputs are constants, so the HH run behind it
+    /// happens once per process, on first use.
+    pub fn nominal() -> &'static ApTemplate {
+        static NOMINAL: OnceLock<ApTemplate> = OnceLock::new();
+        NOMINAL.get_or_init(|| Self::from_hh(&CleftJunction::nominal(), Seconds::new(10e-6)))
+    }
+
     /// Sample interval.
     pub fn dt(&self) -> Seconds {
         self.dt
@@ -292,8 +302,7 @@ mod tests {
     #[test]
     fn template_amplitude_in_paper_window() {
         // The paper states sensor-level amplitudes of 100 µV … 5 mV.
-        let j = CleftJunction::nominal();
-        let t = ApTemplate::from_hh(&j, Seconds::new(10e-6));
+        let t = ApTemplate::nominal();
         let amp = t.amplitude();
         assert!(
             amp.value() > 100e-6 && amp.value() < 5e-3,
@@ -303,8 +312,7 @@ mod tests {
 
     #[test]
     fn template_is_transient_and_biphasic() {
-        let j = CleftJunction::nominal();
-        let t = ApTemplate::from_hh(&j, Seconds::new(10e-6));
+        let t = ApTemplate::nominal();
         let max = t
             .samples()
             .iter()
@@ -325,8 +333,7 @@ mod tests {
 
     #[test]
     fn template_sampling_is_zero_outside() {
-        let j = CleftJunction::nominal();
-        let t = ApTemplate::from_hh(&j, Seconds::new(10e-6));
+        let t = ApTemplate::nominal();
         assert_eq!(t.sample_at(Seconds::new(-1.0)), Volt::ZERO);
         assert_eq!(t.sample_at(Seconds::new(1.0)), Volt::ZERO);
         // Near the upstroke the waveform is nonzero.
@@ -335,10 +342,40 @@ mod tests {
 
     #[test]
     fn scaled_template_scales_amplitude() {
-        let j = CleftJunction::nominal();
-        let t = ApTemplate::from_hh(&j, Seconds::new(10e-6));
+        let t = ApTemplate::nominal();
         let half = t.clone().scaled(0.5);
         assert!((half.amplitude().value() - 0.5 * t.amplitude().value()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn random_cultures_scale_the_nominal_template() {
+        use crate::culture::{Culture, CultureConfig};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let fresh = ApTemplate::from_hh(&CleftJunction::nominal(), Seconds::new(10e-6));
+        let cfg = CultureConfig::default();
+        for seed in [1, 2] {
+            // Replay the draws of `Culture::random` to recover each
+            // neuron's coupling factor.
+            let culture = Culture::random(&cfg, &mut SmallRng::seed_from_u64(seed));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for n in culture.neurons() {
+                for _ in 0..4 {
+                    rng.gen::<f64>();
+                }
+                let coupling = cfg.coupling_mean
+                    * (1.0 + cfg.coupling_spread * (2.0 * rng.gen::<f64>() - 1.0));
+                let want = fresh.clone().scaled(coupling.max(0.05));
+                let got = &n.template;
+                assert_eq!(got.dt.value().to_bits(), want.dt.value().to_bits());
+                assert_eq!(got.align.value().to_bits(), want.align.value().to_bits());
+                assert_eq!(got.samples.len(), want.samples.len());
+                for (a, b) in got.samples.iter().zip(&want.samples) {
+                    assert_eq!(a.value().to_bits(), b.value().to_bits());
+                }
+            }
+        }
     }
 
     #[test]
