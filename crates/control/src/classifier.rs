@@ -66,56 +66,37 @@ pub enum ChipCondition {
     Unobserved,
 }
 
-/// Thresholds for the classifier. Fractions are of the whole array
-/// unless noted. Defaults were measured against the chip models (see
-/// the module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct ClassifierConfig {
-    /// A pixel whose window RMS falls below this fraction of the array
-    /// median RMS counts as quiet (dead).
-    pub rms_floor_fraction: f64,
-    /// Sample magnitude at or beyond which a neuro sample counts as
-    /// clipped, in the stream's sample units.
-    pub clip_level: f64,
-    /// Fraction of a pixel's samples that must clip to call the pixel
-    /// clipping.
-    pub clip_sample_fraction: f64,
-    /// Fraction of clipping pixels that makes the chip's condition
-    /// [`ChipCondition::Clipping`].
-    pub clip_floor: f64,
-    /// Fraction of unmasked dead pixels (outside lost channels) that
-    /// makes the chip's condition [`ChipCondition::DeadPixels`].
-    pub dead_floor: f64,
-    /// Relative deviation of a DNA pixel's current estimate from its
-    /// baseline at which the pixel counts as drifted. Drift faults bias
-    /// estimates ≈ 30%; calibration noise stays ≈ 2%.
-    pub pixel_deviation: f64,
-    /// Ratio of a DNA pixel's estimate over its baseline at which the
-    /// pixel counts as a hybridization signal instead of a defect.
-    pub hybridization_ratio: f64,
-    /// Fraction of drifted pixels that makes the chip's condition
-    /// [`ChipCondition::BaselineDrift`].
-    pub drift_floor: f64,
-    /// Fraction of elevated pixels that makes the chip's condition
-    /// [`ChipCondition::HybridizationDetected`].
-    pub hybridization_floor: f64,
-}
+// Thresholds. Fractions are of the whole array unless noted. Each was
+// measured against the chip models (see the module docs).
 
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        Self {
-            rms_floor_fraction: 0.25,
-            clip_level: 0.045,
-            clip_sample_fraction: 0.5,
-            clip_floor: 0.02,
-            dead_floor: 0.02,
-            pixel_deviation: 0.15,
-            hybridization_ratio: 8.0,
-            drift_floor: 0.05,
-            hybridization_floor: 0.01,
-        }
-    }
-}
+/// A pixel whose window RMS falls below this fraction of the array median
+/// RMS counts as quiet (dead).
+const RMS_FLOOR_FRACTION: f64 = 0.25;
+/// Sample magnitude at or beyond which a neuro sample counts as clipped,
+/// in the stream's sample units.
+const CLIP_LEVEL: f64 = 0.045;
+/// Fraction of a pixel's samples that must clip to call the pixel
+/// clipping.
+const CLIP_SAMPLE_FRACTION: f64 = 0.5;
+/// Fraction of clipping pixels that makes the chip's condition
+/// [`ChipCondition::Clipping`].
+const CLIP_FLOOR: f64 = 0.02;
+/// Fraction of unmasked dead pixels (outside lost channels) that makes the
+/// chip's condition [`ChipCondition::DeadPixels`].
+const DEAD_FLOOR: f64 = 0.02;
+/// Relative deviation of a DNA pixel's current estimate from its baseline
+/// at which the pixel counts as drifted. Drift faults bias estimates
+/// ≈ 30%; calibration noise stays ≈ 2%.
+const PIXEL_DEVIATION: f64 = 0.15;
+/// Ratio of a DNA pixel's estimate over its baseline at which the pixel
+/// counts as a hybridization signal instead of a defect.
+const HYBRIDIZATION_RATIO: f64 = 8.0;
+/// Fraction of drifted pixels that makes the chip's condition
+/// [`ChipCondition::BaselineDrift`].
+const DRIFT_FLOOR: f64 = 0.05;
+/// Fraction of elevated pixels that makes the chip's condition
+/// [`ChipCondition::HybridizationDetected`].
+const HYBRIDIZATION_FLOOR: f64 = 0.01;
 
 /// One observation window's verdict on a chip.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,29 +115,14 @@ pub struct ChipAssessment {
 }
 
 /// Folds observations into [`ChipAssessment`]s. Holds the per-chip DNA
-/// estimate baseline captured before faults were injected.
-#[derive(Debug, Clone)]
+/// estimate baseline captured before faults were injected; the default
+/// classifier has none.
+#[derive(Debug, Clone, Default)]
 pub struct StateClassifier {
-    config: ClassifierConfig,
     dna_baseline: Option<Vec<f64>>,
 }
 
 impl StateClassifier {
-    /// A classifier with the given thresholds and no captured baseline.
-    #[must_use]
-    pub fn new(config: ClassifierConfig) -> Self {
-        Self {
-            config,
-            dna_baseline: None,
-        }
-    }
-
-    /// The thresholds in use.
-    #[must_use]
-    pub fn config(&self) -> &ClassifierConfig {
-        &self.config
-    }
-
     /// Captures the pre-fault DNA estimate baseline later observations
     /// are compared against (per-pixel estimated currents in amperes).
     pub fn set_dna_baseline(&mut self, estimates: Vec<f64>) {
@@ -219,7 +185,7 @@ impl StateClassifier {
                 if s == 0.0 {
                     *z += 1;
                 }
-                if s.abs() >= self.config.clip_level {
+                if s.abs() >= CLIP_LEVEL {
                     *c += 1;
                 }
             }
@@ -231,7 +197,7 @@ impl StateClassifier {
             .map(|(&q, &n)| if n == 0 { 0.0 } else { (q / n as f64).sqrt() })
             .collect();
         let median_rms = median_of_positive(&rms);
-        let quiet_floor = self.config.rms_floor_fraction * median_rms;
+        let quiet_floor = RMS_FLOOR_FRACTION * median_rms;
 
         let pixel_states: Vec<PixelState> = rms
             .iter()
@@ -243,7 +209,7 @@ impl StateClassifier {
                     PixelState::Healthy
                 } else if zeros == seen {
                     PixelState::Silent
-                } else if (clips as f64) >= self.config.clip_sample_fraction * (seen as f64) {
+                } else if (clips as f64) >= CLIP_SAMPLE_FRACTION * (seen as f64) {
                     PixelState::Clipping
                 } else if rms < quiet_floor {
                     PixelState::Quiet
@@ -278,9 +244,9 @@ impl StateClassifier {
         let effective_yield = (total - dead_total) as f64 / total as f64;
         let condition = if !lost_channels.is_empty() {
             ChipCondition::ChannelLoss
-        } else if (mask_candidates.len() as f64) >= self.config.dead_floor * (total as f64) {
+        } else if (mask_candidates.len() as f64) >= DEAD_FLOOR * (total as f64) {
             ChipCondition::DeadPixels
-        } else if (clipping as f64) >= self.config.clip_floor * (total as f64) {
+        } else if (clipping as f64) >= CLIP_FLOOR * (total as f64) {
             ChipCondition::Clipping
         } else {
             ChipCondition::Healthy
@@ -320,9 +286,9 @@ impl StateClassifier {
             .zip(baseline.iter())
             .map(|(&value, &reference)| {
                 let reference_mag = reference.abs().max(f64::MIN_POSITIVE);
-                if value.abs() >= self.config.hybridization_ratio * reference_mag {
+                if value.abs() >= HYBRIDIZATION_RATIO * reference_mag {
                     PixelState::Elevated
-                } else if (value - reference).abs() >= self.config.pixel_deviation * reference_mag {
+                } else if (value - reference).abs() >= PIXEL_DEVIATION * reference_mag {
                     PixelState::Drifted
                 } else {
                     PixelState::Healthy
@@ -340,11 +306,11 @@ impl StateClassifier {
             .count();
 
         let effective_yield = (total - drifted) as f64 / total as f64;
-        let condition = if (elevated as f64) >= self.config.hybridization_floor * (total as f64)
-            && (drifted as f64) < self.config.drift_floor * (total as f64)
+        let condition = if (elevated as f64) >= HYBRIDIZATION_FLOOR * (total as f64)
+            && (drifted as f64) < DRIFT_FLOOR * (total as f64)
         {
             ChipCondition::HybridizationDetected
-        } else if (drifted as f64) >= self.config.drift_floor * (total as f64) {
+        } else if (drifted as f64) >= DRIFT_FLOOR * (total as f64) {
             ChipCondition::BaselineDrift
         } else {
             ChipCondition::Healthy
@@ -450,7 +416,7 @@ mod tests {
 
     #[test]
     fn quiet_pixels_classify_dead() {
-        let c = StateClassifier::new(ClassifierConfig::default());
+        let c = StateClassifier::default();
         // 4x4, one channel; pixels 0 and 5 read only faint noise while
         // the rest carry signal.
         let mut frame = vec![1e-2; 16];
@@ -469,7 +435,7 @@ mod tests {
 
     #[test]
     fn whole_silent_channel_classifies_channel_loss() {
-        let c = StateClassifier::new(ClassifierConfig::default());
+        let c = StateClassifier::default();
         // 4x4, two channels of two columns each; channel 1 silent.
         let frame: Vec<f64> = (0..16)
             .map(|idx| if (idx % 4) / 2 == 1 { 0.0 } else { 2e-3 })
@@ -484,7 +450,7 @@ mod tests {
 
     #[test]
     fn clipped_pixels_classify_clipping() {
-        let c = StateClassifier::new(ClassifierConfig::default());
+        let c = StateClassifier::default();
         let frame: Vec<f64> = (0..16)
             .map(|idx| if idx == 3 { 0.05 } else { 1e-2 })
             .collect();
@@ -496,7 +462,7 @@ mod tests {
 
     #[test]
     fn masked_pixels_are_not_mask_candidates() {
-        let c = StateClassifier::new(ClassifierConfig::default());
+        let c = StateClassifier::default();
         let mut frame = vec![1e-2; 16];
         if let Some(s) = frame.get_mut(7) {
             *s = 1e-4;
@@ -513,7 +479,7 @@ mod tests {
 
     #[test]
     fn dna_drift_against_baseline() {
-        let mut c = StateClassifier::new(ClassifierConfig::default());
+        let mut c = StateClassifier::default();
         c.set_dna_baseline(vec![10e-9; 16]);
         // Half the pixels read 30% low, mirroring a 400 mV comparator
         // drift; the rest sit within calibration noise.
@@ -527,7 +493,7 @@ mod tests {
 
     #[test]
     fn dna_elevated_subset_is_hybridization_not_drift() {
-        let mut c = StateClassifier::new(ClassifierConfig::default());
+        let mut c = StateClassifier::default();
         c.set_dna_baseline(vec![1e-9; 100]);
         let estimates: Vec<f64> = (0..100).map(|i| if i < 3 { 50e-9 } else { 1e-9 }).collect();
         let a = c.observe_dna(&summary(100, 1), &estimates);
@@ -538,7 +504,7 @@ mod tests {
 
     #[test]
     fn dna_without_baseline_is_unobserved() {
-        let c = StateClassifier::new(ClassifierConfig::default());
+        let c = StateClassifier::default();
         let a = c.observe_dna(&summary(16, 1), &[1e-9; 16]);
         assert_eq!(a.condition, ChipCondition::Unobserved);
     }

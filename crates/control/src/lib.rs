@@ -44,9 +44,7 @@ pub mod scenario;
 pub mod trace;
 
 pub use backoff::Backoff;
-pub use classifier::{
-    ChipAssessment, ChipCondition, ClassifierConfig, PixelState, StateClassifier,
-};
+pub use classifier::{ChipAssessment, ChipCondition, PixelState, StateClassifier};
 pub use controller::{ChipTarget, Controller, RunOutcome};
 pub use error::ControlError;
 pub use policy::{Action, PolicyConfig, PolicyEngine};

@@ -8,7 +8,7 @@
 //! fault placement, and the policy's reattach seeds, so two runs of the
 //! same scenario produce bit-identical [`RecoveryTrace`]s.
 
-use crate::classifier::{ClassifierConfig, StateClassifier};
+use crate::classifier::StateClassifier;
 use crate::controller::{ChipTarget, Controller};
 use crate::error::ControlError;
 use crate::policy::{PolicyConfig, PolicyEngine};
@@ -98,7 +98,7 @@ fn run_scenario(
     seed: u64,
     plan: &InjectionPlan,
 ) -> Result<ScenarioReport, ControlError> {
-    let classifier = StateClassifier::new(ClassifierConfig::default());
+    let classifier = StateClassifier::default();
     // Headroom over the default mask budget: at 15% dead density the
     // candidate set (true dead + quiet live pixels) can top 256 on a
     // 32x32 array, and masking is the path these scenarios exercise.

@@ -9,8 +9,7 @@
 use bsa_control::scenario::{baseline_drift, channel_loss, dead_pixels, ScenarioReport};
 use bsa_control::trace::TraceEvent;
 use bsa_control::{
-    ChipTarget, ClassifierConfig, ControlError, Controller, PolicyConfig, PolicyEngine,
-    StateClassifier,
+    ChipTarget, ControlError, Controller, PolicyConfig, PolicyEngine, StateClassifier,
 };
 use bsa_link::{read_message, write_message, CultureSpec, Message, NeuroChipSpec};
 use bsa_station::{ClientConfig, Station, StationClient, StationConfig, StationHandle};
@@ -203,7 +202,7 @@ fn silent_station_exhausts_the_retries() {
     let result = Controller::start(
         client,
         target,
-        StateClassifier::new(ClassifierConfig::default()),
+        StateClassifier::default(),
         PolicyEngine::new(SEED, PolicyConfig::default()),
         "silent",
     );

@@ -105,16 +105,20 @@ impl ScanOptions {
 
 /// Resolves the effective worker count for `units` parallel work units:
 /// the requested count, or the host's available parallelism, capped at
-/// the unit count. A single unit resolves to one thread without asking
-/// the host, whose answer takes a few heap allocations to read.
+/// the unit count.
 pub(crate) fn resolve_threads(units: usize, opts: ScanOptions) -> usize {
-    if units <= 1 {
-        return 1;
-    }
-    let requested = opts.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
-    requested.clamp(1, units.max(1))
+    opts.threads
+        .unwrap_or_else(host_threads)
+        .clamp(1, units.max(1))
+}
+
+/// The host's available parallelism, read once per process: on Linux the
+/// answer comes from the cgroup CPU quota and takes a few heap
+/// allocations to read.
+fn host_threads() -> usize {
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Runs `work` on every item `items` yields, each thread claiming the

@@ -3,7 +3,8 @@
 //! arena is warm (buffers recycled from a previous recording), the
 //! heap-allocation count of a record call must not scale with the frame
 //! count — the per-frame sample buffers all come from the pool — a second
-//! compile of the same culture allocates nothing, and an acquisition
+//! compile of the same culture allocates nothing, neither does a second
+//! default thread-count resolution, and an acquisition
 //! cursor drained through one reused chunk buffer holds the same peak
 //! memory however many frames it delivers.
 //!
@@ -132,10 +133,34 @@ fn warm_compile_allocs() -> u64 {
     delta
 }
 
+/// Allocations of a second default thread-count resolution on a
+/// 16-channel chip, the question every default acquisition asks.
+fn second_thread_resolution_allocs() -> u64 {
+    let config = NeuroChipConfig {
+        geometry: ArrayGeometry::new(16, 16, Meter::from_micro(7.8)).unwrap(),
+        channels: 16,
+        ..NeuroChipConfig::default()
+    };
+    let chip = NeuroChip::new(config).unwrap();
+    let first = chip.resolved_scan_threads(ScanOptions::default());
+    let before = allocs();
+    let again = chip.resolved_scan_threads(ScanOptions::default());
+    let delta = allocs() - before;
+    assert_eq!(again, first);
+    delta
+}
+
 #[test]
 fn steady_state_scan_is_allocation_free_per_frame() {
     // A warm culture compile reuses every buffer of its scatter tables.
     assert_eq!(warm_compile_allocs(), 0, "a warm culture compile allocated");
+
+    // The host's parallelism is read once per process, not per request.
+    assert_eq!(
+        second_thread_resolution_allocs(),
+        0,
+        "resolving the default scan thread count allocated"
+    );
 
     let config = NeuroChipConfig {
         geometry: ArrayGeometry::new(16, 16, Meter::from_micro(7.8)).unwrap(),

@@ -108,3 +108,32 @@ fn proven_guarded_last(xs: &[f64]) -> f64 {
     }
     xs[xs.len() - 1]
 }
+
+// ---------------------------------------------------------------------------
+// Discharge is per site, and the site table covers every token
+// ---------------------------------------------------------------------------
+
+/// One proven and one unproven site on the same line: only the unproven
+/// `ys[i]` is reported.
+fn mixed_line(xs: &[f64], ys: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for i in 0..xs.len() {
+        acc = acc + xs[i] * ys[i]; //~ panic.indexing
+    }
+    acc
+}
+
+/// An index in a `const` initializer sits outside every fn body and is
+/// still a site.
+const TAPS: [f64; 2] = [0.5, 0.5];
+const FIRST_TAP: f64 = TAPS[1]; //~ panic.indexing
+
+/// The prover does not look inside an index it cannot prove: `idx[i]` is
+/// provable on its own, but nested in `xs[..]` it stays unproven.
+fn nested_gather(xs: &[f64], idx: &[usize]) -> f64 {
+    let mut acc = 0.0;
+    for i in 0..idx.len() {
+        acc = acc + xs[idx[i]]; //~ panic.indexing //~ panic.indexing
+    }
+    acc
+}

@@ -14,9 +14,9 @@
 //!   division. Scoped facts (`i + k < xs.len()`, `xs.len() > k`,
 //!   `i <= xs.len()`) are harvested from loop headers, guards, asserts
 //!   and clamping bindings; each `panic.indexing` site the facts cover is
-//!   *discharged* (subtracted from the allowlist pressure and hidden from
-//!   `reach.panic`), while definitely-out-of-bounds indices and division
-//!   by a constant zero are reported as violations.
+//!   marked proven in the site table, which *discharges* it (it is neither
+//!   a finding nor a `reach.panic` sink), while definitely-out-of-bounds
+//!   indices and division by a constant zero are reported as violations.
 //!
 //! Both passes are intraprocedural and flow-insensitive within a fact's
 //! scope: facts live in the shared scoped store and are cut short where
@@ -31,12 +31,12 @@ use std::ops::Range;
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{CallSite, FnItem, ParsedFile};
-use crate::rules::{index_site, suggested_unit_type, violation, Violation};
+use crate::rules::{suggested_unit_type, violation, Violation};
 use crate::summary::{RetContract, Summaries};
 use crate::syntax::{
     call_arg_path, const_expr, depth0, exact_path, final_call, find_cmp, last_depth0, last_segment,
-    len_minus_expr, matching, path_ending_at, path_starting_at, repeat_count, split, tok_ident,
-    tok_int, tok_punct, var_plus_const, Cmp, Effect, Scoped, StmtKind, Store,
+    len_minus_expr, matching, path_starting_at, repeat_count, split, tok_ident, tok_int, tok_punct,
+    var_plus_const, Cmp, Effect, Scoped, StmtKind, Store,
 };
 
 /// The `bsa-units` newtypes recognised as dimension constructors.
@@ -55,70 +55,31 @@ const UNIT_TYPES: &[&str] = &[
     "Molar",
 ];
 
-/// Per-file interval-proof summary: for each source line, how many direct
-/// index sites `panic.indexing` flags there and how many of them the
-/// prover discharged.
-#[derive(Debug, Default, Clone)]
-pub struct FileProofs {
-    /// line → (index sites on the line, sites proven in-bounds).
-    pub lines: BTreeMap<usize, (usize, usize)>,
-}
-
-impl FileProofs {
-    /// Lines where *every* index site is proven in-bounds. Violations on
-    /// these lines are discharged before allowlist reconciliation, and
-    /// `reach.panic` treats them as non-sinks.
-    pub fn fully_proven(&self) -> BTreeSet<usize> {
-        self.lines
-            .iter()
-            .filter(|(_, (sites, proven))| *sites > 0 && proven == sites)
-            .map(|(line, _)| *line)
-            .collect()
-    }
-
-    /// Total discharged sites (the JSON report's `proven_sites`).
-    pub fn proven_sites(&self) -> usize {
-        self.lines.values().map(|(_, proven)| *proven).sum()
-    }
-}
-
-/// Runs both dataflow passes over one file. `check_units` gates the
-/// `flow.unit` pass (dimensioned-value crates only); the interval prover
-/// always runs so proofs line up with wherever `panic.indexing` applies.
+/// Runs both dataflow passes over one file and marks the index sites of
+/// `parsed`'s site table that the interval prover proves in bounds.
+/// `check_units` gates the `flow.unit` pass (dimensioned-value crates
+/// only); the interval prover always runs so proofs line up with wherever
+/// `panic.indexing` applies.
 pub fn flow_pass(
     file: &str,
     tokens: &[Token],
-    parsed: &ParsedFile,
+    parsed: &mut ParsedFile,
     check_units: bool,
     summaries: &Summaries,
     out: &mut Vec<Violation>,
-) -> FileProofs {
-    let mut proofs = FileProofs::default();
-    // Denominator first: every index site in the file, attributed by line,
-    // so per-line totals match `panic_pass` exactly.
-    for (i, t) in tokens.iter().enumerate() {
-        if index_site(tokens, i) {
-            proofs.lines.entry(t.line).or_insert((0, 0)).0 += 1;
-        }
-    }
-
-    let mut proven_positions: BTreeSet<usize> = BTreeSet::new();
+) {
+    let mut proven = BTreeSet::new();
     for f in &parsed.fns {
         let facts = collect_facts(tokens, f, summaries);
-        prove_sites(file, tokens, f, &facts, &mut proven_positions, out);
+        prove_sites(file, tokens, parsed, f, &facts, &mut proven, out);
         division_check(file, tokens, f, &facts, out);
         if check_units {
             unit_pass(file, tokens, f, out);
         }
     }
-    for pos in &proven_positions {
-        if let Some(t) = tokens.get(*pos) {
-            if let Some(entry) = proofs.lines.get_mut(&t.line) {
-                entry.1 += 1;
-            }
-        }
+    for site in &mut parsed.sites {
+        site.proven = proven.contains(&site.at);
     }
-    proofs
 }
 
 // ---------------------------------------------------------------------------
@@ -632,36 +593,26 @@ fn let_fact(
 // Site proving
 // ---------------------------------------------------------------------------
 
-/// Checks every `panic.indexing` site in `f`'s body against the facts;
-/// proven sites land in `proven`, definite out-of-bounds accesses in
-/// `out`. Index sites nested inside a checked index are not visited.
+/// Judges the outer index sites in `f`'s body against the facts; the
+/// positions of proven sites land in `proven`, definite out-of-bounds
+/// accesses in `out`.
 fn prove_sites(
     file: &str,
     tokens: &[Token],
+    parsed: &ParsedFile,
     f: &FnItem,
     facts: &Facts,
     proven: &mut BTreeSet<usize>,
     out: &mut Vec<Violation>,
 ) {
-    let mut i = f.body.start;
-    while i < f.body.end {
-        let site = index_site(tokens, i) && !proven.contains(&i);
-        if let Some(close) = matching(tokens, i).filter(|_| site) {
-            if let Some(seq) = path_ending_at(tokens, i - 1) {
-                match prove_index(tokens, &(i + 1..close), &seq, facts, i) {
-                    Proof::InBounds => {
-                        proven.insert(i);
-                    }
-                    Proof::OutOfBounds(msg) => {
-                        let line = tokens.get(i).map_or(f.line, |t| t.line);
-                        out.push(violation(file, line, "flow.range", msg));
-                    }
-                    Proof::Unknown => {}
-                }
+    for (site, expr, seq) in parsed.outer_index_sites(&f.body) {
+        match prove_index(tokens, &expr, seq, facts, site.at) {
+            Proof::InBounds => {
+                proven.insert(site.at);
             }
-            i = close;
+            Proof::OutOfBounds(msg) => out.push(violation(file, site.line, "flow.range", msg)),
+            Proof::Unknown => {}
         }
-        i += 1;
     }
 }
 
@@ -1094,7 +1045,8 @@ mod tests {
     use crate::lexer::lex;
     use crate::parser::parse_workspace;
 
-    fn run(src: &str, check_units: bool) -> (Vec<Violation>, FileProofs) {
+    /// The findings and the lines of the proven index sites.
+    fn run(src: &str, check_units: bool) -> (Vec<Violation>, Vec<usize>) {
         let tokens = lex(src);
         // Summaries computed from the same snippet, so cross-function
         // contract tests exercise the real pipeline shape.
@@ -1102,18 +1054,20 @@ mod tests {
             path: "test.rs".to_string(),
             tokens: tokens.clone(),
         }];
-        let parsed_files = parse_workspace(&sources);
+        let mut parsed_files = parse_workspace(&sources);
         let summaries = crate::summary::compute_summaries(&sources, &parsed_files);
         let mut out = Vec::new();
-        let proofs = flow_pass(
+        let parsed = &mut parsed_files[0];
+        flow_pass(
             "test.rs",
             &tokens,
-            &parsed_files[0],
+            parsed,
             check_units,
             &summaries,
             &mut out,
         );
-        (out, proofs)
+        let proven = parsed.sites.iter().filter(|s| s.proven);
+        (out, proven.map(|s| s.line).collect())
     }
 
     fn rules(v: &[Violation]) -> Vec<&'static str> {
@@ -1122,61 +1076,60 @@ mod tests {
 
     #[test]
     fn for_range_len_proves_index() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(xs: &[f64]) -> f64 { let mut s = 0.0; for i in 0..xs.len() { s += xs[i]; } s }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
-        assert_eq!(proofs.fully_proven().len(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn for_range_len_minus_k_proves_offset() {
         // The `is_empty` guard proves `len >= 1`, which licenses the
         // `len() - 1` subtraction the range needs.
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(xs: &[f64]) -> f64 { let mut s = 0.0; if xs.is_empty() { return s; } for i in 0..xs.len() - 1 { s += xs[i + 1]; } s }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn offset_beyond_bound_not_proven() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64]) -> f64 { let mut s = 0.0; for i in 0..xs.len() { s += xs[i + 1]; } s }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
     fn enumerate_proves_index() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], ys: &[f64]) { for (i, _x) in xs.iter().enumerate() { let _ = xs[i]; } }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn enumerate_does_not_prove_other_slice() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], ys: &[f64]) { for (i, _x) in xs.iter().enumerate() { let _ = ys[i]; } }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
     fn min_clamp_proves_index() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(rows: &[f64], c: u32) -> f64 { if rows.is_empty() { return 0.0; } let k = (c as usize).min(rows.len() - 1); rows[k] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
@@ -1189,122 +1142,122 @@ mod tests {
             "fn f(xs: &[f64]) -> f64 { xs[xs.len() - 1] }",
             "fn f(xs: &[f64]) -> &[f64] { &xs[..xs.len() - 2] }",
         ] {
-            let (out, proofs) = run(src, false);
+            let (out, proven) = run(src, false);
             assert!(out.is_empty(), "{src}: {out:#?}");
-            assert_eq!(proofs.proven_sites(), 0, "{src}");
+            assert_eq!(proven.len(), 0, "{src}");
         }
     }
 
     #[test]
     fn windows_closure_proves_pair() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], level: f64) -> usize { xs.windows(2).filter(|w| w[0] <= level && w[1] > level).count() }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 2);
+        assert_eq!(proven.len(), 2);
     }
 
     #[test]
     fn windows_closure_does_not_prove_out_of_window() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(xs: &[f64]) -> f64 { xs.windows(2).map(|w| w[2]).sum() }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
         // The exact window length refutes w[2] outright.
         assert_eq!(rules(&out), vec!["flow.range"]);
     }
 
     #[test]
     fn early_exit_guard_proves_rest_of_block() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], i: usize) -> f64 { if i + 1 >= xs.len() { return 0.0; } xs[i] + xs[i + 1] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 2);
+        assert_eq!(proven.len(), 2);
     }
 
     #[test]
     fn plain_guard_scopes_to_block() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], i: usize) -> f64 { if i < xs.len() { return xs[i]; } xs[i] }",
             false,
         );
-        // First site proven, second (outside the guard) is not.
-        assert_eq!(proofs.proven_sites(), 1);
-        assert!(proofs.fully_proven().is_empty() || proofs.lines.len() > 1);
+        // First site proven, second (outside the guard) is not, though
+        // both share a line: discharge is per site.
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn is_empty_guard_proves_first_element() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64]) -> f64 { if !xs.is_empty() { xs[0] } else { 0.0 } }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn assert_proves_rest_of_fn() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], i: usize) -> f64 { assert!(i < xs.len()); xs[i] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn debug_assert_proves_nothing() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], i: usize) -> f64 { debug_assert!(i < xs.len()); xs[i] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
     fn partition_point_proves_range_from() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], t: f64) -> f64 { let s = xs.partition_point(|x| *x < t); xs[s..].iter().sum() }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn partition_point_does_not_prove_direct_index() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], t: f64) -> f64 { let s = xs.partition_point(|x| *x < t); xs[s] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
     fn gen_range_over_len_proves_index() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f<R: Rng>(rng: &mut R) -> Base { Base::ALL[rng.gen_range(0..Base::ALL.len())] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn shrinking_mutation_kills_fact() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &mut Vec<f64>, i: usize) -> f64 { assert!(i < xs.len()); xs.truncate(1); xs[i] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
     fn reassignment_kills_fact() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[f64], mut i: usize) -> f64 { assert!(i < xs.len()); i = i + 2; xs[i] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
@@ -1315,12 +1268,12 @@ mod tests {
 
     #[test]
     fn index_at_len_minus_one_is_proven_behind_guard() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(xs: &[f64]) -> f64 { if xs.is_empty() { return 0.0; } xs[xs.len() - 1] }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
@@ -1331,9 +1284,9 @@ mod tests {
 
     #[test]
     fn const_array_in_bounds_is_proven() {
-        let (out, proofs) = run("fn f() -> f64 { let a = [0.0; 4]; a[3] }", false);
+        let (out, proven) = run("fn f() -> f64 { let a = [0.0; 4]; a[3] }", false);
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
@@ -1413,40 +1366,40 @@ mod tests {
 
     #[test]
     fn while_head_proves_uses_before_mutation() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(xs: &[u8]) -> usize { let mut j = 0; let mut n = 0; while j < xs.len() { if xs[j] == 1 { n += 1; } j += 1; } n }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn while_head_does_not_prove_uses_after_mutation() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(xs: &[u8]) -> usize { let mut j = 0; let mut n = 0; while j < xs.len() { j += 1; n += xs[j] as usize; } n }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
     fn vec_count_guard_proves_deref_index() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(labels: &[usize], k: usize) -> Vec<usize> { let mut sizes = vec![0usize; k]; for l in labels { if *l < k { sizes[*l] += 1; } } sizes }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn vec_count_without_guard_not_proven() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(labels: &[usize], k: usize) -> Vec<usize> { let mut sizes = vec![0usize; k]; for l in labels { sizes[*l] += 1; } sizes }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
@@ -1457,95 +1410,95 @@ mod tests {
 
     #[test]
     fn modulo_by_len_proves_index() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(xs: &[u8], i: usize) -> u8 { xs[i % xs.len()] }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn modulo_by_eq_len_path_proves_index() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(n: usize, i: usize) -> u8 { let v = vec![0u8; n]; v[i % n] }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn modulo_by_unrelated_count_not_proven() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(n: usize, m: usize, i: usize) -> u8 { let v = vec![0u8; n]; v[i % m] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
     fn assert_eq_with_message_gives_symbolic_length() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn f(per: &[u8], n: usize, spot: usize) -> u8 { assert_eq!(per.len(), n, \"want {} got {}\", n, per.len()); per[spot % n] }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn summary_contract_bounds_call_result() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn wrap(i: usize, n: usize) -> usize { i % n }\n\
              fn f(i: usize, n: usize) -> u8 { let v = vec![0u8; n]; let k = wrap(i, n); v[k] }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn summary_len_contract_bounds_call_result() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn wrap(i: usize, xs: &[u8]) -> usize { i % xs.len() }\n\
              fn f(i: usize, xs: &[u8]) -> u8 { let k = wrap(i, xs); xs[k] }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn receiver_passed_as_argument_binds_no_contract() {
         // Shifted by the receiver, the contract would read `k < i` and
         // prove `v[k]` although `k < n` is all `wrap` promises.
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "struct S;\n\
              impl S { fn wrap(&self, i: usize, n: usize) -> usize { i % n } }\n\
              fn f(s: &S, i: usize, n: usize) -> u8 { let v = vec![0u8; i]; let k = S::wrap(s, i, n); v[k] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 
     #[test]
     fn elems_contract_bounds_loop_variable() {
-        let (out, proofs) = run(
+        let (out, proven) = run(
             "fn choose(n: usize, k: usize) -> Vec<usize> { let mut idx: Vec<usize> = (0..n).collect(); idx.truncate(k); idx }\n\
              fn f(n: usize) -> u8 { let v = vec![0u8; n]; let mut acc = 0; for i in choose(n, 3) { acc += v[i]; } acc }",
             false,
         );
         assert!(out.is_empty());
-        assert_eq!(proofs.proven_sites(), 1);
+        assert_eq!(proven.len(), 1);
     }
 
     #[test]
     fn reassigned_count_kills_symbolic_length() {
-        let (_, proofs) = run(
+        let (_, proven) = run(
             "fn f(mut n: usize, i: usize) -> u8 { let v = vec![0u8; n]; n = n + 4; v[i % n] }",
             false,
         );
-        assert_eq!(proofs.proven_sites(), 0);
+        assert_eq!(proven.len(), 0);
     }
 }

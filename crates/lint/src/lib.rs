@@ -9,7 +9,8 @@
 //! Determinism bans (wall clock, unseeded RNG, hash-ordered collections)
 //! live in per-crate `clippy.toml` files, `.unwrap()` is clippy's
 //! `unwrap_used`, and wire-protocol coverage is rustc's exhaustive
-//! `match` plus `bsa-link`'s `abi_lock` golden test.
+//! `match` plus `bsa-link`'s `abi_lock` golden test and the station's
+//! test that provokes every `ErrorCode`.
 //!
 //! The lexical families run per file ([`rules`]):
 //!
@@ -24,15 +25,20 @@
 //!
 //! On top of them sit the *semantic* families that need the whole
 //! workspace at once. A lightweight parser ([`parser`]) extracts fns,
-//! impls, enums and call sites, and resolves every call site to the fn it
+//! impls and call sites, and resolves every call site to the fn it
 //! binds to, once for the whole workspace, under one rule (DESIGN.md
 //! §9.2). Every call-graph pass reads that call table:
 //! `reach.panic` (transitive panic reachability behind public APIs,
 //! [`reach`]), the function summaries, the taint analysis, and `conc.*`
 //! (atomic read-modify-write, lock discipline and the global
 //! lock/channel acquisition-order cycle detector `conc.lock-order` in the
-//! serving crates, [`conc`]). `proto.error-reply` (every typed reply code
-//! is sendable, [`proto`]) reads the enums.
+//! serving crates, [`conc`]).
+//!
+//! The parser also records every direct panic site of a file once, in
+//! token order: the site table ([`parser::ParsedFile::sites`]). The
+//! `panic.*` rules, `reach.panic`, the interval prover, the summaries and
+//! the taint analysis all read it, and a site the prover proves is marked
+//! there, so one flag decides discharge for every pass.
 //!
 //! The dataflow passes share one statement model: [`syntax`] lowers each
 //! parsed fn once into typed parameters, statements (`let`, assignment,
@@ -63,7 +69,6 @@ pub mod conc;
 pub mod flow;
 pub mod lexer;
 pub mod parser;
-pub mod proto;
 pub mod reach;
 pub mod report;
 pub mod rules;
@@ -74,15 +79,14 @@ pub mod workspace;
 
 pub use allow::{reconcile, AllowEntry, Allowlist, Reconciliation};
 pub use conc::{conc_pass, lock_order_pass};
-pub use flow::{flow_pass, FileProofs};
+pub use flow::flow_pass;
 pub use parser::{parse_workspace, ParsedFile};
-pub use proto::{proto_pass, ProtoConfig, ProtoSummary};
-pub use reach::{reach_pass, ProvenLines};
+pub use reach::reach_pass;
 pub use report::{render_json, Report};
-pub use rules::{rule_description, run_rules, RuleSet, Violation, RULE_IDS};
+pub use rules::{rule_description, run_rules, Violation, RULE_IDS};
 pub use summary::{compute_summaries, summary_pass, RetContract, Summaries};
 pub use taint::taint_pass;
 pub use workspace::{
-    check_sources, check_workspace, collect_files, load_sources, rules_for, workspace_root,
-    CheckOutcome, PassTimings, SourceFile,
+    check_sources, check_workspace, collect_files, in_scope, load_sources, unit_safety,
+    workspace_root, CheckOutcome, PassTimings, SourceFile,
 };

@@ -14,7 +14,7 @@
 
 use bsa_lint::{
     allow, check_sources, check_workspace, load_sources, render_json, rule_description,
-    workspace_root, Allowlist, PassTimings, ProtoSummary, Report, RULE_IDS,
+    workspace_root, Allowlist, PassTimings, Report, RULE_IDS,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -88,17 +88,6 @@ fn load_allowlist(root: &Path) -> Result<Allowlist, String> {
     Allowlist::parse(&text).map_err(|e| e.to_string())
 }
 
-/// One-line reply-code coverage summary for the human-readable output.
-fn proto_line(p: &ProtoSummary) -> String {
-    if !p.reply_found {
-        return "proto: ErrorCode enum not found".to_string();
-    }
-    format!(
-        "proto: ErrorCode {}/{} constructed",
-        p.reply_constructed, p.reply_variants
-    )
-}
-
 /// One-line pass-timing summary for the human-readable output.
 fn timings_line(t: &PassTimings) -> String {
     format!(
@@ -133,7 +122,7 @@ fn cmd_check(json: bool) -> ExitCode {
         }
     };
     let outcome = check_sources(&sources, &allowlist);
-    let (violations, proto) = (&outcome.violations, &outcome.proto);
+    let violations = &outcome.violations;
     let rec = allow::reconcile(violations, &allowlist);
 
     if json {
@@ -145,7 +134,6 @@ fn cmd_check(json: bool) -> ExitCode {
                 proven_sites: outcome.proven_sites,
                 rec: &rec,
                 allow: &allowlist,
-                proto,
                 timings: &outcome.timings,
             })
         );
@@ -167,7 +155,6 @@ fn cmd_check(json: bool) -> ExitCode {
         );
     }
 
-    println!("{}", proto_line(proto));
     println!("{}", timings_line(&outcome.timings));
     let allowed = violations.len() - rec.unallowed.len();
     if rec.clean() {
@@ -211,7 +198,6 @@ fn cmd_list() -> ExitCode {
             for (rule, n) in by_rule {
                 println!("--   {rule}: {n}");
             }
-            println!("-- {}", proto_line(&outcome.proto));
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -3,7 +3,7 @@
 //! Extracts just enough structure for the semantic passes: function items
 //! (with their `impl` qualification, visibility, typed parameters, body
 //! extent and lowered body statements — see [`crate::syntax`]), call
-//! sites inside those bodies, and enum definitions with their variants.
+//! sites inside those bodies, and the file's direct panic sites.
 //! It is *not* a Rust parser — expressions are never built, and a handful
 //! of exotic shapes (turbofish calls, tuple-type impls, const-generic
 //! braces) are knowingly approximated; DESIGN.md §9.2 lists them. In
@@ -12,12 +12,14 @@
 //! [`parse_workspace`] also resolves every call site to the fn it binds
 //! to, once for the whole workspace: [`CallSite::target`] is the call
 //! table that `reach`, `summary`, `flow`, `taint` and `conc` read.
+//! [`ParsedFile::sites`] is the site table they read the same way.
 //!
 //! Like the rule passes, this module practises what bsa-lint preaches:
 //! every token access is bounds-checked (`get`), so a degenerate token
 //! stream can produce a wrong parse but never a panic.
 
 use crate::lexer::{Token, TokenKind};
+use crate::rules::{panic_sites, PanicSite, Site};
 use crate::syntax::{
     depth0, last_segment, lower, lower_params, matching, path_span_ending_at, skip_angles,
     tok_ident, tok_punct, Param, Rebind, Stmt,
@@ -36,8 +38,53 @@ pub struct ParsedFile {
     pub path: String,
     /// Every `fn` item with a body, in source order (nested fns included).
     pub fns: Vec<FnItem>,
-    /// Every `enum` item, in source order.
-    pub enums: Vec<EnumItem>,
+    /// Every direct panic site in the file, inside fn bodies or not, in
+    /// token order. `flow.range` marks the index sites it proves.
+    pub sites: Vec<Site>,
+}
+
+impl ParsedFile {
+    /// The panic sites whose token lies in `range`, in token order.
+    pub(crate) fn sites_in<'a>(
+        &'a self,
+        range: &'a Range<usize>,
+    ) -> impl Iterator<Item = &'a Site> {
+        self.sites.iter().filter(|s| range.contains(&s.at))
+    }
+
+    /// The sites in `range` that can still panic: all but the index sites
+    /// `flow.range` proved in bounds. `panic.*` reports exactly these and
+    /// `reach.panic` propagates exactly these.
+    pub(crate) fn live_sites<'a>(
+        &'a self,
+        range: &'a Range<usize>,
+    ) -> impl Iterator<Item = &'a Site> {
+        self.sites_in(range).filter(|s| !s.proven)
+    }
+
+    /// The index sites in `range` that no other index site's brackets
+    /// enclose, each with its bracketed expression and indexed path: the
+    /// sites the interval prover and the summaries judge.
+    pub(crate) fn outer_index_sites<'a>(
+        &'a self,
+        range: &'a Range<usize>,
+    ) -> impl Iterator<Item = (&'a Site, Range<usize>, &'a str)> {
+        let mut end = 0;
+        self.sites_in(range).filter_map(move |s| {
+            let PanicSite::Indexing {
+                close: Some(close),
+                seq,
+            } = &s.kind
+            else {
+                return None;
+            };
+            if s.at < end {
+                return None;
+            }
+            end = *close;
+            Some((s, s.at + 1..*close, seq.as_deref()?))
+        })
+    }
 }
 
 /// One function item.
@@ -111,28 +158,6 @@ impl CallSite {
     }
 }
 
-/// One enum definition.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    /// Enum name.
-    pub name: String,
-    /// `pub` visibility.
-    pub is_pub: bool,
-    /// 1-based line of the enum name.
-    pub line: usize,
-    /// Variants in declaration order.
-    pub variants: Vec<Variant>,
-}
-
-/// One enum variant.
-#[derive(Debug, Clone)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// 1-based line of the variant name.
-    pub line: usize,
-}
-
 /// Parses every source and resolves its call sites across all of them.
 /// `sources` and the result are index-aligned.
 pub fn parse_workspace(sources: &[SourceFile]) -> Vec<ParsedFile> {
@@ -150,11 +175,10 @@ pub(crate) fn parse_file(path: &str, tokens: &[Token]) -> ParsedFile {
     let impls = impl_regions(tokens);
     let mut fns = fn_items(tokens, &impls);
     attribute_calls(tokens, &impls, &mut fns);
-    let enums = enum_items(tokens);
     ParsedFile {
         path: path.to_string(),
         fns,
-        enums,
+        sites: panic_sites(tokens),
     }
 }
 
@@ -474,72 +498,6 @@ fn attribute_calls(tokens: &[Token], impls: &[ImplRegion], fns: &mut [FnItem]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// enum items
-// ---------------------------------------------------------------------------
-
-fn enum_items(tokens: &[Token]) -> Vec<EnumItem> {
-    let mut enums = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens.get(i).is_some_and(|t| t.is_ident("enum")) {
-            if let Some((item, resume)) = parse_enum(tokens, i) {
-                enums.push(item);
-                i = resume;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    enums
-}
-
-fn parse_enum(tokens: &[Token], enum_idx: usize) -> Option<(EnumItem, usize)> {
-    let name_tok = tokens.get(enum_idx + 1)?;
-    let name = name_tok.ident()?.to_string();
-    let line = name_tok.line;
-    let mut j = enum_idx + 2;
-    if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-        j = skip_angles(tokens, j)?;
-    }
-    // `where` clause: bounds contain parens/angles but never braces, so
-    // the enum body starts at the next `{`.
-    if tokens.get(j).is_some_and(|t| t.is_ident("where")) {
-        while tokens.get(j).is_some() && !tokens.get(j).is_some_and(|t| t.is_punct('{')) {
-            j += 1;
-        }
-    }
-    if !tokens.get(j).is_some_and(|t| t.is_punct('{')) {
-        return None;
-    }
-    let close = matching(tokens, j)?;
-    // Variant names are the first ident after each depth-0 comma;
-    // attributes, payloads and discriminants sit deeper or are not idents.
-    let mut variants = Vec::new();
-    let mut expecting = true;
-    for k in depth0(tokens, j + 1..close) {
-        let Some(t) = tokens.get(k) else { break };
-        if t.is_punct(',') {
-            expecting = true;
-        } else if let Some(name) = t.ident().filter(|_| expecting) {
-            variants.push(Variant {
-                name: name.to_string(),
-                line: t.line,
-            });
-            expecting = false;
-        }
-    }
-    Some((
-        EnumItem {
-            name,
-            is_pub: pub_before(tokens, enum_idx),
-            line,
-            variants,
-        },
-        close + 1,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,42 +669,18 @@ mod tests {
     }
 
     #[test]
-    fn enums_and_variants_with_payloads_and_discriminants() {
-        let src = r#"
-            #[derive(Debug)]
-            #[non_exhaustive]
-            pub enum Wire {
-                Idle,
-                Byte(u8),
-                Frame { seq: u32, body: Vec<u8> },
-                Tagged = 7,
-            }
-            enum Private { A, B }
-        "#;
+    fn site_table_covers_every_token_and_outer_sites_skip_nested_ones() {
+        let src = "const K: u8 = T[1];\nfn f(a: &[u8], b: &[usize], i: usize) -> u8 { a[b[i]] }";
         let p = parse(src);
-        assert_eq!(p.enums.len(), 2);
-        let wire = p.enums.first().expect("wire");
-        assert!(wire.is_pub);
-        let names: Vec<&str> = wire.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["Idle", "Byte", "Frame", "Tagged"]);
-        let private = p.enums.get(1).expect("private");
-        assert!(!private.is_pub);
-        assert_eq!(private.variants.len(), 2);
-    }
-
-    #[test]
-    fn variant_attributes_and_generics_do_not_confuse_the_walk() {
-        let src = r#"
-            pub enum E<T> where T: Clone {
-                #[doc(hidden)]
-                Hidden(Box<dyn Fn(u8) -> T>),
-                Pair { a: Vec<(u8, u8)>, b: [u8; 4] },
-            }
-        "#;
-        let p = parse(src);
-        let e = p.enums.first().expect("enum");
-        let names: Vec<&str> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["Hidden", "Pair"]);
+        let lines: Vec<usize> = p.sites.iter().map(|s| s.line).collect();
+        assert_eq!(lines, vec![1, 2, 2]);
+        let body = &p.fns.first().expect("f").body;
+        let outer: Vec<(&str, usize)> = p
+            .outer_index_sites(body)
+            .map(|(_, expr, seq)| (seq, expr.len()))
+            .collect();
+        // `a[b[i]]`: the prover judges `a[..]` over `b [ i ]`, not `b[i]`.
+        assert_eq!(outer, vec![("a", 4)]);
     }
 
     #[test]

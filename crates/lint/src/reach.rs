@@ -10,26 +10,21 @@
 //!
 //! Suppression policy: an allowlisted `panic.indexing` budget is a local
 //! bounds proof — indexing sinks in such files do **not** propagate — and
-//! so is a machine-checked `flow.range` proof (the `proven` map carries
-//! the lines whose every index site interval analysis discharged). An
-//! allowlisted `.expect()`/panicking macro is a *caller contract* (e.g. a
-//! documented panicking constructor), so those sinks always propagate:
-//! every public entry point that can reach one must either be fixed or
-//! hold its own justification. `.unwrap()` propagates too; where it is
-//! written, clippy's `unwrap_used` reports it instead of a `panic.*` rule.
+//! so is a machine-checked `flow.range` proof (a proven site is not live,
+//! see [`ParsedFile::live_sites`]). An allowlisted `.expect()`/panicking
+//! macro is a *caller contract* (e.g. a documented panicking constructor),
+//! so those sinks always propagate: every public entry point that can
+//! reach one must either be fixed or hold its own justification.
+//! `.unwrap()` propagates too; where it is written, clippy's `unwrap_used`
+//! reports it instead of a `panic.*` rule.
 //!
 //! Edges come from the parser's call table ([`crate::parser::CallSite`]),
 //! under the one resolution rule of DESIGN.md §9.2.
 
 use crate::allow::Allowlist;
 use crate::parser::{FnRef, ParsedFile};
-use crate::rules::{panic_sites, violation, PanicSite, Violation};
-use crate::workspace::SourceFile;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Per-file set of lines whose every index site `flow.range` proved in
-/// bounds (see [`crate::flow::FileProofs::fully_proven`]).
-pub type ProvenLines = BTreeMap<String, BTreeSet<usize>>;
+use crate::rules::{violation, PanicSite, Violation};
+use std::collections::BTreeMap;
 
 /// Where `reach.panic` findings are reported: the crates whose public API
 /// the station and downstream analysis pipelines call into.
@@ -41,21 +36,19 @@ const REPORT_PREFIXES: &[&str] = &[
     "crates/store/src/",
 ];
 
-/// Runs the reachability analysis over the whole workspace. `sources` and
-/// `parsed` must be index-aligned (one `ParsedFile` per `SourceFile`).
-pub fn reach_pass(
-    sources: &[SourceFile],
-    parsed: &[ParsedFile],
-    allow: &Allowlist,
-    proven: &ProvenLines,
-    out: &mut Vec<Violation>,
-) {
+/// Runs the reachability analysis over the whole workspace, after
+/// `flow.range` has marked its proven sites.
+pub fn reach_pass(parsed: &[ParsedFile], allow: &Allowlist, out: &mut Vec<Violation>) {
     // The first non-suppressed direct panic site of every fn that has one.
     let mut sinks: BTreeMap<FnRef, String> = BTreeMap::new();
-    for (fi, (sf, pf)) in sources.iter().zip(parsed).enumerate() {
+    for (fi, pf) in parsed.iter().enumerate() {
+        let budgeted = allow.budget_for(&pf.path, "panic.indexing").is_some();
         for (gi, f) in pf.fns.iter().enumerate() {
-            let body = sf.tokens.get(f.body.clone()).unwrap_or(&[]);
-            if let Some(sink) = direct_sink(&pf.path, body, allow, proven) {
+            let sink = pf
+                .live_sites(&f.body)
+                .find(|s| !(budgeted && matches!(s.kind, PanicSite::Indexing { .. })));
+            if let Some(s) = sink {
+                let sink = format!("{} at {}:{}", s.kind.label(), pf.path, s.line);
                 sinks.insert((fi, gi), sink);
             }
         }
@@ -83,26 +76,6 @@ pub fn reach_pass(
             }
         }
     }
-}
-
-/// Returns the first non-suppressed panic site in one fn body, formatted
-/// for the report. Indexing sinks are suppressed either by a file-level
-/// allowlist budget (human-reviewed bounds justification) or by a
-/// `flow.range` proof for that exact line.
-fn direct_sink(
-    file: &str,
-    body: &[crate::lexer::Token],
-    allow: &Allowlist,
-    proven: &ProvenLines,
-) -> Option<String> {
-    let budgeted = allow.budget_for(file, "panic.indexing").is_some();
-    panic_sites(body)
-        .into_iter()
-        .find(|(line, site)| {
-            let flow_proven = proven.get(file).is_some_and(|lines| lines.contains(line));
-            *site != PanicSite::Indexing || !(budgeted || flow_proven)
-        })
-        .map(|(line, site)| format!("{} at {file}:{line}", site.label()))
 }
 
 /// Search results: `None` while a fn is being explored, then its trace.
@@ -141,16 +114,9 @@ mod tests {
     use super::*;
     use crate::lexer::{lex, strip_test_code};
     use crate::parser::parse_workspace;
+    use crate::workspace::SourceFile;
 
-    fn run(files: &[(&str, &str)], allow: &Allowlist) -> Vec<Violation> {
-        run_proven(files, allow, &ProvenLines::new())
-    }
-
-    fn run_proven(
-        files: &[(&str, &str)],
-        allow: &Allowlist,
-        proven: &ProvenLines,
-    ) -> Vec<Violation> {
+    fn parse(files: &[(&str, &str)]) -> Vec<ParsedFile> {
         let sources: Vec<SourceFile> = files
             .iter()
             .map(|(path, src)| SourceFile {
@@ -158,9 +124,12 @@ mod tests {
                 tokens: strip_test_code(&lex(src)),
             })
             .collect();
-        let parsed = parse_workspace(&sources);
+        parse_workspace(&sources)
+    }
+
+    fn run(files: &[(&str, &str)], allow: &Allowlist) -> Vec<Violation> {
         let mut out = Vec::new();
-        reach_pass(&sources, &parsed, allow, proven, &mut out);
+        reach_pass(&parse(files), allow, &mut out);
         out
     }
 
@@ -216,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_proven_lines_do_not_propagate() {
+    fn flow_proven_sites_do_not_propagate() {
         let caller = "pub fn entry(x: &[f64]) -> f64 { pick(x) }";
         let inner = "pub fn pick(x: &[f64]) -> f64 { x[0] }";
         let files = [
@@ -227,14 +196,14 @@ mod tests {
         let unproven = run(&files, &Allowlist::default());
         assert_eq!(unproven.len(), 1, "{unproven:#?}");
 
-        // With the sink's line proven by flow.range it is a local bounds
-        // proof, exactly like an allowlist budget.
-        let mut proven = ProvenLines::new();
-        proven
-            .entry("crates/dsp/src/inner.rs".to_string())
-            .or_default()
-            .insert(1);
-        let v = run_proven(&files, &Allowlist::default(), &proven);
+        // With the sink proven by flow.range it is a local bounds proof,
+        // exactly like an allowlist budget.
+        let mut parsed = parse(&files);
+        for site in parsed.iter_mut().flat_map(|pf| &mut pf.sites) {
+            site.proven = true;
+        }
+        let mut v = Vec::new();
+        reach_pass(&parsed, &Allowlist::default(), &mut v);
         assert!(v.is_empty(), "{v:#?}");
     }
 

@@ -4,7 +4,6 @@
 //! and stable so the CI job can diff `lint-report.json` across commits.
 
 use crate::allow::{Allowlist, Reconciliation};
-use crate::proto::ProtoSummary;
 use crate::rules::RULE_IDS;
 use crate::workspace::PassTimings;
 
@@ -21,8 +20,6 @@ pub struct Report<'a> {
     pub rec: &'a Reconciliation,
     /// The allowlist in force.
     pub allow: &'a Allowlist,
-    /// Reply-code coverage counts.
-    pub proto: &'a ProtoSummary,
     /// Per-pass elapsed wall-clock.
     pub timings: &'a PassTimings,
 }
@@ -83,18 +80,6 @@ pub fn render_json(r: &Report<'_>) -> String {
     push_kv_num(&mut s, 2, "entries", r.allow.entries.len(), true);
     push_kv_num(&mut s, 2, "total", r.allow.total_budget(), false);
     s.push_str("  },\n");
-
-    s.push_str("  \"proto\": {\n");
-    s.push_str("    \"error_code\": ");
-    push_coverage(
-        &mut s,
-        r.proto.reply_found,
-        &[
-            ("variants", r.proto.reply_variants),
-            ("constructed", r.proto.reply_constructed),
-        ],
-    );
-    s.push_str("\n  },\n");
 
     s.push_str("  \"timings_us\": {\n");
     let t = r.timings;
@@ -165,18 +150,6 @@ fn push_indent(s: &mut String, indent: usize) {
     }
 }
 
-fn push_coverage(s: &mut String, found: bool, fields: &[(&str, usize)]) {
-    s.push_str("{\"found\": ");
-    s.push_str(if found { "true" } else { "false" });
-    for (k, v) in fields {
-        s.push_str(", \"");
-        s.push_str(k);
-        s.push_str("\": ");
-        s.push_str(&v.to_string());
-    }
-    s.push('}');
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -216,11 +189,6 @@ mod tests {
                 reason: "bounds proven by construction".to_string(),
             }],
         };
-        let proto = ProtoSummary {
-            reply_found: true,
-            reply_variants: 7,
-            reply_constructed: 7,
-        };
         let timings = PassTimings {
             lexical_us: 1200,
             total_us: 9000,
@@ -232,15 +200,10 @@ mod tests {
             proven_sites: 20,
             rec: &rec,
             allow: &allow,
-            proto: &proto,
             timings: &timings,
         });
         assert!(json.contains("\"status\": \"clean\""), "{json}");
         assert!(json.contains("\n  \"proven_sites\": 20,\n"), "{json}");
-        assert!(
-            json.contains("\"error_code\": {\"found\": true, \"variants\": 7, \"constructed\": 7}"),
-            "{json}"
-        );
         assert!(json.contains("\"total\": 3"), "{json}");
         assert!(json.contains("\"lexical\": 1200"), "{json}");
         assert!(json.contains("\"total\": 9000"), "{json}");
@@ -266,7 +229,6 @@ mod tests {
             proven_sites: 0,
             rec: &rec,
             allow: &allow,
-            proto: &ProtoSummary::default(),
             timings: &PassTimings::default(),
         });
         assert!(json.contains("\"status\": \"failed\""), "{json}");

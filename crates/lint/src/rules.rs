@@ -6,7 +6,8 @@
 //! allowlist (`lint.allow.toml`) absorbs the handful of justified cases.
 
 use crate::lexer::Token;
-use crate::parser::{pub_before, signature};
+use crate::parser::{pub_before, signature, ParsedFile};
+use crate::syntax::{matching, path_ending_at};
 use std::fmt;
 
 /// One rule violation at a specific source line.
@@ -32,29 +33,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Which rule families apply to a given file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleSet {
-    /// `panic.*`: expect/panicking macros/direct indexing.
-    pub panic_freedom: bool,
-    /// `units.raw-f64`: raw `f64` in public signatures where a
-    /// `bsa-units` newtype exists.
-    pub unit_safety: bool,
-}
-
-impl RuleSet {
-    /// No rules — the file is out of scope.
-    pub const NONE: Self = Self {
-        panic_freedom: false,
-        unit_safety: false,
-    };
-
-    /// `true` if at least one family applies.
-    pub fn any(&self) -> bool {
-        self.panic_freedom || self.unit_safety
-    }
-}
-
 /// All stable rule identifiers, for `--help` and the allowlist validator.
 pub const RULE_IDS: &[&str] = &[
     "panic.expect",
@@ -62,7 +40,6 @@ pub const RULE_IDS: &[&str] = &[
     "panic.indexing",
     "units.raw-f64",
     "reach.panic",
-    "proto.error-reply",
     "conc.atomic-rmw",
     "conc.ordering",
     "conc.hold-and-block",
@@ -83,7 +60,6 @@ pub fn rule_description(id: &str) -> &'static str {
         "panic.indexing" => "direct slice indexing that can panic",
         "units.raw-f64" => "raw f64 where a bsa-units newtype exists",
         "reach.panic" => "panic reachable through the call graph from a pub API fn",
-        "proto.error-reply" => "typed reply code never constructed by the station",
         "conc.atomic-rmw" => "non-atomic read-modify-write on an atomic counter",
         "conc.ordering" => "inconsistent memory Ordering across uses of one atomic",
         "conc.hold-and-block" => "blocking call while holding a lock",
@@ -98,14 +74,14 @@ pub fn rule_description(id: &str) -> &'static str {
     }
 }
 
-/// Runs every enabled rule family over a test-stripped token stream.
-pub fn run_rules(file: &str, tokens: &[Token], rules: RuleSet) -> Vec<Violation> {
+/// Runs the per-file rules over one parsed file: `panic.*` over its live
+/// sites ([`ParsedFile::live_sites`]), and `units.raw-f64` when
+/// `unit_safety` holds.
+pub fn run_rules(tokens: &[Token], parsed: &ParsedFile, unit_safety: bool) -> Vec<Violation> {
     let mut out = Vec::new();
-    if rules.panic_freedom {
-        panic_pass(file, tokens, &mut out);
-    }
-    if rules.unit_safety {
-        unit_pass(file, tokens, &mut out);
+    panic_pass(parsed, &mut out);
+    if unit_safety {
+        unit_pass(&parsed.path, tokens, &mut out);
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
@@ -142,9 +118,23 @@ const NON_INDEX_PREFIX_KEYWORDS: &[&str] = &[
 /// the rule targets implicit panics, not explicit contracts.
 const FLAGGED_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// One direct panic site, as [`panic_sites`] finds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PanicSite {
+/// One direct panic site: the single record of it that every pass reads
+/// (see [`ParsedFile::sites`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Site {
+    /// Token index: the `unwrap`/`expect`/macro name, or the index's `[`.
+    pub at: usize,
+    /// 1-based source line.
+    pub line: usize,
+    pub kind: PanicSite,
+    /// `flow.range` proved this index site in bounds, so it is neither a
+    /// `panic.indexing` finding nor a `reach.panic` sink.
+    pub proven: bool,
+}
+
+/// What a [`Site`] is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PanicSite {
     /// `.unwrap()`. No `panic.*` rule reports it (clippy's `unwrap_used`
     /// does), but it is still a `reach.panic` sink.
     Unwrap,
@@ -152,55 +142,71 @@ pub(crate) enum PanicSite {
     Expect,
     /// One of [`FLAGGED_MACROS`]: `panic.macro`.
     Macro(&'static str),
-    /// A direct index expression: `panic.indexing`.
-    Indexing,
+    /// A direct index expression: `panic.indexing`. `close` is its `]` and
+    /// `seq` the indexed path (`self.rows` in `self.rows[i]`), where found.
+    Indexing {
+        close: Option<usize>,
+        seq: Option<String>,
+    },
 }
 
 impl PanicSite {
     /// How a `reach.panic` trace names this sink.
-    pub(crate) fn label(self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Self::Unwrap => "`.unwrap()`",
             Self::Expect => "`.expect()`",
             Self::Macro(_) => "panicking macro",
-            Self::Indexing => "unchecked indexing",
+            Self::Indexing { .. } => "unchecked indexing",
         }
     }
 }
 
-/// Every direct panic site in `tokens`, with its line, in token order.
-pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<(usize, PanicSite)> {
+/// Builds the site table of one file: every direct panic site in
+/// `tokens`, in token order.
+pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<Site> {
     let mut sites = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        // `.unwrap()` / `.expect(` at method position, or a flagged macro.
-        if let Some(name) = t.ident() {
+        // `.unwrap()` / `.expect(` at method position, a flagged macro, or
+        // direct slice/array indexing: `expr[...]` where expr ends in an
+        // identifier, `]` or `)`. `[..]` (full range) cannot panic and is
+        // exempt; everything else (including partial ranges) can.
+        let kind = if let Some(name) = t.ident() {
             let dotted = i >= 1 && tokens[i - 1].is_punct('.');
             let called = matches!(tokens.get(i + 1), Some(t) if t.is_punct('('));
             let banged = matches!(tokens.get(i + 1), Some(t) if t.is_punct('!'));
-            if dotted && called && name == "unwrap" {
-                sites.push((t.line, PanicSite::Unwrap));
-            } else if dotted && called && name == "expect" {
-                sites.push((t.line, PanicSite::Expect));
-            } else if banged {
-                if let Some(m) = FLAGGED_MACROS.iter().find(|m| **m == name) {
-                    sites.push((t.line, PanicSite::Macro(m)));
-                }
+            match name {
+                "unwrap" if dotted && called => Some(PanicSite::Unwrap),
+                "expect" if dotted && called => Some(PanicSite::Expect),
+                _ if banged => FLAGGED_MACROS
+                    .iter()
+                    .find(|m| **m == name)
+                    .map(|m| PanicSite::Macro(m)),
+                _ => None,
             }
-        }
-
-        // Direct slice/array indexing: `expr[...]` where expr ends in an
-        // identifier, `]` or `)`. `[..]` (full range) cannot panic and is
-        // exempt; everything else (including partial ranges) can.
-        if index_site(tokens, i) {
-            sites.push((t.line, PanicSite::Indexing));
+        } else if index_site(tokens, i) {
+            Some(PanicSite::Indexing {
+                close: matching(tokens, i),
+                seq: path_ending_at(tokens, i - 1),
+            })
+        } else {
+            None
+        };
+        if let Some(kind) = kind {
+            sites.push(Site {
+                at: i,
+                line: t.line,
+                kind,
+                proven: false,
+            });
         }
     }
     sites
 }
 
-fn panic_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for (line, site) in panic_sites(tokens) {
-        let (rule, message) = match site {
+fn panic_pass(parsed: &ParsedFile, out: &mut Vec<Violation>) {
+    for site in parsed.live_sites(&(0..usize::MAX)) {
+        let (rule, message) = match site.kind {
             PanicSite::Unwrap => continue,
             PanicSite::Expect => (
                 "panic.expect",
@@ -211,21 +217,19 @@ fn panic_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
                 "panic.macro",
                 format!("`{name}!` in non-test library code; return a typed error instead"),
             ),
-            PanicSite::Indexing => (
+            PanicSite::Indexing { .. } => (
                 "panic.indexing",
                 "direct slice indexing can panic; use get()/get_mut() or iterate, \
                  or allowlist with a bounds justification"
                     .to_string(),
             ),
         };
-        out.push(violation(file, line, rule, message));
+        out.push(violation(&parsed.path, site.line, rule, message));
     }
 }
 
-/// `true` when token `i` is a `[` opening a direct index expression that
-/// `panic.indexing` flags. Shared with the `flow.range` prover so interval
-/// proofs discharge exactly the sites the syntactic rule reports.
-pub(crate) fn index_site(tokens: &[Token], i: usize) -> bool {
+/// `true` when token `i` is a `[` opening a direct index expression.
+fn index_site(tokens: &[Token], i: usize) -> bool {
     let Some(t) = tokens.get(i) else { return false };
     if !t.is_punct('[') || i == 0 {
         return false;
@@ -314,14 +318,11 @@ fn unit_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
 mod tests {
     use super::*;
     use crate::lexer::{lex, strip_test_code};
-
-    const ALL: RuleSet = RuleSet {
-        panic_freedom: true,
-        unit_safety: true,
-    };
+    use crate::parser::parse_file;
 
     fn check(src: &str) -> Vec<Violation> {
-        run_rules("test.rs", &strip_test_code(&lex(src)), ALL)
+        let tokens = strip_test_code(&lex(src));
+        run_rules(&tokens, &parse_file("test.rs", &tokens), true)
     }
 
     fn rules_found(src: &str) -> Vec<&'static str> {
@@ -342,8 +343,9 @@ mod tests {
         // clippy's `unwrap_used` reports it; `reach.panic` still needs the
         // site, so `panic_sites` keeps it.
         assert!(rules_found("fn f() { x.unwrap(); }").is_empty());
-        let tokens = lex("fn f() { x.unwrap(); }");
-        assert_eq!(panic_sites(&tokens), vec![(1, PanicSite::Unwrap)]);
+        let sites = panic_sites(&lex("fn f() { x.unwrap(); }"));
+        let found: Vec<_> = sites.iter().map(|s| (s.at, &s.kind)).collect();
+        assert_eq!(found, vec![(7, &PanicSite::Unwrap)]);
         // unwrap_or and friends are total.
         assert!(panic_sites(&lex("fn f() { x.unwrap_or(0.0); }")).is_empty());
         assert!(panic_sites(&lex("fn f() { x.unwrap_or_else(|| 0.0); }")).is_empty());

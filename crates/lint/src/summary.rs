@@ -32,10 +32,10 @@ use std::ops::Range;
 use crate::flow::{collect_facts, prove_index, Fact, Facts, Proof};
 use crate::lexer::Token;
 use crate::parser::{CallSite, FnItem, FnRef, ParsedFile};
-use crate::rules::{index_site, violation, Violation};
+use crate::rules::{violation, Violation};
 use crate::syntax::{
     call_arg_path, call_arg_range, const_expr, depth0, final_call, last_depth0, len_minus_expr,
-    matching, path_ending_at, skip_angles, tok_ident, tok_int, tok_punct, Param, StmtKind,
+    skip_angles, tok_ident, tok_int, tok_punct, Param, StmtKind,
 };
 use crate::workspace::SourceFile;
 
@@ -126,7 +126,7 @@ pub fn compute_summaries(sources: &[SourceFile], parsed: &[ParsedFile]) -> Summa
     for (fi, (sf, pf)) in sources.iter().zip(parsed).enumerate() {
         for (gi, f) in pf.fns.iter().enumerate() {
             let contract = derive_contract(sources, parsed, fi, gi, 0);
-            let requires = derive_requirement(&sf.tokens, f);
+            let requires = derive_requirement(&sf.tokens, pf, f);
             if contract.is_some() || requires.is_some() {
                 out.by_fn.insert((fi, gi), FnSummary { contract, requires });
             }
@@ -278,37 +278,23 @@ fn collect_call_end(tokens: &[Token], r: usize) -> Option<usize> {
 
 /// An unguarded `param_s[param_i]` site anywhere in the body — the
 /// requirement callers must discharge.
-fn derive_requirement(tokens: &[Token], f: &FnItem) -> Option<IndexRequirement> {
+fn derive_requirement(tokens: &[Token], pf: &ParsedFile, f: &FnItem) -> Option<IndexRequirement> {
     let facts = collect_facts(tokens, f, &Summaries::default());
     let params = &f.params;
-    let mut i = f.body.start;
-    while i < f.body.end {
-        let site = if index_site(tokens, i) {
-            matching(tokens, i).zip(path_ending_at(tokens, i - 1))
-        } else {
-            None
-        };
-        if let Some((close, seq)) = site {
-            let expr = i + 1..close;
-            let ix = tok_ident(tokens, expr.start)
-                .filter(|_| expr.start + 1 == expr.end)
-                .and_then(|n| param_index(params, n));
-            if let (Some(sp), Some(ix)) = (param_index(params, &seq), ix) {
-                if matches!(prove_index(tokens, &expr, &seq, &facts, i), Proof::Unknown) {
-                    let name = |k: usize| params.get(k).map(|p| p.name.clone()).unwrap_or_default();
-                    return Some(IndexRequirement {
-                        index_param: ix,
-                        slice_param: sp,
-                        index_name: name(ix),
-                        slice_name: name(sp),
-                    });
-                }
-            }
-            i = close;
-        }
-        i += 1;
-    }
-    None
+    pf.outer_index_sites(&f.body).find_map(|(site, expr, seq)| {
+        let ix = tok_ident(tokens, expr.start)
+            .filter(|_| expr.start + 1 == expr.end)
+            .and_then(|n| param_index(params, n))?;
+        let sp = param_index(params, seq)?;
+        let proof = prove_index(tokens, &expr, seq, &facts, site.at);
+        let name = |k: usize| params.get(k).map(|p| p.name.clone()).unwrap_or_default();
+        matches!(proof, Proof::Unknown).then(|| IndexRequirement {
+            index_param: ix,
+            slice_param: sp,
+            index_name: name(ix),
+            slice_name: name(sp),
+        })
+    })
 }
 
 /// Flags `flow.summary`: a call passing a constant index into a function

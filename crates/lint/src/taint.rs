@@ -44,10 +44,10 @@ use std::ops::Range;
 
 use crate::lexer::Token;
 use crate::parser::{FnItem, FnRef, ParsedFile};
-use crate::rules::{index_site, violation, Violation};
+use crate::rules::{violation, PanicSite, Violation};
 use crate::syntax::{
-    call_arg_range, depth0, final_call, find_cmp, last_segment, matching, path_starting_at,
-    repeat_count, tok_ident, tok_punct, Cmp, Effect, StmtKind, Store,
+    call_arg_range, depth0, final_call, find_cmp, last_segment, path_starting_at, repeat_count,
+    tok_ident, tok_punct, Cmp, Effect, StmtKind, Store,
 };
 use crate::workspace::SourceFile;
 
@@ -507,9 +507,11 @@ fn analyze_fn(
     viols: &mut BTreeMap<Key, Vec<Violation>>,
     visiting: &mut BTreeSet<Key>,
 ) -> (Flows, Vec<Violation>) {
-    let (Some(sf), Some(f)) = (
+    let pf = ctx.parsed.get(key.0);
+    let (Some(sf), Some(pf), Some(f)) = (
         ctx.sources.get(key.0),
-        ctx.parsed.get(key.0).and_then(|pf| pf.fns.get(key.1)),
+        pf,
+        pf.and_then(|pf| pf.fns.get(key.1)),
     ) else {
         return (Vec::new(), Vec::new());
     };
@@ -553,10 +555,19 @@ fn analyze_fn(
                     }
                 }
             }
-        } else if index_site(tokens, i) {
-            if let Some(close) = matching(tokens, i) {
-                s.sink(i + 1..close, SinkKind::Index, line_of(i), "a slice index");
-            }
+        }
+    }
+    for site in pf.sites_in(&f.body) {
+        if let PanicSite::Indexing {
+            close: Some(close), ..
+        } = site.kind
+        {
+            s.sink(
+                site.at + 1..close,
+                SinkKind::Index,
+                site.line,
+                "a slice index",
+            );
         }
     }
 

@@ -18,9 +18,8 @@ use crate::conc::{conc_pass, lock_order_pass};
 use crate::flow::flow_pass;
 use crate::lexer::{lex, strip_test_code, Token};
 use crate::parser::parse_workspace;
-use crate::proto::{proto_pass, ProtoConfig, ProtoSummary};
-use crate::reach::{reach_pass, ProvenLines};
-use crate::rules::{run_rules, RuleSet, Violation};
+use crate::reach::reach_pass;
+use crate::rules::{run_rules, Violation};
 use crate::summary::{compute_summaries, summary_pass};
 use crate::taint::taint_pass;
 use std::fs;
@@ -37,25 +36,20 @@ pub fn workspace_root() -> PathBuf {
         .collect()
 }
 
-/// Decides which rule families apply to a workspace-relative path.
-pub fn rules_for(rel_path: &str) -> RuleSet {
-    if !rel_path.ends_with(".rs") {
-        return RuleSet::NONE;
-    }
-    // Binary bench harness: out of scope entirely.
-    if rel_path.starts_with("crates/bench/") {
-        return RuleSet::NONE;
-    }
-    let in_crate_src = |krate: &str| rel_path.starts_with(&format!("crates/{krate}/src/"));
+/// `true` for a workspace-relative path bsa-lint checks; every `panic.*`
+/// rule applies to it.
+pub fn in_scope(rel_path: &str) -> bool {
     let lib_src = (rel_path.starts_with("crates/") && rel_path.contains("/src/"))
         || rel_path.starts_with("src/");
-    if !lib_src {
-        return RuleSet::NONE;
-    }
-    RuleSet {
-        panic_freedom: true,
-        unit_safety: !in_crate_src("units") && !in_crate_src("lint"),
-    }
+    // Binary bench harness: out of scope entirely.
+    rel_path.ends_with(".rs") && lib_src && !rel_path.starts_with("crates/bench/")
+}
+
+/// `true` when `units.raw-f64` applies to an in-scope path.
+pub fn unit_safety(rel_path: &str) -> bool {
+    !["units", "lint"]
+        .iter()
+        .any(|krate| rel_path.starts_with(&format!("crates/{krate}/src/")))
 }
 
 /// Collects every in-scope `.rs` file under the workspace root, as
@@ -94,7 +88,7 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> {
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            if rules_for(&rel).any() {
+            if in_scope(&rel) {
                 out.push(rel);
             }
         }
@@ -139,8 +133,7 @@ const UNIT_FLOW_PREFIXES: &[&str] = &[
 /// Wall-clock cost of each analysis stage, in microseconds. The lint
 /// crate carries no `clippy.toml` clock ban, so reading the monotonic
 /// clock here is legal — these numbers are diagnostics, never analysis
-/// inputs. The `proto.error-reply` check is too small to time on its own
-/// and counts only towards the total.
+/// inputs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PassTimings {
     pub lexical_us: u128,
@@ -159,38 +152,31 @@ pub struct PassTimings {
 pub struct CheckOutcome {
     /// Every violation, sorted by (file, line, rule).
     pub violations: Vec<Violation>,
-    /// Reply-code coverage counts.
-    pub proto: ProtoSummary,
     /// `panic.indexing` sites the interval prover discharged.
     pub proven_sites: usize,
     /// Per-pass elapsed wall-clock.
     pub timings: PassTimings,
 }
 
-/// Runs every pass — per-file lexical rules, intraprocedural dataflow
-/// (`flow.*`), then the workspace-level semantic passes (panic
-/// reachability, reply-code coverage, concurrency discipline,
-/// lock-order acyclicity) — over pre-loaded sources.
+/// Runs every pass — the workspace parse and its site table, function
+/// summaries, intraprocedural dataflow (`flow.*`), the per-file rules
+/// (`panic.*`, `units.raw-f64`), then the workspace-level semantic passes
+/// (taint, panic reachability, concurrency discipline, lock-order
+/// acyclicity) — over pre-loaded sources.
 ///
 /// The allowlist is input (not just output reconciliation) because
 /// `reach.panic` treats allowlisted indexing budgets as local bounds
-/// proofs. `flow.range` proofs *discharge* `panic.indexing` findings
-/// before they are returned: a line whose every index site the interval
-/// analysis proved in bounds needs no allowlist budget, and its sinks do
-/// not propagate through `reach.panic` either.
+/// proofs. `flow.range` runs before the per-file rules and `reach.panic`
+/// because its proofs *discharge* index sites: a site the interval
+/// analysis proved in bounds is neither a `panic.indexing` finding nor a
+/// `reach.panic` sink.
 pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome {
     let started = Instant::now();
     let mut timings = PassTimings::default();
     let mut all = Vec::new();
 
     let t = Instant::now();
-    for s in sources {
-        all.extend(run_rules(&s.path, &s.tokens, rules_for(&s.path)));
-    }
-    timings.lexical_us = t.elapsed().as_micros();
-
-    let t = Instant::now();
-    let parsed = parse_workspace(sources);
+    let mut parsed = parse_workspace(sources);
     timings.parse_us = t.elapsed().as_micros();
 
     // Function summaries first: the interval prover consumes return-bound
@@ -203,26 +189,17 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
     // Dataflow: unit inference where dimensioned scalars live, interval
     // analysis everywhere the panic rules look.
     let t = Instant::now();
-    let mut proven = ProvenLines::new();
-    let mut proven_sites = 0;
-    for (s, p) in sources.iter().zip(&parsed) {
+    for (s, p) in sources.iter().zip(&mut parsed) {
         let check_units = UNIT_FLOW_PREFIXES.iter().any(|pre| s.path.starts_with(pre));
-        let proofs = flow_pass(&s.path, &s.tokens, p, check_units, &summaries, &mut all);
-        proven_sites += proofs.proven_sites();
-        let lines = proofs.fully_proven();
-        if !lines.is_empty() {
-            proven.insert(s.path.clone(), lines);
-        }
+        flow_pass(&s.path, &s.tokens, p, check_units, &summaries, &mut all);
     }
-    // Discharge: an indexing finding whose line is fully proven is not a
-    // finding at all — the analysis did the allowlist's job.
-    all.retain(|v| {
-        !(v.rule == "panic.indexing"
-            && proven
-                .get(&v.file)
-                .is_some_and(|lines| lines.contains(&v.line)))
-    });
     timings.flow_us = t.elapsed().as_micros();
+
+    let t = Instant::now();
+    for (s, p) in sources.iter().zip(&parsed) {
+        all.extend(run_rules(&s.tokens, p, unit_safety(&s.path)));
+    }
+    timings.lexical_us = t.elapsed().as_micros();
 
     // Taint: wire-derived values reaching resource sinks unvalidated.
     let t = Instant::now();
@@ -230,10 +207,8 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
     timings.taint_us = t.elapsed().as_micros();
 
     let t = Instant::now();
-    reach_pass(sources, &parsed, allow, &proven, &mut all);
+    reach_pass(&parsed, allow, &mut all);
     timings.reach_us = t.elapsed().as_micros();
-
-    let summary = proto_pass(sources, &parsed, &ProtoConfig::WORKSPACE, &mut all);
 
     let t = Instant::now();
     conc_pass(sources, &parsed, &mut all);
@@ -245,10 +220,10 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
 
     all.sort_by(|a, b| (a.file.clone(), a.line, a.rule).cmp(&(b.file.clone(), b.line, b.rule)));
     timings.total_us = started.elapsed().as_micros();
+    let proven_sites = parsed.iter().flat_map(|p| &p.sites).filter(|s| s.proven);
     CheckOutcome {
         violations: all,
-        proto: summary,
-        proven_sites,
+        proven_sites: proven_sites.count(),
         timings,
     }
 }
@@ -272,21 +247,16 @@ mod tests {
             "crates/station/src/server.rs",
             "crates/control/src/policy.rs",
             "crates/store/src/reader.rs",
+            "src/lib.rs",
         ] {
-            let rules = rules_for(lib);
-            assert!(rules.panic_freedom && rules.unit_safety, "{lib}");
+            assert!(in_scope(lib) && unit_safety(lib), "{lib}");
         }
-
-        let units = rules_for("crates/units/src/lib.rs");
-        assert!(units.panic_freedom && !units.unit_safety);
-
-        let lint = rules_for("crates/lint/src/rules.rs");
-        assert!(lint.panic_freedom && !lint.unit_safety);
-
-        assert!(!rules_for("crates/bench/src/bin/exp_f2.rs").any());
-        assert!(!rules_for("crates/core/tests/integration.rs").any());
-        assert!(!rules_for("crates/core/src/data.csv").any());
-        assert!(rules_for("src/lib.rs").panic_freedom);
+        for no_units in ["crates/units/src/lib.rs", "crates/lint/src/rules.rs"] {
+            assert!(in_scope(no_units) && !unit_safety(no_units), "{no_units}");
+        }
+        assert!(!in_scope("crates/bench/src/bin/exp_f2.rs"));
+        assert!(!in_scope("crates/core/tests/integration.rs"));
+        assert!(!in_scope("crates/core/src/data.csv"));
     }
 
     #[test]

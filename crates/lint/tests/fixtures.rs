@@ -4,20 +4,13 @@
 //! the false-positive rate of the analyzer.
 
 use bsa_lint::lexer::{lex, strip_test_code};
-use bsa_lint::rules::{run_rules, RuleSet};
 use bsa_lint::{
-    compute_summaries, conc_pass, flow_pass, lock_order_pass, parse_workspace, proto_pass,
-    reach_pass, summary_pass, taint_pass, Allowlist, ParsedFile, ProtoConfig, SourceFile,
-    Violation,
+    compute_summaries, conc_pass, flow_pass, lock_order_pass, parse_workspace, reach_pass,
+    run_rules, summary_pass, taint_pass, Allowlist, ParsedFile, SourceFile, Violation,
 };
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
-
-const ALL: RuleSet = RuleSet {
-    panic_freedom: true,
-    unit_safety: true,
-};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -43,15 +36,19 @@ fn expected_markers(source: &str) -> BTreeMap<(usize, String), usize> {
     expected
 }
 
-fn check_fixture(name: &str, rules: RuleSet) {
-    let source = fixture(name);
-    let expected = expected_markers(&source);
-    let violations = run_rules(name, &strip_test_code(&lex(&source)), rules);
-    assert_markers(name, &expected, &violations);
+/// The per-file rules, every family, as a pass over the fixtures.
+fn lexical(sources: &[SourceFile], parsed: &mut [ParsedFile], out: &mut Vec<Violation>) {
+    for (sf, pf) in sources.iter().zip(parsed.iter()) {
+        out.extend(run_rules(&sf.tokens, pf, true));
+    }
+}
+
+fn check_fixture(name: &str) {
+    check_semantic_fixture(name, name, &lexical);
 }
 
 /// A semantic pass under test, erased to a common shape.
-type SemanticPass<'a> = &'a dyn Fn(&[SourceFile], &[ParsedFile], &mut Vec<Violation>);
+type SemanticPass<'a> = &'a dyn Fn(&[SourceFile], &mut [ParsedFile], &mut Vec<Violation>);
 
 /// Lexes + parses one fixture under a synthetic workspace path and runs
 /// the given semantic pass over it, then applies the same exact-match
@@ -65,7 +62,7 @@ fn check_semantic_fixture(name: &str, synthetic_path: &str, pass: SemanticPass<'
     };
     let sources = [sf];
     let mut violations = Vec::new();
-    pass(&sources, &parse_workspace(&sources), &mut violations);
+    pass(&sources, &mut parse_workspace(&sources), &mut violations);
     assert_markers(name, &expected, &violations);
 }
 
@@ -96,23 +93,14 @@ fn assert_markers(
     }
 }
 
-/// Fixture-local proto wiring: the single fixture file plays both the
-/// codec (the enum definition) and the station (the `ErrorCode::…`
-/// constructions).
-const FIXTURE_PROTO: ProtoConfig = ProtoConfig {
-    codec_prefix: "crates/lint/fixtures/",
-    handler_prefix: "crates/lint/fixtures/",
-    reply_enum: "ErrorCode",
-};
-
 #[test]
 fn panics_fixture_is_fully_flagged() {
-    check_fixture("panics.rs", ALL);
+    check_fixture("panics.rs");
 }
 
 #[test]
 fn units_fixture_is_fully_flagged() {
-    check_fixture("units.rs", ALL);
+    check_fixture("units.rs");
 }
 
 #[test]
@@ -122,18 +110,11 @@ fn reach_fixture_is_fully_flagged() {
     check_semantic_fixture(
         "reach.rs",
         "crates/core/src/reach_fixture.rs",
-        &|s, p, out| {
+        &|_, p, out| {
             let empty = Allowlist::parse("").expect("empty allowlist parses");
-            reach_pass(s, p, &empty, &bsa_lint::ProvenLines::new(), out);
+            reach_pass(p, &empty, out);
         },
     );
-}
-
-#[test]
-fn proto_fixture_is_fully_flagged() {
-    check_semantic_fixture("proto.rs", "crates/lint/fixtures/proto.rs", &|s, p, out| {
-        proto_pass(s, p, &FIXTURE_PROTO, out);
-    });
 }
 
 #[test]
@@ -150,32 +131,19 @@ fn conc_fixture_is_fully_flagged() {
 #[test]
 fn flow_fixture_is_fully_flagged() {
     // Synthetic path inside a dimensioned-value crate so `flow.unit`
-    // runs alongside the always-on interval prover. The lexical
-    // `panic.indexing` findings on lines the prover does not fully
-    // discharge join the comparison, so an index site that stops being
-    // proven fails the fixture.
+    // runs alongside the always-on interval prover. The `panic.indexing`
+    // findings left after the prover's discharge join the comparison, so
+    // an index site that stops being proven fails the fixture.
     check_semantic_fixture(
         "flow.rs",
         "crates/core/src/flow_fixture.rs",
         &|s, p, out| {
-            let (Some(sf), Some(pf)) = (s.first(), p.first()) else {
+            let summaries = compute_summaries(s, p);
+            let (Some(sf), Some(pf)) = (s.first(), p.first_mut()) else {
                 panic!("fixture harness passes exactly one file");
             };
-            let proofs = flow_pass(
-                &sf.path,
-                &sf.tokens,
-                pf,
-                true,
-                &compute_summaries(s, p),
-                out,
-            );
-            let proven = proofs.fully_proven();
-            let lexical = run_rules(&sf.path, &sf.tokens, ALL);
-            out.extend(
-                lexical
-                    .into_iter()
-                    .filter(|v| v.rule == "panic.indexing" && !proven.contains(&v.line)),
-            );
+            flow_pass(&sf.path, &sf.tokens, pf, true, &summaries, out);
+            out.extend(run_rules(&sf.tokens, pf, false));
         },
     );
 }
@@ -249,8 +217,7 @@ fn clean_fixture_has_zero_violations() {
         expected_markers(&source).is_empty(),
         "clean.rs must carry no markers"
     );
-    let violations = run_rules("clean.rs", &strip_test_code(&lex(&source)), ALL);
-    assert!(violations.is_empty(), "{violations:#?}");
+    check_fixture("clean.rs");
 }
 
 #[test]
@@ -260,7 +227,6 @@ fn every_rule_id_is_exercised_by_some_fixture() {
         "panics.rs",
         "units.rs",
         "reach.rs",
-        "proto.rs",
         "conc.rs",
         "flow.rs",
         "locks.rs",

@@ -186,17 +186,9 @@ pub(crate) fn run_session(
         Ok(s) => s,
         Err(e) => {
             // No writer thread can exist; tell the client why the session
-            // is dying (best-effort, straight on the reader socket) —
-            // this is the one condition that is the station's fault, not
-            // the client's, hence `Internal` rather than `BadRequest`.
+            // is dying (best-effort, straight on the reader socket).
             let mut stream = stream;
-            let _ = write_message(
-                &mut stream,
-                &Message::ErrorReply {
-                    code: ErrorCode::Internal,
-                    message: format!("cannot split session socket: {e}"),
-                },
-            );
+            let _ = write_message(&mut stream, &split_failure_reply(&e));
             return;
         }
     };
@@ -930,10 +922,121 @@ fn error_reply(code: ErrorCode, message: String) -> Message {
     Message::ErrorReply { code, message }
 }
 
+/// The reply to a session whose socket cannot be split for its writer
+/// thread: the one failure that is the station's fault, not the client's,
+/// hence `Internal` rather than `BadRequest`.
+fn split_failure_reply(err: &std::io::Error) -> Message {
+    error_reply(
+        ErrorCode::Internal,
+        format!("cannot split session socket: {err}"),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{ClientError, StationClient};
+    use crate::server::{Station, StationConfig};
+    use bsa_link::{CultureSpec, NeuroChipSpec};
     use std::sync::atomic::Ordering;
+
+    /// Every `ErrorCode` the codec knows: an `ErrorReply` payload decoded
+    /// with each possible code byte.
+    fn wire_codes() -> Vec<ErrorCode> {
+        let reply = |code| {
+            let message = String::new();
+            Message::ErrorReply { code, message }.encode_payload()
+        };
+        let payload = reply(ErrorCode::BadRequest);
+        let other = reply(ErrorCode::UnknownChip);
+        let at = payload
+            .iter()
+            .zip(&other)
+            .position(|(a, b)| a != b)
+            .unwrap();
+        (0..=u8::MAX)
+            .filter_map(|tag| {
+                let mut p = payload.clone();
+                p[at] = tag;
+                match Message::decode_payload(&p) {
+                    Ok(Message::ErrorReply { code, .. }) => Some(code),
+                    _ => None,
+                }
+            })
+            .collect()
+    }
+
+    fn server_code<T: std::fmt::Debug>(result: Result<T, ClientError>) -> ErrorCode {
+        match result {
+            Err(ClientError::Server { code, .. }) => code,
+            other => panic!("expected a typed server error, got {other:?}"),
+        }
+    }
+
+    /// The station sends every reply code. Each code the wire knows is
+    /// provoked from a live loopback station, except `Internal`, whose
+    /// socket-split failure cannot be forced on a healthy host; its arm
+    /// checks the reply that failure sends. The `match` has no wildcard
+    /// arm, so a new code does not compile here until its case is written.
+    #[test]
+    fn station_sends_every_error_code() {
+        // One session slot: the client below holds it, so the next
+        // connection is refused.
+        let station = Station::bind(StationConfig {
+            max_sessions: 1,
+            ..StationConfig::default()
+        })
+        .unwrap();
+        let mut client = StationClient::connect(station.addr(), "codes").unwrap();
+        let spec = NeuroChipSpec {
+            rows: 16,
+            cols: 16,
+            channels: 4,
+            seed: 1,
+            frame_rate_hz: 0.0,
+        };
+        let chip = client.attach_neuro(&spec).unwrap().chip;
+        let culture = CultureSpec {
+            seed: 1,
+            neuron_count: 4,
+            spike_duration_s: 0.01,
+        };
+        let codes = wire_codes();
+        assert_eq!(codes.len(), 7, "{codes:?}");
+        for code in codes {
+            let sent = match code {
+                ErrorCode::BadRequest => {
+                    server_code(client.stream_neuro(chip, 0, 1, Seconds::ZERO, &culture))
+                }
+                ErrorCode::UnknownChip => server_code(client.calibrate(chip + 1)),
+                ErrorCode::WrongChipKind => server_code(client.run_assay(chip, false)),
+                // 16 columns cannot be shared evenly among 7 channels.
+                ErrorCode::ChipError => server_code(client.attach_neuro(&NeuroChipSpec {
+                    channels: 7,
+                    ..spec.clone()
+                })),
+                ErrorCode::Overloaded => {
+                    let mut refused = TcpStream::connect(station.addr()).unwrap();
+                    refused
+                        .set_read_timeout(Some(Duration::from_secs(10)))
+                        .unwrap();
+                    match read_message(&mut refused).unwrap() {
+                        Message::ErrorReply { code, .. } => code,
+                        other => panic!("expected ErrorReply, got {other:?}"),
+                    }
+                }
+                ErrorCode::Internal => {
+                    match split_failure_reply(&std::io::Error::other("no descriptor")) {
+                        Message::ErrorReply { code, .. } => code,
+                        other => panic!("expected ErrorReply, got {other:?}"),
+                    }
+                }
+                // The station has no store root.
+                ErrorCode::StoreError => server_code(client.start_recording(chip, "take")),
+            };
+            assert_eq!(sent, code);
+        }
+    }
 
     /// Deterministic backpressure accounting at the queue level, no TCP:
     /// with a capacity-2 queue and no consumer, the first two chunks are
