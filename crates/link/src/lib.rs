@@ -34,7 +34,8 @@
 //!          CRC is computed over every preceding byte.
 //! ```
 //!
-//! The payload is a tagged [`Message`]; see [`message`] for the grammar.
+//! The payload is a tagged [`Message`]; see [`message`] for the grammar
+//! and [`wire`] for how each value sits in bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +45,7 @@ mod error;
 mod frame;
 pub mod message;
 pub mod samples;
-mod wire;
+pub mod wire;
 
 pub use error::ProtocolError;
 pub use frame::{
@@ -55,4 +56,5 @@ pub use message::{
     ChipId, ChipKind, CultureSpec, DegradationSummary, DnaChipSpec, ErrorCode, FaultEntrySpec,
     FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, PixelCount,
     RecordingEntry, SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec, YieldSummary,
+    ASSAY_RESULT_HEAD, DNA_CHUNK_HEAD, NEURO_CHUNK_HEAD,
 };

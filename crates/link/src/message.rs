@@ -3,10 +3,10 @@
 //! Every message is a tagged union: a one-byte tag followed by the
 //! variant's fields in declaration order, little-endian, with `f64`
 //! carried as IEEE-754 bits, strings and vectors length-prefixed by a
-//! `u32`. Element counts are validated against the bytes remaining in the
-//! payload *before* any allocation, so a corrupted count cannot balloon
-//! memory. Decoding is total: every outcome is `Ok` or a typed
-//! [`ProtocolError`].
+//! `u32`, as [`crate::wire`] lays them out. Element counts are validated
+//! against the bytes remaining in the payload *before* any allocation, so
+//! a corrupted count cannot balloon memory. Decoding is total: every
+//! outcome is `Ok` or a typed [`ProtocolError`].
 //!
 //! The request/response pairing (client → station, station → client):
 //!
@@ -31,8 +31,7 @@
 //! | any                  | `ErrorReply` on failure                    |
 
 use crate::error::ProtocolError;
-use crate::samples::SAMPLE_LEN;
-use crate::wire::{Reader, Writer};
+use crate::wire::{Codec, Reader, Writer, COUNT_LEN};
 
 /// Station-assigned handle for an attached chip, scoped to one session.
 pub type ChipId = u32;
@@ -592,8 +591,10 @@ const TAG_LIST_RECORDINGS: u8 = 0x1F;
 const TAG_RECORDING_LIST: u8 = 0x20;
 const TAG_REPLAY: u8 = 0x21;
 
-impl ChipKind {
-    fn encode(self, w: &mut Writer) {
+impl Codec for ChipKind {
+    const MIN_LEN: usize = u8::MIN_LEN;
+
+    fn encode(&self, w: &mut Writer) {
         w.u8(match self {
             Self::Dna => 0,
             Self::Neuro => 1,
@@ -666,7 +667,9 @@ impl CultureSpec {
     }
 }
 
-impl TargetSpec {
+impl Codec for TargetSpec {
+    const MIN_LEN: usize = String::MIN_LEN + f64::MIN_LEN;
+
     fn encode(&self, w: &mut Writer) {
         w.string(&self.sequence);
         w.f64(self.concentration_molar);
@@ -680,7 +683,9 @@ impl TargetSpec {
     }
 }
 
-impl PixelCount {
+impl Codec for PixelCount {
+    const MIN_LEN: usize = 2 * u16::MIN_LEN + u64::MIN_LEN;
+
     fn encode(&self, w: &mut Writer) {
         w.u16(self.row);
         w.u16(self.col);
@@ -709,42 +714,26 @@ impl StreamPayload {
                 w.u32(*first_frame);
                 w.u16(*rows);
                 w.u16(*cols);
-                w.count(samples.len());
-                w.f64s(samples);
+                w.seq(samples);
             }
             Self::DnaCounts { readings } => {
                 w.u8(1);
-                w.count(readings.len());
-                for reading in readings {
-                    reading.encode(w);
-                }
+                w.seq(readings);
             }
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
         match r.u8()? {
-            0 => {
-                let first_frame = r.u32()?;
-                let rows = r.u16()?;
-                let cols = r.u16()?;
-                let n = r.count(SAMPLE_LEN, "NeuroFrames.samples")?;
-                let samples = r.f64s(n)?;
-                Ok(Self::NeuroFrames {
-                    first_frame,
-                    rows,
-                    cols,
-                    samples,
-                })
-            }
-            1 => {
-                let n = r.count(12, "DnaCounts.readings")?;
-                let mut readings = Vec::with_capacity(n);
-                for _ in 0..n {
-                    readings.push(PixelCount::decode(r)?);
-                }
-                Ok(Self::DnaCounts { readings })
-            }
+            0 => Ok(Self::NeuroFrames {
+                first_frame: r.u32()?,
+                rows: r.u16()?,
+                cols: r.u16()?,
+                samples: r.seq("NeuroFrames.samples")?,
+            }),
+            1 => Ok(Self::DnaCounts {
+                readings: r.seq("DnaCounts.readings")?,
+            }),
             tag => Err(ProtocolError::UnknownTag {
                 what: "StreamPayload",
                 tag,
@@ -753,7 +742,9 @@ impl StreamPayload {
     }
 }
 
-impl FaultTargetSpec {
+impl Codec for FaultTargetSpec {
+    const MIN_LEN: usize = u8::MIN_LEN;
+
     fn encode(&self, w: &mut Writer) {
         match self {
             Self::Pixel { row, col } => {
@@ -785,7 +776,9 @@ impl FaultTargetSpec {
     }
 }
 
-impl FaultKindSpec {
+impl Codec for FaultKindSpec {
+    const MIN_LEN: usize = u8::MIN_LEN;
+
     fn encode(&self, w: &mut Writer) {
         match self {
             Self::DeadPixel => w.u8(0),
@@ -845,7 +838,9 @@ impl FaultKindSpec {
     }
 }
 
-impl FaultEntrySpec {
+impl Codec for FaultEntrySpec {
+    const MIN_LEN: usize = FaultTargetSpec::MIN_LEN + FaultKindSpec::MIN_LEN;
+
     fn encode(&self, w: &mut Writer) {
         self.target.encode(w);
         self.kind.encode(w);
@@ -862,20 +857,14 @@ impl FaultEntrySpec {
 impl FaultPlanSpec {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.seed);
-        w.count(self.entries.len());
-        for entry in &self.entries {
-            entry.encode(w);
-        }
+        w.seq(&self.entries);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
-        let seed = r.u64()?;
-        let n = r.count(2, "FaultPlanSpec.entries")?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(FaultEntrySpec::decode(r)?);
-        }
-        Ok(Self { seed, entries })
+        Ok(Self {
+            seed: r.u64()?,
+            entries: r.seq("FaultPlanSpec.entries")?,
+        })
     }
 }
 
@@ -925,10 +914,7 @@ impl YieldSummary {
         w.u32(self.healthy);
         w.u32(self.out_of_family);
         w.u32(self.dead);
-        w.count(self.lost_channels.len());
-        for &ch in &self.lost_channels {
-            w.u32(ch);
-        }
+        w.seq(&self.lost_channels);
         w.u32(self.total_channels);
         w.u32(self.injected);
         self.serial.encode(w);
@@ -936,21 +922,12 @@ impl YieldSummary {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
-        let total_pixels = r.u32()?;
-        let healthy = r.u32()?;
-        let out_of_family = r.u32()?;
-        let dead = r.u32()?;
-        let n = r.count(4, "YieldSummary.lost_channels")?;
-        let mut lost_channels = Vec::with_capacity(n);
-        for _ in 0..n {
-            lost_channels.push(r.u32()?);
-        }
         Ok(Self {
-            total_pixels,
-            healthy,
-            out_of_family,
-            dead,
-            lost_channels,
+            total_pixels: r.u32()?,
+            healthy: r.u32()?,
+            out_of_family: r.u32()?,
+            dead: r.u32()?,
+            lost_channels: r.seq("YieldSummary.lost_channels")?,
             total_channels: r.u32()?,
             injected: r.u32()?,
             serial: SerialLinkSummary::decode(r)?,
@@ -1017,7 +994,10 @@ impl ErrorCode {
     }
 }
 
-impl RecordingEntry {
+impl Codec for RecordingEntry {
+    const MIN_LEN: usize =
+        String::MIN_LEN + ChipKind::MIN_LEN + 2 * u16::MIN_LEN + 3 * u64::MIN_LEN;
+
     fn encode(&self, w: &mut Writer) {
         w.string(&self.name);
         self.kind.encode(w);
@@ -1041,22 +1021,33 @@ impl RecordingEntry {
     }
 }
 
+/// Bytes of a `StreamData` message before its payload's fields: message
+/// tag, chip, seq and payload tag.
+const CHUNK_HEAD: usize = u8::MIN_LEN + ChipId::MIN_LEN + u32::MIN_LEN + u8::MIN_LEN;
+
+/// Bytes of a `StreamData` message of `NeuroFrames` besides its samples.
+pub const NEURO_CHUNK_HEAD: usize = CHUNK_HEAD + u32::MIN_LEN + 2 * u16::MIN_LEN + COUNT_LEN;
+
+/// Bytes of a `StreamData` message of `DnaCounts` besides its readings.
+pub const DNA_CHUNK_HEAD: usize = CHUNK_HEAD + COUNT_LEN;
+
+/// Bytes of an `AssayResult` message besides its counts and currents.
+pub const ASSAY_RESULT_HEAD: usize = u8::MIN_LEN + ChipId::MIN_LEN + 2 * COUNT_LEN;
+
 impl Message {
     /// Bytes [`Self::encode_payload`] writes for a stream chunk, the one
     /// message whose size scales with the data; other messages get a
     /// small start that grows as needed.
     fn payload_len_hint(&self) -> usize {
-        // Message tag, chip and seq, then the payload's tag and fields.
-        const CHUNK_HEAD: usize = 1 + 4 + 4 + 1;
         match self {
             Self::StreamData {
                 payload: StreamPayload::NeuroFrames { samples, .. },
                 ..
-            } => CHUNK_HEAD + 4 + 2 + 2 + 4 + samples.len() * SAMPLE_LEN,
+            } => NEURO_CHUNK_HEAD + samples.len() * f64::MIN_LEN,
             Self::StreamData {
                 payload: StreamPayload::DnaCounts { readings },
                 ..
-            } => CHUNK_HEAD + 4 + readings.len() * (2 + 2 + 8),
+            } => DNA_CHUNK_HEAD + readings.len() * PixelCount::MIN_LEN,
             _ => 64,
         }
     }
@@ -1128,14 +1119,8 @@ impl Message {
             } => {
                 w.u8(TAG_CONFIGURE_ASSAY);
                 w.u32(*chip);
-                w.count(probes.len());
-                for probe in probes {
-                    w.string(probe);
-                }
-                w.count(targets.len());
-                for target in targets {
-                    target.encode(&mut w);
-                }
+                w.seq(probes);
+                w.seq(targets);
             }
             Self::Calibrate { chip } => {
                 w.u8(TAG_CALIBRATE);
@@ -1170,10 +1155,7 @@ impl Message {
             Self::MaskPixels { chip, pixels } => {
                 w.u8(TAG_MASK_PIXELS);
                 w.u32(*chip);
-                w.count(pixels.len());
-                for &p in pixels {
-                    w.u32(p);
-                }
+                w.seq(pixels);
             }
             Self::Masked { chip, masked } => {
                 w.u8(TAG_MASKED);
@@ -1195,14 +1177,8 @@ impl Message {
             } => {
                 w.u8(TAG_ASSAY_RESULT);
                 w.u32(*chip);
-                w.count(counts.len());
-                for &c in counts {
-                    w.u64(c);
-                }
-                w.count(estimated_currents_a.len());
-                for &i in estimated_currents_a {
-                    w.f64(i);
-                }
+                w.seq(counts);
+                w.seq(estimated_currents_a);
             }
             Self::StartNeuroStream {
                 chip,
@@ -1276,10 +1252,7 @@ impl Message {
             Self::ListRecordings => w.u8(TAG_LIST_RECORDINGS),
             Self::RecordingList { recordings } => {
                 w.u8(TAG_RECORDING_LIST);
-                w.count(recordings.len());
-                for entry in recordings {
-                    entry.encode(&mut w);
-                }
+                w.seq(recordings);
             }
             Self::Replay { name, chunk_frames } => {
                 w.u8(TAG_REPLAY);
@@ -1316,24 +1289,11 @@ impl Message {
             },
             TAG_DETACH => Self::Detach { chip: r.u32()? },
             TAG_DETACHED => Self::Detached { chip: r.u32()? },
-            TAG_CONFIGURE_ASSAY => {
-                let chip = r.u32()?;
-                let n_probes = r.count(4, "ConfigureAssay.probes")?;
-                let mut probes = Vec::with_capacity(n_probes);
-                for _ in 0..n_probes {
-                    probes.push(r.string()?);
-                }
-                let n_targets = r.count(12, "ConfigureAssay.targets")?;
-                let mut targets = Vec::with_capacity(n_targets);
-                for _ in 0..n_targets {
-                    targets.push(TargetSpec::decode(&mut r)?);
-                }
-                Self::ConfigureAssay {
-                    chip,
-                    probes,
-                    targets,
-                }
-            }
+            TAG_CONFIGURE_ASSAY => Self::ConfigureAssay {
+                chip: r.u32()?,
+                probes: r.seq("ConfigureAssay.probes")?,
+                targets: r.seq("ConfigureAssay.targets")?,
+            },
             TAG_CALIBRATE => Self::Calibrate { chip: r.u32()? },
             TAG_CALIBRATION_DONE => Self::CalibrationDone {
                 chip: r.u32()?,
@@ -1350,15 +1310,10 @@ impl Message {
                 chip: r.u32()?,
                 report: YieldSummary::decode(&mut r)?,
             },
-            TAG_MASK_PIXELS => {
-                let chip = r.u32()?;
-                let n_pixels = r.count(4, "MaskPixels.pixels")?;
-                let mut pixels = Vec::with_capacity(n_pixels);
-                for _ in 0..n_pixels {
-                    pixels.push(r.u32()?);
-                }
-                Self::MaskPixels { chip, pixels }
-            }
+            TAG_MASK_PIXELS => Self::MaskPixels {
+                chip: r.u32()?,
+                pixels: r.seq("MaskPixels.pixels")?,
+            },
             TAG_MASKED => Self::Masked {
                 chip: r.u32()?,
                 masked: r.u32()?,
@@ -1367,24 +1322,11 @@ impl Message {
                 chip: r.u32()?,
                 stream_counts: r.bool()?,
             },
-            TAG_ASSAY_RESULT => {
-                let chip = r.u32()?;
-                let n_counts = r.count(8, "AssayResult.counts")?;
-                let mut counts = Vec::with_capacity(n_counts);
-                for _ in 0..n_counts {
-                    counts.push(r.u64()?);
-                }
-                let n_currents = r.count(8, "AssayResult.estimated_currents_a")?;
-                let mut estimated_currents_a = Vec::with_capacity(n_currents);
-                for _ in 0..n_currents {
-                    estimated_currents_a.push(r.f64()?);
-                }
-                Self::AssayResult {
-                    chip,
-                    counts,
-                    estimated_currents_a,
-                }
-            }
+            TAG_ASSAY_RESULT => Self::AssayResult {
+                chip: r.u32()?,
+                counts: r.seq("AssayResult.counts")?,
+                estimated_currents_a: r.seq("AssayResult.estimated_currents_a")?,
+            },
             TAG_START_NEURO_STREAM => Self::StartNeuroStream {
                 chip: r.u32()?,
                 frames: r.u32()?,
@@ -1426,15 +1368,9 @@ impl Message {
                 bytes_written: r.u64()?,
             },
             TAG_LIST_RECORDINGS => Self::ListRecordings,
-            TAG_RECORDING_LIST => {
-                // name length prefix + kind + rows/cols + frames/bytes/hash
-                let n = r.count(4 + 1 + 4 + 24, "RecordingList.recordings")?;
-                let mut recordings = Vec::with_capacity(n);
-                for _ in 0..n {
-                    recordings.push(RecordingEntry::decode(&mut r)?);
-                }
-                Self::RecordingList { recordings }
-            }
+            TAG_RECORDING_LIST => Self::RecordingList {
+                recordings: r.seq("RecordingList.recordings")?,
+            },
             TAG_REPLAY => Self::Replay {
                 name: r.string()?,
                 chunk_frames: r.u32()?,

@@ -722,3 +722,159 @@ fn error_taxonomy() {
         Err(ProtocolError::TrailingBytes { count: 1 })
     ));
 }
+
+/// Every count-prefixed field rejects, in its count check, the smallest
+/// count that the bytes after it cannot hold, and lets one element fewer
+/// past that check. This pins each field's minimum element size: too
+/// small a size would surface as `Truncated` further on, too large a one
+/// would reject the smaller count as well.
+#[test]
+fn each_count_is_checked_against_its_element_size() {
+    let target = TargetSpec {
+        sequence: String::new(),
+        concentration_molar: 0.0,
+    };
+    let reading = PixelCount {
+        row: 0,
+        col: 0,
+        count: 0,
+    };
+    let entry = FaultEntrySpec {
+        target: FaultTargetSpec::Global,
+        kind: FaultKindSpec::DeadPixel,
+    };
+    let recording = RecordingEntry {
+        name: String::new(),
+        kind: ChipKind::Dna,
+        rows: 0,
+        cols: 0,
+        frames: 0,
+        bytes: 0,
+        config_hash: 0,
+    };
+    let configure = |probes: usize, targets: usize| Message::ConfigureAssay {
+        chip: 1,
+        probes: vec![String::new(); probes],
+        targets: vec![target.clone(); targets],
+    };
+    let chunk = |payload| Message::StreamData {
+        chip: 1,
+        seq: 0,
+        payload,
+    };
+    let neuro = |n: usize| {
+        chunk(StreamPayload::NeuroFrames {
+            first_frame: 0,
+            rows: 1,
+            cols: 1,
+            samples: vec![0.0; n],
+        })
+    };
+    let health = |n: usize| Message::HealthReport {
+        chip: 1,
+        report: YieldSummary {
+            total_pixels: 0,
+            healthy: 0,
+            out_of_family: 0,
+            dead: 0,
+            lost_channels: vec![0; n],
+            total_channels: 0,
+            injected: 0,
+            serial: SerialLinkSummary::default(),
+            degradation: DegradationSummary::FullPerformance,
+        },
+    };
+    let assay = |counts: usize, currents: usize| Message::AssayResult {
+        chip: 1,
+        counts: vec![0; counts],
+        estimated_currents_a: vec![0.0; currents],
+    };
+    // (field, message with the field empty, with one element, element size)
+    let cases = [
+        ("ConfigureAssay.probes", configure(0, 0), configure(1, 0), 4),
+        (
+            "ConfigureAssay.targets",
+            configure(0, 0),
+            configure(0, 1),
+            12,
+        ),
+        (
+            "MaskPixels.pixels",
+            Message::MaskPixels {
+                chip: 1,
+                pixels: vec![],
+            },
+            Message::MaskPixels {
+                chip: 1,
+                pixels: vec![0],
+            },
+            4,
+        ),
+        (
+            "DnaCounts.readings",
+            chunk(StreamPayload::DnaCounts { readings: vec![] }),
+            chunk(StreamPayload::DnaCounts {
+                readings: vec![reading],
+            }),
+            12,
+        ),
+        ("NeuroFrames.samples", neuro(0), neuro(1), 8),
+        (
+            "FaultPlanSpec.entries",
+            Message::InjectFaults {
+                chip: 1,
+                plan: FaultPlanSpec {
+                    seed: 0,
+                    entries: vec![],
+                },
+            },
+            Message::InjectFaults {
+                chip: 1,
+                plan: FaultPlanSpec {
+                    seed: 0,
+                    entries: vec![entry],
+                },
+            },
+            2,
+        ),
+        ("YieldSummary.lost_channels", health(0), health(1), 4),
+        ("AssayResult.counts", assay(0, 0), assay(1, 0), 8),
+        (
+            "AssayResult.estimated_currents_a",
+            assay(0, 0),
+            assay(0, 1),
+            8,
+        ),
+        (
+            "RecordingList.recordings",
+            Message::RecordingList { recordings: vec![] },
+            Message::RecordingList {
+                recordings: vec![recording],
+            },
+            4 + 1 + 2 + 2 + 8 + 8 + 8,
+        ),
+    ];
+    const REST: usize = 40;
+    for (field, empty, one, elem) in cases {
+        let (empty, one) = (empty.encode_payload(), one.encode_payload());
+        // The count is where a count of 0 and a count of 1 first differ.
+        let at = empty.iter().zip(&one).position(|(a, b)| a != b).unwrap();
+        let with_count = |n: usize| {
+            let mut bytes = empty[..at].to_vec();
+            bytes.extend_from_slice(&(n as u32).to_le_bytes());
+            bytes.resize(bytes.len() + REST, 0);
+            Message::decode_payload(&bytes)
+        };
+        let too_many = REST / elem + 1;
+        match with_count(too_many) {
+            Err(ProtocolError::InvalidValue { what }) if what == field => {}
+            other => panic!("{field}: count {too_many} over {REST} bytes gave {other:?}"),
+        }
+        let fits = with_count(too_many - 1);
+        assert!(
+            !matches!(fits, Err(ProtocolError::InvalidValue { what }) if what == field),
+            "{field}: count {} over {REST} bytes failed its count check",
+            too_many - 1
+        );
+    }
+}

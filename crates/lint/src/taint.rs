@@ -2,7 +2,7 @@
 //! (DESIGN.md §9.4).
 //!
 //! Everything a peer or a stored segment can influence is *tainted*:
-//! values produced by the little-endian decode helpers (`Reader`/`Cursor`
+//! values produced by the little-endian decode helpers (`Reader`'s
 //! `u8`..`u64`, `from_le_bytes`), segment header metadata (`.meta()`),
 //! buffers filled by `read_exact`, and fields destructured out of a
 //! decoded [`Message`] (or `StreamPayload`) pattern. A tainted value must
@@ -17,7 +17,8 @@
 //! * a `.min(untainted)` / `.clamp(..)` binding,
 //! * rebinding/reassignment from untainted operands, or
 //! * the `Reader::count()` idiom, which validates the declared element
-//!   count against the remaining payload before returning it.
+//!   count against the remaining payload before returning it
+//!   (`Reader::seq` calls it before it allocates).
 //!
 //! Direction matters: `if n < MIN { return }` establishes only a *lower*
 //! bound and clears nothing.

@@ -12,9 +12,11 @@ use bsa_core::dna_chip::{DnaChip, DnaChipConfig, SampleMix};
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig};
 use bsa_core::{ChipError, YieldReport};
 use bsa_faults::{FaultKind, InjectionPlan, PlanTarget};
+use bsa_link::wire::Codec;
 use bsa_link::{
     ChipId, CultureSpec, DnaChipSpec, FaultEntrySpec, FaultKindSpec, FaultPlanSpec,
-    FaultTargetSpec, NeuroChipSpec, SerialLinkSummary, YieldSummary, MAX_PAYLOAD,
+    FaultTargetSpec, NeuroChipSpec, PixelCount, SerialLinkSummary, YieldSummary, ASSAY_RESULT_HEAD,
+    DNA_CHUNK_HEAD, MAX_PAYLOAD, NEURO_CHUNK_HEAD,
 };
 use bsa_neuro::culture::{Culture, CultureConfig};
 use bsa_units::{Ampere, Hertz, Seconds, Volt};
@@ -23,26 +25,22 @@ use rand::SeedableRng;
 
 // Every station reply must fit one wire frame of at most `MAX_PAYLOAD`
 // bytes, which also keeps a hostile spec from demanding an absurd
-// allocation. Three replies grow with the array, and their encodings set
-// the limits below:
-// * a `StreamData` chunk of neuro frames: 22 bytes of head (message tag,
-//   chip, seq, payload tag, first frame, rows, cols, sample count), then
-//   8 bytes per sample;
-// * a `StreamData` chunk of DNA readings: 14 bytes of head, then 12 bytes
-//   per reading (row, col, count);
-// * an `AssayResult`: 13 bytes of head, then a count and an estimated
-//   current, 16 bytes per pixel.
+// allocation. Three replies grow with the array; `bsa-link` states the
+// bytes each takes besides its elements and the size of each element.
 
 /// The most pixels whose single neuro frame fits one `StreamData` chunk.
 /// Larger neuro arrays are refused at attach and at replay.
-pub(crate) const MAX_FRAME_PIXELS: usize = (MAX_PAYLOAD - 22) / 8;
+pub(crate) const MAX_FRAME_PIXELS: usize = (MAX_PAYLOAD - NEURO_CHUNK_HEAD) / f64::MIN_LEN;
 
 /// The most DNA readings one `StreamData` chunk carries.
-pub(crate) const MAX_CHUNK_READINGS: u32 = ((MAX_PAYLOAD - 14) / 12) as u32;
+pub(crate) const MAX_CHUNK_READINGS: u32 =
+    ((MAX_PAYLOAD - DNA_CHUNK_HEAD) / PixelCount::MIN_LEN) as u32;
 
-/// The most pixels whose `AssayResult` fits one frame. Larger DNA arrays
-/// are refused at attach.
-pub(crate) const MAX_ASSAY_PIXELS: usize = (MAX_PAYLOAD - 13) / 16;
+/// The most pixels whose `AssayResult` fits one frame: each carries a
+/// count and an estimated current. Larger DNA arrays are refused at
+/// attach.
+pub(crate) const MAX_ASSAY_PIXELS: usize =
+    (MAX_PAYLOAD - ASSAY_RESULT_HEAD) / (u64::MIN_LEN + f64::MIN_LEN);
 
 /// The most neuro frames of `pixels` samples one `StreamData` chunk
 /// carries: 127 at 128×128. Requested chunk sizes are clamped to it.

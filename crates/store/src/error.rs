@@ -2,6 +2,7 @@
 //! truncated or misused maps to a [`StoreError`] variant — the reader and
 //! writer have no panicking paths.
 
+use bsa_link::ProtocolError;
 use std::fmt;
 use std::io;
 
@@ -132,5 +133,27 @@ impl std::error::Error for StoreError {
 impl From<io::Error> for StoreError {
     fn from(err: io::Error) -> Self {
         Self::Io(err)
+    }
+}
+
+/// Failures of the `bsa-link` codec that segments are read with. The one
+/// tagged value a segment stores is the chip kind, so an unknown tag is
+/// an unknown kind.
+impl From<ProtocolError> for StoreError {
+    fn from(err: ProtocolError) -> Self {
+        match err {
+            ProtocolError::UnknownTag { tag, .. } => Self::UnknownKind { tag },
+            ProtocolError::Truncated { needed, available } => Self::Truncated {
+                what: "segment field",
+                needed: needed as u64,
+                available: available as u64,
+            },
+            ProtocolError::InvalidValue { what } => Self::InvalidValue { what },
+            ProtocolError::BadUtf8 => Self::BadUtf8,
+            ProtocolError::Io(err) => Self::Io(err),
+            _ => Self::InvalidValue {
+                what: "segment field",
+            },
+        }
     }
 }

@@ -1,10 +1,17 @@
 //! Byte-level segment format: header, per-frame records, index footer.
 //!
+//! `bsa-link` defines how each value sits in bytes ([`bsa_link::wire`]):
+//! integers little-endian, the chip-kind tag, the spec string behind its
+//! `u32` length, a DNA reading as the wire's [`PixelCount`] and a neuro
+//! frame as the wire's sample block. The segment adds only its framing:
+//! the magics, the version, the record and footer fields and the three
+//! CRC-8 trailers.
+//!
 //! ```text
 //! HEADER
 //!   magic        4 B   b"BSSG"
 //!   version      u16   SEGMENT_VERSION
-//!   kind         u8    0 = DNA, 1 = neuro (same mapping as the wire)
+//!   kind         u8    the wire's `ChipKind` tag
 //!   flags        u8    reserved, 0
 //!   chip         u32   session chip handle at record time
 //!   rows         u16   frame height
@@ -40,8 +47,9 @@
 //! first.
 
 use crate::error::StoreError;
-use bsa_link::crc::Crc8;
+use bsa_link::crc::crc8;
 use bsa_link::samples::{decode_samples, encode_samples, SAMPLE_LEN};
+use bsa_link::wire::{Codec, Reader, Writer};
 use bsa_link::{ChipKind, PixelCount};
 
 /// First bytes of every segment file.
@@ -66,8 +74,8 @@ pub const RECORD_META_LEN: usize = 8 + 4 + 4;
 /// Record bytes that are not payload (metadata plus CRC trailer).
 pub const RECORD_OVERHEAD: usize = RECORD_META_LEN + 1;
 
-/// Bytes one stored DNA reading occupies (`row`, `col`, `count`).
-pub const DNA_READING_LEN: usize = 2 + 2 + 8;
+/// Bytes one stored DNA reading occupies: the wire's [`PixelCount`].
+pub const DNA_READING_LEN: usize = PixelCount::MIN_LEN;
 
 /// Longest accepted spec snapshot, far above anything the station emits.
 pub const MAX_SPEC_LEN: usize = 1 << 20;
@@ -113,25 +121,19 @@ pub fn decode_neuro_frame(payload: &[u8], out: &mut Vec<f64>) -> Result<(), Stor
     })
 }
 
-/// Serialises one DNA count reading payload.
+/// Serialises one DNA count reading payload with the wire's codec.
 #[must_use]
 pub fn encode_dna_reading(reading: &PixelCount) -> Vec<u8> {
-    let mut out = Vec::with_capacity(DNA_READING_LEN);
-    out.extend_from_slice(&reading.row.to_le_bytes());
-    out.extend_from_slice(&reading.col.to_le_bytes());
-    out.extend_from_slice(&reading.count.to_le_bytes());
-    out
+    let mut w = Writer::with_capacity(DNA_READING_LEN);
+    reading.encode(&mut w);
+    w.into_bytes()
 }
 
-/// Decodes one DNA count reading payload.
+/// Decodes one DNA count reading payload, which it must fill exactly.
 pub fn decode_dna_reading(payload: &[u8]) -> Result<PixelCount, StoreError> {
-    let mut cur = Cursor::new(payload);
-    let reading = PixelCount {
-        row: cur.u16("dna reading row")?,
-        col: cur.u16("dna reading col")?,
-        count: cur.u64("dna reading count")?,
-    };
-    cur.finish("dna reading")?;
+    let mut r = Reader::new(payload);
+    let reading = PixelCount::decode(&mut r)?;
+    r.finish()?;
     Ok(reading)
 }
 
@@ -153,39 +155,20 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// Wire encoding of `kind` (shared with `bsa-link`'s `ChipKind`).
-    pub(crate) fn kind_tag(kind: ChipKind) -> u8 {
-        match kind {
-            ChipKind::Dna => 0,
-            ChipKind::Neuro => 1,
-        }
-    }
-
-    pub(crate) fn kind_from_tag(tag: u8) -> Result<ChipKind, StoreError> {
-        match tag {
-            0 => Ok(ChipKind::Dna),
-            1 => Ok(ChipKind::Neuro),
-            tag => Err(StoreError::UnknownKind { tag }),
-        }
-    }
-
     /// Serialises the header, CRC trailer included.
     pub(crate) fn encode_header(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_FIXED_LEN + self.spec.len() + 1);
-        out.extend_from_slice(SEGMENT_MAGIC);
-        out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
-        out.push(Self::kind_tag(self.kind));
-        out.push(0); // flags, reserved
-        out.extend_from_slice(&self.chip.to_le_bytes());
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        out.extend_from_slice(&self.cols.to_le_bytes());
-        out.extend_from_slice(&self.config_hash.to_le_bytes());
-        out.extend_from_slice(&(self.spec.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.spec.as_bytes());
-        let mut crc = Crc8::new();
-        crc.update_bytes(&out);
-        out.push(crc.finish());
-        out
+        let mut w = Writer::with_capacity(HEADER_FIXED_LEN + self.spec.len() + 1);
+        w.bytes(SEGMENT_MAGIC);
+        w.u16(SEGMENT_VERSION);
+        self.kind.encode(&mut w);
+        w.u8(0); // flags, reserved
+        w.u32(self.chip);
+        w.u16(self.rows);
+        w.u16(self.cols);
+        w.u64(self.config_hash);
+        w.string(&self.spec);
+        w.crc8();
+        w.into_bytes()
     }
 
     /// Parses and CRC-checks a header occupying exactly `bytes`.
@@ -198,134 +181,35 @@ impl SegmentMeta {
                 available: bytes.len() as u64,
             });
         };
-        let mut cur = Cursor::new(body);
-        let magic = cur.take(4, "segment header magic")?;
-        if magic != SEGMENT_MAGIC {
+        let mut r = Reader::new(body);
+        if r.bytes(SEGMENT_MAGIC.len())? != SEGMENT_MAGIC {
             return Err(StoreError::BadMagic {
                 what: "segment header",
             });
         }
-        let version = cur.u16("segment version")?;
+        let version = r.u16()?;
         if version != SEGMENT_VERSION {
             return Err(StoreError::UnsupportedVersion { got: version });
         }
-        let kind = Self::kind_from_tag(cur.u8("segment kind")?)?;
-        let _flags = cur.u8("segment flags")?;
-        let chip = cur.u32("segment chip")?;
-        let rows = cur.u16("segment rows")?;
-        let cols = cur.u16("segment cols")?;
-        let config_hash = cur.u64("segment config hash")?;
-        let spec_len = cur.u32("segment spec length")? as usize;
+        let kind = ChipKind::decode(&mut r)?;
+        let _flags = r.u8()?;
+        let meta = Self {
+            chip: r.u32()?,
+            kind,
+            rows: r.u16()?,
+            cols: r.u16()?,
+            config_hash: r.u64()?,
+            spec: r.string()?,
+        };
         // The header region's size was already pinned by the caller; the
-        // stored spec length must account for every remaining byte.
-        if spec_len != cur.remaining() {
-            return Err(StoreError::InvalidValue {
-                what: "segment spec length",
-            });
-        }
-        let spec_bytes = cur.take(spec_len, "segment spec")?;
-        let spec = std::str::from_utf8(spec_bytes)
-            .map_err(|_| StoreError::BadUtf8)?
-            .to_string();
-        cur.finish("segment header")?;
-        let mut crc = Crc8::new();
-        crc.update_bytes(body);
-        if crc.finish() != crc_byte {
+        // spec's length must account for every remaining byte.
+        r.finish()?;
+        if crc8(body) != crc_byte {
             return Err(StoreError::BadCrc {
                 what: "segment header",
             });
         }
-        Ok(Self {
-            chip,
-            kind,
-            rows,
-            cols,
-            config_hash,
-            spec,
-        })
-    }
-}
-
-/// Bounds-checked little-endian slice reader: every primitive read is
-/// total, so malformed files surface as typed errors, never panics.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
-    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(StoreError::InvalidValue { what })?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| StoreError::Truncated {
-                what,
-                needed: n as u64,
-                available: self.remaining() as u64,
-            })?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, StoreError> {
-        let slice = self.take(1, what)?;
-        slice
-            .first()
-            .copied()
-            .ok_or(StoreError::InvalidValue { what })
-    }
-
-    pub(crate) fn u16(&mut self, what: &'static str) -> Result<u16, StoreError> {
-        let slice = self.take(2, what)?;
-        let arr: [u8; 2] = slice
-            .try_into()
-            .map_err(|_| StoreError::InvalidValue { what })?;
-        Ok(u16::from_le_bytes(arr))
-    }
-
-    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, StoreError> {
-        let slice = self.take(4, what)?;
-        let arr: [u8; 4] = slice
-            .try_into()
-            .map_err(|_| StoreError::InvalidValue { what })?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, StoreError> {
-        let slice = self.take(8, what)?;
-        let arr: [u8; 8] = slice
-            .try_into()
-            .map_err(|_| StoreError::InvalidValue { what })?;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    pub(crate) fn finish(&self, what: &'static str) -> Result<(), StoreError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(StoreError::InvalidValue { what })
-        }
-    }
-}
-
-impl std::fmt::Debug for Cursor<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cursor")
-            .field("len", &self.bytes.len())
-            .field("pos", &self.pos)
-            .finish()
+        Ok(meta)
     }
 }
 
@@ -355,6 +239,27 @@ mod tests {
         assert_eq!(bytes.len(), HEADER_FIXED_LEN + meta.spec.len() + 1);
         let back = SegmentMeta::decode_header(&bytes).unwrap();
         assert_eq!(back, meta);
+    }
+
+    #[test]
+    fn unknown_kind_byte_is_unknown_kind() {
+        let meta = SegmentMeta {
+            chip: 1,
+            kind: ChipKind::Dna,
+            rows: 8,
+            cols: 16,
+            config_hash: 0,
+            spec: String::new(),
+        };
+        let mut bytes = meta.encode_header();
+        // The kind byte follows the magic and the version.
+        if let Some(kind) = bytes.get_mut(SEGMENT_MAGIC.len() + 2) {
+            *kind = 7;
+        }
+        assert!(matches!(
+            SegmentMeta::decode_header(&bytes),
+            Err(StoreError::UnknownKind { tag: 7 })
+        ));
     }
 
     #[test]

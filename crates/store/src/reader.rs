@@ -11,11 +11,12 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    frame_payload_len, Cursor, SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, HEADER_FIXED_LEN,
-    RECORD_META_LEN, RECORD_OVERHEAD,
+    frame_payload_len, SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, HEADER_FIXED_LEN,
+    RECORD_OVERHEAD,
 };
 use crate::writer::segment_path;
 use bsa_link::crc::Crc8;
+use bsa_link::wire::Reader;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -75,13 +76,12 @@ impl SegmentReader {
         let mut tail = [0u8; FOOTER_TAIL_LEN];
         file.seek(SeekFrom::Start(bytes - FOOTER_TAIL_LEN as u64))?;
         file.read_exact(&mut tail)?;
-        let mut cur = Cursor::new(&tail);
-        let frame_count = cur.u64("footer frame count")?;
-        let index_off = cur.u64("footer index offset")?;
-        let epochs = cur.u32("footer epochs")?;
-        let footer_crc = cur.u8("footer crc")?;
-        let tail_magic = cur.take(4, "footer magic")?;
-        if tail_magic != FOOTER_MAGIC {
+        let mut r = Reader::new(&tail);
+        let frame_count = r.u64()?;
+        let index_off = r.u64()?;
+        let epochs = r.u32()?;
+        let footer_crc = r.u8()?;
+        if r.bytes(FOOTER_MAGIC.len())? != FOOTER_MAGIC {
             return Err(StoreError::BadMagic {
                 what: "index footer",
             });
@@ -137,11 +137,9 @@ impl SegmentReader {
             });
         }
         let mut offsets = Vec::with_capacity(table_len / 8);
-        for chunk in table.chunks_exact(8) {
-            let arr: [u8; 8] = chunk.try_into().map_err(|_| StoreError::InvalidValue {
-                what: "footer offset",
-            })?;
-            offsets.push(u64::from_le_bytes(arr));
+        let mut r = Reader::new(&table);
+        while r.remaining() > 0 {
+            offsets.push(r.u64()?);
         }
 
         // --- header occupies everything before the first record
@@ -250,16 +248,16 @@ impl SegmentReader {
                 what: "frame record",
             });
         }
-        let mut cur = Cursor::new(body);
-        let stored_index = cur.u64("record frame index")?;
-        let epoch = cur.u32("record epoch")?;
-        let payload_len = cur.u32("record payload length")? as usize;
+        let mut r = Reader::new(body);
+        let stored_index = r.u64()?;
+        let epoch = r.u32()?;
+        let payload_len = r.u32()? as usize;
         if stored_index != index {
             return Err(StoreError::InvalidValue {
                 what: "record frame index",
             });
         }
-        if payload_len != rec_len - RECORD_OVERHEAD {
+        if payload_len != r.remaining() {
             return Err(StoreError::InvalidValue {
                 what: "record payload length",
             });
@@ -271,16 +269,10 @@ impl SegmentReader {
                 got: payload_len,
             });
         }
-        let payload =
-            self.arena
-                .get(RECORD_META_LEN..rec_len - 1)
-                .ok_or(StoreError::InvalidValue {
-                    what: "record size",
-                })?;
         Ok(FrameRef {
             index,
             epoch,
-            payload,
+            payload: r.bytes(payload_len)?,
         })
     }
 }

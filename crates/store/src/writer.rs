@@ -11,8 +11,8 @@
 //! abandoned recording is still a valid, replayable segment.
 
 use crate::error::StoreError;
-use crate::format::{SegmentMeta, FOOTER_MAGIC, RECORD_META_LEN};
-use bsa_link::crc::Crc8;
+use crate::format::{SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN};
+use bsa_link::wire::Writer;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
@@ -197,33 +197,29 @@ fn run_writer(
     let mut offsets: Vec<u64> = Vec::new();
     let mut pos = header_len;
     let mut epochs: u32 = 0;
-    let mut record = Vec::new();
+    let mut record = Writer::default();
     for frame in rx {
         record.clear();
-        record.reserve(RECORD_META_LEN + frame.payload.len() + 1);
-        record.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-        record.extend_from_slice(&frame.epoch.to_le_bytes());
-        record.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&frame.payload);
-        let mut crc = Crc8::new();
-        crc.update_bytes(&record);
-        record.push(crc.finish());
-        out.write_all(&record)?;
+        record.u64(offsets.len() as u64);
+        record.u32(frame.epoch);
+        record.u32(frame.payload.len() as u32);
+        record.bytes(&frame.payload);
+        record.crc8();
+        out.write_all(record.as_bytes())?;
         offsets.push(pos);
-        pos += record.len() as u64;
+        pos += record.as_bytes().len() as u64;
         epochs = epochs.max(frame.epoch.saturating_add(1));
     }
-    let mut footer = Vec::with_capacity(offsets.len() * 8 + 25);
+    let mut footer = Writer::with_capacity(offsets.len() * 8 + FOOTER_TAIL_LEN);
     for &off in &offsets {
-        footer.extend_from_slice(&off.to_le_bytes());
+        footer.u64(off);
     }
-    footer.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-    footer.extend_from_slice(&pos.to_le_bytes());
-    footer.extend_from_slice(&epochs.to_le_bytes());
-    let mut crc = Crc8::new();
-    crc.update_bytes(&footer);
-    footer.push(crc.finish());
-    footer.extend_from_slice(FOOTER_MAGIC);
+    footer.u64(offsets.len() as u64);
+    footer.u64(pos);
+    footer.u32(epochs);
+    footer.crc8();
+    footer.bytes(FOOTER_MAGIC);
+    let footer = footer.into_bytes();
     out.write_all(&footer)?;
     out.flush()?;
     let file = out.into_inner().map_err(|err| StoreError::Io(err.into()))?;
