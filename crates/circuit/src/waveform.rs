@@ -146,7 +146,7 @@ impl Waveform {
     pub fn rising_crossings(&self, level: f64) -> usize {
         self.samples
             .windows(2)
-            .filter(|w| w[0] <= level && w[1] > level)
+            .filter(|w| matches!(**w, [a, b] if a <= level && b > level))
             .count()
     }
 }

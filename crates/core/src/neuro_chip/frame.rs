@@ -623,7 +623,7 @@ impl NeuroChip {
         let dwell = Seconds::from_micro(10.0);
         for row in 0..self.config.geometry.rows() {
             for slot in 0..cols_per_ch {
-                for ch_idx in 0..self.channels.len() {
+                for (ch_idx, ch) in self.channels.iter_mut().enumerate() {
                     let col = ch_idx * cols_per_ch + slot;
                     let idx = row * self.config.geometry.cols() + col;
                     if self.faults.channel_lost(ch_idx) {
@@ -631,18 +631,12 @@ impl NeuroChip {
                         continue;
                     }
                     let clip = self.pixels[idx].faults().clip_limit;
-                    self.channels[ch_idx].reset_settling();
+                    ch.reset_settling();
                     let i0 = self.pixels[idx].read(Volt::ZERO, now);
-                    let v0 = clipped(
-                        clip,
-                        self.channels[ch_idx].process_sample(i0, dwell, &mut rng),
-                    );
-                    self.channels[ch_idx].reset_settling();
+                    let v0 = clipped(clip, ch.process_sample(i0, dwell, &mut rng));
+                    ch.reset_settling();
                     let i1 = self.pixels[idx].read(test_amplitude, now);
-                    let v1 = clipped(
-                        clip,
-                        self.channels[ch_idx].process_sample(i1, dwell, &mut rng),
-                    );
+                    let v1 = clipped(clip, ch.process_sample(i1, dwell, &mut rng));
                     out[idx] = (v1 - v0) / test_amplitude.value();
                 }
             }
@@ -662,7 +656,7 @@ impl NeuroChip {
                 ch.reset_settling();
             }
             for slot in 0..cols_per_ch {
-                for ch_idx in 0..self.channels.len() {
+                for (ch_idx, ch) in self.channels.iter_mut().enumerate() {
                     let col = ch_idx * cols_per_ch + slot;
                     let idx = row * self.config.geometry.cols() + col;
                     if self.faults.channel_lost(ch_idx) {
@@ -670,11 +664,7 @@ impl NeuroChip {
                         continue;
                     }
                     let i_diff = self.pixels[idx].read(Volt::ZERO, now);
-                    let v = self.channels[ch_idx].process_sample(
-                        i_diff,
-                        Seconds::from_micro(10.0),
-                        &mut rng,
-                    );
+                    let v = ch.process_sample(i_diff, Seconds::from_micro(10.0), &mut rng);
                     out[idx] = clipped(self.pixels[idx].faults().clip_limit, v);
                 }
             }

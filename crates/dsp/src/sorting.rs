@@ -104,8 +104,8 @@ impl SortResult {
     pub fn cluster_sizes(&self, k: usize) -> Vec<usize> {
         let mut sizes = vec![0usize; k];
         for l in &self.labels {
-            if *l < k {
-                sizes[*l] += 1;
+            if let Some(n) = sizes.get_mut(*l) {
+                *n += 1;
             }
         }
         sizes

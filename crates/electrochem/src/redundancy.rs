@@ -123,8 +123,12 @@ impl RedundantLayout {
             self.targets,
             per_target.len()
         );
-        (0..self.total_spots())
-            .map(|spot| per_target[spot % self.targets].clone())
+        // Spot `s` carries target `s % targets`: the list cycles.
+        per_target
+            .iter()
+            .cycle()
+            .take(self.total_spots())
+            .cloned()
             .collect()
     }
 

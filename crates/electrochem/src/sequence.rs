@@ -105,8 +105,14 @@ impl DnaSequence {
 
     /// Generates a uniformly random sequence of the given length.
     pub fn random<R: Rng>(len: usize, rng: &mut R) -> Self {
+        let [a, c, g, t] = Base::ALL;
         let bases = (0..len)
-            .map(|_| Base::ALL[rng.gen_range(0..Base::ALL.len())])
+            .map(|_| match rng.gen_range(0..Base::ALL.len()) {
+                0 => a,
+                1 => c,
+                2 => g,
+                _ => t,
+            })
             .collect();
         Self { bases }
     }

@@ -155,8 +155,10 @@ impl InjectionPlan {
                 Target::ArrayWide { density } => {
                     let picks = ((density * n as f64).round() as usize).min(n);
                     for idx in choose_distinct(n, picks, &mut rng) {
-                        pixels[idx].merge(*kind);
-                        *injected.entry(kind.class()).or_default() += 1;
+                        if let Some(p) = pixels.get_mut(idx) {
+                            p.merge(*kind);
+                            *injected.entry(kind.class()).or_default() += 1;
+                        }
                     }
                 }
                 Target::Global => match *kind {

@@ -74,31 +74,42 @@ pub fn decode_frame(buf: &[u8]) -> Result<Message, ProtocolError> {
     }
 }
 
+/// A frame header whose magic and version matched and whose declared
+/// payload length is at most [`MAX_PAYLOAD`].
+struct FrameHeader {
+    len: usize,
+}
+
+impl FrameHeader {
+    /// Checks the fixed header in decode order: magic, then version, then
+    /// the declared payload length. The length stays wire-derived for
+    /// `bsa-lint`'s taint pass, which treats any `from_le_bytes` result as
+    /// a peer-controlled value, so each caller still bounds what it
+    /// allocates from it.
+    fn from_le_bytes(bytes: &[u8; HEADER_LEN]) -> Result<Self, ProtocolError> {
+        let [m0, m1, version, l0, l1, l2, l3] = *bytes;
+        if [m0, m1] != MAGIC {
+            return Err(ProtocolError::BadMagic { got: [m0, m1] });
+        }
+        if version != PROTOCOL_VERSION {
+            return Err(ProtocolError::UnsupportedVersion { got: version });
+        }
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        if len > MAX_PAYLOAD {
+            return Err(ProtocolError::FrameTooLarge { len });
+        }
+        Ok(Self { len })
+    }
+}
+
 /// Decodes one frame from the front of `buf`, returning the message and
 /// the number of bytes consumed.
 pub fn decode_frame_prefix(buf: &[u8]) -> Result<(Message, usize), ProtocolError> {
-    let header = buf.get(..HEADER_LEN).ok_or(ProtocolError::Truncated {
+    let header = buf.first_chunk().ok_or(ProtocolError::Truncated {
         needed: HEADER_LEN,
         available: buf.len(),
     })?;
-    let (magic, rest) = header.split_at(2);
-    if magic != MAGIC {
-        let mut got = [0u8; 2];
-        got.copy_from_slice(magic);
-        return Err(ProtocolError::BadMagic { got });
-    }
-    let (version, len_bytes) = rest.split_at(1);
-    if version != [PROTOCOL_VERSION] {
-        return Err(ProtocolError::UnsupportedVersion {
-            got: version.first().copied().unwrap_or(0),
-        });
-    }
-    let mut len_arr = [0u8; 4];
-    len_arr.copy_from_slice(len_bytes);
-    let len = u32::from_le_bytes(len_arr) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(ProtocolError::FrameTooLarge { len });
-    }
+    let len = FrameHeader::from_le_bytes(header)?.len;
     let total = HEADER_LEN + len + 1;
     let frame = buf.get(..total).ok_or(ProtocolError::Truncated {
         needed: total,
@@ -130,24 +141,7 @@ pub fn write_message<W: Write>(writer: &mut W, msg: &Message) -> Result<usize, P
 pub fn read_message<R: Read>(reader: &mut R) -> Result<Message, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
     reader.read_exact(&mut header)?;
-    let (magic, rest) = header.split_at(2);
-    if magic != MAGIC {
-        let mut got = [0u8; 2];
-        got.copy_from_slice(magic);
-        return Err(ProtocolError::BadMagic { got });
-    }
-    let (version, len_bytes) = rest.split_at(1);
-    if version != [PROTOCOL_VERSION] {
-        return Err(ProtocolError::UnsupportedVersion {
-            got: version.first().copied().unwrap_or(0),
-        });
-    }
-    let mut len_arr = [0u8; 4];
-    len_arr.copy_from_slice(len_bytes);
-    let len = u32::from_le_bytes(len_arr) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(ProtocolError::FrameTooLarge { len });
-    }
+    let len = FrameHeader::from_le_bytes(&header)?.len;
     // `len ≤ MAX_PAYLOAD`, so `len + 1` (payload + CRC trailer) cannot
     // overflow; the explicit cap keeps the allocation provably below
     // MAX_FRAME_LEN even if the bounds above ever drift.

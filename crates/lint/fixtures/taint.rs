@@ -254,9 +254,16 @@ impl Pool {
     }
 }
 
-/// `Type::method(&x, …)` passes `self` as its first argument, so argument
-/// k is not parameter k: the call carries no argument flow.
+/// `Type::method(&x, …)` passes `self` as its first argument, so
+/// parameter k binds argument k + 1: `n` reaches `_hint`, which feeds no
+/// sink.
 fn receiver_as_argument(pool: &Pool, b: [u8; 4]) -> Vec<u8> {
     let n = u32::from_le_bytes(b) as usize;
     Pool::grow_second(pool, n, 64)
+}
+
+/// The same shift binds `n` to `cap`, which sizes the allocation.
+fn receiver_as_argument_reaches_sink(pool: &Pool, b: [u8; 4]) -> Vec<u8> {
+    let n = u32::from_le_bytes(b) as usize;
+    Pool::grow_second(pool, 0, n) //~ taint.wire-alloc
 }

@@ -24,11 +24,7 @@ pub enum TokenKind {
     /// Lifetime such as `'a` (payload excludes the quote).
     Lifetime(String),
     /// Any literal: string, raw string, byte string, char, or number.
-    /// Integer literals carry their value (suffix and `_` separators
-    /// stripped, `0x`/`0o`/`0b` radixes resolved) so the dataflow passes
-    /// can reason about constant indices; every other literal — and any
-    /// integer too large for `u64` — carries `None`.
-    Literal(Option<u64>),
+    Literal,
     /// Single punctuation character (`.`, `[`, `::` is two `:` tokens).
     Punct(char),
 }
@@ -50,15 +46,6 @@ impl Token {
     /// `true` if this token is the identifier `name`.
     pub fn is_ident(&self, name: &str) -> bool {
         matches!(&self.kind, TokenKind::Ident(s) if s == name)
-    }
-
-    /// The integer value, if this token is an integer literal that fits
-    /// in `u64`.
-    pub fn int_value(&self) -> Option<u64> {
-        match &self.kind {
-            TokenKind::Literal(v) => *v,
-            _ => None,
-        }
     }
 }
 
@@ -166,7 +153,7 @@ impl Lexer {
                 _ => {}
             }
         }
-        self.push(TokenKind::Literal(None), line);
+        self.push(TokenKind::Literal, line);
     }
 
     /// `true` at `r"`, `r#"`, `b"`, `br"`, `rb…` starts (raw/byte strings).
@@ -208,7 +195,7 @@ impl Lexer {
                     _ => {}
                 }
             }
-            self.push(TokenKind::Literal(None), line);
+            self.push(TokenKind::Literal, line);
             return;
         }
         let mut hashes = 0usize;
@@ -248,7 +235,7 @@ impl Lexer {
                 }
             }
         }
-        self.push(TokenKind::Literal(None), line);
+        self.push(TokenKind::Literal, line);
     }
 
     fn lex_char_or_lifetime(&mut self, line: usize) {
@@ -284,7 +271,7 @@ impl Lexer {
                     _ => {}
                 }
             }
-            self.push(TokenKind::Literal(None), line);
+            self.push(TokenKind::Literal, line);
         }
     }
 
@@ -292,7 +279,6 @@ impl Lexer {
         // Numbers (including `1e-9`, `0xFF`, `1_000u64`, `1.5f64`): consume
         // the alphanumeric/underscore/dot run plus exponent signs.
         let mut prev = '0';
-        let mut text = String::new();
         while let Some(c) = self.peek(0) {
             let exponent_sign = (c == '+' || c == '-') && (prev == 'e' || prev == 'E');
             if c == '_' || c == '.' || c.is_alphanumeric() || exponent_sign {
@@ -301,13 +287,12 @@ impl Lexer {
                     break;
                 }
                 prev = c;
-                text.push(c);
                 self.bump();
             } else {
                 break;
             }
         }
-        self.push(TokenKind::Literal(parse_int(&text)), line);
+        self.push(TokenKind::Literal, line);
     }
 
     fn lex_ident(&mut self, line: usize) {
@@ -330,39 +315,6 @@ impl Lexer {
         }
         self.push(TokenKind::Ident(name), line);
     }
-}
-
-/// Parses the integer value out of a number-literal spelling, if it is an
-/// integer (no `.`/exponent) that fits in `u64`. Handles `_` separators,
-/// `0x`/`0o`/`0b` radixes and trailing type suffixes (`u64`, `usize`, …).
-fn parse_int(text: &str) -> Option<u64> {
-    let digits: String = text.chars().filter(|c| *c != '_').collect();
-    if digits.contains('.') {
-        return None;
-    }
-    let radix_prefixes: &[(&str, u32)] = &[
-        ("0x", 16),
-        ("0X", 16),
-        ("0o", 8),
-        ("0O", 8),
-        ("0b", 2),
-        ("0B", 2),
-    ];
-    let (radix, body) = radix_prefixes
-        .iter()
-        .find_map(|(p, r)| digits.strip_prefix(p).map(|rest| (*r, rest)))
-        .unwrap_or((10, digits.as_str()));
-    // Strip a known type suffix (longest first — `u8` is a suffix of
-    // nothing, but `usize` must win over a bare trailing digit check).
-    // Float spellings (`1e9`, `2f64`) fail the final parse and yield None.
-    const SUFFIXES: &[&str] = &[
-        "usize", "u128", "u64", "u32", "u16", "u8", "isize", "i128", "i64", "i32", "i16", "i8",
-    ];
-    let value = SUFFIXES
-        .iter()
-        .find_map(|s| body.strip_suffix(s))
-        .unwrap_or(body);
-    u64::from_str_radix(value, radix).ok()
 }
 
 /// Removes test-only code from a token stream: any item annotated
@@ -466,7 +418,7 @@ mod tests {
         assert_eq!(lifetimes.len(), 2, "{toks:?}");
         let chars = toks
             .iter()
-            .filter(|t| matches!(t.kind, TokenKind::Literal(_)))
+            .filter(|t| matches!(t.kind, TokenKind::Literal))
             .count();
         assert_eq!(chars, 2, "{toks:?}");
     }
@@ -494,24 +446,10 @@ mod tests {
         let toks = lex("let x = 1e-9;");
         let lits = toks
             .iter()
-            .filter(|t| matches!(t.kind, TokenKind::Literal(_)))
+            .filter(|t| matches!(t.kind, TokenKind::Literal))
             .count();
         assert_eq!(lits, 1, "{toks:?}");
         assert!(!toks.iter().any(|t| t.is_punct('-')), "{toks:?}");
-    }
-
-    #[test]
-    fn parse_int_handles_radix_prefixes_and_degenerate_spellings() {
-        assert_eq!(parse_int("0x1F"), Some(31));
-        assert_eq!(parse_int("0o17"), Some(15));
-        assert_eq!(parse_int("0b1010"), Some(10));
-        assert_eq!(parse_int("1_000usize"), Some(1000));
-        // Degenerate spellings shorter than a radix prefix (or exactly one)
-        // must yield None, never panic.
-        assert_eq!(parse_int("0x"), None);
-        assert_eq!(parse_int("0"), Some(0));
-        assert_eq!(parse_int(""), None);
-        assert_eq!(parse_int("1.5"), None);
     }
 
     #[test]

@@ -29,35 +29,55 @@
 //! binds to, once for the whole workspace, under one rule (DESIGN.md
 //! §9.2). Every call-graph pass reads that call table:
 //! `reach.panic` (transitive panic reachability behind public APIs,
-//! [`reach`]), the function summaries, the taint analysis, and `conc.*`
-//! (atomic read-modify-write, lock discipline and the global
-//! lock/channel acquisition-order cycle detector `conc.lock-order` in the
-//! serving crates, [`conc`]).
+//! [`reach`]), the taint analysis, and `conc.*` (atomic read-modify-write,
+//! lock discipline and the global lock/channel acquisition-order cycle
+//! detector `conc.lock-order` in the serving crates, [`conc`]).
 //!
 //! The parser also records every direct panic site of a file once, in
 //! token order: the site table ([`parser::ParsedFile::sites`]). The
-//! `panic.*` rules, `reach.panic`, the interval prover, the summaries and
-//! the taint analysis all read it, and a site the prover proves is marked
-//! there, so one flag decides discharge for every pass.
+//! `panic.*` rules, `reach.panic` and the taint analysis all read it.
+//! No pass discharges a site: an index is either rewritten so it cannot
+//! panic (`get`, iterators, slice patterns) or counted against its file's
+//! exact `panic.indexing` budget. The definite bugs need no pass of their
+//! own, because rustc's deny-by-default `unconditional_panic` lint
+//! rejects them at compile time — a constant index past a `[e; N]`
+//! array:
+//!
+//! ```compile_fail
+//! let buf = [0.0_f64; 4];
+//! let _last = buf[7];
+//! ```
+//!
+//! a division by the constant zero:
+//!
+//! ```compile_fail
+//! fn per_zero(n: u64) -> u64 {
+//!     n / 0
+//! }
+//! ```
+//!
+//! and a remainder by a binding that is constantly zero:
+//!
+//! ```compile_fail
+//! fn wrap(n: u64) -> u64 {
+//!     let z = 0;
+//!     n % z
+//! }
+//! ```
 //!
 //! The dataflow passes share one statement model: [`syntax`] lowers each
-//! parsed fn once into typed parameters, statements (`let`, assignment,
-//! `if`/`while` guard, `for`, assert, grow/fill/window method calls,
-//! enum match arms) and the points where names are rebound, and every
-//! pass below is a fold over that output with its own lattice, sharing
-//! one scoped store.
+//! parsed fn once into typed parameters and statements (`let`,
+//! assignment, `if`/`while` guard, `for`, grow/fill method calls, enum
+//! match arms), and each pass below is a fold over that output with its
+//! own lattice:
 //!
-//! The *dataflow* layer is an intraprocedural interval prover and unit
-//! inferencer ([`flow`]) that discharge proven `panic.indexing` sites
-//! and flag definite range/dimension bugs (`flow.range`, `flow.unit`).
-//!
-//! The *interprocedural* layer is bottom-up function summaries
-//! ([`summary`]) that lift the interval prover across call boundaries
-//! (`flow.summary`, plus contracts the prover consumes), and a taint
-//! analysis over the wire trust boundary ([`taint`]) that proves no
-//! peer- or segment-controlled value reaches an allocation, index or
-//! loop bound without a recognized validation idiom (`taint.wire-alloc`,
-//! `taint.wire-index`, `taint.wire-arith`).
+//! * intraprocedural unit inference ([`flow`], `flow.unit`) flags sums
+//!   and assignments that mix physical dimensions;
+//! * a taint analysis over the wire trust boundary ([`taint`]) proves no
+//!   peer- or segment-controlled value reaches an allocation, index or
+//!   loop bound without a recognized validation idiom
+//!   (`taint.wire-alloc`, `taint.wire-index`, `taint.wire-arith`). Its
+//!   bottom-up parameter summaries carry argument flow across calls.
 //!
 //! Run it as `cargo run -p bsa-lint -- check` (add `--format json` for
 //! the CI artifact). The analyzer is dependency-free: it lexes Rust
@@ -72,7 +92,6 @@ pub mod parser;
 pub mod reach;
 pub mod report;
 pub mod rules;
-pub mod summary;
 pub mod syntax;
 pub mod taint;
 pub mod workspace;
@@ -84,7 +103,6 @@ pub use parser::{parse_workspace, ParsedFile};
 pub use reach::reach_pass;
 pub use report::{render_json, Report};
 pub use rules::{rule_description, run_rules, Violation, RULE_IDS};
-pub use summary::{compute_summaries, summary_pass, RetContract, Summaries};
 pub use taint::taint_pass;
 pub use workspace::{
     check_sources, check_workspace, collect_files, in_scope, load_sources, unit_safety,

@@ -91,11 +91,10 @@ fn load_allowlist(root: &Path) -> Result<Allowlist, String> {
 /// One-line pass-timing summary for the human-readable output.
 fn timings_line(t: &PassTimings) -> String {
     format!(
-        "timings: lexical {}ms, parse {}ms, summary {}ms, flow {}ms, taint {}ms, \
-         reach {}ms, conc {}ms, lock-order {}ms — total {}ms",
+        "timings: lexical {}ms, parse {}ms, flow {}ms, taint {}ms, reach {}ms, \
+         conc {}ms, lock-order {}ms — total {}ms",
         t.lexical_us / 1000,
         t.parse_us / 1000,
-        t.summary_us / 1000,
         t.flow_us / 1000,
         t.taint_us / 1000,
         t.reach_us / 1000,
@@ -131,7 +130,6 @@ fn cmd_check(json: bool) -> ExitCode {
             render_json(&Report {
                 files_checked: sources.len(),
                 violations_total: violations.len(),
-                proven_sites: outcome.proven_sites,
                 rec: &rec,
                 allow: &allowlist,
                 timings: &outcome.timings,

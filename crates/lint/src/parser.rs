@@ -11,18 +11,18 @@
 //!
 //! [`parse_workspace`] also resolves every call site to the fn it binds
 //! to, once for the whole workspace: [`CallSite::target`] is the call
-//! table that `reach`, `summary`, `flow`, `taint` and `conc` read.
-//! [`ParsedFile::sites`] is the site table they read the same way.
+//! table that `reach`, `taint` and `conc` read. [`ParsedFile::sites`] is
+//! the site table that `panic.*`, `reach` and `taint` read the same way.
 //!
 //! Like the rule passes, this module practises what bsa-lint preaches:
 //! every token access is bounds-checked (`get`), so a degenerate token
 //! stream can produce a wrong parse but never a panic.
 
 use crate::lexer::{Token, TokenKind};
-use crate::rules::{panic_sites, PanicSite, Site};
+use crate::rules::{panic_sites, Site};
 use crate::syntax::{
-    depth0, last_segment, lower, lower_params, matching, path_span_ending_at, skip_angles,
-    tok_ident, tok_punct, Param, Rebind, Stmt,
+    call_arg_range, depth0, last_segment, lower, lower_params, matching, path_ending_at,
+    skip_angles, tok_ident, tok_punct, Param, Stmt,
 };
 use crate::workspace::SourceFile;
 use std::collections::BTreeMap;
@@ -39,7 +39,7 @@ pub struct ParsedFile {
     /// Every `fn` item with a body, in source order (nested fns included).
     pub fns: Vec<FnItem>,
     /// Every direct panic site in the file, inside fn bodies or not, in
-    /// token order. `flow.range` marks the index sites it proves.
+    /// token order.
     pub sites: Vec<Site>,
 }
 
@@ -50,40 +50,6 @@ impl ParsedFile {
         range: &'a Range<usize>,
     ) -> impl Iterator<Item = &'a Site> {
         self.sites.iter().filter(|s| range.contains(&s.at))
-    }
-
-    /// The sites in `range` that can still panic: all but the index sites
-    /// `flow.range` proved in bounds. `panic.*` reports exactly these and
-    /// `reach.panic` propagates exactly these.
-    pub(crate) fn live_sites<'a>(
-        &'a self,
-        range: &'a Range<usize>,
-    ) -> impl Iterator<Item = &'a Site> {
-        self.sites_in(range).filter(|s| !s.proven)
-    }
-
-    /// The index sites in `range` that no other index site's brackets
-    /// enclose, each with its bracketed expression and indexed path: the
-    /// sites the interval prover and the summaries judge.
-    pub(crate) fn outer_index_sites<'a>(
-        &'a self,
-        range: &'a Range<usize>,
-    ) -> impl Iterator<Item = (&'a Site, Range<usize>, &'a str)> {
-        let mut end = 0;
-        self.sites_in(range).filter_map(move |s| {
-            let PanicSite::Indexing {
-                close: Some(close),
-                seq,
-            } = &s.kind
-            else {
-                return None;
-            };
-            if s.at < end {
-                return None;
-            }
-            end = *close;
-            Some((s, s.at + 1..*close, seq.as_deref()?))
-        })
     }
 }
 
@@ -99,10 +65,6 @@ pub struct FnItem {
     pub is_pub: bool,
     /// 1-based line of the function name.
     pub line: usize,
-    /// Token-index range of the signature: from the `fn` keyword up to
-    /// (excluding) the body's opening brace — name, generics, parameter
-    /// list, return type and where clause.
-    pub sig: Range<usize>,
     /// Token-index range of the body, including both braces.
     pub body: Range<usize>,
     /// Argument-position parameters (a `self` receiver is not one).
@@ -112,8 +74,6 @@ pub struct FnItem {
     /// The body's lowered statements, in token order (nested fns'
     /// statements included).
     pub stmts: Vec<Stmt>,
-    /// Where the body rebinds a name or shrinks a sequence, in token order.
-    pub rebinds: Vec<Rebind>,
     /// Call sites inside the body (attributed to the innermost fn).
     pub calls: Vec<CallSite>,
 }
@@ -121,8 +81,6 @@ pub struct FnItem {
 /// One call site inside a function body: the single record of a call.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// Token index where the call path starts.
-    pub start: usize,
     /// Token index of the callee ident.
     pub at: usize,
     /// The call path as written, ending at the callee (`helper`,
@@ -150,11 +108,11 @@ impl CallSite {
         last_segment(&self.path)
     }
 
-    /// The target when argument k of the call is parameter k of the
-    /// callee, which is not so when the call passes `self` as its first
-    /// argument. Passes that map arguments to parameters bind through this.
-    pub fn arg_target(&self) -> Option<FnRef> {
-        self.target.filter(|_| !self.self_arg)
+    /// Token range of the argument bound to parameter `k` of the target:
+    /// argument k, or k + 1 when the call passes `self` as its first
+    /// argument (`Type::method(&x, …)`).
+    pub(crate) fn param_arg(&self, tokens: &[Token], k: usize) -> Option<Range<usize>> {
+        call_arg_range(tokens, &self.args, k + usize::from(self.self_arg))
     }
 }
 
@@ -363,18 +321,16 @@ fn parse_fn(tokens: &[Token], fn_idx: usize, impls: &[ImplRegion]) -> Option<FnI
         Some(ty) => format!("{ty}::{}", sig.name),
         None => sig.name.clone(),
     };
-    let (stmts, rebinds) = lower(tokens, &body);
+    let stmts = lower(tokens, &body);
     Some(FnItem {
         name: sig.name,
         qualified,
         is_pub: pub_before(tokens, fn_idx),
         line: sig.line,
-        sig: fn_idx..body_open,
         body,
         params: sig.params,
         has_self: sig.has_self,
         stmts,
-        rebinds,
         calls: Vec::new(),
     })
 }
@@ -398,7 +354,7 @@ pub(crate) fn pub_before(tokens: &[Token], item_idx: usize) -> bool {
             Some(_) => return false,
             None => match &t.kind {
                 // The "C" in `extern "C"`.
-                TokenKind::Literal(_) => {
+                TokenKind::Literal => {
                     j = prev;
                 }
                 TokenKind::Punct(')') => {
@@ -458,7 +414,7 @@ fn attribute_calls(tokens: &[Token], impls: &[ImplRegion], fns: &mut [FnItem]) {
         if CALL_KEYWORDS.contains(&name) || tok_ident(tokens, k.wrapping_sub(1)) == Some("fn") {
             continue;
         }
-        let Some((mut path, start)) = path_span_ending_at(tokens, k) else {
+        let Some(mut path) = path_ending_at(tokens, k) else {
             continue;
         };
         // `<T as Trait>::name(…)` and `::name(…)`: unresolvable —
@@ -475,7 +431,6 @@ fn attribute_calls(tokens: &[Token], impls: &[ImplRegion], fns: &mut [FnItem]) {
         }
         let is_method = tok_punct(tokens, k.wrapping_sub(1), '.');
         let call = CallSite {
-            start,
             at: k,
             path,
             is_method,
@@ -669,18 +624,11 @@ mod tests {
     }
 
     #[test]
-    fn site_table_covers_every_token_and_outer_sites_skip_nested_ones() {
+    fn site_table_covers_every_token() {
         let src = "const K: u8 = T[1];\nfn f(a: &[u8], b: &[usize], i: usize) -> u8 { a[b[i]] }";
         let p = parse(src);
         let lines: Vec<usize> = p.sites.iter().map(|s| s.line).collect();
         assert_eq!(lines, vec![1, 2, 2]);
-        let body = &p.fns.first().expect("f").body;
-        let outer: Vec<(&str, usize)> = p
-            .outer_index_sites(body)
-            .map(|(_, expr, seq)| (seq, expr.len()))
-            .collect();
-        // `a[b[i]]`: the prover judges `a[..]` over `b [ i ]`, not `b[i]`.
-        assert_eq!(outer, vec![("a", 4)]);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! panics directly is lexical territory and is not re-reported here.
 //!
 //! Suppression policy: an allowlisted `panic.indexing` budget is a local
-//! bounds proof — indexing sinks in such files do **not** propagate — and
-//! so is a machine-checked `flow.range` proof (a proven site is not live,
-//! see [`ParsedFile::live_sites`]). An allowlisted `.expect()`/panicking
+//! bounds proof — indexing sinks in such files do **not** propagate. An
+//! allowlisted `.expect()`/panicking
 //! macro is a *caller contract* (e.g. a documented panicking constructor),
 //! so those sinks always propagate: every public entry point that can
 //! reach one must either be fixed or hold its own justification.
@@ -36,8 +35,7 @@ const REPORT_PREFIXES: &[&str] = &[
     "crates/store/src/",
 ];
 
-/// Runs the reachability analysis over the whole workspace, after
-/// `flow.range` has marked its proven sites.
+/// Runs the reachability analysis over the whole workspace.
 pub fn reach_pass(parsed: &[ParsedFile], allow: &Allowlist, out: &mut Vec<Violation>) {
     // The first non-suppressed direct panic site of every fn that has one.
     let mut sinks: BTreeMap<FnRef, String> = BTreeMap::new();
@@ -45,7 +43,7 @@ pub fn reach_pass(parsed: &[ParsedFile], allow: &Allowlist, out: &mut Vec<Violat
         let budgeted = allow.budget_for(&pf.path, "panic.indexing").is_some();
         for (gi, f) in pf.fns.iter().enumerate() {
             let sink = pf
-                .live_sites(&f.body)
+                .sites_in(&f.body)
                 .find(|s| !(budgeted && matches!(s.kind, PanicSite::Indexing { .. })));
             if let Some(s) = sink {
                 let sink = format!("{} at {}:{}", s.kind.label(), pf.path, s.line);
@@ -182,29 +180,6 @@ mod tests {
         let f = v.first().expect("one");
         assert_eq!(f.line, 2);
         assert!(f.message.contains("fetch"), "{}", f.message);
-    }
-
-    #[test]
-    fn flow_proven_sites_do_not_propagate() {
-        let caller = "pub fn entry(x: &[f64]) -> f64 { pick(x) }";
-        let inner = "pub fn pick(x: &[f64]) -> f64 { x[0] }";
-        let files = [
-            ("crates/dsp/src/lib.rs", caller),
-            ("crates/dsp/src/inner.rs", inner),
-        ];
-        // Without a proof the indexing sink propagates to `entry`.
-        let unproven = run(&files, &Allowlist::default());
-        assert_eq!(unproven.len(), 1, "{unproven:#?}");
-
-        // With the sink proven by flow.range it is a local bounds proof,
-        // exactly like an allowlist budget.
-        let mut parsed = parse(&files);
-        for site in parsed.iter_mut().flat_map(|pf| &mut pf.sites) {
-            site.proven = true;
-        }
-        let mut v = Vec::new();
-        reach_pass(&parsed, &Allowlist::default(), &mut v);
-        assert!(v.is_empty(), "{v:#?}");
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub struct Report<'a> {
     pub files_checked: usize,
     /// Raw violation count before reconciliation.
     pub violations_total: usize,
-    /// `panic.indexing` sites the interval prover discharged.
-    pub proven_sites: usize,
     /// Outcome of budget reconciliation.
     pub rec: &'a Reconciliation,
     /// The allowlist in force.
@@ -31,7 +29,6 @@ pub fn render_json(r: &Report<'_>) -> String {
     let status = if r.rec.clean() { "clean" } else { "failed" };
     push_kv_str(&mut s, 1, "status", status, true);
     push_kv_num(&mut s, 1, "files_checked", r.files_checked, true);
-    push_kv_num(&mut s, 1, "proven_sites", r.proven_sites, true);
 
     s.push_str("  \"violations\": {\n");
     push_kv_num(&mut s, 2, "total", r.violations_total, true);
@@ -86,7 +83,6 @@ pub fn render_json(r: &Report<'_>) -> String {
     for (key, us, comma) in [
         ("lexical", t.lexical_us, true),
         ("parse", t.parse_us, true),
-        ("summary", t.summary_us, true),
         ("flow", t.flow_us, true),
         ("taint", t.taint_us, true),
         ("reach", t.reach_us, true),
@@ -197,13 +193,11 @@ mod tests {
         let json = render_json(&Report {
             files_checked: 42,
             violations_total: 3,
-            proven_sites: 20,
             rec: &rec,
             allow: &allow,
             timings: &timings,
         });
         assert!(json.contains("\"status\": \"clean\""), "{json}");
-        assert!(json.contains("\n  \"proven_sites\": 20,\n"), "{json}");
         assert!(json.contains("\"total\": 3"), "{json}");
         assert!(json.contains("\"lexical\": 1200"), "{json}");
         assert!(json.contains("\"total\": 9000"), "{json}");
@@ -226,7 +220,6 @@ mod tests {
         let json = render_json(&Report {
             files_checked: 1,
             violations_total: 1,
-            proven_sites: 0,
             rec: &rec,
             allow: &allow,
             timings: &PassTimings::default(),

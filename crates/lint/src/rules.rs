@@ -7,7 +7,7 @@
 
 use crate::lexer::Token;
 use crate::parser::{pub_before, signature, ParsedFile};
-use crate::syntax::{matching, path_ending_at};
+use crate::syntax::matching;
 use std::fmt;
 
 /// One rule violation at a specific source line.
@@ -44,9 +44,7 @@ pub const RULE_IDS: &[&str] = &[
     "conc.ordering",
     "conc.hold-and-block",
     "flow.unit",
-    "flow.range",
     "conc.lock-order",
-    "flow.summary",
     "taint.wire-alloc",
     "taint.wire-index",
     "taint.wire-arith",
@@ -64,9 +62,7 @@ pub fn rule_description(id: &str) -> &'static str {
         "conc.ordering" => "inconsistent memory Ordering across uses of one atomic",
         "conc.hold-and-block" => "blocking call while holding a lock",
         "flow.unit" => "dimension-mixing assignment or sum found by unit dataflow",
-        "flow.range" => "interval analysis proves an index/divisor can panic",
         "conc.lock-order" => "lock/channel acquisition-order cycle (potential deadlock)",
-        "flow.summary" => "function-summary contract proves a cross-function index panics",
         "taint.wire-alloc" => "wire-derived count reaches an allocation or loop bound unvalidated",
         "taint.wire-index" => "wire-derived value used as a slice index unvalidated",
         "taint.wire-arith" => "overflowable arithmetic on wire-derived operands feeds a sink",
@@ -74,9 +70,9 @@ pub fn rule_description(id: &str) -> &'static str {
     }
 }
 
-/// Runs the per-file rules over one parsed file: `panic.*` over its live
-/// sites ([`ParsedFile::live_sites`]), and `units.raw-f64` when
-/// `unit_safety` holds.
+/// Runs the per-file rules over one parsed file: `panic.*` over its site
+/// table ([`ParsedFile::sites`]), and `units.raw-f64` when `unit_safety`
+/// holds.
 pub fn run_rules(tokens: &[Token], parsed: &ParsedFile, unit_safety: bool) -> Vec<Violation> {
     let mut out = Vec::new();
     panic_pass(parsed, &mut out);
@@ -127,9 +123,6 @@ pub struct Site {
     /// 1-based source line.
     pub line: usize,
     pub kind: PanicSite,
-    /// `flow.range` proved this index site in bounds, so it is neither a
-    /// `panic.indexing` finding nor a `reach.panic` sink.
-    pub proven: bool,
 }
 
 /// What a [`Site`] is.
@@ -142,12 +135,9 @@ pub enum PanicSite {
     Expect,
     /// One of [`FLAGGED_MACROS`]: `panic.macro`.
     Macro(&'static str),
-    /// A direct index expression: `panic.indexing`. `close` is its `]` and
-    /// `seq` the indexed path (`self.rows` in `self.rows[i]`), where found.
-    Indexing {
-        close: Option<usize>,
-        seq: Option<String>,
-    },
+    /// A direct index expression: `panic.indexing`. `close` is its `]`,
+    /// where found.
+    Indexing { close: Option<usize> },
 }
 
 impl PanicSite {
@@ -187,7 +177,6 @@ pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<Site> {
         } else if index_site(tokens, i) {
             Some(PanicSite::Indexing {
                 close: matching(tokens, i),
-                seq: path_ending_at(tokens, i - 1),
             })
         } else {
             None
@@ -197,7 +186,6 @@ pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<Site> {
                 at: i,
                 line: t.line,
                 kind,
-                proven: false,
             });
         }
     }
@@ -205,7 +193,7 @@ pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<Site> {
 }
 
 fn panic_pass(parsed: &ParsedFile, out: &mut Vec<Violation>) {
-    for site in parsed.live_sites(&(0..usize::MAX)) {
+    for site in &parsed.sites {
         let (rule, message) = match site.kind {
             PanicSite::Unwrap => continue,
             PanicSite::Expect => (

@@ -2,14 +2,12 @@
 //! body contains and over which token range each one holds (DESIGN.md
 //! §9.3).
 //!
-//! The parser lowers every fn item once ([`lower`]): the statements of
-//! its body ([`Stmt`]) — `let` bindings, assignments, `if`/`while`
-//! guards, `for` loops, asserts, the method calls that grow, fill or
-//! window a sequence, and enum match arms — plus every point where a
-//! local name is rebound or its sequence shrunk ([`Rebind`]). The
-//! dataflow passes (`flow`, `summary`, `taint`) are folds over that
-//! output, each with its own lattice, sharing the token helpers below
-//! and one scoped [`Store`].
+//! The parser lowers every fn item once ([`lower`]) into the statements
+//! of its body ([`Stmt`]): `let` bindings, assignments, `if`/`while`
+//! guards, `for` loops, the method calls that grow or fill a sequence,
+//! and enum match arms. The dataflow passes (`flow.unit`, `taint`) are
+//! folds over that output, each with its own lattice, sharing the token
+//! helpers below.
 //!
 //! Like the rest of the analyzer it is bounds-checked throughout: a
 //! degenerate token stream lowers to nonsense, never to a panic.
@@ -28,10 +26,6 @@ pub(crate) fn tok_ident(tokens: &[Token], i: usize) -> Option<&str> {
 
 pub(crate) fn tok_punct(tokens: &[Token], i: usize, c: char) -> bool {
     tokens.get(i).is_some_and(|t| t.is_punct(c))
-}
-
-pub(crate) fn tok_int(tokens: &[Token], i: usize) -> Option<u64> {
-    tokens.get(i).and_then(Token::int_value)
 }
 
 /// `+1` for an opening bracket, `-1` for a closing one, `0` otherwise.
@@ -116,14 +110,6 @@ pub(crate) fn statement_end(tokens: &[Token], from: usize, body: &Range<usize>) 
     depth0(tokens, from..body.end).find(|&j| tok_punct(tokens, j, ';'))
 }
 
-/// Last depth-0 occurrence of punct `c` in `range` that is not its
-/// first token (a binary operator, never a prefix).
-pub(crate) fn last_depth0(tokens: &[Token], range: &Range<usize>, c: char) -> Option<usize> {
-    depth0(tokens, range.clone())
-        .filter(|&j| j > range.start && tok_punct(tokens, j, c))
-        .last()
-}
-
 /// Splits `range` at every depth-0 occurrence of the punct sequence
 /// `sep` (`&[',']`, `&['&', '&']`, …).
 pub(crate) fn split(tokens: &[Token], range: &Range<usize>, sep: &[char]) -> Vec<Range<usize>> {
@@ -147,11 +133,6 @@ pub(crate) fn split(tokens: &[Token], range: &Range<usize>, sep: &[char]) -> Vec
 /// backwards. Returns the normalized path string (`self.rows`,
 /// `Base::ALL`). `None` if `end` is not an identifier.
 pub(crate) fn path_ending_at(tokens: &[Token], end: usize) -> Option<String> {
-    path_span_ending_at(tokens, end).map(|(path, _)| path)
-}
-
-/// [`path_ending_at`], also returning the token index the path starts at.
-pub(crate) fn path_span_ending_at(tokens: &[Token], end: usize) -> Option<(String, usize)> {
     tok_ident(tokens, end)?;
     let mut parts: Vec<String> = Vec::new();
     let mut i = end;
@@ -173,7 +154,7 @@ pub(crate) fn path_span_ending_at(tokens: &[Token], end: usize) -> Option<(Strin
         }
     }
     parts.reverse();
-    Some((parts.concat(), i))
+    Some(parts.concat())
 }
 
 /// One past the last token of the dotted/`::` path starting at `start`.
@@ -204,55 +185,6 @@ pub(crate) fn path_starting_at(tokens: &[Token], start: usize) -> Option<(String
 /// Last segment of a normalized path (`self.rows` → `rows`).
 pub(crate) fn last_segment(path: &str) -> &str {
     path.rsplit(['.', ':']).next().unwrap_or(path)
-}
-
-/// A path spanning exactly `range`.
-pub(crate) fn exact_path(tokens: &[Token], range: &Range<usize>) -> Option<String> {
-    let (path, after) = path_starting_at(tokens, range.start)?;
-    (after == range.end).then_some(path)
-}
-
-/// Matches `PATH . len ( ) [- k]` filling `range`; `k = 0` when there is
-/// no subtraction. Returns `(path, k)` only if the tokens span exactly
-/// `range` (no trailing residue).
-pub(crate) fn len_minus_expr(tokens: &[Token], range: &Range<usize>) -> Option<(String, u64)> {
-    let (path, after) = path_starting_at(tokens, range.start)?;
-    // The path parser swallowed `.len` as its final segment.
-    let seq = path.strip_suffix(".len")?.to_string();
-    if !tok_punct(tokens, after, '(') || !tok_punct(tokens, after + 1, ')') {
-        return None;
-    }
-    if after + 2 == range.end {
-        return Some((seq, 0));
-    }
-    let k = tok_int(tokens, after + 3).filter(|_| tok_punct(tokens, after + 2, '-'))?;
-    (after + 4 == range.end).then_some((seq, k))
-}
-
-/// A bare integer literal spanning exactly `range`.
-pub(crate) fn const_expr(tokens: &[Token], range: &Range<usize>) -> Option<u64> {
-    if range.start + 1 == range.end {
-        tok_int(tokens, range.start)
-    } else {
-        None
-    }
-}
-
-/// Matches `[*]var [+ c]` spanning exactly `range`; returns (var, c).
-/// A leading `*` (deref of a copied index) binds the same variable.
-/// Dotted paths are rejected — bounds on fields are cut too coarsely to
-/// be worth tracking.
-pub(crate) fn var_plus_const(tokens: &[Token], range: &Range<usize>) -> Option<(String, u64)> {
-    let mut start = range.start;
-    if tok_punct(tokens, start, '*') && tok_ident(tokens, start + 1).is_some() {
-        start += 1;
-    }
-    let var = tok_ident(tokens, start)?.to_string();
-    if start + 1 == range.end {
-        return Some((var, 0));
-    }
-    let c = tok_int(tokens, start + 2).filter(|_| tok_punct(tokens, start + 1, '+'))?;
-    (start + 3 == range.end).then_some((var, c))
 }
 
 /// A comparison operator split out of the token stream.
@@ -299,20 +231,6 @@ pub(crate) fn call_arg_range(
         .into_iter()
         .nth(k)
         .filter(|r| !r.is_empty())
-}
-
-/// Argument `k` of `args` as a normalized path (a leading `&`/`&mut` is
-/// stripped); `None` when the argument is not a bare path.
-pub(crate) fn call_arg_path(tokens: &[Token], args: &Range<usize>, k: usize) -> Option<String> {
-    let range = call_arg_range(tokens, args, k)?;
-    let mut start = range.start;
-    if tok_punct(tokens, start, '&') {
-        start += 1;
-        if tok_ident(tokens, start) == Some("mut") {
-            start += 1;
-        }
-    }
-    exact_path(tokens, &(start..range.end))
 }
 
 /// `RECV.name(args)` as the last call of `range` — its parentheses close
@@ -407,24 +325,7 @@ pub enum Effect {
     Grow,
     /// `read_exact(&mut buf)` — the argument now holds peer bytes.
     Fill,
-    /// `windows(k)` / `chunks_exact(k)` — yields `k`-element slices.
-    Window,
 }
-
-/// Methods that can shrink a `Vec`/`String`, invalidating any captured
-/// length bound. Growth preserves every length fact tracked.
-const SHRINK_METHODS: &[&str] = &[
-    "clear",
-    "truncate",
-    "pop",
-    "remove",
-    "retain",
-    "drain",
-    "resize",
-    "swap_remove",
-    "split_off",
-    "dedup",
-];
 
 /// Methods that write their arguments into the receiver collection.
 const GROW_METHODS: &[&str] = &[
@@ -478,20 +379,8 @@ pub enum StmtKind {
         body: Range<usize>,
         after: Range<usize>,
     },
-    /// `for pat in iter { body }`.
-    For {
-        pat: Range<usize>,
-        iter: Range<usize>,
-        body: Range<usize>,
-    },
-    /// `assert!(args)` / `assert_eq!(args)` — holds for the rest of the
-    /// enclosing block. `debug_assert!` proves nothing in release builds
-    /// and is not lowered.
-    Assert {
-        eq: bool,
-        args: Range<usize>,
-        scope: Range<usize>,
-    },
+    /// `for pat in iter { .. }`.
+    For { iter: Range<usize> },
     /// `recv.method(args)` for a method with an [`Effect`]; `recv` is the
     /// ident before the dot, `bare` when it is the whole receiver path.
     Call {
@@ -510,81 +399,33 @@ pub enum StmtKind {
     },
 }
 
-/// A point where a local name stops meaning what it meant: a fresh
-/// binding (`let x`, `mut x`, `ref x`, and `&mut x`, which lends it out
-/// mutably), an assignment to a path ending in `name`, or — `shrink` —
-/// a shrinking method call on `name`.
-#[derive(Debug, Clone)]
-pub struct Rebind {
-    pub at: usize,
-    pub name: String,
-    pub shrink: bool,
-}
-
 /// Lowers one fn body (`body` includes both braces).
-pub(crate) fn lower(tokens: &[Token], body: &Range<usize>) -> (Vec<Stmt>, Vec<Rebind>) {
-    let mut stmts = Vec::new();
-    let mut rebinds = Vec::new();
-    for at in body.clone() {
-        let Some(name) = tok_ident(tokens, at) else {
-            continue;
-        };
-        let prev = at.wrapping_sub(1);
-        let method = tok_punct(tokens, prev, '.') && tok_punct(tokens, at + 1, '(');
-        if matches!(tok_ident(tokens, prev), Some("let" | "mut" | "ref")) {
-            rebinds.push(Rebind {
-                at,
-                name: name.to_string(),
-                shrink: false,
-            });
-        }
+pub(crate) fn lower(tokens: &[Token], body: &Range<usize>) -> Vec<Stmt> {
+    let stmts = body.clone().filter_map(|at| {
+        let name = tok_ident(tokens, at)?;
+        let method = tok_punct(tokens, at.wrapping_sub(1), '.') && tok_punct(tokens, at + 1, '(');
         let kind = match name {
             "let" => lower_let(tokens, at, body),
             "if" | "while" => lower_guard(tokens, at, body),
             "for" => lower_for(tokens, at, body),
-            "assert" | "assert_eq" => lower_assert(tokens, at, body),
-            m if method && SHRINK_METHODS.contains(&m) => {
-                if let Some(recv) = tok_ident(tokens, at.wrapping_sub(2)) {
-                    rebinds.push(Rebind {
-                        at: at - 2,
-                        name: recv.to_string(),
-                        shrink: true,
-                    });
-                }
-                None
-            }
             m if method => lower_call(tokens, at, m, body),
             _ if tok_punct(tokens, at + 1, ':') && tok_punct(tokens, at + 2, ':') => {
                 lower_arm(tokens, at, body)
             }
             _ => {
-                // Every assignment rebinds, even one with no `;` after it
-                // (a block tail, a match arm, a closure body); only those
-                // with one become an `Assign` statement.
-                let assign = assign_at(tokens, at);
-                if let Some((target, ..)) = &assign {
-                    rebinds.push(Rebind {
-                        at,
-                        name: last_segment(target).to_string(),
-                        shrink: false,
-                    });
-                }
-                assign.and_then(|(target, op, rhs_start)| {
-                    let end = statement_end(tokens, rhs_start, body)?;
-                    Some(StmtKind::Assign {
-                        target,
-                        op,
-                        rhs: rhs_start..end,
-                        scope: end + 1..enclosing_block_end(tokens, end + 1, body.end),
-                    })
+                let (target, op, rhs_start) = assign_at(tokens, at)?;
+                let end = statement_end(tokens, rhs_start, body)?;
+                Some(StmtKind::Assign {
+                    target,
+                    op,
+                    rhs: rhs_start..end,
+                    scope: end + 1..enclosing_block_end(tokens, end + 1, body.end),
                 })
             }
         };
-        if let Some(kind) = kind {
-            stmts.push(Stmt { at, kind });
-        }
-    }
-    (stmts, rebinds)
+        Some(Stmt { at, kind: kind? })
+    });
+    stmts.collect()
 }
 
 fn lower_let(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKind> {
@@ -674,31 +515,15 @@ fn lower_guard(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtK
 
 fn lower_for(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKind> {
     let open = block_open(tokens, at + 1, body)?;
-    let close = matching(tokens, open)?;
     let in_at = depth0(tokens, at + 1..open).find(|&j| tok_ident(tokens, j) == Some("in"))?;
     Some(StmtKind::For {
-        pat: at + 1..in_at,
         iter: in_at + 1..open,
-        body: open..close + 1,
-    })
-}
-
-fn lower_assert(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKind> {
-    if !tok_punct(tokens, at + 1, '!') {
-        return None;
-    }
-    let close = matching(tokens, at + 2).filter(|_| tok_punct(tokens, at + 2, '('))?;
-    Some(StmtKind::Assert {
-        eq: tok_ident(tokens, at) == Some("assert_eq"),
-        args: at + 3..close,
-        scope: close + 1..enclosing_block_end(tokens, close + 1, body.end),
     })
 }
 
 fn lower_call(tokens: &[Token], at: usize, name: &str, body: &Range<usize>) -> Option<StmtKind> {
     let effect = match name {
         "read_exact" => Effect::Fill,
-        "windows" | "chunks_exact" => Effect::Window,
         m if GROW_METHODS.contains(&m) => Effect::Grow,
         _ => return None,
     };
@@ -756,81 +581,4 @@ fn lower_arm(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKin
         arrow,
         body: start..end,
     })
-}
-
-// ---------------------------------------------------------------------------
-// The scoped store
-// ---------------------------------------------------------------------------
-
-/// One binding in a [`Store`]: `value` holds over `scope`, taking effect
-/// at `start` (later starts shadow earlier ones).
-#[derive(Debug, Clone)]
-pub struct Scoped<T> {
-    pub start: usize,
-    pub scope: Range<usize>,
-    pub value: T,
-}
-
-/// The scoped bindings of one fn body, in the order they were made.
-#[derive(Debug, Clone)]
-pub struct Store<T> {
-    pub entries: Vec<Scoped<T>>,
-}
-
-impl<T> Default for Store<T> {
-    fn default() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
-}
-
-impl<T> Store<T> {
-    pub fn push(&mut self, start: usize, scope: Range<usize>, value: T) {
-        self.entries.push(Scoped {
-            start,
-            scope,
-            value,
-        });
-    }
-
-    /// Every value holding at `at`.
-    pub fn at(&self, at: usize) -> impl Iterator<Item = &T> {
-        self.entries
-            .iter()
-            .filter(move |e| e.scope.contains(&at))
-            .map(|e| &e.value)
-    }
-
-    /// Among the values holding at `at` that `pred` accepts, the one
-    /// bound last.
-    pub fn latest(&self, at: usize, pred: impl Fn(&T) -> bool) -> Option<&T> {
-        self.entries
-            .iter()
-            .filter(|e| e.scope.contains(&at) && pred(&e.value))
-            .max_by_key(|e| e.start)
-            .map(|e| &e.value)
-    }
-
-    /// Cuts each binding short at the first [`Rebind`] inside its scope
-    /// that rebinds its variable or rebinds or shrinks one of its
-    /// sequences. `names` gives a value's variable and sequences (last
-    /// path segments).
-    pub fn cut(&mut self, rebinds: &[Rebind], names: impl Fn(&T) -> (Option<&str>, Vec<&str>)) {
-        for e in &mut self.entries {
-            let (var, seqs) = names(&e.value);
-            let first = rebinds
-                .iter()
-                .filter(|r| {
-                    let name = Some(r.name.as_str());
-                    e.scope.contains(&r.at)
-                        && (seqs.contains(&r.name.as_str()) || (!r.shrink && var == name))
-                })
-                .map(|r| r.at)
-                .min();
-            if let Some(at) = first {
-                e.scope.end = at;
-            }
-        }
-    }
 }

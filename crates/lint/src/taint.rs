@@ -24,8 +24,8 @@
 //! bound and clears nothing.
 //!
 //! Sources and sanitizers are a fold over each fn's lowered statements
-//! ([`crate::syntax`]) into per-variable taint states in the shared
-//! scoped store; at a query point the latest state in scope wins.
+//! ([`crate::syntax`]) into scoped per-variable taint states; at a query
+//! point the latest state in scope wins.
 //!
 //! The analysis is interprocedural: each function gets a bottom-up
 //! summary of which parameters reach which sink kind, so passing a
@@ -47,8 +47,8 @@ use crate::lexer::Token;
 use crate::parser::{FnItem, FnRef, ParsedFile};
 use crate::rules::{violation, PanicSite, Violation};
 use crate::syntax::{
-    call_arg_range, depth0, final_call, find_cmp, last_segment, path_starting_at, repeat_count,
-    tok_ident, tok_punct, Cmp, Effect, StmtKind, Store,
+    depth0, final_call, find_cmp, last_segment, path_starting_at, repeat_count, tok_ident,
+    tok_punct, Cmp, Effect, StmtKind,
 };
 use crate::workspace::SourceFile;
 
@@ -142,15 +142,45 @@ impl TaintSet {
     }
 }
 
-/// Per-variable taint states of one fn body. `None` is a cleanse (a
-/// recognized validation idiom); at a query point the binding made last
-/// among those whose scope contains the point wins.
-type Events = Store<(String, Option<TaintSet>)>;
+/// One taint state: `taint` holds for `var` over `scope`, taking effect
+/// at `start` (later starts shadow earlier ones). `None` is a cleanse (a
+/// recognized validation idiom).
+struct Event {
+    start: usize,
+    scope: Range<usize>,
+    var: String,
+    taint: Option<TaintSet>,
+}
 
+/// The taint states of one fn body, in the order they were made.
+#[derive(Default)]
+struct Events(Vec<Event>);
+
+impl Events {
+    fn push(
+        &mut self,
+        start: usize,
+        scope: Range<usize>,
+        (var, taint): (String, Option<TaintSet>),
+    ) {
+        self.0.push(Event {
+            start,
+            scope,
+            var,
+            taint,
+        });
+    }
+}
+
+/// The taint of `var` at `at`: the state made last among those whose
+/// scope contains `at`.
 fn query(events: &Events, var: &str, at: usize) -> TaintSet {
     events
-        .latest(at, |(v, _)| v == var)
-        .and_then(|(_, taint)| *taint)
+        .0
+        .iter()
+        .filter(|e| e.scope.contains(&at) && e.var == var)
+        .max_by_key(|e| e.start)
+        .and_then(|e| e.taint)
         .unwrap_or(TaintSet::EMPTY)
 }
 
@@ -582,11 +612,11 @@ fn analyze_fn(
             continue;
         }
         let target = call
-            .arg_target()
+            .target
             .filter(|t| *t != key && ctx.in_scope.get(t.0) == Some(&true));
         let Some(target) = target else { continue };
         for (k, kind) in summarize(ctx, target, memo, viols, visiting) {
-            let Some(arg) = call_arg_range(tokens, &call.args, k) else {
+            let Some(arg) = call.param_arg(tokens, k) else {
                 continue;
             };
             let set = expr_taint(tokens, &arg, &ev);

@@ -20,7 +20,6 @@ use crate::lexer::{lex, strip_test_code, Token};
 use crate::parser::parse_workspace;
 use crate::reach::reach_pass;
 use crate::rules::{run_rules, Violation};
-use crate::summary::{compute_summaries, summary_pass};
 use crate::taint::taint_pass;
 use std::fs;
 use std::io;
@@ -139,7 +138,6 @@ pub struct PassTimings {
     pub lexical_us: u128,
     pub parse_us: u128,
     pub flow_us: u128,
-    pub summary_us: u128,
     pub taint_us: u128,
     pub reach_us: u128,
     pub conc_us: u128,
@@ -152,46 +150,34 @@ pub struct PassTimings {
 pub struct CheckOutcome {
     /// Every violation, sorted by (file, line, rule).
     pub violations: Vec<Violation>,
-    /// `panic.indexing` sites the interval prover discharged.
-    pub proven_sites: usize,
     /// Per-pass elapsed wall-clock.
     pub timings: PassTimings,
 }
 
-/// Runs every pass — the workspace parse and its site table, function
-/// summaries, intraprocedural dataflow (`flow.*`), the per-file rules
-/// (`panic.*`, `units.raw-f64`), then the workspace-level semantic passes
-/// (taint, panic reachability, concurrency discipline, lock-order
-/// acyclicity) — over pre-loaded sources.
+/// Runs every pass — the workspace parse and its site table, unit
+/// inference (`flow.unit`), the per-file rules (`panic.*`,
+/// `units.raw-f64`), then the workspace-level semantic passes (taint,
+/// panic reachability, concurrency discipline, lock-order acyclicity) —
+/// over pre-loaded sources.
 ///
 /// The allowlist is input (not just output reconciliation) because
 /// `reach.panic` treats allowlisted indexing budgets as local bounds
-/// proofs. `flow.range` runs before the per-file rules and `reach.panic`
-/// because its proofs *discharge* index sites: a site the interval
-/// analysis proved in bounds is neither a `panic.indexing` finding nor a
-/// `reach.panic` sink.
+/// proofs.
 pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome {
     let started = Instant::now();
     let mut timings = PassTimings::default();
     let mut all = Vec::new();
 
     let t = Instant::now();
-    let mut parsed = parse_workspace(sources);
+    let parsed = parse_workspace(sources);
     timings.parse_us = t.elapsed().as_micros();
 
-    // Function summaries first: the interval prover consumes return-bound
-    // contracts at call sites, so they must exist before `flow_pass` runs.
+    // Unit inference where dimensioned scalars live.
     let t = Instant::now();
-    let summaries = compute_summaries(sources, &parsed);
-    summary_pass(sources, &parsed, &summaries, &mut all);
-    timings.summary_us = t.elapsed().as_micros();
-
-    // Dataflow: unit inference where dimensioned scalars live, interval
-    // analysis everywhere the panic rules look.
-    let t = Instant::now();
-    for (s, p) in sources.iter().zip(&mut parsed) {
-        let check_units = UNIT_FLOW_PREFIXES.iter().any(|pre| s.path.starts_with(pre));
-        flow_pass(&s.path, &s.tokens, p, check_units, &summaries, &mut all);
+    for (s, p) in sources.iter().zip(&parsed) {
+        if UNIT_FLOW_PREFIXES.iter().any(|pre| s.path.starts_with(pre)) {
+            flow_pass(&s.tokens, p, &mut all);
+        }
     }
     timings.flow_us = t.elapsed().as_micros();
 
@@ -220,10 +206,8 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
 
     all.sort_by(|a, b| (a.file.clone(), a.line, a.rule).cmp(&(b.file.clone(), b.line, b.rule)));
     timings.total_us = started.elapsed().as_micros();
-    let proven_sites = parsed.iter().flat_map(|p| &p.sites).filter(|s| s.proven);
     CheckOutcome {
         violations: all,
-        proven_sites: proven_sites.count(),
         timings,
     }
 }

@@ -5,8 +5,8 @@
 
 use bsa_lint::lexer::{lex, strip_test_code};
 use bsa_lint::{
-    compute_summaries, conc_pass, flow_pass, lock_order_pass, parse_workspace, reach_pass,
-    run_rules, summary_pass, taint_pass, Allowlist, ParsedFile, SourceFile, Violation,
+    conc_pass, flow_pass, lock_order_pass, parse_workspace, reach_pass, run_rules, taint_pass,
+    Allowlist, ParsedFile, SourceFile, Violation,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -130,31 +130,17 @@ fn conc_fixture_is_fully_flagged() {
 
 #[test]
 fn flow_fixture_is_fully_flagged() {
-    // Synthetic path inside a dimensioned-value crate so `flow.unit`
-    // runs alongside the always-on interval prover. The `panic.indexing`
-    // findings left after the prover's discharge join the comparison, so
-    // an index site that stops being proven fails the fixture.
+    // `flow.unit` plus the `panic.indexing` findings, so that every index
+    // site in the fixture, guarded or not, must carry its marker.
     check_semantic_fixture(
         "flow.rs",
         "crates/core/src/flow_fixture.rs",
         &|s, p, out| {
-            let summaries = compute_summaries(s, p);
-            let (Some(sf), Some(pf)) = (s.first(), p.first_mut()) else {
+            let (Some(sf), Some(pf)) = (s.first(), p.first()) else {
                 panic!("fixture harness passes exactly one file");
             };
-            flow_pass(&sf.path, &sf.tokens, pf, true, &summaries, out);
+            flow_pass(&sf.tokens, pf, out);
             out.extend(run_rules(&sf.tokens, pf, false));
-        },
-    );
-}
-
-#[test]
-fn summary_fixture_is_fully_flagged() {
-    check_semantic_fixture(
-        "summary.rs",
-        "crates/core/src/summary_fixture.rs",
-        &|s, p, out| {
-            summary_pass(s, p, &compute_summaries(s, p), out);
         },
     );
 }
@@ -230,7 +216,6 @@ fn every_rule_id_is_exercised_by_some_fixture() {
         "conc.rs",
         "flow.rs",
         "locks.rs",
-        "summary.rs",
         "taint.rs",
     ] {
         for ((_, rule), _) in expected_markers(&fixture(name)) {

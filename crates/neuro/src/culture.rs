@@ -73,7 +73,7 @@ impl CulturedNeuron {
         let t0 = t.value() - window;
         let start = self.spikes.partition_point(|s| s.value() < t0);
         let mut v = Volt::ZERO;
-        for s in &self.spikes[start..] {
+        for s in self.spikes.get(start..).unwrap_or_default() {
             let rel = t - *s;
             if rel.value() < -window {
                 break;

@@ -234,12 +234,11 @@ impl ApTemplate {
         if idx < 0.0 {
             return Volt::ZERO;
         }
-        let i = idx as usize;
-        if i + 1 >= self.samples.len() {
+        let Some(&[a, b, ..]) = self.samples.get(idx as usize..) else {
             return Volt::ZERO;
-        }
+        };
         let frac = (t + self.align).value() / self.dt.value() - idx;
-        self.samples[i] * (1.0 - frac) + self.samples[i + 1] * frac
+        a * (1.0 - frac) + b * frac
     }
 
     /// The raw samples.

@@ -78,6 +78,9 @@ pub const RECORD_OVERHEAD: usize = RECORD_META_LEN + 1;
 pub const DNA_READING_LEN: usize = PixelCount::MIN_LEN;
 
 /// Longest accepted spec snapshot, far above anything the station emits.
+/// [`crate::Recorder::create`] refuses a longer one, and
+/// [`crate::SegmentReader::open`] refuses a header with room for one
+/// before it allocates the header buffer.
 pub const MAX_SPEC_LEN: usize = 1 << 20;
 
 /// FNV-1a-64 over `bytes` — the segment header's config-hash function.

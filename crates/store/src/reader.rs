@@ -11,7 +11,7 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    frame_payload_len, SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, HEADER_FIXED_LEN,
+    frame_payload_len, SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, HEADER_FIXED_LEN, MAX_SPEC_LEN,
     RECORD_OVERHEAD,
 };
 use crate::writer::segment_path;
@@ -142,12 +142,17 @@ impl SegmentReader {
             offsets.push(r.u64()?);
         }
 
-        // --- header occupies everything before the first record
+        // --- header occupies everything before the first record, and
+        // holds at most a `MAX_SPEC_LEN` spec
         let header_end = offsets.first().copied().unwrap_or(index_off);
         let header_len = usize::try_from(header_end).map_err(|_| StoreError::InvalidValue {
             what: "segment header length",
         })?;
-        if header_len < HEADER_FIXED_LEN + 1 || header_end > index_off {
+        let max_header_len = HEADER_FIXED_LEN + MAX_SPEC_LEN + 1;
+        if header_len < HEADER_FIXED_LEN + 1
+            || header_len > max_header_len
+            || header_end > index_off
+        {
             return Err(StoreError::InvalidValue {
                 what: "segment header length",
             });

@@ -11,7 +11,7 @@
 //! abandoned recording is still a valid, replayable segment.
 
 use crate::error::StoreError;
-use crate::format::{SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN};
+use crate::format::{SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, MAX_SPEC_LEN};
 use bsa_link::wire::Writer;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, ErrorKind, Write};
@@ -90,7 +90,8 @@ impl Recorder {
     /// Creates the segment file, writes its header synchronously (so
     /// creation errors surface here, not mid-stream) and spawns the
     /// writer thread. `expected_payload` is the byte size every offered
-    /// frame must have — use [`crate::frame_payload_len`].
+    /// frame must have — use [`crate::frame_payload_len`]. A spec longer
+    /// than [`crate::format::MAX_SPEC_LEN`] is refused before any file exists.
     pub fn create(
         root: &Path,
         name: &str,
@@ -99,6 +100,11 @@ impl Recorder {
         queue_depth: usize,
     ) -> Result<Self, StoreError> {
         let path = segment_path(root, name)?;
+        if meta.spec.len() > MAX_SPEC_LEN {
+            return Err(StoreError::InvalidValue {
+                what: "segment spec length",
+            });
+        }
         std::fs::create_dir_all(root)?;
         let file = match OpenOptions::new().write(true).create_new(true).open(&path) {
             Ok(file) => file,

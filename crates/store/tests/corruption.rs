@@ -7,11 +7,15 @@
 
 #![allow(clippy::unwrap_used)] // tests unwrap idiomatically
 
+use bsa_link::wire::{Codec, Writer};
 use bsa_link::ChipKind;
 use bsa_link::PixelCount;
+use bsa_store::format::{
+    FOOTER_MAGIC, FOOTER_TAIL_LEN, HEADER_FIXED_LEN, MAX_SPEC_LEN, SEGMENT_MAGIC,
+};
 use bsa_store::{
     encode_dna_reading, encode_neuro_frame, fnv1a64, frame_payload_len, Recorder, SegmentMeta,
-    SegmentReader, StoreError,
+    SegmentReader, StoreError, SEGMENT_VERSION,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -199,6 +203,74 @@ fn oversized_declared_footer_fields_rejected_before_allocation() {
         })
     ));
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A frameless neuro segment whose spec is `spec_len` bytes, laid out
+/// and checksummed as a recorder lays it out, so that only the reader's
+/// spec limit can refuse it.
+fn frameless_segment(spec_len: usize) -> Vec<u8> {
+    let spec = "s".repeat(spec_len);
+    let mut w = Writer::with_capacity(HEADER_FIXED_LEN + spec_len + 1 + FOOTER_TAIL_LEN);
+    w.bytes(SEGMENT_MAGIC);
+    w.u16(SEGMENT_VERSION);
+    ChipKind::Neuro.encode(&mut w);
+    w.u8(0); // flags
+    w.u32(7); // chip
+    w.u16(2); // rows
+    w.u16(3); // cols
+    w.u64(fnv1a64(spec.as_bytes()));
+    w.string(&spec);
+    w.crc8();
+    let mut bytes = w.into_bytes();
+    // Empty offset table; the header runs up to the footer.
+    let mut footer = Writer::with_capacity(FOOTER_TAIL_LEN);
+    footer.u64(0);
+    footer.u64(bytes.len() as u64);
+    footer.u32(0);
+    footer.crc8();
+    footer.bytes(FOOTER_MAGIC);
+    bytes.extend_from_slice(footer.as_bytes());
+    bytes
+}
+
+/// A spec past `MAX_SPEC_LEN` is refused when recording, and a header
+/// with room for one is refused on open, before the reader sizes the
+/// header buffer from the first record's offset.
+#[test]
+fn oversized_spec_is_refused_on_write_and_read() {
+    let root = temp_root("spec");
+    let spec = "s".repeat(MAX_SPEC_LEN + 1);
+    let meta = SegmentMeta {
+        chip: 7,
+        kind: ChipKind::Neuro,
+        rows: 2,
+        cols: 3,
+        config_hash: fnv1a64(spec.as_bytes()),
+        spec,
+    };
+    let payload_len = frame_payload_len(ChipKind::Neuro, 2, 3);
+    assert!(matches!(
+        Recorder::create(&root, "long", &meta, payload_len, 4),
+        Err(StoreError::InvalidValue {
+            what: "segment spec length"
+        })
+    ));
+    assert!(!root.join("long.seg").exists());
+
+    std::fs::create_dir_all(&root).unwrap();
+    let path = root.join("s.seg");
+    std::fs::write(&path, frameless_segment(MAX_SPEC_LEN)).unwrap();
+    let reader = SegmentReader::open(&path).unwrap();
+    assert_eq!(reader.meta().spec.len(), MAX_SPEC_LEN);
+    assert_eq!(reader.frames(), 0);
+    std::fs::write(&path, frameless_segment(MAX_SPEC_LEN + 1)).unwrap();
+    assert!(matches!(
+        SegmentReader::open(&path),
+        Err(StoreError::InvalidValue {
+            what: "segment header length"
+        })
+    ));
     let _ = std::fs::remove_dir_all(&root);
 }
 
