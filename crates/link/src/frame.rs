@@ -15,7 +15,9 @@
 
 use crate::crc::{crc8, Crc8};
 use crate::error::ProtocolError;
-use crate::message::Message;
+use crate::message::{Message, NeuroChunkHead, NEURO_CHUNK_HEAD};
+use crate::samples::SAMPLE_LEN;
+use crate::wire::Writer;
 use std::io::{Read, Write};
 
 /// Frame preamble: distinguishes protocol traffic from stray bytes.
@@ -48,12 +50,58 @@ pub const MAX_FRAME_LEN: usize = MAX_PAYLOAD + FRAME_OVERHEAD;
 /// the CRC is appended, with no further allocation or copy.
 #[must_use]
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let mut frame = msg.encode_after(HEADER_LEN);
+    let frame = msg.encode_after(HEADER_LEN);
     let len = frame.len().saturating_sub(HEADER_LEN);
     // No legitimate message approaches MAX_PAYLOAD (the largest stream
     // chunk is bounded by the station's chunking policy); this is a
     // caller-bug guard, not a wire condition.
     assert!(len <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
+    seal(frame)
+}
+
+/// Encodes a `StreamData` chunk of neuro frames as one complete frame,
+/// header to CRC, in one buffer sized up front. `append_block` appends
+/// the chunk's sample block behind the chunk head: `head.frames` frames
+/// of `rows × cols` samples in the [`crate::samples`] format. The bytes
+/// equal [`encode_frame`] of the matching [`Message::StreamData`], so a
+/// caller that holds the samples as bytes (a stored record, say) never
+/// turns them into `f64`s, and one that holds `f64`s appends them with
+/// [`crate::samples::encode_samples`].
+///
+/// # Errors
+///
+/// [`ProtocolError::FrameTooLarge`] if the payload would exceed
+/// [`MAX_PAYLOAD`], before `append_block` runs; whatever `append_block`
+/// returns; and [`ProtocolError::InvalidValue`] if it appended other than
+/// the block's length.
+pub fn encode_neuro_chunk<E: From<ProtocolError>>(
+    head: &NeuroChunkHead,
+    append_block: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<Vec<u8>, E> {
+    let block = head.block_len();
+    let len = NEURO_CHUNK_HEAD.saturating_add(block);
+    if len > MAX_PAYLOAD {
+        return Err(ProtocolError::FrameTooLarge { len }.into());
+    }
+    let mut w = Writer::with_capacity(HEADER_LEN + len + 1);
+    w.zeros(HEADER_LEN);
+    // `block` is under MAX_PAYLOAD, so its sample count fits a `u32`.
+    head.encode(&mut w, (block / SAMPLE_LEN) as u32);
+    let mut frame = w.into_bytes();
+    append_block(&mut frame)?;
+    if frame.len() != HEADER_LEN + len {
+        return Err(ProtocolError::InvalidValue {
+            what: "NeuroFrames sample block length",
+        }
+        .into());
+    }
+    Ok(seal(frame))
+}
+
+/// Completes a frame whose payload follows [`HEADER_LEN`] reserved bytes:
+/// fills in the header and appends the CRC.
+fn seal(mut frame: Vec<u8>) -> Vec<u8> {
+    let len = frame.len().saturating_sub(HEADER_LEN);
     let [m0, m1] = MAGIC;
     let [l0, l1, l2, l3] = (len as u32).to_le_bytes();
     if let Some(header) = frame.first_chunk_mut() {

@@ -49,12 +49,12 @@ pub mod wire;
 
 pub use error::ProtocolError;
 pub use frame::{
-    decode_frame, decode_frame_prefix, encode_frame, read_message, write_message, FRAME_OVERHEAD,
-    HEADER_LEN, MAGIC, MAX_PAYLOAD, PROTOCOL_VERSION,
+    decode_frame, decode_frame_prefix, encode_frame, encode_neuro_chunk, read_message,
+    write_message, FRAME_OVERHEAD, HEADER_LEN, MAGIC, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use message::{
     ChipId, ChipKind, CultureSpec, DegradationSummary, DnaChipSpec, ErrorCode, FaultEntrySpec,
-    FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, PixelCount,
-    RecordingEntry, SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec, YieldSummary,
-    ASSAY_RESULT_HEAD, DNA_CHUNK_HEAD, NEURO_CHUNK_HEAD,
+    FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, NeuroChunkHead,
+    PixelCount, RecordingEntry, SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec,
+    YieldSummary, ASSAY_RESULT_HEAD, DNA_CHUNK_HEAD, NEURO_CHUNK_HEAD,
 };

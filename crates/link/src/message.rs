@@ -31,6 +31,7 @@
 //! | any                  | `ErrorReply` on failure                    |
 
 use crate::error::ProtocolError;
+use crate::samples::SAMPLE_LEN;
 use crate::wire::{Codec, Reader, Writer, COUNT_LEN};
 
 /// Station-assigned handle for an attached chip, scoped to one session.
@@ -701,6 +702,9 @@ impl Codec for PixelCount {
     }
 }
 
+/// `StreamPayload` tag of `NeuroFrames`.
+const PAYLOAD_NEURO_FRAMES: u8 = 0;
+
 impl StreamPayload {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -710,7 +714,7 @@ impl StreamPayload {
                 cols,
                 samples,
             } => {
-                w.u8(0);
+                w.u8(PAYLOAD_NEURO_FRAMES);
                 w.u32(*first_frame);
                 w.u16(*rows);
                 w.u16(*cols);
@@ -725,7 +729,7 @@ impl StreamPayload {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
         match r.u8()? {
-            0 => Ok(Self::NeuroFrames {
+            PAYLOAD_NEURO_FRAMES => Ok(Self::NeuroFrames {
                 first_frame: r.u32()?,
                 rows: r.u16()?,
                 cols: r.u16()?,
@@ -1027,6 +1031,48 @@ const CHUNK_HEAD: usize = u8::MIN_LEN + ChipId::MIN_LEN + u32::MIN_LEN + u8::MIN
 
 /// Bytes of a `StreamData` message of `NeuroFrames` besides its samples.
 pub const NEURO_CHUNK_HEAD: usize = CHUNK_HEAD + u32::MIN_LEN + 2 * u16::MIN_LEN + COUNT_LEN;
+
+/// Everything in a `StreamData` message of `NeuroFrames` but its samples:
+/// what [`crate::encode_neuro_chunk`] writes ahead of the sample block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NeuroChunkHead {
+    /// Chip the chunk belongs to.
+    pub chip: ChipId,
+    /// Chunk sequence number within its stream.
+    pub seq: u32,
+    /// Index of the chunk's first frame within its stream.
+    pub first_frame: u32,
+    /// Frame height in pixels.
+    pub rows: u16,
+    /// Frame width in pixels.
+    pub cols: u16,
+    /// Frames in the chunk.
+    pub frames: u32,
+}
+
+impl NeuroChunkHead {
+    /// Bytes of the chunk's sample block, saturating.
+    pub(crate) fn block_len(&self) -> usize {
+        usize::from(self.rows)
+            .saturating_mul(usize::from(self.cols))
+            .saturating_mul(self.frames as usize)
+            .saturating_mul(SAMPLE_LEN)
+    }
+
+    /// Writes the message up to its sample block, whose sample count is
+    /// `samples`: the bytes `Message::encode_payload` writes ahead of the
+    /// samples of the matching `StreamData`.
+    pub(crate) fn encode(&self, w: &mut Writer, samples: u32) {
+        w.u8(TAG_STREAM_DATA);
+        w.u32(self.chip);
+        w.u32(self.seq);
+        w.u8(PAYLOAD_NEURO_FRAMES);
+        w.u32(self.first_frame);
+        w.u16(self.rows);
+        w.u16(self.cols);
+        w.u32(samples);
+    }
+}
 
 /// Bytes of a `StreamData` message of `DnaCounts` besides its readings.
 pub const DNA_CHUNK_HEAD: usize = CHUNK_HEAD + COUNT_LEN;

@@ -8,11 +8,13 @@
 #![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
 
 use bsa_link::crc::{crc8, Crc8, CRC8_POLY};
+use bsa_link::samples::encode_samples;
 use bsa_link::{
-    decode_frame, encode_frame, read_message, write_message, ChipKind, CultureSpec,
-    DegradationSummary, DnaChipSpec, ErrorCode, FaultEntrySpec, FaultKindSpec, FaultPlanSpec,
-    FaultTargetSpec, Message, NeuroChipSpec, PixelCount, ProtocolError, RecordingEntry,
-    SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec, YieldSummary,
+    decode_frame, encode_frame, encode_neuro_chunk, read_message, write_message, ChipKind,
+    CultureSpec, DegradationSummary, DnaChipSpec, ErrorCode, FaultEntrySpec, FaultKindSpec,
+    FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, NeuroChunkHead, PixelCount,
+    ProtocolError, RecordingEntry, SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec,
+    YieldSummary, MAX_PAYLOAD, NEURO_CHUNK_HEAD,
 };
 use proptest::prelude::*;
 
@@ -877,4 +879,102 @@ fn each_count_is_checked_against_its_element_size() {
             too_many - 1
         );
     }
+}
+
+/// The frame `encode_neuro_chunk` writes from `samples` appended as
+/// bytes, and `encode_frame` of the matching message.
+fn neuro_chunk_both_ways(head: NeuroChunkHead, samples: Vec<f64>) -> (Vec<u8>, Vec<u8>) {
+    let direct = encode_neuro_chunk(&head, |block| {
+        encode_samples(&samples, block);
+        Ok::<_, ProtocolError>(())
+    })
+    .unwrap();
+    let via_message = encode_frame(&Message::StreamData {
+        chip: head.chip,
+        seq: head.seq,
+        payload: StreamPayload::NeuroFrames {
+            first_frame: head.first_frame,
+            rows: head.rows,
+            cols: head.cols,
+            samples,
+        },
+    });
+    (direct, via_message)
+}
+
+/// `NeuroChunkHead` of a `frames`-frame chunk of `rows × cols`.
+fn chunk_head(rows: u16, cols: u16, frames: u32) -> NeuroChunkHead {
+    NeuroChunkHead {
+        chip: 7,
+        seq: frames.wrapping_mul(3),
+        first_frame: frames.wrapping_mul(11),
+        rows,
+        cols,
+        frames,
+    }
+}
+
+/// The chunk writer's frame is `encode_frame`'s byte for byte, sized up
+/// front, for every chunk length the station can send (1 to 127 frames,
+/// its clamp at 128×128) on a small array whose samples cycle through
+/// NaN payloads, signed zeros and subnormals.
+#[test]
+fn neuro_chunk_writer_matches_encode_frame() {
+    let awkward = awkward_samples();
+    let stride = if cfg!(miri) { 14 } else { 1 };
+    for frames in (1..=127).step_by(stride) {
+        let samples = awkward.iter().copied().cycle().take(15 * frames as usize);
+        let (direct, via_message) =
+            neuro_chunk_both_ways(chunk_head(3, 5, frames), samples.collect());
+        assert!(direct == via_message, "{frames} frames");
+        assert_eq!(direct.capacity(), direct.len(), "{frames} frames");
+    }
+}
+
+/// At full size: a 127-frame 128×128 chunk matches `encode_frame`, and
+/// so do the most one-pixel frames that fit `MAX_PAYLOAD`. One frame
+/// more, a 128-frame 128×128 chunk and an overflowing geometry are
+/// `FrameTooLarge`, refused before the block is asked for.
+#[test]
+#[cfg_attr(miri, ignore = "16 MiB frames")]
+fn neuro_chunk_writer_holds_the_payload_limit() {
+    let samples = (0..127 * 128 * 128).map(|i| f64::from(i) * 1e-7 - 0.5);
+    let (direct, via_message) = neuro_chunk_both_ways(chunk_head(128, 128, 127), samples.collect());
+    assert!(direct == via_message, "127 frames of 128x128");
+
+    let most = ((MAX_PAYLOAD - NEURO_CHUNK_HEAD) / 8) as u32;
+    let (direct, via_message) =
+        neuro_chunk_both_ways(chunk_head(1, 1, most), vec![-0.0; most as usize]);
+    assert!(direct == via_message, "{most} one-pixel frames");
+    assert!(decode_frame(&direct).is_ok());
+
+    for (rows, cols, frames) in [
+        (1, 1, most + 1),
+        (128, 128, 128),
+        (u16::MAX, u16::MAX, u32::MAX),
+    ] {
+        let result = encode_neuro_chunk(
+            &chunk_head(rows, cols, frames),
+            |_| -> Result<(), ProtocolError> {
+                panic!("block asked for an oversized {rows}x{cols}x{frames} chunk")
+            },
+        );
+        assert!(
+            matches!(result, Err(ProtocolError::FrameTooLarge { len }) if len > MAX_PAYLOAD),
+            "{rows}x{cols}x{frames}: {result:?}"
+        );
+    }
+}
+
+/// A block of the wrong length is `InvalidValue`, and an error of the
+/// block writer's own comes back as it was.
+#[test]
+fn neuro_chunk_writer_refuses_a_ragged_block() {
+    let short = encode_neuro_chunk(&chunk_head(2, 2, 1), |block| {
+        encode_samples(&[1.0; 3], block);
+        Ok::<_, ProtocolError>(())
+    });
+    assert!(matches!(short, Err(ProtocolError::InvalidValue { .. })));
+    let failed = encode_neuro_chunk(&chunk_head(2, 2, 1), |_| Err(ProtocolError::BadUtf8));
+    assert!(matches!(failed, Err(ProtocolError::BadUtf8)));
 }

@@ -31,6 +31,9 @@ pub struct AllowEntry {
 /// Parsed allowlist.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Allowlist {
+    /// The file's leading comment block, newlines included, written back
+    /// verbatim by [`Self::to_toml`].
+    pub header: String,
     /// Entries in file order.
     pub entries: Vec<AllowEntry>,
 }
@@ -53,6 +56,10 @@ impl fmt::Display for AllowError {
 impl Allowlist {
     /// Parses the allowlist from TOML text.
     pub fn parse(text: &str) -> Result<Self, AllowError> {
+        let header = text
+            .split_inclusive('\n')
+            .take_while(|line| line.starts_with('#'))
+            .collect();
         let mut entries: Vec<AllowEntry> = Vec::new();
         let mut current: Option<(usize, PartialEntry)> = None;
 
@@ -133,25 +140,13 @@ impl Allowlist {
                 });
             }
         }
-        Ok(Self { entries })
+        Ok(Self { header, entries })
     }
 
-    /// Serializes back to the canonical TOML layout (used by `tighten`).
+    /// Serializes back to the canonical TOML layout (used by `tighten`):
+    /// the parsed header as it was, then one table per entry.
     pub fn to_toml(&self) -> String {
-        let mut out = String::from(
-            "# Violation budgets for `cargo run -p bsa-lint -- check`.\n\
-             # Budgets are exact: the check fails if a file exceeds OR undershoots\n\
-             # its budget, so this file can only ever shrink. Never add entries to\n\
-             # silence a new violation - fix the code instead.\n\
-             #\n\
-             # Total-budget trajectory: 158 at introduction, 156 after the semantic\n\
-             # layer, 155 after the fast-path rework, 143 after the intraprocedural\n\
-             # interval prover, 133 after the interprocedural function-summary\n\
-             # prover and wire-taint pass, 127 after the acquisition cursor replaced\n\
-             # the whole-request scan loop, 124 after the determinism rules moved\n\
-             # to clippy.toml and the wire-ABI lock to a bsa-link golden test, 117\n\
-             # after bsa-lint's provers moved onto one statement model.\n",
-        );
+        let mut out = self.header.clone();
         for e in &self.entries {
             out.push_str(&format!(
                 "\n[[allow]]\nfile = \"{}\"\nrule = \"{}\"\nmax = {}\nreason = \"{}\"\n",
@@ -335,6 +330,17 @@ reason = "indices derive from the slice length"
         let a = Allowlist::parse(SAMPLE).expect("parses");
         let b = Allowlist::parse(&a.to_toml()).expect("round-trips");
         assert_eq!(a, b);
+    }
+
+    /// `tighten` rewrites the committed file through `to_toml`; with no
+    /// budget to change it must write back the same bytes, header
+    /// included.
+    #[test]
+    fn committed_allowlist_round_trips_byte_for_byte() {
+        let committed = include_str!("../../../lint.allow.toml");
+        let a = Allowlist::parse(committed).expect("parses");
+        assert!(a.header.starts_with("# Violation budgets"));
+        assert_eq!(a.to_toml(), committed);
     }
 
     #[test]

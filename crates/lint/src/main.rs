@@ -241,7 +241,10 @@ fn cmd_tighten() -> ExitCode {
             .entry((v.file.clone(), v.rule.to_string()))
             .or_default() += 1;
     }
-    let mut tightened = Allowlist::default();
+    let mut tightened = Allowlist {
+        header: allowlist.header.clone(),
+        entries: Vec::new(),
+    };
     for entry in &allowlist.entries {
         let actual = counts
             .get(&(entry.file.clone(), entry.rule.clone()))

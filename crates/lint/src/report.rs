@@ -178,6 +178,7 @@ mod tests {
     fn clean_report_renders_and_balances() {
         let rec = Reconciliation::default();
         let allow = Allowlist {
+            header: String::new(),
             entries: vec![AllowEntry {
                 file: "crates/core/src/a.rs".to_string(),
                 rule: "panic.indexing".to_string(),

@@ -27,13 +27,15 @@ use bsa_core::neuro_chip::NeuroChip;
 use bsa_core::ScanOptions;
 use bsa_dsp::masking::PixelMask;
 use bsa_electrochem::sequence::DnaSequence;
+use bsa_link::samples::encode_samples;
 use bsa_link::{
-    encode_frame, read_message, write_message, ChipId, ChipKind, ErrorCode, Message, PixelCount,
-    ProtocolError, RecordingEntry, StreamPayload, PROTOCOL_VERSION,
+    encode_frame, encode_neuro_chunk, read_message, write_message, ChipId, ChipKind, ErrorCode,
+    Message, NeuroChunkHead, PixelCount, ProtocolError, RecordingEntry, StreamPayload,
+    PROTOCOL_VERSION,
 };
 use bsa_store::{
-    decode_dna_reading, decode_neuro_frame, encode_dna_reading, encode_neuro_frame, fnv1a64,
-    frame_payload_len, list_recordings, Recorder, SegmentMeta, SegmentReader, DEFAULT_QUEUE_DEPTH,
+    decode_dna_reading, encode_dna_reading, fnv1a64, frame_payload_len, list_recordings, Recorder,
+    SegmentMeta, SegmentReader, DEFAULT_QUEUE_DEPTH,
 };
 use bsa_units::{Molar, Seconds};
 use std::collections::{BTreeMap, BTreeSet};
@@ -89,11 +91,10 @@ impl Outbound {
         }
     }
 
-    /// Non-blocking send for stream data. A full queue drops the chunk
-    /// (the caller accounts for it); a disconnected queue ends the
-    /// session.
-    fn offer_stream(&self, msg: &Message) -> Result<Offer, Gone> {
-        let frame = encode_frame(msg);
+    /// Non-blocking send for an encoded stream data frame. A full queue
+    /// drops the chunk (the caller accounts for it); a disconnected queue
+    /// ends the session.
+    fn offer_stream(&self, frame: Vec<u8>) -> Result<Offer, Gone> {
         self.stats.queue_enter();
         match self.tx.try_send(frame) {
             Ok(()) => {
@@ -113,25 +114,23 @@ impl Outbound {
 
     /// Serves one `StreamData`* `StreamEnd` stream of `total` frames (or
     /// DNA readings) in chunks of at most `chunk` (≥ 1).
-    /// `produce(first, n, spare)` builds each chunk's payload just before
-    /// it is offered, so the session holds one chunk at a time; `spare` is
-    /// the previous chunk's payload, handed back once it is encoded so
-    /// the producer can reuse its buffers. The emitter owns the chunk
-    /// sequence, the sent/dropped tally and the closing `StreamEnd`, and
-    /// adds the tally to `frames_served`/`frames_dropped` however the
-    /// stream ends. A producer `Err(reply)` ends the stream with that
+    /// `produce(seq, first, n)` encodes chunk `seq`, frames `first` to
+    /// `first + n`, as a complete `StreamData` wire frame just before it
+    /// is offered, so the session holds one chunk at a time. The emitter
+    /// owns the chunk sequence, the sent/dropped tally and the closing
+    /// `StreamEnd`, and adds the tally to `frames_served`/`frames_dropped`
+    /// however the stream ends. A producer `Err(reply)` ends the stream with that
     /// reply in place of `StreamEnd`; a vanished client stops it at once.
     fn emit_stream(
         &self,
         chip: ChipId,
         total: u32,
         chunk: u32,
-        mut produce: impl FnMut(u32, u32, Option<StreamPayload>) -> Result<StreamPayload, Message>,
+        mut produce: impl FnMut(u32, u32, u32) -> Result<Vec<u8>, Message>,
     ) -> Result<(), Gone> {
         let mut sent: u32 = 0;
         let mut dropped: u32 = 0;
         let mut seq: u32 = 0;
-        let mut spare = None;
         let end = loop {
             let first = sent + dropped;
             if first >= total {
@@ -142,18 +141,14 @@ impl Outbound {
                 });
             }
             let n = chunk.min(total - first);
-            let payload = match produce(first, n, spare.take()) {
-                Ok(payload) => payload,
+            let frame = match produce(seq, first, n) {
+                Ok(frame) => frame,
                 Err(reply) => break Ok(reply),
             };
-            let msg = Message::StreamData { chip, seq, payload };
-            match self.offer_stream(&msg) {
+            match self.offer_stream(frame) {
                 Ok(Offer::Sent) => sent += n,
                 Ok(Offer::Dropped) => dropped += n,
                 Err(Gone) => break Err(Gone),
-            }
-            if let Message::StreamData { payload, .. } = msg {
-                spare = Some(payload);
             }
             seq = seq.wrapping_add(1);
         };
@@ -693,8 +688,10 @@ impl Session {
 
     /// Streams a stored recording back with the exact `StreamData`*
     /// `StreamEnd` grammar a live chip produces, under the recorded chip
-    /// id. Neuro payloads are decoded from their raw IEEE-754 bits, so a
-    /// replayed frame is `f64::to_bits`-identical to the recorded one.
+    /// id. A neuro record is its frame's slice of the wire's sample
+    /// block, so each chunk appends its records' bytes as they are stored:
+    /// a replayed frame is byte-identical to the recorded one, and no
+    /// sample is decoded on the way.
     fn replay(&mut self, name: &str, chunk_frames: u32) -> Result<(), Gone> {
         let Some(root) = self.store_root.clone() else {
             return self.out.send_control(error_reply(
@@ -711,7 +708,7 @@ impl Session {
             }
         };
         // The geometry comes from a stored segment header — attacker or
-        // corruption territory — and sizes the chunk sample buffer: one
+        // corruption territory — and sizes each chunk's frame: one
         // recorded frame must fit a stream chunk.
         let meta = reader.meta().clone();
         let rows = usize::from(meta.rows);
@@ -729,27 +726,29 @@ impl Session {
             ChipKind::Dna => (DNA_CHUNK_READINGS, MAX_CHUNK_READINGS),
         };
         let chunk = chunk_size(chunk_frames, default, cap);
-        // Each chunk is assembled from n consecutive records. A corrupted
-        // record ends the replay with a typed error reply; the client's
-        // stream loop surfaces it as a server error.
+        // Each chunk is assembled from n consecutive records, each checked
+        // against its CRC as it is read. A corrupted record ends the
+        // replay with a typed error reply in place of its chunk; the
+        // client's stream loop surfaces it as a server error.
         self.out
-            .emit_stream(meta.chip, total, chunk, |first, n, spare| {
+            .emit_stream(meta.chip, total, chunk, |seq, first, n| {
                 let mut records = u64::from(first)..u64::from(first) + u64::from(n);
-                let payload = match meta.kind {
+                let frame = match meta.kind {
                     ChipKind::Neuro => {
-                        let mut samples = spare_samples(spare);
-                        samples.reserve((n as usize) * pixels);
-                        records
-                            .try_for_each(|i| {
-                                let frame = reader.frame(i)?;
-                                decode_neuro_frame(frame.payload, &mut samples)
+                        let head = NeuroChunkHead {
+                            chip: meta.chip,
+                            seq,
+                            first_frame: first,
+                            rows: meta.rows,
+                            cols: meta.cols,
+                            frames: n,
+                        };
+                        encode_neuro_chunk(&head, |block| {
+                            records.try_for_each(|i| {
+                                block.extend_from_slice(reader.frame(i)?.payload);
+                                Ok(())
                             })
-                            .map(|()| StreamPayload::NeuroFrames {
-                                first_frame: first,
-                                rows: meta.rows,
-                                cols: meta.cols,
-                                samples,
-                            })
+                        })
                     }
                     ChipKind::Dna => records
                         .map(|i| {
@@ -758,9 +757,9 @@ impl Session {
                                 .and_then(|frame| decode_dna_reading(frame.payload))
                         })
                         .collect::<Result<_, _>>()
-                        .map(|readings| StreamPayload::DnaCounts { readings }),
+                        .map(|readings| dna_chunk(meta.chip, seq, readings)),
                 };
-                payload.map_err(|err| error_reply(ErrorCode::StoreError, err.to_string()))
+                frame.map_err(|err| error_reply(ErrorCode::StoreError, err.to_string()))
             })
     }
 
@@ -801,15 +800,9 @@ impl Session {
         if stream_counts {
             let total = readings.len() as u32;
             self.out
-                .emit_stream(id, total, DNA_CHUNK_READINGS, |first, n, _| {
-                    Ok(StreamPayload::DnaCounts {
-                        readings: readings
-                            .iter()
-                            .skip(first as usize)
-                            .take(n as usize)
-                            .copied()
-                            .collect(),
-                    })
+                .emit_stream(id, total, DNA_CHUNK_READINGS, |seq, first, n| {
+                    let chunk = readings.iter().skip(first as usize).take(n as usize);
+                    Ok(dna_chunk(id, seq, chunk.copied().collect()))
                 })?;
         }
         self.out.send_control(Message::AssayResult {
@@ -876,46 +869,59 @@ impl Session {
             .recorders
             .get_mut(&id)
             .map(|active| (active.claim_epoch(), &mut active.recorder));
+        let record_len = frame_payload_len(ChipKind::Neuro, rows, cols);
         // One cursor per request: chunks drawn from it are bit-identical
         // to an in-process record() of the whole request, and the session
-        // holds one chunk at a time, drawn into one reused sample buffer.
+        // holds one chunk at a time, drawn into one reused sample buffer
+        // and encoded once, straight into its wire frame.
         let mut acquisition = chip.acquire(&culture, Seconds::new(t0), ScanOptions::default());
-        self.out.emit_stream(id, frames, chunk, |first, n, spare| {
-            let mut samples = spare_samples(spare);
+        let mut samples = Vec::new();
+        self.out.emit_stream(id, frames, chunk, |seq, first, n| {
+            samples.clear();
             acquisition.next_chunk(&mut samples, n as usize);
-            for frame in samples.chunks_exact_mut(g.len()) {
-                if let Some(mask) = &mask {
+            if let Some(mask) = &mask {
+                for frame in samples.chunks_exact_mut(g.len()) {
                     let _ = mask.interpolate(frame);
                 }
-                // Persist the post-mask frame *before* the outbound
-                // offer: the segment records what the chip produced for
-                // the client, independent of TCP backpressure. The store
-                // queue drops-and-counts on its own; I/O failures
-                // surface at `StopRecording`.
-                if let Some((epoch, recorder)) = &mut tee {
-                    let _ = recorder.offer(*epoch, encode_neuro_frame(frame));
-                }
             }
-            Ok(StreamPayload::NeuroFrames {
+            let head = NeuroChunkHead {
+                chip: id,
+                seq,
                 first_frame: first,
                 rows,
                 cols,
-                samples,
+                frames: n,
+            };
+            encode_neuro_chunk(&head, |block| {
+                let start = block.len();
+                encode_samples(&samples, block);
+                // Persist the post-mask frames *before* the outbound
+                // offer: the segment records what the chip produced for
+                // the client, independent of TCP backpressure. A record
+                // is its frame's slice of the encoded block, copied into
+                // a buffer the store hands back. The store queue
+                // drops-and-counts on its own; I/O failures surface at
+                // `StopRecording`.
+                if let Some((epoch, recorder)) = &mut tee {
+                    let encoded = block.get(start..).unwrap_or_default();
+                    for frame in encoded.chunks_exact(record_len) {
+                        let _ = recorder.offer_bytes(*epoch, frame);
+                    }
+                }
+                Ok::<_, ProtocolError>(())
             })
+            .map_err(|err| error_reply(ErrorCode::Internal, err.to_string()))
         })
     }
 }
 
-/// The sample buffer of a spent neuro chunk, emptied for the next one
-/// (a fresh buffer for the first chunk).
-fn spare_samples(spare: Option<StreamPayload>) -> Vec<f64> {
-    match spare {
-        Some(StreamPayload::NeuroFrames { mut samples, .. }) => {
-            samples.clear();
-            samples
-        }
-        _ => Vec::new(),
-    }
+/// One `StreamData` chunk of DNA readings, as a wire frame.
+fn dna_chunk(chip: ChipId, seq: u32, readings: Vec<PixelCount>) -> Vec<u8> {
+    encode_frame(&Message::StreamData {
+        chip,
+        seq,
+        payload: StreamPayload::DnaCounts { readings },
+    })
 }
 
 fn error_reply(code: ErrorCode, message: String) -> Message {
@@ -1053,7 +1059,7 @@ mod tests {
         let mut sent = 0;
         let mut dropped = 0;
         for _ in 0..10 {
-            match out.offer_stream(&Message::Ack).unwrap() {
+            match out.offer_stream(encode_frame(&Message::Ack)).unwrap() {
                 Offer::Sent => sent += 1,
                 Offer::Dropped => dropped += 1,
             }
@@ -1077,7 +1083,7 @@ mod tests {
             stats: Arc::clone(&stats),
         };
         assert!(out.send_control(Message::Ack).is_err());
-        assert!(out.offer_stream(&Message::Ack).is_err());
+        assert!(out.offer_stream(encode_frame(&Message::Ack)).is_err());
         assert_eq!(stats.queue_depth.load(Ordering::Relaxed), 0);
     }
 }

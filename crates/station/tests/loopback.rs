@@ -800,3 +800,95 @@ fn oversized_chunks_are_clamped_to_one_wire_frame() {
     drop(station);
     let _ = std::fs::remove_dir_all(&store_root);
 }
+
+/// A record corrupted in the middle of a segment ends its replay at that
+/// record: the chunks before it arrive bit-identical to the acquisition,
+/// the chunk holding it is replaced by a typed `StoreError` reply, and
+/// the session goes on serving requests.
+#[test]
+fn corrupt_record_mid_replay_ends_with_a_typed_error() {
+    use bsa_store::format::{FOOTER_TAIL_LEN, RECORD_META_LEN, RECORD_OVERHEAD};
+    use bsa_store::{frame_payload_len, segment_path};
+
+    const FRAMES: u32 = 32;
+    const CHUNK: u32 = 4;
+    const CORRUPT: u32 = 13; // in the fourth chunk, frames 12..16
+    let store_root =
+        std::env::temp_dir().join(format!("bsa-station-midrot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+    let station = Station::bind(StationConfig {
+        store_root: Some(store_root.clone()),
+        ..StationConfig::default()
+    })
+    .unwrap();
+    let spec = neuro_spec(16, 16);
+    let culture = culture_spec(FRAMES);
+    {
+        let mut client = StationClient::connect(station.addr(), "take").unwrap();
+        let chip = client.attach_neuro(&spec).unwrap().chip;
+        client.start_recording(chip, "midrot").unwrap();
+        client
+            .stream_neuro(chip, FRAMES, CHUNK, Seconds::new(0.0), &culture)
+            .unwrap();
+        let summary = client.stop_recording(chip).unwrap();
+        assert_eq!(summary.frames_written, u64::from(FRAMES));
+    }
+
+    // Records are equal-sized and end where the index footer begins, so
+    // record k starts (frames − k) records before `index_off`.
+    let path = segment_path(&store_root, "midrot").unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let tail = bytes.len() - FOOTER_TAIL_LEN;
+    let index_off = u64::from_le_bytes(bytes[tail + 8..tail + 16].try_into().unwrap()) as usize;
+    let record_len = RECORD_OVERHEAD + frame_payload_len(bsa_link::ChipKind::Neuro, 16, 16);
+    let record = index_off - (FRAMES - CORRUPT) as usize * record_len;
+    bytes[record + RECORD_META_LEN + 100] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut raw = TcpStream::connect(station.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_message(
+        &mut raw,
+        &Message::Replay {
+            name: "midrot".into(),
+            chunk_frames: CHUNK,
+        },
+    )
+    .unwrap();
+    let reference = reference_frames(&spec, &culture, FRAMES as usize);
+    let good_chunks = CORRUPT / CHUNK;
+    for seq in 0..good_chunks {
+        match read_message(&mut raw).unwrap() {
+            Message::StreamData {
+                seq: got_seq,
+                payload:
+                    bsa_link::StreamPayload::NeuroFrames {
+                        first_frame,
+                        samples,
+                        ..
+                    },
+                ..
+            } => {
+                assert_eq!((got_seq, first_frame), (seq, seq * CHUNK));
+                let first = (seq * CHUNK) as usize;
+                let want = reference[first..first + CHUNK as usize].concat();
+                assert_eq!(samples.len(), want.len());
+                for (j, (g, w)) in samples.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "chunk {seq} sample {j}");
+                }
+            }
+            other => panic!("expected chunk {seq}, got {other:?}"),
+        }
+    }
+    match read_message(&mut raw).unwrap() {
+        Message::ErrorReply { code, message } => {
+            assert_eq!(code, ErrorCode::StoreError, "{message}");
+        }
+        other => panic!("expected a StoreError reply, got {other:?}"),
+    }
+    write_message(&mut raw, &Message::Ping { token: 27 }).unwrap();
+    assert_eq!(read_message(&mut raw).unwrap(), Message::Pong { token: 27 });
+
+    drop(station);
+    let _ = std::fs::remove_dir_all(&store_root);
+}

@@ -18,11 +18,17 @@
 //! * **The acquisition path never blocks on disk.** [`Recorder`] feeds a
 //!   dedicated writer thread through a bounded queue; past high-water the
 //!   frame is dropped and counted, mirroring the station's
-//!   `StreamEnd { sent, dropped }` contract.
+//!   `StreamEnd { sent, dropped }` contract. [`Recorder::offer_bytes`]
+//!   copies a frame into a pooled payload buffer that the writer hands
+//!   back once it is written, so the tee allocates nothing per frame.
 //! * **Bit-exact payloads.** Neuro samples are persisted as raw IEEE-754
-//!   bits ([`encode_neuro_frame`]/[`decode_neuro_frame`], built on the
-//!   wire's sample codec in `bsa_link::samples`), so a replayed stream is
-//!   `f64::to_bits`-identical to the live one.
+//!   bits, the wire's sample codec in `bsa_link::samples`
+//!   ([`encode_neuro_frame`]/[`decode_neuro_frame`]): a neuro record is
+//!   byte for byte its frame's slice of a wire chunk's sample block. The
+//!   station tees by copying those slices out of the chunk it has
+//!   encoded for the wire, and replays by appending the stored bytes into
+//!   the outgoing chunk, so a replayed stream is `f64::to_bits`-identical
+//!   to the live one without a sample being decoded.
 //! * **Panic-free, CRC-guarded reads.** Every malformed or corrupted
 //!   segment maps to a typed [`StoreError`]; every file byte is covered
 //!   by one of three CRC-8 trailers or pinned by a structural equation,
