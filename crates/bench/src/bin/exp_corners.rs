@@ -26,14 +26,14 @@ fn main() {
         "Sensor-FET current at fixed bias across process corners",
         &["corner", "I_D (V_G = 1.2 V)", "vs TT"],
     );
-    let i_tt = Mosfet::new(MosfetParams::n05um(10.0, 2.0)).drain_current(
-        Volt::new(1.2),
-        Volt::ZERO,
-        Volt::new(2.5),
-    );
+    let i_tt = Mosfet::try_new(MosfetParams::n05um(10.0, 2.0))
+        .expect("corner parameters are valid")
+        .drain_current(Volt::new(1.2), Volt::ZERO, Volt::new(2.5));
     for corner in ProcessCorner::ALL {
         let params = corner.apply(MosfetParams::n05um(10.0, 2.0));
-        let i = Mosfet::new(params).drain_current(Volt::new(1.2), Volt::ZERO, Volt::new(2.5));
+        let i = Mosfet::try_new(params)
+            .expect("corner parameters are valid")
+            .drain_current(Volt::new(1.2), Volt::ZERO, Volt::new(2.5));
         t.add_row(vec![
             format!("{corner:?}"),
             eng(i.value(), "A"),

@@ -35,9 +35,10 @@
 //! use bsa_circuit::mosfet::{Mosfet, MosfetParams};
 //! use bsa_units::Volt;
 //!
-//! let m = Mosfet::new(MosfetParams::n05um(10.0, 2.0));
+//! let m = Mosfet::try_new(MosfetParams::n05um(10.0, 2.0))?;
 //! let id = m.drain_current(Volt::new(1.2), Volt::new(0.0), Volt::new(2.5));
 //! assert!(id.value() > 0.0);
+//! # Ok::<(), bsa_circuit::CircuitError>(())
 //! ```
 
 #![forbid(unsafe_code)]

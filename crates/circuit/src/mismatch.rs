@@ -163,7 +163,7 @@ mod tests {
     fn instantiate_produces_distinct_devices() {
         let m = PelgromModel::cmos05um();
         let mut rng = SmallRng::seed_from_u64(7);
-        let nominal = Mosfet::new(MosfetParams::n05um(2.0, 1.0));
+        let nominal = Mosfet::try_new(MosfetParams::n05um(2.0, 1.0)).unwrap();
         let a = m.instantiate(&nominal, &mut rng);
         let b = m.instantiate(&nominal, &mut rng);
         assert_ne!(a.delta_vth(), b.delta_vth());

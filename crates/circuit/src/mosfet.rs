@@ -133,7 +133,7 @@ impl MosfetParams {
 
 /// An instance of a MOSFET with (optionally mismatched) parameters.
 ///
-/// Construct nominal devices with [`Mosfet::new`]; per-device threshold and
+/// Construct nominal devices with [`Mosfet::try_new`]; per-device threshold and
 /// gain mismatch is applied by [`Mosfet::with_mismatch`] (typically sampled
 /// from [`crate::mismatch::PelgromModel`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -145,16 +145,6 @@ pub struct Mosfet {
 
 impl Mosfet {
     /// Creates a nominal device (no mismatch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters fail [`MosfetParams::validate`]; use
-    /// [`Mosfet::try_new`] for fallible construction.
-    pub fn new(params: MosfetParams) -> Self {
-        Self::try_new(params).expect("invalid MOSFET parameters")
-    }
-
-    /// Fallible counterpart of [`Mosfet::new`].
     ///
     /// # Errors
     ///
@@ -217,12 +207,13 @@ impl Mosfet {
     /// use bsa_circuit::mosfet::{Mosfet, MosfetParams};
     /// use bsa_units::Volt;
     ///
-    /// let m = Mosfet::new(MosfetParams::n05um(10.0, 2.0));
+    /// let m = Mosfet::try_new(MosfetParams::n05um(10.0, 2.0))?;
     /// // Subthreshold: tiny current; strong inversion: much larger.
     /// let weak = m.drain_current(Volt::new(0.4), Volt::ZERO, Volt::new(2.0));
     /// let strong = m.drain_current(Volt::new(2.0), Volt::ZERO, Volt::new(2.0));
     /// assert!(weak.value() < 1e-8);
     /// assert!(strong.value() > 1e-4);
+    /// # Ok::<(), bsa_circuit::CircuitError>(())
     /// ```
     pub fn drain_current(&self, vg: Volt, vs: Volt, vd: Volt) -> Ampere {
         let (vg, vs, vd) = match self.params.polarity {
@@ -479,7 +470,7 @@ mod tests {
     use super::*;
 
     fn nominal() -> Mosfet {
-        Mosfet::new(MosfetParams::n05um(10.0, 2.0))
+        Mosfet::try_new(MosfetParams::n05um(10.0, 2.0)).unwrap()
     }
 
     #[test]
@@ -542,12 +533,12 @@ mod tests {
 
     #[test]
     fn pmos_mirrors_nmos() {
-        let n = Mosfet::new(MosfetParams::n05um(10.0, 2.0));
+        let n = Mosfet::try_new(MosfetParams::n05um(10.0, 2.0)).unwrap();
         let mut pp = MosfetParams::p05um(10.0, 2.0);
         // Give the PMOS identical kp/vth so the mirror symmetry is exact.
         pp.kp = n.params().kp;
         pp.vth0 = n.params().vth0;
-        let p = Mosfet::new(pp);
+        let p = Mosfet::try_new(pp).unwrap();
         let i_n = n.drain_current(Volt::new(1.5), Volt::ZERO, Volt::new(2.0));
         let i_p = p.drain_current(Volt::new(-1.5), Volt::ZERO, Volt::new(-2.0));
         assert!((i_n.value() - i_p.value()).abs() / i_n.value() < 1e-9);
@@ -584,10 +575,14 @@ mod tests {
         // relative (with an absolute floor deep in subthreshold where both
         // are vanishingly small) bounds the analytic form tightly.
         let devices = [
-            Mosfet::new(MosfetParams::n05um(10.0, 2.0)),
-            Mosfet::new(MosfetParams::n05um(3.0, 0.6)).with_mismatch(Volt::from_milli(12.0), 0.03),
-            Mosfet::new(MosfetParams::p05um(10.0, 2.0)),
-            Mosfet::new(MosfetParams::p05um(4.0, 1.0)).with_mismatch(Volt::from_milli(-8.0), -0.02),
+            Mosfet::try_new(MosfetParams::n05um(10.0, 2.0)).unwrap(),
+            Mosfet::try_new(MosfetParams::n05um(3.0, 0.6))
+                .unwrap()
+                .with_mismatch(Volt::from_milli(12.0), 0.03),
+            Mosfet::try_new(MosfetParams::p05um(10.0, 2.0)).unwrap(),
+            Mosfet::try_new(MosfetParams::p05um(4.0, 1.0))
+                .unwrap()
+                .with_mismatch(Volt::from_milli(-8.0), -0.02),
         ];
         for m in &devices {
             let mirror = match m.params().polarity {
@@ -622,7 +617,7 @@ mod tests {
         // In the shared positive-down convention a PMOS conducts less as
         // V_G rises, so its gm is negative — the analytic form must keep
         // the same sign the numeric difference had.
-        let p = Mosfet::new(MosfetParams::p05um(10.0, 2.0));
+        let p = Mosfet::try_new(MosfetParams::p05um(10.0, 2.0)).unwrap();
         let gm = p.gm(Volt::new(-1.5), Volt::ZERO, Volt::new(-2.0));
         assert!(gm.value() < 0.0, "gm = {gm:?}");
     }
@@ -695,14 +690,16 @@ mod tests {
     fn temperature_raises_subthreshold_current() {
         // In weak inversion, higher T lowers V_T and raises U_T's reach:
         // the off-state current rises steeply with temperature.
-        let cold = Mosfet::new(MosfetParams {
+        let cold = Mosfet::try_new(MosfetParams {
             temperature: Kelvin::new(280.0),
             ..MosfetParams::n05um(10.0, 2.0)
-        });
-        let hot = Mosfet::new(MosfetParams {
+        })
+        .unwrap();
+        let hot = Mosfet::try_new(MosfetParams {
             temperature: Kelvin::new(350.0),
             ..MosfetParams::n05um(10.0, 2.0)
-        });
+        })
+        .unwrap();
         let bias = (Volt::new(0.45), Volt::ZERO, Volt::new(2.0));
         let i_cold = cold.drain_current(bias.0, bias.1, bias.2);
         let i_hot = hot.drain_current(bias.0, bias.1, bias.2);
@@ -716,14 +713,16 @@ mod tests {
     fn temperature_lowers_strong_inversion_current() {
         // Far above threshold, mobility degradation dominates: I_D falls
         // with temperature.
-        let cold = Mosfet::new(MosfetParams {
+        let cold = Mosfet::try_new(MosfetParams {
             temperature: Kelvin::new(280.0),
             ..MosfetParams::n05um(10.0, 2.0)
-        });
-        let hot = Mosfet::new(MosfetParams {
+        })
+        .unwrap();
+        let hot = Mosfet::try_new(MosfetParams {
             temperature: Kelvin::new(350.0),
             ..MosfetParams::n05um(10.0, 2.0)
-        });
+        })
+        .unwrap();
         let bias = (Volt::new(4.0), Volt::ZERO, Volt::new(4.5));
         let i_cold = cold.drain_current(bias.0, bias.1, bias.2);
         let i_hot = hot.drain_current(bias.0, bias.1, bias.2);
@@ -736,10 +735,11 @@ mod tests {
         // effects cancel (the ZTC bias used by temperature-stable designs):
         // the sign of dI/dT flips across the V_G range.
         let current_at = |vg: f64, t: f64| {
-            Mosfet::new(MosfetParams {
+            Mosfet::try_new(MosfetParams {
                 temperature: Kelvin::new(t),
                 ..MosfetParams::n05um(10.0, 2.0)
             })
+            .unwrap()
             .drain_current(Volt::new(vg), Volt::ZERO, Volt::new(4.0))
             .value()
         };

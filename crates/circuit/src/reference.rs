@@ -172,13 +172,10 @@ impl CurrentReferenceTree {
         self.branches.is_empty()
     }
 
-    /// The branch current at index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn branch(&self, i: usize) -> Ampere {
-        self.branches[i].mirror(self.master)
+    /// The branch current at index `i`, or `None` if `i` is out of
+    /// bounds.
+    pub fn branch(&self, i: usize) -> Option<Ampere> {
+        self.branches.get(i).map(|m| m.mirror(self.master))
     }
 
     /// Iterator over all branch currents.
@@ -297,7 +294,9 @@ mod tests {
         let tree =
             CurrentReferenceTree::new(Ampere::from_micro(1.0), 8, &pel, 25.0, &mut rng).unwrap();
         // Same branch read twice gives the same current (static mismatch).
+        assert!(tree.branch(3).is_some());
         assert_eq!(tree.branch(3), tree.branch(3));
+        assert_eq!(tree.branch(8), None);
         assert!(!tree.is_empty());
     }
 }

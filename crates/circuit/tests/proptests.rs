@@ -20,7 +20,7 @@ proptest! {
     ) {
         prop_assume!((vg1 - vg2).abs() > 1e-6);
         let (lo, hi) = if vg1 < vg2 { (vg1, vg2) } else { (vg2, vg1) };
-        let m = Mosfet::new(MosfetParams::n05um(10.0, 2.0));
+        let m = Mosfet::try_new(MosfetParams::n05um(10.0, 2.0)).unwrap();
         let i_lo = m.drain_current(Volt::new(lo), Volt::ZERO, Volt::new(vd));
         let i_hi = m.drain_current(Volt::new(hi), Volt::ZERO, Volt::new(vd));
         prop_assert!(i_lo.is_finite() && i_hi.is_finite());
@@ -36,7 +36,7 @@ proptest! {
     ) {
         prop_assume!((vd1 - vd2).abs() > 1e-6);
         let (lo, hi) = if vd1 < vd2 { (vd1, vd2) } else { (vd2, vd1) };
-        let m = Mosfet::new(MosfetParams::n05um(10.0, 2.0));
+        let m = Mosfet::try_new(MosfetParams::n05um(10.0, 2.0)).unwrap();
         let i_lo = m.drain_current(Volt::new(vg), Volt::ZERO, Volt::new(lo));
         let i_hi = m.drain_current(Volt::new(vg), Volt::ZERO, Volt::new(hi));
         prop_assert!(i_hi >= i_lo);
@@ -48,7 +48,7 @@ proptest! {
         target_exp in -10.0f64..-4.0,
         dvt_mv in -20.0f64..20.0,
     ) {
-        let m = Mosfet::new(MosfetParams::n05um(10.0, 2.0))
+        let m = Mosfet::try_new(MosfetParams::n05um(10.0, 2.0)).unwrap()
             .with_mismatch(Volt::from_milli(dvt_mv), 0.0);
         let target = Ampere::new(10f64.powf(target_exp));
         if let Some(vg) = m.gate_voltage_for_current(

@@ -118,14 +118,46 @@ impl ArrayGeometry {
     /// the array.
     pub fn index_of(&self, addr: PixelAddress) -> Result<usize, ChipError> {
         if addr.row >= self.rows || addr.col >= self.cols {
-            return Err(ChipError::AddressOutOfRange {
-                row: addr.row,
-                col: addr.col,
-                rows: self.rows,
-                cols: self.cols,
-            });
+            return Err(self.out_of_range(addr));
         }
         Ok(addr.row * self.cols + addr.col)
+    }
+
+    /// The entry of a row-major per-pixel slice at an address.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChipError::AddressOutOfRange`] if the address is outside
+    /// the array or past the end of `values`.
+    pub fn entry<'a, T>(&self, values: &'a [T], addr: PixelAddress) -> Result<&'a T, ChipError> {
+        values
+            .get(self.index_of(addr)?)
+            .ok_or_else(|| self.out_of_range(addr))
+    }
+
+    /// Mutable form of [`entry`](Self::entry).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChipError::AddressOutOfRange`] if the address is outside
+    /// the array or past the end of `values`.
+    pub fn entry_mut<'a, T>(
+        &self,
+        values: &'a mut [T],
+        addr: PixelAddress,
+    ) -> Result<&'a mut T, ChipError> {
+        values
+            .get_mut(self.index_of(addr)?)
+            .ok_or_else(|| self.out_of_range(addr))
+    }
+
+    fn out_of_range(&self, addr: PixelAddress) -> ChipError {
+        ChipError::AddressOutOfRange {
+            row: addr.row,
+            col: addr.col,
+            rows: self.rows,
+            cols: self.cols,
+        }
     }
 
     /// Address of a flat index (row-major).

@@ -110,7 +110,7 @@ impl AssayReadout {
     /// Returns [`ChipError::AddressOutOfRange`] for addresses outside the
     /// array.
     pub fn estimate_at(&self, addr: PixelAddress) -> Result<Ampere, ChipError> {
-        Ok(self.estimated_currents[self.geometry.index_of(addr)?])
+        self.geometry.entry(&self.estimated_currents, addr).copied()
     }
 
     /// Converts the counts to serial-interface pixel readings in scan
@@ -136,12 +136,13 @@ pub struct KineticReadout {
 }
 
 impl KineticReadout {
-    /// Association time series of one site: (t, estimated current).
+    /// Association time series of one site: (t, estimated current);
+    /// empty for a site outside the array.
     pub fn site_series(&self, site: usize) -> Vec<(Seconds, Ampere)> {
         self.times
             .iter()
             .zip(self.currents.iter())
-            .map(|(t, row)| (*t, row[site]))
+            .filter_map(|(t, row)| Some((*t, *row.get(site)?)))
             .collect()
     }
 
@@ -153,7 +154,7 @@ impl KineticReadout {
         self.times
             .iter()
             .zip(self.currents.iter())
-            .find(|(_, row)| row[site].value() >= threshold)
+            .find(|(_, row)| row.get(site).is_some_and(|i| i.value() >= threshold))
             .map(|(t, _)| *t)
     }
 }
@@ -287,7 +288,7 @@ impl DnaChip {
     ///
     /// Returns [`ChipError::AddressOutOfRange`] for bad addresses.
     pub fn pixel(&self, addr: PixelAddress) -> Result<&DnaPixel, ChipError> {
-        Ok(&self.pixels[self.config.geometry.index_of(addr)?])
+        self.config.geometry.entry(&self.pixels, addr)
     }
 
     /// Working-electrode potential produced by the on-chip DAC for a code,
@@ -307,8 +308,7 @@ impl DnaChip {
     ///
     /// Returns [`ChipError::AddressOutOfRange`] for bad addresses.
     pub fn spot(&mut self, addr: PixelAddress, probe: DnaSequence) -> Result<(), ChipError> {
-        let i = self.config.geometry.index_of(addr)?;
-        self.probes[i] = Some(probe);
+        *self.config.geometry.entry_mut(&mut self.probes, addr)? = Some(probe);
         Ok(())
     }
 
@@ -326,7 +326,7 @@ impl DnaChip {
     ///
     /// Returns [`ChipError::AddressOutOfRange`] for bad addresses.
     pub fn probe_at(&self, addr: PixelAddress) -> Result<Option<&DnaSequence>, ChipError> {
-        Ok(self.probes[self.config.geometry.index_of(addr)?].as_ref())
+        Ok(self.config.geometry.entry(&self.probes, addr)?.as_ref())
     }
 
     /// Injects a compiled fault map into the die: every pixel takes on its
@@ -385,7 +385,10 @@ impl DnaChip {
         let mut health = HealthMonitor::all_healthy(self.config.geometry);
         let escalated = self.config.calibration.escalated();
         for &i in &report.dead_pixels {
-            let state = match escalated.retry_pixel(&mut self.pixels[i], &mut self.rng) {
+            let Some(pixel) = self.pixels.get_mut(i) else {
+                continue;
+            };
+            let state = match escalated.retry_pixel(pixel, &mut self.rng) {
                 Some(_) => PixelHealth::OutOfFamily,
                 None => PixelHealth::Dead,
             };
@@ -483,8 +486,8 @@ impl DnaChip {
     pub fn run_assay(&mut self, sample: &SampleMix) -> AssayReadout {
         let n = self.config.geometry.len();
         let mut coverages = Vec::with_capacity(n);
-        for i in 0..n {
-            let theta = match &self.probes[i] {
+        for probe in &self.probes {
+            let theta = match probe {
                 None => 0.0,
                 Some(probe) => {
                     let site = SpottedSite::new(probe.clone());
@@ -547,9 +550,10 @@ impl DnaChip {
         let n = readings.len();
         let mut corruptor = self.faults.serial_corruptor();
         let mut words: Vec<Option<PixelReading>> = vec![None; n];
-        let mut word_errors: Vec<Option<SerialError>> = vec![None; n];
         let mut pending: Vec<usize> = (0..n).collect();
         let mut stats = SerialLinkStats::default();
+        // The error of the first word still corrupt after the latest pass.
+        let mut first_error = None;
 
         for pass in 0..=max_rereads {
             if pending.is_empty() {
@@ -558,16 +562,21 @@ impl DnaChip {
             if pass > 0 {
                 stats.rereads += 1;
             }
-            let subset: Vec<PixelReading> = pending.iter().map(|&i| readings[i]).collect();
+            let subset: Vec<PixelReading> = pending
+                .iter()
+                .filter_map(|&i| readings.get(i).copied())
+                .collect();
             let mut bits = encode_frames(&subset);
             corrupt_stream(&mut bits, &mut corruptor);
             let verdicts = decode_frames_lenient(&bits);
             let mut still = Vec::new();
+            first_error = None;
             for (&idx, verdict) in pending.iter().zip(verdicts.iter()) {
                 match verdict {
                     Ok(r) => {
-                        words[idx] = Some(*r);
-                        word_errors[idx] = None;
+                        if let Some(word) = words.get_mut(idx) {
+                            *word = Some(*r);
+                        }
                         if pass == 0 {
                             stats.clean_words += 1;
                         } else {
@@ -575,7 +584,7 @@ impl DnaChip {
                         }
                     }
                     Err(e) => {
-                        word_errors[idx] = Some(e.clone());
+                        first_error.get_or_insert_with(|| e.clone());
                         still.push(idx);
                     }
                 }
@@ -585,7 +594,6 @@ impl DnaChip {
 
         stats.unrecovered_words = pending.len();
         self.link_stats = stats;
-        let first_error = pending.first().and_then(|&idx| word_errors[idx].clone());
         RobustReadout {
             words,
             stats,

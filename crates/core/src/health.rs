@@ -66,13 +66,10 @@ impl HealthMonitor {
         self.geometry
     }
 
-    /// Health of the pixel at a row-major index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the array.
-    pub fn state(&self, index: usize) -> PixelHealth {
-        self.states[index]
+    /// Health of the pixel at a row-major index, or `None` outside the
+    /// array.
+    pub fn state(&self, index: usize) -> Option<PixelHealth> {
+        self.states.get(index).copied()
     }
 
     /// Health of the pixel at an address.
@@ -81,16 +78,15 @@ impl HealthMonitor {
     ///
     /// Returns [`ChipError::AddressOutOfRange`] for bad addresses.
     pub fn state_at(&self, addr: PixelAddress) -> Result<PixelHealth, ChipError> {
-        Ok(self.states[self.geometry.index_of(addr)?])
+        self.geometry.entry(&self.states, addr).copied()
     }
 
-    /// Reclassifies one pixel (row-major index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the array.
+    /// Reclassifies one pixel (row-major index); an index outside the
+    /// array changes nothing.
     pub fn set_state(&mut self, index: usize, health: PixelHealth) {
-        self.states[index] = health;
+        if let Some(state) = self.states.get_mut(index) {
+            *state = health;
+        }
     }
 
     /// All per-pixel states in row-major order.

@@ -97,6 +97,14 @@ pub struct ChainConfig {
     pub input_noise: Ampere,
 }
 
+impl ChainConfig {
+    /// Nominal design current gain: the product of the four stage gains
+    /// (5600 for the paper's values).
+    pub fn nominal_current_gain(&self) -> f64 {
+        self.readout_gain * self.second_gain * self.offchip_gain_a * self.offchip_gain_b
+    }
+}
+
 impl Default for ChainConfig {
     /// The paper's gain partitioning: 100 × 7 × 4 × 2 = 5600.
     fn default() -> Self {
@@ -195,14 +203,6 @@ impl ChannelChain {
             * self.config.offchip_gain_b
     }
 
-    /// Nominal design current gain (5600 for the paper's values).
-    pub fn nominal_current_gain(&self) -> f64 {
-        self.config.readout_gain
-            * self.config.second_gain
-            * self.config.offchip_gain_a
-            * self.config.offchip_gain_b
-    }
-
     /// Output voltage per volt of cleft signal, given the pixel conversion
     /// gain `gm_eff` (A/V at the chain input).
     pub fn voltage_gain(&self, gm_eff: bsa_units::Siemens) -> f64 {
@@ -274,8 +274,7 @@ mod tests {
 
     #[test]
     fn nominal_gain_is_5600() {
-        let c = channel(1);
-        assert_eq!(c.nominal_current_gain(), 5600.0);
+        assert_eq!(ChainConfig::default().nominal_current_gain(), 5600.0);
     }
 
     #[test]

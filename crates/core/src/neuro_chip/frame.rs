@@ -147,7 +147,10 @@ impl Frame {
     /// Panics if the address is outside the frame.
     pub fn at(&self, addr: PixelAddress) -> f64 {
         assert!(addr.row < self.rows && addr.col < self.cols);
-        self.samples[addr.row * self.cols + addr.col]
+        self.samples
+            .get(addr.row * self.cols + addr.col)
+            .copied()
+            .unwrap_or(f64::NAN)
     }
 
     /// Raw row-major samples.
@@ -317,7 +320,7 @@ impl NeuroChip {
     ///
     /// Returns [`ChipError::AddressOutOfRange`] for bad addresses.
     pub fn pixel(&self, addr: PixelAddress) -> Result<&NeuroPixel, ChipError> {
-        Ok(&self.pixels[self.config.geometry.index_of(addr)?])
+        self.config.geometry.entry(&self.pixels, addr)
     }
 
     /// Injects a compiled fault map into the die: every pixel takes on its
@@ -435,14 +438,15 @@ impl NeuroChip {
         let cols_per_ch = self.timing.columns_per_channel;
         let cols = self.config.geometry.cols();
         let mut health = HealthMonitor::all_healthy(self.config.geometry);
-        for (i, p) in self.pixels.iter().enumerate() {
+        let tests = self.pixels.iter().zip(responses.iter().zip(&residuals));
+        for (i, (p, (&response, &residual))) in tests.enumerate() {
             let channel = (i % cols) / cols_per_ch;
             let state = if self.faults.channel_lost(channel) {
                 // Unobservable through a lost multiplexer channel: mask it.
                 PixelHealth::Dead
-            } else if responses[i] < dead_threshold {
+            } else if response < dead_threshold {
                 PixelHealth::Dead
-            } else if residuals[i] > residual_limit
+            } else if residual > residual_limit
                 || p.faults()
                     .clip_limit
                     .is_some_and(|l| l.value() < full_scale_out)
@@ -480,7 +484,7 @@ impl NeuroChip {
             .sum::<f64>()
             / 16.0_f64.min(self.pixels.len() as f64);
         Siemens::new(gm).value()
-            * self.channels[0].nominal_current_gain()
+            * self.config.chain.nominal_current_gain()
             * self.config.chain.conversion_resistance.value()
     }
 
@@ -626,18 +630,21 @@ impl NeuroChip {
                 for (ch_idx, ch) in self.channels.iter_mut().enumerate() {
                     let col = ch_idx * cols_per_ch + slot;
                     let idx = row * self.config.geometry.cols() + col;
+                    let (Some(o), Some(p)) = (out.get_mut(idx), self.pixels.get(idx)) else {
+                        continue;
+                    };
+                    // A lost channel's pixels keep their 0.0.
                     if self.faults.channel_lost(ch_idx) {
-                        out[idx] = 0.0;
                         continue;
                     }
-                    let clip = self.pixels[idx].faults().clip_limit;
+                    let clip = p.faults().clip_limit;
                     ch.reset_settling();
-                    let i0 = self.pixels[idx].read(Volt::ZERO, now);
+                    let i0 = p.read(Volt::ZERO, now);
                     let v0 = clipped(clip, ch.process_sample(i0, dwell, &mut rng));
                     ch.reset_settling();
-                    let i1 = self.pixels[idx].read(test_amplitude, now);
+                    let i1 = p.read(test_amplitude, now);
                     let v1 = clipped(clip, ch.process_sample(i1, dwell, &mut rng));
-                    out[idx] = (v1 - v0) / test_amplitude.value();
+                    *o = (v1 - v0) / test_amplitude.value();
                 }
             }
         }
@@ -659,13 +666,16 @@ impl NeuroChip {
                 for (ch_idx, ch) in self.channels.iter_mut().enumerate() {
                     let col = ch_idx * cols_per_ch + slot;
                     let idx = row * self.config.geometry.cols() + col;
+                    let (Some(o), Some(p)) = (out.get_mut(idx), self.pixels.get(idx)) else {
+                        continue;
+                    };
+                    // A lost channel's pixels keep their 0.0.
                     if self.faults.channel_lost(ch_idx) {
-                        out[idx] = 0.0;
                         continue;
                     }
-                    let i_diff = self.pixels[idx].read(Volt::ZERO, now);
+                    let i_diff = p.read(Volt::ZERO, now);
                     let v = ch.process_sample(i_diff, Seconds::from_micro(10.0), &mut rng);
-                    out[idx] = clipped(self.pixels[idx].faults().clip_limit, v);
+                    *o = clipped(p.faults().clip_limit, v);
                 }
             }
         }

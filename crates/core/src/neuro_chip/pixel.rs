@@ -495,8 +495,8 @@ mod tests {
 
     #[test]
     fn invalid_sensor_fet_is_an_error_not_a_panic() {
-        // Regression for the reach.panic finding: a bad config arriving
-        // over the wire (AttachNeuro) must surface as a typed error.
+        // A bad config arriving over the wire (AttachNeuro) must surface
+        // as a typed error, not as a panic in the transistor model.
         let mut config = NeuroPixelConfig::default();
         config.sensor_fet.width_um = -1.0;
         let mut rng = SmallRng::seed_from_u64(1);

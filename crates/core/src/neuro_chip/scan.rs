@@ -115,7 +115,7 @@ impl ScanPlan {
                             x,
                             y,
                             dt: row as f64 * row_period.value() + slot as f64 * pixel_dwell.value(),
-                            clip: pixels[idx].faults().clip_limit,
+                            clip: pixels.get(idx).and_then(|p| p.faults().clip_limit),
                         });
                     }
                 }
@@ -161,19 +161,19 @@ fn scan_channel(
     // A local copy of the stream, stored back once: see the fast path's
     // `scan_channel_linear` for why no draw writes the shared `Vec`.
     let mut rng = stream.clone();
-    for (fi, &fs) in frame_starts.iter().enumerate() {
-        let frame_out = &mut out[fi * frame_len..(fi + 1) * frame_len];
-        let mut k = 0usize;
-        for _row in 0..rows {
+    for (frame_out, &fs) in out.chunks_mut(frame_len).zip(frame_starts) {
+        let row_outs = frame_out.chunks_exact_mut(cols_per_channel);
+        for (row, row_out) in plan.entries.chunks_exact(cols_per_channel).zip(row_outs) {
             chain.reset_settling();
-            for _slot in 0..cols_per_channel {
-                let e = &plan.entries[k];
+            for (e, o) in row.iter().zip(row_out) {
+                let Some(pixel) = pixels.get(e.idx) else {
+                    continue;
+                };
                 let t = Seconds::new(fs + e.dt);
                 let v_cleft = culture.cleft_voltage_at(e.x, e.y, t);
-                let i_diff = pixels[e.idx].read(v_cleft, t);
+                let i_diff = pixel.read(v_cleft, t);
                 let v = chain.process_sample(i_diff, dwell, &mut rng);
-                frame_out[k] = clipped(e.clip, v);
-                k += 1;
+                *o = clipped(e.clip, v);
             }
         }
     }
@@ -231,14 +231,13 @@ mod tests {
 
     #[test]
     fn lost_channel_does_zero_pixel_and_culture_work() {
-        // The plan's entries point at pixel indices that do not exist: if
-        // the scan evaluated any pixel or culture sample for a lost
-        // channel, it would index out of bounds and panic. It must instead
-        // short-circuit to a zero fill.
+        // The plan's entries point at pixel indices that do not exist, so
+        // a scan that walked them would leave the buffer's 42.0 in place.
+        // A lost channel must instead short-circuit to a zero fill.
         let plan = ChannelPlan {
             lost: true,
             entries: vec![PlanEntry {
-                idx: usize::MAX, // would panic if ever dereferenced
+                idx: usize::MAX, // no such pixel
                 x: Meter::ZERO,
                 y: Meter::ZERO,
                 dt: 0.0,

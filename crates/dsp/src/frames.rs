@@ -56,13 +56,14 @@ impl FrameStack {
         self.cols
     }
 
-    /// One frame's row-major samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn frame(&self, index: usize) -> &[f64] {
-        &self.frames[index]
+    /// One frame's row-major samples, or `None` past the last frame.
+    pub fn frame(&self, index: usize) -> Option<&[f64]> {
+        self.frames.get(index).map(Vec::as_slice)
+    }
+
+    /// Every frame's row-major samples, in order.
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = &[f64]> {
+        self.frames.iter().map(Vec::as_slice)
     }
 
     /// Time series of one pixel across the stack.
@@ -73,7 +74,10 @@ impl FrameStack {
     pub fn pixel_series(&self, row: usize, col: usize) -> Vec<f64> {
         assert!(row < self.rows && col < self.cols);
         let idx = row * self.cols + col;
-        self.frames.iter().map(|f| f[idx]).collect()
+        self.frames
+            .iter()
+            .filter_map(|f| f.get(idx).copied())
+            .collect()
     }
 
     /// Per-pixel median across frames — the static baseline map.
@@ -83,7 +87,11 @@ impl FrameStack {
         }
         (0..self.rows * self.cols)
             .map(|idx| {
-                let series: Vec<f64> = self.frames.iter().map(|f| f[idx]).collect();
+                let series: Vec<f64> = self
+                    .frames
+                    .iter()
+                    .filter_map(|f| f.get(idx).copied())
+                    .collect();
                 // Frames are non-empty here (guarded above).
                 median(&series).unwrap_or(0.0)
             })
@@ -110,11 +118,13 @@ impl FrameStack {
     /// localize firing neurons under the array.
     pub fn activity_map(&self) -> Vec<f64> {
         let base = self.baseline_map();
-        (0..self.rows * self.cols)
-            .map(|idx| {
+        base.iter()
+            .enumerate()
+            .map(|(idx, b)| {
                 self.frames
                     .iter()
-                    .map(|f| (f[idx] - base[idx]).abs())
+                    .filter_map(|f| f.get(idx))
+                    .map(|x| (x - b).abs())
                     .fold(0.0, f64::max)
             })
             .collect()
@@ -123,15 +133,17 @@ impl FrameStack {
     /// Per-pixel standard deviation around the baseline.
     pub fn std_map(&self) -> Vec<f64> {
         let base = self.baseline_map();
-        (0..self.rows * self.cols)
-            .map(|idx| {
+        base.iter()
+            .enumerate()
+            .map(|(idx, b)| {
                 if self.frames.len() < 2 {
                     return 0.0;
                 }
                 let var = self
                     .frames
                     .iter()
-                    .map(|f| (f[idx] - base[idx]).powi(2))
+                    .filter_map(|f| f.get(idx))
+                    .map(|x| (x - b).powi(2))
                     .sum::<f64>()
                     / (self.frames.len() - 1) as f64;
                 var.sqrt()

@@ -113,7 +113,7 @@ impl PixelMask {
     /// Panics if the address is out of range.
     pub fn is_usable(&self, row: usize, col: usize) -> bool {
         assert!(row < self.rows && col < self.cols, "address out of range");
-        self.usable[row * self.cols + col]
+        self.usable.get(row * self.cols + col) == Some(&true)
     }
 
     /// The raw row-major flags.
@@ -141,6 +141,9 @@ impl PixelMask {
     /// surrounded by other masked pixels (an isolated cluster). Usable
     /// pixels are never modified, and interpolation only ever reads
     /// usable sources — faulty samples cannot contaminate the repair.
+    /// That is also why the repair can write in place: no repair reads a
+    /// sample another repair wrote. The median is computed only if some
+    /// masked pixel needs it.
     ///
     /// # Panics
     ///
@@ -153,20 +156,97 @@ impl PixelMask {
             samples.len(),
             self.usable.len()
         );
+        let mut global = None;
+        let mut repairs = vec![Repair::Untouched; samples.len()];
+        for (idx, (usable, repair)) in self.usable.iter().zip(&mut repairs).enumerate() {
+            if *usable {
+                continue;
+            }
+            // `idx < rows * cols`, so `cols > 0` here.
+            let (row, col) = (idx / self.cols, idx % self.cols);
+            let mut sum = 0.0;
+            let mut n = 0usize;
+            // The 8-neighborhood in row-major order; the center is masked,
+            // so the usable test skips it.
+            for nr in row.saturating_sub(1)..(row + 2).min(self.rows) {
+                for nc in col.saturating_sub(1)..(col + 2).min(self.cols) {
+                    let nidx = nr * self.cols + nc;
+                    if let (Some(true), Some(s)) = (self.usable.get(nidx), samples.get(nidx)) {
+                        sum += s;
+                        n += 1;
+                    }
+                }
+            }
+            let value = if n > 0 {
+                *repair = Repair::FromNeighbors;
+                sum / n as f64
+            } else {
+                *repair = Repair::FromGlobalMedian;
+                *global.get_or_insert_with(|| self.usable_median(samples))
+            };
+            if let Some(s) = samples.get_mut(idx) {
+                *s = value;
+            }
+        }
+        RepairReport { repairs }
+    }
+
+    /// Median of the usable samples of a frame, 0.0 when none is usable.
+    fn usable_median(&self, samples: &[f64]) -> f64 {
         let usable_samples: Vec<f64> = samples
             .iter()
             .zip(&self.usable)
             .filter(|(_, u)| **u)
             .map(|(s, _)| *s)
             .collect();
-        let global = median(&usable_samples).unwrap_or(0.0);
+        median(&usable_samples).unwrap_or(0.0)
+    }
 
+    /// Repairs every frame of a stack, returning the repaired stack.
+    pub fn repair_stack(&self, stack: &FrameStack) -> FrameStack {
+        assert_eq!(
+            (stack.rows(), stack.cols()),
+            (self.rows, self.cols),
+            "stack geometry {}×{} differs from mask {}×{}",
+            stack.rows(),
+            stack.cols(),
+            self.rows,
+            self.cols
+        );
+        let frames: Vec<Vec<f64>> = stack
+            .frames()
+            .map(|frame| {
+                let mut frame = frame.to_vec();
+                self.interpolate(&mut frame);
+                frame
+            })
+            .collect();
+        FrameStack::new(stack.rows(), stack.cols(), frames)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The copy-and-median repair `interpolate` replaced: copies the
+    /// frame, takes the median of every usable sample up front, and
+    /// writes the repaired copy back.
+    fn reference_interpolate(mask: &PixelMask, samples: &mut [f64]) -> RepairReport {
+        let usable_samples: Vec<f64> = samples
+            .iter()
+            .zip(&mask.usable)
+            .filter(|(_, u)| **u)
+            .map(|(s, _)| *s)
+            .collect();
+        let global = median(&usable_samples).unwrap_or(0.0);
         let mut repairs = vec![Repair::Untouched; samples.len()];
         let mut repaired = samples.to_vec();
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                let idx = row * self.cols + col;
-                if self.usable[idx] {
+        for row in 0..mask.rows {
+            for col in 0..mask.cols {
+                let idx = row * mask.cols + col;
+                if mask.usable[idx] {
                     continue;
                 }
                 let mut sum = 0.0;
@@ -177,11 +257,11 @@ impl PixelMask {
                             continue;
                         }
                         let (nr, nc) = (row as i64 + dr, col as i64 + dc);
-                        if nr < 0 || nc < 0 || nr >= self.rows as i64 || nc >= self.cols as i64 {
+                        if nr < 0 || nc < 0 || nr >= mask.rows as i64 || nc >= mask.cols as i64 {
                             continue;
                         }
-                        let nidx = nr as usize * self.cols + nc as usize;
-                        if self.usable[nidx] {
+                        let nidx = nr as usize * mask.cols + nc as usize;
+                        if mask.usable[nidx] {
                             sum += samples[nidx];
                             n += 1;
                         }
@@ -200,31 +280,30 @@ impl PixelMask {
         RepairReport { repairs }
     }
 
-    /// Repairs every frame of a stack, returning the repaired stack.
-    pub fn repair_stack(&self, stack: &FrameStack) -> FrameStack {
-        assert_eq!(
-            (stack.rows(), stack.cols()),
-            (self.rows, self.cols),
-            "stack geometry {}×{} differs from mask {}×{}",
-            stack.rows(),
-            stack.cols(),
-            self.rows,
-            self.cols
-        );
-        let frames: Vec<Vec<f64>> = (0..stack.len())
-            .map(|k| {
-                let mut frame = stack.frame(k).to_vec();
-                self.interpolate(&mut frame);
-                frame
-            })
-            .collect();
-        FrameStack::new(stack.rows(), stack.cols(), frames)
-    }
-}
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+        /// In-place repair is bit-identical to the copy-and-median
+        /// reference, at every mask density from none to all masked.
+        #[test]
+        fn in_place_repair_matches_the_copying_reference(
+            rows in 0usize..=9,
+            cols in 0usize..=9,
+            masked_below in 0u8..=4,
+            cells in prop::collection::vec((0u8..4, any::<f64>()), 81),
+        ) {
+            let cells = &cells[..rows * cols];
+            let usable: Vec<bool> = cells.iter().map(|(d, _)| *d >= masked_below).collect();
+            let mask = PixelMask::new(rows, cols, usable);
+            let mut got: Vec<f64> = cells.iter().map(|(_, v)| *v).collect();
+            let mut want = got.clone();
+            let got_report = mask.interpolate(&mut got);
+            let want_report = reference_interpolate(&mask, &mut want);
+            prop_assert_eq!(got_report, want_report);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
 
     #[test]
     fn usable_pixels_pass_through_untouched() {
@@ -311,8 +390,8 @@ mod tests {
             vec![vec![1.0, 1.0, 1.0, 100.0], vec![2.0, 2.0, 2.0, -50.0]],
         );
         let repaired = mask.repair_stack(&stack);
-        assert!((repaired.frame(0)[3] - 1.0).abs() < 1e-12);
-        assert!((repaired.frame(1)[3] - 2.0).abs() < 1e-12);
+        assert_eq!(repaired.frame(0), Some(&[1.0; 4][..]));
+        assert_eq!(repaired.frame(1), Some(&[2.0; 4][..]));
     }
 
     #[test]

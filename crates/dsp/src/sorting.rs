@@ -25,14 +25,11 @@ pub fn extract_snippets(
     detections
         .iter()
         .filter_map(|&i| {
-            if i >= pre && i + post < series.len() {
-                Some(Snippet {
-                    index: i,
-                    samples: series[i - pre..=i + post].to_vec(),
-                })
-            } else {
-                None
-            }
+            let window = series.get(i.checked_sub(pre)?..=i.checked_add(post)?)?;
+            Some(Snippet {
+                index: i,
+                samples: window.to_vec(),
+            })
         })
         .collect()
 }
@@ -134,64 +131,55 @@ pub fn sort_spikes(snippets: &[Snippet], k: usize) -> SortResult {
     let mut mean = [0.0f64; 3];
     let mut sd = [0.0f64; 3];
     for f in &feats {
-        for d in 0..3 {
-            mean[d] += f[d];
-        }
+        mean = zip_with(mean, *f, |m, x| m + x);
     }
     for m in &mut mean {
         *m /= feats.len() as f64;
     }
     for f in &feats {
-        for d in 0..3 {
-            sd[d] += (f[d] - mean[d]).powi(2);
-        }
+        sd = zip_with(sd, zip_with(*f, mean, |x, m| (x - m).powi(2)), |s, v| s + v);
     }
     for s in &mut sd {
         *s = (*s / feats.len() as f64).sqrt().max(1e-12);
     }
     let normed: Vec<[f64; 3]> = feats
         .iter()
-        .map(|f| {
-            let mut out = [0.0; 3];
-            for d in 0..3 {
-                out[d] = (f[d] - mean[d]) / sd[d];
-            }
-            out
-        })
+        .map(|f| zip_with(zip_with(*f, mean, |x, m| x - m), sd, |c, s| c / s))
         .collect();
 
     // Deterministic init: order snippets by peak and seed each centroid at
     // the mean of one of k equal groups along that order. A group mean,
     // unlike any single snippet, does not carry one snippet's feature noise
     // into the first assignment.
-    let mut order: Vec<usize> = (0..normed.len()).collect();
-    order.sort_by(|&a, &b| normed[a][0].total_cmp(&normed[b][0]));
+    let mut order: Vec<(f64, &[f64; 3])> = normed.iter().map(|f @ [peak, ..]| (*peak, f)).collect();
+    order.sort_by(|a, b| a.0.total_cmp(&b.0));
     let n = normed.len();
     let mut centroids: Vec<[f64; 3]> = (0..k)
         .map(|j| {
             let group = order.get(j * n / k..(j + 1) * n / k).unwrap_or(&[]);
             let mut c = [0.0f64; 3];
-            for f in group.iter().filter_map(|&i| normed.get(i)) {
-                for (cd, fd) in c.iter_mut().zip(f) {
-                    *cd += fd;
-                }
+            for (_, f) in group {
+                c = zip_with(c, **f, |cd, fd| cd + fd);
             }
             c.map(|sum| sum / group.len().max(1) as f64)
         })
         .collect();
 
-    let dist2 = |a: &[f64; 3], b: &[f64; 3]| -> f64 { (0..3).map(|d| (a[d] - b[d]).powi(2)).sum() };
+    let dist2 =
+        |a: &[f64; 3], b: &[f64; 3]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum() };
 
     let mut labels = vec![0usize; normed.len()];
     for _ in 0..50 {
         // Assign.
         let mut changed = false;
-        for (i, f) in normed.iter().enumerate() {
-            let best = (0..k)
-                .min_by(|&a, &b| dist2(f, &centroids[a]).total_cmp(&dist2(f, &centroids[b])))
-                .unwrap_or(0);
-            if labels[i] != best {
-                labels[i] = best;
+        for (f, label) in normed.iter().zip(&mut labels) {
+            let best = centroids
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| dist2(f, a).total_cmp(&dist2(f, b)))
+                .map_or(0, |(j, _)| j);
+            if *label != best {
+                *label = best;
                 changed = true;
             }
         }
@@ -199,16 +187,14 @@ pub fn sort_spikes(snippets: &[Snippet], k: usize) -> SortResult {
         let mut sums = vec![[0.0f64; 3]; k];
         let mut counts = vec![0usize; k];
         for (f, &l) in normed.iter().zip(&labels) {
-            for d in 0..3 {
-                sums[l][d] += f[d];
+            if let (Some(sum), Some(count)) = (sums.get_mut(l), counts.get_mut(l)) {
+                *sum = zip_with(*sum, *f, |s, x| s + x);
+                *count += 1;
             }
-            counts[l] += 1;
         }
-        for j in 0..k {
-            if counts[j] > 0 {
-                for d in 0..3 {
-                    centroids[j][d] = sums[j][d] / counts[j] as f64;
-                }
+        for ((c, sum), &count) in centroids.iter_mut().zip(&sums).zip(&counts) {
+            if count > 0 {
+                *c = sum.map(|s| s / count as f64);
             }
         }
         if !changed {
@@ -219,15 +205,15 @@ pub fn sort_spikes(snippets: &[Snippet], k: usize) -> SortResult {
     // De-normalize centroids back to feature units.
     let centroids = centroids
         .into_iter()
-        .map(|c| {
-            let mut out = [0.0; 3];
-            for d in 0..3 {
-                out[d] = c[d] * sd[d] + mean[d];
-            }
-            out
-        })
+        .map(|c| zip_with(zip_with(c, sd, |c, s| c * s), mean, |x, m| x + m))
         .collect();
     SortResult { labels, centroids }
+}
+
+/// Applies `op` to each pair of matching components.
+fn zip_with(a: [f64; 3], b: [f64; 3], op: impl Fn(f64, f64) -> f64) -> [f64; 3] {
+    let ([a0, a1, a2], [b0, b1, b2]) = (a, b);
+    [op(a0, b0), op(a1, b1), op(a2, b2)]
 }
 
 #[cfg(test)]

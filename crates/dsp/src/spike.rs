@@ -96,12 +96,16 @@ impl SpikeDetector {
                 sigma
             }
             DetectionMethod::Neo => {
+                // ψ[i] = x[i]² − x[i−1]·x[i+1]; the two end samples stay 0.
                 scratch.feature.clear();
-                scratch.feature.resize(centered.len(), 0.0);
-                for i in 1..centered.len() - 1 {
-                    scratch.feature[i] =
-                        centered[i] * centered[i] - centered[i - 1] * centered[i + 1];
-                }
+                scratch.feature.push(0.0);
+                scratch
+                    .feature
+                    .extend(centered.windows(3).map(|w| match *w {
+                        [prev, x, next] => x * x - prev * next,
+                        _ => 0.0,
+                    }));
+                scratch.feature.push(0.0);
                 mad_sigma_with(&scratch.feature, &mut scratch.sort)
                     .unwrap_or(0.0)
                     .max(1e-30)
@@ -193,10 +197,10 @@ pub fn score_detections(detected: &[usize], truth: &[usize], tolerance: usize) -
     for &t in truth {
         let hit = detected
             .iter()
-            .enumerate()
-            .find(|(k, &d)| !used[*k] && d.abs_diff(t) <= tolerance);
-        if let Some((k, _)) = hit {
-            used[k] = true;
+            .zip(&mut used)
+            .find(|(&d, used)| !**used && d.abs_diff(t) <= tolerance);
+        if let Some((_, used)) = hit {
+            *used = true;
             tp += 1;
         }
     }

@@ -97,9 +97,11 @@ impl PanelDesign {
             let mut best: Option<DesignedProbe> = None;
             if target.len() >= self.probe_length {
                 for offset in 0..=(target.len() - self.probe_length) {
-                    let window = DnaSequence::new(
-                        target.bases()[offset..offset + self.probe_length].to_vec(),
-                    );
+                    let bases = target.bases().get(offset..offset + self.probe_length);
+                    let Some(bases) = bases else {
+                        continue;
+                    };
+                    let window = DnaSequence::new(bases.to_vec());
                     let probe = window.reverse_complement();
                     let tm = self.model.melting_temperature(&probe, target);
                     if tm < self.tm_min || tm > self.tm_max {

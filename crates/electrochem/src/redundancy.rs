@@ -160,12 +160,15 @@ impl RedundantLayout {
             };
             self.targets
         ];
-        for spot in 0..self.total_spots() {
-            if !usable[spot] {
+        let spots = spot_matches.iter().zip(usable).take(self.total_spots());
+        for (spot, (&matched, &usable)) in spots.enumerate() {
+            if !usable {
                 continue;
             }
-            let v = &mut votes[spot % self.targets];
-            if spot_matches[spot] {
+            let Some(v) = votes.get_mut(spot % self.targets) else {
+                continue;
+            };
+            if matched {
                 v.votes_match += 1;
             } else {
                 v.votes_mismatch += 1;

@@ -147,8 +147,8 @@ impl InjectionPlan {
         for (target, kind) in &self.entries {
             match *target {
                 Target::Pixel { row, col } => {
-                    if row < rows && col < cols {
-                        pixels[row * cols + col].merge(*kind);
+                    if let Some(p) = cell(rows, cols, row, col).and_then(|i| pixels.get_mut(i)) {
+                        p.merge(*kind);
                         *injected.entry(kind.class()).or_default() += 1;
                     }
                 }
@@ -193,6 +193,12 @@ impl InjectionPlan {
             injected,
         }
     }
+}
+
+/// Row-major index of `(row, col)` in a `rows × cols` array, `None`
+/// outside it.
+fn cell(rows: usize, cols: usize, row: usize, col: usize) -> Option<usize> {
+    (row < rows && col < cols).then_some(row * cols + col)
 }
 
 /// Picks `k` distinct indices from `0..n` (partial Fisher–Yates).
@@ -244,11 +250,10 @@ impl CompiledFaults {
     /// The aggregate fault state of one pixel. Out-of-range addresses
     /// report as fault-free.
     pub fn at(&self, row: usize, col: usize) -> PixelFaults {
-        if row < self.rows && col < self.cols {
-            self.pixels[row * self.cols + col]
-        } else {
-            PixelFaults::default()
-        }
+        cell(self.rows, self.cols, row, col)
+            .and_then(|i| self.pixels.get(i))
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Per-pixel fault states in row-major order.

@@ -3,8 +3,8 @@
 //! compiled).
 //!
 //! The fixture harness also reports every `panic.indexing` site, so each
-//! index below carries that marker: a guard, however tight, does not take
-//! a site off its file's budget.
+//! index below carries that marker: a guard, however tight, does not
+//! discharge a site.
 
 // ---------------------------------------------------------------------------
 // flow.unit — intraprocedural unit inference

@@ -1,6 +1,6 @@
-//! Seeded wire-taint violations for `taint.wire-alloc`,
-//! `taint.wire-index` and `taint.wire-arith` (semantic lint fixture —
-//! lexed and parsed under a wire-scope path, never compiled).
+//! Seeded wire-taint violations for `taint.wire-alloc` and
+//! `taint.wire-arith` (semantic lint fixture — lexed and parsed under a
+//! wire-scope path, never compiled).
 //!
 //! The unmarked functions at the bottom are the sanitizer vocabulary:
 //! every recognized validation idiom must keep its flow silent, pinning
@@ -53,16 +53,6 @@ fn grow(n: usize) -> Vec<u8> {
 fn unchecked_interprocedural(b: [u8; 4]) -> Vec<u8> {
     let n = u32::from_le_bytes(b) as usize;
     grow(n) //~ taint.wire-alloc
-}
-
-// ---------------------------------------------------------------------------
-// taint.wire-index — peer-controlled value used as a slice index
-// ---------------------------------------------------------------------------
-
-/// An index decoded from the wire reaches a slice unguarded.
-fn unchecked_index(xs: &[u8], b: [u8; 4]) -> u8 {
-    let i = u32::from_le_bytes(b) as usize;
-    xs[i] //~ taint.wire-index
 }
 
 // ---------------------------------------------------------------------------
@@ -139,16 +129,6 @@ fn trusted_reader_count(payload: &[u8]) -> Result<Vec<u8>, E> {
     let mut r = Reader::new(payload);
     let n = r.count(8, "samples")?;
     Ok(Vec::with_capacity(n))
-}
-
-/// Non-exit bounds guard dominating the index site.
-fn guarded_index(xs: &[u8], b: [u8; 4]) -> u8 {
-    let i = u32::from_le_bytes(b) as usize;
-    if i < xs.len() {
-        xs[i]
-    } else {
-        0
-    }
 }
 
 /// The callee validates its own parameter, so the call is clean.

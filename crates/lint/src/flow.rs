@@ -10,10 +10,9 @@
 //! `units.raw-f64` signature rule cannot see.
 //!
 //! Index bounds and divisors are not this pass's business: every direct
-//! index is a `panic.indexing` site with an exact per-file budget, and
-//! rustc's deny-by-default `unconditional_panic` lint already rejects a
-//! constant index past a fixed-length array and a division by a constant
-//! zero.
+//! index is a `panic.indexing` finding in library code, and rustc's
+//! deny-by-default `unconditional_panic` lint already rejects a constant
+//! index past a fixed-length array and a division by a constant zero.
 
 use std::collections::BTreeMap;
 use std::ops::Range;

@@ -15,9 +15,10 @@
 //! The lexical families run per file ([`rules`]):
 //!
 //! 1. **Panic-freedom** (`panic.*`) — no `expect`/panicking
-//!    macros/direct indexing in non-test library code; justified
-//!    exceptions live in `lint.allow.toml`, whose budgets are exact and
-//!    can only shrink.
+//!    macros/direct indexing in non-test library code. There are no
+//!    exceptions: every site fails `check` where it is written, so no
+//!    reachability pass is needed. A call can still reach a panic in an
+//!    `.unwrap()` (clippy rejects it), an `assert!` contract or std.
 //! 2. **Unit-safety** (`units.raw-f64`) — public functions take
 //!    `bsa-units` newtypes (`Hertz`, `Volt`, `Ampere`, `Seconds`) rather
 //!    than raw `f64` for dimensioned scalars, so a pA-vs-nA or Hz-vs-rad
@@ -27,21 +28,18 @@
 //! workspace at once. A lightweight parser ([`parser`]) extracts fns,
 //! impls and call sites, and resolves every call site to the fn it
 //! binds to, once for the whole workspace, under one rule (DESIGN.md
-//! §9.2). Every call-graph pass reads that call table:
-//! `reach.panic` (transitive panic reachability behind public APIs,
-//! [`reach`]), the taint analysis, and `conc.*` (atomic read-modify-write,
-//! lock discipline and the global lock/channel acquisition-order cycle
-//! detector `conc.lock-order` in the serving crates, [`conc`]).
+//! §9.2). Both call-graph passes read that call table: the taint analysis
+//! and `conc.*` (atomic read-modify-write, lock discipline and the global
+//! lock/channel acquisition-order cycle detector `conc.lock-order` in the
+//! serving crates, [`conc`]).
 //!
 //! The parser also records every direct panic site of a file once, in
-//! token order: the site table ([`parser::ParsedFile::sites`]). The
-//! `panic.*` rules, `reach.panic` and the taint analysis all read it.
-//! No pass discharges a site: an index is either rewritten so it cannot
-//! panic (`get`, iterators, slice patterns) or counted against its file's
-//! exact `panic.indexing` budget. The definite bugs need no pass of their
-//! own, because rustc's deny-by-default `unconditional_panic` lint
-//! rejects them at compile time — a constant index past a `[e; N]`
-//! array:
+//! token order: the site table ([`parser::ParsedFile::sites`]) that the
+//! `panic.*` rules read. No pass discharges a site: an index is rewritten
+//! so it cannot panic (`get`, iterators, slice patterns). The definite
+//! bugs need no pass of their own, because rustc's deny-by-default
+//! `unconditional_panic` lint rejects them at compile time — a constant
+//! index past a `[e; N]` array:
 //!
 //! ```compile_fail
 //! let buf = [0.0_f64; 4];
@@ -74,33 +72,30 @@
 //! * intraprocedural unit inference ([`flow`], `flow.unit`) flags sums
 //!   and assignments that mix physical dimensions;
 //! * a taint analysis over the wire trust boundary ([`taint`]) proves no
-//!   peer- or segment-controlled value reaches an allocation, index or
-//!   loop bound without a recognized validation idiom
-//!   (`taint.wire-alloc`, `taint.wire-index`, `taint.wire-arith`). Its
-//!   bottom-up parameter summaries carry argument flow across calls.
+//!   peer- or segment-controlled value reaches an allocation or loop
+//!   bound without a recognized validation idiom (`taint.wire-alloc`,
+//!   `taint.wire-arith`). Its bottom-up parameter summaries carry
+//!   argument flow across calls. A wire value used as an index needs no
+//!   rule of its own: every direct index fails `panic.indexing`.
 //!
 //! Run it as `cargo run -p bsa-lint -- check` (add `--format json` for
 //! the CI artifact). The analyzer is dependency-free: it lexes Rust
 //! itself ([`lexer`]) instead of pulling in `syn`, so it keeps working in
 //! a bare offline checkout.
 
-pub mod allow;
 pub mod conc;
 pub mod flow;
 pub mod lexer;
 pub mod parser;
-pub mod reach;
 pub mod report;
 pub mod rules;
 pub mod syntax;
 pub mod taint;
 pub mod workspace;
 
-pub use allow::{reconcile, AllowEntry, Allowlist, Reconciliation};
 pub use conc::{conc_pass, lock_order_pass};
 pub use flow::flow_pass;
 pub use parser::{parse_workspace, ParsedFile};
-pub use reach::reach_pass;
 pub use report::{render_json, Report};
 pub use rules::{rule_description, run_rules, Violation, RULE_IDS};
 pub use taint::taint_pass;

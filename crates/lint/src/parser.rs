@@ -11,8 +11,8 @@
 //!
 //! [`parse_workspace`] also resolves every call site to the fn it binds
 //! to, once for the whole workspace: [`CallSite::target`] is the call
-//! table that `reach`, `taint` and `conc` read. [`ParsedFile::sites`] is
-//! the site table that `panic.*`, `reach` and `taint` read the same way.
+//! table that `taint` and `conc` read. [`ParsedFile::sites`] is the site
+//! table that the `panic.*` rules read.
 //!
 //! Like the rule passes, this module practises what bsa-lint preaches:
 //! every token access is bounds-checked (`get`), so a degenerate token
@@ -41,16 +41,6 @@ pub struct ParsedFile {
     /// Every direct panic site in the file, inside fn bodies or not, in
     /// token order.
     pub sites: Vec<Site>,
-}
-
-impl ParsedFile {
-    /// The panic sites whose token lies in `range`, in token order.
-    pub(crate) fn sites_in<'a>(
-        &'a self,
-        range: &'a Range<usize>,
-    ) -> impl Iterator<Item = &'a Site> {
-        self.sites.iter().filter(|s| range.contains(&s.at))
-    }
 }
 
 /// One function item.
@@ -605,6 +595,29 @@ mod tests {
                 ("self.method", Some("A::method")),
             ]
         );
+    }
+
+    #[test]
+    fn bare_names_bind_across_files_only_when_unique() {
+        let files = [
+            (
+                "crates/core/src/a.rs",
+                "pub fn caller() { work(); helper(); }",
+            ),
+            ("crates/core/src/b.rs", "fn work() {}"),
+            ("crates/dsp/src/c.rs", "fn work() {}\nfn helper() {}"),
+        ];
+        let sources: Vec<SourceFile> = files
+            .iter()
+            .map(|(path, src)| SourceFile {
+                path: path.to_string(),
+                tokens: lex(src),
+            })
+            .collect();
+        let parsed = parse_workspace(&sources);
+        let caller = &parsed[0].fns[0];
+        let bound: Vec<_> = caller.calls.iter().map(|c| c.target).collect();
+        assert_eq!(bound, vec![None, Some((2, 1))]);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Rendered by hand (the workspace vendors no serde); the schema is flat
 //! and stable so the CI job can diff `lint-report.json` across commits.
 
-use crate::allow::{Allowlist, Reconciliation};
-use crate::rules::RULE_IDS;
+use crate::rules::{Violation, RULE_IDS};
 use crate::workspace::PassTimings;
 
 /// Everything one `check` run produces.
@@ -12,12 +11,8 @@ use crate::workspace::PassTimings;
 pub struct Report<'a> {
     /// Files scanned.
     pub files_checked: usize,
-    /// Raw violation count before reconciliation.
-    pub violations_total: usize,
-    /// Outcome of budget reconciliation.
-    pub rec: &'a Reconciliation,
-    /// The allowlist in force.
-    pub allow: &'a Allowlist,
+    /// Every violation; any one fails the check.
+    pub violations: &'a [Violation],
     /// Per-pass elapsed wall-clock.
     pub timings: &'a PassTimings,
 }
@@ -26,20 +21,20 @@ pub struct Report<'a> {
 pub fn render_json(r: &Report<'_>) -> String {
     let mut s = String::with_capacity(1024);
     s.push_str("{\n");
-    let status = if r.rec.clean() { "clean" } else { "failed" };
+    let status = if r.violations.is_empty() {
+        "clean"
+    } else {
+        "failed"
+    };
     push_kv_str(&mut s, 1, "status", status, true);
     push_kv_num(&mut s, 1, "files_checked", r.files_checked, true);
 
-    s.push_str("  \"violations\": {\n");
-    push_kv_num(&mut s, 2, "total", r.violations_total, true);
-    let allowed = r.violations_total.saturating_sub(r.rec.unallowed.len());
-    push_kv_num(&mut s, 2, "allowed", allowed, true);
-    s.push_str("    \"unallowed\": [");
-    for (i, v) in r.rec.unallowed.iter().enumerate() {
+    s.push_str("  \"violations\": [");
+    for (i, v) in r.violations.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push_str("\n      {\"file\": \"");
+        s.push_str("\n    {\"file\": \"");
         s.push_str(&json_escape(&v.file));
         s.push_str("\", \"line\": ");
         s.push_str(&v.line.to_string());
@@ -49,34 +44,10 @@ pub fn render_json(r: &Report<'_>) -> String {
         s.push_str(&json_escape(&v.message));
         s.push_str("\"}");
     }
-    if !r.rec.unallowed.is_empty() {
-        s.push_str("\n    ");
+    if !r.violations.is_empty() {
+        s.push_str("\n  ");
     }
     s.push_str("],\n");
-    s.push_str("    \"stale_budgets\": [");
-    for (i, (entry, actual)) in r.rec.stale.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n      {\"file\": \"");
-        s.push_str(&json_escape(&entry.file));
-        s.push_str("\", \"rule\": \"");
-        s.push_str(&json_escape(&entry.rule));
-        s.push_str("\", \"max\": ");
-        s.push_str(&entry.max.to_string());
-        s.push_str(", \"actual\": ");
-        s.push_str(&actual.to_string());
-        s.push('}');
-    }
-    if !r.rec.stale.is_empty() {
-        s.push_str("\n    ");
-    }
-    s.push_str("]\n  },\n");
-
-    s.push_str("  \"budget\": {\n");
-    push_kv_num(&mut s, 2, "entries", r.allow.entries.len(), true);
-    push_kv_num(&mut s, 2, "total", r.allow.total_budget(), false);
-    s.push_str("  },\n");
 
     s.push_str("  \"timings_us\": {\n");
     let t = r.timings;
@@ -85,7 +56,6 @@ pub fn render_json(r: &Report<'_>) -> String {
         ("parse", t.parse_us, true),
         ("flow", t.flow_us, true),
         ("taint", t.taint_us, true),
-        ("reach", t.reach_us, true),
         ("conc", t.conc_us, true),
         ("lock_order", t.lock_order_us, true),
         ("total", t.total_us, false),
@@ -171,21 +141,9 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allow::{reconcile, AllowEntry};
-    use crate::rules::Violation;
 
     #[test]
     fn clean_report_renders_and_balances() {
-        let rec = Reconciliation::default();
-        let allow = Allowlist {
-            header: String::new(),
-            entries: vec![AllowEntry {
-                file: "crates/core/src/a.rs".to_string(),
-                rule: "panic.indexing".to_string(),
-                max: 3,
-                reason: "bounds proven by construction".to_string(),
-            }],
-        };
         let timings = PassTimings {
             lexical_us: 1200,
             total_us: 9000,
@@ -193,13 +151,12 @@ mod tests {
         };
         let json = render_json(&Report {
             files_checked: 42,
-            violations_total: 3,
-            rec: &rec,
-            allow: &allow,
+            violations: &[],
             timings: &timings,
         });
         assert!(json.contains("\"status\": \"clean\""), "{json}");
-        assert!(json.contains("\"total\": 3"), "{json}");
+        assert!(json.contains("\"files_checked\": 42"), "{json}");
+        assert!(json.contains("\"violations\": []"), "{json}");
         assert!(json.contains("\"lexical\": 1200"), "{json}");
         assert!(json.contains("\"total\": 9000"), "{json}");
         // Brackets and braces balance.
@@ -209,20 +166,16 @@ mod tests {
     }
 
     #[test]
-    fn failed_report_lists_unallowed_with_escaping() {
+    fn any_violation_fails_the_report_with_escaping() {
         let violations = vec![Violation {
             file: "crates/dsp/src/x.rs".to_string(),
             line: 7,
             rule: "panic.expect",
             message: "a \"quoted\"\nmessage".to_string(),
         }];
-        let allow = Allowlist::default();
-        let rec = reconcile(&violations, &allow);
         let json = render_json(&Report {
             files_checked: 1,
-            violations_total: 1,
-            rec: &rec,
-            allow: &allow,
+            violations: &violations,
             timings: &PassTimings::default(),
         });
         assert!(json.contains("\"status\": \"failed\""), "{json}");

@@ -2,12 +2,12 @@
 //!
 //! Each pass walks the (test-stripped) token stream of one file and emits
 //! [`Violation`]s. The passes are deliberately syntactic — they trade a
-//! little precision for zero dependencies and total predictability, and the
-//! allowlist (`lint.allow.toml`) absorbs the handful of justified cases.
+//! little precision for zero dependencies and total predictability. There
+//! is no exception list: every finding fails `check` until the code
+//! changes.
 
 use crate::lexer::Token;
 use crate::parser::{pub_before, signature, ParsedFile};
-use crate::syntax::matching;
 use std::fmt;
 
 /// One rule violation at a specific source line.
@@ -33,20 +33,18 @@ impl fmt::Display for Violation {
     }
 }
 
-/// All stable rule identifiers, for `--help` and the allowlist validator.
+/// All stable rule identifiers, for the `rules` listing.
 pub const RULE_IDS: &[&str] = &[
     "panic.expect",
     "panic.macro",
     "panic.indexing",
     "units.raw-f64",
-    "reach.panic",
     "conc.atomic-rmw",
     "conc.ordering",
     "conc.hold-and-block",
     "flow.unit",
     "conc.lock-order",
     "taint.wire-alloc",
-    "taint.wire-index",
     "taint.wire-arith",
 ];
 
@@ -57,14 +55,12 @@ pub fn rule_description(id: &str) -> &'static str {
         "panic.macro" => "panic!/unreachable!/todo!/unimplemented! in library code",
         "panic.indexing" => "direct slice indexing that can panic",
         "units.raw-f64" => "raw f64 where a bsa-units newtype exists",
-        "reach.panic" => "panic reachable through the call graph from a pub API fn",
         "conc.atomic-rmw" => "non-atomic read-modify-write on an atomic counter",
         "conc.ordering" => "inconsistent memory Ordering across uses of one atomic",
         "conc.hold-and-block" => "blocking call while holding a lock",
         "flow.unit" => "dimension-mixing assignment or sum found by unit dataflow",
         "conc.lock-order" => "lock/channel acquisition-order cycle (potential deadlock)",
         "taint.wire-alloc" => "wire-derived count reaches an allocation or loop bound unvalidated",
-        "taint.wire-index" => "wire-derived value used as a slice index unvalidated",
         "taint.wire-arith" => "overflowable arithmetic on wire-derived operands feeds a sink",
         _ => "unknown rule",
     }
@@ -118,38 +114,21 @@ const FLAGGED_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented
 /// (see [`ParsedFile::sites`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Site {
-    /// Token index: the `unwrap`/`expect`/macro name, or the index's `[`.
-    pub at: usize,
     /// 1-based source line.
     pub line: usize,
     pub kind: PanicSite,
 }
 
-/// What a [`Site`] is.
+/// What a [`Site`] is. `.unwrap()` is not one: clippy's `unwrap_used`
+/// reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PanicSite {
-    /// `.unwrap()`. No `panic.*` rule reports it (clippy's `unwrap_used`
-    /// does), but it is still a `reach.panic` sink.
-    Unwrap,
     /// `.expect(…)`: `panic.expect`.
     Expect,
     /// One of [`FLAGGED_MACROS`]: `panic.macro`.
     Macro(&'static str),
-    /// A direct index expression: `panic.indexing`. `close` is its `]`,
-    /// where found.
-    Indexing { close: Option<usize> },
-}
-
-impl PanicSite {
-    /// How a `reach.panic` trace names this sink.
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            Self::Unwrap => "`.unwrap()`",
-            Self::Expect => "`.expect()`",
-            Self::Macro(_) => "panicking macro",
-            Self::Indexing { .. } => "unchecked indexing",
-        }
-    }
+    /// A direct index expression: `panic.indexing`.
+    Indexing,
 }
 
 /// Builds the site table of one file: every direct panic site in
@@ -157,16 +136,18 @@ impl PanicSite {
 pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<Site> {
     let mut sites = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        // `.unwrap()` / `.expect(` at method position, a flagged macro, or
-        // direct slice/array indexing: `expr[...]` where expr ends in an
+        // `.expect(` at method position, a flagged macro, or direct
+        // slice/array indexing: `expr[...]` where expr ends in an
         // identifier, `]` or `)`. `[..]` (full range) cannot panic and is
         // exempt; everything else (including partial ranges) can.
         let kind = if let Some(name) = t.ident() {
-            let dotted = i >= 1 && tokens[i - 1].is_punct('.');
+            let dotted = i
+                .checked_sub(1)
+                .and_then(|p| tokens.get(p))
+                .is_some_and(|t| t.is_punct('.'));
             let called = matches!(tokens.get(i + 1), Some(t) if t.is_punct('('));
             let banged = matches!(tokens.get(i + 1), Some(t) if t.is_punct('!'));
             match name {
-                "unwrap" if dotted && called => Some(PanicSite::Unwrap),
                 "expect" if dotted && called => Some(PanicSite::Expect),
                 _ if banged => FLAGGED_MACROS
                     .iter()
@@ -175,18 +156,12 @@ pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<Site> {
                 _ => None,
             }
         } else if index_site(tokens, i) {
-            Some(PanicSite::Indexing {
-                close: matching(tokens, i),
-            })
+            Some(PanicSite::Indexing)
         } else {
             None
         };
         if let Some(kind) = kind {
-            sites.push(Site {
-                at: i,
-                line: t.line,
-                kind,
-            });
+            sites.push(Site { line: t.line, kind });
         }
     }
     sites
@@ -195,20 +170,18 @@ pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<Site> {
 fn panic_pass(parsed: &ParsedFile, out: &mut Vec<Violation>) {
     for site in &parsed.sites {
         let (rule, message) = match site.kind {
-            PanicSite::Unwrap => continue,
             PanicSite::Expect => (
                 "panic.expect",
-                "`.expect()` in non-test library code; return a typed error or allowlist with justification"
-                    .to_string(),
+                "`.expect()` in non-test library code; return a typed error instead".to_string(),
             ),
             PanicSite::Macro(name) => (
                 "panic.macro",
                 format!("`{name}!` in non-test library code; return a typed error instead"),
             ),
-            PanicSite::Indexing { .. } => (
+            PanicSite::Indexing => (
                 "panic.indexing",
-                "direct slice indexing can panic; use get()/get_mut() or iterate, \
-                 or allowlist with a bounds justification"
+                "direct slice indexing can panic; use get()/get_mut(), iterators or slice \
+                 patterns"
                     .to_string(),
             ),
         };
@@ -219,10 +192,12 @@ fn panic_pass(parsed: &ParsedFile, out: &mut Vec<Violation>) {
 /// `true` when token `i` is a `[` opening a direct index expression.
 fn index_site(tokens: &[Token], i: usize) -> bool {
     let Some(t) = tokens.get(i) else { return false };
-    if !t.is_punct('[') || i == 0 {
+    let Some(prev) = i.checked_sub(1).and_then(|p| tokens.get(p)) else {
+        return false;
+    };
+    if !t.is_punct('[') {
         return false;
     }
-    let prev = &tokens[i - 1];
     let indexes_expr = match prev.ident() {
         Some(name) => !NON_INDEX_PREFIX_KEYWORDS.contains(&name),
         None => prev.is_punct(']') || prev.is_punct(')'),
@@ -327,16 +302,16 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_is_a_site_but_not_a_finding() {
-        // clippy's `unwrap_used` reports it; `reach.panic` still needs the
-        // site, so `panic_sites` keeps it.
-        assert!(rules_found("fn f() { x.unwrap(); }").is_empty());
-        let sites = panic_sites(&lex("fn f() { x.unwrap(); }"));
-        let found: Vec<_> = sites.iter().map(|s| (s.at, &s.kind)).collect();
-        assert_eq!(found, vec![(7, &PanicSite::Unwrap)]);
-        // unwrap_or and friends are total.
-        assert!(panic_sites(&lex("fn f() { x.unwrap_or(0.0); }")).is_empty());
-        assert!(panic_sites(&lex("fn f() { x.unwrap_or_else(|| 0.0); }")).is_empty());
+    fn unwrap_is_left_to_clippy() {
+        assert!(panic_sites(&lex("fn f() { x.unwrap(); }")).is_empty());
+        let sites = panic_sites(&lex("fn f() { x.expect(\"m\"); }"));
+        assert_eq!(
+            sites,
+            vec![Site {
+                line: 1,
+                kind: PanicSite::Expect
+            }]
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! buffers filled by `read_exact`, and fields destructured out of a
 //! decoded [`Message`] (or `StreamPayload`) pattern. A tainted value must
 //! not reach a *resource sink* — an allocation size (`with_capacity`,
-//! `reserve`, `resize`, `vec![x; n]`), a slice index, or an unbounded
-//! loop count — until a recognized validation idiom clears it:
+//! `reserve`, `resize`, `vec![x; n]`) or an unbounded loop count — until
+//! a recognized validation idiom clears it:
 //!
 //! * an early-exit guard that upper-bounds it against an untainted value
 //!   (`if n > MAX_X { return Err(..) }`, `if n != expected { .. }`),
@@ -28,7 +28,7 @@
 //! point the latest state in scope wins.
 //!
 //! The analysis is interprocedural: each function gets a bottom-up
-//! summary of which parameters reach which sink kind, so passing a
+//! summary of which parameters reach a sink, so passing a
 //! tainted value into `fn grow(n: usize) { v.reserve(n) }` is flagged at
 //! the call site. Calls bind through the parser's call table (DESIGN.md
 //! §9.2). Cycles in the call graph are cut conservatively (the
@@ -36,16 +36,17 @@
 //! wire-facing crates (`bsa-link`, `bsa-station`, `bsa-store`), for both
 //! callers and callees — taint does not originate anywhere else.
 //!
-//! Rules: `taint.wire-alloc` (allocation/loop-bound sinks),
-//! `taint.wire-index` (slice indexing), `taint.wire-arith` (overflowable
-//! `+`/`*` on tainted operands feeding a sink).
+//! Rules: `taint.wire-alloc` (allocation/loop-bound sinks) and
+//! `taint.wire-arith` (overflowable `+`/`*` on tainted operands feeding a
+//! sink). A slice index is no sink here: `panic.indexing` rejects every
+//! direct index, wire-derived or not.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use crate::lexer::Token;
 use crate::parser::{FnItem, FnRef, ParsedFile};
-use crate::rules::{violation, PanicSite, Violation};
+use crate::rules::{violation, Violation};
 use crate::syntax::{
     depth0, final_call, find_cmp, last_segment, path_starting_at, repeat_count, tok_ident,
     tok_punct, Cmp, Effect, StmtKind,
@@ -407,28 +408,6 @@ fn simple_var(tokens: &[Token], range: &Range<usize>) -> Option<String> {
 // Sinks and interprocedural summaries
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SinkKind {
-    Alloc,
-    Index,
-}
-
-impl SinkKind {
-    fn rule(self) -> &'static str {
-        match self {
-            SinkKind::Alloc => "taint.wire-alloc",
-            SinkKind::Index => "taint.wire-index",
-        }
-    }
-
-    fn noun(self) -> &'static str {
-        match self {
-            SinkKind::Alloc => "allocation/loop bound",
-            SinkKind::Index => "slice index",
-        }
-    }
-}
-
 /// A binary `+` or `*` at depth 0 (overflow candidates feeding a sink).
 fn depth0_arith(tokens: &[Token], range: &Range<usize>) -> bool {
     depth0(tokens, range.clone()).any(|j| binary_arith_at(tokens, range, j))
@@ -459,7 +438,8 @@ struct Ctx<'a> {
 }
 
 type Key = FnRef;
-type Flows = Vec<(usize, SinkKind)>;
+/// The parameter positions whose value reaches a sink.
+type Flows = Vec<usize>;
 
 /// Bottom-up param→sink summary with conservative cycle cut: a back
 /// edge (`visiting` hit) contributes no flows.
@@ -498,13 +478,13 @@ struct Sinks<'a> {
 impl Sinks<'_> {
     /// A sink argument: wire taint is a finding, parameter taint a
     /// summary flow.
-    fn sink(&mut self, range: Range<usize>, kind: SinkKind, line: usize, what: &str) {
+    fn sink(&mut self, range: Range<usize>, line: usize, what: &str) {
         let set = expr_taint(self.tokens, &range, self.ev);
         if set.wire {
             self.out.push(violation(
                 self.path,
                 line,
-                kind.rule(),
+                "taint.wire-alloc",
                 format!("wire-derived value reaches {what} without a recognized bounds check"),
             ));
             if depth0_arith(self.tokens, &range) {
@@ -517,13 +497,13 @@ impl Sinks<'_> {
             }
             self.wire_args.push(range);
         }
-        self.flow(set, kind);
+        self.flow(set);
     }
 
-    fn flow(&mut self, set: TaintSet, kind: SinkKind) {
+    fn flow(&mut self, set: TaintSet) {
         for k in 0..self.params.min(64) {
             if set.params & (1u64 << k) != 0 {
-                self.flows.push((k, kind));
+                self.flows.push(k);
             }
         }
     }
@@ -538,12 +518,8 @@ fn analyze_fn(
     viols: &mut BTreeMap<Key, Vec<Violation>>,
     visiting: &mut BTreeSet<Key>,
 ) -> (Flows, Vec<Violation>) {
-    let pf = ctx.parsed.get(key.0);
-    let (Some(sf), Some(pf), Some(f)) = (
-        ctx.sources.get(key.0),
-        pf,
-        pf.and_then(|pf| pf.fns.get(key.1)),
-    ) else {
+    let f = ctx.parsed.get(key.0).and_then(|pf| pf.fns.get(key.1));
+    let (Some(sf), Some(f)) = (ctx.sources.get(key.0), f) else {
         return (Vec::new(), Vec::new());
     };
     let tokens = &sf.tokens;
@@ -559,46 +535,25 @@ fn analyze_fn(
     };
     let line_of = |i: usize| tokens.get(i).map_or(f.line, |t| t.line);
 
+    // `vec![elem; count]`, a macro the statement model does not lower.
     for i in f.body.clone() {
-        if let Some(name) = tok_ident(tokens, i) {
-            if name == "vec" && tok_punct(tokens, i + 1, '!') {
-                // `vec![elem; count]`.
-                if let Some(count) =
-                    repeat_count(tokens, i + 2).filter(|_| tok_punct(tokens, i + 2, '['))
-                {
-                    s.sink(
-                        count,
-                        SinkKind::Alloc,
-                        line_of(i),
-                        "a `vec![elem; n]` length",
-                    );
-                }
-            } else if name == "for" {
-                // `for P in A..B {` — an unvalidated count as iteration bound.
-                let stmt = f.stmts.binary_search_by_key(&i, |st| st.at).ok();
-                if let Some(StmtKind::For { iter, .. }) =
-                    stmt.and_then(|k| f.stmts.get(k)).map(|st| &st.kind)
-                {
-                    let dotdot = (iter.start..iter.end.saturating_sub(1))
-                        .any(|j| tok_punct(tokens, j, '.') && tok_punct(tokens, j + 1, '.'));
-                    if dotdot {
-                        s.sink(iter.clone(), SinkKind::Alloc, line_of(i), "a loop bound");
-                    }
-                }
+        if tok_ident(tokens, i) == Some("vec") && tok_punct(tokens, i + 1, '!') {
+            if let Some(count) =
+                repeat_count(tokens, i + 2).filter(|_| tok_punct(tokens, i + 2, '['))
+            {
+                s.sink(count, line_of(i), "a `vec![elem; n]` length");
             }
         }
     }
-    for site in pf.sites_in(&f.body) {
-        if let PanicSite::Indexing {
-            close: Some(close), ..
-        } = site.kind
-        {
-            s.sink(
-                site.at + 1..close,
-                SinkKind::Index,
-                site.line,
-                "a slice index",
-            );
+    // `for P in A..B {` — an unvalidated count as iteration bound.
+    for st in &f.stmts {
+        let StmtKind::For { iter, .. } = &st.kind else {
+            continue;
+        };
+        let dotdot = (iter.start..iter.end.saturating_sub(1))
+            .any(|j| tok_punct(tokens, j, '.') && tok_punct(tokens, j + 1, '.'));
+        if dotdot {
+            s.sink(iter.clone(), line_of(st.at), "a loop bound");
         }
     }
 
@@ -608,14 +563,14 @@ fn analyze_fn(
         let name = call.callee();
         if ALLOC_METHODS.contains(&name) && (call.is_method || call.path.contains(':')) {
             let what = format!("`{name}`");
-            s.sink(call.args.clone(), SinkKind::Alloc, call.line, &what);
+            s.sink(call.args.clone(), call.line, &what);
             continue;
         }
         let target = call
             .target
             .filter(|t| *t != key && ctx.in_scope.get(t.0) == Some(&true));
         let Some(target) = target else { continue };
-        for (k, kind) in summarize(ctx, target, memo, viols, visiting) {
+        for k in summarize(ctx, target, memo, viols, visiting) {
             let Some(arg) = call.param_arg(tokens, k) else {
                 continue;
             };
@@ -624,17 +579,15 @@ fn analyze_fn(
                 s.out.push(violation(
                     &sf.path,
                     call.line,
-                    kind.rule(),
+                    "taint.wire-alloc",
                     format!(
-                        "wire-derived argument flows into `{callee}`, \
-                         where it reaches a {noun} unvalidated",
-                        callee = name,
-                        noun = kind.noun(),
+                        "wire-derived argument flows into `{name}`, \
+                         where it reaches an allocation/loop bound unvalidated"
                     ),
                 ));
                 s.wire_args.push(arg);
             }
-            s.flow(set, kind);
+            s.flow(set);
         }
     }
 
@@ -664,7 +617,7 @@ fn analyze_fn(
     }
 
     let (mut flows, out) = (s.flows, s.out);
-    flows.sort_unstable_by_key(|&(k, kind)| (k, kind.rule()));
+    flows.sort_unstable();
     flows.dedup();
     (flows, out)
 }
@@ -779,18 +732,6 @@ mod tests {
                let mut r = Reader::new(payload); \
                let n = r.count(8, \"samples\")?; \
                Ok(Vec::with_capacity(n)) }");
-        assert!(v.is_empty(), "{v:#?}");
-    }
-
-    #[test]
-    fn wire_index_flagged_and_guard_clears_it() {
-        let v = run("fn f(xs: &[u8], b: [u8; 4]) -> u8 { \
-               let i = u32::from_le_bytes(b) as usize; \
-               xs[i] }");
-        assert_eq!(rules(&v), ["taint.wire-index"], "{v:#?}");
-        let v = run("fn f(xs: &[u8], b: [u8; 4]) -> u8 { \
-               let i = u32::from_le_bytes(b) as usize; \
-               if i < xs.len() { xs[i] } else { 0 } }");
         assert!(v.is_empty(), "{v:#?}");
     }
 

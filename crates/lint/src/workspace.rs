@@ -13,12 +13,10 @@
 //! in `bsa-core`, `bsa-dsp`, `bsa-link` and `bsa-control`) is not scoped
 //! here: each of those crates carries a `clippy.toml` that bans them.
 
-use crate::allow::Allowlist;
 use crate::conc::{conc_pass, lock_order_pass};
 use crate::flow::flow_pass;
 use crate::lexer::{lex, strip_test_code, Token};
 use crate::parser::parse_workspace;
-use crate::reach::reach_pass;
 use crate::rules::{run_rules, Violation};
 use crate::taint::taint_pass;
 use std::fs;
@@ -139,7 +137,6 @@ pub struct PassTimings {
     pub parse_us: u128,
     pub flow_us: u128,
     pub taint_us: u128,
-    pub reach_us: u128,
     pub conc_us: u128,
     pub lock_order_us: u128,
     pub total_us: u128,
@@ -157,13 +154,9 @@ pub struct CheckOutcome {
 /// Runs every pass — the workspace parse and its site table, unit
 /// inference (`flow.unit`), the per-file rules (`panic.*`,
 /// `units.raw-f64`), then the workspace-level semantic passes (taint,
-/// panic reachability, concurrency discipline, lock-order acyclicity) —
-/// over pre-loaded sources.
-///
-/// The allowlist is input (not just output reconciliation) because
-/// `reach.panic` treats allowlisted indexing budgets as local bounds
-/// proofs.
-pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome {
+/// concurrency discipline, lock-order acyclicity) — over pre-loaded
+/// sources. Every violation fails the check.
+pub fn check_sources(sources: &[SourceFile]) -> CheckOutcome {
     let started = Instant::now();
     let mut timings = PassTimings::default();
     let mut all = Vec::new();
@@ -193,10 +186,6 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
     timings.taint_us = t.elapsed().as_micros();
 
     let t = Instant::now();
-    reach_pass(&parsed, allow, &mut all);
-    timings.reach_us = t.elapsed().as_micros();
-
-    let t = Instant::now();
     conc_pass(sources, &parsed, &mut all);
     timings.conc_us = t.elapsed().as_micros();
 
@@ -213,13 +202,47 @@ pub fn check_sources(sources: &[SourceFile], allow: &Allowlist) -> CheckOutcome 
 }
 
 /// Runs the full analysis over every in-scope workspace file.
-pub fn check_workspace(root: &Path, allow: &Allowlist) -> io::Result<CheckOutcome> {
-    Ok(check_sources(&load_sources(root)?, allow))
+pub fn check_workspace(root: &Path) -> io::Result<CheckOutcome> {
+    Ok(check_sources(&load_sources(root)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render_json, Report};
+
+    /// Zero tolerance: a panic a private helper holds fails the check
+    /// where it is written, once, whichever `pub fn` reaches it.
+    #[test]
+    fn a_panic_behind_a_pub_fn_fails_where_it_is_written() {
+        for (site, rule) in [
+            ("v[i]", "panic.indexing"),
+            ("*v.get(i).expect(\"in range\")", "panic.expect"),
+            ("panic!(\"out of range\")", "panic.macro"),
+        ] {
+            let src = format!(
+                "pub fn api(v: &[u8], i: usize) -> u8 {{\n    helper(v, i)\n}}\n\n\
+                 fn helper(v: &[u8], i: usize) -> u8 {{\n    {site}\n}}\n"
+            );
+            let sources = [SourceFile {
+                path: "crates/core/src/api.rs".to_string(),
+                tokens: strip_test_code(&lex(&src)),
+            }];
+            let outcome = check_sources(&sources);
+            let found: Vec<_> = outcome
+                .violations
+                .iter()
+                .map(|v| (v.file.as_str(), v.line, v.rule))
+                .collect();
+            assert_eq!(found, [("crates/core/src/api.rs", 6, rule)], "{site}");
+            let json = render_json(&Report {
+                files_checked: sources.len(),
+                violations: &outcome.violations,
+                timings: &outcome.timings,
+            });
+            assert!(json.contains("\"status\": \"failed\""), "{json}");
+        }
+    }
 
     #[test]
     fn scope_policy() {

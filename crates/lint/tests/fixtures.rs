@@ -5,8 +5,8 @@
 
 use bsa_lint::lexer::{lex, strip_test_code};
 use bsa_lint::{
-    conc_pass, flow_pass, lock_order_pass, parse_workspace, reach_pass, run_rules, taint_pass,
-    Allowlist, ParsedFile, SourceFile, Violation,
+    conc_pass, flow_pass, lock_order_pass, parse_workspace, run_rules, taint_pass, ParsedFile,
+    SourceFile, Violation,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -104,20 +104,6 @@ fn units_fixture_is_fully_flagged() {
 }
 
 #[test]
-fn reach_fixture_is_fully_flagged() {
-    // Synthetic path inside a reporting-scope crate; empty allowlist so
-    // every sink kind (including indexing) propagates.
-    check_semantic_fixture(
-        "reach.rs",
-        "crates/core/src/reach_fixture.rs",
-        &|_, p, out| {
-            let empty = Allowlist::parse("").expect("empty allowlist parses");
-            reach_pass(p, &empty, out);
-        },
-    );
-}
-
-#[test]
 fn conc_fixture_is_fully_flagged() {
     check_semantic_fixture(
         "conc.rs",
@@ -212,7 +198,6 @@ fn every_rule_id_is_exercised_by_some_fixture() {
     for name in [
         "panics.rs",
         "units.rs",
-        "reach.rs",
         "conc.rs",
         "flow.rs",
         "locks.rs",

@@ -185,7 +185,7 @@ impl ApTemplate {
         let post = (6e-3 / dt.value()).round() as usize;
         let lo = onset.saturating_sub(pre);
         let hi = (onset + post).min(v_cleft.len());
-        let samples = v_cleft[lo..hi].to_vec();
+        let samples = v_cleft.get(lo..hi).unwrap_or_default().to_vec();
         Self {
             dt,
             samples,

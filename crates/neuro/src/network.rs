@@ -134,13 +134,9 @@ impl SynapticNetwork {
         self.neurons.is_empty()
     }
 
-    /// Whether neuron `i` is inhibitory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn is_inhibitory(&self, i: usize) -> bool {
-        self.inhibitory[i]
+    /// Whether neuron `i` is inhibitory, or `None` if `i` is out of range.
+    pub fn is_inhibitory(&self, i: usize) -> Option<bool> {
+        self.inhibitory.get(i).copied()
     }
 
     /// Simulates the network for `duration`, with noisy background drive
@@ -155,26 +151,32 @@ impl SynapticNetwork {
 
         for k in 0..steps {
             let now = self.config.dt * k as f64;
-            let mut input = std::mem::take(&mut pending);
-            pending = vec![0.0; n];
+            let input = std::mem::replace(&mut pending, vec![0.0; n]);
             let mut fired = Vec::new();
-            for (i, neuron) in self.neurons.iter_mut().enumerate() {
+            let cells = self.neurons.iter_mut().zip(&input).zip(&mut spike_trains);
+            for (i, ((neuron, &input), train)) in cells.enumerate() {
                 // Background: uniform noise around the mean drive.
-                let drive = self.config.background_drive * 2.0 * rng.gen::<f64>() + input[i];
+                let drive = self.config.background_drive * 2.0 * rng.gen::<f64>() + input;
                 if neuron.step(drive, self.config.dt) {
                     fired.push(i);
-                    spike_trains[i].push(now);
+                    train.push(now);
                 }
-                input[i] = 0.0;
             }
             for &i in &fired {
-                let w = if self.inhibitory[i] {
+                let (Some(&inhibitory), Some(targets)) =
+                    (self.inhibitory.get(i), self.targets.get(i))
+                else {
+                    continue;
+                };
+                let w = if inhibitory {
                     -self.config.inhibitory_weight
                 } else {
                     self.config.excitatory_weight
                 };
-                for &j in &self.targets[i] {
-                    pending[j] += w;
+                for &j in targets {
+                    if let Some(p) = pending.get_mut(j) {
+                        *p += w;
+                    }
                 }
             }
             population_rate.push(fired.len());

@@ -77,8 +77,10 @@ impl Pipeline {
     /// equivalent): the baseline Fig. 1 contrasts against.
     pub fn without_chip_parallelism() -> Self {
         let mut p = Self::classic();
-        p.stages[0].datapoints_per_day = 1_000.0;
-        p.stages[1].datapoints_per_day = 20.0;
+        if let [molecular, cell, ..] = p.stages.as_mut_slice() {
+            molecular.datapoints_per_day = 1_000.0;
+            cell.datapoints_per_day = 20.0;
+        }
         p
     }
 

@@ -154,7 +154,7 @@ fn dna_assay_survives_every_fault_class() {
             }
             let idx = row * chip.geometry().cols() + col;
             let state = chip.health().state(idx);
-            let flagged = state != PixelHealth::Healthy;
+            let flagged = state != Some(PixelHealth::Healthy);
             // Unflagged faults (small leaks, mild DAC saturation) must be
             // harmless: the per-spot call matches the reference die's.
             if !flagged {
@@ -246,14 +246,17 @@ fn neural_recording_survives_every_fault_class() {
     // Health screen: injected dead pixel and the whole lost channel are
     // masked; the clipped pixel is flagged but stays usable.
     let health = chip.health();
-    assert_eq!(health.state(10 * geometry.cols() + 10), PixelHealth::Dead);
+    assert_eq!(
+        health.state(10 * geometry.cols() + 10),
+        Some(PixelHealth::Dead)
+    );
     assert_eq!(
         health.state(30 * geometry.cols() + 30),
-        PixelHealth::OutOfFamily
+        Some(PixelHealth::OutOfFamily)
     );
     assert_eq!(
         health.state(20 * geometry.cols() + 12 * cols_per_ch),
-        PixelHealth::Dead
+        Some(PixelHealth::Dead)
     );
 
     let report = chip.yield_report();
@@ -275,10 +278,10 @@ fn neural_recording_survives_every_fault_class() {
         rec.frames().iter().map(|f| f.samples().to_vec()).collect(),
     );
     let repaired = mask.repair_stack(&stack);
-    let mut frame0 = stack.frame(0).to_vec();
+    let mut frame0 = stack.frame(0).unwrap().to_vec();
     let repair = mask.interpolate(&mut frame0);
     assert_eq!(repair.repaired(), mask.masked_count());
-    assert_eq!(repaired.frame(0), frame0.as_slice());
+    assert_eq!(repaired.frame(0), Some(frame0.as_slice()));
 }
 
 #[test]
