@@ -20,7 +20,7 @@
 //! * [`opamp`] — a single-pole op-amp with finite gain, GBW, slew and offset.
 //! * [`comparator`] — offset/hysteresis/propagation-delay comparator used by
 //!   the in-pixel sawtooth converter (paper Fig. 3).
-//! * [`reference`] — bandgap voltage reference and current mirrors/references
+//! * [`mod@reference`] — bandgap voltage reference and current mirrors/references
 //!   (the DNA chip's periphery).
 //! * [`dac`] — binary-weighted DAC providing the electrochemical potentials.
 //! * [`digital`] — reset-event counter and shift register backing the

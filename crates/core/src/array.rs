@@ -45,7 +45,7 @@ impl ArrayGeometry {
     }
 
     /// The neural chip's 128×128 array at 7.8 µm pitch within 1 mm × 1 mm
-    /// (paper Section 3, ref [19]).
+    /// (paper Section 3, ref \[19\]).
     pub fn neuro_128x128() -> Self {
         Self {
             rows: 128,

@@ -15,7 +15,7 @@
 //!   per-pixel current calibration, the ×100/×7 on-chip and ×4/×2 off-chip
 //!   calibrated gain chain, 8-to-1 multiplexing into 16 channels, and the
 //!   2 kframes/s scanner.
-//! * [`array`] — shared array geometry and addressing.
+//! * [`mod@array`] — shared array geometry and addressing.
 //!
 //! # Examples
 //!

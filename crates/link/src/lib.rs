@@ -34,8 +34,9 @@
 //!          CRC is computed over every preceding byte.
 //! ```
 //!
-//! The payload is a tagged [`Message`]; see [`message`] for the grammar
-//! and [`wire`] for how each value sits in bytes.
+//! The payload is a tagged [`Message`]; see [`message`] for the grammar,
+//! the one table that declares each message's fields and tag, and how to
+//! add a message, and [`wire`] for how each value sits in bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

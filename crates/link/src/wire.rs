@@ -45,6 +45,43 @@ pub trait Codec: Sized {
 /// Bytes of the `u32` count in front of a string or a sequence.
 pub(crate) const COUNT_LEN: usize = u32::MIN_LEN;
 
+/// How a field of a `bsa_link::message` type sits in bytes: a [`Codec`]
+/// value as itself, a `Vec` of one as a count-prefixed sequence.
+pub(crate) trait Field: Sized {
+    /// Fewest bytes the field occupies.
+    const MIN_BYTES: usize;
+
+    /// Appends the field's bytes.
+    fn write(&self, w: &mut Writer);
+
+    /// Reads the field; `what` names it in a count error.
+    fn read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ProtocolError>;
+}
+
+impl<T: Codec> Field for T {
+    const MIN_BYTES: usize = T::MIN_LEN;
+
+    fn write(&self, w: &mut Writer) {
+        self.encode(w);
+    }
+
+    fn read(r: &mut Reader<'_>, _: &'static str) -> Result<Self, ProtocolError> {
+        T::decode(r)
+    }
+}
+
+impl<T: Codec> Field for Vec<T> {
+    const MIN_BYTES: usize = COUNT_LEN;
+
+    fn write(&self, w: &mut Writer) {
+        w.seq(self);
+    }
+
+    fn read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ProtocolError> {
+        r.seq(what)
+    }
+}
+
 macro_rules! int_codec {
     ($($t:ident),*) => {$(
         impl Codec for $t {
@@ -82,6 +119,18 @@ impl Codec for f64 {
     fn decode_n(r: &mut Reader<'_>, n: usize, out: &mut Vec<Self>) -> Result<(), ProtocolError> {
         // A saturated length cannot fit the buffer, so `bytes` rejects it.
         decode_samples(r.bytes(n.saturating_mul(SAMPLE_LEN))?, out)
+    }
+}
+
+impl Codec for bool {
+    const MIN_LEN: usize = u8::MIN_LEN;
+
+    fn encode(&self, w: &mut Writer) {
+        w.bool(*self);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+        r.bool()
     }
 }
 

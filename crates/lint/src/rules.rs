@@ -125,7 +125,7 @@ pub struct Site {
 pub enum PanicSite {
     /// `.expect(…)`: `panic.expect`.
     Expect,
-    /// One of [`FLAGGED_MACROS`]: `panic.macro`.
+    /// One of `FLAGGED_MACROS`: `panic.macro`.
     Macro(&'static str),
     /// A direct index expression: `panic.indexing`.
     Indexing,

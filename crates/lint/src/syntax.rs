@@ -2,7 +2,7 @@
 //! body contains and over which token range each one holds (DESIGN.md
 //! §9.3).
 //!
-//! The parser lowers every fn item once ([`lower`]) into the statements
+//! The parser lowers every fn item once (`lower`) into the statements
 //! of its body ([`Stmt`]): `let` bindings, assignments, `if`/`while`
 //! guards, `for` loops, the method calls that grow or fill a sequence,
 //! and enum match arms. The dataflow passes (`flow.unit`, `taint`) are

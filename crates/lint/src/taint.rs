@@ -5,7 +5,7 @@
 //! values produced by the little-endian decode helpers (`Reader`'s
 //! `u8`..`u64`, `from_le_bytes`), segment header metadata (`.meta()`),
 //! buffers filled by `read_exact`, and fields destructured out of a
-//! decoded [`Message`] (or `StreamPayload`) pattern. A tainted value must
+//! decoded `Message` (or `StreamPayload`) pattern. A tainted value must
 //! not reach a *resource sink* — an allocation size (`with_capacity`,
 //! `reserve`, `resize`, `vec![x; n]`) or an unbounded loop count — until
 //! a recognized validation idiom clears it:

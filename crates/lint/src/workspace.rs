@@ -193,7 +193,7 @@ pub fn check_sources(sources: &[SourceFile]) -> CheckOutcome {
     lock_order_pass(&parsed, &mut all);
     timings.lock_order_us = t.elapsed().as_micros();
 
-    all.sort_by(|a, b| (a.file.clone(), a.line, a.rule).cmp(&(b.file.clone(), b.line, b.rule)));
+    all.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     timings.total_us = started.elapsed().as_micros();
     CheckOutcome {
         violations: all,

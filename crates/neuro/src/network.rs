@@ -146,13 +146,16 @@ impl SynapticNetwork {
         let n = self.neurons.len();
         let mut spike_trains: Vec<Vec<Seconds>> = vec![Vec::new(); n];
         let mut population_rate = Vec::with_capacity(steps);
-        // Synaptic input accumulated for the *next* step.
+        // Synaptic input for this step, and accumulated for the *next*.
+        let mut input = vec![0.0f64; n];
         let mut pending = vec![0.0f64; n];
+        let mut fired = Vec::new();
 
         for k in 0..steps {
             let now = self.config.dt * k as f64;
-            let input = std::mem::replace(&mut pending, vec![0.0; n]);
-            let mut fired = Vec::new();
+            std::mem::swap(&mut input, &mut pending);
+            pending.fill(0.0);
+            fired.clear();
             let cells = self.neurons.iter_mut().zip(&input).zip(&mut spike_trains);
             for (i, ((neuron, &input), train)) in cells.enumerate() {
                 // Background: uniform noise around the mean drive.

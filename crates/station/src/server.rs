@@ -1,7 +1,7 @@
 //! The TCP station: accept loop, session spawning, lifecycle.
 //!
 //! Thread-per-connection over `std::net`: the accept loop hands every
-//! connection to a session thread ([`crate::session`]), which itself
+//! connection to a session thread (the `session` module), which itself
 //! splits into a reader (request execution) and a writer (bounded
 //! outbound queue). Wall-clock time is allowed here — session read
 //! timeouts are real timeouts — but never inside the chip crates, whose

@@ -11,7 +11,7 @@
 //! records carrying embedded metadata (frame index, epoch, payload
 //! length, CRC-8 trailer — the same polynomial that guards the chips'
 //! serial words, via [`bsa_link::crc::Crc8`]), and an index footer giving
-//! O(1) frame seek. See [`format`] docs for the exact byte layout.
+//! O(1) frame seek. See [`mod@format`] docs for the exact byte layout.
 //!
 //! Design rules:
 //!

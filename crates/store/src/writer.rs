@@ -14,17 +14,20 @@
 //!
 //! A recorder starts with a pool of [`SPARE_BYTES`] of payload buffers,
 //! and the writer thread hands each buffer back through a second bounded
-//! queue once the record holds its bytes. [`Recorder::offer_bytes`]
+//! queue once it has written the frame. [`Recorder::offer_bytes`]
 //! copies a frame into one of those, so the tee allocates nothing per
 //! frame while the writer stays within a pool's worth of frames.
 
 use crate::error::StoreError;
-use crate::format::{SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, MAX_SPEC_LEN};
+use crate::format::{
+    SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, MAX_SPEC_LEN, RECORD_META_LEN, RECORD_OVERHEAD,
+};
+use bsa_link::crc::Crc8;
 use bsa_link::wire::Writer;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::thread::{Builder, JoinHandle};
 
 /// Default bound on the writer queue, in frames.
@@ -78,7 +81,7 @@ pub struct Recorder {
     dropped: u64,
     tx: Option<SyncSender<Frame>>,
     /// The pool of payload buffers; the writer thread hands each one
-    /// back once its record holds the bytes.
+    /// back once it has written the frame.
     spares: Receiver<Vec<u8>>,
     join: Option<JoinHandle<Result<WriteSummary, StoreError>>>,
 }
@@ -231,12 +234,15 @@ impl Drop for Recorder {
     }
 }
 
-/// Writer-thread body: drain the queue, append records (handing each
-/// payload buffer back through `spares` once the record holds its bytes,
-/// or dropping it when `spares` is full), then finalise with the index
-/// footer. Any I/O error aborts persistence; the error is
-/// surfaced by [`Recorder::finish`] and the unfinalised segment is
-/// rejected (typed) by the reader.
+/// Writer-thread body: drain the queue, append records, then finalise
+/// with the index footer. Each record's meta, payload and CRC go to `out`
+/// one after another, with no copy of the payload; the payload buffer is
+/// handed back through `spares` (or dropped when `spares` is full) once
+/// written, ahead of the CRC byte. `out` is flushed whenever the queue
+/// runs dry, so the file holds every record offered so far (and so every
+/// buffer is back) once the writer catches up. Any I/O error aborts
+/// persistence; the error is surfaced by [`Recorder::finish`] and the
+/// unfinalised segment is rejected (typed) by the reader.
 fn run_writer(
     mut out: BufWriter<File>,
     header_len: u64,
@@ -246,18 +252,31 @@ fn run_writer(
     let mut offsets: Vec<u64> = Vec::new();
     let mut pos = header_len;
     let mut epochs: u32 = 0;
-    let mut record = Writer::default();
-    for frame in rx {
-        record.clear();
-        record.u64(offsets.len() as u64);
-        record.u32(frame.epoch);
-        record.u32(frame.payload.len() as u32);
-        record.bytes(&frame.payload);
-        record.crc8();
+    let mut meta = Writer::with_capacity(RECORD_META_LEN);
+    loop {
+        let frame = match rx.try_recv() {
+            Ok(frame) => frame,
+            Err(TryRecvError::Empty) => {
+                out.flush()?;
+                let Ok(frame) = rx.recv() else { break };
+                frame
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
+        let len = frame.payload.len();
+        meta.clear();
+        meta.u64(offsets.len() as u64);
+        meta.u32(frame.epoch);
+        meta.u32(len as u32);
+        let mut crc = Crc8::new();
+        crc.update_bytes(meta.as_bytes());
+        crc.update_bytes(&frame.payload);
+        out.write_all(meta.as_bytes())?;
+        out.write_all(&frame.payload)?;
         let _ = spares.try_send(frame.payload);
-        out.write_all(record.as_bytes())?;
+        out.write_all(&[crc.finish()])?;
         offsets.push(pos);
-        pos += record.as_bytes().len() as u64;
+        pos += (RECORD_OVERHEAD + len) as u64;
         epochs = epochs.max(frame.epoch.saturating_add(1));
     }
     let mut footer = Writer::with_capacity(offsets.len() * 8 + FOOTER_TAIL_LEN);
