@@ -1,3 +1,5 @@
+// Experiment binaries abort on broken I/O or impossible configs by design.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Extension experiment E-X2: process corners and temperature.
 //!
 //! The paper's chips must work across fab corners and operating

@@ -1,5 +1,5 @@
 // Experiment binaries abort on broken I/O or impossible configs by design.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-F2: DNA hybridization match/mismatch discrimination
 //! (paper Fig. 2).
 //!

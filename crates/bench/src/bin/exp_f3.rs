@@ -1,3 +1,5 @@
+// Experiment binaries abort on broken I/O or impossible configs by design.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-F3: the in-pixel sawtooth current-to-frequency converter
 //! (paper Fig. 3).
 //!

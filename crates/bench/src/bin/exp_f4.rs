@@ -1,5 +1,5 @@
 // Experiment binaries abort on broken I/O or impossible configs by design.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-F4: the full 16×8 DNA microarray chip (paper Fig. 4).
 //!
 //! Exercises the periphery around the pixel array: auto-calibration

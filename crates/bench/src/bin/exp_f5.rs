@@ -1,3 +1,5 @@
+// Experiment binaries abort on broken I/O or impossible configs by design.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-F5: the cell–chip junction (paper Fig. 5).
 //!
 //! Sweeps the point-contact model: cleft height vs seal resistance and

@@ -1,3 +1,5 @@
+// Experiment binaries abort on broken I/O or impossible configs by design.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-F6a: per-pixel calibration of the neural array
 //! (paper Fig. 6, M1/M2/S1 and the calibration phase).
 //!

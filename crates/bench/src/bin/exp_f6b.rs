@@ -1,3 +1,5 @@
+// Experiment binaries abort on broken I/O or impossible configs by design.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-F6b: the readout signal chain (paper Fig. 6, right half).
 //!
 //! Verifies the gain partitioning ×100 (on-chip, BW 4 MHz) × ×7 × 8:1 mux

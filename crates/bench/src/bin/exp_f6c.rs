@@ -1,5 +1,5 @@
 // Experiment binaries abort on broken I/O or impossible configs by design.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-F6c: full-array neural recording (paper §3, Figs. 5–6).
 //!
 //! Records a cultured network with the 128×128 chip at 2 kframes/s,

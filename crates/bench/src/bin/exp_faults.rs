@@ -1,3 +1,5 @@
+// Experiment binaries abort on broken I/O or impossible configs by design.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-FT: fault density vs genotyping-call accuracy.
 //!
 //! Sweeps random pixel-fault density on the 16×8 DNA microarray and

@@ -1,3 +1,5 @@
+// Experiment binaries abort on broken I/O or impossible configs by design.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Experiment E-T1: headline specification table.
 //!
 //! The paper states its quantitative claims in prose rather than a table;

@@ -4,7 +4,8 @@
 //! observation budget — and that two runs of the same seeded scenario
 //! produce bit-identical action traces.
 
-#![allow(clippy::unwrap_used)] // tests unwrap idiomatically
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use bsa_control::scenario::{baseline_drift, channel_loss, dead_pixels, ScenarioReport};
 use bsa_control::trace::TraceEvent;

@@ -11,7 +11,8 @@
 //!
 //! Run it as `cargo test -p bsa-link --test abi_lock`.
 
-#![allow(clippy::unwrap_used)] // tests unwrap idiomatically
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use bsa_link::{
     ChipKind, CultureSpec, DegradationSummary, DnaChipSpec, ErrorCode, FaultEntrySpec,

@@ -5,7 +5,8 @@
 //! against the bit-serial definition, and stream samples against
 //! `f64::to_bits` identity.
 
-#![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use bsa_link::crc::{crc8, Crc8, CRC8_POLY};
 use bsa_link::samples::encode_samples;

@@ -3,7 +3,7 @@
 
 pub fn config_or_die(raw: &str) -> Config {
     let parsed = raw.parse().unwrap(); // clippy `unwrap_used`, not a bsa-lint rule
-    validate(parsed).expect("config must be valid") //~ panic.expect
+    validate(parsed).expect("config must be valid") // clippy `expect_used`
 }
 
 pub fn pick(values: &[f64], idx: usize) -> f64 {
@@ -21,13 +21,13 @@ pub fn midpoint_pair(m: &Matrix) -> f64 {
 pub fn unsupported(mode: Mode) -> f64 {
     match mode {
         Mode::Linear => 1.0,
-        Mode::Log => panic!("log mode is not wired up"), //~ panic.macro
-        Mode::Auto => unreachable!(), //~ panic.macro
+        Mode::Log => panic!("log mode is not wired up"), // clippy `panic`
+        Mode::Auto => unreachable!(), // clippy `unreachable`
     }
 }
 
 pub fn later() -> f64 {
-    todo!() //~ panic.macro
+    todo!() // clippy `todo`
 }
 
 pub fn full_range_and_totals_are_fine(samples: &[f64]) -> f64 {
@@ -38,8 +38,29 @@ pub fn full_range_and_totals_are_fine(samples: &[f64]) -> f64 {
     all.iter().sum::<f64>() + arr.iter().sum::<f64>()
 }
 
+#[allow(clippy::expect_used)] //~ panic.allow
+pub fn silenced(raw: &str) -> u8 {
+    raw.parse().expect("digits")
+}
+
+#[cfg_attr(not(test), expect(clippy::panic, clippy::unwrap_used))] //~ panic.allow
+pub fn silenced_outside_tests() {}
+
+#[allow(warnings)] //~ panic.allow
+pub mod quiet {
+    #![allow(clippy::restriction)] //~ panic.allow
+}
+
+#[cfg_attr(test, allow(clippy::expect_used))]
+#[allow(clippy::too_many_arguments, dead_code)]
+pub fn test_builds_may_expect(raw: &str) -> u8 {
+    raw.parse().unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::expect_used)]
+
     #[test]
     fn test_code_may_unwrap_freely() {
         let x: Option<f64> = Some(1.0);

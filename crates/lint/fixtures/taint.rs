@@ -247,3 +247,25 @@ fn receiver_as_argument_reaches_sink(pool: &Pool, b: [u8; 4]) -> Vec<u8> {
     let n = u32::from_le_bytes(b) as usize;
     Pool::grow_second(pool, 0, n) //~ taint.wire-alloc
 }
+
+// ---------------------------------------------------------------------------
+// Known misses — the two approximations of DESIGN.md §9.4. Each flow
+// below lets a peer size a buffer, yet neither is flagged today, so the
+// lines carry no marker; a fix to either approximation adds it.
+// ---------------------------------------------------------------------------
+
+/// Approximation: closure parameters carry no taint. The wire count
+/// reaches the allocation through the closure's `k`.
+fn closure_parameter_flow(b: [u8; 4]) -> Option<Vec<u8>> {
+    let n = u32::from_le_bytes(b) as usize;
+    Some(n).map(|k| Vec::with_capacity(k))
+}
+
+/// Approximation: `.min(x)` clears taint whatever untainted `x` bounds
+/// it. `remaining` counts the frames still to send; it bounds nothing
+/// about the buffer's size.
+fn min_against_unrelated_bound(b: [u8; 4], frames: &[u64]) -> Vec<u8> {
+    let remaining = frames.len();
+    let n = (u32::from_le_bytes(b) as usize).min(remaining);
+    Vec::with_capacity(n)
+}

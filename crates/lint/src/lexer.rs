@@ -335,18 +335,25 @@ pub fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
     out
 }
 
-/// If `tokens[i..]` starts a `#[cfg(test)]`-like or `#[test]` attribute,
-/// returns the index one past its closing `]`.
+/// If `tokens[i..]` starts an attribute that confines its item to test
+/// builds — `#[test]`, `#[cfg(test)]` or `#[cfg(all(test, …))]` — returns
+/// the index one past its closing `]`. Items under `cfg(not(test))`,
+/// `cfg(any(test, …))` or `cfg_attr(test, …)` are built without `test`
+/// too, so they stay.
 fn test_attribute_end(tokens: &[Token], i: usize) -> Option<usize> {
     let end = attribute_end(tokens, i)?;
-    let inner = tokens.get(i + 2..end - 1)?;
-    let test = inner.iter().any(|t| t.is_ident("test"));
-    // `#[test]` exactly, or a `cfg`/`cfg_attr` that mentions `test`.
-    let cfg = inner.len() == 1
-        || inner
-            .iter()
-            .any(|t| t.is_ident("cfg") || t.is_ident("cfg_attr"));
-    (test && cfg).then_some(end)
+    let test_only = match tokens.get(i + 2..end - 1)? {
+        [test] => test.is_ident("test"),
+        [cfg, _, test, _] => cfg.is_ident("cfg") && test.is_ident("test"),
+        [cfg, _, all, _, test, sep, ..] => {
+            cfg.is_ident("cfg")
+                && all.is_ident("all")
+                && test.is_ident("test")
+                && (sep.is_punct(',') || sep.is_punct(')'))
+        }
+        _ => false,
+    };
+    test_only.then_some(end)
 }
 
 /// Skips one item starting at `i`: through the matching `}` of its first
@@ -475,6 +482,23 @@ mod tests {
         let toks = strip_test_code(&lex(src));
         assert!(!toks.iter().any(|t| t.is_ident("bar")));
         assert!(toks.iter().any(|t| t.is_ident("keep")));
+    }
+
+    #[test]
+    fn only_test_only_items_are_stripped() {
+        let item = "pub fn f(v: &[u8]) -> u8 { v[0] }";
+        for (attr, stripped) in [
+            ("#[test]", true),
+            ("#[cfg(test)]", true),
+            ("#[cfg(all(test, feature = \"x\"))]", true),
+            ("#[cfg(not(test))]", false),
+            ("#[cfg(any(test, feature = \"x\"))]", false),
+            ("#[cfg_attr(test, allow(dead_code))]", false),
+        ] {
+            let toks = strip_test_code(&lex(&format!("{attr}\n{item}\npub fn next() {{}}")));
+            assert_eq!(!toks.iter().any(|t| t.is_ident("v")), stripped, "{attr}");
+            assert!(toks.iter().any(|t| t.is_ident("next")), "{attr}");
+        }
     }
 
     #[test]

@@ -1,24 +1,27 @@
-// Tests unwrap idiomatically; the workspace-level `clippy::unwrap_used`
-// only polices non-test code, and CI promotes its warnings to errors.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Tests unwrap, expect and panic idiomatically; the workspace's panic
+// lints police non-test code only, and CI promotes their warnings to errors.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::unimplemented))]
 //! `bsa-lint` — workspace-wide invariant checker.
 //!
 //! Checks the invariants that clippy, rustc and the golden tests cannot
 //! state, mirroring the guarantees the chips enforce in circuitry
 //! (DESIGN.md §9 maps every invariant to the tool that enforces it).
 //! Determinism bans (wall clock, unseeded RNG, hash-ordered collections)
-//! live in per-crate `clippy.toml` files, `.unwrap()` is clippy's
-//! `unwrap_used`, and wire-protocol coverage is rustc's exhaustive
-//! `match` plus `bsa-link`'s `abi_lock` golden test and the station's
-//! test that provokes every `ErrorCode`.
+//! live in per-crate `clippy.toml` files; `.unwrap()`, `.expect()` and
+//! `panic!`/`unreachable!`/`unimplemented!`/`todo!` are clippy's panic
+//! lints; and wire-protocol coverage is rustc's exhaustive `match` plus
+//! `bsa-link`'s `abi_lock` golden test and the station's test that
+//! provokes every `ErrorCode`.
 //!
 //! The lexical families run per file ([`rules`]):
 //!
-//! 1. **Panic-freedom** (`panic.*`) — no `expect`/panicking
-//!    macros/direct indexing in non-test library code. There are no
+//! 1. **Panic-freedom** (`panic.*`) — no direct indexing in non-test
+//!    library code (`panic.indexing`), and no attribute there that
+//!    silences one of clippy's panic lints (`panic.allow`). There are no
 //!    exceptions: every site fails `check` where it is written, so no
 //!    reachability pass is needed. A call can still reach a panic in an
-//!    `.unwrap()` (clippy rejects it), an `assert!` contract or std.
+//!    `assert!` contract or std.
 //! 2. **Unit-safety** (`units.raw-f64`) — public functions take
 //!    `bsa-units` newtypes (`Hertz`, `Volt`, `Ampere`, `Seconds`) rather
 //!    than raw `f64` for dimensioned scalars, so a pA-vs-nA or Hz-vs-rad
@@ -33,10 +36,10 @@
 //! lock/channel acquisition-order cycle detector `conc.lock-order` in the
 //! serving crates, [`conc`]).
 //!
-//! The parser also records every direct panic site of a file once, in
-//! token order: the site table ([`parser::ParsedFile::sites`]) that the
-//! `panic.*` rules read. No pass discharges a site: an index is rewritten
-//! so it cannot panic (`get`, iterators, slice patterns). The definite
+//! The parser also records every direct index site of a file once, in
+//! token order: the site table ([`parser::ParsedFile::sites`]) that
+//! `panic.indexing` reads. No pass discharges a site: an index is
+//! rewritten so it cannot panic (`get`, iterators, slice patterns). The definite
 //! bugs need no pass of their own, because rustc's deny-by-default
 //! `unconditional_panic` lint rejects them at compile time — a constant
 //! index past a `[e; N]` array:

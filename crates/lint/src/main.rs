@@ -6,6 +6,9 @@
 //! cargo run -p bsa-lint -- check --format json   # machine-readable report
 //! cargo run -p bsa-lint -- rules     # every rule id with its description
 //! ```
+//!
+//! `.unwrap()`, `.expect()` and the panicking macros are clippy's to
+//! report; `check` fails on any library attribute that silences them.
 
 use bsa_lint::{
     check_sources, load_sources, render_json, rule_description, workspace_root, PassTimings,

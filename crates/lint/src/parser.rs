@@ -3,7 +3,7 @@
 //! Extracts just enough structure for the semantic passes: function items
 //! (with their `impl` qualification, visibility, typed parameters, body
 //! extent and lowered body statements — see [`crate::syntax`]), call
-//! sites inside those bodies, and the file's direct panic sites.
+//! sites inside those bodies, and the file's direct index sites.
 //! It is *not* a Rust parser — expressions are never built, and a handful
 //! of exotic shapes (turbofish calls, tuple-type impls, const-generic
 //! braces) are knowingly approximated; DESIGN.md §9.2 lists them. In
@@ -12,14 +12,14 @@
 //! [`parse_workspace`] also resolves every call site to the fn it binds
 //! to, once for the whole workspace: [`CallSite::target`] is the call
 //! table that `taint` and `conc` read. [`ParsedFile::sites`] is the site
-//! table that the `panic.*` rules read.
+//! table that `panic.indexing` reads.
 //!
 //! Like the rule passes, this module practises what bsa-lint preaches:
 //! every token access is bounds-checked (`get`), so a degenerate token
 //! stream can produce a wrong parse but never a panic.
 
 use crate::lexer::{Token, TokenKind};
-use crate::rules::{panic_sites, Site};
+use crate::rules::index_sites;
 use crate::syntax::{
     call_arg_range, depth0, last_segment, lower, lower_params, matching, path_ending_at,
     skip_angles, tok_ident, tok_punct, Param, Stmt,
@@ -38,9 +38,9 @@ pub struct ParsedFile {
     pub path: String,
     /// Every `fn` item with a body, in source order (nested fns included).
     pub fns: Vec<FnItem>,
-    /// Every direct panic site in the file, inside fn bodies or not, in
-    /// token order.
-    pub sites: Vec<Site>,
+    /// The 1-based line of every direct index expression in the file,
+    /// inside fn bodies or not, in token order.
+    pub sites: Vec<usize>,
 }
 
 /// One function item.
@@ -126,7 +126,7 @@ pub(crate) fn parse_file(path: &str, tokens: &[Token]) -> ParsedFile {
     ParsedFile {
         path: path.to_string(),
         fns,
-        sites: panic_sites(tokens),
+        sites: index_sites(tokens),
     }
 }
 
@@ -268,18 +268,18 @@ fn fn_items(tokens: &[Token], impls: &[ImplRegion]) -> Vec<FnItem> {
 }
 
 /// A fn signature up to the end of its parameter list.
-pub(crate) struct Signature {
-    pub name: String,
+struct Signature {
+    name: String,
     /// 1-based line of the name.
-    pub line: usize,
-    pub params: Vec<Param>,
-    pub has_self: bool,
+    line: usize,
+    params: Vec<Param>,
+    has_self: bool,
     /// One past the parameter list's `)`.
-    pub end: usize,
+    end: usize,
 }
 
 /// Parses `fn name<…>(…)` starting at the `fn` keyword.
-pub(crate) fn signature(tokens: &[Token], fn_idx: usize) -> Option<Signature> {
+fn signature(tokens: &[Token], fn_idx: usize) -> Option<Signature> {
     let name_tok = tokens.get(fn_idx + 1)?;
     let mut open = fn_idx + 2;
     if tok_punct(tokens, open, '<') {
@@ -327,7 +327,7 @@ fn parse_fn(tokens: &[Token], fn_idx: usize, impls: &[ImplRegion]) -> Option<FnI
 
 /// `true` if the item keyword at `item_idx` is preceded by `pub` (with any
 /// visibility restriction and any fn qualifiers in between).
-pub(crate) fn pub_before(tokens: &[Token], item_idx: usize) -> bool {
+fn pub_before(tokens: &[Token], item_idx: usize) -> bool {
     let mut j = item_idx;
     loop {
         let Some(prev) = j.checked_sub(1) else {
@@ -640,8 +640,7 @@ mod tests {
     fn site_table_covers_every_token() {
         let src = "const K: u8 = T[1];\nfn f(a: &[u8], b: &[usize], i: usize) -> u8 { a[b[i]] }";
         let p = parse(src);
-        let lines: Vec<usize> = p.sites.iter().map(|s| s.line).collect();
-        assert_eq!(lines, vec![1, 2, 2]);
+        assert_eq!(p.sites, vec![1, 2, 2]);
     }
 
     #[test]

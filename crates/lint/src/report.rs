@@ -170,7 +170,7 @@ mod tests {
         let violations = vec![Violation {
             file: "crates/dsp/src/x.rs".to_string(),
             line: 7,
-            rule: "panic.expect",
+            rule: "panic.indexing",
             message: "a \"quoted\"\nmessage".to_string(),
         }];
         let json = render_json(&Report {

@@ -1,13 +1,14 @@
 //! The two lexical rule families: panic-freedom and unit-safety.
 //!
-//! Each pass walks the (test-stripped) token stream of one file and emits
-//! [`Violation`]s. The passes are deliberately syntactic — they trade a
-//! little precision for zero dependencies and total predictability. There
-//! is no exception list: every finding fails `check` until the code
-//! changes.
+//! Each pass reads one file's test-stripped token stream and its parse
+//! ([`ParsedFile`]) and emits [`Violation`]s. The passes are deliberately
+//! syntactic — they trade a little precision for zero dependencies and
+//! total predictability. There is no exception list: every finding fails
+//! `check` until the code changes.
 
 use crate::lexer::Token;
-use crate::parser::{pub_before, signature, ParsedFile};
+use crate::parser::ParsedFile;
+use crate::syntax::{matching, tok_ident, tok_punct};
 use std::fmt;
 
 /// One rule violation at a specific source line.
@@ -17,7 +18,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based source line.
     pub line: usize,
-    /// Stable rule identifier, e.g. `panic.expect`.
+    /// Stable rule identifier, e.g. `panic.indexing`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -35,9 +36,8 @@ impl fmt::Display for Violation {
 
 /// All stable rule identifiers, for the `rules` listing.
 pub const RULE_IDS: &[&str] = &[
-    "panic.expect",
-    "panic.macro",
     "panic.indexing",
+    "panic.allow",
     "units.raw-f64",
     "conc.atomic-rmw",
     "conc.ordering",
@@ -51,9 +51,8 @@ pub const RULE_IDS: &[&str] = &[
 /// One-line description per rule id, for `rules` output.
 pub fn rule_description(id: &str) -> &'static str {
     match id {
-        "panic.expect" => ".expect() in non-test library code",
-        "panic.macro" => "panic!/unreachable!/todo!/unimplemented! in library code",
         "panic.indexing" => "direct slice indexing that can panic",
+        "panic.allow" => "allow/expect/warn of a clippy panic lint in library code",
         "units.raw-f64" => "raw f64 where a bsa-units newtype exists",
         "conc.atomic-rmw" => "non-atomic read-modify-write on an atomic counter",
         "conc.ordering" => "inconsistent memory Ordering across uses of one atomic",
@@ -66,14 +65,15 @@ pub fn rule_description(id: &str) -> &'static str {
     }
 }
 
-/// Runs the per-file rules over one parsed file: `panic.*` over its site
-/// table ([`ParsedFile::sites`]), and `units.raw-f64` when `unit_safety`
+/// Runs the per-file rules over one parsed file: `panic.indexing` over
+/// its site table ([`ParsedFile::sites`]), `panic.allow` over its
+/// attributes, and `units.raw-f64` over its `pub` fns when `unit_safety`
 /// holds.
 pub fn run_rules(tokens: &[Token], parsed: &ParsedFile, unit_safety: bool) -> Vec<Violation> {
     let mut out = Vec::new();
-    panic_pass(parsed, &mut out);
+    panic_pass(tokens, parsed, &mut out);
     if unit_safety {
-        unit_pass(&parsed.path, tokens, &mut out);
+        unit_pass(tokens, parsed, &mut out);
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
@@ -105,88 +105,78 @@ const NON_INDEX_PREFIX_KEYWORDS: &[&str] = &[
     "struct", "enum", "trait", "unsafe", "dyn", "box", "await", "yield",
 ];
 
-/// Panicking macros we flag. Plain `assert*!` are *not* flagged: they state
-/// an invariant the caller already violated and are the idiomatic guard —
-/// the rule targets implicit panics, not explicit contracts.
-const FLAGGED_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// One direct panic site: the single record of it that every pass reads
-/// (see [`ParsedFile::sites`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Site {
-    /// 1-based source line.
-    pub line: usize,
-    pub kind: PanicSite,
+/// Builds the site table of one file: the line of every direct index
+/// expression in `tokens`, in token order.
+pub(crate) fn index_sites(tokens: &[Token]) -> Vec<usize> {
+    (0..tokens.len())
+        .filter(|&i| index_site(tokens, i))
+        .filter_map(|i| tokens.get(i).map(|t| t.line))
+        .collect()
 }
 
-/// What a [`Site`] is. `.unwrap()` is not one: clippy's `unwrap_used`
-/// reports it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PanicSite {
-    /// `.expect(…)`: `panic.expect`.
-    Expect,
-    /// One of `FLAGGED_MACROS`: `panic.macro`.
-    Macro(&'static str),
-    /// A direct index expression: `panic.indexing`.
-    Indexing,
-}
+/// The lints that keep panics out of library code: clippy's six panic
+/// lints, which `[workspace.lints.clippy]` sets to `warn`, and the
+/// `restriction` group that holds them.
+const CLIPPY_PANIC_LINTS: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "unimplemented",
+    "todo",
+    "restriction",
+];
 
-/// Builds the site table of one file: every direct panic site in
-/// `tokens`, in token order.
-pub(crate) fn panic_sites(tokens: &[Token]) -> Vec<Site> {
-    let mut sites = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        // `.expect(` at method position, a flagged macro, or direct
-        // slice/array indexing: `expr[...]` where expr ends in an
-        // identifier, `]` or `)`. `[..]` (full range) cannot panic and is
-        // exempt; everything else (including partial ranges) can.
-        let kind = if let Some(name) = t.ident() {
-            let dotted = i
-                .checked_sub(1)
-                .and_then(|p| tokens.get(p))
-                .is_some_and(|t| t.is_punct('.'));
-            let called = matches!(tokens.get(i + 1), Some(t) if t.is_punct('('));
-            let banged = matches!(tokens.get(i + 1), Some(t) if t.is_punct('!'));
-            match name {
-                "expect" if dotted && called => Some(PanicSite::Expect),
-                _ if banged => FLAGGED_MACROS
-                    .iter()
-                    .find(|m| **m == name)
-                    .map(|m| PanicSite::Macro(m)),
-                _ => None,
-            }
-        } else if index_site(tokens, i) {
-            Some(PanicSite::Indexing)
-        } else {
-            None
-        };
-        if let Some(kind) = kind {
-            sites.push(Site { line: t.line, kind });
+fn panic_pass(tokens: &[Token], parsed: &ParsedFile, out: &mut Vec<Violation>) {
+    for &line in &parsed.sites {
+        out.push(violation(
+            &parsed.path,
+            line,
+            "panic.indexing",
+            "direct slice indexing can panic; use get()/get_mut(), iterators or slice patterns",
+        ));
+    }
+    for (i, t) in tokens.iter().enumerate().filter(|(_, t)| t.is_punct('#')) {
+        if silences_panic_lint(tokens, i) {
+            out.push(violation(
+                &parsed.path,
+                t.line,
+                "panic.allow",
+                "attribute silences a clippy panic lint in library code; clippy is the only \
+                 gate on `.unwrap()`, `.expect()` and panicking macros, with no exceptions",
+            ));
         }
     }
-    sites
 }
 
-fn panic_pass(parsed: &ParsedFile, out: &mut Vec<Violation>) {
-    for site in &parsed.sites {
-        let (rule, message) = match site.kind {
-            PanicSite::Expect => (
-                "panic.expect",
-                "`.expect()` in non-test library code; return a typed error instead".to_string(),
-            ),
-            PanicSite::Macro(name) => (
-                "panic.macro",
-                format!("`{name}!` in non-test library code; return a typed error instead"),
-            ),
-            PanicSite::Indexing => (
-                "panic.indexing",
-                "direct slice indexing can panic; use get()/get_mut(), iterators or slice \
-                 patterns"
-                    .to_string(),
-            ),
-        };
-        out.push(violation(&parsed.path, site.line, rule, message));
+/// `true` when token `i` starts an attribute (`#[…]` or `#![…]`) whose
+/// `allow`, `expect` or `warn` names `warnings` or `clippy::` one of
+/// [`CLIPPY_PANIC_LINTS`]. `cfg_attr(test, …)` applies to test builds
+/// only and is exempt.
+fn silences_panic_lint(tokens: &[Token], i: usize) -> bool {
+    let open = i + 1 + usize::from(tok_punct(tokens, i + 1, '!'));
+    if !tok_punct(tokens, i, '#') || !tok_punct(tokens, open, '[') {
+        return false;
     }
+    let group = |open| matching(tokens, open).and_then(|close| tokens.get(open + 1..close));
+    let Some(attr) = group(open) else {
+        return false;
+    };
+    let levels = (0..attr.len())
+        .filter(|&k| matches!(tok_ident(attr, k), Some("allow" | "expect" | "warn")))
+        .filter_map(|k| group(open + 2 + k));
+    let silenced = |lint: &[Token]| match lint {
+        [warnings] => warnings.is_ident("warnings"),
+        [clippy, _, _, name] => {
+            clippy.is_ident("clippy") && CLIPPY_PANIC_LINTS.iter().any(|n| name.is_ident(n))
+        }
+        _ => false,
+    };
+    let test_only = matches!(attr, [c, _, t, ..] if c.is_ident("cfg_attr") && t.is_ident("test"));
+    !test_only
+        && levels
+            .flat_map(|l| l.split(|t| t.is_punct(',')))
+            .any(silenced)
 }
 
 /// `true` when token `i` is a `[` opening a direct index expression.
@@ -246,15 +236,9 @@ pub fn suggested_unit_type(name: &str) -> Option<&'static str> {
 
 /// Flags raw-`f64` parameters of `pub` fns whose names suggest a
 /// dimensioned quantity.
-fn unit_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if !t.is_ident("fn") || !pub_before(tokens, i) {
-            continue;
-        }
-        let Some(sig) = signature(tokens, i) else {
-            continue;
-        };
-        for p in &sig.params {
+fn unit_pass(tokens: &[Token], parsed: &ParsedFile, out: &mut Vec<Violation>) {
+    for f in parsed.fns.iter().filter(|f| f.is_pub) {
+        for p in &f.params {
             // Raw f64: the type tokens are exactly `f64` (no reference, no
             // generics — `&[f64]` sample buffers are fine, single scalars
             // are where the unit mixup hides).
@@ -264,13 +248,13 @@ fn unit_pass(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
                 continue;
             };
             out.push(violation(
-                file,
-                tokens.get(p.at).map_or(sig.line, |t| t.line),
+                &parsed.path,
+                tokens.get(p.at).map_or(f.line, |t| t.line),
                 "units.raw-f64",
                 format!(
                     "`pub fn {}` takes `{}: f64`; use `bsa_units::{unit}` so unit mixups fail \
                      to compile",
-                    sig.name, p.name
+                    f.name, p.name
                 ),
             ));
         }
@@ -293,39 +277,39 @@ mod tests {
     }
 
     #[test]
-    fn flags_expect_only_as_method_calls() {
-        assert_eq!(
-            rules_found("fn f() { x.expect(\"msg\"); }"),
-            vec!["panic.expect"]
-        );
-        assert!(rules_found("fn f(expect: u8) { let y = expect + 1; }").is_empty());
+    fn unwrap_expect_and_macros_are_left_to_clippy() {
+        let src = "fn f(n: u8) { x.unwrap(); x.expect(\"m\"); panic!(); todo!(); assert!(n > 0); }";
+        assert!(rules_found(src).is_empty());
+        assert!(index_sites(&lex(src)).is_empty());
     }
 
     #[test]
-    fn unwrap_is_left_to_clippy() {
-        assert!(panic_sites(&lex("fn f() { x.unwrap(); }")).is_empty());
-        let sites = panic_sites(&lex("fn f() { x.expect(\"m\"); }"));
-        assert_eq!(
-            sites,
-            vec![Site {
-                line: 1,
-                kind: PanicSite::Expect
-            }]
-        );
-    }
-
-    #[test]
-    fn flags_panicking_macros_but_not_asserts() {
-        assert_eq!(
-            rules_found("fn f() { panic!(\"boom\"); }"),
-            vec!["panic.macro"]
-        );
-        assert_eq!(
-            rules_found("fn f() { unreachable!(); }"),
-            vec!["panic.macro"]
-        );
-        assert!(rules_found("fn f(n: usize) { assert!(n > 0); }").is_empty());
-        assert!(rules_found("fn f(n: usize) { debug_assert_eq!(n, 1); }").is_empty());
+    fn flags_attributes_that_silence_a_panic_lint() {
+        for attr in [
+            "#[allow(clippy::expect_used)]",
+            "#[expect(clippy::panic, reason = \"startup\")]",
+            "#[warn(clippy::unwrap_used)]",
+            "#[allow(dead_code, clippy::unreachable)]",
+            "#[allow(clippy::restriction)]",
+            "#[allow(warnings)]",
+            "#![allow(clippy::todo)]",
+            "#[cfg_attr(not(test), allow(clippy::unimplemented))]",
+            "#[cfg_attr(any(test, doc), allow(clippy::expect_used))]",
+        ] {
+            let src = format!("{attr}\nfn f() {{}}");
+            assert_eq!(rules_found(&src), vec!["panic.allow"], "{attr}");
+        }
+        for attr in [
+            "#[cfg_attr(test, allow(clippy::expect_used))]",
+            "#![cfg_attr(test, allow(clippy::unwrap_used, clippy::panic))]",
+            "#[allow(clippy::too_many_arguments)]",
+            "#[allow(clippy::panic_in_result_fn)]",
+            "#[deny(clippy::expect_used)]",
+            "#[doc = \"allow(clippy::expect_used)\"]",
+        ] {
+            let src = format!("{attr}\nfn f() {{}}");
+            assert!(rules_found(&src).is_empty(), "{attr}");
+        }
     }
 
     #[test]
@@ -418,7 +402,7 @@ mod tests {
 
     #[test]
     fn violations_are_sorted_by_line() {
-        let src = "fn f(x: &[u8]) {\n x.expect(\"y\");\n let t = x[0];\n}";
+        let src = "fn f(x: &[u8]) {\n #[allow(warnings)]\n let t = x[0];\n}";
         let v = check(src);
         assert_eq!(v.len(), 2);
         assert!(v[0].line < v[1].line);

@@ -3,6 +3,9 @@
 //! and no unmarked line may be flagged. This pins both the hit rate and
 //! the false-positive rate of the analyzer.
 
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bsa_lint::lexer::{lex, strip_test_code};
 use bsa_lint::{
     conc_pass, flow_pass, lock_order_pass, parse_workspace, run_rules, taint_pass, ParsedFile,

@@ -7,6 +7,9 @@
 //! parse — so tripping 15 s means an accidental quadratic blowup (or an
 //! analysis loop that stopped terminating), not a noisy neighbour.
 
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bsa_lint::{check_workspace, workspace_root};
 
 /// Committed ceiling for one full `check` pipeline, in milliseconds.

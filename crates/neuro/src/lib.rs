@@ -1,6 +1,7 @@
-// Tests unwrap idiomatically; the workspace-level `clippy::unwrap_used`
-// only polices non-test code, and CI promotes its warnings to errors.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Tests unwrap, expect and panic idiomatically; the workspace's panic
+// lints police non-test code only, and CI promotes their warnings to errors.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::unimplemented))]
 //! Neuro-electrophysiology substrate for the neural-recording chip.
 //!
 //! Section 3 of Thewes et al. (DATE 2005) records "from nerve cells and

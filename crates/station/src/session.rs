@@ -30,8 +30,7 @@ use bsa_electrochem::sequence::DnaSequence;
 use bsa_link::samples::encode_samples;
 use bsa_link::{
     encode_frame, encode_neuro_chunk, read_message, write_message, ChipId, ChipKind, ErrorCode,
-    Message, NeuroChunkHead, PixelCount, ProtocolError, RecordingEntry, StreamPayload,
-    PROTOCOL_VERSION,
+    Message, NeuroChunkHead, PixelCount, ProtocolError, StreamPayload, PROTOCOL_VERSION,
 };
 use bsa_store::{
     decode_dna_reading, encode_dna_reading, fnv1a64, frame_payload_len, list_recordings, Recorder,
@@ -668,20 +667,7 @@ impl Session {
             );
         };
         match list_recordings(root) {
-            Ok(entries) => Message::RecordingList {
-                recordings: entries
-                    .into_iter()
-                    .map(|e| RecordingEntry {
-                        name: e.name,
-                        kind: e.kind,
-                        rows: e.rows,
-                        cols: e.cols,
-                        frames: e.frames,
-                        bytes: e.bytes,
-                        config_hash: e.config_hash,
-                    })
-                    .collect(),
-            },
+            Ok(recordings) => Message::RecordingList { recordings },
             Err(err) => error_reply(ErrorCode::StoreError, err.to_string()),
         }
     }

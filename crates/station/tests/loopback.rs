@@ -7,7 +7,8 @@
 //! constructs chips through the very same `registry` conversion functions
 //! these tests use for the reference.
 
-#![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use bsa_core::neuro_chip::NeuroChip;
 use bsa_link::{
@@ -342,6 +343,90 @@ fn server_replies_with_typed_errors() {
         error_code(client.calibrate(attached.chip)),
         ErrorCode::UnknownChip
     );
+}
+
+/// On a station with a store, a detached id answers every chip-addressed
+/// request with `UnknownChip`, except `StopRecording`, which answers
+/// `StoreError` (nothing records under that id). A second
+/// `StartRecording` on one chip is `StoreError`. `Detach` during a
+/// recording finalises the segment: the catalog lists the frames streamed
+/// so far, and they replay bit-identical.
+#[test]
+fn detach_and_recording_reply_codes() {
+    let store_root =
+        std::env::temp_dir().join(format!("bsa-station-detach-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+    let station = Station::bind(StationConfig {
+        store_root: Some(store_root.clone()),
+        ..StationConfig::default()
+    })
+    .unwrap();
+    let mut client = StationClient::connect(station.addr(), "detach").unwrap();
+
+    let spec = neuro_spec(16, 16);
+    let culture = culture_spec(24);
+    let chip = client.attach_neuro(&spec).unwrap().chip;
+    client.start_recording(chip, "cut-short").unwrap();
+    assert_eq!(
+        error_code(client.start_recording(chip, "again")),
+        ErrorCode::StoreError
+    );
+    let live = client
+        .stream_neuro(chip, 24, 8, Seconds::new(0.0), &culture)
+        .unwrap();
+    assert_eq!((live.frames_sent, live.frames_dropped), (24, 0));
+    client.detach(chip).unwrap();
+
+    let probe = "ACGTACGTACGT".to_string();
+    let target = TargetSpec {
+        sequence: probe.clone(),
+        concentration_molar: 1e-9,
+    };
+    let plan = FaultPlanSpec {
+        seed: 3,
+        entries: Vec::new(),
+    };
+    let t0 = Seconds::new(0.0);
+    for (request, code) in [
+        ("Detach", error_code(client.detach(chip))),
+        (
+            "ConfigureAssay",
+            error_code(client.configure_assay(chip, vec![probe], vec![target])),
+        ),
+        ("Calibrate", error_code(client.calibrate(chip))),
+        ("InjectFaults", error_code(client.inject_faults(chip, plan))),
+        ("MaskPixels", error_code(client.mask_pixels(chip, &[0]))),
+        ("QueryHealth", error_code(client.health(chip))),
+        ("RunAssay", error_code(client.run_assay(chip, false))),
+        (
+            "StartNeuroStream",
+            error_code(client.stream_neuro(chip, 8, 8, t0, &culture)),
+        ),
+        (
+            "StartRecording",
+            error_code(client.start_recording(chip, "late")),
+        ),
+    ] {
+        assert_eq!(code, ErrorCode::UnknownChip, "{request}");
+    }
+    assert_eq!(
+        error_code(client.stop_recording(chip)),
+        ErrorCode::StoreError
+    );
+
+    let entries = client.recordings().unwrap();
+    let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(names, ["cut-short"]);
+    assert_eq!(entries.first().map(|e| e.frames), Some(24));
+    let replayed = client.replay("cut-short", 0).unwrap();
+    assert_eq!(replayed.frames.len(), 24);
+    for (i, (got, want)) in replayed.frames.iter().zip(&live.frames).enumerate() {
+        let bits = |f: &[f64]| f.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "frame {i}");
+    }
+
+    drop(station);
+    let _ = std::fs::remove_dir_all(&store_root);
 }
 
 /// A server-to-client message sent *to* the station is a client bug: it

@@ -1,4 +1,5 @@
-#![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Bounded session memory: a station streaming one request holds at most
 //! its outbound queue plus one chunk, however many frames the client
 //! asked for, because the session draws each chunk from the acquisition

@@ -3,34 +3,16 @@
 use crate::error::StoreError;
 use crate::reader::SegmentReader;
 use crate::writer::SEGMENT_EXT;
-use bsa_link::ChipKind;
+use bsa_link::RecordingEntry;
 use std::io::ErrorKind;
 use std::path::Path;
 
-/// Summary of one readable recording in a store root.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CatalogEntry {
-    /// Recording name (segment file stem).
-    pub name: String,
-    /// Which array kind produced the frames.
-    pub kind: ChipKind,
-    /// Frame height in pixels.
-    pub rows: u16,
-    /// Frame width in pixels.
-    pub cols: u16,
-    /// Frames (or DNA readings) the segment holds.
-    pub frames: u64,
-    /// Segment file size in bytes.
-    pub bytes: u64,
-    /// FNV-1a-64 of the recorded chip-config snapshot.
-    pub config_hash: u64,
-}
-
-/// Lists the readable recordings under `root`, sorted by name. A missing
-/// root is an empty store, not an error; segments that fail validation
-/// (in-progress recordings, torn writes) are skipped — they surface as
-/// typed errors when opened directly, never as wrong catalog rows.
-pub fn list_recordings(root: &Path) -> Result<Vec<CatalogEntry>, StoreError> {
+/// Lists the readable recordings under `root`, sorted by name, as the
+/// rows of a `RecordingList` reply. A missing root is an empty store, not
+/// an error; segments that fail validation (in-progress recordings, torn
+/// writes) are skipped — they surface as typed errors when opened
+/// directly, never as wrong catalog rows.
+pub fn list_recordings(root: &Path) -> Result<Vec<RecordingEntry>, StoreError> {
     let entries = match std::fs::read_dir(root) {
         Ok(entries) => entries,
         Err(err) if err.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
@@ -49,7 +31,7 @@ pub fn list_recordings(root: &Path) -> Result<Vec<CatalogEntry>, StoreError> {
             continue;
         };
         let meta = reader.meta();
-        out.push(CatalogEntry {
+        out.push(RecordingEntry {
             name: name.to_string(),
             kind: meta.kind,
             rows: meta.rows,

@@ -1,6 +1,7 @@
-// Tests unwrap idiomatically; the workspace-level `clippy::unwrap_used`
-// only polices non-test code, and CI promotes its warnings to errors.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Tests unwrap, expect and panic idiomatically; the workspace's panic
+// lints police non-test code only, and CI promotes their warnings to errors.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::unimplemented))]
 //! `bsa-store` — persistent append-only frame store for biosensor-array
 //! acquisitions.
 //!
@@ -47,7 +48,7 @@ pub mod format;
 mod reader;
 mod writer;
 
-pub use catalog::{list_recordings, CatalogEntry};
+pub use catalog::list_recordings;
 pub use error::StoreError;
 pub use format::{
     decode_dna_reading, decode_neuro_frame, encode_dna_reading, encode_neuro_frame, fnv1a64,

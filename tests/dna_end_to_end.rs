@@ -1,4 +1,5 @@
-#![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! End-to-end integration: electrochemistry → DNA chip → DSP calling.
 
 use cmos_biosensor_arrays::chips::array::PixelAddress;

@@ -1,4 +1,5 @@
-#![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! End-to-end fault tolerance: every fault class injected into both chip
 //! pipelines, with graceful degradation down to correct genotyping calls.
 //!

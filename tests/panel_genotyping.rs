@@ -1,4 +1,5 @@
-#![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
+// Tests unwrap, expect and panic idiomatically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! End-to-end: probe-panel design → chip spotting → multiplexed assay →
 //! calling. The full workflow a microarray user runs.
 
