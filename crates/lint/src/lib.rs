@@ -31,10 +31,10 @@
 //! workspace at once. A lightweight parser ([`parser`]) extracts fns,
 //! impls and call sites, and resolves every call site to the fn it
 //! binds to, once for the whole workspace, under one rule (DESIGN.md
-//! §9.2). Both call-graph passes read that call table: the taint analysis
-//! and `conc.*` (atomic read-modify-write, lock discipline and the global
-//! lock/channel acquisition-order cycle detector `conc.lock-order` in the
-//! serving crates, [`conc`]).
+//! §9.2). `conc.*` is that call table's one reader (atomic
+//! read-modify-write, lock discipline and the global lock/channel
+//! acquisition-order cycle detector `conc.lock-order` in the serving
+//! crates, [`conc`]).
 //!
 //! The parser also records every direct index site of a file once, in
 //! token order: the site table ([`parser::ParsedFile::sites`]) that
@@ -66,20 +66,16 @@
 //! }
 //! ```
 //!
-//! The dataflow passes share one statement model: [`syntax`] lowers each
-//! parsed fn once into typed parameters and statements (`let`,
-//! assignment, `if`/`while` guard, `for`, grow/fill method calls, enum
-//! match arms), and each pass below is a fold over that output with its
-//! own lattice:
+//! [`syntax`] lowers each parsed fn once into typed parameters and
+//! statements (`let` and assignment), and intraprocedural unit inference
+//! ([`flow`], `flow.unit`) folds over that output to flag sums and
+//! assignments that mix physical dimensions.
 //!
-//! * intraprocedural unit inference ([`flow`], `flow.unit`) flags sums
-//!   and assignments that mix physical dimensions;
-//! * a taint analysis over the wire trust boundary ([`taint`]) proves no
-//!   peer- or segment-controlled value reaches an allocation or loop
-//!   bound without a recognized validation idiom (`taint.wire-alloc`,
-//!   `taint.wire-arith`). Its bottom-up parameter summaries carry
-//!   argument flow across calls. A wire value used as an index needs no
-//!   rule of its own: every direct index fails `panic.indexing`.
+//! Peer- and segment-controlled values that size work are no lint
+//! question: the station bounds each such request field where it is
+//! applied, and its `every_work_sizing_request_field_is_bounded` test
+//! sends the first out-of-range value of every one; the store's
+//! corruption suite does the same for the segment footer and header.
 //!
 //! Run it as `cargo run -p bsa-lint -- check` (add `--format json` for
 //! the CI artifact). The analyzer is dependency-free: it lexes Rust
@@ -93,7 +89,6 @@ pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod syntax;
-pub mod taint;
 pub mod workspace;
 
 pub use conc::{conc_pass, lock_order_pass};
@@ -101,7 +96,6 @@ pub use flow::flow_pass;
 pub use parser::{parse_workspace, ParsedFile};
 pub use report::{render_json, Report};
 pub use rules::{rule_description, run_rules, Violation, RULE_IDS};
-pub use taint::taint_pass;
 pub use workspace::{
     check_sources, check_workspace, collect_files, in_scope, load_sources, unit_safety,
     workspace_root, CheckOutcome, PassTimings, SourceFile,

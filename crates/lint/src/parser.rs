@@ -11,7 +11,7 @@
 //!
 //! [`parse_workspace`] also resolves every call site to the fn it binds
 //! to, once for the whole workspace: [`CallSite::target`] is the call
-//! table that `taint` and `conc` read. [`ParsedFile::sites`] is the site
+//! table that `conc` reads. [`ParsedFile::sites`] is the site
 //! table that `panic.indexing` reads.
 //!
 //! Like the rule passes, this module practises what bsa-lint preaches:
@@ -21,8 +21,8 @@
 use crate::lexer::{Token, TokenKind};
 use crate::rules::index_sites;
 use crate::syntax::{
-    call_arg_range, depth0, last_segment, lower, lower_params, matching, path_ending_at,
-    skip_angles, tok_ident, tok_punct, Param, Stmt,
+    depth0, last_segment, lower, lower_params, matching, path_ending_at, skip_angles, tok_ident,
+    tok_punct, Param, Stmt,
 };
 use crate::workspace::SourceFile;
 use std::collections::BTreeMap;
@@ -88,21 +88,12 @@ pub struct CallSite {
     pub line: usize,
     /// The workspace fn the call binds to (see [`parse_workspace`]).
     pub target: Option<FnRef>,
-    /// `Type::method(&x, …)`: the first argument is the callee's `self`.
-    pub self_arg: bool,
 }
 
 impl CallSite {
     /// The called name (last path segment).
     pub fn callee(&self) -> &str {
         last_segment(&self.path)
-    }
-
-    /// Token range of the argument bound to parameter `k` of the target:
-    /// argument k, or k + 1 when the call passes `self` as its first
-    /// argument (`Type::method(&x, …)`).
-    pub(crate) fn param_arg(&self, tokens: &[Token], k: usize) -> Option<Range<usize>> {
-        call_arg_range(tokens, &self.args, k + usize::from(self.self_arg))
     }
 }
 
@@ -131,35 +122,33 @@ pub(crate) fn parse_file(path: &str, tokens: &[Token]) -> ParsedFile {
 }
 
 /// The one call-binding rule (DESIGN.md §9.2). `Type::name(…)` and
-/// `Self::name(…)` bind to the fn that `impl Type` defines; when that fn
-/// takes `self`, the call's first argument is the receiver (`self_arg`).
-/// Any other call binds by its bare name when exactly one fn in the
+/// `Self::name(…)` bind to the fn that `impl Type` defines. Any other call binds by its bare name when exactly one fn in the
 /// workspace has that name and takes `self` exactly when the call uses
 /// method syntax. Std calls and ambiguous names bind nothing.
 fn resolve_calls(parsed: &mut [ParsedFile]) {
-    let mut qualified: BTreeMap<String, Vec<(FnRef, bool)>> = BTreeMap::new();
+    let mut qualified: BTreeMap<String, Vec<FnRef>> = BTreeMap::new();
     let mut bare: BTreeMap<String, Vec<(FnRef, bool)>> = BTreeMap::new();
     for (fi, pf) in parsed.iter().enumerate() {
         for (gi, f) in pf.fns.iter().enumerate() {
             let entry = qualified.entry(f.qualified.clone()).or_default();
-            entry.push(((fi, gi), f.has_self));
+            entry.push((fi, gi));
             let entry = bare.entry(f.name.clone()).or_default();
             entry.push(((fi, gi), f.has_self));
         }
     }
     let calls = parsed.iter_mut().flat_map(|pf| &mut pf.fns);
     for c in calls.flat_map(|f| &mut f.calls) {
-        (c.target, c.self_arg) = match c.path.rsplit_once("::") {
+        c.target = match c.path.rsplit_once("::") {
             Some((ty, name)) => {
                 let key = format!("{}::{name}", last_segment(ty));
                 match qualified.get(&key).map(Vec::as_slice) {
-                    Some(&[(id, has_self)]) => (Some(id), has_self),
-                    _ => (None, false),
+                    Some(&[id]) => Some(id),
+                    _ => None,
                 }
             }
             None => match bare.get(c.callee()).map(Vec::as_slice) {
-                Some(&[(id, has_self)]) if has_self == c.is_method => (Some(id), false),
-                _ => (None, false),
+                Some(&[(id, has_self)]) if has_self == c.is_method => Some(id),
+                _ => None,
             },
         };
     }
@@ -430,7 +419,6 @@ fn attribute_calls(tokens: &[Token], impls: &[ImplRegion], fns: &mut [FnItem]) {
             args: k + 2..close,
             line: t.line,
             target: None,
-            self_arg: false,
         };
         // Attribute to the innermost fn whose body contains the call.
         let innermost = fns

@@ -44,8 +44,6 @@ pub const RULE_IDS: &[&str] = &[
     "conc.hold-and-block",
     "flow.unit",
     "conc.lock-order",
-    "taint.wire-alloc",
-    "taint.wire-arith",
 ];
 
 /// One-line description per rule id, for `rules` output.
@@ -59,8 +57,6 @@ pub fn rule_description(id: &str) -> &'static str {
         "conc.hold-and-block" => "blocking call while holding a lock",
         "flow.unit" => "dimension-mixing assignment or sum found by unit dataflow",
         "conc.lock-order" => "lock/channel acquisition-order cycle (potential deadlock)",
-        "taint.wire-alloc" => "wire-derived count reaches an allocation or loop bound unvalidated",
-        "taint.wire-arith" => "overflowable arithmetic on wire-derived operands feeds a sink",
         _ => "unknown rule",
     }
 }

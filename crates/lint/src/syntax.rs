@@ -3,11 +3,9 @@
 //! §9.3).
 //!
 //! The parser lowers every fn item once (`lower`) into the statements
-//! of its body ([`Stmt`]): `let` bindings, assignments, `if`/`while`
-//! guards, `for` loops, the method calls that grow or fill a sequence,
-//! and enum match arms. The dataflow passes (`flow.unit`, `taint`) are
-//! folds over that output, each with its own lattice, sharing the token
-//! helpers below.
+//! of its body ([`Stmt`]): `let` bindings and assignments. `flow.unit`
+//! is a fold over that output, and the parser and the passes share the
+//! token helpers below.
 //!
 //! Like the rest of the analyzer it is bounds-checked throughout: a
 //! degenerate token stream lowers to nonsense, never to a panic.
@@ -73,10 +71,6 @@ pub(crate) fn type_depth0(
     scan(tokens, range, true)
 }
 
-fn is_closer(tokens: &[Token], j: usize) -> bool {
-    nesting(tokens, j, false) == Some(-1)
-}
-
 /// Index of the bracket closing the one opened at `open` (`(`, `[` or
 /// `{`; the three kinds nest as one family).
 pub(crate) fn matching(tokens: &[Token], open: usize) -> Option<usize> {
@@ -85,7 +79,7 @@ pub(crate) fn matching(tokens: &[Token], open: usize) -> Option<usize> {
     }
     depth0(tokens, open + 1..tokens.len())
         .last()
-        .filter(|&j| is_closer(tokens, j))
+        .filter(|&j| nesting(tokens, j, false) == Some(-1))
 }
 
 /// From an opening `<`, the index one past its matching `>`.
@@ -97,36 +91,9 @@ pub(crate) fn skip_angles(tokens: &[Token], open: usize) -> Option<usize> {
     tok_punct(tokens, close, '>').then_some(close + 1)
 }
 
-/// End (exclusive) of the innermost group enclosing `from`: the first
-/// closing bracket whose opener lies before `from`, else `limit`.
-pub(crate) fn enclosing_block_end(tokens: &[Token], from: usize, limit: usize) -> usize {
-    depth0(tokens, from..limit)
-        .find(|&j| is_closer(tokens, j))
-        .unwrap_or(limit)
-}
-
 /// First depth-0 `;` at or after `from` inside `body`.
 pub(crate) fn statement_end(tokens: &[Token], from: usize, body: &Range<usize>) -> Option<usize> {
     depth0(tokens, from..body.end).find(|&j| tok_punct(tokens, j, ';'))
-}
-
-/// Splits `range` at every depth-0 occurrence of the punct sequence
-/// `sep` (`&[',']`, `&['&', '&']`, …).
-pub(crate) fn split(tokens: &[Token], range: &Range<usize>, sep: &[char]) -> Vec<Range<usize>> {
-    let mut parts = Vec::new();
-    let mut start = range.start;
-    for j in depth0(tokens, range.clone()) {
-        let hit = sep
-            .iter()
-            .enumerate()
-            .all(|(k, c)| tok_punct(tokens, j + k, *c));
-        if j >= start && hit {
-            parts.push(start..j);
-            start = j + sep.len();
-        }
-    }
-    parts.push(start..range.end);
-    parts
 }
 
 /// Parses a dotted/`::` path *ending* at token `end` (inclusive), walking
@@ -185,76 +152,6 @@ pub(crate) fn path_starting_at(tokens: &[Token], start: usize) -> Option<(String
 /// Last segment of a normalized path (`self.rows` → `rows`).
 pub(crate) fn last_segment(path: &str) -> &str {
     path.rsplit(['.', ':']).next().unwrap_or(path)
-}
-
-/// A comparison operator split out of the token stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cmp {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-}
-
-/// Finds the first depth-0 comparison in `range`; returns
-/// (lhs, op, rhs-start).
-pub(crate) fn find_cmp(
-    tokens: &[Token],
-    range: &Range<usize>,
-) -> Option<(Range<usize>, Cmp, usize)> {
-    depth0(tokens, range.clone()).find_map(|j| {
-        let eq = tok_punct(tokens, j + 1, '=');
-        let op = match tokens.get(j)?.kind {
-            TokenKind::Punct('<') if eq => Cmp::Le,
-            TokenKind::Punct('<') => Cmp::Lt,
-            TokenKind::Punct('>') if eq => Cmp::Ge,
-            TokenKind::Punct('>') => Cmp::Gt,
-            TokenKind::Punct('=') if eq => Cmp::Eq,
-            TokenKind::Punct('!') if eq => Cmp::Ne,
-            _ => return None,
-        };
-        let width = if eq { 2 } else { 1 };
-        Some((range.start..j, op, j + width))
-    })
-}
-
-/// Token range of argument `k` in the argument list `args` (the tokens
-/// between a call's parentheses).
-pub(crate) fn call_arg_range(
-    tokens: &[Token],
-    args: &Range<usize>,
-    k: usize,
-) -> Option<Range<usize>> {
-    split(tokens, args, &[','])
-        .into_iter()
-        .nth(k)
-        .filter(|r| !r.is_empty())
-}
-
-/// `RECV.name(args)` as the last call of `range` — its parentheses close
-/// at the end of `range` — for one of `names`. Returns the argument
-/// range.
-pub(crate) fn final_call(
-    tokens: &[Token],
-    range: &Range<usize>,
-    names: &[&str],
-) -> Option<Range<usize>> {
-    depth0(tokens, range.clone()).find_map(|k| {
-        tok_ident(tokens, k + 1).filter(|n| tok_punct(tokens, k, '.') && names.contains(n))?;
-        let close = matching(tokens, k + 2).filter(|c| c + 1 == range.end)?;
-        Some(k + 3..close)
-    })
-}
-
-/// For `[e; N]` with `[` at `open`: the count `N`'s range.
-pub(crate) fn repeat_count(tokens: &[Token], open: usize) -> Option<Range<usize>> {
-    let close = matching(tokens, open)?;
-    let semi = depth0(tokens, open + 1..close)
-        .filter(|&j| tok_punct(tokens, j, ';'))
-        .last()?;
-    Some(semi + 1..close)
 }
 
 // ---------------------------------------------------------------------------
@@ -318,117 +215,42 @@ pub(crate) fn lower_params(tokens: &[Token], open: usize, close: usize) -> (Vec<
     (params, has_self)
 }
 
-/// A method call with a dataflow effect on its receiver or argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effect {
-    /// `push`, `extend`, … — the arguments flow into the receiver.
-    Grow,
-    /// `read_exact(&mut buf)` — the argument now holds peer bytes.
-    Fill,
-}
-
-/// Methods that write their arguments into the receiver collection.
-const GROW_METHODS: &[&str] = &[
-    "push",
-    "extend",
-    "extend_from_slice",
-    "insert",
-    "append",
-    "push_str",
-    "copy_from_slice",
-];
-
-/// One lowered statement of a fn body, anchored at its first token.
+/// One lowered statement of a fn body. `rhs` is the token range of the
+/// right-hand side, up to (not including) the closing `;`.
 #[derive(Debug, Clone)]
-pub struct Stmt {
-    /// Anchor: the keyword, target, method name or enum name.
-    pub at: usize,
-    pub kind: StmtKind,
-}
-
-/// The statement shapes the dataflow passes consume. Every `scope`,
-/// `body` and `after` is the token range over which the statement's
-/// binding or condition holds.
-#[derive(Debug, Clone)]
-pub enum StmtKind {
-    /// `let [mut] var [: ty] = rhs;` — holds after the `;` (`rhs.end`)
-    /// to the end of the enclosing block.
+pub enum Stmt {
+    /// `let [mut] var [: ty] = rhs;`
     Let {
         var: String,
         ty: Option<Range<usize>>,
         rhs: Range<usize>,
-        scope: Range<usize>,
     },
     /// `target [op]= rhs;` for a (possibly dotted) path target.
     Assign {
         target: String,
         op: Option<char>,
         rhs: Range<usize>,
-        scope: Range<usize>,
-    },
-    /// `if COND { body }` / `while COND { body }` (not `if let`/`while
-    /// let`). `parts` are COND's conjuncts (`joined_by` `&`) or
-    /// disjuncts (`|`), or COND whole (`None`); empty when COND mixes
-    /// both. `exits` marks an `if` whose body starts with
-    /// `return`/`break`/`continue`; `after` runs from the body's close to
-    /// the end of the enclosing block.
-    Guard {
-        parts: Vec<Range<usize>>,
-        joined_by: Option<char>,
-        exits: bool,
-        body: Range<usize>,
-        after: Range<usize>,
-    },
-    /// `for pat in iter { .. }`.
-    For { iter: Range<usize> },
-    /// `recv.method(args)` for a method with an [`Effect`]; `recv` is the
-    /// ident before the dot, `bare` when it is the whole receiver path.
-    Call {
-        effect: Effect,
-        recv: Option<String>,
-        bare: bool,
-        args: Range<usize>,
-        after: Range<usize>,
-    },
-    /// `Enum::Variant { .. } => body` / `Enum::Variant(..) => body`: the
-    /// pattern's bindings hold in the arm body.
-    Arm {
-        bindings: Vec<String>,
-        arrow: usize,
-        body: Range<usize>,
     },
 }
 
 /// Lowers one fn body (`body` includes both braces).
 pub(crate) fn lower(tokens: &[Token], body: &Range<usize>) -> Vec<Stmt> {
     let stmts = body.clone().filter_map(|at| {
-        let name = tok_ident(tokens, at)?;
-        let method = tok_punct(tokens, at.wrapping_sub(1), '.') && tok_punct(tokens, at + 1, '(');
-        let kind = match name {
-            "let" => lower_let(tokens, at, body),
-            "if" | "while" => lower_guard(tokens, at, body),
-            "for" => lower_for(tokens, at, body),
-            m if method => lower_call(tokens, at, m, body),
-            _ if tok_punct(tokens, at + 1, ':') && tok_punct(tokens, at + 2, ':') => {
-                lower_arm(tokens, at, body)
-            }
-            _ => {
-                let (target, op, rhs_start) = assign_at(tokens, at)?;
-                let end = statement_end(tokens, rhs_start, body)?;
-                Some(StmtKind::Assign {
-                    target,
-                    op,
-                    rhs: rhs_start..end,
-                    scope: end + 1..enclosing_block_end(tokens, end + 1, body.end),
-                })
-            }
-        };
-        Some(Stmt { at, kind: kind? })
+        if tok_ident(tokens, at)? == "let" {
+            return lower_let(tokens, at, body);
+        }
+        let (target, op, rhs_start) = assign_at(tokens, at)?;
+        let end = statement_end(tokens, rhs_start, body)?;
+        Some(Stmt::Assign {
+            target,
+            op,
+            rhs: rhs_start..end,
+        })
     });
     stmts.collect()
 }
 
-fn lower_let(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKind> {
+fn lower_let(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<Stmt> {
     let mut j = at + 1;
     if tok_ident(tokens, j) == Some("mut") {
         j += 1;
@@ -445,11 +267,10 @@ fn lower_let(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKin
         return None;
     }
     let end = statement_end(tokens, eq + 1, body)?;
-    Some(StmtKind::Let {
+    Some(Stmt::Let {
         var,
         ty,
         rhs: eq + 1..end,
-        scope: end + 1..enclosing_block_end(tokens, end + 1, body.end),
     })
 }
 
@@ -477,108 +298,4 @@ fn assign_at(tokens: &[Token], at: usize) -> Option<(String, Option<char>, usize
         (Some(op), after + 2)
     };
     Some((path_ending_at(tokens, after - 1)?, op, rhs_start))
-}
-
-/// The `{` opening the block of a header that starts at `from`.
-fn block_open(tokens: &[Token], from: usize, body: &Range<usize>) -> Option<usize> {
-    depth0(tokens, from..body.end).find(|&j| tok_punct(tokens, j, '{'))
-}
-
-fn lower_guard(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKind> {
-    if tok_ident(tokens, at + 1) == Some("let") {
-        return None;
-    }
-    let open = block_open(tokens, at + 1, body)?;
-    let close = matching(tokens, open)?;
-    let cond = at + 1..open;
-    let conj = split(tokens, &cond, &['&', '&']);
-    let disj = split(tokens, &cond, &['|', '|']);
-    let (parts, joined_by) = match (conj.len() > 1, disj.len() > 1) {
-        (true, true) => (Vec::new(), None),
-        (true, false) => (conj, Some('&')),
-        (false, true) => (disj, Some('|')),
-        (false, false) => (conj, None),
-    };
-    let exits = tok_ident(tokens, at) == Some("if")
-        && matches!(
-            tok_ident(tokens, open + 1),
-            Some("return" | "break" | "continue")
-        );
-    Some(StmtKind::Guard {
-        parts,
-        joined_by,
-        exits,
-        body: open..close + 1,
-        after: close + 1..enclosing_block_end(tokens, close + 1, body.end),
-    })
-}
-
-fn lower_for(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKind> {
-    let open = block_open(tokens, at + 1, body)?;
-    let in_at = depth0(tokens, at + 1..open).find(|&j| tok_ident(tokens, j) == Some("in"))?;
-    Some(StmtKind::For {
-        iter: in_at + 1..open,
-    })
-}
-
-fn lower_call(tokens: &[Token], at: usize, name: &str, body: &Range<usize>) -> Option<StmtKind> {
-    let effect = match name {
-        "read_exact" => Effect::Fill,
-        m if GROW_METHODS.contains(&m) => Effect::Grow,
-        _ => return None,
-    };
-    let close = matching(tokens, at + 1)?;
-    let deeper = tok_ident(tokens, at.wrapping_sub(3)).is_some()
-        || tok_punct(tokens, at.wrapping_sub(3), '.');
-    Some(StmtKind::Call {
-        effect,
-        recv: tok_ident(tokens, at.wrapping_sub(2)).map(str::to_string),
-        bare: at >= 2 && !deeper,
-        args: at + 2..close,
-        after: close..enclosing_block_end(tokens, close, body.end),
-    })
-}
-
-fn lower_arm(tokens: &[Token], at: usize, body: &Range<usize>) -> Option<StmtKind> {
-    tok_ident(tokens, at + 3)?;
-    let pat_open = at + 4;
-    if !tok_punct(tokens, pat_open, '{') && !tok_punct(tokens, pat_open, '(') {
-        return None; // unit variant: nothing bound
-    }
-    let pat_close = matching(tokens, pat_open)?;
-    // Pattern, not construction: an arm arrow must follow at depth 0.
-    let arrow = depth0(tokens, pat_close + 1..body.end).find(|&j| {
-        tok_punct(tokens, j, ',')
-            || tok_punct(tokens, j, ';')
-            || is_closer(tokens, j)
-            || (tok_punct(tokens, j, '=') && tok_punct(tokens, j + 1, '>'))
-    })?;
-    if !tok_punct(tokens, arrow, '=') {
-        return None;
-    }
-    // Arm body: a brace block, or everything up to the arm's `,` / the
-    // match's closing `}`.
-    let start = arrow + 2;
-    let end = if tok_punct(tokens, start, '{') {
-        matching(tokens, start)? + 1
-    } else {
-        depth0(tokens, start..body.end)
-            .find(|&j| tok_punct(tokens, j, ',') || is_closer(tokens, j))
-            .unwrap_or(body.end)
-    };
-    // Bindings: idents not introducing a field name (`field: pat`) and
-    // not pattern keywords. A stray nested-enum segment binds a name no
-    // expression reads — harmless.
-    let bindings = (pat_open + 1..pat_close)
-        .filter_map(|k| {
-            let name = tok_ident(tokens, k)?;
-            let skip = matches!(name, "mut" | "ref" | "_") || tok_punct(tokens, k + 1, ':');
-            (!skip).then(|| name.to_string())
-        })
-        .collect();
-    Some(StmtKind::Arm {
-        bindings,
-        arrow,
-        body: start..end,
-    })
 }

@@ -18,7 +18,6 @@ use crate::flow::flow_pass;
 use crate::lexer::{lex, strip_test_code, Token};
 use crate::parser::parse_workspace;
 use crate::rules::{run_rules, Violation};
-use crate::taint::taint_pass;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -136,7 +135,6 @@ pub struct PassTimings {
     pub lexical_us: u128,
     pub parse_us: u128,
     pub flow_us: u128,
-    pub taint_us: u128,
     pub conc_us: u128,
     pub lock_order_us: u128,
     pub total_us: u128,
@@ -153,8 +151,8 @@ pub struct CheckOutcome {
 
 /// Runs every pass — the workspace parse and its site table, unit
 /// inference (`flow.unit`), the per-file rules (`panic.*`,
-/// `units.raw-f64`), then the workspace-level semantic passes (taint,
-/// concurrency discipline, lock-order acyclicity) — over pre-loaded
+/// `units.raw-f64`), then the workspace-level semantic passes
+/// (concurrency discipline, lock-order acyclicity) — over pre-loaded
 /// sources. Every violation fails the check.
 pub fn check_sources(sources: &[SourceFile]) -> CheckOutcome {
     let started = Instant::now();
@@ -179,11 +177,6 @@ pub fn check_sources(sources: &[SourceFile]) -> CheckOutcome {
         all.extend(run_rules(&s.tokens, p, unit_safety(&s.path)));
     }
     timings.lexical_us = t.elapsed().as_micros();
-
-    // Taint: wire-derived values reaching resource sinks unvalidated.
-    let t = Instant::now();
-    taint_pass(sources, &parsed, &mut all);
-    timings.taint_us = t.elapsed().as_micros();
 
     let t = Instant::now();
     conc_pass(sources, &parsed, &mut all);

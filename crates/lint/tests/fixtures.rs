@@ -8,8 +8,8 @@
 
 use bsa_lint::lexer::{lex, strip_test_code};
 use bsa_lint::{
-    conc_pass, flow_pass, lock_order_pass, parse_workspace, run_rules, taint_pass, ParsedFile,
-    SourceFile, Violation,
+    conc_pass, flow_pass, lock_order_pass, parse_workspace, run_rules, ParsedFile, SourceFile,
+    Violation,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -135,46 +135,6 @@ fn flow_fixture_is_fully_flagged() {
 }
 
 #[test]
-fn taint_fixture_is_fully_flagged() {
-    // Synthetic path inside a wire-scope crate so the sources and sinks
-    // are armed; the fixture supplies both flagged flows and the full
-    // sanitizer vocabulary as unmarked negatives.
-    check_semantic_fixture(
-        "taint.rs",
-        "crates/link/src/taint_fixture.rs",
-        &|s, p, out| {
-            taint_pass(s, p, out);
-        },
-    );
-}
-
-/// The real validation idioms in `bsa-link`'s codec must stay taint-clean:
-/// `message.rs` is full of decode-then-check-then-`with_capacity` patterns
-/// that are exactly the shape the taint pass hunts, and every one of them
-/// bounds the count first. Zero findings here pins the false-positive
-/// rate on the highest-traffic wire code in the workspace.
-#[test]
-fn link_codec_has_zero_taint_findings() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../link/src");
-    let mut sources = Vec::new();
-    for name in ["message.rs", "frame.rs", "wire.rs"] {
-        let path = root.join(name);
-        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        sources.push(SourceFile {
-            path: format!("crates/link/src/{name}"),
-            tokens: strip_test_code(&lex(&text)),
-        });
-    }
-    let parsed = parse_workspace(&sources);
-    let mut violations = Vec::new();
-    taint_pass(&sources, &parsed, &mut violations);
-    assert!(
-        violations.is_empty(),
-        "validated codec idioms must not be flagged: {violations:#?}"
-    );
-}
-
-#[test]
 fn locks_fixture_is_fully_flagged() {
     check_semantic_fixture(
         "locks.rs",
@@ -198,14 +158,7 @@ fn clean_fixture_has_zero_violations() {
 #[test]
 fn every_rule_id_is_exercised_by_some_fixture() {
     let mut seen: Vec<String> = Vec::new();
-    for name in [
-        "panics.rs",
-        "units.rs",
-        "conc.rs",
-        "flow.rs",
-        "locks.rs",
-        "taint.rs",
-    ] {
+    for name in ["panics.rs", "units.rs", "conc.rs", "flow.rs", "locks.rs"] {
         for ((_, rule), _) in expected_markers(&fixture(name)) {
             seen.push(rule);
         }

@@ -51,6 +51,30 @@ use std::time::Duration;
 /// at 128×128), so one request cannot pin the server indefinitely.
 pub(crate) const MAX_STREAM_FRAMES: u32 = 4096;
 
+/// Hard cap on a stream culture's `neuron_count`. The culture holds one
+/// 120-byte neuron per count, allocated up front, and every frame sums
+/// over the neurons; `u32::MAX` would ask for about 515 GB.
+pub(crate) const MAX_CULTURE_NEURONS: u32 = 256;
+
+/// Hard cap on a stream culture's `spike_duration_s`. Spike trains grow
+/// linearly with it, about 5 spikes per neuron per second at the default
+/// rates, so a capped culture holds about 300 000 spikes at most.
+/// Non-finite and non-positive durations still select the 1 s default.
+pub(crate) const MAX_SPIKE_DURATION_S: f64 = 60.0;
+
+/// Hard cap on `ConfigureAssay.targets`. A `RunAssay` hybridizes every
+/// spotted pixel with every target, so its cost is pixels × targets.
+pub(crate) const MAX_ASSAY_TARGETS: usize = 8;
+
+/// Hard cap on the bases of one assay probe or target. Hybridization
+/// slides the probe along the target, so one pixel × target pair costs
+/// about probe length × target length.
+pub(crate) const MAX_SEQUENCE_BASES: usize = 32;
+
+/// Hard cap on `InjectFaults` plan entries. An array-wide entry visits
+/// up to every pixel of the chip when the plan is compiled.
+pub(crate) const MAX_FAULT_ENTRIES: usize = 64;
+
 /// Default frames per `StreamData` chunk when the client passes 0. Like
 /// a requested size, it is clamped so that one chunk fits a wire frame.
 pub(crate) const DEFAULT_CHUNK_FRAMES: u32 = 8;
@@ -449,9 +473,15 @@ impl Session {
         probes: &[String],
         targets: &[bsa_link::TargetSpec],
     ) -> Message {
+        if targets.len() > MAX_ASSAY_TARGETS {
+            return error_reply(
+                ErrorCode::BadRequest,
+                format!("at most {MAX_ASSAY_TARGETS} targets per assay"),
+            );
+        }
         let mut parsed = Vec::with_capacity(probes.len());
         for probe in probes {
-            match probe.parse::<DnaSequence>() {
+            match assay_sequence(probe) {
                 Ok(seq) => parsed.push(seq),
                 Err(err) => {
                     return error_reply(ErrorCode::BadRequest, format!("probe {probe:?}: {err}"))
@@ -460,7 +490,7 @@ impl Session {
         }
         let mut sample = SampleMix::new();
         for target in targets {
-            let seq = match target.sequence.parse::<DnaSequence>() {
+            let seq = match assay_sequence(&target.sequence) {
                 Ok(seq) => seq,
                 Err(err) => {
                     return error_reply(
@@ -514,6 +544,12 @@ impl Session {
     }
 
     fn inject_faults(&mut self, id: ChipId, plan: &bsa_link::FaultPlanSpec) -> Message {
+        if plan.entries.len() > MAX_FAULT_ENTRIES {
+            return error_reply(
+                ErrorCode::BadRequest,
+                format!("at most {MAX_FAULT_ENTRIES} fault entries per plan"),
+            );
+        }
         let plan = injection_plan_from_spec(plan);
         match self.registry.get_mut(id) {
             Some(Chip::Dna { chip, .. }) => {
@@ -816,6 +852,20 @@ impl Session {
                 format!("frames must be 1..={MAX_STREAM_FRAMES}"),
             ));
         }
+        if culture_spec.neuron_count > MAX_CULTURE_NEURONS {
+            return self.out.send_control(error_reply(
+                ErrorCode::BadRequest,
+                format!("culture neuron_count must be at most {MAX_CULTURE_NEURONS}"),
+            ));
+        }
+        if culture_spec.spike_duration_s.is_finite()
+            && culture_spec.spike_duration_s > MAX_SPIKE_DURATION_S
+        {
+            return self.out.send_control(error_reply(
+                ErrorCode::BadRequest,
+                format!("culture spike_duration_s must be at most {MAX_SPIKE_DURATION_S} s"),
+            ));
+        }
         let t0 = if t0_s.is_finite() { t0_s } else { 0.0 };
         let chip = match self.registry.get_mut(id) {
             Some(Chip::Neuro(chip)) => chip,
@@ -910,6 +960,15 @@ fn dna_chunk(chip: ChipId, seq: u32, readings: Vec<PixelCount>) -> Vec<u8> {
     })
 }
 
+/// An assay probe or target of at most [`MAX_SEQUENCE_BASES`] bases.
+fn assay_sequence(text: &str) -> Result<DnaSequence, String> {
+    let seq = text.parse::<DnaSequence>().map_err(|err| err.to_string())?;
+    if seq.len() > MAX_SEQUENCE_BASES {
+        return Err(format!("longer than {MAX_SEQUENCE_BASES} bases"));
+    }
+    Ok(seq)
+}
+
 fn error_reply(code: ErrorCode, message: String) -> Message {
     Message::ErrorReply { code, message }
 }
@@ -929,7 +988,10 @@ mod tests {
     use super::*;
     use crate::client::{ClientError, StationClient};
     use crate::server::{Station, StationConfig};
-    use bsa_link::{CultureSpec, NeuroChipSpec};
+    use bsa_link::{
+        CultureSpec, DnaChipSpec, FaultEntrySpec, FaultKindSpec, FaultPlanSpec, FaultTargetSpec,
+        NeuroChipSpec, TargetSpec,
+    };
     use std::sync::atomic::Ordering;
 
     /// Every `ErrorCode` the codec knows: an `ErrorReply` payload decoded
@@ -1028,6 +1090,309 @@ mod tests {
             };
             assert_eq!(sent, code);
         }
+    }
+
+    /// Lists the request fields that size station work, per `Message`
+    /// variant, and generates two functions from the list: every listed
+    /// (variant, field) pair, and the variant a message is listed under.
+    /// The latter matches every variant with no `_` arm, so a new variant
+    /// does not compile until it is listed here with its fields (often
+    /// none). Replies sent to the station are refused whole.
+    macro_rules! work_sizing_fields {
+        ($($variant:ident => [$($field:literal),*];)*) => {
+            fn listed_fields() -> BTreeSet<(&'static str, &'static str)> {
+                let mut listed = BTreeSet::new();
+                $($(listed.insert((stringify!($variant), $field));)*)*
+                listed
+            }
+
+            fn variant_name(msg: &Message) -> &'static str {
+                match msg {
+                    $(Message::$variant { .. } => stringify!($variant),)*
+                }
+            }
+        };
+    }
+
+    // Fields whose work grows only with the bytes received are not
+    // listed: the frame bounds them, and `Reader::seq` checks each count
+    // against the bytes left before it allocates. Such are the number of
+    // probes (each spots one pixel), `MaskPixels.pixels` and the names.
+    // `probes` is listed for the length of each probe.
+    work_sizing_fields! {
+        Hello => [];
+        HelloAck => [];
+        Ping => [];
+        Pong => [];
+        AttachDna => ["rows", "cols"];
+        AttachNeuro => ["rows", "cols", "channels"];
+        Attached => [];
+        Detach => [];
+        Detached => [];
+        ConfigureAssay => ["probes", "targets", "targets.sequence"];
+        Calibrate => [];
+        CalibrationDone => [];
+        InjectFaults => ["plan.entries"];
+        QueryHealth => [];
+        HealthReport => [];
+        RunAssay => [];
+        AssayResult => [];
+        StartNeuroStream => [
+            "frames",
+            "chunk_frames",
+            "culture.neuron_count",
+            "culture.spike_duration_s"
+        ];
+        StreamData => [];
+        StreamEnd => [];
+        QueryStats => [];
+        StatsReport => [];
+        Ack => [];
+        ErrorReply => [];
+        MaskPixels => [];
+        Masked => [];
+        StartRecording => [];
+        RecordingStarted => [];
+        StopRecording => [];
+        RecordingStopped => [];
+        ListRecordings => [];
+        RecordingList => [];
+        Replay => ["chunk_frames"];
+    }
+
+    /// What the station does with a request.
+    #[derive(Debug, PartialEq)]
+    enum Served {
+        /// A typed `ErrorReply`.
+        Refused(ErrorCode),
+        /// A whole stream: frames sent, frames dropped and chunks.
+        Stream {
+            sent: u32,
+            dropped: u32,
+            chunks: u32,
+        },
+        /// Any other single reply.
+        Reply(Message),
+    }
+
+    /// Sends one request and reads its reply, or its whole stream.
+    fn serve(socket: &mut TcpStream, request: &Message) -> Served {
+        write_message(socket, request).unwrap();
+        let mut chunks = 0;
+        loop {
+            match read_message(socket).unwrap() {
+                Message::StreamData { .. } => chunks += 1,
+                Message::StreamEnd {
+                    frames_sent,
+                    frames_dropped,
+                    ..
+                } => {
+                    return Served::Stream {
+                        sent: frames_sent,
+                        dropped: frames_dropped,
+                        chunks,
+                    }
+                }
+                Message::ErrorReply { code, .. } => return Served::Refused(code),
+                reply => return Served::Reply(reply),
+            }
+        }
+    }
+
+    fn attached_chip(served: Served) -> ChipId {
+        match served {
+            Served::Reply(Message::Attached { chip, .. }) => chip,
+            other => panic!("expected Attached, got {other:?}"),
+        }
+    }
+
+    /// Every request field that sizes station work is bounded: one row per
+    /// listed field sends its first out-of-range value and gets a typed
+    /// refusal or a clamped chunk size, and the session answers a `Ping`
+    /// afterwards. The rows must cover exactly the listed fields.
+    #[test]
+    fn every_work_sizing_request_field_is_bounded() {
+        let store_root =
+            std::env::temp_dir().join(format!("bsa-station-bounds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store_root);
+        let station = Station::bind(StationConfig {
+            store_root: Some(store_root.clone()),
+            ..StationConfig::default()
+        })
+        .unwrap();
+        let mut socket = TcpStream::connect(station.addr()).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+
+        let neuro = |rows: usize, cols: usize, channels: u16| {
+            Message::AttachNeuro(NeuroChipSpec {
+                rows: u16::try_from(rows).unwrap(),
+                cols: u16::try_from(cols).unwrap(),
+                channels,
+                seed: 1,
+                frame_rate_hz: 0.0,
+            })
+        };
+        let dna = |rows: usize, cols: usize| {
+            Message::AttachDna(DnaChipSpec {
+                rows: u16::try_from(rows).unwrap(),
+                cols: u16::try_from(cols).unwrap(),
+                seed: 1,
+                frame_time_s: 0.0,
+            })
+        };
+        let dna_chip = attached_chip(serve(&mut socket, &dna(0, 0)));
+        let culture = CultureSpec {
+            seed: 1,
+            neuron_count: 4,
+            spike_duration_s: 0.01,
+        };
+        let stream =
+            |chip, frames, chunk_frames, culture: &CultureSpec| Message::StartNeuroStream {
+                chip,
+                frames,
+                chunk_frames,
+                t0_s: 0.0,
+                culture: culture.clone(),
+            };
+
+        let assay = |probes: Vec<String>, targets: Vec<&str>| Message::ConfigureAssay {
+            chip: dna_chip,
+            probes,
+            targets: targets
+                .into_iter()
+                .map(|sequence| TargetSpec {
+                    sequence: sequence.to_string(),
+                    concentration_molar: 1e-9,
+                })
+                .collect(),
+        };
+        let long_sequence = "A".repeat(MAX_SEQUENCE_BASES + 1);
+        let plan = FaultPlanSpec {
+            seed: 1,
+            entries: vec![
+                FaultEntrySpec {
+                    target: FaultTargetSpec::ArrayWide { density: 1.0 },
+                    kind: FaultKindSpec::DeadPixel,
+                };
+                MAX_FAULT_ENTRIES + 1
+            ],
+        };
+        // A 16×16 chip for the request bounds, and a 128×128 chip whose
+        // chunks clamp at 127 frames, with a 128-frame recording of it.
+        let small = attached_chip(serve(&mut socket, &neuro(16, 16, 0)));
+        let big = attached_chip(serve(&mut socket, &neuro(128, 128, 0)));
+        let cap = max_chunk_frames(128 * 128);
+        assert_eq!(cap, 127);
+        let take = "bounds".to_string();
+        let start = Message::StartRecording {
+            chip: big,
+            name: take.clone(),
+        };
+        assert!(matches!(
+            serve(&mut socket, &start),
+            Served::Reply(Message::RecordingStarted { .. })
+        ));
+        serve(&mut socket, &stream(big, cap + 1, 0, &culture));
+        match serve(&mut socket, &Message::StopRecording { chip: big }) {
+            Served::Reply(Message::RecordingStopped { frames_written, .. }) => {
+                assert_eq!(frames_written, u64::from(cap + 1));
+            }
+            other => panic!("expected RecordingStopped, got {other:?}"),
+        }
+
+        // The clamped chunk size splits 128 frames into two chunks.
+        let clamped = || Served::Stream {
+            sent: cap + 1,
+            dropped: 0,
+            chunks: 2,
+        };
+        let bad = || Served::Refused(ErrorCode::BadRequest);
+        let crowded = CultureSpec {
+            neuron_count: MAX_CULTURE_NEURONS + 1,
+            ..culture.clone()
+        };
+        let long = CultureSpec {
+            spike_duration_s: MAX_SPIKE_DURATION_S.next_up(),
+            ..culture.clone()
+        };
+        let rows = [
+            ("rows", neuro(MAX_FRAME_PIXELS / 64 + 1, 64, 0), bad()),
+            ("cols", neuro(64, MAX_FRAME_PIXELS / 64 + 1, 0), bad()),
+            // Channels share the columns evenly, so at most `cols`.
+            (
+                "channels",
+                neuro(16, 16, 17),
+                Served::Refused(ErrorCode::ChipError),
+            ),
+            ("rows", dna(MAX_ASSAY_PIXELS / 64 + 1, 64), bad()),
+            ("cols", dna(64, MAX_ASSAY_PIXELS / 64 + 1), bad()),
+            ("probes", assay(vec![long_sequence.clone()], vec![]), bad()),
+            (
+                "targets",
+                assay(vec![], vec!["ACGT"; MAX_ASSAY_TARGETS + 1]),
+                bad(),
+            ),
+            (
+                "targets.sequence",
+                assay(vec![], vec![&long_sequence]),
+                bad(),
+            ),
+            (
+                "plan.entries",
+                Message::InjectFaults {
+                    chip: dna_chip,
+                    plan,
+                },
+                bad(),
+            ),
+            ("frames", stream(small, 0, 0, &culture), bad()),
+            (
+                "frames",
+                stream(small, MAX_STREAM_FRAMES + 1, 0, &culture),
+                bad(),
+            ),
+            (
+                "chunk_frames",
+                stream(big, cap + 1, cap + 1, &culture),
+                clamped(),
+            ),
+            ("culture.neuron_count", stream(small, 1, 0, &crowded), bad()),
+            (
+                "culture.spike_duration_s",
+                stream(small, 1, 0, &long),
+                bad(),
+            ),
+            (
+                "chunk_frames",
+                Message::Replay {
+                    name: take,
+                    chunk_frames: cap + 1,
+                },
+                clamped(),
+            ),
+        ];
+
+        let covered: BTreeSet<_> = rows
+            .iter()
+            .map(|(field, request, _)| (variant_name(request), *field))
+            .collect();
+        assert_eq!(covered, listed_fields());
+        for (token, (field, request, want)) in (0u64..).zip(rows) {
+            let row = format!("{}.{field}", variant_name(&request));
+            assert_eq!(serve(&mut socket, &request), want, "{row}");
+            let ping = Message::Ping { token };
+            assert_eq!(
+                serve(&mut socket, &ping),
+                Served::Reply(Message::Pong { token }),
+                "{row}"
+            );
+        }
+
+        drop(socket);
+        drop(station);
+        let _ = std::fs::remove_dir_all(&store_root);
     }
 
     /// Deterministic backpressure accounting at the queue level, no TCP:

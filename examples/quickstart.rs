@@ -9,6 +9,8 @@ use cmos_biosensor_arrays::chips::dna_chip::{DnaChip, DnaChipConfig, SampleMix};
 use cmos_biosensor_arrays::dsp::calling::MatchCaller;
 use cmos_biosensor_arrays::electrochem::sequence::DnaSequence;
 use cmos_biosensor_arrays::units::Molar;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Instantiate a die (mismatch and noise are seeded per die).
@@ -23,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    rest of the array carries unrelated probes.
     let probe: DnaSequence = "ACGTTGCAGGTCCATAGCTA".parse()?;
     chip.spot(PixelAddress::new(0, 0), probe.clone())?;
-    let mut rng = rand::thread_rng();
+    let mut rng = SmallRng::seed_from_u64(2005);
     for addr in chip.geometry().iter().skip(1) {
         chip.spot(addr, DnaSequence::random(20, &mut rng))?;
     }
