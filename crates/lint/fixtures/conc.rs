@@ -1,50 +1,45 @@
-//! Seeded concurrency-discipline violations (semantic lint fixture —
-//! lexed and parsed, never compiled).
+//! Seeded `conc.hold-and-block` violations (lint fixture — lexed and
+//! parsed, never compiled). The harness checks it under a serving-crate
+//! path, the only place the rule runs.
 
-pub struct Gauges {
-    samples_in: AtomicU64,
-    drops: AtomicU64,
+pub struct Peers {
     peers: Mutex<Vec<Peer>>,
+    frames_tx: SyncSender<Vec<u8>>,
 }
 
-impl Gauges {
-    /// Check-then-act: the classic lost-update window.
-    pub fn bump_drops(&self) {
-        let n = self.drops.load(Ordering::Relaxed); //~ conc.atomic-rmw
-        self.drops.store(n + 1, Ordering::Relaxed);
-    }
-
-    /// The sanctioned read-modify-write shape: exempt.
-    pub fn bump_drops_cas(&self) {
-        let mut cur = self.drops.load(Ordering::Relaxed);
-        loop {
-            match self.drops.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// First site of `samples_in` — anchors the mixed-ordering report
-    /// (`SeqCst` sneaks in below in `read_samples`).
-    pub fn record(&self) {
-        self.samples_in.fetch_add(1, Ordering::Relaxed); //~ conc.ordering
-    }
-
-    pub fn read_samples(&self) -> u64 {
-        self.samples_in.load(Ordering::SeqCst)
-    }
-
+impl Peers {
     /// Socket write while the peer table is still locked.
     pub fn broadcast(&self, frame: &[u8]) {
         let peers = self.peers.lock();
         for p in peers.iter() {
             p.write_all(frame); //~ conc.hold-and-block
         }
+    }
+
+    /// A blocking send on a full queue under the lock.
+    pub fn enqueue(&self, frame: Vec<u8>) {
+        let peers = self.peers.lock();
+        self.frames_tx.send(frame); //~ conc.hold-and-block
+        drop(peers);
+    }
+
+    /// Blocking before the lock, and `try_send` under it: both fine.
+    pub fn offer(&self, frame: Vec<u8>) {
+        self.frames_tx.send(frame.clone());
+        let peers = self.peers.lock();
+        let _ = self.frames_tx.try_send(frame);
+    }
+
+    /// Known miss: the blocking call sits in a helper called under the
+    /// lock, and the rule reads one fn body at a time.
+    pub fn relay(&self, frame: &[u8]) {
+        let peers = self.peers.lock();
+        write_each(&peers, frame);
+    }
+}
+
+fn write_each(peers: &[Peer], frame: &[u8]) {
+    for p in peers {
+        p.write_all(frame);
     }
 }

@@ -10,11 +10,13 @@
 //! Determinism bans (wall clock, unseeded RNG, hash-ordered collections)
 //! live in per-crate `clippy.toml` files; `.unwrap()`, `.expect()` and
 //! `panic!`/`unreachable!`/`unimplemented!`/`todo!` are clippy's panic
-//! lints; and wire-protocol coverage is rustc's exhaustive `match` plus
+//! lints; wire-protocol coverage is rustc's exhaustive `match` plus
 //! `bsa-link`'s `abi_lock` golden test and the station's test that
-//! provokes every `ErrorCode`.
+//! provokes every `ErrorCode`; and the serving crates' counters, gauges
+//! and shutdown flag are `bsa-station`'s `stats.rs` types, with clippy
+//! `disallowed_types` banning the std atomics and locks everywhere else.
 //!
-//! The lexical families run per file ([`rules`]):
+//! Every rule runs on one file at a time ([`rules`]):
 //!
 //! 1. **Panic-freedom** (`panic.*`) — no direct indexing in non-test
 //!    library code (`panic.indexing`), and no attribute there that
@@ -26,23 +28,18 @@
 //!    `bsa-units` newtypes (`Hertz`, `Volt`, `Ampere`, `Seconds`) rather
 //!    than raw `f64` for dimensioned scalars, so a pA-vs-nA or Hz-vs-rad
 //!    mixup fails to compile instead of silently corrupting a readout.
+//! 3. **Blocking under a lock** (`conc.hold-and-block`) — in the serving
+//!    crates, a socket, channel or thread call that blocks, made after
+//!    `.lock(` in the same fn, stalls every thread waiting on that lock.
 //!
-//! On top of them sit the *semantic* families that need the whole
-//! workspace at once. A lightweight parser ([`parser`]) extracts fns,
-//! impls and call sites, and resolves every call site to the fn it
-//! binds to, once for the whole workspace, under one rule (DESIGN.md
-//! §9.2). `conc.*` is that call table's one reader (atomic
-//! read-modify-write, lock discipline and the global lock/channel
-//! acquisition-order cycle detector `conc.lock-order` in the serving
-//! crates, [`conc`]).
-//!
-//! The parser also records every direct index site of a file once, in
-//! token order: the site table ([`parser::ParsedFile::sites`]) that
-//! `panic.indexing` reads. No pass discharges a site: an index is
-//! rewritten so it cannot panic (`get`, iterators, slice patterns). The definite
-//! bugs need no pass of their own, because rustc's deny-by-default
-//! `unconditional_panic` lint rejects them at compile time — a constant
-//! index past a `[e; N]` array:
+//! A lightweight parser ([`parser`]) extracts each file's fns and
+//! records its direct index sites once, in token order: the site table
+//! ([`parser::ParsedFile::sites`]) that `panic.indexing` reads. No pass
+//! discharges a site: an index is rewritten so it cannot panic (`get`,
+//! iterators, slice patterns). The definite bugs need no pass of their
+//! own, because rustc's deny-by-default `unconditional_panic` lint
+//! rejects them at compile time — a constant index past a `[e; N]`
+//! array:
 //!
 //! ```compile_fail
 //! let buf = [0.0_f64; 4];
@@ -71,6 +68,11 @@
 //! ([`flow`], `flow.unit`) folds over that output to flag sums and
 //! assignments that mix physical dimensions.
 //!
+//! Check-then-act races, mixed memory orderings and lock-order cycles
+//! are no lint question either: outside `stats.rs` and the session
+//! table's one `Mutex`, the serving crates cannot name an atomic or a
+//! lock (DESIGN.md §9.2).
+//!
 //! Peer- and segment-controlled values that size work are no lint
 //! question: the station bounds each such request field where it is
 //! applied, and its `every_work_sizing_request_field_is_bounded` test
@@ -82,7 +84,6 @@
 //! itself ([`lexer`]) instead of pulling in `syn`, so it keeps working in
 //! a bare offline checkout.
 
-pub mod conc;
 pub mod flow;
 pub mod lexer;
 pub mod parser;
@@ -91,9 +92,8 @@ pub mod rules;
 pub mod syntax;
 pub mod workspace;
 
-pub use conc::{conc_pass, lock_order_pass};
 pub use flow::flow_pass;
-pub use parser::{parse_workspace, ParsedFile};
+pub use parser::{parse_file, ParsedFile};
 pub use report::{render_json, Report};
 pub use rules::{rule_description, run_rules, Violation, RULE_IDS};
 pub use workspace::{

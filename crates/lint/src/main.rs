@@ -69,13 +69,10 @@ fn parse_format(args: &[String]) -> Result<bool, String> {
 /// One-line pass-timing summary for the human-readable output.
 fn timings_line(t: &PassTimings) -> String {
     format!(
-        "timings: lexical {}ms, parse {}ms, flow {}ms, conc {}ms, lock-order {}ms \
-         — total {}ms",
+        "timings: lexical {}ms, parse {}ms, flow {}ms — total {}ms",
         t.lexical_us / 1000,
         t.parse_us / 1000,
         t.flow_us / 1000,
-        t.conc_us / 1000,
-        t.lock_order_us / 1000,
         t.total_us / 1000,
     )
 }

@@ -55,8 +55,6 @@ pub fn render_json(r: &Report<'_>) -> String {
         ("lexical", t.lexical_us, true),
         ("parse", t.parse_us, true),
         ("flow", t.flow_us, true),
-        ("conc", t.conc_us, true),
-        ("lock_order", t.lock_order_us, true),
         ("total", t.total_us, false),
     ] {
         push_indent(&mut s, 2);

@@ -1,4 +1,5 @@
-//! The two lexical rule families: panic-freedom and unit-safety.
+//! The per-file rules: panic-freedom, unit-safety and, in the serving
+//! crates, blocking under a lock.
 //!
 //! Each pass reads one file's test-stripped token stream and its parse
 //! ([`ParsedFile`]) and emits [`Violation`]s. The passes are deliberately
@@ -9,6 +10,7 @@
 use crate::lexer::Token;
 use crate::parser::ParsedFile;
 use crate::syntax::{matching, tok_ident, tok_punct};
+use crate::workspace::serving;
 use std::fmt;
 
 /// One rule violation at a specific source line.
@@ -39,11 +41,8 @@ pub const RULE_IDS: &[&str] = &[
     "panic.indexing",
     "panic.allow",
     "units.raw-f64",
-    "conc.atomic-rmw",
-    "conc.ordering",
-    "conc.hold-and-block",
     "flow.unit",
-    "conc.lock-order",
+    "conc.hold-and-block",
 ];
 
 /// One-line description per rule id, for `rules` output.
@@ -52,24 +51,25 @@ pub fn rule_description(id: &str) -> &'static str {
         "panic.indexing" => "direct slice indexing that can panic",
         "panic.allow" => "allow/expect/warn of a clippy panic lint in library code",
         "units.raw-f64" => "raw f64 where a bsa-units newtype exists",
-        "conc.atomic-rmw" => "non-atomic read-modify-write on an atomic counter",
-        "conc.ordering" => "inconsistent memory Ordering across uses of one atomic",
-        "conc.hold-and-block" => "blocking call while holding a lock",
         "flow.unit" => "dimension-mixing assignment or sum found by unit dataflow",
-        "conc.lock-order" => "lock/channel acquisition-order cycle (potential deadlock)",
+        "conc.hold-and-block" => "blocking call while holding a lock, in the serving crates",
         _ => "unknown rule",
     }
 }
 
 /// Runs the per-file rules over one parsed file: `panic.indexing` over
 /// its site table ([`ParsedFile::sites`]), `panic.allow` over its
-/// attributes, and `units.raw-f64` over its `pub` fns when `unit_safety`
-/// holds.
+/// attributes, `units.raw-f64` over its `pub` fns when `unit_safety`
+/// holds, and `conc.hold-and-block` over its fn bodies when its path is
+/// in a serving crate.
 pub fn run_rules(tokens: &[Token], parsed: &ParsedFile, unit_safety: bool) -> Vec<Violation> {
     let mut out = Vec::new();
     panic_pass(tokens, parsed, &mut out);
     if unit_safety {
         unit_pass(tokens, parsed, &mut out);
+    }
+    if serving(&parsed.path) {
+        hold_and_block_pass(tokens, parsed, &mut out);
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
@@ -257,6 +257,69 @@ fn unit_pass(tokens: &[Token], parsed: &ParsedFile, out: &mut Vec<Violation>) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Family 3: blocking under a lock
+// ---------------------------------------------------------------------------
+
+/// Calls that block the current thread: the socket, channel and thread
+/// APIs this workspace uses. `try_send` and `try_recv` never block.
+const BLOCKING_CALLS: &[&str] = &[
+    "write_all",
+    "write_message",
+    "read_message",
+    "read_exact",
+    "read_to_end",
+    "recv",
+    "recv_timeout",
+    "send",
+    "join",
+    "accept",
+    "flush",
+    "wait",
+    "wait_timeout",
+    "park",
+    "sleep",
+];
+
+/// `conc.hold-and-block`: a call named in [`BLOCKING_CALLS`] after a
+/// `.lock(` in the same fn body stalls every thread contending for that
+/// lock. A guard is taken to live to the end of the body; a nested fn's
+/// body is checked on its own.
+fn hold_and_block_pass(tokens: &[Token], parsed: &ParsedFile, out: &mut Vec<Violation>) {
+    for f in &parsed.fns {
+        let nested: Vec<_> = (parsed.fns.iter())
+            .map(|g| &g.body)
+            .filter(|b| b.start > f.body.start && b.end <= f.body.end)
+            .collect();
+        let calls = f
+            .body
+            .clone()
+            .filter(|k| !nested.iter().any(|b| b.contains(k)));
+        let mut locked = false;
+        for k in calls.filter(|&k| tok_punct(tokens, k + 1, '(')) {
+            let Some(name) = tok_ident(tokens, k) else {
+                continue;
+            };
+            if name == "lock" && tok_punct(tokens, k.wrapping_sub(1), '.') {
+                locked = true;
+            } else if locked
+                && BLOCKING_CALLS.contains(&name)
+                && tok_ident(tokens, k.wrapping_sub(1)) != Some("fn")
+            {
+                out.push(violation(
+                    &parsed.path,
+                    tokens.get(k).map_or(f.line, |t| t.line),
+                    "conc.hold-and-block",
+                    format!(
+                        "blocking call `{name}` after `.lock()` in the same fn; \
+                         drop the guard (or clone the data out) before blocking"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,6 +456,48 @@ mod tests {
         assert_eq!(
             rules_found("pub fn f<T: Into<Vec<u8>>>(x: T, fs: f64) {}"),
             vec!["units.raw-f64"]
+        );
+    }
+
+    fn serving_rules(src: &str) -> Vec<(usize, &'static str)> {
+        let tokens = strip_test_code(&lex(src));
+        let parsed = parse_file("crates/station/src/test.rs", &tokens);
+        let found = run_rules(&tokens, &parsed, false);
+        found.into_iter().map(|v| (v.line, v.rule)).collect()
+    }
+
+    #[test]
+    fn blocking_call_under_lock_is_flagged() {
+        let src = "fn broadcast(&self, msg: &[u8]) {\n\
+                   let peers = self.peers.lock();\n\
+                   for p in peers.iter() { p.write_all(msg); }\n\
+                   thread::sleep(PAUSE);\n}";
+        let found = serving_rules(src);
+        assert_eq!(
+            found,
+            [(3, "conc.hold-and-block"), (4, "conc.hold-and-block")]
+        );
+    }
+
+    #[test]
+    fn blocking_before_lock_without_lock_or_outside_serving_is_fine() {
+        let src = r#"
+            fn ok(&self, msg: &[u8]) {
+                self.stream.write_all(msg);
+                let n = self.peers.lock();
+                self.tx.try_send(n.len());
+            }
+            fn plain(&self, msg: &[u8]) { self.stream.write_all(msg); }
+            fn outer(&self) {
+                let g = self.peers.lock();
+                fn send(out: &mut Out) { out.flush(); }
+            }
+        "#;
+        assert!(serving_rules(src).is_empty());
+        let src = "fn f(&self) { let g = self.peers.lock(); self.tx.send(1); }";
+        assert!(
+            rules_found(src).is_empty(),
+            "test.rs is not a serving crate"
         );
     }
 

@@ -170,11 +170,10 @@ pub struct Param {
 }
 
 /// Lowers the parameter list between `open` and its matching `close`
-/// parenthesis. Returns the argument-position parameters (a `self`
-/// receiver is dropped) and whether there was a receiver.
-pub(crate) fn lower_params(tokens: &[Token], open: usize, close: usize) -> (Vec<Param>, bool) {
+/// parenthesis into its argument-position parameters (a `self` receiver
+/// is dropped).
+pub(crate) fn lower_params(tokens: &[Token], open: usize, close: usize) -> Vec<Param> {
     let mut params = Vec::new();
-    let mut has_self = false;
     let ends = type_depth0(tokens, open + 1..close)
         .filter(|&j| tok_punct(tokens, j, ','))
         .chain([close]);
@@ -193,7 +192,6 @@ pub(crate) fn lower_params(tokens: &[Token], open: usize, close: usize) -> (Vec<
             p += 1;
         }
         if tok_ident(tokens, p) == Some("self") {
-            has_self = true;
             continue;
         }
         let colon = type_depth0(tokens, seg.clone()).find(|&j| {
@@ -212,7 +210,7 @@ pub(crate) fn lower_params(tokens: &[Token], open: usize, close: usize) -> (Vec<
             ty,
         });
     }
-    (params, has_self)
+    params
 }
 
 /// One lowered statement of a fn body. `rhs` is the token range of the

@@ -8,15 +8,19 @@
 //! * **unit-safety** (`units.raw-f64`) — every library crate except
 //!   `crates/units` (which defines the newtypes in terms of raw `f64`)
 //!   and this crate (which has no physical API surface).
+//! * **blocking under a lock** (`conc.hold-and-block`) — the serving
+//!   crates: `bsa-station`, `bsa-control` and `bsa-store`.
 //!
 //! Determinism (no wall clock, unseeded RNG or hash-ordered collections
-//! in `bsa-core`, `bsa-dsp`, `bsa-link` and `bsa-control`) is not scoped
-//! here: each of those crates carries a `clippy.toml` that bans them.
+//! in `bsa-core`, `bsa-dsp`, `bsa-link` and `bsa-control`) and the
+//! serving crates' concurrency bans (no std atomic, `Mutex`, `RwLock` or
+//! `Condvar` outside the station's `stats.rs` and its session table) are
+//! not scoped here: each of those crates carries a `clippy.toml` that
+//! bans them.
 
-use crate::conc::{conc_pass, lock_order_pass};
 use crate::flow::flow_pass;
 use crate::lexer::{lex, strip_test_code, Token};
-use crate::parser::parse_workspace;
+use crate::parser::parse_file;
 use crate::rules::{run_rules, Violation};
 use std::fs;
 use std::io;
@@ -44,6 +48,14 @@ pub fn in_scope(rel_path: &str) -> bool {
 /// `true` when `units.raw-f64` applies to an in-scope path.
 pub fn unit_safety(rel_path: &str) -> bool {
     !["units", "lint"]
+        .iter()
+        .any(|krate| rel_path.starts_with(&format!("crates/{krate}/src/")))
+}
+
+/// `true` when `conc.hold-and-block` applies: the multi-threaded serving
+/// crates.
+pub fn serving(rel_path: &str) -> bool {
+    ["station", "control", "store"]
         .iter()
         .any(|krate| rel_path.starts_with(&format!("crates/{krate}/src/")))
 }
@@ -135,8 +147,6 @@ pub struct PassTimings {
     pub lexical_us: u128,
     pub parse_us: u128,
     pub flow_us: u128,
-    pub conc_us: u128,
-    pub lock_order_us: u128,
     pub total_us: u128,
 }
 
@@ -149,18 +159,19 @@ pub struct CheckOutcome {
     pub timings: PassTimings,
 }
 
-/// Runs every pass — the workspace parse and its site table, unit
-/// inference (`flow.unit`), the per-file rules (`panic.*`,
-/// `units.raw-f64`), then the workspace-level semantic passes
-/// (concurrency discipline, lock-order acyclicity) — over pre-loaded
-/// sources. Every violation fails the check.
+/// Runs every pass — each file's parse and its site table, unit
+/// inference (`flow.unit`), then the per-file rules (`panic.*`,
+/// `units.raw-f64`, `conc.hold-and-block`) — over pre-loaded sources.
+/// Every violation fails the check.
 pub fn check_sources(sources: &[SourceFile]) -> CheckOutcome {
     let started = Instant::now();
     let mut timings = PassTimings::default();
     let mut all = Vec::new();
 
     let t = Instant::now();
-    let parsed = parse_workspace(sources);
+    let parsed: Vec<_> = (sources.iter())
+        .map(|s| parse_file(&s.path, &s.tokens))
+        .collect();
     timings.parse_us = t.elapsed().as_micros();
 
     // Unit inference where dimensioned scalars live.
@@ -177,14 +188,6 @@ pub fn check_sources(sources: &[SourceFile]) -> CheckOutcome {
         all.extend(run_rules(&s.tokens, p, unit_safety(&s.path)));
     }
     timings.lexical_us = t.elapsed().as_micros();
-
-    let t = Instant::now();
-    conc_pass(sources, &parsed, &mut all);
-    timings.conc_us = t.elapsed().as_micros();
-
-    let t = Instant::now();
-    lock_order_pass(&parsed, &mut all);
-    timings.lock_order_us = t.elapsed().as_micros();
 
     all.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     timings.total_us = started.elapsed().as_micros();
@@ -246,6 +249,10 @@ mod tests {
         for no_units in ["crates/units/src/lib.rs", "crates/lint/src/rules.rs"] {
             assert!(in_scope(no_units) && !unit_safety(no_units), "{no_units}");
         }
+        for krate in ["station", "control", "store"] {
+            assert!(serving(&format!("crates/{krate}/src/lib.rs")), "{krate}");
+        }
+        assert!(!serving("crates/core/src/scan.rs") && !serving("crates/station/tests/t.rs"));
         assert!(!in_scope("crates/bench/src/bin/exp_f2.rs"));
         assert!(!in_scope("crates/core/tests/integration.rs"));
         assert!(!in_scope("crates/core/src/data.csv"));

@@ -6,14 +6,14 @@
 // Tests unwrap, expect and panic idiomatically.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use bsa_lint::lexer::{lex, strip_test_code};
-use bsa_lint::{
-    conc_pass, flow_pass, lock_order_pass, parse_workspace, run_rules, ParsedFile, SourceFile,
-    Violation,
-};
+use bsa_lint::lexer::{lex, strip_test_code, Token};
+use bsa_lint::{flow_pass, parse_file, run_rules, ParsedFile, Violation};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
+
+/// Every fixture, for the rule-coverage check.
+const FIXTURES: &[&str] = &["panics.rs", "units.rs", "conc.rs", "flow.rs", "clean.rs"];
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -39,33 +39,25 @@ fn expected_markers(source: &str) -> BTreeMap<(usize, String), usize> {
     expected
 }
 
-/// The per-file rules, every family, as a pass over the fixtures.
-fn lexical(sources: &[SourceFile], parsed: &mut [ParsedFile], out: &mut Vec<Violation>) {
-    for (sf, pf) in sources.iter().zip(parsed.iter()) {
-        out.extend(run_rules(&sf.tokens, pf, true));
-    }
+/// The per-file rules, every family, with unit-safety on.
+fn all_rules(tokens: &[Token], parsed: &ParsedFile) -> Vec<Violation> {
+    run_rules(tokens, parsed, true)
 }
 
 fn check_fixture(name: &str) {
-    check_semantic_fixture(name, name, &lexical);
+    check_fixture_at(name, name, &all_rules);
 }
 
-/// A semantic pass under test, erased to a common shape.
-type SemanticPass<'a> = &'a dyn Fn(&[SourceFile], &mut [ParsedFile], &mut Vec<Violation>);
+/// A pass under test: one file's tokens and parse in, its findings out.
+type Pass<'a> = &'a dyn Fn(&[Token], &ParsedFile) -> Vec<Violation>;
 
-/// Lexes + parses one fixture under a synthetic workspace path and runs
-/// the given semantic pass over it, then applies the same exact-match
-/// marker discipline as the lexical fixtures.
-fn check_semantic_fixture(name: &str, synthetic_path: &str, pass: SemanticPass<'_>) {
+/// Lexes and parses one fixture under a synthetic workspace path, runs
+/// `pass` over it and requires exactly the marked findings.
+fn check_fixture_at(name: &str, synthetic_path: &str, pass: Pass<'_>) {
     let source = fixture(name);
     let expected = expected_markers(&source);
-    let sf = SourceFile {
-        path: synthetic_path.to_string(),
-        tokens: strip_test_code(&lex(&source)),
-    };
-    let sources = [sf];
-    let mut violations = Vec::new();
-    pass(&sources, &mut parse_workspace(&sources), &mut violations);
+    let tokens = strip_test_code(&lex(&source));
+    let violations = pass(&tokens, &parse_file(synthetic_path, &tokens));
     assert_markers(name, &expected, &violations);
 }
 
@@ -108,39 +100,21 @@ fn units_fixture_is_fully_flagged() {
 
 #[test]
 fn conc_fixture_is_fully_flagged() {
-    check_semantic_fixture(
-        "conc.rs",
-        "crates/station/src/conc_fixture.rs",
-        &|s, p, out| {
-            conc_pass(s, p, out);
-        },
-    );
+    check_fixture_at("conc.rs", "crates/station/src/conc_fixture.rs", &all_rules);
 }
 
 #[test]
 fn flow_fixture_is_fully_flagged() {
     // `flow.unit` plus the `panic.indexing` findings, so that every index
     // site in the fixture, guarded or not, must carry its marker.
-    check_semantic_fixture(
+    check_fixture_at(
         "flow.rs",
         "crates/core/src/flow_fixture.rs",
-        &|s, p, out| {
-            let (Some(sf), Some(pf)) = (s.first(), p.first()) else {
-                panic!("fixture harness passes exactly one file");
-            };
-            flow_pass(&sf.tokens, pf, out);
-            out.extend(run_rules(&sf.tokens, pf, false));
-        },
-    );
-}
-
-#[test]
-fn locks_fixture_is_fully_flagged() {
-    check_semantic_fixture(
-        "locks.rs",
-        "crates/station/src/locks_fixture.rs",
-        &|_, p, out| {
-            lock_order_pass(p, out);
+        &|tokens, parsed| {
+            let mut out = Vec::new();
+            flow_pass(tokens, parsed, &mut out);
+            out.extend(run_rules(tokens, parsed, false));
+            out
         },
     );
 }
@@ -152,13 +126,13 @@ fn clean_fixture_has_zero_violations() {
         expected_markers(&source).is_empty(),
         "clean.rs must carry no markers"
     );
-    check_fixture("clean.rs");
+    check_fixture_at("clean.rs", "crates/station/src/clean.rs", &all_rules);
 }
 
 #[test]
 fn every_rule_id_is_exercised_by_some_fixture() {
     let mut seen: Vec<String> = Vec::new();
-    for name in ["panics.rs", "units.rs", "conc.rs", "flow.rs", "locks.rs"] {
+    for name in FIXTURES {
         for ((_, rule), _) in expected_markers(&fixture(name)) {
             seen.push(rule);
         }

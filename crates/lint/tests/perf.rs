@@ -28,9 +28,9 @@ fn full_workspace_check_stays_under_wall_clock_ceiling() {
     assert!(t.flow_us > 0, "flow pass unmeasured: {t:?}");
     assert!(t.total_us > 0, "total unmeasured: {t:?}");
 
-    // Per-pass timings (parse, flow.unit, per-file rules, conc, lock
-    // order) nest inside the end-to-end total.
-    let parts = t.lexical_us + t.parse_us + t.flow_us + t.conc_us + t.lock_order_us;
+    // Per-pass timings (parse, flow.unit, per-file rules) nest inside the
+    // end-to-end total.
+    let parts = t.lexical_us + t.parse_us + t.flow_us;
     assert!(parts <= t.total_us, "pass timings exceed the total: {t:?}");
 
     assert!(

@@ -9,13 +9,12 @@
 //! documented in DESIGN.md §10).
 
 use crate::session::{run_session, SessionLimits};
-use crate::stats::StationStats;
+use crate::stats::{Flag, Slot, StationStats};
 use bsa_link::{write_message, ErrorCode, Message, StatsSnapshot};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -66,7 +65,7 @@ impl Station {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(StationStats::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Flag::default());
         let sessions = Arc::new(SessionTable::default());
         let limits = SessionLimits {
             queue_depth: config.queue_depth,
@@ -104,7 +103,11 @@ impl Station {
 /// to unblock in-flight readers.
 #[derive(Debug, Default)]
 struct SessionTable {
-    inner: Mutex<Vec<(u64, TcpStream)>>,
+    // The one lock of the serving crates: a registry the accept loop,
+    // every exiting session and shutdown all edit. Each holder touches
+    // only the `Vec`, never a socket (`conc.hold-and-block` checks that).
+    #[allow(clippy::disallowed_types)]
+    inner: std::sync::Mutex<Vec<(u64, TcpStream)>>,
 }
 
 impl SessionTable {
@@ -134,7 +137,7 @@ impl SessionTable {
 /// thread ends — a panicking session included.
 #[derive(Debug)]
 struct Admission {
-    stats: Arc<StationStats>,
+    _slot: Slot,
     sessions: Arc<SessionTable>,
     id: u64,
 }
@@ -142,65 +145,43 @@ struct Admission {
 impl Drop for Admission {
     fn drop(&mut self) {
         self.sessions.remove(self.id);
-        StationStats::sub(&self.stats.sessions_active, 1);
     }
 }
 
-/// Atomically claims a session slot for session `id`: increments
-/// `sessions_active` only if it is currently below `max`. Returns `None`
-/// (and leaves the gauge untouched) when the station is full. A single
-/// CAS loop — not load-then-add — so concurrent accepts can never
-/// over-admit past the limit.
+/// Claims a `sessions_active` slot for session `id` if fewer than `max`
+/// are held; `None` when the station is full.
 fn try_open_session(
-    stats: &Arc<StationStats>,
+    stats: &StationStats,
     sessions: &Arc<SessionTable>,
     max: u64,
     id: u64,
 ) -> Option<Admission> {
-    let mut cur = stats.sessions_active.load(Ordering::Relaxed);
-    loop {
-        if cur >= max {
-            return None;
-        }
-        match stats.sessions_active.compare_exchange_weak(
-            cur,
-            cur + 1,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                StationStats::add(&stats.sessions_opened, 1);
-                return Some(Admission {
-                    stats: Arc::clone(stats),
-                    sessions: Arc::clone(sessions),
-                    id,
-                });
-            }
-            Err(seen) => cur = seen,
-        }
-    }
+    let slot = stats.sessions_active.try_enter(max)?;
+    stats.sessions_opened.add(1);
+    Some(Admission {
+        _slot: slot,
+        sessions: Arc::clone(sessions),
+        id,
+    })
 }
 
 fn accept_loop(
     listener: &TcpListener,
     stats: &Arc<StationStats>,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &Arc<Flag>,
     sessions: &Arc<SessionTable>,
     limits: &SessionLimits,
     max_sessions: u64,
 ) {
     let mut next_session: u64 = 0;
     for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.is_raised() {
             break;
         }
         let stream = match stream {
             Ok(s) => s,
             Err(_) => continue,
         };
-        // Claim the slot atomically (CAS inside): a load-then-add here
-        // would let two concurrent accepts both pass the check and admit
-        // max_sessions + 1.
         let session_id = next_session;
         let Some(admission) = try_open_session(stats, sessions, max_sessions, session_id) else {
             refuse(stream);
@@ -243,7 +224,7 @@ fn refuse(mut stream: TcpStream) {
 pub struct StationHandle {
     addr: SocketAddr,
     stats: Arc<StationStats>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Flag>,
     sessions: Arc<SessionTable>,
     accept: Option<JoinHandle<()>>,
 }
@@ -280,7 +261,7 @@ impl StationHandle {
     }
 
     fn stop_accepting(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.raise();
         // The accept loop is blocked in accept(); poke it awake with a
         // throwaway connection so it observes the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
@@ -315,8 +296,8 @@ mod tests {
         let second = try_open_session(&stats, &sessions, 2, 1);
         assert!(first.is_some() && second.is_some());
         assert!(try_open_session(&stats, &sessions, 2, 2).is_none());
-        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.sessions_opened.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.sessions_active.get(), 2);
+        assert_eq!(stats.sessions_opened.get(), 2);
         drop(first);
         let third = try_open_session(&stats, &sessions, 2, 3);
         assert!(third.is_some());
@@ -346,8 +327,8 @@ mod tests {
             .filter_map(|h| h.join().expect("worker thread panicked"))
             .collect();
         assert_eq!(admitted.len() as u64, MAX);
-        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), MAX);
-        assert_eq!(stats.sessions_opened.load(Ordering::Relaxed), MAX);
+        assert_eq!(stats.sessions_active.get(), MAX);
+        assert_eq!(stats.sessions_opened.get(), MAX);
     }
 
     #[test]
@@ -358,14 +339,14 @@ mod tests {
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let admission = try_open_session(&stats, &sessions, 1, 7).unwrap();
         sessions.insert(7, stream);
-        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.sessions_active.get(), 1);
         let joined = thread::spawn(move || {
             let _admission = admission;
             panic!("session thread fails mid-request");
         })
         .join();
         assert!(joined.is_err());
-        assert_eq!(stats.sessions_active.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.sessions_active.get(), 0);
         assert!(sessions.take_all().is_empty());
         assert!(try_open_session(&stats, &sessions, 1, 8).is_some());
     }

@@ -20,7 +20,7 @@ use crate::registry::{
     max_chunk_frames, neuro_config_from_spec, yield_summary, Chip, Registry, MAX_ASSAY_PIXELS,
     MAX_CHUNK_READINGS, MAX_FRAME_PIXELS,
 };
-use crate::stats::StationStats;
+use crate::stats::{Flag, Slot, StationStats};
 use bsa_core::dna_chip::{DnaChip, SampleMix};
 use bsa_core::health::PixelHealth;
 use bsa_core::neuro_chip::NeuroChip;
@@ -41,7 +41,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
@@ -93,9 +92,14 @@ enum Offer {
     Dropped,
 }
 
+/// An encoded wire frame in the outbound queue, with the `queue_depth`
+/// slot it holds until the writer takes it. A frame the queue refuses or
+/// still holds when the writer exits releases its slot as it drops.
+type Queued = (Slot, Vec<u8>);
+
 /// The session's handle on its outbound queue of encoded frames.
 struct Outbound {
-    tx: SyncSender<Vec<u8>>,
+    tx: SyncSender<Queued>,
     stats: Arc<StationStats>,
 }
 
@@ -104,34 +108,22 @@ impl Outbound {
     /// thread has exited (socket gone).
     fn send_control(&self, msg: Message) -> Result<(), Gone> {
         let frame = encode_frame(&msg);
-        self.stats.queue_enter();
-        match self.tx.send(frame) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                self.stats.queue_exit();
-                Err(Gone)
-            }
-        }
+        let slot = self.stats.queue_depth.enter();
+        self.tx.send((slot, frame)).map_err(|_| Gone)
     }
 
     /// Non-blocking send for an encoded stream data frame. A full queue
     /// drops the chunk (the caller accounts for it); a disconnected queue
     /// ends the session.
     fn offer_stream(&self, frame: Vec<u8>) -> Result<Offer, Gone> {
-        self.stats.queue_enter();
-        match self.tx.try_send(frame) {
+        let slot = self.stats.queue_depth.enter();
+        match self.tx.try_send((slot, frame)) {
             Ok(()) => {
-                StationStats::add(&self.stats.chunks_sent, 1);
+                self.stats.chunks_sent.add(1);
                 Ok(Offer::Sent)
             }
-            Err(TrySendError::Full(_)) => {
-                self.stats.queue_exit();
-                Ok(Offer::Dropped)
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.stats.queue_exit();
-                Err(Gone)
-            }
+            Err(TrySendError::Full(_)) => Ok(Offer::Dropped),
+            Err(TrySendError::Disconnected(_)) => Err(Gone),
         }
     }
 
@@ -175,8 +167,8 @@ impl Outbound {
             }
             seq = seq.wrapping_add(1);
         };
-        StationStats::add(&self.stats.frames_served, u64::from(sent));
-        StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
+        self.stats.frames_served.add(u64::from(sent));
+        self.stats.frames_dropped.add(u64::from(dropped));
         self.send_control(end?)
     }
 }
@@ -196,7 +188,7 @@ pub(crate) fn run_session(
     stream: TcpStream,
     stats: Arc<StationStats>,
     limits: &SessionLimits,
-    shutdown: &AtomicBool,
+    shutdown: &Flag,
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(limits.read_timeout);
@@ -210,20 +202,20 @@ pub(crate) fn run_session(
             return;
         }
     };
-    let (tx, rx) = sync_channel::<Vec<u8>>(limits.queue_depth.max(1));
+    let (tx, rx) = sync_channel::<Queued>(limits.queue_depth.max(1));
     let writer_stats = Arc::clone(&stats);
     let writer = thread::spawn(move || {
         let mut stream = writer_stream;
-        for frame in rx {
-            writer_stats.queue_exit();
+        for (slot, frame) in rx {
+            drop(slot);
             match stream.write_all(&frame) {
-                Ok(()) => StationStats::add(&writer_stats.bytes_sent, frame.len() as u64),
+                Ok(()) => writer_stats.bytes_sent.add(frame.len() as u64),
                 Err(_) => break,
             }
         }
-        // Drain without writing so blocked senders unblock promptly even
-        // though the socket is gone; dropping the receiver then fails
-        // all later sends.
+        // Leaving the loop drops the receiver: the frames still queued
+        // drop with it and release their slots, a sender blocked on the
+        // full queue wakes with an error, and every later send fails.
         let _ = stream.shutdown(std::net::Shutdown::Both);
     });
 
@@ -245,9 +237,9 @@ pub(crate) fn run_session(
             // The station closes the read half at shutdown, but Linux
             // still hands over bytes that arrive after that: a request
             // read once shutdown has begun is not served.
-            Ok(_) if shutdown.load(Ordering::SeqCst) => break,
+            Ok(_) if shutdown.is_raised() => break,
             Ok(msg) => {
-                StationStats::add(&stats.requests, 1);
+                stats.requests.add(1);
                 if session.handle(msg).is_err() {
                     break;
                 }
@@ -429,7 +421,7 @@ impl Session {
                     chip: Box::new(chip),
                     sample: SampleMix::new(),
                 });
-                StationStats::add(&self.stats.chips_attached, 1);
+                self.stats.chips_attached.add(1);
                 Message::Attached {
                     chip: id,
                     kind: ChipKind::Dna,
@@ -455,7 +447,7 @@ impl Session {
         match NeuroChip::new(config) {
             Ok(chip) => {
                 let id = self.registry.attach(Chip::Neuro(Box::new(chip)));
-                StationStats::add(&self.stats.chips_attached, 1);
+                self.stats.chips_attached.add(1);
                 Message::Attached {
                     chip: id,
                     kind: ChipKind::Neuro,
@@ -992,7 +984,6 @@ mod tests {
         CultureSpec, DnaChipSpec, FaultEntrySpec, FaultKindSpec, FaultPlanSpec, FaultTargetSpec,
         NeuroChipSpec, TargetSpec,
     };
-    use std::sync::atomic::Ordering;
 
     /// Every `ErrorCode` the codec knows: an `ErrorReply` payload decoded
     /// with each possible code byte.
@@ -1402,7 +1393,7 @@ mod tests {
     #[test]
     fn full_queue_drops_are_counted_not_buffered() {
         let stats = Arc::new(StationStats::default());
-        let (tx, _rx) = sync_channel::<Vec<u8>>(2);
+        let (tx, _rx) = sync_channel(2);
         let out = Outbound {
             tx,
             stats: Arc::clone(&stats),
@@ -1427,7 +1418,7 @@ mod tests {
     #[test]
     fn disconnected_queue_reports_gone() {
         let stats = Arc::new(StationStats::default());
-        let (tx, rx) = sync_channel::<Vec<u8>>(1);
+        let (tx, rx) = sync_channel(1);
         drop(rx);
         let out = Outbound {
             tx,
@@ -1435,6 +1426,28 @@ mod tests {
         };
         assert!(out.send_control(Message::Ack).is_err());
         assert!(out.offer_stream(encode_frame(&Message::Ack)).is_err());
-        assert_eq!(stats.queue_depth.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.queue_depth.get(), 0);
+    }
+
+    /// Frames still queued when the writer exits release their
+    /// `queue_depth` slots with the queue, so the gauge falls back to 0
+    /// and a later `queue_peak` is not read high.
+    #[test]
+    fn frames_left_in_a_dropped_queue_release_their_depth() {
+        let stats = Arc::new(StationStats::default());
+        let (tx, rx) = sync_channel(4);
+        let out = Outbound {
+            tx,
+            stats: Arc::clone(&stats),
+        };
+        for _ in 0..3 {
+            let offer = out.offer_stream(encode_frame(&Message::Ack));
+            assert!(matches!(offer, Ok(Offer::Sent)));
+        }
+        assert_eq!(stats.queue_depth.get(), 3);
+        drop(rx);
+        drop(out);
+        assert_eq!(stats.queue_depth.get(), 0);
+        assert_eq!(stats.snapshot().queue_peak, 3);
     }
 }

@@ -1,5 +1,8 @@
 // Tests unwrap, expect and panic idiomatically.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// The counting allocator keeps its tallies in atomics: it must not
+// allocate, and the station's `stats.rs` types are crate-private.
+#![allow(clippy::disallowed_types)]
 //! Bounded session memory: a station streaming one request holds at most
 //! its outbound queue plus one chunk, however many frames the client
 //! asked for, because the session draws each chunk from the acquisition

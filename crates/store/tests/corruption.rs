@@ -6,6 +6,8 @@
 //! already enforce on their serial words.
 
 #![allow(clippy::unwrap_used)] // tests unwrap idiomatically
+// A process-wide atomic counter names each test's temp directory.
+#![allow(clippy::disallowed_types)]
 
 use bsa_link::wire::{Codec, Writer};
 use bsa_link::ChipKind;
