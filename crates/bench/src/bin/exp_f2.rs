@@ -13,9 +13,8 @@ use bsa_core::dna_chip::{DnaChip, DnaChipConfig, SampleMix};
 use bsa_dsp::calling::{CallAccuracy, MatchCaller};
 use bsa_dsp::stats::median;
 use bsa_electrochem::sequence::DnaSequence;
+use bsa_rng::SmallRng;
 use bsa_units::Molar;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     banner(

@@ -10,9 +10,8 @@
 use bsa_bench::{banner, eng, times, Table};
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig, NeuroPixel, NeuroPixelConfig};
 use bsa_dsp::stats::RunningStats;
+use bsa_rng::SmallRng;
 use bsa_units::{Seconds, Volt};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     banner(

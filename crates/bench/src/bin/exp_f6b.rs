@@ -11,9 +11,8 @@ use bsa_bench::{banner, eng, pct, sig, Table};
 use bsa_core::array::ArrayGeometry;
 use bsa_core::neuro_chip::{ChainConfig, ChannelChain, NeuroPixel, NeuroPixelConfig, ScanTiming};
 use bsa_dsp::stats::RunningStats;
+use bsa_rng::SmallRng;
 use bsa_units::{Ampere, Hertz, Seconds, Volt};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     banner(

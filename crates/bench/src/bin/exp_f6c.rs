@@ -13,9 +13,8 @@ use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig};
 use bsa_dsp::frames::FrameStack;
 use bsa_dsp::spike::{score_detections, SpikeDetector};
 use bsa_neuro::culture::{Culture, CultureConfig};
+use bsa_rng::SmallRng;
 use bsa_units::{Hertz, Meter, Seconds};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn record_stack(chip: &mut NeuroChip, culture: &Culture, frames: usize) -> FrameStack {
     let rec = chip.record(culture, Seconds::ZERO, frames);

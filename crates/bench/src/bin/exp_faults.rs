@@ -15,9 +15,8 @@ use bsa_dsp::calling::{Call, MatchCaller};
 use bsa_electrochem::redundancy::RedundantLayout;
 use bsa_electrochem::sequence::DnaSequence;
 use bsa_faults::{FaultKind, InjectionPlan};
+use bsa_rng::SmallRng;
 use bsa_units::{Ampere, Molar, Volt};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 const TARGETS: usize = 42;
 const REPLICATES: usize = 3;

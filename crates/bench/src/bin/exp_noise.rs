@@ -13,9 +13,8 @@ use bsa_core::dna_chip::{DnaPixel, DnaPixelConfig};
 use bsa_core::neuro_chip::{ChainConfig, ChannelChain};
 use bsa_dsp::spectrum::Periodogram;
 use bsa_dsp::stats::RunningStats;
+use bsa_rng::SmallRng;
 use bsa_units::{Ampere, Hertz, Seconds};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     banner(

@@ -7,9 +7,8 @@
 //! the bandgap.
 
 use crate::error::{require_in_range, require_positive, CircuitError};
-use crate::noise::GaussianSampler;
+use bsa_rng::{GaussianSampler, SmallRng};
 use bsa_units::Volt;
-use rand::Rng;
 
 /// Binary-weighted voltage DAC with per-element mismatch.
 ///
@@ -47,7 +46,7 @@ impl Dac {
     /// `sigma_rel/√(weight)` per element (larger elements match better, as
     /// for unit-element layouts).
     #[must_use]
-    pub fn with_element_mismatch<R: Rng>(mut self, sigma_rel: f64, rng: &mut R) -> Self {
+    pub fn with_element_mismatch(mut self, sigma_rel: f64, rng: &mut SmallRng) -> Self {
         let mut g = GaussianSampler::new();
         for (k, w) in self.weights.iter_mut().enumerate() {
             let ideal = (1u64 << k) as f64;
@@ -123,8 +122,6 @@ impl Dac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn ideal_dac_endpoints() {

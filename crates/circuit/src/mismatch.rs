@@ -16,9 +16,8 @@
 
 use crate::error::{require_positive, CircuitError};
 use crate::mosfet::{Mosfet, MosfetParams};
-use crate::noise::GaussianSampler;
+use bsa_rng::{GaussianSampler, SmallRng};
 use bsa_units::Volt;
-use rand::Rng;
 
 /// Pelgrom mismatch coefficients for a CMOS process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,7 +71,7 @@ impl PelgromModel {
     }
 
     /// Samples a `(ΔV_T, Δβ/β)` pair for a device of the given gate area.
-    pub fn sample<R: Rng>(&self, gate_area_um2: f64, rng: &mut R) -> (Volt, f64) {
+    pub fn sample(&self, gate_area_um2: f64, rng: &mut SmallRng) -> (Volt, f64) {
         let mut g = GaussianSampler::new();
         let dvt = self.sigma_vth(gate_area_um2) * g.sample(rng);
         let dbeta = self.sigma_beta_rel(gate_area_um2) * g.sample(rng);
@@ -83,7 +82,7 @@ impl PelgromModel {
     /// device. Taking `&Mosfet` (not raw params) keeps this infallible:
     /// validation happened once at the nominal device's construction, so
     /// sampling mismatch cannot panic mid-array.
-    pub fn instantiate<R: Rng>(&self, nominal: &Mosfet, rng: &mut R) -> Mosfet {
+    pub fn instantiate(&self, nominal: &Mosfet, rng: &mut SmallRng) -> Mosfet {
         let area = nominal.params().gate_area_um2();
         let (dvt, dbeta) = self.sample(area, rng);
         nominal.clone().with_mismatch(dvt, dbeta)
@@ -130,8 +129,6 @@ impl ProcessCorner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn sigma_scales_with_inverse_sqrt_area() {

@@ -4,8 +4,8 @@
 
 use crate::error::{require_positive, CircuitError};
 use crate::mismatch::PelgromModel;
+use bsa_rng::{GaussianSampler, SmallRng};
 use bsa_units::{Ampere, Kelvin, Volt};
-use rand::Rng;
 
 /// Bandgap voltage reference with second-order temperature curvature and
 /// finite line regulation.
@@ -108,14 +108,14 @@ impl CurrentMirror {
     /// Samples a mismatched instance: the ratio error follows the Pelgrom
     /// current-factor mismatch of devices with gate area `gate_area_um2`
     /// (×√2 for the two devices of the mirror).
-    pub fn with_mismatch<R: Rng>(
+    pub fn with_mismatch(
         mut self,
         pelgrom: &PelgromModel,
         gate_area_um2: f64,
-        rng: &mut R,
+        rng: &mut SmallRng,
     ) -> Self {
         let sigma = pelgrom.sigma_beta_rel(gate_area_um2) * std::f64::consts::SQRT_2;
-        let mut g = crate::noise::GaussianSampler::new();
+        let mut g = GaussianSampler::new();
         self.ratio_error = sigma * g.sample(rng);
         self
     }
@@ -147,12 +147,12 @@ impl CurrentReferenceTree {
     /// # Errors
     ///
     /// Returns [`CircuitError`] if the master current is not positive.
-    pub fn new<R: Rng>(
+    pub fn new(
         master: Ampere,
         n: usize,
         pelgrom: &PelgromModel,
         gate_area_um2: f64,
-        rng: &mut R,
+        rng: &mut SmallRng,
     ) -> Result<Self, CircuitError> {
         require_positive("master current", master.value())?;
         let unit = CurrentMirror::new(1.0)?;
@@ -198,8 +198,6 @@ impl CurrentReferenceTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn bandgap_flat_at_trim_point() {

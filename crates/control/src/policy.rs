@@ -8,8 +8,7 @@
 //! order — that is what makes recovery traces replayable.
 
 use crate::classifier::{ChipAssessment, ChipCondition};
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use bsa_rng::SmallRng;
 
 /// A typed recovery action for the controller to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]

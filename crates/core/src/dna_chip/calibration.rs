@@ -9,8 +9,8 @@
 //! correction.
 
 use super::pixel::DnaPixel;
+use bsa_rng::SmallRng;
 use bsa_units::{Ampere, Seconds};
-use rand::Rng;
 
 /// Per-pixel gain-calibration engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +90,7 @@ impl GainCalibration {
     /// counter, stuck comparator, open electrode) is unrecoverable. If the
     /// response scales and the required correction lies within
     /// `dead_pixel_limit`, the correction is stored and returned.
-    pub fn retry_pixel<R: Rng>(&self, pixel: &mut DnaPixel, rng: &mut R) -> Option<f64> {
+    pub fn retry_pixel(&self, pixel: &mut DnaPixel, rng: &mut SmallRng) -> Option<f64> {
         pixel.set_gain_correction(1.0);
         let c_lo = pixel
             .convert(self.i_ref * 0.125, self.frame_time, rng)
@@ -114,7 +114,7 @@ impl GainCalibration {
     /// Calibrates every pixel: injects the reference, estimates, stores
     /// `i_ref / estimate` as the pixel's correction factor, then
     /// re-measures to report the residual spread.
-    pub fn run<R: Rng>(&self, pixels: &mut [DnaPixel], rng: &mut R) -> CalibrationReport {
+    pub fn run(&self, pixels: &mut [DnaPixel], rng: &mut SmallRng) -> CalibrationReport {
         let mut before = Vec::with_capacity(pixels.len());
         let mut corrections = Vec::with_capacity(pixels.len());
         let mut dead_pixels = Vec::new();
@@ -167,8 +167,6 @@ fn rel_spread(v: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::dna_chip::pixel::{DnaPixelConfig, PixelVariation};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn mismatched_array(n: usize, seed: u64) -> Vec<DnaPixel> {
         let mut rng = SmallRng::seed_from_u64(seed);

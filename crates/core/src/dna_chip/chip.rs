@@ -14,16 +14,14 @@ use super::pixel::{DnaPixel, DnaPixelConfig, PixelVariation};
 use crate::array::{ArrayGeometry, PixelAddress};
 use crate::error::ChipError;
 use crate::health::{HealthMonitor, PixelHealth, SerialLinkStats, YieldReport};
-use crate::scan::conversion_stream_seed;
 use bsa_circuit::dac::Dac;
 use bsa_circuit::reference::BandgapReference;
 use bsa_electrochem::assay::{AssayConditions, SpottedSite};
 use bsa_electrochem::redox::RedoxCyclingModel;
 use bsa_electrochem::sequence::DnaSequence;
 use bsa_faults::{CompiledFaults, SerialCorruptor};
+use bsa_rng::{conversion_stream_seed, SmallRng};
 use bsa_units::{Ampere, Molar, Seconds, Volt};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration of a DNA chip instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -682,7 +680,7 @@ impl DnaChip {
 
     /// Access to the die's RNG, for callers that need reproducible
     /// follow-on sampling tied to this die.
-    pub fn rng(&mut self) -> &mut impl Rng {
+    pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.rng
     }
 }

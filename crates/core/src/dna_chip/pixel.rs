@@ -19,12 +19,11 @@
 use crate::error::ChipError;
 use bsa_circuit::comparator::{Comparator, DelayStage};
 use bsa_circuit::digital::EventCounter;
-use bsa_circuit::noise::GaussianSampler;
 use bsa_circuit::waveform::Waveform;
 use bsa_faults::PixelFaults;
+use bsa_rng::{GaussianSampler, SmallRng};
 use bsa_units::consts::ELEMENTARY_CHARGE;
 use bsa_units::{Ampere, Farad, Hertz, Seconds, Volt};
-use rand::Rng;
 
 /// Nominal design values of the converter.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +74,7 @@ impl PixelVariation {
     /// 1 V ramp), σ(Δτ/τ) = 5 % — typical for the paper's 0.5 µm process
     /// without trimming; the periphery auto-calibration exists to remove
     /// exactly this spread.
-    pub fn sample<R: Rng>(rng: &mut R) -> Self {
+    pub fn sample(rng: &mut SmallRng) -> Self {
         let mut g = GaussianSampler::new();
         Self {
             c_int_rel_err: 0.02 * g.sample(rng),
@@ -224,11 +223,11 @@ impl DnaPixel {
     /// Full conversion with counting statistics: shot noise of the charge
     /// packets plus ±1 quantization of the cycle phase. Injected defects
     /// apply as in [`convert_ideal`](Self::convert_ideal).
-    pub fn convert<R: Rng>(
+    pub fn convert(
         &mut self,
         i: Ampere,
         frame_time: Seconds,
-        rng: &mut R,
+        rng: &mut SmallRng,
     ) -> ConversionResult {
         let counter = EventCounter::new(self.config.counter_bits);
         if self.faults.dead {
@@ -333,8 +332,6 @@ impl DnaPixel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn pixel() -> DnaPixel {
         DnaPixel::nominal(DnaPixelConfig::default())

@@ -6,9 +6,8 @@
 //! subsequent current gain stages also undergo a calibration procedure
 //! before used for signal amplification."
 
-use bsa_circuit::noise::{GaussianSampler, Ziggurat};
+use bsa_rng::{GaussianSampler, SmallRng, Ziggurat};
 use bsa_units::{Ampere, Hertz, Ohm, Seconds, Volt};
-use rand::Rng;
 
 /// One current-gain stage with mismatch and optional gain calibration.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,11 +21,11 @@ pub struct GainStage {
 impl GainStage {
     /// Creates a stage with the given nominal current gain and bandwidth,
     /// sampling a static gain error of relative σ `gain_sigma`.
-    pub fn sample<R: Rng>(
+    pub fn sample(
         nominal_gain: f64,
         bandwidth: Hertz,
         gain_sigma: f64,
-        rng: &mut R,
+        rng: &mut SmallRng,
     ) -> Self {
         let mut g = GaussianSampler::new();
         Self {
@@ -162,7 +161,7 @@ pub(crate) struct ChainCoeffs {
 
 impl ChannelChain {
     /// Instantiates a channel with sampled stage errors.
-    pub fn sample<R: Rng>(config: ChainConfig, rng: &mut R) -> Self {
+    pub fn sample(config: ChainConfig, rng: &mut SmallRng) -> Self {
         let readout = GainStage::sample(
             config.readout_gain,
             config.readout_bandwidth,
@@ -214,7 +213,7 @@ impl ChannelChain {
     /// within the dwell time (leaving crosstalk from the previous pixel),
     /// adds input-referred noise (one [`Ziggurat`] draw from `rng`), and
     /// converts to the output voltage.
-    pub fn process_sample<R: Rng>(&mut self, i_diff: Ampere, dwell: Seconds, rng: &mut R) -> Volt {
+    pub fn process_sample(&mut self, i_diff: Ampere, dwell: Seconds, rng: &mut SmallRng) -> Volt {
         let noisy_in = i_diff + self.config.input_noise * Ziggurat::new().sample(rng);
         let target = noisy_in * self.current_gain();
 
@@ -264,8 +263,6 @@ impl ChannelChain {
 mod tests {
     use super::*;
     use bsa_units::Siemens;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn channel(seed: u64) -> ChannelChain {
         let mut rng = SmallRng::seed_from_u64(seed);

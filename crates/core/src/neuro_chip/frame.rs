@@ -13,14 +13,11 @@ use super::scan::{clipped, scan_chunk, ScanPlan};
 use crate::array::{ArrayGeometry, PixelAddress};
 use crate::error::ChipError;
 use crate::health::{HealthMonitor, PixelHealth, SerialLinkStats, YieldReport};
-use crate::scan::{
-    channel_stream_seed, resolve_threads, ArenaStats, FrameArena, ScanMode, ScanOptions,
-};
+use crate::scan::{resolve_threads, ArenaStats, FrameArena, ScanMode, ScanOptions};
 use bsa_faults::CompiledFaults;
 use bsa_neuro::culture::Culture;
+use bsa_rng::{channel_stream_seed, SmallRng};
 use bsa_units::{Hertz, Seconds, Siemens, Volt};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Upper bound on the number of frames scanned per fan-out chunk: large
 /// enough to amortize worker spawn-up, small enough to keep the stripe
@@ -1195,8 +1192,6 @@ mod tests {
     }
 
     fn spiking_culture(seed: u64) -> Culture {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(seed);
         let cfg = CultureConfig {
             neuron_count: 6,
@@ -1344,8 +1339,6 @@ mod tests {
 
     #[test]
     fn random_culture_smoke_test() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(5);
         let cfg = CultureConfig {
             neuron_count: 5,

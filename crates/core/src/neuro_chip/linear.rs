@@ -38,16 +38,15 @@
 //! [`NeuroPixel::linearize`]: super::pixel::NeuroPixel::linearize
 //! [`ChannelChain::linear_coeffs`]: super::chain::ChannelChain
 //! [`Culture::compile_scatter`]: bsa_neuro::culture::Culture::compile_scatter
-//! [`Ziggurat`]: bsa_circuit::noise::Ziggurat
+//! [`Ziggurat`]: bsa_rng::Ziggurat
 
 use super::chain::{ChainCoeffs, ChannelChain};
 use super::pixel::{NeuroPixel, PixelLinearization};
 use super::scan::{ChannelPlan, ScanPlan};
 use crate::scan::fan_out;
-use bsa_circuit::noise::Ziggurat;
 use bsa_neuro::culture::{Culture, ScatterTable};
+use bsa_rng::{SmallRng, Ziggurat};
 use bsa_units::Seconds;
-use rand::rngs::SmallRng;
 
 /// One channel's structure-of-arrays coefficient tables, parallel to its
 /// [`ChannelPlan`] entries, plus its compiled culture scatter table and

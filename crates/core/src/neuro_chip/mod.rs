@@ -19,4 +19,4 @@ pub use chain::{ChainConfig, ChannelChain, GainStage};
 pub use frame::{Acquisition, Frame, NeuroChip, NeuroChipConfig, Recording, ScanTiming};
 pub use pixel::{NeuroPixel, NeuroPixelConfig, PixelLinearization};
 
-pub use crate::scan::{channel_stream_seed, ArenaStats, FrameArena, ScanMode, ScanOptions};
+pub use crate::scan::{ArenaStats, FrameArena, ScanMode, ScanOptions};

@@ -11,11 +11,10 @@
 
 use bsa_circuit::mismatch::PelgromModel;
 use bsa_circuit::mosfet::{Mosfet, MosfetParams};
-use bsa_circuit::noise::GaussianSampler;
 use bsa_circuit::CircuitError;
 use bsa_faults::PixelFaults;
+use bsa_rng::{GaussianSampler, SmallRng};
 use bsa_units::{Ampere, Farad, Seconds, Siemens, Volt};
-use rand::Rng;
 
 /// Design values of the neural pixel.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,7 +128,7 @@ impl NeuroPixel {
     ///
     /// Returns [`CircuitError`] if the sensor-FET parameters are invalid
     /// or the calibration current has no nominal operating point.
-    pub fn sample<R: Rng>(config: NeuroPixelConfig, rng: &mut R) -> Result<Self, CircuitError> {
+    pub fn sample(config: NeuroPixelConfig, rng: &mut SmallRng) -> Result<Self, CircuitError> {
         let nominal = Mosfet::try_new(config.sensor_fet.clone())?;
         let global_gate = global_gate_bias(&nominal, &config)?;
         let mut g = GaussianSampler::new();
@@ -327,8 +326,6 @@ impl PixelLinearization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn sampled(seed: u64) -> NeuroPixel {
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -11,7 +11,7 @@
 //!   lost-channel flags — so the per-sample inner loop touches no
 //!   geometry or fault tables.
 //! * **Deterministic per-channel RNG streams**
-//!   ([`channel_stream_seed`](crate::scan::channel_stream_seed)): each
+//!   ([`channel_stream_seed`](bsa_rng::channel_stream_seed)): each
 //!   channel chain owns a `SmallRng` seeded from the die seed and its
 //!   channel index, replacing the single shared frame RNG that serialized
 //!   the old scan. Output is therefore identical for any thread count,
@@ -42,8 +42,8 @@ use crate::array::{ArrayGeometry, PixelAddress};
 use crate::scan::fan_out;
 use bsa_faults::CompiledFaults;
 use bsa_neuro::culture::Culture;
+use bsa_rng::SmallRng;
 use bsa_units::{Meter, Seconds, Volt};
-use rand::rngs::SmallRng;
 
 /// Applies an injected gain-chain clipping limit to one output sample.
 pub(super) fn clipped(limit: Option<Volt>, v: Volt) -> f64 {
@@ -227,7 +227,6 @@ pub(super) fn scan_chunk(
 mod tests {
     use super::*;
     use crate::neuro_chip::chain::ChainConfig;
-    use rand::SeedableRng;
 
     #[test]
     fn lost_channel_does_zero_pixel_and_culture_work() {

@@ -1,47 +1,13 @@
 //! Shared readout-engine infrastructure used by both chip pipelines:
-//! scan options, deterministic RNG stream derivation, and the
-//! allocation-free frame arena.
+//! scan options, the work fan-out, and the allocation-free frame arena.
 //!
 //! Determinism contract: every noise draw in a scan comes from a stream
-//! whose seed is a pure function of (die seed, stream identity). Workers
+//! whose seed is a pure function of (die seed, stream identity), derived
+//! by `bsa-rng` ([`bsa_rng::channel_stream_seed`],
+//! [`bsa_rng::conversion_stream_seed`]). Workers
 //! never share an RNG, so fanning the work out over any number of threads,
 //! in whatever order they claim the work units, cannot change a single
 //! sample — parallel and serial runs are bit-identical.
-
-/// Salt folded into the die seed for the neuro chip's frame-noise stream
-/// family, chosen so channel streams cannot collide with the other
-/// per-die derived seeds (`seed ^ 0x6A1` for gain maps, `seed ^ 0xBEEF`
-/// for offset maps).
-const FRAME_STREAM_SALT: u64 = 0xF0F0;
-
-/// Salt for the DNA chip's conversion-noise stream family.
-const CONVERSION_STREAM_SALT: u64 = 0xD4A;
-
-/// SplitMix64-style finalizer over a die seed, a family salt and a
-/// stream index: decorrelates adjacent indices so per-stream `SmallRng`s
-/// start in unrelated regions of the seed space.
-pub fn stream_seed(die_seed: u64, salt: u64, index: u64) -> u64 {
-    let mut z = die_seed ^ salt ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Seed of one neuro-chip output channel's frame-noise RNG stream.
-pub fn channel_stream_seed(die_seed: u64, channel: usize) -> u64 {
-    stream_seed(die_seed, FRAME_STREAM_SALT, channel as u64)
-}
-
-/// Seed of one DNA-chip pixel's conversion-noise RNG stream for one
-/// conversion epoch (each array-wide conversion advances the epoch, so
-/// repeated conversions draw fresh noise yet stay reproducible).
-pub fn conversion_stream_seed(die_seed: u64, epoch: u64, pixel: usize) -> u64 {
-    stream_seed(
-        stream_seed(die_seed, CONVERSION_STREAM_SALT, epoch),
-        CONVERSION_STREAM_SALT,
-        pixel as u64,
-    )
-}
 
 /// Which evaluation path a neuro scan uses for the per-sample pixel
 /// current. Either way the output is bit-identical across thread counts;
@@ -224,31 +190,6 @@ impl FrameArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn channel_streams_do_not_collide_on_adjacent_indices() {
-        let die = 0x0EE5_1281;
-        let seeds: Vec<u64> = (0..16).map(|ch| channel_stream_seed(die, ch)).collect();
-        for i in 0..seeds.len() {
-            for j in (i + 1)..seeds.len() {
-                assert_ne!(seeds[i], seeds[j], "channels {i} and {j} share a seed");
-            }
-        }
-    }
-
-    #[test]
-    fn conversion_streams_differ_across_epochs_and_pixels() {
-        let die = 0xD9A_C819;
-        let mut seen = std::collections::BTreeSet::new();
-        for epoch in 0..8u64 {
-            for pixel in 0..128usize {
-                assert!(
-                    seen.insert(conversion_stream_seed(die, epoch, pixel)),
-                    "epoch {epoch} pixel {pixel} aliases an earlier stream"
-                );
-            }
-        }
-    }
 
     #[test]
     fn arena_reuses_recycled_buffers() {

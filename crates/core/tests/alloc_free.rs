@@ -19,9 +19,8 @@ use bsa_core::array::ArrayGeometry;
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig};
 use bsa_core::ScanOptions;
 use bsa_neuro::culture::{Culture, CultureConfig};
+use bsa_rng::SmallRng;
 use bsa_units::{Hertz, Meter, Seconds};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 struct CountingAllocator;
 

@@ -1,4 +1,4 @@
-#![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
+#![allow(clippy::unwrap_used, clippy::panic)] // tests unwrap and panic idiomatically
 //! Equivalence contracts between the linearized fast path (the default
 //! [`ScanMode::Linearized`]) and the full-solve reference path
 //! ([`ScanMode::Reference`]).
@@ -27,11 +27,9 @@ use bsa_faults::{FaultKind, InjectionPlan};
 use bsa_neuro::culture::{Culture, CultureConfig, CulturedNeuron};
 use bsa_neuro::firing::FiringPattern;
 use bsa_neuro::junction::{ApTemplate, CleftJunction};
+use bsa_rng::SmallRng;
 use bsa_units::consts::thermal_voltage;
 use bsa_units::{Hertz, Meter, Seconds, Volt};
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn small_config(seed: u64) -> NeuroChipConfig {
     NeuroChipConfig {
@@ -280,72 +278,75 @@ fn fast_mode_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Strategy for a small injected fault plan: up to three dead pixels, an
-/// optional clipped pixel and an optional lost channel.
-fn arb_faults() -> impl Strategy<Value = InjectionPlan> {
-    (
-        prop::collection::vec((0usize..16, 0usize..16), 0..3),
-        (any::<bool>(), 0usize..16, 0usize..16),
-        (any::<bool>(), 0usize..4),
-        any::<u64>(),
-    )
-        .prop_map(|(dead, (clip, cr, cc), (lose, ch), seed)| {
-            let mut plan = InjectionPlan::new(seed);
-            for (r, c) in dead {
-                plan = plan.at(r, c, FaultKind::DeadPixel);
-            }
-            if clip {
-                plan = plan.at(
-                    cr,
-                    cc,
-                    FaultKind::GainClipping {
-                        limit: Volt::from_milli(50.0),
-                    },
-                );
-            }
-            if lose {
-                plan = plan.lose_channel(ch);
-            }
-            plan
-        })
+/// A small random fault plan: up to two dead pixels, an optional clipped
+/// pixel and an optional lost channel.
+fn arb_faults(rng: &mut SmallRng) -> InjectionPlan {
+    let mut plan = InjectionPlan::new(rng.next_u64());
+    for _ in 0..rng.gen_range(0..3) {
+        plan = plan.at(
+            rng.gen_range(0..16),
+            rng.gen_range(0..16),
+            FaultKind::DeadPixel,
+        );
+    }
+    if rng.gen_bool(0.5) {
+        plan = plan.at(
+            rng.gen_range(0..16),
+            rng.gen_range(0..16),
+            FaultKind::GainClipping {
+                limit: Volt::from_milli(50.0),
+            },
+        );
+    }
+    if rng.gen_bool(0.5) {
+        plan = plan.lose_channel(rng.gen_range(0..4));
+    }
+    plan
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Over random cultures, die seeds and fault plans, the fast path
-    /// stays inside the documented tolerance of the reference path, and
-    /// remains bit-identical across thread counts.
-    #[test]
-    fn equivalence_over_random_cultures_and_faults(
-        die_seed in any::<u64>(),
-        culture_seed in any::<u64>(),
-        neuron_count in 0usize..6,
-        frames in 2usize..7,
-        plan in arb_faults(),
-    ) {
-        let cfg = small_config(die_seed);
+/// Over random cultures, die seeds and fault plans, the fast path
+/// stays inside the documented tolerance of the reference path, and
+/// remains bit-identical across thread counts. 12 seeded random cases; a
+/// failure names its case, whose seed is its index.
+#[test]
+fn equivalence_over_random_cultures_and_faults() {
+    for case in 0..12 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let cfg = small_config(rng.next_u64());
+        let culture_seed = rng.next_u64();
         let culture_cfg = CultureConfig {
-            neuron_count,
+            neuron_count: rng.gen_range(0..6),
             ..CultureConfig::default()
         };
+        let frames = rng.gen_range(2..7);
+        let faults = arb_faults(&mut rng).compile(16, 16);
         let mut rng = SmallRng::seed_from_u64(culture_seed);
         let mut culture = Culture::random(&culture_cfg, &mut rng);
         culture.generate_spikes(Seconds::from_milli(frames as f64 * 0.5), &mut rng);
-        let faults = plan.compile(16, 16);
 
         let (fast, reference) = record_pair(&cfg, &culture, frames, Some(&faults));
         let vmax = peak_cleft_voltage(&culture, &cfg, frames);
         let tol = output_tolerance(&reference, &cfg, vmax, duration(&cfg, frames));
         let diff = max_abs_diff(&fast, &reference);
-        prop_assert!(diff <= tol, "diff {diff} V vs tolerance {tol} V");
+        assert!(
+            diff <= tol,
+            "case {case}: diff {diff} V vs tolerance {tol} V"
+        );
 
-        let mut chip_a = NeuroChip::new(cfg.clone()).unwrap();
-        let mut chip_b = NeuroChip::new(cfg.clone()).unwrap();
-        chip_a.inject_faults(&faults).unwrap();
-        chip_b.inject_faults(&faults).unwrap();
-        let a = chip_a.record_with(&culture, Seconds::ZERO, frames, ScanOptions::serial());
-        let b = chip_b.record_with(&culture, Seconds::ZERO, frames, ScanOptions::with_threads(3));
-        prop_assert_eq!(a, b);
+        let chip = || {
+            let mut chip =
+                NeuroChip::new(cfg.clone()).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            chip.inject_faults(&faults)
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
+            chip
+        };
+        let a = chip().record_with(&culture, Seconds::ZERO, frames, ScanOptions::serial());
+        let b = chip().record_with(
+            &culture,
+            Seconds::ZERO,
+            frames,
+            ScanOptions::with_threads(3),
+        );
+        assert_eq!(a, b, "case {case}");
     }
 }

@@ -8,16 +8,13 @@
 use bsa_core::array::{ArrayGeometry, PixelAddress};
 use bsa_core::dna_chip::{DnaChip, DnaChipConfig};
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig, Recording};
-use bsa_core::scan::{channel_stream_seed, conversion_stream_seed};
 use bsa_core::{ScanMode, ScanOptions};
 use bsa_faults::{FaultKind, InjectionPlan};
 use bsa_neuro::culture::{Culture, CultureConfig, CulturedNeuron};
 use bsa_neuro::firing::FiringPattern;
 use bsa_neuro::junction::ApTemplate;
+use bsa_rng::{channel_stream_seed, conversion_stream_seed, SmallRng};
 use bsa_units::{Ampere, Hertz, Meter, Seconds, Volt};
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn neuro_config() -> NeuroChipConfig {
     NeuroChipConfig {
@@ -320,24 +317,26 @@ fn chunked_bits(
     samples.iter().map(|s| s.to_bits()).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Any chunking of a cursor — sizes from 1 frame to past both the
-    /// 32-frame scan cap and the 50-frame recalibration interval — is
-    /// bit-identical to one `record_with`, in both scan modes, serial and
-    /// auto threads, calibrated and uncalibrated.
-    #[test]
-    fn any_chunking_matches_one_shot_record(sizes in prop::collection::vec(1usize..=64, 1..8)) {
-        let culture = test_culture();
+/// Any chunking of a cursor — sizes from 1 frame to past both the
+/// 32-frame scan cap and the 50-frame recalibration interval — is
+/// bit-identical to one `record_with`, in both scan modes, serial and
+/// auto threads, calibrated and uncalibrated. 12 seeded random chunkings;
+/// a failure names its case, whose seed is its index.
+#[test]
+fn any_chunking_matches_one_shot_record() {
+    let culture = test_culture();
+    for case in 0..12 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let count = rng.gen_range(1..8);
+        let sizes: Vec<usize> = (0..count).map(|_| rng.gen_range(1..65)).collect();
         for mode in [ScanMode::Linearized, ScanMode::Reference] {
             for threads in [ScanOptions::serial(), ScanOptions::default()] {
                 let opts = threads.with_mode(mode);
                 for calibrated in [true, false] {
-                    prop_assert_eq!(
+                    assert_eq!(
                         chunked_bits(&culture, opts, calibrated, &sizes),
                         one_shot_bits(&culture, opts, calibrated),
-                        "{:?}, calibrated: {}, chunks {:?}", opts, calibrated, sizes
+                        "case {case}: {opts:?}, calibrated: {calibrated}, chunks {sizes:?}"
                     );
                 }
             }
@@ -345,32 +344,39 @@ proptest! {
     }
 }
 
-proptest! {
-    /// Channel streams never alias for any die seed: 256 channels (16×
-    /// the paper's channel count) produce 256 distinct seeds, and none
-    /// collides with the raw die seed itself.
-    #[test]
-    fn channel_streams_do_not_alias(die_seed in any::<u64>()) {
+/// Channel streams never alias for any die seed: 256 channels (16×
+/// the paper's channel count) produce 256 distinct seeds, and none
+/// collides with the raw die seed itself. 256 random die seeds.
+#[test]
+fn channel_streams_do_not_alias() {
+    for case in 0..256 {
+        let die_seed = SmallRng::seed_from_u64(case).next_u64();
         let mut seen = std::collections::BTreeSet::new();
         for ch in 0..256usize {
             let s = channel_stream_seed(die_seed, ch);
-            prop_assert!(seen.insert(s), "channel {ch} aliased another stream");
-            prop_assert_ne!(s, die_seed);
+            assert!(
+                seen.insert(s),
+                "case {case}: channel {ch} aliased another stream"
+            );
+            assert_ne!(s, die_seed, "case {case}");
         }
     }
+}
 
-    /// Conversion streams stay distinct across epochs and pixels for any
-    /// die seed — repeated conversions of the 16×8 array never replay a
-    /// pixel's noise stream.
-    #[test]
-    fn conversion_streams_do_not_alias(die_seed in any::<u64>()) {
+/// Conversion streams stay distinct across epochs and pixels for any
+/// die seed — repeated conversions of the 16×8 array never replay a
+/// pixel's noise stream. 256 random die seeds.
+#[test]
+fn conversion_streams_do_not_alias() {
+    for case in 0..256 {
+        let die_seed = SmallRng::seed_from_u64(case).next_u64();
         let mut seen = std::collections::BTreeSet::new();
         for epoch in 0..16u64 {
             for pixel in 0..128usize {
                 let s = conversion_stream_seed(die_seed, epoch, pixel);
-                prop_assert!(
+                assert!(
                     seen.insert(s),
-                    "epoch {epoch} pixel {pixel} aliased another stream"
+                    "case {case}: epoch {epoch} pixel {pixel} aliased another stream"
                 );
             }
         }

@@ -121,8 +121,7 @@ impl AssayResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use bsa_rng::SmallRng;
 
     fn setup() -> (SpottedSite, DnaSequence, AssayConditions) {
         // Seed chosen to draw a representative mid-GC 20-mer: its perfect

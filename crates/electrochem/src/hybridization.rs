@@ -189,9 +189,8 @@ impl HybridizationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsa_rng::SmallRng;
     use bsa_units::consts::ROOM_TEMPERATURE;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn pair(mismatches: usize) -> (DnaSequence, DnaSequence) {
         let mut rng = SmallRng::seed_from_u64(99);

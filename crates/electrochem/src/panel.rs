@@ -165,8 +165,7 @@ impl PanelDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use bsa_rng::SmallRng;
 
     fn random_targets(n: usize, len: usize, seed: u64) -> Vec<DnaSequence> {
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -10,9 +10,9 @@
 
 use crate::electrode::InterdigitatedElectrode;
 use crate::enzyme::EnzymeLabel;
+use bsa_rng::{box_muller, SmallRng};
 use bsa_units::consts::FARADAY;
 use bsa_units::{Ampere, Meter, Molar, Seconds};
-use rand::Rng;
 
 /// Parameters of the redox-cycling current model for one sensor site.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,32 +95,30 @@ impl RedoxCyclingModel {
     /// One noisy current sample integrated over `dt`: shot noise of the
     /// discrete electron flux plus a 0.1 % relative electrochemical
     /// fluctuation floor.
-    pub fn sample_current<R: Rng>(&self, theta: f64, dt: Seconds, rng: &mut R) -> Ampere {
+    pub fn sample_current(&self, theta: f64, dt: Seconds, rng: &mut SmallRng) -> Ampere {
         let mean = self.sensor_current(theta);
         let electrons = bsa_circuit_free_electrons(mean, dt, rng);
         let i_shot = electrons * bsa_units::consts::ELEMENTARY_CHARGE / dt.value();
         // Slow electrochemical drift/fluctuation floor.
-        let mut g = GaussianLite::default();
-        let rel = 1.0 + 1e-3 * g.sample(rng);
+        let rel = 1.0 + 1e-3 * box_muller(rng);
         Ampere::new(i_shot * rel)
     }
 }
 
 /// Poisson electron counting without depending on `bsa-circuit` (the
 /// dependency points the other way).
-fn bsa_circuit_free_electrons<R: Rng>(i: Ampere, dt: Seconds, rng: &mut R) -> f64 {
+fn bsa_circuit_free_electrons(i: Ampere, dt: Seconds, rng: &mut SmallRng) -> f64 {
     let mean = i.value().abs() * dt.value() / bsa_units::consts::ELEMENTARY_CHARGE;
     if mean > 1e6 {
         // Gaussian approximation.
-        let mut g = GaussianLite::default();
-        (mean + mean.sqrt() * g.sample(rng)).max(0.0)
+        (mean + mean.sqrt() * box_muller(rng)).max(0.0)
     } else {
         // Knuth.
         let l = (-mean).exp();
         let mut k = 0u64;
         let mut p = 1.0;
         loop {
-            p *= rng.gen::<f64>();
+            p *= rng.next_f64();
             if p <= l {
                 return k as f64;
             }
@@ -129,31 +127,9 @@ fn bsa_circuit_free_electrons<R: Rng>(i: Ampere, dt: Seconds, rng: &mut R) -> f6
     }
 }
 
-/// Minimal Box–Muller sampler local to this crate.
-#[derive(Debug, Default)]
-struct GaussianLite {
-    spare: Option<f64>,
-}
-
-impl GaussianLite {
-    fn sample<R: Rng>(&mut self, rng: &mut R) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        let u1: f64 = 1.0 - rng.gen::<f64>();
-        let u2: f64 = rng.gen();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let th = 2.0 * std::f64::consts::PI * u2;
-        self.spare = Some(r * th.sin());
-        r * th.cos()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn full_coverage_reaches_paper_upper_range() {

@@ -5,7 +5,7 @@
 //! between complementary strands; this module provides the sequence algebra
 //! the hybridization model is built on.
 
-use rand::Rng;
+use bsa_rng::SmallRng;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -104,7 +104,7 @@ impl DnaSequence {
     }
 
     /// Generates a uniformly random sequence of the given length.
-    pub fn random<R: Rng>(len: usize, rng: &mut R) -> Self {
+    pub fn random(len: usize, rng: &mut SmallRng) -> Self {
         let [a, c, g, t] = Base::ALL;
         let bases = (0..len)
             .map(|_| match rng.gen_range(0..Base::ALL.len()) {
@@ -281,8 +281,6 @@ impl FromIterator<Base> for DnaSequence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn complement_is_involution() {

@@ -1,8 +1,7 @@
 //! Injection plans and their compiled, geometry-specific fault maps.
 
 use crate::kinds::{FaultClass, FaultKind, PixelFaults};
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use bsa_rng::SmallRng;
 use std::collections::BTreeMap;
 
 /// Where a planned fault lands.
@@ -123,7 +122,8 @@ impl InjectionPlan {
         self.at(0, 0, FaultKind::ChannelLoss { channel })
     }
 
-    /// Convenience: corrupts the serial link at the given bit-error rate.
+    /// Convenience: corrupts the serial link at the given bit-error rate,
+    /// clamped to `[0, 1]` at compile time; a NaN rate adds no errors.
     pub fn serial_bit_errors(self, rate: f64) -> Self {
         self.at(0, 0, FaultKind::SerialBitErrors { rate })
     }
@@ -170,7 +170,7 @@ impl InjectionPlan {
                     FaultKind::SerialBitErrors { rate } => {
                         // Independent error processes compose:
                         // p = 1 − (1−p₁)(1−p₂).
-                        let rate = rate.clamp(0.0, 1.0);
+                        let rate = probability(rate);
                         serial_bit_error_rate = 1.0 - (1.0 - serial_bit_error_rate) * (1.0 - rate);
                         *injected.entry(kind.class()).or_default() += 1;
                     }
@@ -192,6 +192,15 @@ impl InjectionPlan {
             serial_bit_error_rate,
             injected,
         }
+    }
+}
+
+/// `p` clamped to `[0, 1]`, with NaN read as 0: no errors.
+fn probability(p: f64) -> f64 {
+    if p.is_nan() {
+        0.0
+    } else {
+        p.clamp(0.0, 1.0)
     }
 }
 
@@ -312,10 +321,11 @@ pub struct SerialCorruptor {
 }
 
 impl SerialCorruptor {
-    /// A corruptor flipping each bit with probability `rate`.
+    /// A corruptor flipping each bit with probability `rate`, clamped to
+    /// `[0, 1]`; a NaN rate flips nothing.
     pub fn new(rate: f64, seed: u64) -> Self {
         Self {
-            rate: rate.clamp(0.0, 1.0),
+            rate: probability(rate),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -340,11 +350,6 @@ impl SerialCorruptor {
             }
         }
         (out, flipped)
-    }
-
-    /// Fresh randomness source shared with the corruptor's stream.
-    pub fn rng(&mut self) -> &mut impl RngCore {
-        &mut self.rng
     }
 }
 
@@ -443,6 +448,22 @@ mod tests {
         let (word, flipped) = c.corrupt(0, 8);
         assert_eq!(word, 0xFF);
         assert_eq!(flipped, 8);
+    }
+
+    #[test]
+    fn nan_serial_rate_means_no_errors() {
+        let mut c = SerialCorruptor::new(f64::NAN, 1);
+        assert_eq!(c.rate(), 0.0);
+        assert_eq!(c.corrupt(0xA5, 8), (0xA5, 0));
+        let faults = InjectionPlan::new(0)
+            .serial_bit_errors(f64::NAN)
+            .serial_bit_errors(0.5)
+            .compile(8, 16);
+        assert_eq!(faults.serial_bit_error_rate(), 0.5);
+        let faults = InjectionPlan::new(0)
+            .serial_bit_errors(f64::NAN)
+            .compile(8, 16);
+        assert!(faults.is_clean());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Protocol correctness: `decode ∘ encode = id` for every message type
-//! (proptest-generated), and corruption safety — any single flipped byte
-//! in a framed message is rejected with a typed error, never a panic and
-//! never a wrong-but-valid message. The folding CRC-8 is checked
-//! against the bit-serial definition, and stream samples against
+//! (over seeded random messages), and corruption safety — any single
+//! flipped byte in a framed message is rejected with a typed error, never
+//! a panic and never a wrong-but-valid message. The folding CRC-8 is
+//! checked against the bit-serial definition, and stream samples against
 //! `f64::to_bits` identity.
 
 // Tests unwrap, expect and panic idiomatically.
@@ -17,7 +17,8 @@ use bsa_link::{
     ProtocolError, RecordingEntry, SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec,
     YieldSummary, MAX_PAYLOAD, NEURO_CHUNK_HEAD,
 };
-use proptest::prelude::*;
+use bsa_rng::SmallRng;
+use std::ops::Range;
 
 /// The CRC-8 definition, one bit at a time: the oracle for the
 /// table-driven kernel.
@@ -36,456 +37,461 @@ fn bitwise_crc8(bytes: &[u8]) -> u8 {
     crc
 }
 
+/// A collection of `lens.start..lens.end` elements drawn by `element`.
+fn arb_vec<T, C: FromIterator<T>>(
+    rng: &mut SmallRng,
+    lens: Range<usize>,
+    mut element: impl FnMut(&mut SmallRng) -> T,
+) -> C {
+    let len = rng.gen_range(lens);
+    (0..len).map(|_| element(rng)).collect()
+}
+
+/// One of `options`, uniformly.
+fn pick<T: Clone>(rng: &mut SmallRng, options: &[T]) -> T {
+    options[rng.gen_range(0..options.len())].clone()
+}
+
 /// Finite, bit-stable floats: NaN is excluded because `PartialEq` cannot
 /// certify a NaN roundtrip, not because the wire cannot carry it (f64
 /// travels as raw IEEE-754 bits).
-fn wire_f64() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        Just(0.0),
-        Just(-0.0),
-        Just(1.5e-12),
-        Just(f64::MAX),
-        Just(f64::MIN_POSITIVE),
-        -1e15..1e15f64,
-    ]
+fn arb_f64(rng: &mut SmallRng) -> f64 {
+    match rng.gen_range(0..6) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 1.5e-12,
+        3 => f64::MAX,
+        4 => f64::MIN_POSITIVE,
+        _ => -1e15 + 2e15 * rng.next_f64(),
+    }
 }
 
-fn wire_string() -> impl Strategy<Value = String> {
-    prop::collection::vec(0x20u8..0x7F, 0..24)
-        .prop_map(|bytes| bytes.into_iter().map(char::from).collect())
+fn arb_u16(rng: &mut SmallRng) -> u16 {
+    rng.next_u64() as u16
 }
 
-fn sequence_string() -> impl Strategy<Value = String> {
-    prop::collection::vec(0u8..4, 1..16).prop_map(|indices| {
-        indices
-            .into_iter()
-            .map(|i| match i {
-                0 => 'A',
-                1 => 'C',
-                2 => 'G',
-                _ => 'T',
-            })
-            .collect()
+fn arb_u32(rng: &mut SmallRng) -> u32 {
+    rng.next_u64() as u32
+}
+
+fn arb_string(rng: &mut SmallRng) -> String {
+    arb_vec(rng, 0..24, |rng| {
+        char::from(0x20 + rng.gen_range(0..0x5F) as u8)
     })
 }
 
-fn chip_kind() -> impl Strategy<Value = ChipKind> {
-    prop_oneof![Just(ChipKind::Dna), Just(ChipKind::Neuro)]
+fn arb_sequence(rng: &mut SmallRng) -> String {
+    arb_vec(rng, 1..16, |rng| pick(rng, &['A', 'C', 'G', 'T']))
 }
 
-fn error_code() -> impl Strategy<Value = ErrorCode> {
-    prop_oneof![
-        Just(ErrorCode::BadRequest),
-        Just(ErrorCode::UnknownChip),
-        Just(ErrorCode::WrongChipKind),
-        Just(ErrorCode::ChipError),
-        Just(ErrorCode::Overloaded),
-        Just(ErrorCode::Internal),
-        Just(ErrorCode::StoreError),
-    ]
+fn arb_chip_kind(rng: &mut SmallRng) -> ChipKind {
+    pick(rng, &[ChipKind::Dna, ChipKind::Neuro])
 }
 
-fn recording_entry() -> impl Strategy<Value = RecordingEntry> {
-    (
-        wire_string(),
-        chip_kind(),
-        any::<u16>(),
-        any::<u16>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(
-            |(name, kind, rows, cols, frames, bytes, config_hash)| RecordingEntry {
-                name,
-                kind,
-                rows,
-                cols,
-                frames,
-                bytes,
-                config_hash,
-            },
-        )
-}
-
-fn dna_spec() -> impl Strategy<Value = DnaChipSpec> {
-    (any::<u16>(), any::<u16>(), any::<u64>(), wire_f64()).prop_map(
-        |(rows, cols, seed, frame_time_s)| DnaChipSpec {
-            rows,
-            cols,
-            seed,
-            frame_time_s,
-        },
-    )
-}
-
-fn neuro_spec() -> impl Strategy<Value = NeuroChipSpec> {
-    (
-        any::<u16>(),
-        any::<u16>(),
-        any::<u16>(),
-        any::<u64>(),
-        wire_f64(),
-    )
-        .prop_map(
-            |(rows, cols, channels, seed, frame_rate_hz)| NeuroChipSpec {
-                rows,
-                cols,
-                channels,
-                seed,
-                frame_rate_hz,
-            },
-        )
-}
-
-fn culture_spec() -> impl Strategy<Value = CultureSpec> {
-    (any::<u64>(), any::<u32>(), wire_f64()).prop_map(|(seed, neuron_count, spike_duration_s)| {
-        CultureSpec {
-            seed,
-            neuron_count,
-            spike_duration_s,
-        }
-    })
-}
-
-fn target_spec() -> impl Strategy<Value = TargetSpec> {
-    (sequence_string(), wire_f64()).prop_map(|(sequence, concentration_molar)| TargetSpec {
-        sequence,
-        concentration_molar,
-    })
-}
-
-fn pixel_count() -> impl Strategy<Value = PixelCount> {
-    (any::<u16>(), any::<u16>(), any::<u64>()).prop_map(|(row, col, count)| PixelCount {
-        row,
-        col,
-        count,
-    })
-}
-
-fn stream_payload() -> impl Strategy<Value = StreamPayload> {
-    prop_oneof![
-        (
-            any::<u32>(),
-            1u16..8,
-            1u16..8,
-            prop::collection::vec(wire_f64(), 0..64)
-        )
-            .prop_map(|(first_frame, rows, cols, samples)| {
-                StreamPayload::NeuroFrames {
-                    first_frame,
-                    rows,
-                    cols,
-                    samples,
-                }
-            }),
-        prop::collection::vec(pixel_count(), 0..32)
-            .prop_map(|readings| StreamPayload::DnaCounts { readings }),
-    ]
-}
-
-fn fault_target() -> impl Strategy<Value = FaultTargetSpec> {
-    prop_oneof![
-        (any::<u16>(), any::<u16>()).prop_map(|(row, col)| FaultTargetSpec::Pixel { row, col }),
-        (0.0..1.0f64).prop_map(|density| FaultTargetSpec::ArrayWide { density }),
-        Just(FaultTargetSpec::Global),
-    ]
-}
-
-fn fault_kind() -> impl Strategy<Value = FaultKindSpec> {
-    prop_oneof![
-        Just(FaultKindSpec::DeadPixel),
-        any::<u64>().prop_map(|count| FaultKindSpec::StuckCount { count }),
-        wire_f64().prop_map(|leakage_a| FaultKindSpec::LeakyElectrode { leakage_a }),
-        wire_f64().prop_map(|offset_v| FaultKindSpec::ComparatorDrift { offset_v }),
-        any::<bool>().prop_map(|high| FaultKindSpec::ComparatorStuck { high }),
-        wire_f64().prop_map(|limit| FaultKindSpec::DacSaturation { limit }),
-        wire_f64().prop_map(|limit_v| FaultKindSpec::GainClipping { limit_v }),
-        any::<u32>().prop_map(|channel| FaultKindSpec::ChannelLoss { channel }),
-        (0.0..1.0f64).prop_map(|rate| FaultKindSpec::SerialBitErrors { rate }),
-    ]
-}
-
-fn fault_plan() -> impl Strategy<Value = FaultPlanSpec> {
-    (
-        any::<u64>(),
-        prop::collection::vec(
-            (fault_target(), fault_kind())
-                .prop_map(|(target, kind)| FaultEntrySpec { target, kind }),
-            0..8,
-        ),
-    )
-        .prop_map(|(seed, entries)| FaultPlanSpec { seed, entries })
-}
-
-fn yield_summary() -> impl Strategy<Value = YieldSummary> {
-    (
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-        prop::collection::vec(any::<u32>(), 0..8),
-        any::<u32>(),
-        any::<u32>(),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        prop_oneof![
-            Just(DegradationSummary::FullPerformance),
-            Just(DegradationSummary::Degraded),
-            Just(DegradationSummary::Unusable),
+fn arb_error_code(rng: &mut SmallRng) -> ErrorCode {
+    pick(
+        rng,
+        &[
+            ErrorCode::BadRequest,
+            ErrorCode::UnknownChip,
+            ErrorCode::WrongChipKind,
+            ErrorCode::ChipError,
+            ErrorCode::Overloaded,
+            ErrorCode::Internal,
+            ErrorCode::StoreError,
         ],
     )
-        .prop_map(
-            |(
-                (total_pixels, healthy, out_of_family, dead),
-                lost_channels,
-                total_channels,
-                injected,
-                (clean_words, recovered_words, unrecovered_words, rereads),
-                degradation,
-            )| YieldSummary {
-                total_pixels,
-                healthy,
-                out_of_family,
-                dead,
-                lost_channels,
-                total_channels,
-                injected,
-                serial: SerialLinkSummary {
-                    clean_words,
-                    recovered_words,
-                    unrecovered_words,
-                    rereads,
-                },
-                degradation,
-            },
-        )
 }
 
-fn stats_snapshot() -> impl Strategy<Value = StatsSnapshot> {
-    prop::collection::vec(any::<u64>(), 9).prop_map(|v| {
-        let get = |i: usize| v.get(i).copied().unwrap_or(0);
-        StatsSnapshot {
-            sessions_opened: get(0),
-            sessions_active: get(1),
-            chips_attached: get(2),
-            requests: get(3),
-            frames_served: get(4),
-            frames_dropped: get(5),
-            chunks_sent: get(6),
-            bytes_sent: get(7),
-            queue_peak: get(8),
+fn arb_recording_entry(rng: &mut SmallRng) -> RecordingEntry {
+    RecordingEntry {
+        name: arb_string(rng),
+        kind: arb_chip_kind(rng),
+        rows: arb_u16(rng),
+        cols: arb_u16(rng),
+        frames: rng.next_u64(),
+        bytes: rng.next_u64(),
+        config_hash: rng.next_u64(),
+    }
+}
+
+fn arb_dna_spec(rng: &mut SmallRng) -> DnaChipSpec {
+    DnaChipSpec {
+        rows: arb_u16(rng),
+        cols: arb_u16(rng),
+        seed: rng.next_u64(),
+        frame_time_s: arb_f64(rng),
+    }
+}
+
+fn arb_neuro_spec(rng: &mut SmallRng) -> NeuroChipSpec {
+    NeuroChipSpec {
+        rows: arb_u16(rng),
+        cols: arb_u16(rng),
+        channels: arb_u16(rng),
+        seed: rng.next_u64(),
+        frame_rate_hz: arb_f64(rng),
+    }
+}
+
+fn arb_culture_spec(rng: &mut SmallRng) -> CultureSpec {
+    CultureSpec {
+        seed: rng.next_u64(),
+        neuron_count: arb_u32(rng),
+        spike_duration_s: arb_f64(rng),
+    }
+}
+
+fn arb_target_spec(rng: &mut SmallRng) -> TargetSpec {
+    TargetSpec {
+        sequence: arb_sequence(rng),
+        concentration_molar: arb_f64(rng),
+    }
+}
+
+fn arb_pixel_count(rng: &mut SmallRng) -> PixelCount {
+    PixelCount {
+        row: arb_u16(rng),
+        col: arb_u16(rng),
+        count: rng.next_u64(),
+    }
+}
+
+fn arb_stream_payload(rng: &mut SmallRng) -> StreamPayload {
+    if rng.gen_bool(0.5) {
+        StreamPayload::NeuroFrames {
+            first_frame: arb_u32(rng),
+            rows: 1 + rng.gen_range(0..7) as u16,
+            cols: 1 + rng.gen_range(0..7) as u16,
+            samples: arb_vec(rng, 0..64, arb_f64),
         }
-    })
+    } else {
+        StreamPayload::DnaCounts {
+            readings: arb_vec(rng, 0..32, arb_pixel_count),
+        }
+    }
 }
 
-/// Every message variant the protocol defines.
-fn message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        wire_string().prop_map(|client| Message::Hello { client }),
-        (wire_string(), any::<u8>())
-            .prop_map(|(server, version)| Message::HelloAck { server, version }),
-        any::<u64>().prop_map(|token| Message::Ping { token }),
-        any::<u64>().prop_map(|token| Message::Pong { token }),
-        dna_spec().prop_map(Message::AttachDna),
-        neuro_spec().prop_map(Message::AttachNeuro),
-        (any::<u32>(), chip_kind(), any::<u16>(), any::<u16>()).prop_map(
-            |(chip, kind, rows, cols)| Message::Attached {
-                chip,
-                kind,
-                rows,
-                cols
-            }
-        ),
-        any::<u32>().prop_map(|chip| Message::Detach { chip }),
-        any::<u32>().prop_map(|chip| Message::Detached { chip }),
-        (
-            any::<u32>(),
-            prop::collection::vec(sequence_string(), 0..8),
-            prop::collection::vec(target_spec(), 0..4)
-        )
-            .prop_map(|(chip, probes, targets)| Message::ConfigureAssay {
-                chip,
-                probes,
-                targets
-            }),
-        any::<u32>().prop_map(|chip| Message::Calibrate { chip }),
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
-            |(chip, healthy, out_of_family, dead)| Message::CalibrationDone {
-                chip,
-                healthy,
-                out_of_family,
-                dead
-            }
-        ),
-        (any::<u32>(), fault_plan()).prop_map(|(chip, plan)| Message::InjectFaults { chip, plan }),
-        any::<u32>().prop_map(|chip| Message::QueryHealth { chip }),
-        (any::<u32>(), yield_summary())
-            .prop_map(|(chip, report)| Message::HealthReport { chip, report }),
-        (any::<u32>(), prop::collection::vec(any::<u32>(), 0..16))
-            .prop_map(|(chip, pixels)| Message::MaskPixels { chip, pixels }),
-        (any::<u32>(), any::<u32>()).prop_map(|(chip, masked)| Message::Masked { chip, masked }),
-        (any::<u32>(), any::<bool>()).prop_map(|(chip, stream_counts)| Message::RunAssay {
-            chip,
-            stream_counts
+fn arb_fault_target(rng: &mut SmallRng) -> FaultTargetSpec {
+    match rng.gen_range(0..3) {
+        0 => FaultTargetSpec::Pixel {
+            row: arb_u16(rng),
+            col: arb_u16(rng),
+        },
+        1 => FaultTargetSpec::ArrayWide {
+            density: rng.next_f64(),
+        },
+        _ => FaultTargetSpec::Global,
+    }
+}
+
+fn arb_fault_kind(rng: &mut SmallRng) -> FaultKindSpec {
+    match rng.gen_range(0..9) {
+        0 => FaultKindSpec::DeadPixel,
+        1 => FaultKindSpec::StuckCount {
+            count: rng.next_u64(),
+        },
+        2 => FaultKindSpec::LeakyElectrode {
+            leakage_a: arb_f64(rng),
+        },
+        3 => FaultKindSpec::ComparatorDrift {
+            offset_v: arb_f64(rng),
+        },
+        4 => FaultKindSpec::ComparatorStuck {
+            high: rng.gen_bool(0.5),
+        },
+        5 => FaultKindSpec::DacSaturation {
+            limit: arb_f64(rng),
+        },
+        6 => FaultKindSpec::GainClipping {
+            limit_v: arb_f64(rng),
+        },
+        7 => FaultKindSpec::ChannelLoss {
+            channel: arb_u32(rng),
+        },
+        _ => FaultKindSpec::SerialBitErrors {
+            rate: rng.next_f64(),
+        },
+    }
+}
+
+fn arb_fault_plan(rng: &mut SmallRng) -> FaultPlanSpec {
+    FaultPlanSpec {
+        seed: rng.next_u64(),
+        entries: arb_vec(rng, 0..8, |rng| FaultEntrySpec {
+            target: arb_fault_target(rng),
+            kind: arb_fault_kind(rng),
         }),
-        (
-            any::<u32>(),
-            prop::collection::vec(any::<u64>(), 0..16),
-            prop::collection::vec(wire_f64(), 0..16)
-        )
-            .prop_map(
-                |(chip, counts, estimated_currents_a)| Message::AssayResult {
-                    chip,
-                    counts,
-                    estimated_currents_a
-                }
-            ),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-            wire_f64(),
-            culture_spec()
-        )
-            .prop_map(|(chip, frames, chunk_frames, t0_s, culture)| {
-                Message::StartNeuroStream {
-                    chip,
-                    frames,
-                    chunk_frames,
-                    t0_s,
-                    culture,
-                }
-            }),
-        (any::<u32>(), any::<u32>(), stream_payload())
-            .prop_map(|(chip, seq, payload)| { Message::StreamData { chip, seq, payload } }),
-        (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
-            |(chip, frames_sent, frames_dropped)| Message::StreamEnd {
-                chip,
-                frames_sent,
-                frames_dropped
-            }
-        ),
-        Just(Message::QueryStats),
-        stats_snapshot().prop_map(Message::StatsReport),
-        Just(Message::Ack),
-        (error_code(), wire_string())
-            .prop_map(|(code, message)| Message::ErrorReply { code, message }),
-        (any::<u32>(), wire_string())
-            .prop_map(|(chip, name)| Message::StartRecording { chip, name }),
-        (any::<u32>(), wire_string())
-            .prop_map(|(chip, name)| Message::RecordingStarted { chip, name }),
-        any::<u32>().prop_map(|chip| Message::StopRecording { chip }),
-        (
-            any::<u32>(),
-            wire_string(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>()
-        )
-            .prop_map(
-                |(chip, name, frames_written, frames_dropped, bytes_written)| {
-                    Message::RecordingStopped {
-                        chip,
-                        name,
-                        frames_written,
-                        frames_dropped,
-                        bytes_written,
-                    }
-                }
-            ),
-        Just(Message::ListRecordings),
-        prop::collection::vec(recording_entry(), 0..4)
-            .prop_map(|recordings| Message::RecordingList { recordings }),
-        (wire_string(), any::<u32>())
-            .prop_map(|(name, chunk_frames)| Message::Replay { name, chunk_frames }),
-    ]
+    }
 }
 
-proptest! {
-    // Miri interprets every execution (~300× slowdown): keep the sampled
-    // suites tiny there so the UB check stays in CI budget, and leave the
-    // native runs at full depth.
-    #![proptest_config(ProptestConfig {
-        cases: if cfg!(miri) { 4 } else { 256 },
-        ..ProptestConfig::default()
-    })]
-
-    /// decode ∘ encode = id, through the full framing layer.
-    #[test]
-    fn encode_decode_is_identity(msg in message()) {
-        let frame = encode_frame(&msg);
-        let back = decode_frame(&frame).unwrap();
-        prop_assert_eq!(back, msg);
+fn arb_yield_summary(rng: &mut SmallRng) -> YieldSummary {
+    YieldSummary {
+        total_pixels: arb_u32(rng),
+        healthy: arb_u32(rng),
+        out_of_family: arb_u32(rng),
+        dead: arb_u32(rng),
+        lost_channels: arb_vec(rng, 0..8, arb_u32),
+        total_channels: arb_u32(rng),
+        injected: arb_u32(rng),
+        serial: SerialLinkSummary {
+            clean_words: rng.next_u64(),
+            recovered_words: rng.next_u64(),
+            unrecovered_words: rng.next_u64(),
+            rereads: rng.next_u64(),
+        },
+        degradation: pick(
+            rng,
+            &[
+                DegradationSummary::FullPerformance,
+                DegradationSummary::Degraded,
+                DegradationSummary::Unusable,
+            ],
+        ),
     }
+}
 
-    /// The streaming reader reproduces the same identity.
-    #[test]
-    fn read_message_is_identity(msg in message()) {
-        let frame = encode_frame(&msg);
-        let mut cursor = std::io::Cursor::new(frame);
-        let back = read_message(&mut cursor).unwrap();
-        prop_assert_eq!(back, msg);
+fn arb_stats_snapshot(rng: &mut SmallRng) -> StatsSnapshot {
+    StatsSnapshot {
+        sessions_opened: rng.next_u64(),
+        sessions_active: rng.next_u64(),
+        chips_attached: rng.next_u64(),
+        requests: rng.next_u64(),
+        frames_served: rng.next_u64(),
+        frames_dropped: rng.next_u64(),
+        chunks_sent: rng.next_u64(),
+        bytes_sent: rng.next_u64(),
+        queue_peak: rng.next_u64(),
     }
+}
 
-    /// Any single flipped byte anywhere in a frame is rejected with a
-    /// typed error — never a panic, never a wrong-but-valid message.
-    /// (CRC-8 detects every burst up to 8 bits, i.e. any one-byte flip.)
-    #[test]
-    fn single_byte_flip_rejected(msg in message(), pos_seed in any::<u64>(), mask in 1u8..=255) {
-        let frame = encode_frame(&msg);
-        let pos = (pos_seed % frame.len() as u64) as usize;
-        let mut corrupt = frame.clone();
-        if let Some(byte) = corrupt.get_mut(pos) {
-            *byte ^= mask;
-        }
-        prop_assert!(decode_frame(&corrupt).is_err(), "flip at {} mask {:#x}", pos, mask);
+/// One of every message variant the protocol defines, uniformly.
+fn arb_message(rng: &mut SmallRng) -> Message {
+    let chip = arb_u32(rng);
+    match rng.gen_range(0..33) {
+        0 => Message::Hello {
+            client: arb_string(rng),
+        },
+        1 => Message::HelloAck {
+            server: arb_string(rng),
+            version: rng.next_u64() as u8,
+        },
+        2 => Message::Ping {
+            token: rng.next_u64(),
+        },
+        3 => Message::Pong {
+            token: rng.next_u64(),
+        },
+        4 => Message::AttachDna(arb_dna_spec(rng)),
+        5 => Message::AttachNeuro(arb_neuro_spec(rng)),
+        6 => Message::Attached {
+            chip,
+            kind: arb_chip_kind(rng),
+            rows: arb_u16(rng),
+            cols: arb_u16(rng),
+        },
+        7 => Message::Detach { chip },
+        8 => Message::Detached { chip },
+        9 => Message::ConfigureAssay {
+            chip,
+            probes: arb_vec(rng, 0..8, arb_sequence),
+            targets: arb_vec(rng, 0..4, arb_target_spec),
+        },
+        10 => Message::Calibrate { chip },
+        11 => Message::CalibrationDone {
+            chip,
+            healthy: arb_u32(rng),
+            out_of_family: arb_u32(rng),
+            dead: arb_u32(rng),
+        },
+        12 => Message::InjectFaults {
+            chip,
+            plan: arb_fault_plan(rng),
+        },
+        13 => Message::QueryHealth { chip },
+        14 => Message::HealthReport {
+            chip,
+            report: arb_yield_summary(rng),
+        },
+        15 => Message::MaskPixels {
+            chip,
+            pixels: arb_vec(rng, 0..16, arb_u32),
+        },
+        16 => Message::Masked {
+            chip,
+            masked: arb_u32(rng),
+        },
+        17 => Message::RunAssay {
+            chip,
+            stream_counts: rng.gen_bool(0.5),
+        },
+        18 => Message::AssayResult {
+            chip,
+            counts: arb_vec(rng, 0..16, SmallRng::next_u64),
+            estimated_currents_a: arb_vec(rng, 0..16, arb_f64),
+        },
+        19 => Message::StartNeuroStream {
+            chip,
+            frames: arb_u32(rng),
+            chunk_frames: arb_u32(rng),
+            t0_s: arb_f64(rng),
+            culture: arb_culture_spec(rng),
+        },
+        20 => Message::StreamData {
+            chip,
+            seq: arb_u32(rng),
+            payload: arb_stream_payload(rng),
+        },
+        21 => Message::StreamEnd {
+            chip,
+            frames_sent: arb_u32(rng),
+            frames_dropped: arb_u32(rng),
+        },
+        22 => Message::QueryStats,
+        23 => Message::StatsReport(arb_stats_snapshot(rng)),
+        24 => Message::Ack,
+        25 => Message::ErrorReply {
+            code: arb_error_code(rng),
+            message: arb_string(rng),
+        },
+        26 => Message::StartRecording {
+            chip,
+            name: arb_string(rng),
+        },
+        27 => Message::RecordingStarted {
+            chip,
+            name: arb_string(rng),
+        },
+        28 => Message::StopRecording { chip },
+        29 => Message::RecordingStopped {
+            chip,
+            name: arb_string(rng),
+            frames_written: rng.next_u64(),
+            frames_dropped: rng.next_u64(),
+            bytes_written: rng.next_u64(),
+        },
+        30 => Message::ListRecordings,
+        31 => Message::RecordingList {
+            recordings: arb_vec(rng, 0..4, arb_recording_entry),
+        },
+        _ => Message::Replay {
+            name: arb_string(rng),
+            chunk_frames: arb_u32(rng),
+        },
     }
+}
 
-    /// Arbitrary garbage never decodes to a panic (errors are fine, and
-    /// a lucky valid frame is fine too — the property is totality).
-    #[test]
-    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+// Miri interprets every execution (~300× slowdown): keep the sampled
+// suites tiny there so the UB check stays in CI budget, and leave the
+// native runs at full depth.
+const CASES: u64 = if cfg!(miri) { 4 } else { 256 };
+
+/// decode ∘ encode = id, through the full framing layer.
+#[test]
+fn encode_decode_is_identity() {
+    for case in 0..CASES {
+        let msg = arb_message(&mut SmallRng::seed_from_u64(case));
+        let back = decode_frame(&encode_frame(&msg));
+        assert_eq!(
+            back.unwrap_or_else(|e| panic!("case {case}: {e}")),
+            msg,
+            "case {case}"
+        );
+    }
+}
+
+/// The streaming reader reproduces the same identity.
+#[test]
+fn read_message_is_identity() {
+    for case in 0..CASES {
+        let msg = arb_message(&mut SmallRng::seed_from_u64(case));
+        let mut cursor = std::io::Cursor::new(encode_frame(&msg));
+        let back = read_message(&mut cursor);
+        assert_eq!(
+            back.unwrap_or_else(|e| panic!("case {case}: {e}")),
+            msg,
+            "case {case}"
+        );
+    }
+}
+
+/// Any single flipped byte anywhere in a frame is rejected with a
+/// typed error — never a panic, never a wrong-but-valid message.
+/// (CRC-8 detects every burst up to 8 bits, i.e. any one-byte flip.)
+#[test]
+fn single_byte_flip_rejected() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let frame = encode_frame(&arb_message(&mut rng));
+        let pos = rng.gen_range(0..frame.len());
+        let mask = 1 + rng.gen_range(0..255) as u8;
+        let mut corrupt = frame;
+        corrupt[pos] ^= mask;
+        assert!(
+            decode_frame(&corrupt).is_err(),
+            "case {case}: flip at {pos} mask {mask:#x}"
+        );
+    }
+}
+
+/// Arbitrary garbage never decodes to a panic (errors are fine, and
+/// a lucky valid frame is fine too — the property is totality).
+#[test]
+fn arbitrary_bytes_never_panic() {
+    for case in 0..CASES {
+        let bytes: Vec<u8> = arb_vec(&mut SmallRng::seed_from_u64(case), 0..256, |rng| {
+            rng.next_u64() as u8
+        });
         let _ = decode_frame(&bytes);
         let mut cursor = std::io::Cursor::new(bytes);
         let _ = read_message(&mut cursor);
     }
+}
 
-    /// Truncating a frame anywhere yields a typed error.
-    #[test]
-    fn truncation_rejected(msg in message(), cut_seed in any::<u64>()) {
-        let frame = encode_frame(&msg);
-        let cut = (cut_seed % frame.len() as u64) as usize;
-        prop_assert!(decode_frame(frame.get(..cut).unwrap()).is_err());
+/// Truncating a frame anywhere yields a typed error.
+#[test]
+fn truncation_rejected() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let frame = encode_frame(&arb_message(&mut rng));
+        let cut = rng.gen_range(0..frame.len());
+        assert!(
+            decode_frame(&frame[..cut]).is_err(),
+            "case {case}: cut at {cut}"
+        );
     }
+}
 
-    /// The folding kernel equals the bit-serial definition one-shot,
-    /// streamed over a split, and byte by byte. Lengths up to 8 KiB reach
-    /// 64 fold periods; the split lands anywhere, or within 260 bytes of
-    /// either end, so each half takes the byte loop (127 bytes or fewer)
-    /// as well as the fold.
-    #[test]
-    fn crc_matches_bitwise_oracle(
-        bytes in prop::collection::vec(any::<u8>(), 0..=8192),
-        split_seed in any::<usize>(),
-        split_near in 0u8..3,
-    ) {
+/// The folding kernel equals the bit-serial definition one-shot,
+/// streamed over a split, and byte by byte. Lengths up to 8 KiB reach
+/// 64 fold periods; the split lands anywhere, or within 260 bytes of
+/// either end, so each half takes the byte loop (127 bytes or fewer)
+/// as well as the fold.
+#[test]
+fn crc_matches_bitwise_oracle() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let bytes: Vec<u8> = arb_vec(&mut rng, 0..8193, |rng| rng.next_u64() as u8);
         let len = bytes.len();
-        let at = match split_near {
-            0 => split_seed % (len + 1),
-            1 => (split_seed % 260).min(len),
-            _ => len.saturating_sub(split_seed % 260),
+        let at = match rng.gen_range(0..3) {
+            0 => rng.gen_range(0..len + 1),
+            1 => rng.gen_range(0..260).min(len),
+            _ => len.saturating_sub(rng.gen_range(0..260)),
         };
         let expected = bitwise_crc8(&bytes);
-        prop_assert_eq!(crc8(&bytes), expected);
+        assert_eq!(crc8(&bytes), expected, "case {case}: one-shot");
 
         let (head, tail) = bytes.split_at(at);
         let mut streamed = Crc8::new();
         streamed.update_bytes(head);
         streamed.update_bytes(tail);
-        prop_assert_eq!(streamed.finish(), expected);
+        assert_eq!(streamed.finish(), expected, "case {case}: split at {at}");
 
         let mut per_byte = Crc8::new();
         for &b in &bytes {
             per_byte.update(b);
         }
-        prop_assert_eq!(per_byte.finish(), expected);
+        assert_eq!(per_byte.finish(), expected, "case {case}: byte by byte");
     }
 }
 

@@ -3,20 +3,22 @@
 //! Scope policy (see DESIGN.md §9):
 //!
 //! * **panic-freedom** (`panic.*`) — every library crate's `src/`,
-//!   including this one. `crates/bench` is excluded: it is a binary
-//!   harness where `unwrap` on startup is idiomatic.
+//!   including this one and `crates/rng`, whose generator state is
+//!   destructured rather than indexed. `crates/bench` is excluded: it is
+//!   a binary harness where `unwrap` on startup is idiomatic.
 //! * **unit-safety** (`units.raw-f64`) — every library crate except
 //!   `crates/units` (which defines the newtypes in terms of raw `f64`)
 //!   and this crate (which has no physical API surface).
 //! * **blocking under a lock** (`conc.hold-and-block`) — the serving
 //!   crates: `bsa-station`, `bsa-control` and `bsa-store`.
 //!
-//! Determinism (no wall clock, unseeded RNG or hash-ordered collections
-//! in `bsa-core`, `bsa-dsp`, `bsa-link` and `bsa-control`) and the
-//! serving crates' concurrency bans (no std atomic, `Mutex`, `RwLock` or
-//! `Condvar` outside the station's `stats.rs` and its session table) are
-//! not scoped here: each of those crates carries a `clippy.toml` that
-//! bans them.
+//! Determinism (no wall clock or hash-ordered collections in `bsa-core`,
+//! `bsa-dsp`, `bsa-link` and `bsa-control`; no unseeded RNG anywhere,
+//! since `bsa-rng`'s `SmallRng`, the only generator, has no unseeded
+//! constructor) and the serving crates' concurrency bans (no std
+//! atomic, `Mutex`, `RwLock` or `Condvar` outside the station's
+//! `stats.rs` and its session table) are not scoped here: each of those
+//! crates carries a `clippy.toml` that bans them.
 
 use crate::flow::flow_pass;
 use crate::lexer::{lex, strip_test_code, Token};

@@ -7,12 +7,18 @@
 //! `stats.rs`. Deleting a line from that table, a ban, or a crate's
 //! `[lints] workspace = true`, would drop a gate without a single failing
 //! check, so these tests read the manifests.
+//!
+//! The same holds for dependencies: the workspace builds from its own
+//! members alone, so a path dependency outside `crates/` or a lock-file
+//! package that is not a member, such as a vendored stand-in for a
+//! published crate, fails here.
 
 // Tests unwrap, expect and panic idiomatically.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use bsa_lint::workspace_root;
 use std::fs;
+use std::path::{Component, Path, PathBuf};
 
 /// The lints that keep panics out of library code.
 const PANIC_LINTS: &[&str] = &[
@@ -108,5 +114,87 @@ fn every_serving_crate_bans_the_std_atomics_and_locks() {
                 path.display()
             );
         }
+    }
+}
+
+/// The root manifest and every member's, as (path, text).
+fn workspace_manifests() -> Vec<(PathBuf, String)> {
+    let root = workspace_root();
+    let crates = fs::read_dir(root.join("crates")).unwrap();
+    crates
+        .map(|e| e.unwrap().path().join("Cargo.toml"))
+        .chain([root.join("Cargo.toml")])
+        .map(|path| {
+            let text = fs::read_to_string(&path).unwrap();
+            (path, text)
+        })
+        .collect()
+}
+
+/// `dir/rel` with every `..` and `.` resolved.
+fn resolve(dir: &Path, rel: &str) -> PathBuf {
+    let mut out = PathBuf::new();
+    for part in dir.join(rel).components() {
+        match part {
+            Component::ParentDir => {
+                out.pop();
+            }
+            Component::CurDir => {}
+            other => out.push(other),
+        }
+    }
+    out
+}
+
+#[test]
+fn path_dependencies_stay_inside_crates() {
+    let crates_dir = resolve(&workspace_root(), "crates");
+    for (manifest, text) in workspace_manifests() {
+        let dir = manifest.parent().unwrap();
+        // The `path = "…"` values of every dependency table.
+        let paths = text
+            .split("\n[")
+            .filter(|section| {
+                section
+                    .split(']')
+                    .next()
+                    .unwrap_or("")
+                    .ends_with("dependencies")
+            })
+            .flat_map(str::lines)
+            .filter_map(|line| line.split("path = \"").nth(1)?.split('"').next());
+        for rel in paths {
+            let target = resolve(dir, rel);
+            assert!(
+                target.starts_with(&crates_dir),
+                "{} depends on `{rel}`, outside crates/",
+                manifest.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn lock_file_lists_only_workspace_members() {
+    let members: Vec<String> = workspace_manifests()
+        .iter()
+        .filter_map(|(_, text)| {
+            let package = text.split('[').find(|s| s.starts_with("package]"))?;
+            let name = package.lines().find_map(|l| l.strip_prefix("name = "))?;
+            Some(name.trim_matches('"').to_string())
+        })
+        .collect();
+    assert!(members.iter().any(|m| m == "bsa-lint"), "{members:?}");
+    let lock = fs::read_to_string(workspace_root().join("Cargo.lock")).unwrap();
+    for package in lock.split("[[package]]").skip(1) {
+        let name = package
+            .lines()
+            .find_map(|l| l.strip_prefix("name = "))
+            .map(|n| n.trim_matches('"'))
+            .unwrap_or_else(|| panic!("Cargo.lock entry without a name: {package}"));
+        assert!(
+            members.iter().any(|m| m == name) && !package.contains("\nsource = "),
+            "Cargo.lock lists `{name}`, which is not a workspace member"
+        );
     }
 }

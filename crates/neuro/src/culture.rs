@@ -9,8 +9,8 @@
 
 use crate::firing::FiringPattern;
 use crate::junction::ApTemplate;
+use bsa_rng::SmallRng;
 use bsa_units::{Meter, Seconds, Volt};
-use rand::Rng;
 
 /// Footprint weights below this threshold are treated as exactly zero:
 /// [`CulturedNeuron::cleft_voltage_at`] early-returns `Volt::ZERO` under it,
@@ -211,15 +211,15 @@ impl Culture {
     /// Places neurons at random per `config`, with junction templates from
     /// the nominal 60 nm cleft ([`ApTemplate::nominal`]) scaled by
     /// per-neuron coupling variation.
-    pub fn random<R: Rng>(config: &CultureConfig, rng: &mut R) -> Self {
+    pub fn random(config: &CultureConfig, rng: &mut SmallRng) -> Self {
         let base_template = ApTemplate::nominal();
         let mut neurons = Vec::with_capacity(config.neuron_count);
         for _ in 0..config.neuron_count {
-            let x = Meter::new(rng.gen::<f64>() * config.width.value());
-            let y = Meter::new(rng.gen::<f64>() * config.height.value());
+            let x = Meter::new(rng.next_f64() * config.width.value());
+            let y = Meter::new(rng.next_f64() * config.height.value());
             let d = config.min_diameter.value()
-                + rng.gen::<f64>() * (config.max_diameter - config.min_diameter).value();
-            let pattern = if rng.gen::<f64>() < config.bursting_fraction {
+                + rng.next_f64() * (config.max_diameter - config.min_diameter).value();
+            let pattern = if rng.next_f64() < config.bursting_fraction {
                 FiringPattern::Bursting {
                     burst_rate_hz: config.mean_rate_hz / 5.0,
                     spikes_per_burst: 5,
@@ -232,7 +232,7 @@ impl Culture {
             };
             // Coupling factor in mean·[1−spread, 1+spread].
             let coupling = config.coupling_mean
-                * (1.0 + config.coupling_spread * (2.0 * rng.gen::<f64>() - 1.0));
+                * (1.0 + config.coupling_spread * (2.0 * rng.next_f64() - 1.0));
             neurons.push(CulturedNeuron {
                 x,
                 y,
@@ -270,7 +270,7 @@ impl Culture {
     }
 
     /// Generates spike trains for all neurons over `[0, duration)`.
-    pub fn generate_spikes<R: Rng>(&mut self, duration: Seconds, rng: &mut R) {
+    pub fn generate_spikes(&mut self, duration: Seconds, rng: &mut SmallRng) {
         for n in &mut self.neurons {
             n.spikes = n.pattern.generate(duration, rng);
         }
@@ -362,8 +362,6 @@ impl Culture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn one_neuron_culture() -> Culture {
         let template = ApTemplate::nominal().clone();

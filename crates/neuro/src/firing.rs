@@ -6,8 +6,8 @@
 //! neural-recording experiments drive each simulated neuron from one of
 //! these generators.
 
+use bsa_rng::{box_muller, SmallRng};
 use bsa_units::Seconds;
-use rand::Rng;
 
 /// A spike-train pattern.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +42,7 @@ pub enum FiringPattern {
 
 impl FiringPattern {
     /// Generates spike times over `[0, duration)`, sorted ascending.
-    pub fn generate<R: Rng>(&self, duration: Seconds, rng: &mut R) -> Vec<Seconds> {
+    pub fn generate(&self, duration: Seconds, rng: &mut SmallRng) -> Vec<Seconds> {
         let mut spikes = match self {
             Self::Poisson { rate_hz } => poisson_train(*rate_hz, duration, rng),
             Self::Regular {
@@ -58,7 +58,7 @@ impl FiringPattern {
                 let mut out = Vec::new();
                 while t < duration.value() {
                     let jitter = if *jitter_s > 0.0 {
-                        gaussian(rng) * jitter_s
+                        box_muller(rng) * jitter_s
                     } else {
                         0.0
                     };
@@ -110,14 +110,14 @@ impl FiringPattern {
 }
 
 /// Homogeneous Poisson spike train via exponential inter-arrival times.
-fn poisson_train<R: Rng>(rate_hz: f64, duration: Seconds, rng: &mut R) -> Vec<Seconds> {
+fn poisson_train(rate_hz: f64, duration: Seconds, rng: &mut SmallRng) -> Vec<Seconds> {
     if rate_hz <= 0.0 {
         return Vec::new();
     }
     let mut out = Vec::new();
     let mut t = 0.0;
     loop {
-        let u: f64 = 1.0 - rng.gen::<f64>();
+        let u: f64 = 1.0 - rng.next_f64();
         t += -u.ln() / rate_hz;
         if t >= duration.value() {
             return out;
@@ -126,17 +126,9 @@ fn poisson_train<R: Rng>(rate_hz: f64, duration: Seconds, rng: &mut R) -> Vec<Se
     }
 }
 
-fn gaussian<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn poisson_rate_matches() {

@@ -349,8 +349,7 @@ mod tests {
     #[test]
     fn random_cultures_scale_the_nominal_template() {
         use crate::culture::{Culture, CultureConfig};
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use bsa_rng::SmallRng;
 
         let fresh = ApTemplate::from_hh(&CleftJunction::nominal(), Seconds::new(10e-6));
         let cfg = CultureConfig::default();
@@ -361,10 +360,10 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             for n in culture.neurons() {
                 for _ in 0..4 {
-                    rng.gen::<f64>();
+                    rng.next_f64();
                 }
-                let coupling = cfg.coupling_mean
-                    * (1.0 + cfg.coupling_spread * (2.0 * rng.gen::<f64>() - 1.0));
+                let coupling =
+                    cfg.coupling_mean * (1.0 + cfg.coupling_spread * (2.0 * rng.next_f64() - 1.0));
                 let want = fresh.clone().scaled(coupling.max(0.05));
                 let got = &n.template;
                 assert_eq!(got.dt.value().to_bits(), want.dt.value().to_bits());

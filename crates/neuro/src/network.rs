@@ -8,8 +8,8 @@
 //! surface in place of independent Poisson units.
 
 use crate::izhikevich::{Izhikevich, IzhikevichParams};
+use bsa_rng::SmallRng;
 use bsa_units::Seconds;
-use rand::Rng;
 
 /// Network configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,10 +94,10 @@ impl NetworkActivity {
 
 impl SynapticNetwork {
     /// Builds a network with random connectivity from `rng`.
-    pub fn random<R: Rng>(config: NetworkConfig, rng: &mut R) -> Self {
+    pub fn random(config: NetworkConfig, rng: &mut SmallRng) -> Self {
         let n = config.neuron_count;
         let inhibitory: Vec<bool> = (0..n)
-            .map(|_| rng.gen::<f64>() < config.inhibitory_fraction)
+            .map(|_| rng.next_f64() < config.inhibitory_fraction)
             .collect();
         let neurons: Vec<Izhikevich> = inhibitory
             .iter()
@@ -112,7 +112,7 @@ impl SynapticNetwork {
         let targets: Vec<Vec<usize>> = (0..n)
             .map(|i| {
                 (0..n)
-                    .filter(|j| *j != i && rng.gen::<f64>() < config.connection_probability)
+                    .filter(|j| *j != i && rng.next_f64() < config.connection_probability)
                     .collect()
             })
             .collect();
@@ -141,7 +141,7 @@ impl SynapticNetwork {
 
     /// Simulates the network for `duration`, with noisy background drive
     /// from `rng`.
-    pub fn run<R: Rng>(&mut self, duration: Seconds, rng: &mut R) -> NetworkActivity {
+    pub fn run(&mut self, duration: Seconds, rng: &mut SmallRng) -> NetworkActivity {
         let steps = (duration.value() / self.config.dt.value()).round() as usize;
         let n = self.neurons.len();
         let mut spike_trains: Vec<Vec<Seconds>> = vec![Vec::new(); n];
@@ -159,7 +159,7 @@ impl SynapticNetwork {
             let cells = self.neurons.iter_mut().zip(&input).zip(&mut spike_trains);
             for (i, ((neuron, &input), train)) in cells.enumerate() {
                 // Background: uniform noise around the mean drive.
-                let drive = self.config.background_drive * 2.0 * rng.gen::<f64>() + input;
+                let drive = self.config.background_drive * 2.0 * rng.next_f64() + input;
                 if neuron.step(drive, self.config.dt) {
                     fired.push(i);
                     train.push(now);
@@ -196,8 +196,6 @@ impl SynapticNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn run_with(config: NetworkConfig, seed: u64, secs: f64) -> NetworkActivity {
         let mut rng = SmallRng::seed_from_u64(seed);

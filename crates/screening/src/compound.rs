@@ -1,7 +1,6 @@
 //! Compound libraries.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use bsa_rng::SmallRng;
 
 /// One compound in the library, with its (latent) ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,10 +27,10 @@ impl CompoundLibrary {
         let mut rng = SmallRng::seed_from_u64(seed);
         let compounds = (0..n as u64)
             .map(|id| {
-                let active = rng.gen::<f64>() < active_rate;
+                let active = rng.next_f64() < active_rate;
                 let potency = if active {
                     // Skew toward weak actives (square of uniform).
-                    let u: f64 = rng.gen();
+                    let u: f64 = rng.next_f64();
                     (1.0 - u * u).max(0.05)
                 } else {
                     0.0

@@ -2,8 +2,7 @@
 
 use crate::compound::{Compound, CompoundLibrary};
 use crate::stage::Stage;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use bsa_rng::SmallRng;
 
 /// An ordered sequence of screening stages.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,7 +6,7 @@
 //! rate). Later stages are slower, costlier and more predictive.
 
 use crate::compound::Compound;
-use rand::Rng;
+use bsa_rng::SmallRng;
 
 /// Kind of screening stage (the four boxes of Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,12 +101,12 @@ impl Stage {
     }
 
     /// Tests one compound; `true` means it passes to the next stage.
-    pub fn test<R: Rng>(&self, compound: &Compound, rng: &mut R) -> bool {
+    pub fn test(&self, compound: &Compound, rng: &mut SmallRng) -> bool {
         if compound.active {
             let p = self.sensitivity * compound.potency.sqrt();
-            rng.gen::<f64>() < p
+            rng.next_f64() < p
         } else {
-            rng.gen::<f64>() < self.false_positive_rate
+            rng.next_f64() < self.false_positive_rate
         }
     }
 
@@ -124,8 +124,6 @@ impl Stage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn active(potency: f64) -> Compound {
         Compound {

@@ -19,9 +19,8 @@ use bsa_link::{
     DNA_CHUNK_HEAD, MAX_PAYLOAD, NEURO_CHUNK_HEAD,
 };
 use bsa_neuro::culture::{Culture, CultureConfig};
+use bsa_rng::SmallRng;
 use bsa_units::{Ampere, Hertz, Seconds, Volt};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 // Every station reply must fit one wire frame of at most `MAX_PAYLOAD`
 // bytes, which also keeps a hostile spec from demanding an absurd

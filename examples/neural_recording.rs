@@ -9,9 +9,8 @@ use cmos_biosensor_arrays::chips::neuro_chip::{NeuroChip, NeuroChipConfig};
 use cmos_biosensor_arrays::dsp::frames::FrameStack;
 use cmos_biosensor_arrays::dsp::spike::SpikeDetector;
 use cmos_biosensor_arrays::neuro::culture::{Culture, CultureConfig};
+use cmos_biosensor_arrays::rng::SmallRng;
 use cmos_biosensor_arrays::units::Seconds;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Grow a culture over the 1 mm² surface.

@@ -8,9 +8,8 @@ use cmos_biosensor_arrays::chips::array::PixelAddress;
 use cmos_biosensor_arrays::chips::dna_chip::{DnaChip, DnaChipConfig, SampleMix};
 use cmos_biosensor_arrays::dsp::calling::MatchCaller;
 use cmos_biosensor_arrays::electrochem::sequence::DnaSequence;
+use cmos_biosensor_arrays::rng::SmallRng;
 use cmos_biosensor_arrays::units::Molar;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Instantiate a die (mismatch and noise are seeded per die).

@@ -27,6 +27,8 @@
 //!   (`bsa-station`).
 //! * [`control`] — the closed-loop recovery controller that keeps a
 //!   faulted instrument producing usable data (`bsa-control`).
+//! * [`rng`] — the seeded generator and normal samplers every random
+//!   stream draws from (`bsa-rng`).
 
 #![forbid(unsafe_code)]
 
@@ -38,6 +40,7 @@ pub use bsa_electrochem as electrochem;
 pub use bsa_faults as faults;
 pub use bsa_link as link;
 pub use bsa_neuro as neuro;
+pub use bsa_rng as rng;
 pub use bsa_screening as screening;
 pub use bsa_station as station;
 pub use bsa_store as store;

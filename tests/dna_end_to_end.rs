@@ -6,9 +6,8 @@ use cmos_biosensor_arrays::chips::array::PixelAddress;
 use cmos_biosensor_arrays::chips::dna_chip::{decode_frames, DnaChip, DnaChipConfig, SampleMix};
 use cmos_biosensor_arrays::dsp::calling::{Call, CallAccuracy, MatchCaller};
 use cmos_biosensor_arrays::electrochem::sequence::DnaSequence;
+use cmos_biosensor_arrays::rng::SmallRng;
 use cmos_biosensor_arrays::units::Molar;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn stringent_config() -> DnaChipConfig {
     let mut config = DnaChipConfig::default();

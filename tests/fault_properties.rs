@@ -1,5 +1,5 @@
-#![allow(clippy::unwrap_used)] // tests/benches unwrap idiomatically
-//! Property-based tests over the fault-injection subsystem: injection
+#![allow(clippy::unwrap_used, clippy::panic)] // tests unwrap and panic idiomatically
+//! Property tests over the fault-injection subsystem: injection
 //! never panics, degraded readouts stay well-formed, and the error types
 //! behave like proper `std::error::Error`s.
 
@@ -9,103 +9,124 @@ use cmos_biosensor_arrays::chips::neuro_chip::{NeuroChip, NeuroChipConfig};
 use cmos_biosensor_arrays::chips::{ChipError, DegradationMode};
 use cmos_biosensor_arrays::circuit::CircuitError;
 use cmos_biosensor_arrays::faults::{FaultClass, FaultKind, InjectionPlan};
+use cmos_biosensor_arrays::rng::SmallRng;
 use cmos_biosensor_arrays::units::{Ampere, Meter, Seconds, Volt};
-use proptest::prelude::*;
 use std::error::Error;
 
-fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
-    prop_oneof![
-        Just(FaultKind::DeadPixel),
-        (0u64..1 << 24).prop_map(|count| FaultKind::StuckCount { count }),
-        (0.0f64..1000.0).prop_map(|pa| FaultKind::LeakyElectrode {
-            leakage: Ampere::from_pico(pa),
-        }),
-        (-1000.0f64..1000.0).prop_map(|mv| FaultKind::ComparatorDrift {
-            offset: Volt::from_milli(mv),
-        }),
-        any::<bool>().prop_map(|high| FaultKind::ComparatorStuck { high }),
-        (1.0f64..3.0).prop_map(|limit| FaultKind::DacSaturation { limit }),
-        (0.0f64..5000.0).prop_map(|mv| FaultKind::GainClipping {
-            limit: Volt::from_milli(mv),
-        }),
-        (0usize..40).prop_map(|channel| FaultKind::ChannelLoss { channel }),
-        (0.0f64..1.0).prop_map(|rate| FaultKind::SerialBitErrors { rate }),
-    ]
+/// Seeded random cases per property; a failure names its case, whose seed
+/// is its index.
+const CASES: u64 = 24;
+
+fn arb_fault_kind(rng: &mut SmallRng) -> FaultKind {
+    match rng.gen_range(0..9) {
+        0 => FaultKind::DeadPixel,
+        1 => FaultKind::StuckCount {
+            count: rng.gen_range(0..1 << 24) as u64,
+        },
+        2 => FaultKind::LeakyElectrode {
+            leakage: Ampere::from_pico(1000.0 * rng.next_f64()),
+        },
+        3 => FaultKind::ComparatorDrift {
+            offset: Volt::from_milli(2000.0 * rng.next_f64() - 1000.0),
+        },
+        4 => FaultKind::ComparatorStuck {
+            high: rng.gen_bool(0.5),
+        },
+        5 => FaultKind::DacSaturation {
+            limit: 1.0 + 2.0 * rng.next_f64(),
+        },
+        6 => FaultKind::GainClipping {
+            limit: Volt::from_milli(5000.0 * rng.next_f64()),
+        },
+        7 => FaultKind::ChannelLoss {
+            channel: rng.gen_range(0..40),
+        },
+        _ => FaultKind::SerialBitErrors {
+            rate: rng.next_f64(),
+        },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        ..ProptestConfig::default()
-    })]
-
-    /// Arbitrary fault kinds at arbitrary — including out-of-range —
-    /// addresses compile, inject, calibrate and measure without a panic.
-    #[test]
-    fn injection_at_arbitrary_addresses_never_panics(
-        seed in 0u64..1000,
-        faults in prop::collection::vec(
-            ((0usize..64), (0usize..64), arb_fault_kind()),
-            0..12,
-        ),
-    ) {
-        let mut plan = InjectionPlan::new(seed);
-        for (row, col, kind) in faults {
-            plan = plan.at(row, col, kind);
+/// Arbitrary fault kinds at arbitrary — including out-of-range —
+/// addresses compile, inject, calibrate and measure without a panic.
+#[test]
+fn injection_at_arbitrary_addresses_never_panics() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let mut plan = InjectionPlan::new(rng.gen_range(0..1000) as u64);
+        for _ in 0..rng.gen_range(0..12) {
+            let (row, col) = (rng.gen_range(0..64), rng.gen_range(0..64));
+            plan = plan.at(row, col, arb_fault_kind(&mut rng));
         }
         let mut chip = DnaChip::new(DnaChipConfig::default()).unwrap();
-        let compiled = plan.compile(
-            chip.geometry().rows(),
-            chip.geometry().cols(),
-        );
-        chip.inject_faults(&compiled).unwrap();
+        let compiled = plan.compile(chip.geometry().rows(), chip.geometry().cols());
+        chip.inject_faults(&compiled)
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
         chip.auto_calibrate();
         let currents = vec![Ampere::from_nano(1.0); chip.geometry().len()];
-        let counts = chip.measure_currents(&currents).unwrap();
-        let estimates = chip.estimate_currents(&counts).unwrap();
-        prop_assert!(estimates.iter().all(|a| a.value().is_finite()));
+        let counts = chip
+            .measure_currents(&currents)
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let estimates = chip
+            .estimate_currents(&counts)
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert!(
+            estimates.iter().all(|a| a.value().is_finite()),
+            "case {case}"
+        );
         let report = chip.yield_report();
-        prop_assert_eq!(
+        assert_eq!(
             report.healthy + report.out_of_family + report.dead,
-            report.total_pixels
+            report.total_pixels,
+            "case {case}"
         );
     }
+}
 
-    /// A die with every pixel faulty still produces a well-formed yield
-    /// report — and declares itself unusable rather than lying.
-    #[test]
-    fn all_faulty_array_reports_well_formed_yield(
-        seed in 0u64..1000,
-        extra in arb_fault_kind(),
-    ) {
+/// A die with every pixel faulty still produces a well-formed yield
+/// report — and declares itself unusable rather than lying.
+#[test]
+fn all_faulty_array_reports_well_formed_yield() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let seed = rng.gen_range(0..1000) as u64;
+        let extra = arb_fault_kind(&mut rng);
         let mut chip = DnaChip::new(DnaChipConfig::default()).unwrap();
         let compiled = InjectionPlan::new(seed)
             .array_wide(1.0, FaultKind::DeadPixel)
             .array_wide(0.5, extra)
             .compile(chip.geometry().rows(), chip.geometry().cols());
-        chip.inject_faults(&compiled).unwrap();
+        chip.inject_faults(&compiled)
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
         chip.auto_calibrate();
         let report = chip.yield_report();
-        prop_assert_eq!(report.dead, report.total_pixels);
-        prop_assert_eq!(report.degradation, DegradationMode::Unusable);
-        prop_assert!(report.usable_fraction() == 0.0);
-        prop_assert!(!report.is_clean());
-        prop_assert!(report.injected.contains_key(&FaultClass::DeadPixel));
+        assert_eq!(report.dead, report.total_pixels, "case {case}");
+        assert_eq!(report.degradation, DegradationMode::Unusable, "case {case}");
+        assert!(report.usable_fraction() == 0.0, "case {case}");
+        assert!(!report.is_clean(), "case {case}");
+        assert!(
+            report.injected.contains_key(&FaultClass::DeadPixel),
+            "case {case}"
+        );
         // The masked readout itself still yields finite numbers.
         let currents = vec![Ampere::from_nano(1.0); chip.geometry().len()];
-        let counts = chip.measure_currents(&currents).unwrap();
-        prop_assert_eq!(counts.len(), chip.geometry().len());
+        let counts = chip
+            .measure_currents(&currents)
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(counts.len(), chip.geometry().len(), "case {case}");
         // Display renders without panicking.
-        prop_assert!(!format!("{report}").is_empty());
+        assert!(!format!("{report}").is_empty(), "case {case}");
     }
+}
 
-    /// Neuro die: arbitrary channel losses always land masked, never
-    /// panic, and the report accounting stays consistent.
-    #[test]
-    fn neuro_channel_loss_keeps_reports_consistent(
-        channel in 0usize..8,
-        seed in 0u64..100,
-    ) {
+/// Neuro die: arbitrary channel losses always land masked, never
+/// panic, and the report accounting stays consistent.
+#[test]
+fn neuro_channel_loss_keeps_reports_consistent() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let channel = rng.gen_range(0..8);
+        let seed = rng.gen_range(0..100) as u64;
         let mut chip = NeuroChip::new(NeuroChipConfig {
             geometry: ArrayGeometry::new(16, 16, Meter::from_micro(7.8)).unwrap(),
             channels: 4,
@@ -115,19 +136,24 @@ proptest! {
         let compiled = InjectionPlan::new(seed)
             .lose_channel(channel)
             .compile(16, 16);
-        chip.inject_faults(&compiled).unwrap();
+        chip.inject_faults(&compiled)
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
         chip.calibrate(Seconds::ZERO);
         let report = chip.yield_report();
-        prop_assert_eq!(
+        assert_eq!(
             report.healthy + report.out_of_family + report.dead,
-            report.total_pixels
+            report.total_pixels,
+            "case {case}"
         );
         if channel < 4 {
-            prop_assert!(report.dead >= 16 * 4, "lost channel masks its columns");
-            prop_assert_eq!(report.lost_channels.clone(), vec![channel]);
+            assert!(
+                report.dead >= 16 * 4,
+                "case {case}: lost channel masks its columns"
+            );
+            assert_eq!(report.lost_channels, vec![channel], "case {case}");
         } else {
             // Out-of-range channels are recorded but hit no pixel.
-            prop_assert_eq!(report.dead, 0);
+            assert_eq!(report.dead, 0, "case {case}");
         }
     }
 }

@@ -19,9 +19,8 @@ use cmos_biosensor_arrays::electrochem::redundancy::RedundantLayout;
 use cmos_biosensor_arrays::electrochem::sequence::DnaSequence;
 use cmos_biosensor_arrays::faults::{FaultClass, FaultKind, InjectionPlan};
 use cmos_biosensor_arrays::neuro::culture::Culture;
+use cmos_biosensor_arrays::rng::SmallRng;
 use cmos_biosensor_arrays::units::{Ampere, Meter, Molar, Seconds, Volt};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// 42 targets × 3 interleaved replicates on the 128-site array.
 const TARGETS: usize = 42;

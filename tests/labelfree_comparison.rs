@@ -6,9 +6,8 @@ use cmos_biosensor_arrays::electrochem::impedance::ImpedanceSensor;
 use cmos_biosensor_arrays::electrochem::mass::FbarSensor;
 use cmos_biosensor_arrays::electrochem::redox::RedoxCyclingModel;
 use cmos_biosensor_arrays::electrochem::sequence::DnaSequence;
+use cmos_biosensor_arrays::rng::SmallRng;
 use cmos_biosensor_arrays::units::{Hertz, Molar};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn hybridized_coverage(mismatches: usize, c: Molar) -> f64 {
     let mut rng = SmallRng::seed_from_u64(55);

@@ -8,9 +8,8 @@ use cmos_biosensor_arrays::dsp::spike::{score_detections, SpikeDetector};
 use cmos_biosensor_arrays::neuro::culture::{Culture, CulturedNeuron};
 use cmos_biosensor_arrays::neuro::firing::FiringPattern;
 use cmos_biosensor_arrays::neuro::junction::{ApTemplate, CleftJunction};
+use cmos_biosensor_arrays::rng::SmallRng;
 use cmos_biosensor_arrays::units::{Meter, Seconds};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn small_chip() -> NeuroChip {
     let cfg = NeuroChipConfig {

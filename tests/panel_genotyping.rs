@@ -7,9 +7,8 @@ use cmos_biosensor_arrays::chips::dna_chip::{DnaChip, DnaChipConfig, SampleMix};
 use cmos_biosensor_arrays::dsp::calling::MatchCaller;
 use cmos_biosensor_arrays::electrochem::panel::PanelDesign;
 use cmos_biosensor_arrays::electrochem::sequence::DnaSequence;
+use cmos_biosensor_arrays::rng::SmallRng;
 use cmos_biosensor_arrays::units::Molar;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Eight random 100-base "pathogen" targets and a designed panel.
 fn setup() -> (
