@@ -13,13 +13,8 @@ pub const SAMPLE_LEN: usize = 8;
 
 /// Appends `samples` to `out` as raw little-endian IEEE-754 bits.
 pub fn encode_samples(samples: &[f64], out: &mut Vec<u8>) {
-    let start = out.len();
-    out.resize(start + samples.len() * SAMPLE_LEN, 0);
-    if let Some(block) = out.get_mut(start..) {
-        for (dst, s) in block.chunks_exact_mut(SAMPLE_LEN).zip(samples) {
-            dst.copy_from_slice(&s.to_le_bytes());
-        }
-    }
+    out.reserve(samples.len() * SAMPLE_LEN);
+    out.extend(samples.iter().flat_map(|s| s.to_le_bytes()));
 }
 
 /// Appends the samples encoded in `bytes` to `out`, bit-exact.
