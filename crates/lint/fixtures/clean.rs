@@ -1,43 +1,22 @@
 //! Negative-control fixture: idiomatic code that must produce zero
-//! violations under every rule family.
-
-use std::collections::BTreeMap;
-
-pub fn ordered_accumulate(frames: &BTreeMap<usize, f64>) -> f64 {
-    let mut total = 0.0;
-    for (_, v) in frames {
-        total += v;
-    }
-    total
-}
-
-pub fn seeded_noise(seed: u64, n: usize) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen::<f64>()).collect()
-}
-
-pub fn checked_lookup(values: &[f64], idx: usize) -> Option<f64> {
-    values.get(idx).copied()
-}
-
-pub fn parse_or_default(raw: &str) -> f64 {
-    raw.parse().unwrap_or(0.0)
-}
+//! violations under both unit rules.
 
 pub fn typed_frequency(fs: Hertz, cutoff: Hertz) -> f64 {
     cutoff.value() / fs.value()
 }
 
-pub fn parallel_but_ordered(x: &[f64]) -> Vec<f64> {
-    x.par_iter().map(|v| v.sqrt()).collect()
+pub fn dimensionless_scalars(gain: f64, ratio: f64, samples: &[f64]) -> f64 {
+    gain * ratio * samples.len() as f64
 }
 
-pub fn chunked_then_sequential(x: &[f64]) -> f64 {
-    let partials: Vec<f64> = x
-        .par_chunks(1024)
-        .map(|chunk| chunk.iter().sum::<f64>())
-        .collect();
-    partials.iter().sum()
+fn private_raw_time(dt_s: f64, hold_s: f64) -> f64 {
+    let total_s = dt_s + hold_s;
+    total_s
+}
+
+pub fn products_change_dimension(bias_v: Volt, i_a: Ampere) -> f64 {
+    let power = bias_v.value() * i_a.value();
+    power
 }
 
 pub fn errors_propagate(cfg: &str) -> Result<f64, ParseError> {

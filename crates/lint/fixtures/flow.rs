@@ -1,10 +1,5 @@
-//! Seeded dataflow violations for `flow.unit`, beside the index sites no
-//! pass discharges (semantic lint fixture — lexed and parsed, never
-//! compiled).
-//!
-//! The fixture harness also reports every `panic.indexing` site, so each
-//! index below carries that marker: a guard, however tight, does not
-//! discharge a site.
+//! Seeded dataflow violations for `flow.unit` (semantic lint fixture —
+//! lexed and parsed, never compiled).
 
 // ---------------------------------------------------------------------------
 // flow.unit — intraprocedural unit inference
@@ -35,40 +30,3 @@ fn consistent_sum(fs: Hertz, f0: Hertz) -> Hertz {
     let upper = fs + f0;
     upper
 }
-
-// ---------------------------------------------------------------------------
-// Index sites: flagged wherever they stand
-// ---------------------------------------------------------------------------
-
-/// The last element is at `len() - 1`; `xs[xs.len()]` always panics, and
-/// rustc does not see it.
-fn off_the_end(xs: &[f64]) -> f64 {
-    xs[xs.len()] //~ panic.indexing
-}
-
-/// A guard does not discharge a site; here an assignment at the tail of a
-/// block, with no `;`, even rebinds `i` after it.
-fn block_tail_reassigned(xs: &[f64], mut i: usize, big: bool) -> f64 {
-    if i < xs.len() {
-        if big { i = 1000 }
-        return xs[i]; //~ panic.indexing
-    }
-    0.0
-}
-
-/// So does an assignment that is a match arm's whole body.
-fn match_arm_reassigned(xs: &[f64], mut i: usize, far: Reach) -> f64 {
-    if i < xs.len() {
-        match far {
-            Reach::Far => i = 99,
-            Reach::Near => {}
-        }
-        return xs[i]; //~ panic.indexing
-    }
-    0.0
-}
-
-/// An index in a `const` initializer sits outside every fn body and is
-/// still a site.
-const TAPS: [f64; 2] = [0.5, 0.5];
-const FIRST_TAP: f64 = TAPS[1]; //~ panic.indexing

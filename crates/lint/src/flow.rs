@@ -9,10 +9,11 @@
 //! across dimensions is flagged — sites the purely syntactic
 //! `units.raw-f64` signature rule cannot see.
 //!
-//! Index bounds and divisors are not this pass's business: every direct
-//! index is a `panic.indexing` finding in library code, and rustc's
-//! deny-by-default `unconditional_panic` lint already rejects a constant
-//! index past a fixed-length array and a division by a constant zero.
+//! Index bounds and divisors are not this pass's business: clippy's
+//! `indexing_slicing`, forbidden at every library crate root, rejects a
+//! direct index or slice, and rustc's deny-by-default `unconditional_panic`
+//! lint rejects a constant index past a fixed-length array and a division
+//! by a constant zero.
 
 use std::collections::BTreeMap;
 use std::ops::Range;

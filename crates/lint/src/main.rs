@@ -1,4 +1,9 @@
-//! CLI for the workspace invariant checker.
+// Non-test code may not panic, and no inner `allow` can lift a `forbid`
+// (E0453). The root `tests/clippy_gate.rs` pins these three lines.
+#![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), forbid(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), forbid(clippy::unimplemented, clippy::indexing_slicing))]
+//! CLI for the workspace unit checker.
 //!
 //! ```text
 //! cargo run -p bsa-lint -- check     # enforce (CI gate): exit 1 on any
@@ -7,8 +12,8 @@
 //! cargo run -p bsa-lint -- rules     # every rule id with its description
 //! ```
 //!
-//! `.unwrap()`, `.expect()` and the panicking macros are clippy's to
-//! report; `check` fails on any library attribute that silences them.
+//! The rules are the unit rules, `units.raw-f64` and `flow.unit`; panics,
+//! indexing and locks are clippy's and rustc's to report.
 
 use bsa_lint::{
     check_sources, load_sources, render_json, rule_description, workspace_root, PassTimings,

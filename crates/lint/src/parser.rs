@@ -1,21 +1,16 @@
 //! A lightweight item parser over the lexer's token stream.
 //!
 //! Extracts just enough structure for the rules, one file at a time:
-//! function items (with their visibility, typed parameters, body extent
-//! and lowered body statements — see [`crate::syntax`]) and the file's
-//! direct index sites. It is *not* a Rust parser — expressions are never
-//! built, and exotic shapes (const-generic braces before a body) are
-//! knowingly approximated. In exchange the whole analyzer stays
-//! dependency-free.
+//! function items with their visibility, typed parameters, body extent
+//! and lowered body statements (see [`crate::syntax`]). It is *not* a
+//! Rust parser — expressions are never built, and exotic shapes
+//! (const-generic braces before a body) are knowingly approximated. In
+//! exchange the whole analyzer stays dependency-free.
 //!
-//! [`ParsedFile::sites`] is the site table that `panic.indexing` reads.
-//!
-//! Like the rule passes, this module practises what bsa-lint preaches:
-//! every token access is bounds-checked (`get`), so a degenerate token
+//! Every token access is bounds-checked (`get`), so a degenerate token
 //! stream can produce a wrong parse but never a panic.
 
 use crate::lexer::{Token, TokenKind};
-use crate::rules::index_sites;
 use crate::syntax::{depth0, lower, lower_params, matching, skip_angles, tok_punct, Param, Stmt};
 use std::ops::Range;
 
@@ -26,9 +21,6 @@ pub struct ParsedFile {
     pub path: String,
     /// Every `fn` item with a body, in source order (nested fns included).
     pub fns: Vec<FnItem>,
-    /// The 1-based line of every direct index expression in the file,
-    /// inside fn bodies or not, in token order.
-    pub sites: Vec<usize>,
 }
 
 /// One function item.
@@ -54,7 +46,6 @@ pub fn parse_file(path: &str, tokens: &[Token]) -> ParsedFile {
     ParsedFile {
         path: path.to_string(),
         fns: fn_items(tokens),
-        sites: index_sites(tokens),
     }
 }
 
@@ -263,13 +254,6 @@ mod tests {
             ("outer", "inner")
         );
         assert!(outer.body.start < inner.body.start && inner.body.end < outer.body.end);
-    }
-
-    #[test]
-    fn site_table_covers_every_token() {
-        let src = "const K: u8 = T[1];\nfn f(a: &[u8], b: &[usize], i: usize) -> u8 { a[b[i]] }";
-        let p = parse(src);
-        assert_eq!(p.sites, vec![1, 2, 2]);
     }
 
     #[test]

@@ -167,7 +167,7 @@ mod tests {
         let violations = vec![Violation {
             file: "crates/dsp/src/x.rs".to_string(),
             line: 7,
-            rule: "panic.indexing",
+            rule: "flow.unit",
             message: "a \"quoted\"\nmessage".to_string(),
         }];
         let json = render_json(&Report {

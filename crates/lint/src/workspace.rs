@@ -1,29 +1,28 @@
-//! Workspace discovery: which files to scan and which rule families apply.
+//! Workspace discovery: which files to scan and which rule applies where.
 //!
 //! Scope policy (see DESIGN.md §9):
 //!
-//! * **panic-freedom** (`panic.*`) — every library crate's `src/`,
-//!   including this one and `crates/rng`, whose generator state is
-//!   destructured rather than indexed. `crates/bench` is excluded: it is
-//!   a binary harness where `unwrap` on startup is idiomatic.
-//! * **unit-safety** (`units.raw-f64`) — every library crate except
-//!   `crates/units` (which defines the newtypes in terms of raw `f64`)
-//!   and this crate (which has no physical API surface).
-//! * **blocking under a lock** (`conc.hold-and-block`) — the serving
-//!   crates: `bsa-station`, `bsa-control` and `bsa-store`.
+//! * **in scope** — every library crate's `src/` and the root package's,
+//!   except `crates/bench` (a binary harness) and this crate (which has
+//!   no physical API surface).
+//! * **unit-safety** (`units.raw-f64`) — every in-scope file except
+//!   `crates/units`, which defines the newtypes in terms of raw `f64`.
+//! * **unit dataflow** (`flow.unit`) — the physics and signal crates:
+//!   `bsa-core`, `bsa-circuit`, `bsa-dsp` and `bsa-units`.
 //!
-//! Determinism (no wall clock or hash-ordered collections in `bsa-core`,
-//! `bsa-dsp`, `bsa-link` and `bsa-control`; no unseeded RNG anywhere,
-//! since `bsa-rng`'s `SmallRng`, the only generator, has no unseeded
-//! constructor) and the serving crates' concurrency bans (no std
-//! atomic, `Mutex`, `RwLock` or `Condvar` outside the station's
-//! `stats.rs` and its session table) are not scoped here: each of those
-//! crates carries a `clippy.toml` that bans them.
+//! Panic-freedom is clippy's: every library crate root forbids its panic
+//! and indexing lints outside test builds. Determinism (no wall clock or
+//! hash-ordered collections in `bsa-core`, `bsa-dsp`, `bsa-link` and
+//! `bsa-control`; no unseeded RNG anywhere, since `bsa-rng`'s
+//! `SmallRng`, the only generator, has no unseeded constructor) and the
+//! serving crates' concurrency bans (no std atomic, `Mutex`, `RwLock` or
+//! `Condvar` outside the station's `stats.rs` and its session table) sit
+//! in the `clippy.toml` of each of those crates.
 
 use crate::flow::flow_pass;
 use crate::lexer::{lex, strip_test_code, Token};
 use crate::parser::parse_file;
-use crate::rules::{run_rules, Violation};
+use crate::rules::{raw_f64_pass, Violation};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -38,28 +37,19 @@ pub fn workspace_root() -> PathBuf {
         .collect()
 }
 
-/// `true` for a workspace-relative path bsa-lint checks; every `panic.*`
-/// rule applies to it.
+/// `true` for a workspace-relative path bsa-lint checks.
 pub fn in_scope(rel_path: &str) -> bool {
     let lib_src = (rel_path.starts_with("crates/") && rel_path.contains("/src/"))
         || rel_path.starts_with("src/");
-    // Binary bench harness: out of scope entirely.
-    rel_path.ends_with(".rs") && lib_src && !rel_path.starts_with("crates/bench/")
+    let excluded = ["crates/bench/", "crates/lint/"]
+        .iter()
+        .any(|krate| rel_path.starts_with(krate));
+    rel_path.ends_with(".rs") && lib_src && !excluded
 }
 
 /// `true` when `units.raw-f64` applies to an in-scope path.
 pub fn unit_safety(rel_path: &str) -> bool {
-    !["units", "lint"]
-        .iter()
-        .any(|krate| rel_path.starts_with(&format!("crates/{krate}/src/")))
-}
-
-/// `true` when `conc.hold-and-block` applies: the multi-threaded serving
-/// crates.
-pub fn serving(rel_path: &str) -> bool {
-    ["station", "control", "store"]
-        .iter()
-        .any(|krate| rel_path.starts_with(&format!("crates/{krate}/src/")))
+    !rel_path.starts_with("crates/units/src/")
 }
 
 /// Collects every in-scope `.rs` file under the workspace root, as
@@ -161,9 +151,8 @@ pub struct CheckOutcome {
     pub timings: PassTimings,
 }
 
-/// Runs every pass — each file's parse and its site table, unit
-/// inference (`flow.unit`), then the per-file rules (`panic.*`,
-/// `units.raw-f64`, `conc.hold-and-block`) — over pre-loaded sources.
+/// Runs every pass — each file's parse, unit inference (`flow.unit`),
+/// then the signature rule (`units.raw-f64`) — over pre-loaded sources.
 /// Every violation fails the check.
 pub fn check_sources(sources: &[SourceFile]) -> CheckOutcome {
     let started = Instant::now();
@@ -187,7 +176,9 @@ pub fn check_sources(sources: &[SourceFile]) -> CheckOutcome {
 
     let t = Instant::now();
     for (s, p) in sources.iter().zip(&parsed) {
-        all.extend(run_rules(&s.tokens, p, unit_safety(&s.path)));
+        if unit_safety(&s.path) {
+            raw_f64_pass(&s.tokens, p, &mut all);
+        }
     }
     timings.lexical_us = t.elapsed().as_micros();
 
@@ -207,32 +198,6 @@ pub fn check_workspace(root: &Path) -> io::Result<CheckOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{render_json, Report};
-
-    /// Zero tolerance: an index a private helper holds fails the check
-    /// where it is written, once, whichever `pub fn` reaches it.
-    #[test]
-    fn a_panic_behind_a_pub_fn_fails_where_it_is_written() {
-        let src = "pub fn api(v: &[u8], i: usize) -> u8 {\n    helper(v, i)\n}\n\n\
-                   fn helper(v: &[u8], i: usize) -> u8 {\n    v[i]\n}\n";
-        let sources = [SourceFile {
-            path: "crates/core/src/api.rs".to_string(),
-            tokens: strip_test_code(&lex(src)),
-        }];
-        let outcome = check_sources(&sources);
-        let found: Vec<_> = outcome
-            .violations
-            .iter()
-            .map(|v| (v.file.as_str(), v.line, v.rule))
-            .collect();
-        assert_eq!(found, [("crates/core/src/api.rs", 6, "panic.indexing")]);
-        let json = render_json(&Report {
-            files_checked: sources.len(),
-            violations: &outcome.violations,
-            timings: &outcome.timings,
-        });
-        assert!(json.contains("\"status\": \"failed\""), "{json}");
-    }
 
     #[test]
     fn scope_policy() {
@@ -248,13 +213,8 @@ mod tests {
         ] {
             assert!(in_scope(lib) && unit_safety(lib), "{lib}");
         }
-        for no_units in ["crates/units/src/lib.rs", "crates/lint/src/rules.rs"] {
-            assert!(in_scope(no_units) && !unit_safety(no_units), "{no_units}");
-        }
-        for krate in ["station", "control", "store"] {
-            assert!(serving(&format!("crates/{krate}/src/lib.rs")), "{krate}");
-        }
-        assert!(!serving("crates/core/src/scan.rs") && !serving("crates/station/tests/t.rs"));
+        assert!(in_scope("crates/units/src/lib.rs") && !unit_safety("crates/units/src/lib.rs"));
+        assert!(!in_scope("crates/lint/src/rules.rs"));
         assert!(!in_scope("crates/bench/src/bin/exp_f2.rs"));
         assert!(!in_scope("crates/core/tests/integration.rs"));
         assert!(!in_scope("crates/core/src/data.csv"));
@@ -274,8 +234,9 @@ mod tests {
             files.iter().any(|f| f == "crates/core/src/lib.rs"),
             "{files:?}"
         );
-        assert!(files.iter().any(|f| f == "crates/lint/src/rules.rs"));
+        assert!(files.iter().any(|f| f == "crates/units/src/lib.rs"));
         assert!(!files.iter().any(|f| f.starts_with("crates/bench/")));
+        assert!(!files.iter().any(|f| f.starts_with("crates/lint/")));
         // Sorted and unique.
         let mut sorted = files.clone();
         sorted.sort();

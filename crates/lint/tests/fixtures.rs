@@ -6,14 +6,14 @@
 // Tests unwrap, expect and panic idiomatically.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use bsa_lint::lexer::{lex, strip_test_code, Token};
-use bsa_lint::{flow_pass, parse_file, run_rules, ParsedFile, Violation};
+use bsa_lint::lexer::{lex, strip_test_code};
+use bsa_lint::{flow_pass, parse_file, raw_f64_pass, Violation};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 /// Every fixture, for the rule-coverage check.
-const FIXTURES: &[&str] = &["panics.rs", "units.rs", "conc.rs", "flow.rs", "clean.rs"];
+const FIXTURES: &[&str] = &["units.rs", "flow.rs", "clean.rs"];
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -39,25 +39,16 @@ fn expected_markers(source: &str) -> BTreeMap<(usize, String), usize> {
     expected
 }
 
-/// The per-file rules, every family, with unit-safety on.
-fn all_rules(tokens: &[Token], parsed: &ParsedFile) -> Vec<Violation> {
-    run_rules(tokens, parsed, true)
-}
-
-fn check_fixture(name: &str) {
-    check_fixture_at(name, name, &all_rules);
-}
-
-/// A pass under test: one file's tokens and parse in, its findings out.
-type Pass<'a> = &'a dyn Fn(&[Token], &ParsedFile) -> Vec<Violation>;
-
 /// Lexes and parses one fixture under a synthetic workspace path, runs
-/// `pass` over it and requires exactly the marked findings.
-fn check_fixture_at(name: &str, synthetic_path: &str, pass: Pass<'_>) {
+/// both unit rules over it and requires exactly the marked findings.
+fn check_fixture(name: &str, synthetic_path: &str) {
     let source = fixture(name);
     let expected = expected_markers(&source);
     let tokens = strip_test_code(&lex(&source));
-    let violations = pass(&tokens, &parse_file(synthetic_path, &tokens));
+    let parsed = parse_file(synthetic_path, &tokens);
+    let mut violations = Vec::new();
+    flow_pass(&tokens, &parsed, &mut violations);
+    raw_f64_pass(&tokens, &parsed, &mut violations);
     assert_markers(name, &expected, &violations);
 }
 
@@ -89,34 +80,13 @@ fn assert_markers(
 }
 
 #[test]
-fn panics_fixture_is_fully_flagged() {
-    check_fixture("panics.rs");
-}
-
-#[test]
 fn units_fixture_is_fully_flagged() {
-    check_fixture("units.rs");
-}
-
-#[test]
-fn conc_fixture_is_fully_flagged() {
-    check_fixture_at("conc.rs", "crates/station/src/conc_fixture.rs", &all_rules);
+    check_fixture("units.rs", "crates/dsp/src/units_fixture.rs");
 }
 
 #[test]
 fn flow_fixture_is_fully_flagged() {
-    // `flow.unit` plus the `panic.indexing` findings, so that every index
-    // site in the fixture, guarded or not, must carry its marker.
-    check_fixture_at(
-        "flow.rs",
-        "crates/core/src/flow_fixture.rs",
-        &|tokens, parsed| {
-            let mut out = Vec::new();
-            flow_pass(tokens, parsed, &mut out);
-            out.extend(run_rules(tokens, parsed, false));
-            out
-        },
-    );
+    check_fixture("flow.rs", "crates/core/src/flow_fixture.rs");
 }
 
 #[test]
@@ -126,7 +96,7 @@ fn clean_fixture_has_zero_violations() {
         expected_markers(&source).is_empty(),
         "clean.rs must carry no markers"
     );
-    check_fixture_at("clean.rs", "crates/station/src/clean.rs", &all_rules);
+    check_fixture("clean.rs", "crates/core/src/clean.rs");
 }
 
 #[test]

@@ -1,3 +1,8 @@
+// Non-test code may not panic, and no inner `allow` can lift a `forbid`
+// (E0453). The root `tests/clippy_gate.rs` pins these three lines.
+#![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), forbid(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), forbid(clippy::unimplemented, clippy::indexing_slicing))]
 //! `bsa-station` binary: bind the acquisition server and serve forever.
 //!
 //! ```text

@@ -9,6 +9,7 @@
 //! documented in DESIGN.md §10).
 
 use crate::session::{run_session, SessionLimits};
+use crate::session_table::SessionTable;
 use crate::stats::{Flag, Slot, StationStats};
 use bsa_link::{write_message, ErrorCode, Message, StatsSnapshot};
 use std::io;
@@ -66,7 +67,7 @@ impl Station {
         let addr = listener.local_addr()?;
         let stats = Arc::new(StationStats::default());
         let shutdown = Arc::new(Flag::default());
-        let sessions = Arc::new(SessionTable::default());
+        let sessions = Arc::new(Sockets::default());
         let limits = SessionLimits {
             queue_depth: config.queue_depth,
             read_timeout: config.read_timeout,
@@ -101,36 +102,7 @@ impl Station {
 /// session thread; the session's [`Admission`] deregisters it on exit
 /// (alongside its `sessions_active` slot), and shutdown drains the table
 /// to unblock in-flight readers.
-#[derive(Debug, Default)]
-struct SessionTable {
-    // The one lock of the serving crates: a registry the accept loop,
-    // every exiting session and shutdown all edit. Each holder touches
-    // only the `Vec`, never a socket (`conc.hold-and-block` checks that).
-    #[allow(clippy::disallowed_types)]
-    inner: std::sync::Mutex<Vec<(u64, TcpStream)>>,
-}
-
-impl SessionTable {
-    fn insert(&self, id: u64, stream: TcpStream) {
-        let mut table = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        table.push((id, stream));
-    }
-
-    fn remove(&self, id: u64) {
-        let mut table = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        table.retain(|(sid, _)| *sid != id);
-    }
-
-    /// Takes every registered socket, leaving the table empty. The lock
-    /// is released before the caller touches any socket.
-    fn take_all(&self) -> Vec<TcpStream> {
-        let mut table = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *table)
-            .into_iter()
-            .map(|(_, stream)| stream)
-            .collect()
-    }
-}
+type Sockets = SessionTable<TcpStream>;
 
 /// A session's claim on the station: its `sessions_active` slot and its
 /// socket-table entry. Dropping it frees both, however the session
@@ -138,7 +110,7 @@ impl SessionTable {
 #[derive(Debug)]
 struct Admission {
     _slot: Slot,
-    sessions: Arc<SessionTable>,
+    sessions: Arc<Sockets>,
     id: u64,
 }
 
@@ -152,7 +124,7 @@ impl Drop for Admission {
 /// are held; `None` when the station is full.
 fn try_open_session(
     stats: &StationStats,
-    sessions: &Arc<SessionTable>,
+    sessions: &Arc<Sockets>,
     max: u64,
     id: u64,
 ) -> Option<Admission> {
@@ -169,7 +141,7 @@ fn accept_loop(
     listener: &TcpListener,
     stats: &Arc<StationStats>,
     shutdown: &Arc<Flag>,
-    sessions: &Arc<SessionTable>,
+    sessions: &Arc<Sockets>,
     limits: &SessionLimits,
     max_sessions: u64,
 ) {
@@ -225,7 +197,7 @@ pub struct StationHandle {
     addr: SocketAddr,
     stats: Arc<StationStats>,
     shutdown: Arc<Flag>,
-    sessions: Arc<SessionTable>,
+    sessions: Arc<Sockets>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -291,7 +263,7 @@ mod tests {
     #[test]
     fn try_open_session_respects_the_limit_sequentially() {
         let stats = Arc::new(StationStats::default());
-        let sessions = Arc::new(SessionTable::default());
+        let sessions = Arc::new(Sockets::default());
         let first = try_open_session(&stats, &sessions, 2, 0);
         let second = try_open_session(&stats, &sessions, 2, 1);
         assert!(first.is_some() && second.is_some());
@@ -309,7 +281,7 @@ mod tests {
         const MAX: u64 = 8;
         const THREADS: usize = 16;
         let stats = Arc::new(StationStats::default());
-        let sessions = Arc::new(SessionTable::default());
+        let sessions = Arc::new(Sockets::default());
         let barrier = Arc::new(Barrier::new(THREADS));
         let handles: Vec<_> = (0..THREADS as u64)
             .map(|id| {
@@ -334,7 +306,7 @@ mod tests {
     #[test]
     fn a_panicking_session_releases_its_admission() {
         let stats = Arc::new(StationStats::default());
-        let sessions = Arc::new(SessionTable::default());
+        let sessions = Arc::new(Sockets::default());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let admission = try_open_session(&stats, &sessions, 1, 7).unwrap();

@@ -1,5 +1,9 @@
-// Tests unwrap, expect and panic idiomatically; the workspace's panic
-// lints police non-test code only, and CI promotes their warnings to errors.
+// Non-test code may not panic, and no inner `allow` can lift a `forbid`
+// (E0453). The root `tests/clippy_gate.rs` pins these three lines.
+#![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), forbid(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), forbid(clippy::unimplemented, clippy::indexing_slicing))]
+// Test builds unwrap, expect and panic idiomatically.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(test, allow(clippy::unreachable, clippy::unimplemented))]
 //! `bsa-store` — persistent append-only frame store for biosensor-array

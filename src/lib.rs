@@ -1,5 +1,9 @@
-// Tests unwrap, expect and panic idiomatically; the workspace's panic
-// lints police non-test code only, and CI promotes their warnings to errors.
+// Non-test code may not panic, and no inner `allow` can lift a `forbid`
+// (E0453). The root `tests/clippy_gate.rs` pins these three lines.
+#![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), forbid(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), forbid(clippy::unimplemented, clippy::indexing_slicing))]
+// Test builds unwrap, expect and panic idiomatically.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(test, allow(clippy::unreachable, clippy::unimplemented))]
 //! Umbrella crate for the *CMOS-Based Biosensor Arrays* reproduction.
@@ -29,6 +33,37 @@
 //!   faulted instrument producing usable data (`bsa-control`).
 //! * [`rng`] — the seeded generator and normal samplers every random
 //!   stream draws from (`bsa-rng`).
+//!
+//! # Panics are compile errors
+//!
+//! Every library crate root forbids clippy's panic and indexing lints
+//! outside test builds (DESIGN.md §9), so library code holds no direct
+//! index, slice, `.unwrap()`, `.expect()` or panicking macro. The
+//! definite bugs among those need not wait for clippy: rustc's
+//! deny-by-default `unconditional_panic` lint rejects them at compile
+//! time. A constant index past a `[e; N]` array:
+//!
+//! ```compile_fail
+//! let buf = [0.0_f64; 4];
+//! let _last = buf[7];
+//! ```
+//!
+//! a division by the constant zero:
+//!
+//! ```compile_fail
+//! fn per_zero(n: u64) -> u64 {
+//!     n / 0
+//! }
+//! ```
+//!
+//! and a remainder by a binding that is constantly zero:
+//!
+//! ```compile_fail
+//! fn wrap(n: u64) -> u64 {
+//!     let z = 0;
+//!     n % z
+//! }
+//! ```
 
 #![forbid(unsafe_code)]
 

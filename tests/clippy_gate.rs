@@ -1,12 +1,16 @@
-//! Clippy is the only gate on `.unwrap()`, `.expect()` and the panicking
-//! macros in library code: `[workspace.lints.clippy]` in the workspace
-//! `Cargo.toml` raises them, CI's `-D warnings` makes them errors, and
-//! bsa-lint's `panic.allow` rejects any library attribute that lowers
-//! them again. It is also the only gate on atomics and locks in the
-//! serving crates: their `clippy.toml` bans them outside `bsa-station`'s
-//! `stats.rs`. Deleting a line from that table, a ban, or a crate's
-//! `[lints] workspace = true`, would drop a gate without a single failing
-//! check, so these tests read the manifests.
+//! Clippy is the only gate on panics in library code: every library
+//! crate root forbids clippy's panic and indexing lints outside test
+//! builds, and `[workspace.lints.clippy]` in the workspace `Cargo.toml`
+//! raises the panic lints everywhere else. It is also the only gate on
+//! atomics and locks in the serving crates: their `clippy.toml` bans them
+//! outside `bsa-station`'s `stats.rs` and its session table. Deleting a
+//! `forbid` line or one of its lints, a line from that table, a ban, or a
+//! crate's `[lints] workspace = true`, would drop a gate without a single
+//! failing check, so these tests read the sources and manifests.
+//!
+//! The session table is the one lock, and it is free of blocking calls
+//! by structure: it is generic over its entry with no bound, and its
+//! module names no socket, channel, sleep or clock API.
 //!
 //! The same holds for dependencies: the workspace builds from its own
 //! members alone, so a path dependency outside `crates/` or a lock-file
@@ -16,9 +20,13 @@
 // Tests unwrap, expect and panic idiomatically.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use bsa_lint::workspace_root;
 use std::fs;
 use std::path::{Component, Path, PathBuf};
+
+/// The workspace root: this package's manifest directory.
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
 
 /// The lints that keep panics out of library code.
 const PANIC_LINTS: &[&str] = &[
@@ -197,4 +205,118 @@ fn lock_file_lists_only_workspace_members() {
             "Cargo.lock lists `{name}`, which is not a workspace member"
         );
     }
+}
+
+/// The lints every library crate root forbids outside test builds.
+const FORBIDDEN: &[&str] = &[
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::unimplemented",
+    "clippy::todo",
+    "clippy::indexing_slicing",
+];
+
+/// Every crate root outside `crates/bench`: each member's `src/lib.rs`,
+/// `src/main.rs` and `src/bin/*.rs`, and the root package's `src/lib.rs`.
+fn crate_roots() -> Vec<PathBuf> {
+    let root = workspace_root();
+    let mut roots = vec![root.join("src/lib.rs")];
+    for krate in fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.starts_with(root.join("crates/bench")) {
+            continue;
+        }
+        roots.extend(
+            [src.join("lib.rs"), src.join("main.rs")]
+                .into_iter()
+                .filter(|p| p.is_file()),
+        );
+        if let Ok(bins) = fs::read_dir(src.join("bin")) {
+            roots.extend(bins.map(|e| e.unwrap().path()).filter(|p| p.is_file()));
+        }
+    }
+    roots
+}
+
+/// `text` with its `//` comments removed.
+fn without_comments(text: &str) -> String {
+    let lines = text
+        .lines()
+        .map(|line| line.split("//").next().unwrap_or(""));
+    lines.collect::<Vec<_>>().join("\n")
+}
+
+/// `text` with its comments and all whitespace removed.
+fn compact(text: &str) -> String {
+    without_comments(text).split_whitespace().collect()
+}
+
+#[test]
+fn every_crate_root_forbids_the_panic_lints_outside_tests() {
+    let roots = crate_roots();
+    for expected in [
+        "src/lib.rs",
+        "crates/core/src/lib.rs",
+        "crates/station/src/main.rs",
+        "crates/station/src/bin/ctl.rs",
+    ] {
+        assert!(
+            roots.contains(&workspace_root().join(expected)),
+            "{expected} is not among the crate roots {roots:?}"
+        );
+    }
+    for path in roots {
+        let code = compact(&fs::read_to_string(&path).unwrap());
+        // The lint lists of every `#![cfg_attr(not(test), forbid(…))]`.
+        let forbidden: Vec<&str> = code
+            .split("#![cfg_attr(not(test),forbid(")
+            .skip(1)
+            .filter_map(|rest| rest.split(')').next())
+            .flat_map(|lints| lints.split(','))
+            .collect();
+        for lint in FORBIDDEN {
+            assert!(
+                forbidden.contains(lint),
+                "{} must forbid `{lint}` outside tests with \
+                 `#![cfg_attr(not(test), forbid(…))]`; it forbids {forbidden:?}",
+                path.display()
+            );
+        }
+    }
+}
+
+/// The module that holds the session table, the serving crates' one lock.
+const SESSION_TABLE: &str = "crates/station/src/session_table.rs";
+
+#[test]
+fn the_session_table_names_no_blocking_api() {
+    let text = fs::read_to_string(workspace_root().join(SESSION_TABLE)).unwrap();
+    for path in ["std::net", "std::io", "std::thread", "std::time", "mpsc"] {
+        assert!(!text.contains(path), "{SESSION_TABLE} names `{path}`");
+    }
+    // A `use std::{io, thread}` or a re-exported `thread::sleep` names
+    // no full path; every identifier of the code is checked as well.
+    let code = without_comments(&text);
+    let idents: Vec<&str> = code
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .collect();
+    for name in ["net", "io", "thread", "time", "mpsc"] {
+        assert!(
+            !idents.contains(&name),
+            "{SESSION_TABLE} names the `{name}` module"
+        );
+    }
+    // Generic over its entry with no bound: a method on the entry would
+    // need one.
+    let code = compact(&text);
+    assert!(
+        code.contains("impl<T>SessionTable<T>{"),
+        "{SESSION_TABLE} must implement `SessionTable<T>` for every `T`"
+    );
+    assert!(
+        !code.contains("T:") && !idents.contains(&"where"),
+        "{SESSION_TABLE} bounds its entry type"
+    );
 }
