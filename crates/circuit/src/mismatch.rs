@@ -81,7 +81,8 @@ impl PelgromModel {
     /// Builds a mismatched instance of an already-validated nominal
     /// device. Taking `&Mosfet` (not raw params) keeps this infallible:
     /// validation happened once at the nominal device's construction, so
-    /// sampling mismatch cannot panic mid-array.
+    /// sampling mismatch cannot panic mid-array. The instance shares the
+    /// nominal device's parameter block.
     pub fn instantiate(&self, nominal: &Mosfet, rng: &mut SmallRng) -> Mosfet {
         let area = nominal.params().gate_area_um2();
         let (dvt, dbeta) = self.sample(area, rng);
@@ -164,6 +165,9 @@ mod tests {
         let a = m.instantiate(&nominal, &mut rng);
         let b = m.instantiate(&nominal, &mut rng);
         assert_ne!(a.delta_vth(), b.delta_vth());
+        // Instances share the nominal device's parameter block.
+        assert!(std::ptr::eq(a.params(), nominal.params()));
+        assert!(std::ptr::eq(b.params(), nominal.params()));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use crate::error::{require_positive, CircuitError};
 use bsa_units::consts::thermal_voltage;
 use bsa_units::{Ampere, Kelvin, Siemens, Volt};
+use std::sync::Arc;
 
 /// Device polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,9 +137,14 @@ impl MosfetParams {
 /// Construct nominal devices with [`Mosfet::try_new`]; per-device threshold and
 /// gain mismatch is applied by [`Mosfet::with_mismatch`] (typically sampled
 /// from [`crate::mismatch::PelgromModel`]).
+///
+/// The parameter set sits behind an [`Arc`]: cloning a device, as
+/// [`crate::mismatch::PelgromModel::instantiate`] does for every sampled
+/// instance, shares one parameter block, so an array of mismatched copies
+/// stores only its ΔV_T and Δβ per device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mosfet {
-    params: MosfetParams,
+    params: Arc<MosfetParams>,
     delta_vth: Volt,
     beta_rel_err: f64,
 }
@@ -152,7 +158,7 @@ impl Mosfet {
     pub fn try_new(params: MosfetParams) -> Result<Self, CircuitError> {
         params.validate()?;
         Ok(Self {
-            params,
+            params: Arc::new(params),
             delta_vth: Volt::ZERO,
             beta_rel_err: 0.0,
         })

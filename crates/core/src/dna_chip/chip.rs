@@ -19,7 +19,7 @@ use bsa_circuit::reference::BandgapReference;
 use bsa_electrochem::assay::{AssayConditions, SpottedSite};
 use bsa_electrochem::redox::RedoxCyclingModel;
 use bsa_electrochem::sequence::DnaSequence;
-use bsa_faults::{CompiledFaults, SerialCorruptor};
+use bsa_faults::{CompiledFaults, PixelFaults, SerialCorruptor};
 use bsa_rng::{conversion_stream_seed, SmallRng};
 use bsa_units::{Ampere, Molar, Seconds, Volt};
 
@@ -348,8 +348,13 @@ impl DnaChip {
                 chip: (g.rows(), g.cols()),
             });
         }
-        for (pixel, &f) in self.pixels.iter_mut().zip(faults.pixels().iter()) {
-            pixel.set_faults(f);
+        for pixel in &mut self.pixels {
+            pixel.set_faults(PixelFaults::NONE);
+        }
+        for &(idx, f) in faults.faulty() {
+            if let Some(pixel) = self.pixels.get_mut(idx) {
+                pixel.set_faults(f);
+            }
         }
         self.faults = faults.clone();
         Ok(())

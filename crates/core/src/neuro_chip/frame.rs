@@ -8,16 +8,17 @@
 
 use super::chain::{ChainConfig, ChannelChain};
 use super::linear::{scan_chunk_linear, LinearState};
-use super::pixel::{NeuroPixel, NeuroPixelConfig};
+use super::pixel::{NeuroPixel, NeuroPixelConfig, PixelModel};
 use super::scan::{clipped, scan_chunk, ScanPlan};
 use crate::array::{ArrayGeometry, PixelAddress};
 use crate::error::ChipError;
 use crate::health::{HealthMonitor, PixelHealth, SerialLinkStats, YieldReport};
 use crate::scan::{resolve_threads, ArenaStats, FrameArena, ScanMode, ScanOptions};
-use bsa_faults::CompiledFaults;
+use bsa_faults::{CompiledFaults, PixelFaults};
 use bsa_neuro::culture::Culture;
 use bsa_rng::{channel_stream_seed, SmallRng};
 use bsa_units::{Hertz, Seconds, Siemens, Volt};
+use std::sync::Arc;
 
 /// Upper bound on the number of frames scanned per fan-out chunk: large
 /// enough to amortize worker spawn-up, small enough to keep the stripe
@@ -266,9 +267,10 @@ impl NeuroChip {
     pub fn new(config: NeuroChipConfig) -> Result<Self, ChipError> {
         let timing = ScanTiming::new(config.geometry, config.frame_rate, config.channels)?;
         let mut rng = SmallRng::seed_from_u64(config.seed);
+        let model = Arc::new(PixelModel::new(config.pixel.clone())?);
         let pixels: Vec<NeuroPixel> = (0..config.geometry.len())
-            .map(|_| NeuroPixel::sample(config.pixel.clone(), &mut rng))
-            .collect::<Result<_, _>>()?;
+            .map(|_| NeuroPixel::sample_on(&model, &mut rng))
+            .collect();
         let channels: Vec<ChannelChain> = (0..config.channels)
             .map(|_| ChannelChain::sample(config.chain.clone(), &mut rng))
             .collect();
@@ -338,8 +340,13 @@ impl NeuroChip {
                 chip: (g.rows(), g.cols()),
             });
         }
-        for (pixel, &f) in self.pixels.iter_mut().zip(faults.pixels().iter()) {
-            pixel.set_faults(f);
+        for pixel in &mut self.pixels {
+            pixel.set_faults(PixelFaults::NONE);
+        }
+        for &(idx, f) in faults.faulty() {
+            if let Some(pixel) = self.pixels.get_mut(idx) {
+                pixel.set_faults(f);
+            }
         }
         self.faults = faults.clone();
         // Clip limits and lost channels are baked into the scan plan and

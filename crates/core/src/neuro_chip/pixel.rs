@@ -15,6 +15,7 @@ use bsa_circuit::CircuitError;
 use bsa_faults::PixelFaults;
 use bsa_rng::{GaussianSampler, SmallRng};
 use bsa_units::{Ampere, Farad, Seconds, Siemens, Volt};
+use std::sync::Arc;
 
 /// Design values of the neural pixel.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,11 +65,44 @@ impl Default for NeuroPixelConfig {
     }
 }
 
-/// One neural-recording pixel.
+/// What every pixel of a die shares: the design values, the nominal
+/// sensor FET (whose parameter block each sampled M1 shares) and the
+/// global gate bias, solved once per die.
+#[derive(Debug, PartialEq)]
+pub(crate) struct PixelModel {
+    config: NeuroPixelConfig,
+    nominal: Mosfet,
+    /// The array-wide nominal gate bias used while uncalibrated
+    /// (bisecting the device equation per read would dominate the
+    /// uncalibrated scan).
+    global_gate: Volt,
+}
+
+impl PixelModel {
+    /// Validates `config` and solves its global gate bias.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError`] if the sensor-FET parameters are invalid
+    /// or the calibration current has no nominal operating point.
+    pub(crate) fn new(config: NeuroPixelConfig) -> Result<Self, CircuitError> {
+        let nominal = Mosfet::try_new(config.sensor_fet.clone())?;
+        let global_gate = global_gate_bias(&nominal, &config)?;
+        Ok(Self {
+            config,
+            nominal,
+            global_gate,
+        })
+    }
+}
+
+/// One neural-recording pixel: a pointer to the pixel model its die
+/// shares (design values, nominal sensor FET, global gate bias) plus this
+/// pixel's own mismatch, calibration state and faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeuroPixel {
-    config: NeuroPixelConfig,
-    /// M1 with its sampled mismatch.
+    model: Arc<PixelModel>,
+    /// M1 with its sampled mismatch (its parameter block is the model's).
     sensor: Mosfet,
     /// Actual M2 current of this pixel (nominal + mirror mismatch).
     cal_current_actual: Ampere,
@@ -85,12 +119,8 @@ pub struct NeuroPixel {
     /// exists). Mismatch and M2 current never change after sampling, so
     /// each recalibration only stores this value again.
     cal_gate: Option<Volt>,
-    /// The array-wide nominal gate bias used while uncalibrated, solved
-    /// once at construction (bisecting the device equation per read would
-    /// dominate the uncalibrated scan).
-    global_gate: Volt,
-    /// Injected defects (default: none).
-    faults: PixelFaults,
+    /// Injected defects, stored only on a faulty pixel.
+    faults: Option<Box<PixelFaults>>,
 }
 
 /// Global gate bias: the voltage that makes a *nominal* device conduct
@@ -129,26 +159,31 @@ impl NeuroPixel {
     /// Returns [`CircuitError`] if the sensor-FET parameters are invalid
     /// or the calibration current has no nominal operating point.
     pub fn sample(config: NeuroPixelConfig, rng: &mut SmallRng) -> Result<Self, CircuitError> {
-        let nominal = Mosfet::try_new(config.sensor_fet.clone())?;
-        let global_gate = global_gate_bias(&nominal, &config)?;
+        Ok(Self::sample_on(&Arc::new(PixelModel::new(config)?), rng))
+    }
+
+    /// Instantiates a pixel of the die `model` describes, sampling its
+    /// device mismatch from `rng` with the same draws as
+    /// [`NeuroPixel::sample`].
+    pub(crate) fn sample_on(model: &Arc<PixelModel>, rng: &mut SmallRng) -> Self {
+        let config = &model.config;
         let mut g = GaussianSampler::new();
-        let sensor = config.pelgrom.instantiate(&nominal, rng);
+        let sensor = config.pelgrom.instantiate(&model.nominal, rng);
         let cal_err = config.cal_current_rel_sigma * g.sample(rng);
         let injection_offset = config.injection_sigma * g.sample(rng);
         let droop_rate = config.droop_rate_v_per_s * g.sample(rng);
         let cal_current_actual = config.cal_current * (1.0 + cal_err);
-        Ok(Self {
-            cal_gate: calibration_gate(&sensor, cal_current_actual, &config),
+        Self {
+            cal_gate: calibration_gate(&sensor, cal_current_actual, config),
             cal_current_actual,
             injection_offset,
             droop_rate,
             stored_gate: None,
             cal_time: Seconds::ZERO,
-            global_gate,
-            faults: PixelFaults::default(),
+            faults: None,
             sensor,
-            config,
-        })
+            model: Arc::clone(model),
+        }
     }
 
     /// A mismatch-free pixel (for reference measurements).
@@ -158,25 +193,23 @@ impl NeuroPixel {
     /// Returns [`CircuitError`] under the same conditions as
     /// [`NeuroPixel::sample`].
     pub fn nominal(config: NeuroPixelConfig) -> Result<Self, CircuitError> {
-        let sensor = Mosfet::try_new(config.sensor_fet.clone())?;
-        let global_gate = global_gate_bias(&sensor, &config)?;
+        let model = PixelModel::new(config)?;
         Ok(Self {
-            cal_gate: Some(global_gate),
-            sensor,
-            cal_current_actual: config.cal_current,
+            cal_gate: Some(model.global_gate),
+            sensor: model.nominal.clone(),
+            cal_current_actual: model.config.cal_current,
             injection_offset: Volt::ZERO,
             droop_rate: 0.0,
             stored_gate: None,
             cal_time: Seconds::ZERO,
-            global_gate,
-            faults: PixelFaults::default(),
-            config,
+            faults: None,
+            model: Arc::new(model),
         })
     }
 
     /// The configuration.
     pub fn config(&self) -> &NeuroPixelConfig {
-        &self.config
+        &self.model.config
     }
 
     /// Whether this pixel has been calibrated at least once.
@@ -191,7 +224,7 @@ impl NeuroPixel {
 
     /// The injected defects on this pixel.
     pub fn faults(&self) -> &PixelFaults {
-        &self.faults
+        self.faults.as_deref().unwrap_or(&PixelFaults::NONE)
     }
 
     /// Injects (or clears, with the default value) defects on this pixel.
@@ -199,7 +232,7 @@ impl NeuroPixel {
     /// pixel; counter- and comparator-class faults belong to the DNA
     /// converter and are inert here.
     pub fn set_faults(&mut self, faults: PixelFaults) {
-        self.faults = faults;
+        self.faults = faults.is_faulty().then(|| Box::new(faults));
     }
 
     /// Performs the S1/M2 calibration at absolute time `now`: the gate is
@@ -226,7 +259,7 @@ impl NeuroPixel {
     pub fn effective_gate(&self, now: Seconds) -> Volt {
         match self.stored_gate {
             Some(v) => v - Volt::new(self.droop_rate * (now - self.cal_time).value().max(0.0)),
-            None => self.global_gate,
+            None => self.model.global_gate,
         }
     }
 
@@ -245,23 +278,24 @@ impl NeuroPixel {
     /// A dead pixel (broken M1 or stuck S3) contributes no difference
     /// current at all; an injected electrode leakage adds directly to ΔI.
     pub fn read(&self, v_cleft: Volt, now: Seconds) -> Ampere {
-        if self.faults.dead {
+        let faults = self.faults();
+        if faults.dead {
             return Ampere::ZERO;
         }
-        let vg = self.effective_gate(now) + v_cleft * self.config.coupling_ratio;
+        let config = self.config();
+        let vg = self.effective_gate(now) + v_cleft * config.coupling_ratio;
         let i_m1 = self
             .sensor
-            .drain_current(vg, self.config.v_source, self.config.v_drain);
-        i_m1 - self.cal_current_actual + self.faults.leakage
+            .drain_current(vg, config.v_source, config.v_drain);
+        i_m1 - self.cal_current_actual + faults.leakage
     }
 
     /// Small-signal conversion gain ∂ΔI/∂V_cleft at the calibrated
     /// operating point: g_m(M1) × coupling ratio.
     pub fn conversion_gain(&self, now: Seconds) -> Siemens {
         let vg = self.effective_gate(now);
-        self.sensor
-            .gm(vg, self.config.v_source, self.config.v_drain)
-            * self.config.coupling_ratio
+        let config = self.config();
+        self.sensor.gm(vg, config.v_source, config.v_drain) * config.coupling_ratio
     }
 
     /// First-order expansion of [`NeuroPixel::read`] around the operating
@@ -281,14 +315,16 @@ impl NeuroPixel {
     /// n·U_T — see DESIGN.md §13 for the curvature bound and the
     /// re-linearization cadence that keeps this true.
     pub fn linearize(&self, t_lin: Seconds) -> PixelLinearization {
-        if self.faults.dead {
+        let faults = self.faults();
+        if faults.dead {
             return PixelLinearization::DEAD;
         }
+        let config = self.config();
         let vg = self.effective_gate(t_lin);
-        let (i_m1, gm_gate) =
-            self.sensor
-                .current_and_gm(vg, self.config.v_source, self.config.v_drain);
-        let offset = i_m1 - self.cal_current_actual + self.faults.leakage;
+        let (i_m1, gm_gate) = self
+            .sensor
+            .current_and_gm(vg, config.v_source, config.v_drain);
+        let offset = i_m1 - self.cal_current_actual + faults.leakage;
         let droop = if self.stored_gate.is_some() {
             self.droop_rate
         } else {
@@ -297,7 +333,7 @@ impl NeuroPixel {
         PixelLinearization {
             offset,
             slope_a_per_s: -gm_gate.value() * droop,
-            gm: gm_gate * self.config.coupling_ratio,
+            gm: gm_gate * config.coupling_ratio,
         }
     }
 }

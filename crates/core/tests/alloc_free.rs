@@ -8,6 +8,10 @@
 //! cursor drained through one reused chunk buffer holds the same peak
 //! memory however many frames it delivers.
 //!
+//! It also pins the per-die footprint: a paper-sized 128×128 die holds
+//! one shared pixel model and compact per-pixel state, and a clean fault
+//! map stores nothing per pixel.
+//!
 //! A counting global allocator measures real allocator traffic and the
 //! live-bytes high-water mark; the whole contract lives in one `#[test]`
 //! so parallel test threads cannot perturb the counters.
@@ -16,8 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bsa_core::array::ArrayGeometry;
-use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig};
+use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig, NeuroPixel};
 use bsa_core::ScanOptions;
+use bsa_faults::CompiledFaults;
 use bsa_neuro::culture::{Culture, CultureConfig};
 use bsa_rng::SmallRng;
 use bsa_units::{Hertz, Meter, Seconds};
@@ -68,6 +73,15 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Live heap bytes `build`'s result holds once built.
+fn held_bytes<T>(build: impl FnOnce() -> T) -> u64 {
+    let base = LIVE.load(Ordering::Relaxed);
+    let held = build();
+    let grown = LIVE.load(Ordering::Relaxed).saturating_sub(base);
+    drop(held);
+    grown
 }
 
 /// Peak live heap bytes, above the level at entry, of opening a cursor
@@ -151,6 +165,23 @@ fn second_thread_resolution_allocs() -> u64 {
 
 #[test]
 fn steady_state_scan_is_allocation_free_per_frame() {
+    // Per-die footprint. Every pixel shares its die's design values, so a
+    // pixel holds only its own mismatch, calibration state and a pointer
+    // to any faults.
+    let pixel = std::mem::size_of::<NeuroPixel>();
+    assert!(pixel <= 112, "a NeuroPixel takes {pixel} bytes");
+    let die = held_bytes(|| NeuroChip::new(NeuroChipConfig::default()).unwrap());
+    assert!(
+        die <= 3_000_000,
+        "a 128×128 die holds {die} bytes of heap after construction"
+    );
+    // One byte per pixel would be 16 KiB.
+    let clean = held_bytes(|| CompiledFaults::none(128, 128));
+    assert!(
+        clean < 1024,
+        "a clean 128×128 fault map holds {clean} bytes"
+    );
+
     // A warm culture compile reuses every buffer of its scatter tables.
     assert_eq!(warm_compile_allocs(), 0, "a warm culture compile allocated");
 

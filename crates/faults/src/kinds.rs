@@ -172,7 +172,7 @@ impl fmt::Display for FaultClass {
 ///
 /// Multiple injected faults compose: leakages add, drifts add, and the
 /// most severe stuck condition wins. A default value means "no fault".
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PixelFaults {
     /// Pixel produces no output ([`FaultKind::DeadPixel`] or comparator
     /// stuck in either state).
@@ -189,10 +189,27 @@ pub struct PixelFaults {
     pub clip_limit: Option<Volt>,
 }
 
+impl Default for PixelFaults {
+    fn default() -> Self {
+        Self::NONE
+    }
+}
+
 impl PixelFaults {
+    /// No fault (the default), as a constant that a pixel without faults
+    /// can point at.
+    pub const NONE: Self = Self {
+        dead: false,
+        stuck_count: None,
+        leakage: Ampere::ZERO,
+        comparator_drift: Volt::ZERO,
+        dac_limit: None,
+        clip_limit: None,
+    };
+
     /// `true` if any fault is present on this pixel.
     pub fn is_faulty(&self) -> bool {
-        *self != Self::default()
+        *self != Self::NONE
     }
 
     /// Folds one more injected fault into the aggregate state.

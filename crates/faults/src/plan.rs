@@ -138,7 +138,7 @@ impl InjectionPlan {
     /// validate addresses separately).
     pub fn compile(&self, rows: usize, cols: usize) -> CompiledFaults {
         let n = rows * cols;
-        let mut pixels = vec![PixelFaults::default(); n];
+        let mut pixels: BTreeMap<usize, PixelFaults> = BTreeMap::new();
         let mut lost_channels = Vec::new();
         let mut serial_bit_error_rate: f64 = 0.0;
         let mut injected: BTreeMap<FaultClass, usize> = BTreeMap::new();
@@ -147,18 +147,16 @@ impl InjectionPlan {
         for (target, kind) in &self.entries {
             match *target {
                 Target::Pixel { row, col } => {
-                    if let Some(p) = cell(rows, cols, row, col).and_then(|i| pixels.get_mut(i)) {
-                        p.merge(*kind);
+                    if let Some(i) = cell(rows, cols, row, col) {
+                        pixels.entry(i).or_default().merge(*kind);
                         *injected.entry(kind.class()).or_default() += 1;
                     }
                 }
                 Target::ArrayWide { density } => {
                     let picks = ((density * n as f64).round() as usize).min(n);
                     for idx in choose_distinct(n, picks, &mut rng) {
-                        if let Some(p) = pixels.get_mut(idx) {
-                            p.merge(*kind);
-                            *injected.entry(kind.class()).or_default() += 1;
-                        }
+                        pixels.entry(idx).or_default().merge(*kind);
+                        *injected.entry(kind.class()).or_default() += 1;
                     }
                 }
                 Target::Global => match *kind {
@@ -187,7 +185,9 @@ impl InjectionPlan {
             rows,
             cols,
             seed: self.seed,
-            pixels,
+            // Faults that cancel (a leakage and its negative, say) leave a
+            // pixel as clean as one never touched.
+            faulty: pixels.into_iter().filter(|(_, f)| f.is_faulty()).collect(),
             lost_channels,
             serial_bit_error_rate,
             injected,
@@ -224,12 +224,16 @@ fn choose_distinct(n: usize, k: usize, rng: &mut SmallRng) -> Vec<usize> {
 
 /// A plan compiled for one concrete array geometry: the per-pixel fault
 /// map plus the non-pixel fault state.
+///
+/// Only faulty pixels are stored, so a clean map of any size holds no
+/// per-pixel storage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFaults {
     rows: usize,
     cols: usize,
     seed: u64,
-    pixels: Vec<PixelFaults>,
+    /// `(row-major index, faults)` of every faulty pixel, sorted by index.
+    faulty: Vec<(usize, PixelFaults)>,
     lost_channels: Vec<usize>,
     serial_bit_error_rate: f64,
     injected: BTreeMap<FaultClass, usize>,
@@ -260,19 +264,20 @@ impl CompiledFaults {
     /// report as fault-free.
     pub fn at(&self, row: usize, col: usize) -> PixelFaults {
         cell(self.rows, self.cols, row, col)
-            .and_then(|i| self.pixels.get(i))
-            .copied()
-            .unwrap_or_default()
+            .and_then(|i| self.faulty.binary_search_by_key(&i, |&(j, _)| j).ok())
+            .and_then(|k| self.faulty.get(k))
+            .map_or(PixelFaults::NONE, |&(_, f)| f)
     }
 
-    /// Per-pixel fault states in row-major order.
-    pub fn pixels(&self) -> &[PixelFaults] {
-        &self.pixels
+    /// The faulty pixels as `(row-major index, faults)`, in index order.
+    /// Every pixel not listed is fault-free.
+    pub fn faulty(&self) -> &[(usize, PixelFaults)] {
+        &self.faulty
     }
 
     /// Number of pixels carrying at least one fault.
     pub fn faulty_pixel_count(&self) -> usize {
-        self.pixels.iter().filter(|f| f.is_faulty()).count()
+        self.faulty.len()
     }
 
     /// `true` if the given readout channel is lost.
@@ -401,6 +406,38 @@ mod tests {
             .compile(8, 16);
         assert_eq!(faults.at(2, 5).stuck_count, Some(999));
         assert_eq!(faults.faulty_pixel_count(), 1);
+    }
+
+    #[test]
+    fn faulty_lists_only_faulty_pixels_in_index_order() {
+        let leak = |pico| FaultKind::LeakyElectrode {
+            leakage: Ampere::from_pico(pico),
+        };
+        let faults = InjectionPlan::new(4)
+            .at(3, 1, FaultKind::DeadPixel)
+            .at(0, 2, FaultKind::StuckCount { count: 7 })
+            // Cancelling leakages leave (1, 1) clean.
+            .at(1, 1, leak(5.0))
+            .at(1, 1, leak(-5.0))
+            .array_wide(0.25, FaultKind::DeadPixel)
+            .compile(4, 4);
+        assert!(CompiledFaults::none(128, 128).faulty().is_empty());
+        let listed = faults.faulty();
+        assert_eq!(listed.len(), faults.faulty_pixel_count());
+        assert!(listed.windows(2).all(|w| w[0].0 < w[1].0));
+        for row in 0..4 {
+            for col in 0..4 {
+                let idx = row * 4 + col;
+                let entry = listed.iter().find(|&&(i, _)| i == idx);
+                assert_eq!(
+                    entry.map_or(PixelFaults::NONE, |&(_, f)| f),
+                    faults.at(row, col)
+                );
+                assert_eq!(entry.is_some(), faults.at(row, col).is_faulty());
+            }
+        }
+        assert_eq!(faults.at(0, 2).stuck_count, Some(7));
+        assert!(faults.at(3, 1).dead);
     }
 
     #[test]

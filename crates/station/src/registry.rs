@@ -31,6 +31,13 @@ use bsa_units::{Ampere, Hertz, Seconds, Volt};
 /// Larger neuro arrays are refused at attach and at replay.
 pub(crate) const MAX_FRAME_PIXELS: usize = (MAX_PAYLOAD - NEURO_CHUNK_HEAD) / f64::MIN_LEN;
 
+/// The most pixels one session may hold attached, over both chip kinds:
+/// four of the paper's 128×128 neural dies, about 10 MB of chip state.
+/// An attach past it is refused with `ErrorCode::Overloaded` until a
+/// `Detach` frees room, so repeated attaches cannot exhaust the host.
+pub(crate) const MAX_SESSION_PIXELS: usize = 4 * 128 * 128;
+const _: () = assert!(MAX_SESSION_PIXELS <= MAX_FRAME_PIXELS);
+
 /// The most DNA readings one `StreamData` chunk carries.
 pub(crate) const MAX_CHUNK_READINGS: u32 =
     ((MAX_PAYLOAD - DNA_CHUNK_HEAD) / PixelCount::MIN_LEN) as u32;
@@ -264,6 +271,18 @@ impl Registry {
             .iter_mut()
             .find(|(cid, _)| *cid == id)
             .map(|(_, chip)| chip)
+    }
+
+    /// Pixels of every chip attached, the figure [`MAX_SESSION_PIXELS`]
+    /// bounds.
+    pub(crate) fn pixels(&self) -> usize {
+        self.chips
+            .iter()
+            .map(|(_, chip)| match chip {
+                Chip::Dna { chip, .. } => chip.geometry().len(),
+                Chip::Neuro(chip) => chip.config().geometry.len(),
+            })
+            .sum()
     }
 
     pub(crate) fn detach(&mut self, id: ChipId) -> bool {

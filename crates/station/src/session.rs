@@ -18,7 +18,7 @@
 use crate::registry::{
     chunk_size, culture_from_spec, dna_config_from_spec, injection_plan_from_spec,
     max_chunk_frames, neuro_config_from_spec, yield_summary, Chip, Registry, MAX_ASSAY_PIXELS,
-    MAX_CHUNK_READINGS, MAX_FRAME_PIXELS,
+    MAX_CHUNK_READINGS, MAX_FRAME_PIXELS, MAX_SESSION_PIXELS,
 };
 use crate::stats::{Flag, Slot, StationStats};
 use bsa_core::dna_chip::{DnaChip, SampleMix};
@@ -404,6 +404,21 @@ impl Session {
         }
     }
 
+    /// The refusal of an attach that would take the session's chips past
+    /// [`MAX_SESSION_PIXELS`], checked before the chip is built.
+    fn over_pixel_budget(&self, pixels: usize) -> Option<Message> {
+        let held = self.registry.pixels();
+        (held + pixels > MAX_SESSION_PIXELS).then(|| {
+            error_reply(
+                ErrorCode::Overloaded,
+                format!(
+                    "session holds {held} pixels; {pixels} more would pass its \
+                     {MAX_SESSION_PIXELS}-pixel budget"
+                ),
+            )
+        })
+    }
+
     fn attach_dna(&mut self, spec: &bsa_link::DnaChipSpec) -> Message {
         let config = match dna_config_from_spec(spec) {
             Ok(c) => c,
@@ -412,6 +427,9 @@ impl Session {
         // The assay reply must fit one wire frame.
         if config.geometry.len() > MAX_ASSAY_PIXELS {
             return error_reply(ErrorCode::BadRequest, "array too large".into());
+        }
+        if let Some(refusal) = self.over_pixel_budget(config.geometry.len()) {
+            return refusal;
         }
         let rows = config.geometry.rows();
         let cols = config.geometry.cols();
@@ -441,6 +459,9 @@ impl Session {
         // One frame must fit a stream chunk.
         if config.geometry.len() > MAX_FRAME_PIXELS {
             return error_reply(ErrorCode::BadRequest, "array too large".into());
+        }
+        if let Some(refusal) = self.over_pixel_budget(config.geometry.len()) {
+            return refusal;
         }
         let rows = config.geometry.rows();
         let cols = config.geometry.cols();
@@ -1384,6 +1405,56 @@ mod tests {
         drop(socket);
         drop(station);
         let _ = std::fs::remove_dir_all(&store_root);
+    }
+
+    /// A session's attached pixels stay within `MAX_SESSION_PIXELS` over
+    /// both chip kinds: attaching past it is refused with `Overloaded`, a
+    /// `Detach` returns the chip's pixels, and the session serves on.
+    #[test]
+    fn attached_pixels_stay_within_the_session_budget() {
+        let station = Station::bind(StationConfig::default()).unwrap();
+        let mut socket = TcpStream::connect(station.addr()).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let neuro = |rows: usize, cols: usize| {
+            Message::AttachNeuro(NeuroChipSpec {
+                rows: u16::try_from(rows).unwrap(),
+                cols: u16::try_from(cols).unwrap(),
+                channels: 1,
+                seed: 1,
+                frame_rate_hz: 0.0,
+            })
+        };
+        let dna = Message::AttachDna(DnaChipSpec {
+            rows: 16,
+            cols: 16,
+            seed: 1,
+            frame_time_s: 0.0,
+        });
+        // A DNA chip and two neuro chips fill the budget exactly.
+        let half = MAX_SESSION_PIXELS / 2;
+        let rest_rows = (half - 16 * 16) / 128;
+        assert_eq!(16 * 16 + half + rest_rows * 128, MAX_SESSION_PIXELS);
+        attached_chip(serve(&mut socket, &dna));
+        let big = attached_chip(serve(&mut socket, &neuro(128, half / 128)));
+        attached_chip(serve(&mut socket, &neuro(rest_rows, 128)));
+        // One more chip of either kind is over budget.
+        let over = Served::Refused(ErrorCode::Overloaded);
+        assert_eq!(serve(&mut socket, &neuro(1, 1)), over);
+        assert_eq!(serve(&mut socket, &dna), over);
+        // Detaching returns the chip's pixels to the budget.
+        assert_eq!(
+            serve(&mut socket, &Message::Detach { chip: big }),
+            Served::Reply(Message::Detached { chip: big })
+        );
+        attached_chip(serve(&mut socket, &neuro(128, 128)));
+        attached_chip(serve(&mut socket, &dna));
+        let ping = Message::Ping { token: 7 };
+        assert_eq!(
+            serve(&mut socket, &ping),
+            Served::Reply(Message::Pong { token: 7 })
+        );
     }
 
     /// Deterministic backpressure accounting at the queue level, no TCP:

@@ -61,5 +61,5 @@ pub use format::{
 pub use reader::{FrameRef, SegmentReader};
 pub use writer::{
     segment_path, validate_name, Offer, Recorder, WriteSummary, DEFAULT_QUEUE_DEPTH, SEGMENT_EXT,
-    SYNC_BYTES,
+    SYNC_BYTES, SYNC_CAP_BYTES,
 };

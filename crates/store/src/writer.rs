@@ -15,10 +15,12 @@
 //!
 //! Whenever its queue runs dry and at least [`SYNC_BYTES`] have been
 //! written since the last sync, the writer thread also syncs the file's
-//! data. The page cache a recording dirties stays bounded, and the
-//! final sync in [`Recorder::finish`] writes back only the tail. A disk
-//! slower than acquisition fills the queue during the stream and shows
-//! up as dropped frames there, not as a long stop.
+//! data. A writer that never catches up still syncs once
+//! [`SYNC_CAP_BYTES`] are unsynced, even with frames queued. The page
+//! cache a recording dirties stays bounded either way, and the final
+//! sync in [`Recorder::finish`] writes back only the tail. A disk slower
+//! than acquisition fills the queue during the stream and shows up as
+//! dropped frames there, not as a long stop.
 //!
 //! # Buffer reuse
 //!
@@ -52,13 +54,31 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 const SPARE_BYTES: usize = 1 << 20;
 
 /// Bytes the writer thread writes between two syncs of the segment's
-/// data: 16 frames at 128×128. The writer checks it only when its queue
-/// runs dry, so a sync never delays a queued frame; while it syncs, the
-/// tee draws on the spare pool, and a longer interval stalls the writer
+/// data: 16 frames at 128×128. The writer checks it when its queue runs
+/// dry, so such a sync delays no queued frame; while it syncs, the tee
+/// draws on the spare pool, and a longer interval stalls the writer
 /// past the pool: 8 MiB read 0.7 MB more peak memory than this one on
 /// the benchmark's `stream_record`, at the same throughput (2-vCPU VM,
 /// 4 interleaved pairs).
 pub const SYNC_BYTES: u64 = 2 << 20;
+
+/// Unsynced bytes at which the writer thread syncs even with frames
+/// queued: a writer that never runs dry would otherwise leave the whole
+/// recording to the final sync in [`Recorder::finish`].
+pub const SYNC_CAP_BYTES: u64 = 4 * SYNC_BYTES;
+
+/// Whether the writer thread syncs now, with `unsynced` bytes written
+/// since the last sync: at [`SYNC_BYTES`] once its queue runs dry, so a
+/// sync rarely delays a queued frame, and at [`SYNC_CAP_BYTES`] in any
+/// case.
+fn sync_due(queue_dry: bool, unsynced: u64) -> bool {
+    let threshold = if queue_dry {
+        SYNC_BYTES
+    } else {
+        SYNC_CAP_BYTES
+    };
+    unsynced >= threshold
+}
 
 /// File extension of segment files in a store root.
 pub const SEGMENT_EXT: &str = "seg";
@@ -266,11 +286,11 @@ impl Drop for Recorder {
 /// handed back through `spares` (or dropped when `spares` is full) once
 /// written, ahead of the CRC byte. `out` is flushed whenever the queue
 /// runs dry, so the file holds every record offered so far (and so every
-/// buffer is back) once the writer catches up; at that point the file's
-/// data is also synced if [`SYNC_BYTES`] have been written since the
-/// last sync, so a sync never delays a queued frame. Any I/O error aborts
-/// persistence; the error is surfaced by [`Recorder::finish`] and the
-/// unfinalised segment is rejected (typed) by the reader.
+/// buffer is back) once the writer catches up; [`sync_due`] decides
+/// there, and before each queued frame, whether to sync the file's data
+/// too. Any I/O error aborts persistence; the error is surfaced by
+/// [`Recorder::finish`] and the unfinalised segment is rejected (typed)
+/// by the reader.
 fn run_writer(
     mut out: BufWriter<File>,
     header_len: u64,
@@ -284,19 +304,22 @@ fn run_writer(
     let mut data_syncs = 0;
     let mut meta = Writer::with_capacity(RECORD_META_LEN);
     loop {
-        let frame = match rx.try_recv() {
-            Ok(frame) => frame,
-            Err(TryRecvError::Empty) => {
-                out.flush()?;
-                if pos - synced >= SYNC_BYTES {
-                    out.get_ref().sync_data()?;
-                    synced = pos;
-                    data_syncs += 1;
-                }
-                let Ok(frame) = rx.recv() else { break };
-                frame
-            }
+        let (frame, queue_dry) = match rx.try_recv() {
+            Ok(frame) => (Some(frame), false),
+            Err(TryRecvError::Empty) => (None, true),
             Err(TryRecvError::Disconnected) => break,
+        };
+        let sync = sync_due(queue_dry, pos - synced);
+        if queue_dry || sync {
+            out.flush()?;
+        }
+        if sync {
+            out.get_ref().sync_data()?;
+            synced = pos;
+            data_syncs += 1;
+        }
+        let Some(frame) = frame.or_else(|| rx.recv().ok()) else {
+            break;
         };
         let len = frame.payload.len();
         meta.clear();
@@ -335,4 +358,29 @@ fn run_writer(
         epochs,
         data_syncs,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_dry_queue_syncs_from_the_sync_interval_on() {
+        assert!(sync_due(true, SYNC_BYTES));
+        assert!(sync_due(true, SYNC_CAP_BYTES));
+    }
+
+    #[test]
+    fn queued_frames_sync_from_the_cap_on() {
+        assert!(sync_due(false, SYNC_CAP_BYTES));
+        assert!(sync_due(false, SYNC_CAP_BYTES + 1));
+    }
+
+    #[test]
+    fn anything_else_does_not_sync() {
+        assert!(!sync_due(true, 0));
+        assert!(!sync_due(true, SYNC_BYTES - 1));
+        assert!(!sync_due(false, SYNC_BYTES));
+        assert!(!sync_due(false, SYNC_CAP_BYTES - 1));
+    }
 }
