@@ -281,7 +281,6 @@ impl NeuroChip {
             timing.pixel_dwell,
             config.channels,
             &faults,
-            &pixels,
         );
         Ok(Self {
             timing,
@@ -349,15 +348,14 @@ impl NeuroChip {
             }
         }
         self.faults = faults.clone();
-        // Clip limits and lost channels are baked into the scan plan and
-        // the linearized tables.
+        // Lost channels are baked into the scan plan, and lost channels
+        // and clip limits into the linearized tables.
         self.plan = ScanPlan::build(
             self.config.geometry,
             self.timing.row_period,
             self.timing.pixel_dwell,
             self.config.channels,
             &self.faults,
-            &self.pixels,
         );
         self.self_tested = None;
         self.linear.invalidate();
@@ -828,9 +826,10 @@ impl<'a> Acquisition<'a> {
             let chunk = self.frame_starts.len();
 
             // Channel-major scratch: [channel][frame][row][slot]. Taken
-            // from the arena so its capacity persists across chunks.
+            // from the arena so its capacity persists across chunks. Both
+            // scans write every slot, a lost channel's zeros included, so
+            // only growth needs initialising.
             let mut stripe = std::mem::take(&mut chip.arena.stripe);
-            stripe.clear();
             stripe.resize(channels * chunk * block, 0.0);
             if self.fast {
                 scan_chunk_linear(

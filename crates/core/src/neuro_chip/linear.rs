@@ -8,7 +8,8 @@
 //! * **Per-pixel transfer coefficients**: around the calibrated operating
 //!   point, `ΔI(v_cleft, t) = off + slope·t_frame + gm·v_cleft` to first
 //!   order ([`NeuroPixel::linearize`]), with `off`/`slope`/`gm` laid out
-//!   in structure-of-arrays buffers parallel to the scan plan entries.
+//!   in structure-of-arrays buffers, one entry per pixel in the channel's
+//!   scan order.
 //!   Tables are rebuilt at every recalibration boundary, so droop between
 //!   expansion points stays second-order (DESIGN.md §13).
 //! * **A neuron-major culture scatter table**: each pixel's `(neuron,
@@ -18,22 +19,24 @@
 //!   per-sample gather over every neuron into a per-frame *scatter*: each
 //!   neuron passing a conservative activity window accumulates its
 //!   waveform into a frame voltage buffer, and the inner loop just reads
-//!   one voltage per sample. The compile builds each channel's buckets in
-//!   one pass, neurons ascending and entries ascending within a bucket,
-//!   and skips whole the neurons that never spike or whose cull disc
-//!   misses the channel's stripe. Each channel compiles on the thread that
-//!   scans it in the acquisition's first chunk, so the compile shares that
-//!   chunk's channel fan-out.
+//!   one voltage per sample. Each active neuron's spike window is found
+//!   once per frame, not once per entry. The compile builds each
+//!   channel's buckets in one pass, neurons ascending and entries
+//!   ascending within a bucket, and skips whole the neurons that never
+//!   spike or whose cull disc misses the channel's stripe. Each channel
+//!   compiles on the thread that scans it in the acquisition's first
+//!   chunk, so the compile shares that chunk's channel fan-out.
 //!   Every prune is *bit-identical* to the reference full sum, because
 //!   each skipped contribution is exactly `+0.0` there and buckets scatter
 //!   in the reference's ascending-neuron order.
-//! * **The chain recursion in registers**: gain, settling factors,
+//! * **The chain recursion in passes**: gain, settling factors,
 //!   transimpedance and noise scale are per-channel constants
-//!   ([`ChannelChain::linear_coeffs`]); the inner loop is a branch-free
-//!   multiply-add over contiguous `f64` slices sharing the reference
-//!   path's exact arithmetic, its deterministic per-channel RNG streams
-//!   and its [`Ziggurat`] noise draws. The only divergence from the
-//!   reference output is the pixel-current linearization itself.
+//!   ([`ChannelChain::linear_coeffs`]). A frame's noise is drawn in one
+//!   pass, its chain inputs computed in another, and its rows settled
+//!   [`SIDE_BY_SIDE_ROWS`] at a time, sharing the reference path's exact
+//!   arithmetic, its deterministic per-channel RNG streams and its
+//!   [`Ziggurat`] noise draws. The only divergence from the reference
+//!   output is the pixel-current linearization itself.
 //!
 //! [`NeuroPixel::linearize`]: super::pixel::NeuroPixel::linearize
 //! [`ChannelChain::linear_coeffs`]: super::chain::ChannelChain
@@ -48,9 +51,10 @@ use bsa_neuro::culture::{Culture, ScatterTable};
 use bsa_rng::{SmallRng, Ziggurat};
 use bsa_units::Seconds;
 
-/// One channel's structure-of-arrays coefficient tables, parallel to its
-/// [`ChannelPlan`] entries, plus its compiled culture scatter table and
-/// per-frame scatter scratch. All buffers are reused across rebuilds.
+/// One channel's structure-of-arrays coefficient tables, one entry per
+/// pixel in the channel's scan order, plus its clipped pixels, its
+/// compiled culture scatter table and per-frame scatter scratch. All
+/// buffers are reused across rebuilds.
 #[derive(Debug, Clone, Default)]
 pub(super) struct LinearChannel {
     /// Residual current at the expansion point, in amperes.
@@ -62,16 +66,13 @@ pub(super) struct LinearChannel {
     slope: Vec<f64>,
     /// Conversion gain ∂ΔI/∂V_cleft in A/V.
     gm: Vec<f64>,
-    /// Clip lower bound (−∞ when the pixel has no clip fault).
-    clip_lo: Vec<f64>,
-    /// Clip upper bound (+∞ when the pixel has no clip fault).
-    clip_hi: Vec<f64>,
-    /// Within-frame sample-time offsets, copied from the plan entries.
-    dt: Vec<f64>,
+    /// The pixels with an injected clip fault, as `(entry, −|limit|,
+    /// |limit|)` in ascending entry order: empty on a clean channel.
+    clips: Vec<(usize, f64, f64)>,
     /// Per neuron, the `(entry, weight)` pairs it feeds.
     scatter: ScatterTable,
-    /// Per-frame cleft-voltage accumulator, one slot per plan entry
-    /// (scratch, rewritten every frame).
+    /// Per-frame cleft-voltage accumulator, one slot per entry
+    /// (scratch: zero between frames).
     vbuf: Vec<f64>,
 }
 
@@ -154,8 +155,12 @@ impl LinearState {
         let t0 = t_lin.value();
         if at_calibration && self.freshness == Freshness::Recalibrated {
             for lc in &mut self.channels {
-                for (((off, &offset), &slope), &dt) in
-                    lc.off.iter_mut().zip(&lc.offset).zip(&lc.slope).zip(&lc.dt)
+                for (((off, &offset), &slope), &dt) in lc
+                    .off
+                    .iter_mut()
+                    .zip(&lc.offset)
+                    .zip(&lc.slope)
+                    .zip(&plan.dt)
                 {
                     *off = offset + slope * (dt - t0);
                 }
@@ -171,33 +176,26 @@ impl LinearState {
         self.channels
             .resize_with(plan.channels.len(), LinearChannel::default);
         let t0 = t_lin.value();
-        for (cp, lc) in plan.channels.iter().zip(self.channels.iter_mut()) {
+        for (&cp, lc) in plan.channels.iter().zip(self.channels.iter_mut()) {
             lc.offset.clear();
             lc.off.clear();
             lc.slope.clear();
             lc.gm.clear();
-            lc.clip_lo.clear();
-            lc.clip_hi.clear();
-            lc.dt.clear();
+            lc.clips.clear();
             if cp.lost {
                 continue;
             }
-            for e in &cp.entries {
-                let lin = pixels
-                    .get(e.idx)
-                    .map_or(PixelLinearization::DEAD, |p| p.linearize(t_lin));
+            for (entry, ((idx, _, _), &dt)) in plan.pixels(cp).zip(&plan.dt).enumerate() {
+                let pixel = pixels.get(idx);
+                let lin = pixel.map_or(PixelLinearization::DEAD, |p| p.linearize(t_lin));
                 let offset = lin.offset.value();
                 lc.offset.push(offset);
-                lc.off.push(offset + lin.slope_a_per_s * (e.dt - t0));
+                lc.off.push(offset + lin.slope_a_per_s * (dt - t0));
                 lc.slope.push(lin.slope_a_per_s);
                 lc.gm.push(lin.gm.value());
-                let (lo, hi) = match e.clip {
-                    Some(l) => (-l.value().abs(), l.value().abs()),
-                    None => (f64::NEG_INFINITY, f64::INFINITY),
-                };
-                lc.clip_lo.push(lo);
-                lc.clip_hi.push(hi);
-                lc.dt.push(e.dt);
+                if let Some(l) = pixel.and_then(|p| p.faults().clip_limit) {
+                    lc.clips.push((entry, -l.value().abs(), l.value().abs()));
+                }
             }
         }
     }
@@ -211,7 +209,9 @@ impl LinearState {
         self.channels
             .resize_with(plan.channels.len(), LinearChannel::default);
         let work = plan.channels.iter().zip(self.channels.iter_mut());
-        fan_out(work, threads, |(cp, lc)| lc.compile_culture(cp, culture));
+        fan_out(work, threads, |(&cp, lc)| {
+            lc.compile_culture(plan, cp, culture)
+        });
         self.channels.iter().map(|lc| lc.scatter.pair_count()).sum()
     }
 }
@@ -219,15 +219,17 @@ impl LinearState {
 impl LinearChannel {
     /// Compiles this channel's culture scatter table into its reused
     /// buffers. A lost channel's table is empty: the scan never reads it.
-    fn compile_culture(&mut self, plan: &ChannelPlan, culture: &Culture) {
-        let entries = if plan.lost {
-            &[][..]
-        } else {
-            &plan.entries[..]
-        };
-        culture.compile_scatter(entries.iter().map(|e| (e.x, e.y)), &mut self.scatter);
+    fn compile_culture(&mut self, plan: &ScanPlan, channel: ChannelPlan, culture: &Culture) {
+        let points = if channel.lost { 0 } else { usize::MAX };
+        let positions = plan.pixels(channel).take(points).map(|(_, x, y)| (x, y));
+        culture.compile_scatter(positions, &mut self.scatter);
     }
 }
+
+/// Rows whose settling recursions the linearized kernel runs side by
+/// side. Each row restarts settling, so the rows' recursions are
+/// independent chains the core can overlap.
+const SIDE_BY_SIDE_ROWS: usize = 4;
 
 /// Scans one channel's column stripe for a chunk of frames through the
 /// linearized tables. Mirrors the reference `scan_channel` sample for
@@ -235,9 +237,16 @@ impl LinearChannel {
 /// arithmetic — only the pixel current is the first-order model instead
 /// of the full solve. A lost channel writes zeros and returns without
 /// touching tables, culture or RNG.
+///
+/// Each frame runs in passes over the channel's output block, every one
+/// bit-identical to the per-sample loop it replaces (DESIGN.md §13):
+/// the frame's noise draws in scan order; the culture scatter; the
+/// pixel current and the chain's input, sample by sample; the settling
+/// recursion, [`SIDE_BY_SIDE_ROWS`] rows at a time; the clipped pixels.
 #[allow(clippy::too_many_arguments)]
 fn scan_channel_linear(
-    plan: &ChannelPlan,
+    channel: ChannelPlan,
+    dt: &[f64],
     lc: &mut LinearChannel,
     cc: ChainCoeffs,
     stream: &mut SmallRng,
@@ -248,7 +257,7 @@ fn scan_channel_linear(
     cols_per_channel: usize,
     out: &mut [f64],
 ) {
-    if plan.lost {
+    if channel.lost {
         out.fill(0.0);
         return;
     }
@@ -262,92 +271,111 @@ fn scan_channel_linear(
     let mut rng = stream.clone();
     lc.vbuf.clear();
     lc.vbuf.resize(frame_len, 0.0);
-    // Channels whose stripe contains no clipped pixel skip the clamp
-    // entirely: clamping against (−∞, +∞) is the identity, so the output
-    // is bitwise unchanged — only the two bound loads and compares go.
-    let any_clip = lc
-        .clip_lo
-        .iter()
-        .zip(lc.clip_hi.iter())
-        .any(|(lo, hi)| lo.is_finite() || hi.is_finite());
     for (frame_out, &fs) in out.chunks_mut(frame_len).zip(frame_starts) {
+        // Noise: one draw per sample in scan order, the order the
+        // per-sample loop drew them in, parked in the output block until
+        // the chain input takes them up. Nothing else runs between draws,
+        // and two draws a step halve the loop's own overhead.
+        let mut pairs = frame_out.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            if let [a, b] = pair {
+                *a = noise.sample(&mut rng);
+                *b = noise.sample(&mut rng);
+            }
+        }
+        for z in pairs.into_remainder() {
+            *z = noise.sample(&mut rng);
+        }
+
         // Scatter phase: accumulate each active neuron's waveform into the
         // frame voltage buffer. The activity window is conservative — a
         // neuron skipped here contributes exactly zero to every sample of
         // this frame — and buckets are scattered in ascending neuron
         // order, which is the reference sum's per-sample pair order, so
         // the accumulated voltages are bitwise identical to the gather.
+        // Every sample of the frame lies at or after its start, so one
+        // spike window found from there serves every pair.
         let f_from = Seconds::new(fs);
         let f_to = f_from + frame_period;
-        lc.vbuf.fill(0.0);
         for (ni, n) in neurons.iter().enumerate() {
             let pad = n.activity_padding();
             if !n.active_in(f_from - pad, f_to + pad) {
                 continue;
             }
+            let spikes = n.spikes_from(f_from);
             for &(e, w) in lc.scatter.bucket(ni) {
-                let (Some(slot), Some(&dt_e)) =
-                    (lc.vbuf.get_mut(e as usize), lc.dt.get(e as usize))
+                let (Some(slot), Some(&dt_e)) = (lc.vbuf.get_mut(e as usize), dt.get(e as usize))
                 else {
                     continue;
                 };
-                *slot += (n.temporal_at(Seconds::new(fs + dt_e)) * w).value();
+                *slot += (spikes.temporal_at(Seconds::new(fs + dt_e)) * w).value();
             }
         }
 
-        // Fold the full linearized pixel current into the buffer in place:
-        // i = off + slope·t_frame + gm·v, the exact expression (and FP
-        // association) the gather loop used per sample. The inner loop
-        // then streams one current per sample.
-        for (((ib, &off_k), &slope_k), &gm_k) in lc
-            .vbuf
+        // The full linearized pixel current i = off + slope·t_frame + gm·v,
+        // then the chain input (i + σ·z)·gain: the exact expressions (and
+        // FP association) the per-sample loop used. Taking each voltage
+        // leaves the buffer zeroed for the next frame's scatter.
+        let inputs = frame_out
             .iter_mut()
-            .zip(lc.off.iter())
-            .zip(lc.slope.iter())
-            .zip(lc.gm.iter())
-        {
-            *ib = off_k + slope_k * fs + gm_k * *ib;
+            .zip(lc.vbuf.iter_mut())
+            .zip(&lc.off)
+            .zip(&lc.slope)
+            .zip(&lc.gm);
+        for ((((y, v), &off_k), &slope_k), &gm_k) in inputs {
+            let v = std::mem::take(v);
+            let i = off_k + slope_k * fs + gm_k * v;
+            *y = (i + cc.sigma * *y) * cc.gain;
         }
 
-        if any_clip {
-            let row_iter = frame_out
-                .chunks_exact_mut(cols_per_channel)
-                .zip(lc.vbuf.chunks_exact(cols_per_channel))
-                .zip(lc.clip_lo.chunks_exact(cols_per_channel))
-                .zip(lc.clip_hi.chunks_exact(cols_per_channel));
-            for (((row_out, ib), lo), hi) in row_iter {
-                // Row boundary: settling restarts, exactly as the
-                // reference chain's `reset_settling`.
-                let mut last = 0.0f64;
-                for (((y, &i), &lo_k), &hi_k) in row_out.iter_mut().zip(ib).zip(lo).zip(hi) {
-                    let z = noise.sample(&mut rng);
-                    let noisy = i + cc.sigma * z;
-                    let target = noisy * cc.gain;
-                    let after_a = target + (last - target) * cc.alpha_a;
-                    let o = after_a + (last - after_a) * cc.alpha_b;
-                    last = o;
-                    *y = (o * cc.r).clamp(lo_k, hi_k);
-                }
-            }
-        } else {
-            let row_iter = frame_out
-                .chunks_exact_mut(cols_per_channel)
-                .zip(lc.vbuf.chunks_exact(cols_per_channel));
-            for (row_out, ib) in row_iter {
-                let mut last = 0.0f64;
-                for (y, &i) in row_out.iter_mut().zip(ib) {
-                    let z = noise.sample(&mut rng);
-                    let noisy = i + cc.sigma * z;
-                    let target = noisy * cc.gain;
-                    let after_a = target + (last - target) * cc.alpha_a;
-                    let o = after_a + (last - after_a) * cc.alpha_b;
-                    last = o;
-                    *y = o * cc.r;
-                }
+        settle(frame_out, cols_per_channel, cc);
+
+        // Clamping against (−∞, +∞) is the identity, so only the clipped
+        // pixels are touched.
+        for &(k, lo, hi) in &lc.clips {
+            if let Some(y) = frame_out.get_mut(k) {
+                *y = y.clamp(lo, hi);
             }
         }
     }
     *stream = rng;
+}
+
+/// Runs the chain's two settling stages over one frame of chain inputs in
+/// place, leaving the transimpedance outputs. Each row starts settled at
+/// zero, exactly as the reference chain's `reset_settling`, so the rows
+/// are independent: groups of [`SIDE_BY_SIDE_ROWS`] rows advance one slot
+/// at a time, each lane doing exactly one row's scalar steps, and the
+/// rows past the last full group run alone.
+fn settle(frame: &mut [f64], cols_per_channel: usize, cc: ChainCoeffs) {
+    let mut groups = frame.chunks_exact_mut(SIDE_BY_SIDE_ROWS * cols_per_channel);
+    for group in &mut groups {
+        let mut last = [0.0f64; SIDE_BY_SIDE_ROWS];
+        for slot in 0..cols_per_channel {
+            for (lane, last) in last.iter_mut().enumerate() {
+                if let Some(y) = group.get_mut(lane * cols_per_channel + slot) {
+                    *y = settle_step(last, *y, cc);
+                }
+            }
+        }
+    }
+    for row in groups.into_remainder().chunks_exact_mut(cols_per_channel) {
+        let mut last = 0.0f64;
+        for y in row {
+            *y = settle_step(&mut last, *y, cc);
+        }
+    }
+}
+
+/// One sample through the readout amplifier's and the output driver's
+/// settling from the row's previous output `last`, then the
+/// transimpedance.
+#[inline(always)]
+fn settle_step(last: &mut f64, target: f64, cc: ChainCoeffs) -> f64 {
+    let after_a = target + (*last - target) * cc.alpha_a;
+    let o = after_a + (*last - after_a) * cc.alpha_b;
+    *last = o;
+    o * cc.r
 }
 
 /// Scans a chunk of frames across all channels through the linearized
@@ -384,12 +412,13 @@ pub(super) fn scan_chunk_linear(
         .zip(chain.iter().copied())
         .zip(rngs.iter_mut())
         .zip(stripe.chunks_mut(block));
-    fan_out(work, threads, |((((cp, lc), cc), rng), out)| {
+    fan_out(work, threads, |((((&cp, lc), cc), rng), out)| {
         if compile {
-            lc.compile_culture(cp, culture);
+            lc.compile_culture(plan, cp, culture);
         }
         scan_channel_linear(
             cp,
+            &plan.dt,
             lc,
             cc,
             rng,

@@ -5,11 +5,12 @@
 //! each serving 8 columns through its own 8-to-1 multiplexer and gain
 //! chain. This module exploits exactly that structure:
 //!
-//! * **Per-channel scan plans** ([`ScanPlan`]) precompute everything that
-//!   is loop-invariant across frames — pixel indices, electrode positions,
-//!   within-frame sample-time offsets, clip-limit fault lookups and
-//!   lost-channel flags — so the per-sample inner loop touches no
-//!   geometry or fault tables.
+//! * **A scan plan** ([`ScanPlan`]) holds what is loop-invariant across
+//!   frames and not already in the geometry: the within-frame sample-time
+//!   offsets, one table shared by every channel, and the lost-channel
+//!   flags. Pixel indices and electrode positions follow from the
+//!   geometry, and a clip limit stays with the pixel it was injected
+//!   into.
 //! * **Deterministic per-channel RNG streams**
 //!   ([`channel_stream_seed`](bsa_rng::channel_stream_seed)): each
 //!   channel chain owns a `SmallRng` seeded from the die seed and its
@@ -53,83 +54,80 @@ pub(super) fn clipped(limit: Option<Volt>, v: Volt) -> f64 {
     }
 }
 
-/// Everything the inner loop needs about one pixel, precomputed once.
+/// One multiplexer channel of a [`ScanPlan`].
 #[derive(Debug, Clone, Copy)]
-pub(super) struct PlanEntry {
-    /// Row-major pixel index into the pixel array and the frame buffer.
-    pub idx: usize,
-    /// Electrode x position.
-    pub x: Meter,
-    /// Electrode y position.
-    pub y: Meter,
-    /// Sample-time offset from the frame start (rolling shutter + mux
-    /// slot), in seconds.
-    pub dt: f64,
-    /// Injected gain-chain clip limit of this pixel, if any.
-    pub clip: Option<Volt>,
-}
-
-/// One channel's precomputed scan order: its column stripe across all
-/// rows, in (row, mux-slot) order.
-#[derive(Debug, Clone)]
 pub(super) struct ChannelPlan {
+    /// The channel's first column; it serves `cols_per_channel` columns
+    /// from there.
+    pub first_col: usize,
     /// `true` if the multiplexer channel is lost to an injected fault; the
     /// scan then writes zeros without evaluating pixels or the culture.
     pub lost: bool,
-    /// `rows × columns_per_channel` entries in scan order.
-    pub entries: Vec<PlanEntry>,
 }
 
-/// Precomputed per-channel scan plans for a die (rebuilt when faults are
-/// injected).
+/// Precomputed per-channel scan order for a die (rebuilt when faults are
+/// injected). Each channel scans its column stripe across all rows in
+/// (row, mux-slot) order; a pixel's index and position follow from the
+/// geometry, and its sample-time offset is the same on every channel, so
+/// the plan keeps one shared offset table and a lost flag per channel.
+/// Clip limits stay with the pixels that have one: the reference scan
+/// reads them there and the linearized tables list them sparsely.
 #[derive(Debug, Clone)]
 pub(super) struct ScanPlan {
     pub channels: Vec<ChannelPlan>,
     pub rows: usize,
     pub cols_per_channel: usize,
+    /// Sample-time offset from the frame start of each (row, slot), in
+    /// scan order (rolling shutter + mux slot), in seconds.
+    pub dt: Vec<f64>,
+    geometry: ArrayGeometry,
 }
 
 impl ScanPlan {
-    /// Builds the plan from the die's geometry, timing, faults and pixels.
+    /// Builds the plan from the die's geometry, timing and faults.
     pub fn build(
         geometry: ArrayGeometry,
         row_period: Seconds,
         pixel_dwell: Seconds,
         channels: usize,
         faults: &CompiledFaults,
-        pixels: &[NeuroPixel],
     ) -> Self {
         let rows = geometry.rows();
-        let cols = geometry.cols();
-        let cpc = cols / channels;
-        let plans = (0..channels)
-            .map(|ch| {
-                let mut entries = Vec::with_capacity(rows * cpc);
-                for row in 0..rows {
-                    for slot in 0..cpc {
-                        let col = ch * cpc + slot;
-                        let idx = row * cols + col;
-                        let (x, y) = geometry.position_of(PixelAddress::new(row, col));
-                        entries.push(PlanEntry {
-                            idx,
-                            x,
-                            y,
-                            dt: row as f64 * row_period.value() + slot as f64 * pixel_dwell.value(),
-                            clip: pixels.get(idx).and_then(|p| p.faults().clip_limit),
-                        });
-                    }
-                }
-                ChannelPlan {
-                    lost: faults.channel_lost(ch),
-                    entries,
-                }
+        let cpc = geometry.cols() / channels;
+        let dt = (0..rows)
+            .flat_map(|row| {
+                (0..cpc).map(move |slot| {
+                    row as f64 * row_period.value() + slot as f64 * pixel_dwell.value()
+                })
             })
             .collect();
         Self {
-            channels: plans,
+            channels: (0..channels)
+                .map(|ch| ChannelPlan {
+                    first_col: ch * cpc,
+                    lost: faults.channel_lost(ch),
+                })
+                .collect(),
             rows,
             cols_per_channel: cpc,
+            dt,
+            geometry,
         }
+    }
+
+    /// The pixels `channel` scans, in scan order: each one's row-major
+    /// index into the pixel array and its electrode position.
+    pub fn pixels(
+        &self,
+        channel: ChannelPlan,
+    ) -> impl Iterator<Item = (usize, Meter, Meter)> + Clone + '_ {
+        let cols = self.geometry.cols();
+        (0..self.rows).flat_map(move |row| {
+            (channel.first_col..channel.first_col + self.cols_per_channel).map(move |col| {
+                let (x, y) = self.geometry.position_of(PixelAddress::new(row, col));
+                (row * cols + col, x, y)
+            })
+        })
     }
 }
 
@@ -142,7 +140,8 @@ impl ScanPlan {
 /// never observed elsewhere).
 #[allow(clippy::too_many_arguments)]
 fn scan_channel(
-    plan: &ChannelPlan,
+    plan: &ScanPlan,
+    channel: ChannelPlan,
     chain: &mut ChannelChain,
     stream: &mut SmallRng,
     pixels: &[NeuroPixel],
@@ -153,7 +152,7 @@ fn scan_channel(
     cols_per_channel: usize,
     out: &mut [f64],
 ) {
-    if plan.lost {
+    if channel.lost {
         out.fill(0.0);
         return;
     }
@@ -162,19 +161,19 @@ fn scan_channel(
     // `scan_channel_linear` for why no draw writes the shared `Vec`.
     let mut rng = stream.clone();
     for (frame_out, &fs) in out.chunks_mut(frame_len).zip(frame_starts) {
-        let row_outs = frame_out.chunks_exact_mut(cols_per_channel);
-        for (row, row_out) in plan.entries.chunks_exact(cols_per_channel).zip(row_outs) {
-            chain.reset_settling();
-            for (e, o) in row.iter().zip(row_out) {
-                let Some(pixel) = pixels.get(e.idx) else {
-                    continue;
-                };
-                let t = Seconds::new(fs + e.dt);
-                let v_cleft = culture.cleft_voltage_at(e.x, e.y, t);
-                let i_diff = pixel.read(v_cleft, t);
-                let v = chain.process_sample(i_diff, dwell, &mut rng);
-                *o = clipped(e.clip, v);
+        let scan = plan.pixels(channel).zip(&plan.dt).zip(frame_out);
+        for (k, (((idx, x, y), &dt), o)) in scan.enumerate() {
+            if k % cols_per_channel == 0 {
+                chain.reset_settling();
             }
+            let Some(pixel) = pixels.get(idx) else {
+                continue;
+            };
+            let t = Seconds::new(fs + dt);
+            let v_cleft = culture.cleft_voltage_at(x, y, t);
+            let i_diff = pixel.read(v_cleft, t);
+            let v = chain.process_sample(i_diff, dwell, &mut rng);
+            *o = clipped(pixel.faults().clip_limit, v);
         }
     }
     *stream = rng;
@@ -207,8 +206,9 @@ pub(super) fn scan_chunk(
         .zip(channels.iter_mut())
         .zip(rngs.iter_mut())
         .zip(stripe.chunks_mut(block));
-    fan_out(work, threads, |(((cp, chain), rng), out)| {
+    fan_out(work, threads, |(((&cp, chain), rng), out)| {
         scan_channel(
+            plan,
             cp,
             chain,
             rng,
@@ -227,22 +227,19 @@ pub(super) fn scan_chunk(
 mod tests {
     use super::*;
     use crate::neuro_chip::chain::ChainConfig;
+    use bsa_faults::InjectionPlan;
 
     #[test]
     fn lost_channel_does_zero_pixel_and_culture_work() {
-        // The plan's entries point at pixel indices that do not exist, so
-        // a scan that walked them would leave the buffer's 42.0 in place.
-        // A lost channel must instead short-circuit to a zero fill.
-        let plan = ChannelPlan {
-            lost: true,
-            entries: vec![PlanEntry {
-                idx: usize::MAX, // no such pixel
-                x: Meter::ZERO,
-                y: Meter::ZERO,
-                dt: 0.0,
-                clip: None,
-            }],
-        };
+        // The die has no pixels, so a scan that walked the plan would
+        // leave the buffer's 42.0 in place. A lost channel must instead
+        // short-circuit to a zero fill.
+        let geometry = ArrayGeometry::new(1, 2, Meter::from_micro(7.8)).unwrap();
+        let faults = InjectionPlan::new(0).lose_channel(0).compile(1, 2);
+        let dwell = Seconds::from_nano(488.0);
+        let plan = ScanPlan::build(geometry, dwell * 2.0, dwell, 1, &faults);
+        let channel = plan.channels[0];
+        assert!(channel.lost);
         let mut rng = SmallRng::seed_from_u64(1);
         let mut chain = ChannelChain::sample(ChainConfig::default(), &mut rng);
         let culture = Culture::empty(Meter::from_milli(1.0), Meter::from_milli(1.0));
@@ -250,11 +247,12 @@ mod tests {
         let mut out = vec![42.0; 4];
         scan_channel(
             &plan,
+            channel,
             &mut chain,
             &mut rng,
             &no_pixels,
             &culture,
-            Seconds::from_nano(488.0),
+            dwell,
             &[0.0, 1.0],
             1,
             2,

@@ -65,22 +65,27 @@ impl CulturedNeuron {
     }
 
     /// Temporal junction waveform of this neuron at time `t` (the spatial
-    /// footprint factored out), summing over its (recent) spikes.
+    /// footprint factored out), summing over its (recent) spikes: the
+    /// [`SpikeWindow`] found from `t` itself.
     pub fn temporal_at(&self, t: Seconds) -> Volt {
-        // Only spikes within the template window contribute; binary search
-        // for the window start keeps this O(log n + k).
+        self.spikes_from(t).temporal_at(t)
+    }
+
+    /// The spikes that can reach a sample at `from` or later: every spike
+    /// from the first at or after `from − duration` on. Only spikes within
+    /// the template window contribute, so a binary search for that start
+    /// keeps [`temporal_at`](Self::temporal_at) O(log n + k); a readout
+    /// that samples many points after one instant searches once and sums
+    /// each point from the same window.
+    pub fn spikes_from(&self, from: Seconds) -> SpikeWindow<'_> {
         let window = self.template.duration().value();
-        let t0 = t.value() - window;
+        let t0 = from.value() - window;
         let start = self.spikes.partition_point(|s| s.value() < t0);
-        let mut v = Volt::ZERO;
-        for s in self.spikes.get(start..).unwrap_or_default() {
-            let rel = t - *s;
-            if rel.value() < -window {
-                break;
-            }
-            v += self.template.sample_at(rel);
+        SpikeWindow {
+            spikes: self.spikes.get(start..).unwrap_or_default(),
+            template: &self.template,
+            window,
         }
-        v
     }
 
     /// Whether any spike lies in the closed interval `[from, to]`.
@@ -135,6 +140,40 @@ impl ScatterTable {
         let lo = self.offsets.get(neuron).map_or(0, |&o| o as usize);
         let hi = self.offsets.get(neuron + 1).map_or(lo, |&o| o as usize);
         self.pairs.get(lo..hi).unwrap_or(&[])
+    }
+}
+
+/// A neuron's spikes from the first that can reach a sample at some
+/// instant on, found by [`CulturedNeuron::spikes_from`].
+#[derive(Debug, Clone, Copy)]
+pub struct SpikeWindow<'a> {
+    spikes: &'a [Seconds],
+    template: &'a ApTemplate,
+    /// The template duration, in seconds.
+    window: f64,
+}
+
+impl SpikeWindow<'_> {
+    /// The neuron's temporal waveform at `t`, for any `t` at or after the
+    /// instant the window was found from. Spikes before `t − duration`
+    /// are skipped and the sum stops at the first spike after
+    /// `t + duration`, so it adds exactly the spikes a search from `t`
+    /// itself would, in the same order: bit-identical to
+    /// [`CulturedNeuron::temporal_at`].
+    pub fn temporal_at(&self, t: Seconds) -> Volt {
+        let t0 = t.value() - self.window;
+        let mut v = Volt::ZERO;
+        for s in self.spikes {
+            if s.value() < t0 {
+                continue;
+            }
+            let rel = t - *s;
+            if rel.value() < -self.window {
+                break;
+            }
+            v += self.template.sample_at(rel);
+        }
+        v
     }
 }
 
@@ -511,6 +550,94 @@ mod tests {
         c.compile_scatter(std::iter::empty(), &mut table);
         assert_eq!(table.pair_count(), 0);
         assert!((0..c.neurons().len()).all(|n| table.bucket(n).is_empty()));
+    }
+
+    /// The waveform as a search from `t` itself sums it: the first spike
+    /// at or after `t − duration`, up to the first after `t + duration`.
+    fn searched_temporal_at(n: &CulturedNeuron, t: Seconds) -> Volt {
+        let window = n.template.duration().value();
+        let start = n.spikes.partition_point(|s| s.value() < t.value() - window);
+        let mut v = Volt::ZERO;
+        for s in &n.spikes[start..] {
+            let rel = t - *s;
+            if rel.value() < -window {
+                break;
+            }
+            v += n.template.sample_at(rel);
+        }
+        v
+    }
+
+    #[test]
+    fn a_window_found_earlier_sums_like_a_search_from_the_sample_time() {
+        // The paper's scan: a 0.5 ms frame of 128 rows, 8 mux slots a row.
+        let template = ApTemplate::nominal().clone();
+        let w = template.duration().value();
+        let frame = 0.5e-3;
+        let dwell = frame / 128.0 / 8.0;
+        let neuron = |spikes: Vec<Seconds>| CulturedNeuron {
+            x: Meter::ZERO,
+            y: Meter::ZERO,
+            diameter: Meter::from_micro(40.0),
+            pattern: FiringPattern::Silent,
+            template: template.clone(),
+            spikes,
+        };
+        let silent = neuron(Vec::new());
+        for k in 0..7 {
+            let fs = 3e-3 + k as f64 * frame;
+            // The frame's first slot, its last slot and one in between.
+            for dt in [0.0, 37.0 * dwell, frame - dwell] {
+                let t = fs + dt;
+                // Spikes exactly on both window edges, a duplicated spike,
+                // one just inside each edge, and some far outside.
+                let spikes = [
+                    t - 3.0 * w,
+                    t - w,
+                    t - w,
+                    t - w + dwell,
+                    t - 0.5 * w,
+                    t - 0.5 * w,
+                    t,
+                    t + w - dwell,
+                    t + w,
+                    t + w,
+                    t + 4.0 * w,
+                ];
+                let n = neuron(spikes.map(Seconds::new).to_vec());
+                let at = Seconds::new(t);
+                let want = searched_temporal_at(&n, at).value().to_bits();
+                assert_ne!(want, 0, "the inner spikes must contribute at t = {t}");
+                assert_eq!(n.temporal_at(at).value().to_bits(), want, "t = {t}");
+                for from in [fs, fs - dwell, t] {
+                    let got = n.spikes_from(Seconds::new(from)).temporal_at(at);
+                    assert_eq!(got.value().to_bits(), want, "t = {t}, from {from}");
+                }
+                let none = silent.spikes_from(Seconds::new(fs)).temporal_at(at);
+                assert_eq!(none.value().to_bits(), 0, "silent neuron at t = {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_window_sums_a_spike_train_like_per_sample_searches() {
+        let mut rng = SmallRng::seed_from_u64(38);
+        let pattern = FiringPattern::Poisson { rate_hz: 400.0 };
+        let mut n = one_neuron_culture().neurons()[0].clone();
+        n.spikes = pattern.generate(Seconds::from_milli(60.0), &mut rng);
+        assert!(n.spikes.len() > 10);
+        let frame = 0.5e-3;
+        let dwell = frame / 128.0 / 8.0;
+        for k in 0..100 {
+            let fs = Seconds::new(k as f64 * frame);
+            let window = n.spikes_from(fs);
+            for slot in (0..1024).step_by(31).chain([1023]) {
+                let t = Seconds::new(fs.value() + slot as f64 * dwell);
+                let want = searched_temporal_at(&n, t).value().to_bits();
+                assert_eq!(window.temporal_at(t).value().to_bits(), want, "t = {t}");
+                assert_eq!(n.temporal_at(t).value().to_bits(), want, "t = {t}");
+            }
+        }
     }
 
     #[test]
